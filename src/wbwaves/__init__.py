@@ -14,7 +14,6 @@ from .dynamics import (
     linear_rhs,
     picard_solve,
     rhs,
-    semigroup_apply,
 )
 from .functionals import (
     EnergyReport,
@@ -78,7 +77,6 @@ __all__ = [
     "pair_product",
     "picard_solve",
     "rhs",
-    "semigroup_apply",
     "smallness_threshold",
     "sobolev_norm",
     "triple_quadrature",

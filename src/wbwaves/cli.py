@@ -1,9 +1,11 @@
 """Command-line entry points: run, study, describe.
 
 Exit codes: 0 success (for ``study``: the pass criterion holds), 1 config
-or usage error, 2 blow-up detected during a run.  Environment overrides:
-WB_OUTPUT_DIR replaces the configured output directory, WB_THREADS sets the
-worker count for independent sweep points.
+or usage error or a Duhamel iteration that does not contract, 2 blow-up
+detected during a run or in a study's sweep member.  Every run writes
+``run_summary.json`` with status ``ok``, ``blowup`` or ``no_contraction``; a
+study whose member blows up writes ``<study>.json`` with status ``blowup``.
+Environment override: WB_OUTPUT_DIR replaces the configured output directory.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from .config import STUDIES, ConfigError, RunConfig, load_config, output_header
-from .dynamics import evolve
+from .dynamics import BlowUpError, PicardError, evolve
 from .experiments import (
     SweepSpec,
     conservation_check,
@@ -37,13 +39,6 @@ from .inequalities import (
 )
 from .presets import random_bandlimited
 from .state import Params
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("WB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _ensure_outdir(config: RunConfig):
@@ -73,7 +68,14 @@ def cmd_run(config: RunConfig) -> int:
     u0 = config.initial_state(grid)
     spec = config.system_spec()
     cfg = config.integrator()
-    result = evolve(u0, spec, cfg, config.T, config.report_every)
+    try:
+        result = evolve(u0, spec, cfg, config.T, config.report_every)
+    except PicardError as exc:
+        summary = {"status": "no_contraction", "iterations": len(exc.defects),
+                   "defects": exc.defects, "contraction_estimate": exc.contraction}
+        _write_json(os.path.join(outdir, "run_summary.json"), config, summary)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows = [rep.csv_row() for rep in result.reports]
     _write_csv(os.path.join(outdir, "energy.csv"), config, EnergyReport.csv_header(), rows)
     if config.snapshots:
@@ -103,18 +105,6 @@ def _study_rows_json(config, outdir, name, sweep_param, points, summary):
     _write_json(os.path.join(outdir, base + ".json"), config, summary)
 
 
-def _study_family(config: RunConfig, kappa):
-    opt = config.study
-    return small_data_family(
-        config.grid(),
-        kappa,
-        count=int(opt.get("count", 10)),
-        epsilon=opt.get("epsilon"),
-        seed=config.seed,
-        band=int(opt.get("band", 6)),
-    )
-
-
 def cmd_study(name: str, config: RunConfig) -> int:
     if name not in STUDIES:
         print(
@@ -123,56 +113,62 @@ def cmd_study(name: str, config: RunConfig) -> int:
         )
         return 1
     outdir = _ensure_outdir(config)
-    opt = config.study
-    workers = _workers()
+    if name == "inequalities":
+        return _run_inequalities(config, outdir)
+    try:
+        report, sweep_param, points = _run_study(name, config)
+    except BlowUpError as exc:
+        summary = {"study": name, "status": "blowup", "pass": False,
+                   "member": exc.member, "blowup_time": exc.time}
+        _write_json(os.path.join(outdir, name + ".json"), config, summary)
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 2
+    _study_rows_json(config, outdir, name, sweep_param, points, report.summary())
+    return 0 if report.passed else 1
 
+
+def _run_study(name: str, config: RunConfig):
+    """Run one study; returns its report, the swept quantity and the raw points."""
+    opt = config.study
     if name == "kappa_limit":
         values = opt.get("values", [1e-1, 1e-2, 1e-3, 1e-4])
         sweep = SweepSpec(config, "kappa", tuple(values), opt.get("comparison_norm"))
-        report = kappa_limit_study(sweep, workers=workers)
-        points = report.extra.get("points", [])
-        _study_rows_json(config, outdir, name, "kappa", points, report.summary())
-        return 0 if report.passed else 1
+        report = kappa_limit_study(sweep)
+        return report, "kappa", report.extra.get("points", [])
 
     if name == "mu_limit":
         values = opt.get("values", [1e-1, 1e-2, 1e-3])
-        sweep = SweepSpec(config, "mu", tuple(values))
-        report = mu_limit_study(sweep, workers=workers)
+        report = mu_limit_study(SweepSpec(config, "mu", tuple(values)))
+        points = [{"mu": m, "error": e} for m, e in zip(report.param_values, report.errors)]
+        return report, "mu", points
+
+    if name in ("invariant_region", "dissipation"):
+        family = small_data_family(
+            config.grid(),
+            config.kappa,
+            count=int(opt.get("count", 10)),
+            epsilon=opt.get("epsilon"),
+            seed=config.seed,
+            band=int(opt.get("band", 6)),
+        )
+        mu = float(opt.get("mu", 0.2))
+        if name == "invariant_region":
+            params = Params(kappa=config.kappa, mu=mu, p=config.p, s=config.s)
+            report = invariant_region_test(
+                family, params, config.T, config.integrator(),
+                epsilon=opt.get("epsilon"), report_every=config.report_every,
+            )
+        else:
+            params = Params(kappa=config.kappa, mu=mu, p=1.0, s=config.s)
+            report = dissipation_test(
+                family, params, config.T, config.integrator(),
+                delta=float(opt.get("delta", 0.1)), report_every=config.report_every,
+            )
         points = [
-            {"mu": m, "error": e} for m, e in zip(report.param_values, report.errors)
-        ]
-        _study_rows_json(config, outdir, name, "mu", points, report.summary())
-        return 0 if report.passed else 1
-
-    if name == "invariant_region":
-        mu = float(opt.get("mu", 0.2))
-        params = Params(kappa=config.kappa, mu=mu, p=config.p, s=config.s)
-        family = _study_family(config, config.kappa)
-        report = invariant_region_test(
-            family, params, config.T, config.integrator(),
-            epsilon=opt.get("epsilon"), report_every=config.report_every,
-        )
-        pts = [
             {k: v for k, v in row.items() if isinstance(v, (int, float, bool))}
             for row in report.rows
         ]
-        _study_rows_json(config, outdir, name, "datum", pts, report.summary())
-        return 0 if report.passed else 1
-
-    if name == "dissipation":
-        mu = float(opt.get("mu", 0.2))
-        params = Params(kappa=config.kappa, mu=mu, p=1.0, s=config.s)
-        family = _study_family(config, config.kappa)
-        report = dissipation_test(
-            family, params, config.T, config.integrator(),
-            delta=float(opt.get("delta", 0.1)), report_every=config.report_every,
-        )
-        pts = [
-            {k: v for k, v in row.items() if isinstance(v, (int, float, bool))}
-            for row in report.rows
-        ]
-        _study_rows_json(config, outdir, name, "datum", pts, report.summary())
-        return 0 if report.passed else 1
+        return report, "datum", points
 
     if name == "stability":
         sizes = [float(v) for v in opt.get("sizes", [1e-2, 1e-3, 1e-4])]
@@ -181,20 +177,15 @@ def cmd_study(name: str, config: RunConfig) -> int:
             config.initial_state(), sizes, r, config.params(), config.T,
             config.integrator(), seed=config.seed, report_every=config.report_every,
         )
-        pts = [{"size": s_, "sup_energy": e} for s_, e in zip(report.sizes, report.sup_energies)]
-        _study_rows_json(config, outdir, name, "size", pts, report.summary())
-        return 0 if report.passed else 1
-
-    if name == "inequalities":
-        return _run_inequalities(config, outdir)
+        points = [{"size": s_, "sup_energy": e} for s_, e in zip(report.sizes, report.sup_energies)]
+        return report, "size", points
 
     if name == "conservation":
         report = conservation_check(
             config.initial_state(), config.params(), config.T, config.integrator(),
             report_every=config.report_every,
         )
-        _study_rows_json(config, outdir, name, "", report.rows, report.summary())
-        return 0 if report.passed else 1
+        return report, "", report.rows
 
     raise AssertionError(name)
 

@@ -35,18 +35,31 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .functionals import EnergyReport, modified_energy
-from .spectral import Field, Grid, SpectralError, _tanh_over_x
+from .spectral import Field, Grid, SpectralError, SymbolCatalog
 from .state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
 INTEGRATOR_METHODS = ("exponential_rk4", "reference_rk4", "picard_duhamel")
 
 
 class BlowUpError(RuntimeError):
-    pass
+    """A run that a study needs blew up; ``member`` names it, ``time`` says when."""
+
+    def __init__(self, member, time):
+        super().__init__(f"{member} run blew up at t={time:g}")
+        self.member = member
+        self.time = time
 
 
 class PicardError(RuntimeError):
-    """Fixed-point iteration failed to contract (horizon too large for the data)."""
+    """Fixed-point iteration failed to contract (horizon too large for the data).
+
+    ``defects`` holds the defect of every sweep, ``contraction`` the largest
+    ratio of successive defects (infinite when the iteration diverged)."""
+
+    def __init__(self, message, defects, contraction):
+        super().__init__(message)
+        self.defects = list(defects)
+        self.contraction = contraction
 
 
 @dataclass(frozen=True)
@@ -105,37 +118,24 @@ class _Ops:
         self.grid = grid
         self.spec = spec
         p = spec.params
+        cat = SymbolCatalog
         self.mask = grid.dealias_mask if dealias else None
-        a = grid.xi_norm
         if spec.regularized:
-            self.heat_rate = p.kappa * p.mu * a**p.p
+            self.heat_rate = p.kappa * p.mu * cat.riesz(p.p).values(grid)
         else:
             self.heat_rate = None
-        self.Kk = np.sqrt((1.0 + p.kappa * a * a) * _tanh_over_x(a))
-        self.Kk_inv = 1.0 / self.Kk
+        self.Kk = cat.K_kappa(p.kappa).values(grid)
+        self.Kk_inv = cat.K_kappa_inv(p.kappa).values(grid)
+        self.phase = cat.frequency(grid, p.kappa)
+        self.dx = tuple(cat.partial(j).multiplier(grid, axis=j) for j in range(grid.dim))
         if grid.dim == 1:
-            xi = grid.xi[0]
-            nyq = grid.axis_nyquist(0)
-            t = np.where(nyq, 0.0, np.tanh(xi))
-            self.dx = (np.where(nyq, 0.0, 1j * xi),)
-            self.A = -1j * t
-            self.Acap = -1j * t * (1.0 + p.kappa * xi * xi)
-            self.phase = np.where(nyq, 0.0, xi * self.Kk)
+            self.A = cat.neg_i_tanh().multiplier(grid)
+            self.Acap = cat.neg_i_tanh_capillary(p.kappa).multiplier(grid)
             self.unit = None
         else:
-            self.K2 = _tanh_over_x(a)
-            self.cap = 1.0 + p.kappa * a * a
-            dx = []
-            unit = []
-            safe = np.where(a == 0.0, 1.0, a)
-            for j in range(2):
-                nyq = grid.axis_nyquist(j)
-                dx.append(np.where(nyq, 0.0, 1j * grid.xi[j]))
-                u = np.where(a == 0.0, 0.0, grid.xi[j] / safe)
-                unit.append(np.where(grid.nyquist_mask, 0.0, u))
-            self.dx = tuple(dx)
-            self.unit = tuple(unit)
-            self.phase = np.where(grid.nyquist_mask, 0.0, a * self.Kk)
+            self.K2 = cat.K_squared().values(grid)
+            self.cap = cat.capillary(p.kappa).values(grid)
+            self.unit = cat.unit_vectors(grid)
         self._props = {}
 
     # FFT helpers on raw coefficient arrays.
@@ -311,10 +311,6 @@ class SemigroupOperator:
         return _unpack(self.grid, self._prop.apply(u), state.time + self.t)
 
 
-def semigroup_apply(op: SemigroupOperator, state: WaveState) -> WaveState:
-    return op.apply(state)
-
-
 def curl_free_project(vel) -> tuple:
     """Helmholtz projection onto gradient fields: v -> xi (xi.v)/|xi|^2.
 
@@ -325,12 +321,7 @@ def curl_free_project(vel) -> tuple:
     grid = v1.grid
     if grid.dim != 2:
         raise SpectralError("curl-free projection is only defined on 2D grids")
-    a = grid.xi_norm
-    safe = np.where(a == 0.0, 1.0, a)
-    unit = []
-    for j in range(2):
-        u = np.where(a == 0.0, 0.0, grid.xi[j] / safe)
-        unit.append(np.where(grid.nyquist_mask, 0.0, u))
+    unit = SymbolCatalog.unit_vectors(grid)
     psi = unit[0] * v1.coeffs + unit[1] * v2.coeffs
     zero = grid.coeff_index((0, 0))
     out = []
@@ -561,7 +552,9 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
         if not math.isfinite(worst):
             raise PicardError(
                 f"iteration diverged after {iteration} sweeps "
-                "(no contraction; reduce T or the data size)"
+                "(no contraction; reduce T or the data size)",
+                defects,
+                math.inf,
             )
         if worst < cfg.picard_tol:
             traj = Trajectory()
@@ -573,7 +566,9 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
     raise PicardError(
         f"no contraction after {cfg.picard_max_iter} iterations "
         f"(last defect {defects[-1]:.3e}, contraction estimate {contraction:.3f}); "
-        "reduce T or the data size"
+        "reduce T or the data size",
+        defects,
+        contraction,
     )
 
 

@@ -9,12 +9,12 @@ with the RMS fit residual reported alongside the slope.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import (
+    BlowUpError,
     EvolveResult,
     IntegratorConfig,
     PicardError,
@@ -28,7 +28,7 @@ from .functionals import (
     smallness_threshold,
 )
 from .presets import random_bandlimited
-from .spectral import sobolev_norm, _x_over_tanh
+from .spectral import sobolev_norm
 from .state import Params, WaveState, weighted_pair_norm
 
 COMPARISON_NORMS = ("L2xH12", "H1xH12", "HskappaxHs")
@@ -44,7 +44,7 @@ class SweepSpec:
     comparison_norm: str | None = None
 
     def __post_init__(self):
-        if self.sweep_param not in ("kappa", "mu", "n", "dt", "amplitude"):
+        if self.sweep_param not in ("kappa", "mu"):
             raise ValueError(f"unknown sweep parameter {self.sweep_param!r}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 2:
@@ -83,15 +83,6 @@ class RateReport:
         }
 
 
-def _pmap(fn, items, workers=1):
-    """Map preserving order; independent sweep points may run concurrently."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def fit_rate(params, errors):
     """Least-squares slope of log10(error) against log10(param) plus RMS residual."""
     params = np.asarray(params, dtype=float)
@@ -114,13 +105,18 @@ def _pair_difference_norms(a: WaveState, b: WaveState):
 
 
 def low_capillarity_error(a: WaveState, b: WaveState) -> float:
-    """sqrt(||theta||_L2^2 + ||K^-1 w||_L2^2), the zero-surface-tension metric."""
+    """sqrt(||theta||_L2^2 + ||K^-1 w||_L2^2), the zero-surface-tension metric:
+    the weighted pair norm of the difference at s = 1/2 and kappa = 0."""
     theta, ws = _pair_difference_norms(a, b)
-    kinv2 = _x_over_tanh(a.grid.xi_norm)
-    total = float(np.sum(np.abs(theta.coeffs) ** 2))
-    for w in ws:
-        total += float(np.sum(kinv2 * np.abs(w.coeffs) ** 2))
-    return math.sqrt(total)
+    return weighted_pair_norm(WaveState(theta, tuple(ws), time=a.time), 0.5, 0.0)
+
+
+def _evolve_member(member, u0, spec, cfg, base) -> EvolveResult:
+    """Evolve one sweep member; a blow-up aborts the whole study."""
+    res = evolve(u0, spec, cfg, base.T, base.report_every)
+    if res.blown_up:
+        raise BlowUpError(member, res.blowup_time)
+    return res
 
 
 def _comparison_error(name, a, b, s, kappa):
@@ -146,7 +142,7 @@ def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
     return max(metric(x, y) for x, y in zip(sa, sb))
 
 
-def kappa_limit_study(sweep: SweepSpec, workers=1) -> RateReport:
+def kappa_limit_study(sweep: SweepSpec) -> RateReport:
     """Convergence rate of the solution as the surface tension vanishes.
 
     Runs the zero-surface-tension system once, each kappa in the sweep, and
@@ -169,16 +165,13 @@ def kappa_limit_study(sweep: SweepSpec, workers=1) -> RateReport:
     def run(kappa):
         params = Params(kappa=kappa, mu=0.0, p=base.p, s=base.s)
         spec = SystemSpec(grid.dim, params, regularized=False)
-        res = evolve(u0, spec, cfg, base.T, base.report_every)
-        if res.blown_up:
-            raise RuntimeError(f"kappa={kappa:g} run blew up at t={res.blowup_time}")
-        return res
+        return _evolve_member(f"kappa={kappa:g}", u0, spec, cfg, base)
 
     reference = run(0.0)
-    results = _pmap(run, kappas, workers)
     errors = []
     points = []
-    for kappa, res in zip(kappas, results):
+    for kappa in kappas:
+        res = run(kappa)
         err = _sup_error(res, reference, low_capillarity_error)
         point = {"kappa": kappa, "error": err}
         if sweep.comparison_norm:
@@ -196,7 +189,7 @@ def kappa_limit_study(sweep: SweepSpec, workers=1) -> RateReport:
     return report
 
 
-def mu_limit_study(sweep: SweepSpec, r=None, workers=1) -> RateReport:
+def mu_limit_study(sweep: SweepSpec, r=None) -> RateReport:
     """Cauchy behavior of the viscous approximations as mu decreases.
 
     Errors against the mu = 0 run, measured in the (r+1/2, r) Sobolev pair
@@ -227,7 +220,7 @@ def mu_limit_study(sweep: SweepSpec, r=None, workers=1) -> RateReport:
         params = Params(kappa=base.kappa, mu=mu, p=1.0, s=base.s)
         spec = SystemSpec(grid.dim, params, regularized=mu > 0)
         try:
-            return evolve(u0, spec, cfg, base.T, base.report_every)
+            return _evolve_member(f"mu={mu:g}", u0, spec, cfg, base)
         except PicardError:
             fallback = True
             alt = IntegratorConfig(
@@ -236,7 +229,7 @@ def mu_limit_study(sweep: SweepSpec, r=None, workers=1) -> RateReport:
                 dealias=cfg.dealias,
                 blowup_ceiling=cfg.blowup_ceiling,
             )
-            return evolve(u0, spec, alt, base.T, base.report_every)
+            return _evolve_member(f"mu={mu:g}", u0, spec, alt, base)
 
     reference = run(0.0)
 
@@ -246,9 +239,7 @@ def mu_limit_study(sweep: SweepSpec, r=None, workers=1) -> RateReport:
         total += sum(sobolev_norm(w, r) ** 2 for w in ws)
         return math.sqrt(total)
 
-    errors = [
-        _sup_error(res, reference, metric) for res in _pmap(run, mus, workers)
-    ]
+    errors = [_sup_error(run(mu), reference, metric) for mu in mus]
     order, resid = fit_rate(mus, errors) if len(mus) >= 3 else (math.nan, math.nan)
     report = RateReport("mu_limit", list(mus), errors, order, resid)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))

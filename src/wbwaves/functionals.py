@@ -10,9 +10,10 @@ and dissipated by the viscous one.  The energy with cubic correction
 
     E_s(eta, v) = 1/2 ||eta, v||_w^2 + 1/2 int eta (J^{s-1/2} v)^2 dx
 
-uses the weighted pair norm and reduces to the Hamiltonian at s = 1/2.
-Quadratic terms are coefficient sums (exact by Parseval); cubic integrands
-use dealiased products and plain grid quadrature.
+uses the weighted pair norm and reduces to the Hamiltonian at s = 1/2, which
+is how the Hamiltonian is computed.  Quadratic terms are coefficient sums
+(exact by Parseval); cubic integrands use dealiased products and plain grid
+quadrature.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .spectral import (
     SpectralError,
     SymbolCatalog,
-    _x_over_tanh,
     apply_multiplier,
     sobolev_norm,
     triple_quadrature,
@@ -50,27 +50,17 @@ CSV_COLUMNS = (
 
 
 def hamiltonian(state: WaveState, params: Params) -> float:
-    grid = state.grid
-    kappa = params.kappa
-    eta = state.eta
-    quad = grid.quadrature(eta.values**2)
-    for axis in range(grid.dim):
-        d = apply_multiplier(SymbolCatalog.partial(axis), eta, axis=axis)
-        quad += kappa * grid.quadrature(d.values**2)
-    kinv2 = _x_over_tanh(grid.xi_norm)
-    cubic = 0.0
-    for comp in state.vel:
-        quad += float(np.sum(kinv2 * np.abs(comp.coeffs) ** 2))
-        cubic += triple_quadrature(eta, comp, comp)
-    return 0.5 * (quad + cubic)
+    """The energy at s = 1/2: half the squared weighted norm (by Parseval)
+    plus the cubic term 1/2 int eta |v|^2."""
+    cubic = sum(triple_quadrature(state.eta, comp, comp) for comp in state.vel)
+    return 0.5 * (weighted_pair_norm(state, 0.5, params.kappa) ** 2 + cubic)
 
 
 def momentum(state: WaveState, params: Params) -> float:
     """int eta (D/tanh D) v dx; defined in one dimension only."""
     if state.dim != 1:
         raise SpectralError("momentum is only defined for 1D states")
-    grid = state.grid
-    kinv2 = _x_over_tanh(grid.xi_norm)
+    kinv2 = SymbolCatalog.d_over_tanh().values(state.grid)
     return float(np.real(np.sum(np.conj(state.eta.coeffs) * kinv2 * state.v.coeffs)))
 
 

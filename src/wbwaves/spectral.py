@@ -339,7 +339,8 @@ class SymbolCatalog:
     """The multiplier symbols used throughout the suite.
 
     Even entries are radial (functions of |xi|) and hence valid in one and
-    two dimensions; odd entries act along a single axis.
+    two dimensions; odd entries act along a single axis.  Every multiplier
+    array of the package is built here, so each formula is written once.
     """
 
     @staticmethod
@@ -374,6 +375,17 @@ class SymbolCatalog:
         return Symbol(f"<xi>^{alpha:g}", "even", False, lambda a: (1.0 + a * a) ** (alpha / 2.0))
 
     @staticmethod
+    def capillary(kappa):
+        """1 + kappa |xi|^2, the surface-tension weight of the elevation."""
+        kappa = float(kappa)
+        return Symbol(f"1+{kappa:g}|xi|^2", "even", False, lambda a: 1.0 + kappa * a * a)
+
+    @staticmethod
+    def K_squared():
+        """K^2 = tanh|xi|/|xi| with value 1 at xi = 0."""
+        return Symbol("K^2", "even", False, _tanh_over_x)
+
+    @staticmethod
     def K():
         return Symbol("K", "even", False, lambda a: np.sqrt(_tanh_over_x(a)))
 
@@ -384,21 +396,23 @@ class SymbolCatalog:
     @staticmethod
     def K_kappa(kappa):
         kappa = float(kappa)
+        cap = SymbolCatalog.capillary(kappa).profile
         return Symbol(
             f"K_kappa(kappa={kappa:g})",
             "even",
             False,
-            lambda a: np.sqrt((1.0 + kappa * a * a) * _tanh_over_x(a)),
+            lambda a: np.sqrt(cap(a) * _tanh_over_x(a)),
         )
 
     @staticmethod
     def K_kappa_inv(kappa):
         kappa = float(kappa)
+        cap = SymbolCatalog.capillary(kappa).profile
         return Symbol(
             f"K_kappa^-1(kappa={kappa:g})",
             "even",
             False,
-            lambda a: 1.0 / np.sqrt((1.0 + kappa * a * a) * _tanh_over_x(a)),
+            lambda a: 1.0 / np.sqrt(cap(a) * _tanh_over_x(a)),
         )
 
     @staticmethod
@@ -426,11 +440,9 @@ class SymbolCatalog:
     def neg_i_tanh_capillary(kappa):
         """-i tanh(D)(1 + kappa D^2): the capillary restoring operator."""
         kappa = float(kappa)
+        cap = SymbolCatalog.capillary(kappa).profile
         return Symbol(
-            f"-i*tanh(xi)*(1+{kappa:g}xi^2)",
-            "odd",
-            True,
-            lambda x: -np.tanh(x) * (1.0 + kappa * x * x),
+            f"-i*tanh(xi)*(1+{kappa:g}xi^2)", "odd", True, lambda x: -np.tanh(x) * cap(x)
         )
 
     @staticmethod
@@ -438,13 +450,26 @@ class SymbolCatalog:
         """d/dx_axis, symbol i*xi_axis."""
         return Symbol(f"i*xi_{axis}", "odd", True, lambda x: x)
 
+    # Arrays of the linear propagator that are not per-axis Symbols: in 2D
+    # they couple both axes, and the diagonalizer lives on the Nyquist-free
+    # subspace, so they annihilate the Nyquist planes.
+
     @staticmethod
-    def names():
-        return [
-            "tanh(xi)", "xi", "sgn(xi)", "|xi|^a", "<xi>^a", "K", "K^-1",
-            "K_kappa", "K_kappa^-1", "xi/tanh(xi)", "heat", "-i*tanh(xi)",
-            "-i*tanh(xi)*(1+kappa*xi^2)", "i*xi_axis",
-        ]
+    def unit_vectors(grid):
+        """xi_j/|xi| for j = 1, 2, zero on the zero mode and the Nyquist planes."""
+        a = grid.xi_norm
+        safe = np.where(a == 0.0, 1.0, a)
+        drop = grid.nyquist_mask | (a == 0.0)
+        return tuple(np.where(drop, 0.0, xi / safe) for xi in grid.xi)
+
+    @staticmethod
+    def frequency(grid, kappa):
+        """Frequency of the linear flow: xi K_kappa (odd) in 1D, |xi| K_kappa
+        in 2D, zero on the Nyquist planes there."""
+        kk = SymbolCatalog.K_kappa(kappa).values(grid)
+        if grid.dim == 1:
+            return SymbolCatalog.derivative().values(grid) * kk
+        return np.where(grid.nyquist_mask, 0.0, grid.xi_norm * kk)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +489,8 @@ def sobolev_norm(f: Field, order, homogeneous=False) -> float:
     """H^order (Bessel) or homogeneous (Riesz) Sobolev norm from coefficients."""
     order = float(order)
     c2 = np.abs(f.coeffs) ** 2
-    a = f.grid.xi_norm
     if not homogeneous:
-        w = (1.0 + a * a) ** order
+        w = SymbolCatalog.bessel(2.0 * order).values(f.grid)
         return float(math.sqrt(np.sum(w * c2)))
     zero = f.grid.coeff_index(0 if f.grid.dim == 1 else (0, 0))
     if order < 0:
@@ -475,10 +499,7 @@ def sobolev_norm(f: Field, order, homogeneous=False) -> float:
             raise SpectralError(
                 "homogeneous norm of negative order requires a mean-free field"
             )
-    if order == 0.0:
-        return float(math.sqrt(np.sum(c2)))
-    safe = np.where(a == 0.0, 1.0, a)
-    w = np.where(a == 0.0, 0.0, safe ** (2.0 * order))
+    w = SymbolCatalog.riesz(2.0 * order).values(f.grid)
     return float(math.sqrt(np.sum(w * c2)))
 
 

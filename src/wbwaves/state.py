@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid, SpectralError, _x_over_tanh, low_pass
+from .spectral import Field, Grid, SpectralError, SymbolCatalog, low_pass
 
 CURL_TOL = 1e-10
 
@@ -104,11 +104,8 @@ class WaveState:
 def curl_residue(vel) -> float:
     """Homogeneous-L2 norm of d1 v2 - d2 v1 computed spectrally."""
     v1, v2 = vel
-    grid = v1.grid
-    xi1, xi2 = grid.xi
-    d1 = np.where(grid.axis_nyquist(0), 0.0, xi1)
-    d2 = np.where(grid.axis_nyquist(1), 0.0, xi2)
-    curl = 1j * d1 * v2.coeffs - 1j * d2 * v1.coeffs
+    d1, d2 = (SymbolCatalog.partial(j).multiplier(v1.grid, axis=j) for j in range(2))
+    curl = d1 * v2.coeffs - d2 * v1.coeffs
     return float(math.sqrt(np.sum(np.abs(curl) ** 2)))
 
 
@@ -118,11 +115,10 @@ def _weighted_sq_coeffs(grid: Grid, eta_c, vel_cs, s, kappa) -> float:
     kappa*|grad eta|^2 + |eta|^2 weighted by <xi>^(2s-1), plus the velocity
     measured through K^-1 (symbol sqrt(|xi|/tanh|xi|)) at the same weight.
     """
-    a = grid.xi_norm
-    bess = (1.0 + a * a) ** (s - 0.5)
-    kinv2 = _x_over_tanh(a)
+    bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
+    kinv2 = SymbolCatalog.d_over_tanh().values(grid)
     eta2 = np.abs(eta_c) ** 2
-    total = np.sum(bess * (1.0 + kappa * a * a) * eta2)
+    total = np.sum(bess * SymbolCatalog.capillary(kappa).values(grid) * eta2)
     for vc in vel_cs:
         total += np.sum(bess * kinv2 * np.abs(vc) ** 2)
     return float(total)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wbwaves
 from wbwaves.cli import main
 from wbwaves.config import ConfigError, config_from_dict, load_config
 
@@ -27,6 +32,18 @@ def small_run(outdir, **overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def run_cli(*args):
+    """Run the command line in a fresh interpreter, as a user would."""
+    src = str(Path(wbwaves.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "wbwaves.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 class TestConfigValidation:
@@ -122,6 +139,28 @@ class TestRunCommand:
         assert summary["status"] == "blowup"
         assert "blowup_time" in summary
 
+    def test_no_contraction_exits_one_with_summary(self, tmp_path):
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            system="wb1d_regularized",
+            grid={"n": 32},
+            params={"kappa": 1.0, "mu": 0.1, "s": 1.0},
+            initial_data={"preset": "random_bandlimited", "seed": 1, "band": 4, "amplitude": 2.0},
+            integrator={"method": "picard_duhamel", "dt": 0.05, "picard_max_iter": 3},
+            T=2.0,
+        )
+        proc = run_cli("run", write_config(tmp_path, raw))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "contraction" in proc.stderr
+        summary = json.loads((outdir / "run_summary.json").read_text())
+        assert summary["status"] == "no_contraction"
+        assert summary["iterations"] == len(summary["defects"]) == 3
+        ratios = [b / a for a, b in zip(summary["defects"], summary["defects"][1:])]
+        assert summary["contraction_estimate"] == max(ratios)
+        assert 0 < summary["contraction_estimate"] < math.inf
+
     def test_byte_identical_outputs(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         f1 = write_config(tmp_path, small_run(out1, output_dir=out1), "c1.json")
@@ -174,6 +213,23 @@ class TestStudyCommand:
         raw = small_run(outdir, study={"values": [0.1, 0.01]})
         cfgfile = write_config(tmp_path, raw)
         assert main(["study", "kappa_limit", cfgfile]) == 1
+
+    def test_sweep_member_blowup_exits_two_with_summary(self, tmp_path):
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            params={"kappa": 1.0, "s": 2.0},
+            integrator={"dt": 2e-3, "blowup_ceiling": 1e-3},
+            study={"values": [0.1, 0.01, 0.001]},
+        )
+        proc = run_cli("study", "kappa_limit", write_config(tmp_path, raw))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        summary = json.loads((outdir / "kappa_limit.json").read_text())
+        assert summary["status"] == "blowup"
+        assert summary["member"] == "kappa=0"
+        assert summary["blowup_time"] == 0.0
+        assert summary["pass"] is False
 
     def test_inequalities_study(self, tmp_path):
         outdir = str(tmp_path / "out")

@@ -1,0 +1,237 @@
+"""Every multiplier array comes from SymbolCatalog.
+
+The reference builders below spell out each formula inline.  The
+catalog-built arrays must agree with them bitwise; the Hamiltonian and the
+low-capillarity metric, whose arithmetic differs from their references, must
+agree to an explicit relative tolerance.
+"""
+
+import ast
+import math
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import wbwaves
+from wbwaves.dynamics import SystemSpec, _ops, curl_free_project
+from wbwaves.experiments import low_capillarity_error
+from wbwaves.functionals import hamiltonian
+from wbwaves.presets import random_bandlimited
+from wbwaves.spectral import Grid, SymbolCatalog, apply_multiplier, sobolev_norm, triple_quadrature
+from wbwaves.state import Params, _weighted_sq_coeffs
+
+GRIDS = [(256,), (64,), (128, 128), (16, 24)]
+KAPPAS = [1.0, 0.37, 0.0]
+
+# Grid quadrature of |grad eta|^2 and the Parseval sum agree to roundoff.
+HAMILTONIAN_RTOL = 1e-13
+
+
+def _tanh_over_x(a):
+    safe = np.where(a == 0.0, 1.0, a)
+    return np.where(a == 0.0, 1.0, np.tanh(safe) / safe)
+
+
+def _x_over_tanh(a):
+    safe = np.where(a == 0.0, 1.0, a)
+    return np.where(a == 0.0, 1.0, safe / np.tanh(safe))
+
+
+def _inline_unit(grid):
+    a = grid.xi_norm
+    safe = np.where(a == 0.0, 1.0, a)
+    unit = []
+    for j in range(2):
+        u = np.where(a == 0.0, 0.0, grid.xi[j] / safe)
+        unit.append(np.where(grid.nyquist_mask, 0.0, u))
+    return tuple(unit)
+
+
+def inline_ops_arrays(grid, p, regularized):
+    """The propagator and forcing arrays, each formula written inline."""
+    a = grid.xi_norm
+    out = {"heat_rate": p.kappa * p.mu * a**p.p if regularized else None}
+    out["Kk"] = np.sqrt((1.0 + p.kappa * a * a) * _tanh_over_x(a))
+    out["Kk_inv"] = 1.0 / out["Kk"]
+    if grid.dim == 1:
+        xi = grid.xi[0]
+        nyq = grid.axis_nyquist(0)
+        t = np.where(nyq, 0.0, np.tanh(xi))
+        out["dx"] = (np.where(nyq, 0.0, 1j * xi),)
+        out["A"] = -1j * t
+        out["Acap"] = -1j * t * (1.0 + p.kappa * xi * xi)
+        out["phase"] = np.where(nyq, 0.0, xi * out["Kk"])
+        out["unit"] = None
+    else:
+        out["K2"] = _tanh_over_x(a)
+        out["cap"] = 1.0 + p.kappa * a * a
+        out["dx"] = tuple(
+            np.where(grid.axis_nyquist(j), 0.0, 1j * grid.xi[j]) for j in range(2)
+        )
+        out["unit"] = _inline_unit(grid)
+        out["phase"] = np.where(grid.nyquist_mask, 0.0, a * out["Kk"])
+    return out
+
+
+def quadrature_hamiltonian(state, params):
+    """H with kappa*|grad eta|^2 by grid quadrature of spectral derivatives."""
+    grid = state.grid
+    eta = state.eta
+    quad = grid.quadrature(eta.values**2)
+    for axis in range(grid.dim):
+        d = apply_multiplier(SymbolCatalog.partial(axis), eta, axis=axis)
+        quad += params.kappa * grid.quadrature(d.values**2)
+    kinv2 = _x_over_tanh(grid.xi_norm)
+    cubic = 0.0
+    for comp in state.vel:
+        quad += float(np.sum(kinv2 * np.abs(comp.coeffs) ** 2))
+        cubic += triple_quadrature(eta, comp, comp)
+    return 0.5 * (quad + cubic)
+
+
+def coefficient_low_capillarity_error(a, b):
+    theta = a.eta - b.eta
+    kinv2 = _x_over_tanh(a.grid.xi_norm)
+    total = float(np.sum(np.abs(theta.coeffs) ** 2))
+    for va, vb in zip(a.vel, b.vel):
+        total += float(np.sum(kinv2 * np.abs((va - vb).coeffs) ** 2))
+    return math.sqrt(total)
+
+
+def random_states(dim, count):
+    grid = Grid(64) if dim == 1 else Grid((32, 32))
+    return [
+        random_bandlimited(grid, seed=100 + i, band=6 if dim == 1 else 5, amplitude=0.3 + 0.1 * i)
+        for i in range(count)
+    ]
+
+
+class TestOpsArrays:
+    @pytest.mark.parametrize("n,kappa,regularized", [
+        (n, k, r) for n, k, r in product(GRIDS, KAPPAS, (False, True)) if not (r and k == 0)
+    ])
+    def test_every_array_bitwise_equal(self, n, kappa, regularized):
+        """All arrays are equal element for element.  The only difference is
+        the sign of the zero real parts of A and Acap (-i*t versus i*(-t)),
+        which == does not see."""
+        grid = Grid(n)
+        p = Params(kappa=kappa, mu=0.1 if regularized else 0.0, p=0.75 if regularized else 1.0)
+        ops = _ops(grid, SystemSpec(grid.dim, p, regularized), True)
+        want = inline_ops_arrays(grid, p, regularized)
+        for name, ref in want.items():
+            got = getattr(ops, name)
+            if ref is None:
+                assert got is None, name
+                continue
+            pairs = zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]
+            for g, r in pairs:
+                assert g.shape == r.shape and g.dtype == r.dtype, name
+                assert np.array_equal(g, r), name
+
+
+class TestCatalogEntries:
+    @pytest.mark.parametrize("n", GRIDS)
+    def test_norm_weights_bitwise_equal(self, n):
+        grid = Grid(n)
+        a = grid.xi_norm
+        assert np.array_equal(SymbolCatalog.d_over_tanh().values(grid), _x_over_tanh(a))
+        assert np.array_equal(SymbolCatalog.K_squared().values(grid), _tanh_over_x(a))
+        for kappa in KAPPAS:
+            cap = SymbolCatalog.capillary(kappa).values(grid)
+            assert np.array_equal(cap, 1.0 + kappa * a * a)
+        for s in (0.5, 0.7, 1.0, 1.75, 2.0, 3.3):
+            bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
+            assert np.array_equal(bess, (1.0 + a * a) ** (s - 0.5))
+        for order in (-1.0, -0.25, 0.5, 1.0, 2.5):
+            safe = np.where(a == 0.0, 1.0, a)
+            riesz = SymbolCatalog.riesz(2.0 * order).values(grid)
+            assert np.array_equal(riesz, np.where(a == 0.0, 0.0, safe ** (2.0 * order)))
+            assert np.array_equal(
+                SymbolCatalog.bessel(2.0 * order).values(grid), (1.0 + a * a) ** order
+            )
+
+    @pytest.mark.parametrize("n", [(128, 128), (16, 24)])
+    def test_unit_vectors_and_curl_bitwise_equal(self, n):
+        grid = Grid(n)
+        for got, want in zip(SymbolCatalog.unit_vectors(grid), _inline_unit(grid)):
+            assert np.array_equal(got, want)
+        for j in range(2):
+            d = np.where(grid.axis_nyquist(j), 0.0, grid.xi[j])
+            assert np.array_equal(SymbolCatalog.partial(j).multiplier(grid, axis=j), 1j * d)
+
+    def test_curl_free_projection_unchanged(self):
+        grid = Grid((32, 32))
+        v = random_bandlimited(grid, seed=3, band=5, amplitude=0.4).vel
+        unit = _inline_unit(grid)
+        psi = unit[0] * v[0].coeffs + unit[1] * v[1].coeffs
+        for j, comp in enumerate(curl_free_project(v)):
+            want = unit[j] * psi
+            want[0, 0] = v[j].coeffs[0, 0]
+            assert np.array_equal(comp.values, grid.inverse(want).real)
+
+    def test_sobolev_norm_weights(self):
+        grid = Grid(64)
+        f = random_bandlimited(grid, seed=4, band=6, amplitude=1.0).v
+        a = grid.xi_norm
+        c2 = np.abs(f.coeffs) ** 2
+        for order in (0.0, 0.5, 1.0, 2.5):
+            assert sobolev_norm(f, order) == math.sqrt(np.sum((1.0 + a * a) ** order * c2))
+        safe = np.where(a == 0.0, 1.0, a)
+        for order in (0.0, 0.5, 1.5):
+            w = np.where(a == 0.0, 0.0, safe ** (2.0 * order)) if order else 1.0
+            assert sobolev_norm(f, order, homogeneous=True) == math.sqrt(np.sum(w * c2))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_weighted_sq_coeffs_bitwise_equal(self, dim):
+        for st in random_states(dim, 4):
+            a = st.grid.xi_norm
+            for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
+                bess = (1.0 + a * a) ** (s - 0.5)
+                want = np.sum(bess * (1.0 + kappa * a * a) * np.abs(st.eta.coeffs) ** 2)
+                for c in st.vel:
+                    want += np.sum(bess * _x_over_tanh(a) * np.abs(c.coeffs) ** 2)
+                got = _weighted_sq_coeffs(
+                    st.grid, st.eta.coeffs, [c.coeffs for c in st.vel], s, kappa
+                )
+                assert got == float(want)
+
+
+class TestEnergyByParseval:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_hamiltonian_matches_quadrature(self, dim):
+        for i, st in enumerate(random_states(dim, 20)):
+            params = Params(kappa=KAPPAS[i % 3])
+            want = quadrature_hamiltonian(st, params)
+            assert hamiltonian(st, params) == pytest.approx(want, rel=HAMILTONIAN_RTOL)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_low_capillarity_error_matches(self, dim):
+        states = random_states(dim, 21)
+        for a, b in zip(states, states[1:]):
+            want = coefficient_low_capillarity_error(a, b)
+            assert low_capillarity_error(a, b) == pytest.approx(want, rel=HAMILTONIAN_RTOL)
+
+
+def test_only_spectral_spells_out_tanh():
+    """No module but spectral (and the deliberately explicit symbol chain in
+    inequalities) calls np.tanh or imports the tanh ratio helpers."""
+    allowed = {"spectral.py", "inequalities.py"}
+    offenders = []
+    for path in sorted(Path(wbwaves.__file__).parent.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "tanh"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                offenders.append(f"{path.name}:{node.lineno} np.tanh")
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name in ("_tanh_over_x", "_x_over_tanh"):
+                        offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert offenders == []
