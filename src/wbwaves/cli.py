@@ -17,12 +17,12 @@ import sys
 
 import numpy as np
 
-from .config import STUDIES, ConfigError, RunConfig, load_config, output_header
+from .config import ConfigError, RunConfig, load_config, output_header
 from .dynamics import BlowUpError, PicardError, evolve
 from .experiments import (
-    SweepSpec,
     conservation_check,
     dissipation_test,
+    inequality_study,
     invariant_region_test,
     kappa_limit_study,
     mu_limit_study,
@@ -30,14 +30,6 @@ from .experiments import (
     stability_test,
 )
 from .functionals import EnergyReport
-from .inequalities import (
-    brezis_gallouet_report,
-    kato_ponce_report,
-    leibniz_report,
-    symbol_chain_report,
-    trilinear_report,
-)
-from .presets import random_bandlimited
 from .state import Params
 
 
@@ -55,10 +47,27 @@ def _write_csv(path, config, header_row, rows):
             fh.write(row + "\n")
 
 
+def _csv_table(rows):
+    """CSV header and lines for dict rows: the union of their keys in first-seen
+    order, numbers with 17 significant digits, strings as is, missing cells empty."""
+    cols = list(dict.fromkeys(key for row in rows for key in row))
+
+    def cell(v):
+        return v if isinstance(v, str) else format(float(v), ".17g")
+
+    lines = [",".join(cell(row[c]) if c in row else "" for c in cols) for row in rows]
+    return ",".join(cols), lines
+
+
 def _write_json(path, config, payload):
-    payload = {"config": config.config_hash(), **payload}
+    # Strict JSON has no NaN or Infinity: reading the payload back with those
+    # constants mapped to None writes them as null.
+    payload = json.loads(
+        json.dumps({"config": config.config_hash(), **payload}, default=float),
+        parse_constant=lambda name: None,
+    )
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -96,13 +105,74 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def _study_rows_json(config, outdir, name, sweep_param, points, summary):
-    base = f"{name}_{sweep_param}" if sweep_param else name
-    if points:
-        cols = list(points[0].keys())
-        rows = [",".join(format(float(pt[c]), ".17g") for c in cols) for pt in points]
-        _write_csv(os.path.join(outdir, base + ".csv"), config, ",".join(cols), rows)
-    _write_json(os.path.join(outdir, base + ".json"), config, summary)
+def _family(config, opt):
+    return small_data_family(
+        config.grid(),
+        config.kappa,
+        count=int(opt["count"]),
+        epsilon=opt["epsilon"],
+        seed=config.seed,
+        band=int(opt["band"]),
+    )
+
+
+def _invariant_region(config, opt):
+    family = _family(config, opt)
+    params = Params(kappa=config.kappa, mu=float(opt["mu"]), p=config.p, s=config.s)
+    return invariant_region_test(
+        family, params, config.T, config.integrator(),
+        epsilon=opt["epsilon"], report_every=config.report_every,
+    )
+
+
+def _dissipation(config, opt):
+    family = _family(config, opt)
+    params = Params(kappa=config.kappa, mu=float(opt["mu"]), p=1.0, s=config.s)
+    return dissipation_test(
+        family, params, config.T, config.integrator(),
+        delta=float(opt["delta"]), report_every=config.report_every,
+    )
+
+
+_FAMILY = {"count": 10, "epsilon": None, "band": 6, "mu": 0.2}
+
+# name -> (runner(config, options), option defaults, output-file suffix).  The
+# runners look the study functions up in this module at call time, so wrappers
+# installed on this module's names (bench/launch.py, bench/tracer.py) see them.
+STUDIES = {
+    "kappa_limit": (
+        lambda c, o: kappa_limit_study(c, o["values"], o["comparison_norm"]),
+        {"values": (1e-1, 1e-2, 1e-3, 1e-4), "comparison_norm": None},
+        "_kappa",
+    ),
+    "mu_limit": (
+        lambda c, o: mu_limit_study(c, o["values"], o["r"]),
+        {"values": (1e-1, 1e-2, 1e-3), "r": None},
+        "_mu",
+    ),
+    "invariant_region": (_invariant_region, _FAMILY, "_datum"),
+    "dissipation": (_dissipation, {**_FAMILY, "delta": 0.1}, "_datum"),
+    "stability": (
+        lambda c, o: stability_test(
+            c.initial_state(), o["sizes"], o["r"], c.params(), c.T, c.integrator(),
+            seed=c.seed, report_every=c.report_every,
+        ),
+        {"sizes": (1e-2, 1e-3, 1e-4), "r": 0.5},
+        "_size",
+    ),
+    "inequalities": (
+        lambda c, o: inequality_study(c.grid(), int(o["count"]), c.seed),
+        {"count": 8},
+        "",
+    ),
+    "conservation": (
+        lambda c, o: conservation_check(
+            c.initial_state(), c.params(), c.T, c.integrator(), report_every=c.report_every
+        ),
+        {},
+        "",
+    ),
+}
 
 
 def cmd_study(name: str, config: RunConfig) -> int:
@@ -112,134 +182,24 @@ def cmd_study(name: str, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 1
+    runner, defaults, suffix = STUDIES[name]
+    unknown = sorted(set(config.study) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown field(s) in study {name}: {', '.join(unknown)}")
     outdir = _ensure_outdir(config)
-    if name == "inequalities":
-        return _run_inequalities(config, outdir)
     try:
-        report, sweep_param, points = _run_study(name, config)
+        report = runner(config, {**defaults, **config.study})
     except BlowUpError as exc:
         summary = {"study": name, "status": "blowup", "pass": False,
                    "member": exc.member, "blowup_time": exc.time}
         _write_json(os.path.join(outdir, name + ".json"), config, summary)
         print(f"{name}: {exc}", file=sys.stderr)
         return 2
-    _study_rows_json(config, outdir, name, sweep_param, points, report.summary())
+    base = os.path.join(outdir, name + suffix)
+    if report.rows:
+        _write_csv(base + ".csv", config, *_csv_table(report.rows))
+    _write_json(base + ".json", config, report.summary())
     return 0 if report.passed else 1
-
-
-def _run_study(name: str, config: RunConfig):
-    """Run one study; returns its report, the swept quantity and the raw points."""
-    opt = config.study
-    if name == "kappa_limit":
-        values = opt.get("values", [1e-1, 1e-2, 1e-3, 1e-4])
-        sweep = SweepSpec(config, "kappa", tuple(values), opt.get("comparison_norm"))
-        report = kappa_limit_study(sweep)
-        return report, "kappa", report.extra.get("points", [])
-
-    if name == "mu_limit":
-        values = opt.get("values", [1e-1, 1e-2, 1e-3])
-        report = mu_limit_study(SweepSpec(config, "mu", tuple(values)))
-        points = [{"mu": m, "error": e} for m, e in zip(report.param_values, report.errors)]
-        return report, "mu", points
-
-    if name in ("invariant_region", "dissipation"):
-        family = small_data_family(
-            config.grid(),
-            config.kappa,
-            count=int(opt.get("count", 10)),
-            epsilon=opt.get("epsilon"),
-            seed=config.seed,
-            band=int(opt.get("band", 6)),
-        )
-        mu = float(opt.get("mu", 0.2))
-        if name == "invariant_region":
-            params = Params(kappa=config.kappa, mu=mu, p=config.p, s=config.s)
-            report = invariant_region_test(
-                family, params, config.T, config.integrator(),
-                epsilon=opt.get("epsilon"), report_every=config.report_every,
-            )
-        else:
-            params = Params(kappa=config.kappa, mu=mu, p=1.0, s=config.s)
-            report = dissipation_test(
-                family, params, config.T, config.integrator(),
-                delta=float(opt.get("delta", 0.1)), report_every=config.report_every,
-            )
-        points = [
-            {k: v for k, v in row.items() if isinstance(v, (int, float, bool))}
-            for row in report.rows
-        ]
-        return report, "datum", points
-
-    if name == "stability":
-        sizes = [float(v) for v in opt.get("sizes", [1e-2, 1e-3, 1e-4])]
-        r = float(opt.get("r", 0.5))
-        report = stability_test(
-            config.initial_state(), sizes, r, config.params(), config.T,
-            config.integrator(), seed=config.seed, report_every=config.report_every,
-        )
-        points = [{"size": s_, "sup_energy": e} for s_, e in zip(report.sizes, report.sup_energies)]
-        return report, "size", points
-
-    if name == "conservation":
-        report = conservation_check(
-            config.initial_state(), config.params(), config.T, config.integrator(),
-            report_every=config.report_every,
-        )
-        return report, "", report.rows
-
-    raise AssertionError(name)
-
-
-def _run_inequalities(config: RunConfig, outdir) -> int:
-    grid = config.grid()
-    if grid.dim != 1:
-        raise ConfigError("the inequalities study runs on a 1D grid")
-    chain = symbol_chain_report(grid)
-    count = int(config.study.get("count", 8))
-    states = [
-        random_bandlimited(grid, seed=config.seed + i, band=6, amplitude=0.5)
-        for i in range(count)
-    ]
-    pairs = [(st.eta, st.v) for st in states]
-    triples = [(st.eta, st.v, st.eta) for st in states]
-    singles = [st.v for st in states]
-    reports = {
-        "kato_ponce": kato_ponce_report(pairs),
-        "leibniz": leibniz_report(pairs),
-        "trilinear": trilinear_report(triples),
-        "brezis_gallouet": brezis_gallouet_report(singles),
-    }
-    points = []
-    for which, rep in reports.items():
-        for i, sample in enumerate(rep.samples):
-            points.append(
-                {
-                    "check": which,
-                    "sample": i,
-                    "lhs": sample["lhs"],
-                    "rhs": sample["rhs"],
-                    "ratio": sample["ratio"],
-                }
-            )
-    ok = chain.ok and all(rep.all_finite for rep in reports.values())
-    summary = {
-        "study": "inequalities",
-        "pass": bool(ok),
-        "symbol_chain": {
-            "checked": chain.checked,
-            "passed": chain.passed,
-            "max_violation_ulp": chain.max_violation_ulp,
-        },
-        **{f"{k}_max_ratio": rep.max_ratio for k, rep in reports.items()},
-    }
-    cols = ["check", "sample", "lhs", "rhs", "ratio"]
-    rows = [
-        pt["check"] + "," + ",".join(format(float(pt[c]), ".17g") for c in cols[1:])
-        for pt in points
-    ]
-    _write_csv(os.path.join(outdir, "inequalities.csv"), config, ",".join(cols), rows)
-    _write_json(os.path.join(outdir, "inequalities.json"), config, summary)
-    return 0 if ok else 1
 
 
 def cmd_describe(config: RunConfig) -> int:

@@ -23,16 +23,6 @@ ARTIFACT_VERSION = "wbwaves-0.1.0"
 
 SYSTEMS = ("wb1d", "wb1d_regularized", "wb2d")
 
-STUDIES = (
-    "kappa_limit",
-    "mu_limit",
-    "invariant_region",
-    "dissipation",
-    "stability",
-    "inequalities",
-    "conservation",
-)
-
 
 class ConfigError(ValueError):
     pass

@@ -1,9 +1,10 @@
 """Desk-scale studies that turn the analytical guarantees into checks.
 
 Every study is deterministic given its configuration and seed, re-verifies
-its preconditions numerically before running, and reports raw points plus
-a JSON-able summary.  Rate fits are least squares on log10-log10 points
-with the RMS fit residual reported alongside the slope.
+its preconditions numerically before running, and returns a ``StudyReport``:
+its raw points (one dict per CSV row), its verdict and the extra fields of
+its JSON summary.  Rate fits are least squares on log10-log10 points with
+the RMS fit residual reported alongside the slope.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from .functionals import (
     difference_energy,
     smallness_threshold,
 )
+from .inequalities import (
+    brezis_gallouet_report,
+    kato_ponce_report,
+    leibniz_report,
+    symbol_chain_report,
+    trilinear_report,
+)
 from .presets import random_bandlimited
 from .spectral import sobolev_norm
 from .state import Params, WaveState, weighted_pair_norm
@@ -34,53 +42,25 @@ from .state import Params, WaveState, weighted_pair_norm
 COMPARISON_NORMS = ("L2xH12", "H1xH12", "HskappaxHs")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep around a base run configuration."""
-
-    base_config: object  # RunConfig
-    sweep_param: str
-    values: tuple
-    comparison_norm: str | None = None
-
-    def __post_init__(self):
-        if self.sweep_param not in ("kappa", "mu"):
-            raise ValueError(f"unknown sweep parameter {self.sweep_param!r}")
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 2:
-            raise ValueError("sweep needs at least 2 values")
-        diffs = np.diff(vals)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("sweep values must be strictly monotone")
-        if self.comparison_norm is not None and self.comparison_norm not in COMPARISON_NORMS:
-            raise ValueError(
-                f"comparison_norm must be one of {COMPARISON_NORMS}, "
-                f"got {self.comparison_norm!r}"
-            )
-        object.__setattr__(self, "values", vals)
-
-
 @dataclass
-class RateReport:
+class StudyReport:
+    """A study's outcome: its CSV rows, its verdict and its summary fields."""
+
     study: str
-    param_values: list
-    errors: list
-    fitted_order: float
-    residual: float
+    rows: list
+    passed: bool
     extra: dict = field(default_factory=dict)
 
-    @property
-    def passed(self):
-        return bool(self.extra.get("pass", True))
-
     def summary(self):
-        return {
-            "study": self.study,
-            "fitted_order": self.fitted_order,
-            "residual": self.residual,
-            "pass": self.passed,
-            **{k: v for k, v in self.extra.items() if k != "pass"},
-        }
+        return {"study": self.study, "pass": self.passed, **self.extra}
+
+
+def _table_report(study, rows, **extra) -> StudyReport:
+    """Verdict over per-datum rows: every row not skipped is ok, and one at least ran."""
+    active = [r for r in rows if not r.get("skipped")]
+    passed = bool(active) and all(r.get("ok", False) for r in active)
+    skipped = len(rows) - len(active)
+    return StudyReport(study, rows, passed, {"rows": len(rows), "skipped": skipped, **extra})
 
 
 def fit_rate(params, errors):
@@ -142,18 +122,23 @@ def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
     return max(metric(x, y) for x, y in zip(sa, sb))
 
 
-def kappa_limit_study(sweep: SweepSpec) -> RateReport:
+def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
     """Convergence rate of the solution as the surface tension vanishes.
 
     Runs the zero-surface-tension system once, each kappa in the sweep, and
     fits the order of sup-in-time error decay (guaranteed at least 1/2 up
-    to constants)."""
-    base = sweep.base_config
-    if sweep.sweep_param != "kappa":
-        raise ValueError("kappa_limit_study needs a kappa sweep")
-    kappas = sweep.values
+    to constants).  ``base`` is the RunConfig every member shares; with a
+    ``comparison_norm`` each point also carries the error in that norm."""
+    kappas = tuple(float(k) for k in kappas)
     if len(kappas) < 3:
         raise ValueError("kappa_limit_study needs at least 3 sweep values")
+    diffs = np.diff(kappas)
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError("kappa sweep values must be strictly monotone")
+    if comparison_norm is not None and comparison_norm not in COMPARISON_NORMS:
+        raise ValueError(
+            f"comparison_norm must be one of {COMPARISON_NORMS}, got {comparison_norm!r}"
+        )
     if any(not (0 < k <= 1) for k in kappas):
         raise ValueError("kappa sweep values must lie in (0, 1]")
     if base.mu != 0:
@@ -168,37 +153,32 @@ def kappa_limit_study(sweep: SweepSpec) -> RateReport:
         return _evolve_member(f"kappa={kappa:g}", u0, spec, cfg, base)
 
     reference = run(0.0)
-    errors = []
     points = []
     for kappa in kappas:
         res = run(kappa)
-        err = _sup_error(res, reference, low_capillarity_error)
-        point = {"kappa": kappa, "error": err}
-        if sweep.comparison_norm:
-            point[sweep.comparison_norm] = _sup_error(
+        point = {"kappa": kappa, "error": _sup_error(res, reference, low_capillarity_error)}
+        if comparison_norm:
+            point[comparison_norm] = _sup_error(
                 res,
                 reference,
-                lambda a, b: _comparison_error(sweep.comparison_norm, a, b, base.s, kappa),
+                lambda a, b: _comparison_error(comparison_norm, a, b, base.s, kappa),
             )
-        errors.append(err)
         points.append(point)
-    order, resid = fit_rate(kappas, errors)
-    report = RateReport("kappa_limit", list(kappas), errors, order, resid)
-    report.extra["points"] = points
-    report.extra["pass"] = order >= 0.45 and resid < 0.1
-    return report
+    order, resid = fit_rate(kappas, [pt["error"] for pt in points])
+    extra = {"fitted_order": order, "residual": resid, "points": points}
+    return StudyReport("kappa_limit", points, order >= 0.45 and resid < 0.1, extra)
 
 
-def mu_limit_study(sweep: SweepSpec, r=None) -> RateReport:
+def mu_limit_study(base, mus, r=None) -> StudyReport:
     """Cauchy behavior of the viscous approximations as mu decreases.
 
     Errors against the mu = 0 run, measured in the (r+1/2, r) Sobolev pair
-    for r < s, must decrease strictly along the sweep; the fitted order is
-    reported without asserting a value."""
-    base = sweep.base_config
-    if sweep.sweep_param != "mu":
-        raise ValueError("mu_limit_study needs a mu sweep")
-    mus = sweep.values
+    for r < s (default max(1/2, s - 1/2)), must decrease strictly along the
+    sweep; the fitted order is reported without asserting a value (NaN for
+    fewer than 3 values)."""
+    mus = tuple(float(m) for m in mus)
+    if len(mus) < 2:
+        raise ValueError("mu_limit_study needs at least 2 sweep values")
     if any(not (0 < m < 1) for m in mus) or any(b <= a for a, b in zip(mus[1:], mus)):
         raise ValueError("mu sweep values must be strictly decreasing in (0, 1)")
     if base.p != 1.0:
@@ -206,7 +186,7 @@ def mu_limit_study(sweep: SweepSpec, r=None) -> RateReport:
     if base.kappa <= 0:
         raise ValueError("mu_limit_study needs kappa > 0")
     if r is None:
-        r = base.study.get("r", max(0.5, base.s - 0.5))
+        r = max(0.5, base.s - 0.5)
     r = float(r)
     if not (0 < r < base.s or r == base.s):
         raise ValueError(f"mu_limit_study needs 0 < r <= s, got r={r}")
@@ -241,39 +221,21 @@ def mu_limit_study(sweep: SweepSpec, r=None) -> RateReport:
 
     errors = [_sup_error(run(mu), reference, metric) for mu in mus]
     order, resid = fit_rate(mus, errors) if len(mus) >= 3 else (math.nan, math.nan)
-    report = RateReport("mu_limit", list(mus), errors, order, resid)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    report.extra["strictly_decreasing"] = decreasing
-    report.extra["r"] = r
-    report.extra["fallback_integrator"] = fallback
-    report.extra["pass"] = decreasing
-    return report
-
-
-@dataclass
-class TableReport:
-    study: str
-    rows: list
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def passed(self):
-        active = [r for r in self.rows if not r.get("skipped")]
-        return bool(active) and all(r.get("ok", False) for r in active)
-
-    def summary(self):
-        return {
-            "study": self.study,
-            "pass": self.passed,
-            "rows": len(self.rows),
-            "skipped": sum(1 for r in self.rows if r.get("skipped")),
-            **self.extra,
-        }
+    extra = {
+        "fitted_order": order,
+        "residual": resid,
+        "strictly_decreasing": decreasing,
+        "r": r,
+        "fallback_integrator": fallback,
+    }
+    rows = [{"mu": m, "error": e} for m, e in zip(mus, errors)]
+    return StudyReport("mu_limit", rows, decreasing, extra)
 
 
 def invariant_region_test(
     data, params: Params, T, cfg: IntegratorConfig, epsilon=None, report_every=None
-) -> TableReport:
+) -> StudyReport:
     """Small data stays small: norms gated at eps/2 never reach eps.
 
     Each datum's H_kappa^1 x H^(1/2) norm is computed (not assumed); data
@@ -305,12 +267,12 @@ def invariant_region_test(
             ok = ok and row[f"ok_{label}"]
         row["ok"] = ok
         rows.append(row)
-    return TableReport("invariant_region", rows, {"epsilon": eps})
+    return _table_report("invariant_region", rows, epsilon=eps)
 
 
 def dissipation_test(
     data, params: Params, T, cfg: IntegratorConfig, delta=0.1, report_every=None
-) -> TableReport:
+) -> StudyReport:
     """Viscosity makes the Hamiltonian non-increasing for small data.
 
     Hamiltonian increases below 1e-10 relative are counted as roundoff;
@@ -343,38 +305,7 @@ def dissipation_test(
         row["control_drift"] = drift / max(abs(ctrl_series[0]), 1e-300)
         row["ok"] = row["monotone"] and row["control_drift"] <= 1e-8
         rows.append(row)
-    return TableReport("dissipation", rows, {"delta": delta})
-
-
-@dataclass
-class StabilityReport:
-    sizes: list
-    sup_energies: list
-    slope: float
-    slope_residual: float
-    growth_rates: list
-    r: float
-
-    @property
-    def passed(self):
-        rates = [a for a in self.growth_rates if math.isfinite(a)]
-        if len(rates) != len(self.growth_rates):
-            return False
-        spread_ok = True
-        if len(rates) > 1:
-            lo, hi = min(rates), max(rates)
-            spread_ok = (hi - lo) <= 0.5 * max(abs(lo), abs(hi), 1e-6)
-        monotone = all(b < a for a, b in zip(self.sup_energies, self.sup_energies[1:]))
-        return spread_ok and monotone and abs(self.slope - 2.0) <= 0.2
-
-    def summary(self):
-        return {
-            "study": "stability",
-            "slope": self.slope,
-            "slope_residual": self.slope_residual,
-            "growth_rates": self.growth_rates,
-            "pass": self.passed,
-        }
+    return _table_report("dissipation", rows, delta=delta)
 
 
 def stability_test(
@@ -386,7 +317,7 @@ def stability_test(
     cfg: IntegratorConfig,
     seed=0,
     report_every=None,
-) -> StabilityReport:
+) -> StudyReport:
     """Continuous dependence via the difference energy.
 
     Perturbs the datum along a fixed random band-limited direction at the
@@ -425,7 +356,16 @@ def stability_test(
         rate = float(np.polyfit(times, logs, 1)[0]) if len(times) > 1 else math.nan
         rates.append(rate)
     slope, resid = fit_rate(sizes, sups)
-    return StabilityReport(sizes, sups, slope, resid, rates, r)
+    lo, hi = min(rates), max(rates)
+    passed = (
+        all(math.isfinite(a) for a in rates)
+        and hi - lo <= 0.5 * max(abs(lo), abs(hi), 1e-6)
+        and all(b < a for a, b in zip(sups, sups[1:]))
+        and abs(slope - 2.0) <= 0.2
+    )
+    rows = [{"size": s_, "sup_energy": e} for s_, e in zip(sizes, sups)]
+    extra = {"slope": slope, "slope_residual": resid, "growth_rates": rates}
+    return StudyReport("stability", rows, passed, extra)
 
 
 @dataclass(frozen=True)
@@ -472,24 +412,12 @@ def existence_time_estimate(u0: WaveState, params: Params, constants: dict) -> E
     return ExistenceEstimate(min(T1, T2), T1, T2, N)
 
 
-@dataclass
-class GrowthBoundReport:
-    kind: str
-    constants: dict
-    margin: float
-    dominated: bool
-
-    def summary(self):
-        return {
-            "study": "growth_bound",
-            "kind": self.kind,
-            "constants": self.constants,
-            "margin": self.margin,
-            "pass": self.dominated,
-        }
+def _growth_bound(kind, constants, margin, dominated) -> StudyReport:
+    extra = {"kind": kind, "constants": constants, "margin": margin}
+    return StudyReport("growth_bound", [], dominated, extra)
 
 
-def growth_bound_monitor(result: EvolveResult, s, params: Params) -> GrowthBoundReport:
+def growth_bound_monitor(result: EvolveResult, s, params: Params) -> StudyReport:
     """Fit a regularity-persistence envelope over a norm history.
 
     For s < 1 the envelope is exp(C1 exp(C2 t)) with C2 = 1 + kappa and C1
@@ -502,7 +430,7 @@ def growth_bound_monitor(result: EvolveResult, s, params: Params) -> GrowthBound
     times = np.asarray([st.time - t0 for st in states])
     y = np.asarray([weighted_pair_norm(st, s, params.kappa) for st in states])
     if result.blown_up or not np.all(np.isfinite(y)):
-        return GrowthBoundReport("blown_up", {}, math.inf, False)
+        return _growth_bound("blown_up", {}, math.inf, False)
     floor = 1e-300
     if s < 1.0:
         C2 = 1.0 + params.kappa
@@ -513,7 +441,7 @@ def growth_bound_monitor(result: EvolveResult, s, params: Params) -> GrowthBound
             C1 = 0.0
             envelope = np.ones_like(y)
         margin = float(np.min(envelope / np.maximum(y, floor)))
-        return GrowthBoundReport(
+        return _growth_bound(
             "double_exponential", {"C1": C1, "C2": C2}, margin, math.isfinite(C1)
         )
     norms_quarter = np.asarray(
@@ -529,7 +457,7 @@ def growth_bound_monitor(result: EvolveResult, s, params: Params) -> GrowthBound
     C = float(max(np.max(cs), 0.0))
     envelope = y0 * np.exp(C * denom)
     margin = float(np.min(envelope / np.maximum(y, floor)))
-    return GrowthBoundReport(
+    return _growth_bound(
         "exponential_integral", {"C": C, "kappa": params.kappa}, margin, math.isfinite(C)
     )
 
@@ -550,7 +478,7 @@ def small_data_family(grid, kappa, count=10, epsilon=None, seed=0, band=6) -> li
     return family
 
 
-def conservation_check(u0: WaveState, params: Params, T, cfg, report_every=None) -> TableReport:
+def conservation_check(u0: WaveState, params: Params, T, cfg, report_every=None) -> StudyReport:
     """Relative drift of the invariants along the conservative flow."""
     spec = SystemSpec(u0.dim, params, regularized=False)
     report_every = report_every or max(T / 20.0, cfg.dt)
@@ -565,4 +493,40 @@ def conservation_check(u0: WaveState, params: Params, T, cfg, report_every=None)
         row["ok"] = (not res.blown_up) and drift_h <= 1e-8 and drift_i <= 1e-8
     else:
         row["ok"] = (not res.blown_up) and drift_h <= 1e-7
-    return TableReport("conservation", [row])
+    return _table_report("conservation", [row])
+
+
+def inequality_study(grid, count, seed) -> StudyReport:
+    """The inequality chain behind the energy estimates, on random data.
+
+    The exact symbol-comparison chain on the grid's wavenumbers, plus the
+    Kato-Ponce, Leibniz, trilinear and Brezis-Gallouet ratios on ``count``
+    random band-limited states; passes when the chain holds and every ratio
+    is finite."""
+    if grid.dim != 1:
+        raise ValueError("the inequalities study runs on a 1D grid")
+    chain = symbol_chain_report(grid)
+    states = [
+        random_bandlimited(grid, seed=seed + i, band=6, amplitude=0.5) for i in range(count)
+    ]
+    reports = {
+        "kato_ponce": kato_ponce_report([(st.eta, st.v) for st in states]),
+        "leibniz": leibniz_report([(st.eta, st.v) for st in states]),
+        "trilinear": trilinear_report([(st.eta, st.v, st.eta) for st in states]),
+        "brezis_gallouet": brezis_gallouet_report([st.v for st in states]),
+    }
+    rows = [
+        {"check": which, "sample": i, "lhs": sm["lhs"], "rhs": sm["rhs"], "ratio": sm["ratio"]}
+        for which, rep in reports.items()
+        for i, sm in enumerate(rep.samples)
+    ]
+    passed = chain.ok and all(rep.all_finite for rep in reports.values())
+    extra = {
+        "symbol_chain": {
+            "checked": chain.checked,
+            "passed": chain.passed,
+            "max_violation_ulp": chain.max_violation_ulp,
+        },
+        **{f"{k}_max_ratio": rep.max_ratio for k, rep in reports.items()},
+    }
+    return StudyReport("inequalities", rows, bool(passed), extra)

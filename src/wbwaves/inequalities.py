@@ -29,8 +29,6 @@ from .spectral import (
     sobolev_norm,
 )
 
-CHECKS = ("kato_ponce", "leibniz", "trilinear", "brezis_gallouet", "symbol_comparison")
-
 #: Each literal inequality of the symbol chain may be violated by at most
 #: this many ulp of <xi> (the magnitude whose subtraction produced it).
 SYMBOL_CHAIN_ULP = 4
@@ -183,19 +181,3 @@ def symbol_chain_report(grid: Grid) -> SymbolChainReport:
     max_ulp = float(np.max(worst / np.spacing(bess))) if a.size else 0.0
     return SymbolChainReport(checked=int(a.size), passed=int(np.sum(ok)), max_violation_ulp=max_ulp)
 
-
-def inequality_ratio_report(which, family=None, grid=None, **kwargs):
-    """Dispatch a named diagnostic; see the individual report functions."""
-    if which == "symbol_comparison":
-        if grid is None:
-            raise ValueError("symbol_comparison needs a grid")
-        return symbol_chain_report(grid)
-    if which == "kato_ponce":
-        return kato_ponce_report(family, **kwargs)
-    if which == "leibniz":
-        return leibniz_report(family, **kwargs)
-    if which == "trilinear":
-        return trilinear_report(family, **kwargs)
-    if which == "brezis_gallouet":
-        return brezis_gallouet_report(family, **kwargs)
-    raise ValueError(f"unknown check {which!r}; valid: {', '.join(CHECKS)}")

@@ -18,7 +18,6 @@ from wbwaves.dynamics import (
     picard_solve,
 )
 from wbwaves.experiments import (
-    SweepSpec,
     dissipation_test,
     fit_rate,
     invariant_region_test,
@@ -122,12 +121,11 @@ def test_criterion_06_kappa_rate():
         "initial_data": {"preset": "single_mode", "amplitude": 0.05, "mode": 1},
         "integrator": {"dt": 2e-3}, "T": 5.0, "report_every": 0.5, "seed": 0,
     }
-    sweep = SweepSpec(config_from_dict(raw), "kappa", (1e-1, 1e-2, 1e-3, 1e-4))
-    rep = kappa_limit_study(sweep)
-    ok = rep.fitted_order >= 0.45 and rep.residual < 0.1
+    rep = kappa_limit_study(config_from_dict(raw), (1e-1, 1e-2, 1e-3, 1e-4))
+    ok = rep.extra["fitted_order"] >= 0.45 and rep.extra["residual"] < 0.1
     report(6, "kappa->0 rate", ok,
-           f"fitted order {rep.fitted_order:.3f} (need >= 0.45), "
-           f"log-log residual {rep.residual:.4f} (need < 0.1)")
+           f"fitted order {rep.extra['fitted_order']:.3f} (need >= 0.45), "
+           f"log-log residual {rep.extra['residual']:.4f} (need < 0.1)")
 
 
 def test_criterion_07_mu_limit():
@@ -137,10 +135,10 @@ def test_criterion_07_mu_limit():
         "initial_data": {"preset": "single_mode", "amplitude": 0.05, "mode": 1},
         "integrator": {"dt": 2e-3}, "T": 3.0, "report_every": 0.5, "seed": 0,
     }
-    rep = mu_limit_study(SweepSpec(config_from_dict(raw), "mu", (1e-1, 1e-2, 1e-3)), r=1.5)
+    rep = mu_limit_study(config_from_dict(raw), (1e-1, 1e-2, 1e-3), r=1.5)
     ok = rep.extra["strictly_decreasing"]
     report(7, "mu->0 convergence", ok,
-           "errors " + ", ".join(f"{e:.3e}" for e in rep.errors) + " strictly decreasing")
+           "errors " + ", ".join(f"{row['error']:.3e}" for row in rep.rows) + " strictly decreasing")
 
 
 def test_criterion_08_picard_vs_direct():
@@ -165,9 +163,9 @@ def test_criterion_09_stability_scaling():
         params=Params(kappa=1.0, s=1.0), T=5.0,
         cfg=IntegratorConfig(dt=5e-3), seed=9,
     )
-    ok = abs(rep.slope - 2.0) <= 0.2 and rep.passed
+    ok = abs(rep.extra["slope"] - 2.0) <= 0.2 and rep.passed
     report(9, "stability / continuous dependence", ok,
-           f"sup_t difference-energy slope {rep.slope:.4f} vs size (need 2 +- 0.2)")
+           f"sup_t difference-energy slope {rep.extra['slope']:.4f} vs size (need 2 +- 0.2)")
 
 
 def test_criterion_10_two_dimensional_structure():

@@ -34,12 +34,12 @@ def small_run(outdir, **overrides):
     return raw
 
 
-def run_cli(*args):
+def run_cli(*args, program=("-m", "wbwaves.cli")):
     """Run the command line in a fresh interpreter, as a user would."""
     src = str(Path(wbwaves.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "wbwaves.cli", *args],
+        [sys.executable, *program, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -245,6 +245,157 @@ class TestStudyCommand:
         raw = small_run(outdir, T=0.5, study={"count": 2, "mu": 0.2})
         cfgfile = write_config(tmp_path, raw)
         assert main(["study", "invariant_region", cfgfile]) == 0
+
+
+def strict_json(path):
+    """Parse a JSON file, refusing the non-standard NaN/Infinity constants."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+FAMILY_KEYS = {"config", "study", "pass", "rows", "skipped"}
+RATE_KEYS = {"config", "study", "pass", "fitted_order", "residual"}
+
+# study -> (config overrides, output stem, CSV header, JSON summary keys)
+STUDY_OUTPUTS = {
+    "kappa_limit": (
+        {"params": {"kappa": 1.0, "s": 2.0}, "T": 1.0, "integrator": {"dt": 5e-3},
+         "study": {"values": [0.1, 0.01, 0.001], "comparison_norm": "HskappaxHs"}},
+        "kappa_limit_kappa",
+        "kappa,error,HskappaxHs",
+        RATE_KEYS | {"points"},
+    ),
+    "mu_limit": (
+        {"params": {"kappa": 1.0, "s": 2.0}, "T": 1.0, "integrator": {"dt": 5e-3}},
+        "mu_limit_mu",
+        "mu,error",
+        RATE_KEYS | {"strictly_decreasing", "r", "fallback_integrator"},
+    ),
+    "invariant_region": (
+        {"study": {"count": 2, "mu": 0.2, "band": 4}},
+        "invariant_region_datum",
+        "index,gate_norm,epsilon,max_norm_mu0,ok_mu0,max_norm_mu,ok_mu,ok",
+        FAMILY_KEYS | {"epsilon"},
+    ),
+    "dissipation": (
+        {"study": {"count": 2, "mu": 0.2, "delta": 0.1}},
+        "dissipation_datum",
+        "index,data_size,delta,monotone,total_drop,control_drift,ok",
+        FAMILY_KEYS | {"delta"},
+    ),
+    "stability": (
+        {"params": {"kappa": 1.0, "s": 1.5}, "study": {"sizes": [1e-2, 1e-3, 1e-4], "r": 0.5}},
+        "stability_size",
+        "size,sup_energy",
+        {"config", "study", "pass", "slope", "slope_residual", "growth_rates"},
+    ),
+    "inequalities": (
+        {"study": {"count": 2}},
+        "inequalities",
+        "check,sample,lhs,rhs,ratio",
+        {"config", "study", "pass", "symbol_chain", "kato_ponce_max_ratio",
+         "leibniz_max_ratio", "trilinear_max_ratio", "brezis_gallouet_max_ratio"},
+    ),
+    "conservation": (
+        {},
+        "conservation",
+        "drift_hamiltonian,blown_up,drift_momentum,ok",
+        FAMILY_KEYS,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_OUTPUTS))
+def test_study_outputs(tmp_path, name):
+    overrides, stem, header, keys = STUDY_OUTPUTS[name]
+    outdir = tmp_path / "out"
+    assert main(["study", name, write_config(tmp_path, small_run(str(outdir), **overrides))]) == 0
+    assert sorted(os.listdir(outdir)) == [stem + ".csv", stem + ".json"]
+    lines = (outdir / (stem + ".csv")).read_text().splitlines()
+    assert lines[0].startswith("# ") and "config=" in lines[0]
+    assert lines[1] == header
+    summary = strict_json(outdir / (stem + ".json"))
+    assert set(summary) == keys
+    assert summary["study"] == name and summary["pass"] is True
+
+
+class TestStudyOutputFaults:
+    def test_partly_skipped_table_is_written(self, tmp_path):
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            initial_data={"preset": "random_bandlimited", "band": 6, "amplitude": 0.05},
+            integrator={"dt": 0.01},
+            T=0.2,
+            report_every=0.05,
+            seed=0,
+            study={"count": 6, "mu": 0.2, "delta": 0.019},
+        )
+        assert main(["study", "dissipation", write_config(tmp_path, raw)]) == 0
+        lines = (outdir / "dissipation_datum.csv").read_text().splitlines()
+        cols = lines[1].split(",")
+        assert cols == ["index", "data_size", "delta", "monotone", "total_drop",
+                        "control_drift", "ok", "skipped", "reason"]
+        rows = [dict(zip(cols, line.split(","))) for line in lines[2:]]
+        assert len(rows) == 6
+        skipped = [r for r in rows if r["skipped"]]
+        assert len(skipped) == 2
+        for r in skipped:
+            assert r["skipped"] == "1" and r["reason"] == "data size exceeds delta"
+            assert r["monotone"] == r["ok"] == ""
+        summary = strict_json(outdir / "dissipation_datum.json")
+        assert (summary["rows"], summary["skipped"], summary["pass"]) == (6, 2, True)
+
+    def test_unknown_study_option_rejected(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        raw = small_run(str(outdir), study={"valeus": [0.1, 0.01, 0.001]})
+        assert main(["study", "kappa_limit", write_config(tmp_path, raw)]) == 1
+        assert "valeus" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_two_value_mu_sweep_writes_null_order(self, tmp_path):
+        outdir = tmp_path / "out"
+        raw = small_run(str(outdir), params={"kappa": 1.0, "s": 2.0}, T=0.5,
+                        integrator={"dt": 5e-3}, study={"values": [0.1, 0.01]})
+        assert main(["study", "mu_limit", write_config(tmp_path, raw)]) == 0
+        summary = strict_json(outdir / "mu_limit_mu.json")
+        assert summary["fitted_order"] is None and summary["residual"] is None
+
+    def test_diverging_picard_run_writes_null_estimate(self, tmp_path):
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            system="wb1d_regularized",
+            grid={"n": 32},
+            params={"kappa": 1.0, "mu": 0.1, "s": 1.0},
+            initial_data={"preset": "random_bandlimited", "seed": 1, "band": 4,
+                          "amplitude": 200.0},
+            integrator={"method": "picard_duhamel", "dt": 0.05, "picard_max_iter": 30},
+            T=2.0,
+        )
+        assert main(["run", write_config(tmp_path, raw)]) == 1
+        summary = strict_json(outdir / "run_summary.json")
+        assert summary["status"] == "no_contraction"
+        assert summary["contraction_estimate"] is None
+        assert None in summary["defects"]
+
+
+def test_bench_launcher_traces_a_study(tmp_path):
+    """bench/launch.py marks set-up by wrapping cli.small_data_family, and
+    bench/tracer.py times the study functions where cli looks them up."""
+    launch = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+    raw = small_run(str(tmp_path / "out"), T=0.2, study={"count": 2, "mu": 0.2})
+    record = tmp_path / "record.json"
+    proc = run_cli("study", "dissipation", write_config(tmp_path, raw),
+                   program=(str(launch), str(record), "trace", "--"))
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    assert rec["exit_code"] == 0
+    assert "setup_mark" in rec
+    assert rec["trace"]["spans"]["experiments.study"][0] == 1
 
 
 class TestDescribeCommand:

@@ -7,7 +7,6 @@ from wbwaves.config import config_from_dict
 from wbwaves.dynamics import IntegratorConfig, SystemSpec, evolve
 from wbwaves.experiments import (
     ExistenceEstimate,
-    SweepSpec,
     conservation_check,
     dissipation_test,
     existence_time_estimate,
@@ -41,20 +40,25 @@ def base_config(**overrides):
 
 
 class TestSweepSpec:
+    """Checks on the sweep values the limit studies take."""
+
     def test_monotone_required(self):
         cfg = base_config()
         with pytest.raises(ValueError, match="monotone"):
-            SweepSpec(cfg, "kappa", (0.1, 0.3, 0.2))
+            kappa_limit_study(cfg, (0.1, 0.3, 0.2))
 
     def test_two_values_rejected_for_rate_fit(self):
         cfg = base_config()
-        sweep = SweepSpec(cfg, "kappa", (0.1, 0.01))
         with pytest.raises(ValueError, match="3"):
-            kappa_limit_study(sweep)
+            kappa_limit_study(cfg, (0.1, 0.01))
 
-    def test_unknown_param(self):
-        with pytest.raises(ValueError, match="sweep parameter"):
-            SweepSpec(base_config(), "gamma", (1, 2, 3))
+    def test_unknown_comparison_norm(self):
+        with pytest.raises(ValueError, match="comparison_norm"):
+            kappa_limit_study(base_config(), (0.1, 0.01, 0.001), comparison_norm="L3")
+
+    def test_mu_needs_two_values(self):
+        with pytest.raises(ValueError, match="2"):
+            mu_limit_study(base_config(), (0.1,))
 
 
 class TestFitRate:
@@ -78,35 +82,34 @@ class TestKappaLimit:
 
     def test_rate_and_monotonicity_in_horizon(self):
         cfg = base_config(T=2.0, report_every=0.5)
-        sweep = SweepSpec(cfg, "kappa", (1e-1, 1e-2, 1e-3))
-        report = kappa_limit_study(sweep)
-        assert report.fitted_order >= 0.45
-        assert report.residual < 0.1
+        report = kappa_limit_study(cfg, (1e-1, 1e-2, 1e-3))
+        assert report.extra["fitted_order"] >= 0.45
+        assert report.extra["residual"] < 0.1
         # doubling the horizon increases every error
         cfg2 = base_config(T=4.0, report_every=0.5)
-        report2 = kappa_limit_study(SweepSpec(cfg2, "kappa", (1e-1, 1e-2, 1e-3)))
-        assert all(b > a for a, b in zip(report.errors, report2.errors))
+        report2 = kappa_limit_study(cfg2, (1e-1, 1e-2, 1e-3))
+        assert all(b["error"] > a["error"] for a, b in zip(report.rows, report2.rows))
 
     def test_regularized_base_rejected(self):
         cfg = base_config(
             system="wb1d_regularized", params={"kappa": 1.0, "mu": 0.1, "s": 2.0}
         )
         with pytest.raises(ValueError, match="unregularized"):
-            kappa_limit_study(SweepSpec(cfg, "kappa", (0.1, 0.01, 0.001)))
+            kappa_limit_study(cfg, (0.1, 0.01, 0.001))
 
 
 class TestMuLimit:
     def test_errors_strictly_decreasing(self):
         cfg = base_config(T=1.0)
-        report = mu_limit_study(SweepSpec(cfg, "mu", (1e-1, 1e-2, 1e-3)), r=1.0)
+        report = mu_limit_study(cfg, (1e-1, 1e-2, 1e-3), r=1.0)
         assert report.extra["strictly_decreasing"]
         assert report.passed
-        assert all(e > 0 for e in report.errors)
+        assert all(row["error"] > 0 for row in report.rows)
 
     def test_increasing_sweep_rejected(self):
         cfg = base_config()
         with pytest.raises(ValueError, match="decreasing"):
-            mu_limit_study(SweepSpec(cfg, "mu", (1e-3, 1e-2, 1e-1)))
+            mu_limit_study(cfg, (1e-3, 1e-2, 1e-1))
 
 
 class TestInvariantRegion:
@@ -195,7 +198,7 @@ class TestStability:
             u0, [1e-2, 1e-3, 1e-4], r=0.5, params=Params(kappa=1.0, s=1.5),
             T=1.0, cfg=IntegratorConfig(dt=5e-3), seed=5,
         )
-        assert abs(report.slope - 2.0) <= 0.2
+        assert abs(report.extra["slope"] - 2.0) <= 0.2
         assert report.passed
 
     def test_r_range_validated(self):
@@ -251,9 +254,9 @@ class TestGrowthBound:
         spec = SystemSpec(1, Params(kappa=1.0, s=0.75))
         res = evolve(u0, spec, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
         report = growth_bound_monitor(res, s=0.75, params=spec.params)
-        assert report.dominated
-        assert report.kind == "double_exponential"
-        assert report.margin >= 1.0 - 1e-9
+        assert report.passed
+        assert report.extra["kind"] == "double_exponential"
+        assert report.extra["margin"] >= 1.0 - 1e-9
 
     def test_high_regularity_envelope(self):
         g = Grid(64)
@@ -261,8 +264,8 @@ class TestGrowthBound:
         spec = SystemSpec(1, Params(kappa=1.0, s=1.5))
         res = evolve(u0, spec, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
         report = growth_bound_monitor(res, s=1.5, params=spec.params)
-        assert report.dominated
-        assert report.kind == "exponential_integral"
+        assert report.passed
+        assert report.extra["kind"] == "exponential_integral"
 
     def test_blowup_not_dominated(self):
         g = Grid(64)
@@ -272,7 +275,7 @@ class TestGrowthBound:
         res = evolve(u0, spec, cfg, T=5.0, report_every=0.05)
         assert res.blown_up
         report = growth_bound_monitor(res, s=1.0, params=spec.params)
-        assert not report.dominated
+        assert not report.passed
 
 
 class TestConservationCheck:

@@ -6,7 +6,6 @@ import pytest
 from wbwaves.inequalities import (
     HypothesisError,
     brezis_gallouet_report,
-    inequality_ratio_report,
     kato_ponce_report,
     leibniz_report,
     symbol_chain_report,
@@ -137,22 +136,3 @@ class TestBrezisGallouet:
         with pytest.raises(HypothesisError, match="s > 1/2"):
             brezis_gallouet_report([Field(g, np.ones(32))], s=0.5)
 
-
-class TestDispatch:
-    def test_symbol_comparison_route(self):
-        rep = inequality_ratio_report("symbol_comparison", grid=Grid(64))
-        assert rep.ok
-
-    def test_unknown_check(self):
-        with pytest.raises(ValueError, match="unknown check"):
-            inequality_ratio_report("nope", family=[])
-
-    def test_named_routes(self):
-        g = Grid(64)
-        fam = family(g, 2)
-        assert inequality_ratio_report("kato_ponce", fam).which == "kato_ponce"
-        assert inequality_ratio_report("leibniz", fam).which == "leibniz"
-        triples = [(f, h, f) for f, h in fam]
-        assert inequality_ratio_report("trilinear", triples).which == "trilinear"
-        singles = [f for f, _ in fam]
-        assert inequality_ratio_report("brezis_gallouet", singles).which == "brezis_gallouet"
