@@ -30,6 +30,8 @@ on the Nyquist-free curl-free subspace.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,7 +118,6 @@ class _Ops:
         if spec.dim != grid.dim:
             raise SpectralError(f"spec is {spec.dim}D but grid is {grid.dim}D")
         self.grid = grid
-        self.spec = spec
         p = spec.params
         cat = SymbolCatalog
         self.mask = grid.dealias_mask if dealias else None
@@ -136,7 +137,7 @@ class _Ops:
             self.K2 = cat.K_squared().values(grid)
             self.cap = cat.capillary(p.kappa).values(grid)
             self.unit = cat.unit_vectors(grid)
-        self._props = {}
+        self._props = OrderedDict()
 
     # FFT helpers on raw coefficient arrays.
     def phys(self, c):
@@ -193,11 +194,7 @@ class _Ops:
         return _axpy(self.linear(u), 1.0, self.nonlinear(u))
 
     def propagator(self, t):
-        prop = self._props.get(t)
-        if prop is None:
-            prop = _Propagator(self, t)
-            self._props[t] = prop
-        return prop
+        return _cached(self._props, t, lambda: _Propagator(self, t))
 
 
 class _Propagator:
@@ -211,7 +208,6 @@ class _Propagator:
         self.mix_v = ops.Kk * sin        # psi gains -i * this * eta
         self.heat = np.exp(-t * ops.heat_rate) if ops.heat_rate is not None else None
         self.unit = ops.unit
-        self.t = t
 
     def apply(self, u):
         if self.unit is None:
@@ -230,16 +226,26 @@ class _Propagator:
         return (e_new, self.unit[0] * p_new, self.unit[1] * p_new)
 
 
-_OPS_CACHE: dict = {}
+# The _Ops and _Propagator caches keep their _CACHE_SIZE most recently used
+# entries; a step or a sweep holds the propagators it applies, so an eviction
+# never costs a rebuild inside one.
+_CACHE_SIZE = 8
+_CACHE_LOCK = threading.Lock()
+_OPS_CACHE: OrderedDict = OrderedDict()
+
+
+def _cached(cache: OrderedDict, key, build):
+    with _CACHE_LOCK:
+        if key not in cache:
+            cache[key] = build()
+            if len(cache) > _CACHE_SIZE:
+                cache.popitem(last=False)
+        cache.move_to_end(key)
+        return cache[key]
 
 
 def _ops(grid: Grid, spec: SystemSpec, dealias: bool) -> _Ops:
-    key = (grid, spec, dealias)
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        ops = _Ops(grid, spec, dealias)
-        _OPS_CACHE[key] = ops
-    return ops
+    return _cached(_OPS_CACHE, (grid, spec, dealias), lambda: _Ops(grid, spec, dealias))
 
 
 def _pack(state: WaveState):
@@ -289,11 +295,10 @@ class SemigroupOperator:
 
     def __init__(self, grid: Grid, params: Params, t: float):
         spec = SystemSpec(grid.dim, params, regularized=params.mu > 0)
-        self._ops = _ops(grid, spec, True)
         self.grid = grid
         self.params = params
         self.t = float(t)
-        self._prop = self._ops.propagator(self.t)
+        self._prop = _ops(grid, spec, True).propagator(self.t)
 
     def apply(self, state: WaveState) -> WaveState:
         if state.grid != self.grid:
@@ -420,19 +425,21 @@ def evolve(
         report_every = T
     if report_every <= 0:
         raise ValueError(f"report_every must be positive, got {report_every}")
-    if cfg.method == "picard_duhamel":
-        result = picard_solve(u0, spec, cfg, T)
-        return _sample_picard(result, spec, report_every)
     n_steps, dt = _resolve_steps(T, cfg.dt)
+    n_rep = math.ceil(T / report_every - 1e-9)
+    report_steps = [min(n_steps, round(i * report_every / dt)) for i in range(n_rep + 1)]
+    report_steps[-1] = n_steps
+    traj = Trajectory()
+    if cfg.method == "picard_duhamel":
+        nodes = picard_solve(u0, spec, cfg, T).trajectory.states
+        for k in report_steps:
+            traj.append(nodes[k], EnergyReport.measure(nodes[k], spec.params))
+        return EvolveResult(traj)
     if report_every < dt * (1 - 1e-12):
         raise ValueError("report_every must be at least the time step")
     ops = _ops(u0.grid, spec, cfg.dealias)
     step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
-    n_rep = math.ceil(T / report_every - 1e-9)
-    report_steps = [min(n_steps, round(i * report_every / dt)) for i in range(n_rep + 1)]
-    report_steps[-1] = n_steps
 
-    traj = Trajectory()
     result = EvolveResult(traj)
     u = _pack(u0)
     t0 = u0.time
@@ -465,34 +472,38 @@ def evolve(
 # Duhamel fixed point
 
 
-def _duhamel_weights(m, n_nodes, dt):
-    """Nodes and weights of a composite fourth-order rule over [0, m*dt]."""
-    if m == 0:
-        return np.array([], dtype=int), np.array([])
-    if m == 1:
-        if n_nodes >= 4:  # cubic through nodes 0..3, integrated over [0, dt]
-            return np.arange(4), dt * np.array([3 / 8, 19 / 24, -5 / 24, 1 / 24])
-        if n_nodes == 3:
-            return np.arange(3), dt * np.array([5 / 12, 2 / 3, -1 / 12])
-        return np.arange(2), dt * np.array([0.5, 0.5])
-    if m == 2:
-        return np.arange(3), dt / 3.0 * np.array([1.0, 4.0, 1.0])
-    if m == 3:
-        return np.arange(4), 3.0 * dt / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
-    w = np.zeros(m + 1)
-    if m % 2 == 0:
-        w[0] = w[m] = 1.0
-        w[1:m:2] = 4.0
-        w[2:m:2] = 2.0
-        w *= dt / 3.0
-    else:
-        head = m - 3
-        w[0] = w[head] = 1.0
-        w[1:head:2] = 4.0
-        w[2:head:2] = 2.0
-        w *= dt / 3.0
-        w[head:] += 3.0 * dt / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
-    return np.arange(m + 1), w
+_FIRST_PANEL = {2: (0.5, 0.5), 3: (5 / 12, 2 / 3, -1 / 12), 4: (3 / 8, 19 / 24, -5 / 24, 1 / 24)}
+
+
+def _duhamel_integrals(ops: _Ops, forcing, dt):
+    """Yield I_m = int_0^{m dt} S(m dt - t') N(t') dt' for each node m.
+
+    The rule is composite Simpson for even m; for odd m >= 3, Simpson up to
+    m - 3 plus one 3/8 panel; for m = 1, the polynomial through the first
+    nodes (at most four; ``_FIRST_PANEL`` by their number) integrated over
+    [0, dt].  By the semigroup law S(a)S(b) = S(a + b) a Simpson panel
+    extends the even value two nodes back and a 3/8 panel the even value
+    three nodes back, so a sweep applies O(N) propagators and keeps only the
+    two latest even values."""
+    s1, s2, s3 = (ops.propagator(k * dt) for k in (1, 2, 3))
+    before = last = tuple(np.zeros_like(c) for c in forcing[0])
+    yield last
+    for m in range(1, len(forcing)):
+        if m == 1:
+            acc = last
+            for j, wj in enumerate(_FIRST_PANEL[min(len(forcing), 4)]):
+                acc = _axpy(acc, dt * wj, ops.propagator((1 - j) * dt).apply(forcing[j]))
+        elif m % 2 == 0:
+            acc = s2.apply(_axpy(last, dt / 3.0, forcing[m - 2]))
+            acc = _axpy(acc, 4.0 * dt / 3.0, s1.apply(forcing[m - 1]))
+            acc = _axpy(acc, dt / 3.0, forcing[m])
+            before, last = last, acc
+        else:
+            acc = s3.apply(_axpy(before, 3.0 * dt / 8.0, forcing[m - 3]))
+            inner = _axpy(s2.apply(forcing[m - 2]), 1.0, s1.apply(forcing[m - 1]))
+            acc = _axpy(acc, 9.0 * dt / 8.0, inner)
+            acc = _axpy(acc, 3.0 * dt / 8.0, forcing[m])
+        yield acc
 
 
 @dataclass
@@ -500,7 +511,6 @@ class PicardResult:
     trajectory: Trajectory
     iterations: int
     defects: list
-    dt: float
 
     @property
     def final(self):
@@ -511,10 +521,11 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
     """Solve u = S(t)u0 + int_0^t S(t-t') N(u(t')) dt' by fixed-point iteration.
 
     The Duhamel integral is discretized with a composite fourth-order rule
-    on the uniform node set; iteration stops when successive trajectories
-    differ by less than picard_tol in the sup-in-time weighted pair norm.
-    Non-convergence within picard_max_iter reports the observed contraction
-    ratio (the horizon is too large for the data size)."""
+    on the uniform node set and evaluated by its panel recurrence, O(N)
+    propagator applies per sweep; iteration stops when successive
+    trajectories differ by less than picard_tol in the sup-in-time weighted
+    pair norm.  Non-convergence within picard_max_iter reports the observed
+    contraction ratio (the horizon is too large for the data size)."""
     if not spec.regularized:
         raise ValueError("the Duhamel solver is defined for the regularized system")
     if T <= 0:
@@ -524,9 +535,7 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
     grid = u0.grid
     params = spec.params
     u_init = _pack(u0)
-    free = [ops.propagator(m * dt).apply(u_init) for m in range(n_steps + 1)]
-    u = [tuple(c.copy() for c in um) for um in free]
-    weights = [_duhamel_weights(m, n_steps + 1, dt) for m in range(n_steps + 1)]
+    u = free = [ops.propagator(m * dt).apply(u_init) for m in range(n_steps + 1)]
 
     def defect_norm(a, b):
         diff = _axpy(a, -1.0, b)
@@ -538,15 +547,10 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
     for iteration in range(1, cfg.picard_max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = [ops.nonlinear(um) for um in u]
-            worst = 0.0
-            new_u = []
-            for m in range(n_steps + 1):
-                nodes, w = weights[m]
-                acc = free[m]
-                for j, wj in zip(nodes, w):
-                    acc = _axpy(acc, wj, ops.propagator((m - int(j)) * dt).apply(forcing[int(j)]))
-                worst = max(worst, defect_norm(acc, u[m]))
-                new_u.append(acc)
+            integrals = _duhamel_integrals(ops, forcing, dt)
+            new_u = [_axpy(fm, 1.0, im) for fm, im in zip(free, integrals)]
+            # np.max, unlike max, lets a NaN defect through to the check below.
+            worst = float(np.max([defect_norm(a, b) for a, b in zip(new_u, u)]))
         u = new_u
         defects.append(worst)
         if not math.isfinite(worst):
@@ -560,7 +564,7 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
             traj = Trajectory()
             for m, um in enumerate(u):
                 traj.append(_unpack(grid, um, u0.time + m * dt))
-            return PicardResult(traj, iteration, defects, dt)
+            return PicardResult(traj, iteration, defects)
     ratios = [b / a for a, b in zip(defects, defects[1:]) if a > 0]
     contraction = max(ratios) if ratios else math.inf
     raise PicardError(
@@ -570,19 +574,6 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
         defects,
         contraction,
     )
-
-
-def _sample_picard(result: PicardResult, spec: SystemSpec, report_every) -> EvolveResult:
-    traj = Trajectory()
-    nodes = result.trajectory.states
-    n_steps = len(nodes) - 1
-    total = nodes[-1].time - nodes[0].time
-    n_rep = math.ceil(total / report_every - 1e-9)
-    steps = [min(n_steps, round(i * report_every / result.dt)) for i in range(n_rep + 1)]
-    steps[-1] = n_steps
-    for k in steps:
-        traj.append(nodes[k], EnergyReport.measure(nodes[k], spec.params))
-    return EvolveResult(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +607,6 @@ def energy_derivative_check(state: WaveState, spec: SystemSpec, s=None) -> Deriv
     norm_rate = weighted_pair_norm(f, params.s, params.kappa)
     tol = 1e-5
 
-    def energy_of(st):
-        return modified_energy(st, params)
-
     if norm_rate == 0.0:
         return DerivativeCheck(0.0, 0.0, 0.0, True, tol)
 
@@ -634,14 +622,15 @@ def energy_derivative_check(state: WaveState, spec: SystemSpec, s=None) -> Deriv
         em2, em1, ep1, ep2 = values
         return (em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * h)
 
-    chain = stencil([energy_of(shifted(sig)) for sig in (-2, -1, 1, 2)], tau)
+    chain = stencil([modified_energy(shifted(sig), params) for sig in (-2, -1, 1, 2)], tau)
 
     ops = _ops(state.grid, spec, True)
     h = 5e-4 / (1.0 + norm_state)
     u = _pack(state)
 
     def advanced(sigma):
-        return energy_of(_unpack(state.grid, _reference_rk4_step(ops, u, sigma * h), state.time))
+        advanced_state = _unpack(state.grid, _reference_rk4_step(ops, u, sigma * h), state.time)
+        return modified_energy(advanced_state, params)
 
     evol = stencil([advanced(sig) for sig in (-2, -1, 1, 2)], h)
 

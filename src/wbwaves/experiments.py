@@ -505,6 +505,8 @@ def inequality_study(grid, count, seed) -> StudyReport:
     is finite."""
     if grid.dim != 1:
         raise ValueError("the inequalities study runs on a 1D grid")
+    if count < 1:
+        raise ValueError(f"the inequalities study needs count >= 1, got {count}")
     chain = symbol_chain_report(grid)
     states = [
         random_bandlimited(grid, seed=seed + i, band=6, amplitude=0.5) for i in range(count)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,18 +110,26 @@ def curl_residue(vel) -> float:
     return float(math.sqrt(np.sum(np.abs(curl) ** 2)))
 
 
+@lru_cache(maxsize=16)
+def _norm_weights(grid: Grid, s, kappa):
+    """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi."""
+    bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
+    eta_w = bess * SymbolCatalog.capillary(kappa).values(grid)
+    vel_w = bess * SymbolCatalog.d_over_tanh().values(grid)
+    eta_w.flags.writeable = vel_w.flags.writeable = False
+    return eta_w, vel_w
+
+
 def _weighted_sq_coeffs(grid: Grid, eta_c, vel_cs, s, kappa) -> float:
     """Squared weighted norm from raw coefficient arrays.
 
     kappa*|grad eta|^2 + |eta|^2 weighted by <xi>^(2s-1), plus the velocity
     measured through K^-1 (symbol sqrt(|xi|/tanh|xi|)) at the same weight.
     """
-    bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
-    kinv2 = SymbolCatalog.d_over_tanh().values(grid)
-    eta2 = np.abs(eta_c) ** 2
-    total = np.sum(bess * SymbolCatalog.capillary(kappa).values(grid) * eta2)
+    eta_w, vel_w = _norm_weights(grid, s, kappa)
+    total = np.sum(eta_w * np.abs(eta_c) ** 2)
     for vc in vel_cs:
-        total += np.sum(bess * kinv2 * np.abs(vc) ** 2)
+        total += np.sum(vel_w * np.abs(vc) ** 2)
     return float(total)
 
 

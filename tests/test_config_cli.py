@@ -356,6 +356,13 @@ class TestStudyOutputFaults:
         assert "valeus" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_empty_inequality_family_rejected(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        raw = small_run(str(outdir), study={"count": 0})
+        assert main(["study", "inequalities", write_config(tmp_path, raw)]) == 1
+        assert "count" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
+
     def test_two_value_mu_sweep_writes_null_order(self, tmp_path):
         outdir = tmp_path / "out"
         raw = small_run(str(outdir), params={"kappa": 1.0, "s": 2.0}, T=0.5,
@@ -396,6 +403,33 @@ def test_bench_launcher_traces_a_study(tmp_path):
     assert rec["exit_code"] == 0
     assert "setup_mark" in rec
     assert rec["trace"]["spans"]["experiments.study"][0] == 1
+
+
+def test_bench_launcher_traces_a_picard_run(tmp_path):
+    """bench/tracer.py wraps picard_solve and the defect norm's
+    _weighted_sq_coeffs where dynamics looks them up, and reads the operator
+    caches, which a 20-step solve leaves at their cap or below."""
+    from wbwaves.dynamics import _CACHE_SIZE
+
+    launch = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+    raw = small_run(
+        str(tmp_path / "out"),
+        system="wb1d_regularized",
+        grid={"n": 32},
+        params={"kappa": 1.0, "mu": 0.1, "s": 1.0},
+        integrator={"method": "picard_duhamel", "dt": 0.01},
+        T=0.2,
+    )
+    record = tmp_path / "record.json"
+    proc = run_cli("run", write_config(tmp_path, raw),
+                   program=(str(launch), str(record), "trace", "--"))
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(record.read_text())["trace"]
+    spans, counts = trace["spans"], trace["counts"]
+    assert spans["dynamics.picard"][0] == 1
+    # One defect norm per node per sweep, besides the energy reports.
+    assert spans["state.weighted_norm"][0] >= 21 * counts["dynamics.picard_iterations"] > 0
+    assert counts["dynamics.cached_propagators"] <= _CACHE_SIZE
 
 
 class TestDescribeCommand:

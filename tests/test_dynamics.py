@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from wbwaves import dynamics
 from wbwaves.dynamics import (
     IntegratorConfig,
     PicardError,
     SemigroupOperator,
     SystemSpec,
+    _axpy,
+    _ops,
+    _pack,
+    _Propagator,
+    _resolve_steps,
     curl_free_project,
     energy_derivative_check,
     evolve,
@@ -17,7 +23,7 @@ from wbwaves.dynamics import (
 )
 from wbwaves.presets import random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid, SpectralError, SymbolCatalog, apply_multiplier
-from wbwaves.state import Params, WaveState, weighted_pair_norm
+from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
 
 def small_state(grid, seed=0, band=4, amplitude=0.05):
@@ -345,6 +351,133 @@ class TestPicard:
         cfg = IntegratorConfig(dt=0.05, picard_tol=1e-10, picard_max_iter=5)
         with pytest.raises(PicardError, match="contraction"):
             picard_solve(u0, spec, cfg, T=2.0)
+
+    def test_nan_defect_counts_as_divergence(self, monkeypatch):
+        g = Grid(32)
+        spec = SystemSpec(1, Params(kappa=1.0, mu=0.1, p=1.0), regularized=True)
+        monkeypatch.setattr(dynamics, "_weighted_sq_coeffs", lambda *args: math.nan)
+        with pytest.raises(PicardError, match="diverged"):
+            picard_solve(WaveState.zero(g), spec, IntegratorConfig(dt=0.01), T=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the O(N^2) Duhamel sweep that picard_solve's panel recurrence
+# replaced.  Every node sums S((m - j) dt) N_j over the composite rule's
+# weights, so a sweep applies about N^2/2 propagators.
+
+# The recurrence only regroups the same sum by the semigroup law, so the two
+# agree to roundoff accumulated over N panels.
+DUHAMEL_RTOL = 1e-12
+
+
+def duhamel_weights(m, n_nodes, dt):
+    """Nodes and weights of a composite fourth-order rule over [0, m*dt]."""
+    if m == 0:
+        return np.array([], dtype=int), np.array([])
+    if m == 1:
+        if n_nodes >= 4:  # cubic through nodes 0..3, integrated over [0, dt]
+            return np.arange(4), dt * np.array([3 / 8, 19 / 24, -5 / 24, 1 / 24])
+        if n_nodes == 3:
+            return np.arange(3), dt * np.array([5 / 12, 2 / 3, -1 / 12])
+        return np.arange(2), dt * np.array([0.5, 0.5])
+    if m == 2:
+        return np.arange(3), dt / 3.0 * np.array([1.0, 4.0, 1.0])
+    if m == 3:
+        return np.arange(4), 3.0 * dt / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    w = np.zeros(m + 1)
+    if m % 2 == 0:
+        w[0] = w[m] = 1.0
+        w[1:m:2] = 4.0
+        w[2:m:2] = 2.0
+        w *= dt / 3.0
+    else:
+        head = m - 3
+        w[0] = w[head] = 1.0
+        w[1:head:2] = 4.0
+        w[2:head:2] = 2.0
+        w *= dt / 3.0
+        w[head:] += 3.0 * dt / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    return np.arange(m + 1), w
+
+
+def weighted_norm(grid, params, u):
+    return math.sqrt(_weighted_sq_coeffs(grid, u[0], u[1:], params.s, params.kappa))
+
+
+def quadratic_picard(u0, spec, cfg, T):
+    """Node coefficient arrays and per-sweep defects of the O(N^2) iteration."""
+    n_steps, dt = _resolve_steps(T, cfg.dt)
+    ops = _ops(u0.grid, spec, cfg.dealias)
+    props = {k: _Propagator(ops, k * dt) for k in range(-2, n_steps + 1)}
+    free = [props[m].apply(_pack(u0)) for m in range(n_steps + 1)]
+    u, defects = free, []
+    for _ in range(cfg.picard_max_iter):
+        forcing = [ops.nonlinear(um) for um in u]
+        new_u = []
+        for m in range(n_steps + 1):
+            nodes, w = duhamel_weights(m, n_steps + 1, dt)
+            acc = free[m]
+            for j, wj in zip(nodes, w):
+                acc = _axpy(acc, wj, props[m - int(j)].apply(forcing[int(j)]))
+            new_u.append(acc)
+        defects.append(
+            max(weighted_norm(u0.grid, spec.params, _axpy(a, -1.0, b)) for a, b in zip(new_u, u))
+        )
+        u = new_u
+        if defects[-1] < cfg.picard_tol:
+            return u, defects
+    raise AssertionError("reference iteration did not converge")
+
+
+class TestPanelRecurrence:
+    @pytest.mark.parametrize(
+        "n, steps",
+        [((32,), k) for k in (1, 2, 3, 4, 5, 7, 40, 400)]
+        + [((16, 16), k) for k in (1, 2, 3, 4, 5, 7, 40)],
+    )
+    def test_matches_quadratic_sum(self, n, steps):
+        g = Grid(n)
+        params = Params(kappa=1.0, mu=0.1, p=1.0, s=1.0)
+        spec = SystemSpec(g.dim, params, regularized=True)
+        u0 = random_bandlimited(g, seed=7, band=4, amplitude=0.05)
+        T = 0.2 if steps < 400 else 0.8
+        cfg = IntegratorConfig(dt=T / steps, picard_tol=1e-6, picard_max_iter=30)
+        res = picard_solve(u0, spec, cfg, T)
+        ref, ref_defects = quadratic_picard(u0, spec, cfg, T)
+        assert len(res.trajectory.states) == steps + 1
+        # Both sides go through the same coefficients -> real fields round trip.
+        ref = [_pack(dynamics._unpack(g, um, 0.0)) for um in ref]
+        got = [_pack(st) for st in res.trajectory.states]
+        scale = max(weighted_norm(g, params, um) for um in ref)
+        err = max(weighted_norm(g, params, _axpy(a, -1.0, b)) for a, b in zip(got, ref))
+        assert err <= DUHAMEL_RTOL * scale
+        assert res.iterations == len(ref_defects) >= 2
+        # A defect is a norm of a difference of two sweeps, so it moves by at
+        # most twice the trajectory discrepancy.
+        for d, d_ref in zip(res.defects, ref_defects):
+            assert abs(d - d_ref) <= 2 * DUHAMEL_RTOL * scale
+
+
+class TestOperatorCaches:
+    def test_kappa_sweep_keeps_ops_cache_bounded(self):
+        g = Grid(16)
+        kept = _ops(g, SystemSpec(1, Params(kappa=1.0)), True)
+        for kappa in np.linspace(0.01, 5.0, 50):
+            spec = SystemSpec(1, Params(kappa=float(kappa)))
+            ops = _ops(g, spec, True)
+            assert _ops(g, spec, True) is ops
+            assert _ops(g, SystemSpec(1, Params(kappa=1.0)), True) is kept  # recently used
+            assert len(dynamics._OPS_CACHE) <= dynamics._CACHE_SIZE
+
+    def test_long_solve_keeps_propagator_cache_bounded(self):
+        g = Grid(32)
+        spec = SystemSpec(1, Params(kappa=1.0, mu=0.1, p=1.0), regularized=True)
+        u0 = small_state(g, seed=3, amplitude=0.02)
+        res = picard_solve(u0, spec, IntegratorConfig(dt=1e-3, picard_tol=1e-8), T=0.4)
+        assert len(res.trajectory.states) == 401
+        ops = _ops(g, spec, True)
+        assert len(ops._props) <= dynamics._CACHE_SIZE
+        assert ops.propagator(0.5) is ops.propagator(0.5)
 
 
 class TestCurlFreeProjection:

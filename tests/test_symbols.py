@@ -20,7 +20,7 @@ from wbwaves.experiments import low_capillarity_error
 from wbwaves.functionals import hamiltonian
 from wbwaves.presets import random_bandlimited
 from wbwaves.spectral import Grid, SymbolCatalog, apply_multiplier, sobolev_norm, triple_quadrature
-from wbwaves.state import Params, _weighted_sq_coeffs
+from wbwaves.state import Params, _norm_weights, _weighted_sq_coeffs
 
 GRIDS = [(256,), (64,), (128, 128), (16, 24)]
 KAPPAS = [1.0, 0.37, 0.0]
@@ -196,6 +196,19 @@ class TestCatalogEntries:
                     st.grid, st.eta.coeffs, [c.coeffs for c in st.vel], s, kappa
                 )
                 assert got == float(want)
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_norm_weight_table_equals_catalog_products(self, dim):
+        for n in (n for n in GRIDS if len(n) == dim):
+            grid = Grid(n)
+            for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
+                eta_w, vel_w = _norm_weights(grid, s, kappa)
+                bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
+                assert np.array_equal(eta_w, bess * SymbolCatalog.capillary(kappa).values(grid))
+                assert np.array_equal(vel_w, bess * SymbolCatalog.d_over_tanh().values(grid))
+                assert not (eta_w.flags.writeable or vel_w.flags.writeable)
+                assert _norm_weights(Grid(n), s, kappa)[0] is eta_w
 
 
 class TestEnergyByParseval:
