@@ -7,7 +7,6 @@ from .dynamics import (
     IntegratorConfig,
     PicardError,
     SemigroupOperator,
-    SystemSpec,
     curl_free_project,
     energy_derivative_check,
     evolve,
@@ -57,7 +56,6 @@ __all__ = [
     "SpectralError",
     "Symbol",
     "SymbolCatalog",
-    "SystemSpec",
     "WaveState",
     "apply_multiplier",
     "check_noncavitation",

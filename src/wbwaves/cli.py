@@ -33,14 +33,15 @@ from .functionals import EnergyReport
 from .state import Params
 
 
-def _ensure_outdir(config: RunConfig):
-    outdir = config.resolved_output_dir()
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
+def _open_output(path):
+    """Open an output file for writing, making its directory on first use, so
+    a command rejected before it writes anything leaves no directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w")
 
 
 def _write_csv(path, config, header_row, rows):
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write(output_header(config) + "\n")
         fh.write(header_row + "\n")
         for row in rows:
@@ -66,19 +67,18 @@ def _write_json(path, config, payload):
         json.dumps({"config": config.config_hash(), **payload}, default=float),
         parse_constant=lambda name: None,
     )
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def cmd_run(config: RunConfig) -> int:
-    outdir = _ensure_outdir(config)
+    outdir = config.resolved_output_dir()
     grid = config.grid()
     u0 = config.initial_state(grid)
-    spec = config.system_spec()
     cfg = config.integrator()
     try:
-        result = evolve(u0, spec, cfg, config.T, config.report_every)
+        result = evolve(u0, config.params(), cfg, config.T, config.report_every)
     except PicardError as exc:
         summary = {"status": "no_contraction", "iterations": len(exc.defects),
                    "defects": exc.defects, "contraction_estimate": exc.contraction}
@@ -186,7 +186,7 @@ def cmd_study(name: str, config: RunConfig) -> int:
     unknown = sorted(set(config.study) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown field(s) in study {name}: {', '.join(unknown)}")
-    outdir = _ensure_outdir(config)
+    outdir = config.resolved_output_dir()
     try:
         report = runner(config, {**defaults, **config.study})
     except BlowUpError as exc:
@@ -214,7 +214,7 @@ def cmd_describe(config: RunConfig) -> int:
         f"horizon: T={config.T:g} report_every={config.report_every:g}",
     ]
     symbols = ["-i*tanh(xi)", f"-i*tanh(xi)*(1+{params.kappa:g}*xi^2)", "K_kappa", "K_kappa^-1"]
-    if config.regularized:
+    if params.mu > 0:
         symbols.append(f"exp(-{params.kappa * params.mu:g}*t*|xi|^{params.p:g})")
     if grid.dim == 2:
         symbols = ["K^2*grad", "K^2*div", "K_kappa", "K_kappa^-1"]

@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .dynamics import INTEGRATOR_METHODS, IntegratorConfig, SystemSpec
+from .dynamics import INTEGRATOR_METHODS, IntegratorConfig
 from .presets import build_preset
 from .spectral import Grid
 from .state import Params, WaveState
@@ -34,6 +34,27 @@ def _take(table: dict, key, default=None, required=False):
     if required:
         raise ConfigError(f"missing required field {key!r}")
     return default
+
+
+def _table(table: dict, key, default=None, required=False) -> dict:
+    value = _take(table, key, default, required)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a table (JSON object), got {value!r}")
+    return dict(value)
+
+
+def _number(value, name, cast=float):
+    """cast(value), or a ConfigError naming the field."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _flag(value, name):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def _no_leftovers(table: dict, where):
@@ -68,22 +89,12 @@ class RunConfig:
     def dim(self):
         return 2 if self.system == "wb2d" else 1
 
-    @property
-    def regularized(self):
-        return self.system == "wb1d_regularized"
-
     def grid(self) -> Grid:
         return Grid(self.grid_n, self.grid_length)
 
     def params(self) -> Params:
         try:
             return Params(kappa=self.kappa, mu=self.mu, p=self.p, s=self.s)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def system_spec(self) -> SystemSpec:
-        try:
-            return SystemSpec(self.dim, self.params(), regularized=self.regularized)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -116,7 +127,7 @@ class RunConfig:
             return state
         try:
             return build_preset(grid, data, seed=self.seed)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"initial_data: {exc}") from exc
 
     def canonical(self) -> dict:
@@ -150,9 +161,8 @@ class RunConfig:
 
 
 def _axis_value(raw, name, cast):
-    if isinstance(raw, (list, tuple)):
-        return tuple(cast(v) for v in raw)
-    return (cast(raw),)
+    values = raw if isinstance(raw, (list, tuple)) else [raw]
+    return tuple(_number(v, name, cast) for v in values)
 
 
 def load_config(path) -> RunConfig:
@@ -167,16 +177,18 @@ def load_config(path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a table (JSON object), got {raw!r}")
     raw = dict(raw)
     system = _take(raw, "system", required=True)
     if system not in SYSTEMS:
         raise ConfigError(f"system must be one of {SYSTEMS}, got {system!r}")
     dim = 2 if system == "wb2d" else 1
 
-    grid_tab = dict(_take(raw, "grid", required=True))
-    n = _axis_value(_take(grid_tab, "n", required=True), "n", int)
+    grid_tab = _table(raw, "grid", required=True)
+    n = _axis_value(_take(grid_tab, "n", required=True), "grid.n", int)
     default_l = 2.0 * math.pi
-    length = _axis_value(_take(grid_tab, "length", default=default_l), "length", float)
+    length = _axis_value(_take(grid_tab, "length", default=default_l), "grid.length", float)
     _no_leftovers(grid_tab, "grid")
     if len(n) == 1 and dim == 2:
         n = n * 2
@@ -185,38 +197,42 @@ def config_from_dict(raw: dict) -> RunConfig:
     if len(n) != dim or len(length) != dim:
         raise ConfigError(f"grid for {system} needs {dim} axis value(s)")
 
-    params_tab = dict(_take(raw, "params", required=True))
-    kappa = float(_take(params_tab, "kappa", required=True))
-    mu = float(_take(params_tab, "mu", default=0.0))
-    p = float(_take(params_tab, "p", default=1.0))
-    s = float(_take(params_tab, "s", default=1.0))
+    params_tab = _table(raw, "params", required=True)
+    kappa = _number(_take(params_tab, "kappa", required=True), "params.kappa")
+    mu = _number(_take(params_tab, "mu", default=0.0), "params.mu")
+    p = _number(_take(params_tab, "p", default=1.0), "params.p")
+    s = _number(_take(params_tab, "s", default=1.0), "params.s")
     _no_leftovers(params_tab, "params")
     if system == "wb1d_regularized" and mu == 0.0:
         raise ConfigError("mu must be positive for wb1d_regularized")
     if system in ("wb1d", "wb2d") and mu != 0.0:
         raise ConfigError(f"mu must be 0 for {system}, got {mu}")
 
-    data_tab = dict(_take(raw, "initial_data", required=True))
+    data_tab = _table(raw, "initial_data", required=True)
     if "snapshot" not in data_tab and "preset" not in data_tab:
         raise ConfigError("initial_data needs either 'preset' or 'snapshot'")
 
-    integ_tab = dict(_take(raw, "integrator", default={}))
+    integ_tab = _table(raw, "integrator", default={})
     method = _take(integ_tab, "method", default="exponential_rk4")
     if method not in INTEGRATOR_METHODS:
         raise ConfigError(f"method must be one of {INTEGRATOR_METHODS}, got {method!r}")
-    dt = float(_take(integ_tab, "dt", default=1e-3))
-    picard_tol = float(_take(integ_tab, "picard_tol", default=1e-8))
-    picard_max_iter = int(_take(integ_tab, "picard_max_iter", default=30))
-    dealias = bool(_take(integ_tab, "dealias", default=True))
-    blowup_ceiling = float(_take(integ_tab, "blowup_ceiling", default=1e6))
+    dt = _number(_take(integ_tab, "dt", default=1e-3), "integrator.dt")
+    picard_tol = _number(_take(integ_tab, "picard_tol", default=1e-8), "integrator.picard_tol")
+    picard_max_iter = _number(
+        _take(integ_tab, "picard_max_iter", default=30), "integrator.picard_max_iter", int
+    )
+    dealias = _flag(_take(integ_tab, "dealias", default=True), "integrator.dealias")
+    blowup_ceiling = _number(
+        _take(integ_tab, "blowup_ceiling", default=1e6), "integrator.blowup_ceiling"
+    )
     _no_leftovers(integ_tab, "integrator")
 
-    T = float(_take(raw, "T", required=True))
-    report_every = float(_take(raw, "report_every", default=max(T / 20.0, dt)))
+    T = _number(_take(raw, "T", required=True), "T")
+    report_every = _number(_take(raw, "report_every", default=max(T / 20.0, dt)), "report_every")
     output_dir = str(_take(raw, "output_dir", default="out"))
-    seed = int(_take(raw, "seed", default=0))
-    snapshots = bool(_take(raw, "snapshots", default=False))
-    study = dict(_take(raw, "study", default={}))
+    seed = _number(_take(raw, "seed", default=0), "seed", int)
+    snapshots = _flag(_take(raw, "snapshots", default=False), "snapshots")
+    study = _table(raw, "study", default={})
     _no_leftovers(raw, "config")
 
     if T <= 0:

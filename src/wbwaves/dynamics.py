@@ -1,30 +1,30 @@
-"""Evolution machinery for the Whitham-Boussinesq systems.
-
-One space dimension:
-
-    eta_t = -v_x - i tanh(D)(eta v)            [- kappa*mu*|D|^p eta]
-    v_t   = -i tanh(D)(1 + kappa D^2) eta
-            - i tanh(D) v^2/2                  [- kappa*mu*|D|^p v]
-
-Two dimensions (curl-free velocity):
+"""Evolution machinery for the Whitham-Boussinesq system in d = 1 and 2:
 
     eta_t = -div v - K^2 div(eta v)            [- kappa*mu*|D|^p eta]
     v_t   = -K^2 grad(1 + kappa|D|^2) eta
             - K^2 grad(|v|^2/2)                [- kappa*mu*|D|^p v]
 
-with K = sqrt(tanh|D|/|D|).  The bracketed viscous terms are active in the
-regularized variant (mu > 0).
+with K = sqrt(tanh|D|/|D|) and, in 2D, a curl-free velocity.  In 1D
+-K^2 d_x = -i tanh(D), so the system reads
 
-The linear part diagonalizes exactly: in the variables (eta +- K_kappa^-1 v)
-(2D: v replaced by the scalar potential amplitude (xi.v)/|xi|) it reduces to
-phase rotation exp(-+ i t xi K_kappa) times the heat factor.  The resulting
-propagator backs both the exponential (integrating-factor) RK4 stepper and
-the Duhamel fixed-point solver.
+    eta_t = -v_x - i tanh(D)(eta v)
+    v_t   = -i tanh(D)(1 + kappa D^2) eta - i tanh(D) v^2/2.
 
-Lattice conventions: the propagator phase is annihilated on Nyquist
-modes/planes, matching the odd-symbol convention of the spatial operators;
-the 2D diagonalizer additionally requires mean-free velocity and is defined
-on the Nyquist-free curl-free subspace.
+The bracketed viscous terms are active in the regularized variant
+(params.mu > 0).  Every operator is written once for both dimensions, from
+per-axis multipliers.
+
+The linear part diagonalizes exactly: with the unit wave vector
+e = xi/|xi| (sgn xi in 1D), in the variables eta +- K_kappa^-1 (e.v) it
+reduces to phase rotation exp(-+ i t |xi| K_kappa) times the heat factor.
+The resulting propagator backs both the exponential (integrating-factor)
+RK4 stepper and the Duhamel fixed-point solver.
+
+Lattice conventions: e and the phase vanish on the zero mode and the
+Nyquist modes/planes, matching the odd-symbol convention of the spatial
+operators, so velocity content there (and off e) is propagated by the heat
+factor alone; the 2D ``SemigroupOperator`` additionally requires mean-free
+velocity.
 """
 
 from __future__ import annotations
@@ -65,29 +65,6 @@ class PicardError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SystemSpec:
-    """Which system is integrated: dimension, parameters, viscous or not."""
-
-    dim: int
-    params: Params
-    regularized: bool = False
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.regularized:
-            if not (self.params.mu > 0):
-                raise ValueError("regularized system needs mu > 0")
-            if not (self.params.kappa > 0):
-                raise ValueError(
-                    "regularized system needs kappa > 0 (the viscous term "
-                    "carries a kappa factor)"
-                )
-        elif self.params.mu != 0:
-            raise ValueError("unregularized system must have mu = 0")
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "exponential_rk4"
     dt: float = 1e-3
@@ -110,82 +87,51 @@ class IntegratorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed multiplier arrays for one (grid, spec) combination
+# Precomputed multiplier arrays for one (grid, params, dealias) combination
 
 
 class _Ops:
-    def __init__(self, grid: Grid, spec: SystemSpec, dealias: bool):
-        if spec.dim != grid.dim:
-            raise SpectralError(f"spec is {spec.dim}D but grid is {grid.dim}D")
+    """The system's multipliers on one grid, one array per axis j: the
+    derivative d_j, the unit wave vector e_j, the forcing G_j = -K^2 d_j
+    (2/3-masked when dealiasing) and the restoring G_j (1 + kappa|xi|^2)."""
+
+    def __init__(self, grid: Grid, params: Params, dealias: bool):
         self.grid = grid
-        p = spec.params
         cat = SymbolCatalog
-        self.mask = grid.dealias_mask if dealias else None
-        if spec.regularized:
-            self.heat_rate = p.kappa * p.mu * cat.riesz(p.p).values(grid)
+        self.mask = grid.dealias_mask.astype(np.float64) if dealias else None
+        if params.mu > 0:
+            self.heat_rate = params.kappa * params.mu * cat.riesz(params.p).values(grid)
         else:
             self.heat_rate = None
-        self.Kk = cat.K_kappa(p.kappa).values(grid)
-        self.Kk_inv = cat.K_kappa_inv(p.kappa).values(grid)
-        self.phase = cat.frequency(grid, p.kappa)
+        self.Kk = cat.K_kappa(params.kappa).values(grid)
+        self.Kk_inv = cat.K_kappa_inv(params.kappa).values(grid)
+        self.phase = cat.frequency(grid, params.kappa)
+        self.unit = cat.unit_vectors(grid)
         self.dx = tuple(cat.partial(j).multiplier(grid, axis=j) for j in range(grid.dim))
-        if grid.dim == 1:
-            self.A = cat.neg_i_tanh().multiplier(grid)
-            self.Acap = cat.neg_i_tanh_capillary(p.kappa).multiplier(grid)
-            self.unit = None
-        else:
-            self.K2 = cat.K_squared().values(grid)
-            self.cap = cat.capillary(p.kappa).values(grid)
-            self.unit = cat.unit_vectors(grid)
+        forcing = cat.forcing(grid)
+        cap = cat.capillary(params.kappa).values(grid)
+        self.restoring = tuple(g * cap for g in forcing)
+        self.forcing = forcing if self.mask is None else tuple(g * self.mask for g in forcing)
         self._props = OrderedDict()
 
     # FFT helpers on raw coefficient arrays.
-    def phys(self, c):
-        return self.grid.inverse(c).real
-
     def coeffs(self, values):
-        c = np.fft.fftn(values) * self.grid._norm_factor
-        if self.mask is not None:
-            c = np.where(self.mask, c, 0.0)
-        return c
+        return np.fft.fftn(values) * self.grid._norm_factor
 
     def truncated_phys(self, c):
-        if self.mask is not None:
-            c = np.where(self.mask, c, 0.0)
-        return self.phys(c)
+        return self.grid.inverse(c if self.mask is None else c * self.mask).real
 
     def nonlinear(self, u):
-        """Quadratic forcing of the evolution (the Duhamel integrand)."""
-        if self.grid.dim == 1:
-            ec, vc = u
-            eta = self.truncated_phys(ec)
-            v = self.truncated_phys(vc)
-            return (
-                self.A * self.coeffs(eta * v),
-                self.A * self.coeffs(0.5 * v * v),
-            )
-        ec, v1c, v2c = u
-        eta = self.truncated_phys(ec)
-        v1 = self.truncated_phys(v1c)
-        v2 = self.truncated_phys(v2c)
-        q1 = self.coeffs(eta * v1)
-        q2 = self.coeffs(eta * v2)
-        b = self.coeffs(0.5 * (v1 * v1 + v2 * v2))
-        de = -self.K2 * (self.dx[0] * q1 + self.dx[1] * q2)
-        grad = self.K2 * b
-        return (de, -self.dx[0] * grad, -self.dx[1] * grad)
+        """Quadratic forcing of the evolution (the Duhamel integrand):
+        -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j."""
+        eta = self.truncated_phys(u[0])
+        vs = [self.truncated_phys(c) for c in u[1:]]
+        flux = [self.coeffs(eta * v) for v in vs]
+        b = self.coeffs(0.5 * _dot(vs, vs))
+        return (_dot(self.forcing, flux),) + tuple(g * b for g in self.forcing)
 
     def linear(self, u):
-        if self.grid.dim == 1:
-            ec, vc = u
-            de = -self.dx[0] * vc
-            dv = self.Acap * ec
-            out = [de, dv]
-        else:
-            ec, v1c, v2c = u
-            de = -(self.dx[0] * v1c + self.dx[1] * v2c)
-            grad = self.K2 * self.cap * ec
-            out = [de, -self.dx[0] * grad, -self.dx[1] * grad]
+        out = [-_dot(self.dx, u[1:])] + [r * u[0] for r in self.restoring]
         if self.heat_rate is not None:
             out = [d - self.heat_rate * c for d, c in zip(out, u)]
         return tuple(out)
@@ -198,32 +144,39 @@ class _Ops:
 
 
 class _Propagator:
-    """Exact solution operator of the linear(ized) system at a fixed time."""
+    """Exact solution operator of the linear(ized) system at a fixed time.
+
+    With theta = t |xi| K_kappa and the unit wave vector e, eta and the
+    potential amplitude e.v rotate into each other and velocity content off
+    e (the mean and the Nyquist modes) passes through; the heat factor
+    multiplies everything.  Per axis that is
+
+        eta -> cos(theta) eta - i K_kappa^-1 sin(theta) sum_j e_j v_j
+        v_j -> -i K_kappa sin(theta) e_j eta
+               + sum_k (e_j e_k cos(theta) + delta_jk - e_j e_k) v_k
+
+    so each output is one row of multipliers dotted with (eta, v_1, .., v_d).
+    """
 
     def __init__(self, ops: _Ops, t: float):
         theta = t * ops.phase
-        self.cos = np.cos(theta)
+        cos = np.cos(theta)
         sin = np.sin(theta)
-        self.mix_eta = ops.Kk_inv * sin  # eta gains -i * this * psi
-        self.mix_v = ops.Kk * sin        # psi gains -i * this * eta
+        e = ops.unit
+        self.rows = [(cos,) + tuple(-1j * (ops.Kk_inv * sin * ej) for ej in e)]
+        self.rows += [
+            (-1j * (ops.Kk * sin * ej),)
+            + tuple(ej * ek * cos + (float(j == k) - ej * ek) for k, ek in enumerate(e))
+            for j, ej in enumerate(e)
+        ]
         self.heat = np.exp(-t * ops.heat_rate) if ops.heat_rate is not None else None
-        self.unit = ops.unit
 
     def apply(self, u):
-        if self.unit is None:
-            ec, vc = u
-            psi = vc
-        else:
-            ec, v1c, v2c = u
-            psi = self.unit[0] * v1c + self.unit[1] * v2c
-        e_new = self.cos * ec - 1j * self.mix_eta * psi
-        p_new = -1j * self.mix_v * ec + self.cos * psi
+        out = [_dot(row, u) for row in self.rows]
         if self.heat is not None:
-            e_new = self.heat * e_new
-            p_new = self.heat * p_new
-        if self.unit is None:
-            return (e_new, p_new)
-        return (e_new, self.unit[0] * p_new, self.unit[1] * p_new)
+            for c in out:
+                c *= self.heat
+        return tuple(out)
 
 
 # The _Ops and _Propagator caches keep their _CACHE_SIZE most recently used
@@ -244,8 +197,8 @@ def _cached(cache: OrderedDict, key, build):
         return cache[key]
 
 
-def _ops(grid: Grid, spec: SystemSpec, dealias: bool) -> _Ops:
-    return _cached(_OPS_CACHE, (grid, spec, dealias), lambda: _Ops(grid, spec, dealias))
+def _ops(grid: Grid, params: Params, dealias: bool) -> _Ops:
+    return _cached(_OPS_CACHE, (grid, params, dealias), lambda: _Ops(grid, params, dealias))
 
 
 def _pack(state: WaveState):
@@ -255,6 +208,14 @@ def _pack(state: WaveState):
 def _unpack(grid: Grid, u, time) -> WaveState:
     fields = [Field.from_coeffs(grid, c, context="trajectory sample") for c in u]
     return WaveState(fields[0], tuple(fields[1:]), time=time)
+
+
+def _dot(a, b):
+    """sum_j a_j b_j over the axes, starting from the first term."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc += x * y
+    return acc
 
 
 def _axpy(u, a, v):
@@ -269,14 +230,14 @@ def _scale(u, a):
 # Public right-hand sides
 
 
-def rhs(state: WaveState, spec: SystemSpec, dealias=True) -> WaveState:
-    """Time derivative of the state under the chosen system (real fields)."""
-    ops = _ops(state.grid, spec, dealias)
+def rhs(state: WaveState, params: Params, dealias=True) -> WaveState:
+    """Time derivative of the state under the system with these parameters."""
+    ops = _ops(state.grid, params, dealias)
     return _unpack(state.grid, ops.full(_pack(state)), state.time)
 
 
-def linear_rhs(state: WaveState, spec: SystemSpec) -> WaveState:
-    ops = _ops(state.grid, spec, True)
+def linear_rhs(state: WaveState, params: Params) -> WaveState:
+    ops = _ops(state.grid, params, True)
     return _unpack(state.grid, ops.linear(_pack(state)), state.time)
 
 
@@ -294,11 +255,10 @@ class SemigroupOperator:
     """
 
     def __init__(self, grid: Grid, params: Params, t: float):
-        spec = SystemSpec(grid.dim, params, regularized=params.mu > 0)
         self.grid = grid
         self.params = params
         self.t = float(t)
-        self._prop = _ops(grid, spec, True).propagator(self.t)
+        self._prop = _ops(grid, params, True).propagator(self.t)
 
     def apply(self, state: WaveState) -> WaveState:
         if state.grid != self.grid:
@@ -407,7 +367,7 @@ def _resolve_steps(T, dt):
 
 def evolve(
     u0: WaveState,
-    spec: SystemSpec,
+    params: Params,
     cfg: IntegratorConfig,
     T: float,
     report_every: float | None = None,
@@ -426,25 +386,24 @@ def evolve(
     if report_every <= 0:
         raise ValueError(f"report_every must be positive, got {report_every}")
     n_steps, dt = _resolve_steps(T, cfg.dt)
+    if report_every < dt * (1 - 1e-12):
+        raise ValueError("report_every must be at least the time step")
     n_rep = math.ceil(T / report_every - 1e-9)
     report_steps = [min(n_steps, round(i * report_every / dt)) for i in range(n_rep + 1)]
     report_steps[-1] = n_steps
     traj = Trajectory()
     if cfg.method == "picard_duhamel":
-        nodes = picard_solve(u0, spec, cfg, T).trajectory.states
+        nodes = picard_solve(u0, params, cfg, T).trajectory.states
         for k in report_steps:
-            traj.append(nodes[k], EnergyReport.measure(nodes[k], spec.params))
+            traj.append(nodes[k], EnergyReport.measure(nodes[k], params))
         return EvolveResult(traj)
-    if report_every < dt * (1 - 1e-12):
-        raise ValueError("report_every must be at least the time step")
-    ops = _ops(u0.grid, spec, cfg.dealias)
+    ops = _ops(u0.grid, params, cfg.dealias)
     step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
 
     result = EvolveResult(traj)
     u = _pack(u0)
     t0 = u0.time
     rep_i = 0
-    params = spec.params
     for k in range(n_steps + 1):
         t = t0 + k * dt
         while rep_i < len(report_steps) and report_steps[rep_i] == k:
@@ -517,7 +476,7 @@ class PicardResult:
         return self.trajectory.final
 
 
-def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: float) -> PicardResult:
+def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float) -> PicardResult:
     """Solve u = S(t)u0 + int_0^t S(t-t') N(u(t')) dt' by fixed-point iteration.
 
     The Duhamel integral is discretized with a composite fourth-order rule
@@ -526,14 +485,13 @@ def picard_solve(u0: WaveState, spec: SystemSpec, cfg: IntegratorConfig, T: floa
     trajectories differ by less than picard_tol in the sup-in-time weighted
     pair norm.  Non-convergence within picard_max_iter reports the observed
     contraction ratio (the horizon is too large for the data size)."""
-    if not spec.regularized:
-        raise ValueError("the Duhamel solver is defined for the regularized system")
+    if not params.mu > 0:
+        raise ValueError("the Duhamel solver is defined for the regularized system (mu > 0)")
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
     n_steps, dt = _resolve_steps(T, cfg.dt)
-    ops = _ops(u0.grid, spec, cfg.dealias)
+    ops = _ops(u0.grid, params, cfg.dealias)
     grid = u0.grid
-    params = spec.params
     u_init = _pack(u0)
     u = free = [ops.propagator(m * dt).apply(u_init) for m in range(n_steps + 1)]
 
@@ -589,7 +547,7 @@ class DerivativeCheck:
     tolerance: float
 
 
-def energy_derivative_check(state: WaveState, spec: SystemSpec, s=None) -> DerivativeCheck:
+def energy_derivative_check(state: WaveState, params: Params, s=None) -> DerivativeCheck:
     """Compare dE/dt computed two ways.
 
     (a) chain rule: a centered five-point derivative of tau -> E(u + tau*f)
@@ -601,8 +559,9 @@ def energy_derivative_check(state: WaveState, spec: SystemSpec, s=None) -> Deriv
     Also reports dE/dt normalized by (1+kappa)(N^2 + N^4) with N the
     weighted pair norm, the shape of the a priori growth bound.
     """
-    params = spec.params if s is None else replace(spec.params, s=float(s))
-    f = rhs(state, spec)
+    f = rhs(state, params)
+    ops = _ops(state.grid, params, True)
+    params = params if s is None else replace(params, s=float(s))
     norm_state = weighted_pair_norm(state, params.s, params.kappa)
     norm_rate = weighted_pair_norm(f, params.s, params.kappa)
     tol = 1e-5
@@ -624,7 +583,6 @@ def energy_derivative_check(state: WaveState, spec: SystemSpec, s=None) -> Deriv
 
     chain = stencil([modified_energy(shifted(sig), params) for sig in (-2, -1, 1, 2)], tau)
 
-    ops = _ops(state.grid, spec, True)
     h = 5e-4 / (1.0 + norm_state)
     u = _pack(state)
 

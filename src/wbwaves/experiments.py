@@ -19,7 +19,6 @@ from .dynamics import (
     EvolveResult,
     IntegratorConfig,
     PicardError,
-    SystemSpec,
     evolve,
 )
 from .functionals import (
@@ -91,9 +90,9 @@ def low_capillarity_error(a: WaveState, b: WaveState) -> float:
     return weighted_pair_norm(WaveState(theta, tuple(ws), time=a.time), 0.5, 0.0)
 
 
-def _evolve_member(member, u0, spec, cfg, base) -> EvolveResult:
+def _evolve_member(member, u0, params, cfg, base) -> EvolveResult:
     """Evolve one sweep member; a blow-up aborts the whole study."""
-    res = evolve(u0, spec, cfg, base.T, base.report_every)
+    res = evolve(u0, params, cfg, base.T, base.report_every)
     if res.blown_up:
         raise BlowUpError(member, res.blowup_time)
     return res
@@ -149,8 +148,7 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
 
     def run(kappa):
         params = Params(kappa=kappa, mu=0.0, p=base.p, s=base.s)
-        spec = SystemSpec(grid.dim, params, regularized=False)
-        return _evolve_member(f"kappa={kappa:g}", u0, spec, cfg, base)
+        return _evolve_member(f"kappa={kappa:g}", u0, params, cfg, base)
 
     reference = run(0.0)
     points = []
@@ -198,9 +196,8 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
     def run(mu):
         nonlocal fallback
         params = Params(kappa=base.kappa, mu=mu, p=1.0, s=base.s)
-        spec = SystemSpec(grid.dim, params, regularized=mu > 0)
         try:
-            return _evolve_member(f"mu={mu:g}", u0, spec, cfg, base)
+            return _evolve_member(f"mu={mu:g}", u0, params, cfg, base)
         except PicardError:
             fallback = True
             alt = IntegratorConfig(
@@ -209,7 +206,7 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
                 dealias=cfg.dealias,
                 blowup_ceiling=cfg.blowup_ceiling,
             )
-            return _evolve_member(f"mu={mu:g}", u0, spec, alt, base)
+            return _evolve_member(f"mu={mu:g}", u0, params, alt, base)
 
     reference = run(0.0)
 
@@ -257,8 +254,7 @@ def invariant_region_test(
             variants.append(("mu", params))
         ok = True
         for label, pv in variants:
-            spec = SystemSpec(u0.dim, pv, regularized=pv.mu > 0)
-            res = evolve(u0, spec, cfg, T, report_every)
+            res = evolve(u0, pv, cfg, T, report_every)
             peak = max(
                 weighted_pair_norm(st, 0.5, params.kappa) for st in res.trajectory.states
             )
@@ -291,15 +287,14 @@ def dissipation_test(
             row["reason"] = "data size exceeds delta"
             rows.append(row)
             continue
-        spec = SystemSpec(u0.dim, params, regularized=True)
-        res = evolve(u0, spec, cfg, T, report_every)
+        res = evolve(u0, params, cfg, T, report_every)
         series = [rep.hamiltonian for rep in res.reports]
         tol = 1e-10 * max(abs(series[0]), 1e-300)
         row["monotone"] = all(b <= a + tol for a, b in zip(series, series[1:]))
         row["total_drop"] = series[0] - series[-1]
 
         ctrl_params = Params(kappa=params.kappa, mu=0.0, p=params.p, s=params.s)
-        ctrl = evolve(u0, SystemSpec(u0.dim, ctrl_params, False), cfg, T, report_every)
+        ctrl = evolve(u0, ctrl_params, cfg, T, report_every)
         ctrl_series = [rep.hamiltonian for rep in ctrl.reports]
         drift = max(abs(h - ctrl_series[0]) for h in ctrl_series)
         row["control_drift"] = drift / max(abs(ctrl_series[0]), 1e-300)
@@ -333,8 +328,7 @@ def stability_test(
     report_every = report_every or max(T / 20.0, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
-    spec = SystemSpec(u0.dim, params, regularized=params.mu > 0)
-    base = evolve(u0, spec, cfg, T, report_every)
+    base = evolve(u0, params, cfg, T, report_every)
 
     sups = []
     rates = []
@@ -345,7 +339,7 @@ def stability_test(
             tuple(v + scale * d for v, d in zip(u0.vel, direction.vel)),
             time=u0.time,
         )
-        res = evolve(pert, spec, cfg, T, report_every)
+        res = evolve(pert, params, cfg, T, report_every)
         series = [
             difference_energy(a, b, r, params)
             for a, b in zip(res.trajectory.states, base.trajectory.states)
@@ -480,9 +474,10 @@ def small_data_family(grid, kappa, count=10, epsilon=None, seed=0, band=6) -> li
 
 def conservation_check(u0: WaveState, params: Params, T, cfg, report_every=None) -> StudyReport:
     """Relative drift of the invariants along the conservative flow."""
-    spec = SystemSpec(u0.dim, params, regularized=False)
+    if params.mu != 0:
+        raise ValueError("conservation_check runs the unregularized system (mu = 0)")
     report_every = report_every or max(T / 20.0, cfg.dt)
-    res = evolve(u0, spec, cfg, T, report_every)
+    res = evolve(u0, params, cfg, T, report_every)
     h = [rep.hamiltonian for rep in res.reports]
     drift_h = max(abs(x - h[0]) for x in h) / max(abs(h[0]), 1e-300)
     row = {"drift_hamiltonian": drift_h, "blown_up": res.blown_up}

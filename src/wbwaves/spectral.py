@@ -437,38 +437,34 @@ class SymbolCatalog:
         return Symbol("-i*tanh(xi)", "odd", True, lambda x: -np.tanh(x))
 
     @staticmethod
-    def neg_i_tanh_capillary(kappa):
-        """-i tanh(D)(1 + kappa D^2): the capillary restoring operator."""
-        kappa = float(kappa)
-        cap = SymbolCatalog.capillary(kappa).profile
-        return Symbol(
-            f"-i*tanh(xi)*(1+{kappa:g}xi^2)", "odd", True, lambda x: -np.tanh(x) * cap(x)
-        )
-
-    @staticmethod
     def partial(axis=0):
         """d/dx_axis, symbol i*xi_axis."""
         return Symbol(f"i*xi_{axis}", "odd", True, lambda x: x)
 
-    # Arrays of the linear propagator that are not per-axis Symbols: in 2D
-    # they couple both axes, and the diagonalizer lives on the Nyquist-free
-    # subspace, so they annihilate the Nyquist planes.
+    # Per-axis arrays of the dynamics that are not Symbols: in 2D they couple
+    # both axes.  They vanish on the zero mode and the Nyquist modes/planes,
+    # the odd-symbol convention.
 
     @staticmethod
     def unit_vectors(grid):
-        """xi_j/|xi| for j = 1, 2, zero on the zero mode and the Nyquist planes."""
+        """e_j = xi_j/|xi| per axis (sgn xi in 1D), zero on the zero mode and
+        the Nyquist modes/planes."""
         a = grid.xi_norm
         safe = np.where(a == 0.0, 1.0, a)
         drop = grid.nyquist_mask | (a == 0.0)
         return tuple(np.where(drop, 0.0, xi / safe) for xi in grid.xi)
 
     @staticmethod
+    def forcing(grid):
+        """G_j = -K^2 d_j = -i tanh|xi| e_j per axis (-i tanh(xi) in 1D)."""
+        t = Symbol("tanh|xi|", "even", False, np.tanh).values(grid)
+        return tuple(-1j * (t * e) for e in SymbolCatalog.unit_vectors(grid))
+
+    @staticmethod
     def frequency(grid, kappa):
-        """Frequency of the linear flow: xi K_kappa (odd) in 1D, |xi| K_kappa
-        in 2D, zero on the Nyquist planes there."""
+        """|xi| K_kappa, the frequency of the linear flow, zero on the Nyquist
+        modes/planes."""
         kk = SymbolCatalog.K_kappa(kappa).values(grid)
-        if grid.dim == 1:
-            return SymbolCatalog.derivative().values(grid) * kk
         return np.where(grid.nyquist_mask, 0.0, grid.xi_norm * kk)
 
 
@@ -501,10 +497,6 @@ def sobolev_norm(f: Field, order, homogeneous=False) -> float:
             )
     w = SymbolCatalog.riesz(2.0 * order).values(f.grid)
     return float(math.sqrt(np.sum(w * c2)))
-
-
-def dealias(f: Field) -> Field:
-    return Field.from_coeffs(f.grid, np.where(f.grid.dealias_mask, f.coeffs, 0.0))
 
 
 def pair_product(f: Field, g: Field, dealiased=True) -> Field:

@@ -18,7 +18,8 @@ class Params:
     """Physical and regularity parameters.
 
     kappa -- surface tension coefficient (>= 0)
-    mu    -- artificial viscosity in [0, 1); 0 means the unregularized system
+    mu    -- artificial viscosity in [0, 1); 0 means the unregularized system,
+             mu > 0 the regularized one, which needs kappa > 0
     p     -- smoothing power of the viscous term, in (1/2, 1]
     s     -- regularity index (>= 1/2) used by norms and energies
     """
@@ -33,6 +34,10 @@ class Params:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         if not (0 <= self.mu < 1):
             raise ValueError(f"mu must lie in [0, 1), got {self.mu}")
+        if self.mu > 0 and not self.kappa > 0:
+            raise ValueError(
+                "mu > 0 needs kappa > 0 (the viscous term carries a kappa factor)"
+            )
         if not (0.5 < self.p <= 1):
             raise ValueError(f"p must lie in (1/2, 1], got {self.p}")
         if not (self.s >= 0.5):

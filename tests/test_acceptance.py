@@ -12,7 +12,6 @@ import numpy as np
 from wbwaves.config import config_from_dict
 from wbwaves.dynamics import (
     IntegratorConfig,
-    SystemSpec,
     energy_derivative_check,
     evolve,
     picard_solve,
@@ -42,8 +41,8 @@ def report(num, name, ok, detail):
 def test_criterion_01_conservation():
     g = Grid(256)
     u0 = single_mode(g, 0.1, mode=1)
-    spec = SystemSpec(1, Params(kappa=1.0, s=0.5))
-    res = evolve(u0, spec, IntegratorConfig(method="exponential_rk4", dt=1e-3),
+    params = Params(kappa=1.0, s=0.5)
+    res = evolve(u0, params, IntegratorConfig(method="exponential_rk4", dt=1e-3),
                  T=10.0, report_every=0.5)
     h = [r.hamiltonian for r in res.reports]
     m = [r.momentum for r in res.reports]
@@ -145,10 +144,9 @@ def test_criterion_08_picard_vs_direct():
     g = Grid(256)
     u0 = random_bandlimited(g, seed=8, band=6, amplitude=0.05)
     params = Params(kappa=1.0, mu=0.1, p=1.0, s=1.0)
-    spec = SystemSpec(1, params, regularized=True)
     cfg = IntegratorConfig(dt=2e-3, picard_tol=1e-8, picard_max_iter=30)
-    pic = picard_solve(u0, spec, cfg, T=0.5)
-    ref = evolve(u0, spec, IntegratorConfig(method="reference_rk4", dt=2e-3), T=0.5)
+    pic = picard_solve(u0, params, cfg, T=0.5)
+    ref = evolve(u0, params, IntegratorConfig(method="reference_rk4", dt=2e-3), T=0.5)
     diff = WaveState(pic.final.eta - ref.final.eta, (pic.final.v - ref.final.v,))
     err = weighted_pair_norm(diff, params.s, params.kappa)
     ok = err <= 1e-6 and pic.iterations <= 30
@@ -171,8 +169,8 @@ def test_criterion_09_stability_scaling():
 def test_criterion_10_two_dimensional_structure():
     g = Grid((128, 128))
     u0 = random_bandlimited(g, seed=7, band=8, amplitude=0.05)
-    spec = SystemSpec(2, Params(kappa=1.0, s=1.0))
-    res = evolve(u0, spec, IntegratorConfig(dt=2e-3), T=2.0, report_every=0.25)
+    params = Params(kappa=1.0, s=1.0)
+    res = evolve(u0, params, IntegratorConfig(dt=2e-3), T=2.0, report_every=0.25)
     h = [r.hamiltonian for r in res.reports]
     drift = max(abs(x - h[0]) for x in h) / abs(h[0])
     worst_curl = 0.0
@@ -194,9 +192,9 @@ def test_criterion_11_numerics_sanity():
         c_eta[fine.coeff_index(k)] = u_c.eta.coeffs[coarse.coeff_index(k)]
         c_v[fine.coeff_index(k)] = u_c.v.coeffs[coarse.coeff_index(k)]
     u_f = WaveState(Field.from_coeffs(fine, c_eta), (Field.from_coeffs(fine, c_v),))
-    spec = SystemSpec(1, Params(kappa=1.0, s=1.0))
-    fa = evolve(u_c, spec, IntegratorConfig(dt=1e-3), T=1.0).final
-    fb = evolve(u_f, spec, IntegratorConfig(dt=1e-3), T=1.0).final
+    params = Params(kappa=1.0, s=1.0)
+    fa = evolve(u_c, params, IntegratorConfig(dt=1e-3), T=1.0).final
+    fb = evolve(u_f, params, IntegratorConfig(dt=1e-3), T=1.0).final
     refine_diff = 0.0
     for k in range(-128, 128):
         refine_diff += abs(fa.eta.coeffs[coarse.coeff_index(k)] - fb.eta.coeffs[fine.coeff_index(k)]) ** 2
@@ -207,7 +205,7 @@ def test_criterion_11_numerics_sanity():
     g = Grid(64)
     u0 = single_mode(g, 0.2, mode=2)
     def final(dt):
-        return evolve(u0, spec, IntegratorConfig(dt=dt), T=1.0).final
+        return evolve(u0, params, IntegratorConfig(dt=dt), T=1.0).final
     ref = final(1.0 / 3200)
     dts = [0.02, 0.01, 0.005, 0.0025]
     errs = []
@@ -224,21 +222,21 @@ def test_criterion_11_numerics_sanity():
 
 def test_criterion_12_derivative_consistency():
     g = Grid(64)
-    spec = SystemSpec(1, Params(kappa=1.0, s=1.0))
+    params = Params(kappa=1.0, s=1.0)
     worst_rel = 0.0
     for seed in range(20):
         u = random_bandlimited(g, seed=100 + seed, band=4, amplitude=0.05)
-        chk = energy_derivative_check(u, spec, s=1.0)
+        chk = energy_derivative_check(u, params, s=1.0)
         rel = abs(chk.chain_rule - chk.evolution) / max(
             abs(chk.chain_rule), abs(chk.evolution), 1e-300
         )
         worst_rel = max(worst_rel, rel)
         assert chk.agree
-    spec_half = SystemSpec(1, Params(kappa=1.0, s=0.5))
+    params_half = Params(kappa=1.0, s=0.5)
     worst_half = 0.0
     for seed in range(20):
         u = random_bandlimited(g, seed=200 + seed, band=4, amplitude=0.05)
-        chk = energy_derivative_check(u, spec_half, s=0.5)
+        chk = energy_derivative_check(u, params_half, s=0.5)
         worst_half = max(worst_half, abs(chk.chain_rule))
     ok = worst_rel <= 1e-5 and worst_half <= 1e-8
     report(12, "energy derivative consistency", ok,

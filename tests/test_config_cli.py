@@ -104,6 +104,43 @@ class TestConfigValidation:
             load_config(str(path))
 
 
+def _grid_not_a_table(raw):
+    raw["grid"] = 5
+
+
+def _kappa_not_a_number(raw):
+    raw["params"]["kappa"] = [1.0]
+
+
+def _study_not_a_table(raw):
+    raw["study"] = [1]
+
+
+@pytest.mark.parametrize("break_config, field", [
+    (_grid_not_a_table, "grid"),
+    (_kappa_not_a_number, "params.kappa"),
+    (_study_not_a_table, "study"),
+])
+def test_wrong_value_type_names_the_field(tmp_path, capsys, break_config, field):
+    raw = small_run(str(tmp_path / "o"))
+    break_config(raw)
+    assert main(["describe", write_config(tmp_path, raw)]) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
+def test_top_level_list_rejected(tmp_path, capsys):
+    assert main(["describe", write_config(tmp_path, [small_run("o")])]) == 1
+    assert "error: config must be a table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1].glob("configs/*.json")),
+                         ids=lambda p: p.name)
+def test_committed_config_loads_and_describes(path, capsys):
+    cfg = load_config(str(path))
+    assert main(["describe", str(path)]) == 0
+    assert f"(config {cfg.config_hash()})" in capsys.readouterr().out
+
+
 class TestRunCommand:
     def test_successful_run_writes_csv(self, tmp_path):
         outdir = str(tmp_path / "out")
@@ -123,6 +160,20 @@ class TestRunCommand:
         raw["system"] = "wb1d_regularized"
         cfgfile = write_config(tmp_path, raw)
         assert main(["run", cfgfile]) == 1
+
+    @pytest.mark.parametrize("system, method", [
+        ("wb1d", "exponential_rk4"), ("wb1d_regularized", "picard_duhamel"),
+    ])
+    def test_report_interval_below_step_rejected(self, tmp_path, capsys, system, method):
+        """Every method rejects report_every < dt before it writes anything."""
+        outdir = tmp_path / "out"
+        raw = small_run(str(outdir), system=system, integrator={"method": method, "dt": 0.01},
+                        T=0.02, report_every=0.005)
+        if system == "wb1d_regularized":
+            raw["params"]["mu"] = 0.1
+        assert main(["run", write_config(tmp_path, raw)]) == 1
+        assert "report_every must be at least the time step" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_blowup_exits_two(self, tmp_path):
         outdir = str(tmp_path / "out")
@@ -361,7 +412,7 @@ class TestStudyOutputFaults:
         raw = small_run(str(outdir), study={"count": 0})
         assert main(["study", "inequalities", write_config(tmp_path, raw)]) == 1
         assert "count" in capsys.readouterr().err
-        assert list(outdir.iterdir()) == []
+        assert not outdir.exists()
 
     def test_two_value_mu_sweep_writes_null_order(self, tmp_path):
         outdir = tmp_path / "out"
@@ -430,6 +481,29 @@ def test_bench_launcher_traces_a_picard_run(tmp_path):
     # One defect norm per node per sweep, besides the energy reports.
     assert spans["state.weighted_norm"][0] >= 21 * counts["dynamics.picard_iterations"] > 0
     assert counts["dynamics.cached_propagators"] <= _CACHE_SIZE
+
+
+def test_bench_launcher_traces_a_2d_run(tmp_path):
+    """bench/tracer.py counts the generic operators on a 2D run: one step and
+    four nonlinear forcings per ERK4 step."""
+    launch = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+    raw = small_run(
+        str(tmp_path / "out"),
+        system="wb2d",
+        grid={"n": 16},
+        params={"kappa": 1.0, "s": 1.0},
+        initial_data={"preset": "random_bandlimited", "band": 4, "amplitude": 0.05},
+        integrator={"dt": 0.01},
+        T=0.1,
+        report_every=0.05,
+    )
+    record = tmp_path / "record.json"
+    proc = run_cli("run", write_config(tmp_path, raw),
+                   program=(str(launch), str(record), "trace", "--"))
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(record.read_text())["trace"]["spans"]
+    assert spans["dynamics.step"][0] == 10
+    assert spans["dynamics.nonlinear"][0] == 40
 
 
 class TestDescribeCommand:

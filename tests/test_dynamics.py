@@ -8,7 +8,6 @@ from wbwaves.dynamics import (
     IntegratorConfig,
     PicardError,
     SemigroupOperator,
-    SystemSpec,
     _axpy,
     _ops,
     _pack,
@@ -33,8 +32,8 @@ def small_state(grid, seed=0, band=4, amplitude=0.05):
 class TestRhs:
     def test_zero_state_is_equilibrium(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0))
-        out = rhs(WaveState.zero(g), spec)
+        params = Params(kappa=1.0)
+        out = rhs(WaveState.zero(g), params)
         assert np.max(np.abs(out.eta.values)) == 0.0
         assert np.max(np.abs(out.v.values)) == 0.0
 
@@ -42,10 +41,10 @@ class TestRhs:
         # eta = cos x, v = 0, kappa = 1: deta/dt = 0 and
         # dv/dt = -i tanh(D)(1 + D^2) cos x = (1 + 1) tanh(1) sin x.
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=1.0))
+        params = Params(kappa=1.0)
         x = np.asarray(g.x[0])
         st = WaveState(Field(g, np.cos(x)), (g.zero_field(),))
-        out = rhs(st, spec)
+        out = rhs(st, params)
         assert np.max(np.abs(out.eta.values)) < 1e-13
         want = 2.0 * math.tanh(1.0) * np.sin(x)
         # the capillary symbol grows like xi^2, amplifying spectral roundoff
@@ -61,13 +60,13 @@ class TestRhs:
 
     def test_linearization_residual_scales_linearly(self):
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=0.5))
+        params = Params(kappa=0.5)
         u = random_bandlimited(g, seed=3, band=5, amplitude=1.0)
-        lin = linear_rhs(u, spec)
+        lin = linear_rhs(u, params)
 
         def residual(a):
             scaled = WaveState(a * u.eta, (a * u.v,))
-            r = rhs(scaled, spec)
+            r = rhs(scaled, params)
             diff_eta = r.eta.values / a - lin.eta.values
             diff_v = r.v.values / a - lin.v.values
             return math.sqrt(g.quadrature(diff_eta**2 + diff_v**2))
@@ -78,8 +77,8 @@ class TestRhs:
     def test_regularized_adds_damping(self):
         g = Grid(64)
         u = small_state(g, seed=4)
-        base = rhs(u, SystemSpec(1, Params(kappa=1.0)))
-        reg = rhs(u, SystemSpec(1, Params(kappa=1.0, mu=0.5, p=1.0), regularized=True))
+        base = rhs(u, Params(kappa=1.0))
+        reg = rhs(u, Params(kappa=1.0, mu=0.5, p=1.0))
         heat = apply_multiplier(SymbolCatalog.riesz(1.0), u.eta)
         want = base.eta.values - 1.0 * 0.5 * heat.values
         assert np.max(np.abs(reg.eta.values - want)) < 1e-12
@@ -87,17 +86,13 @@ class TestRhs:
     def test_2d_rhs_is_curl_free_and_real(self):
         g = Grid((32, 32))
         u = small_state(g, seed=5, amplitude=0.1)
-        out = rhs(u, SystemSpec(2, Params(kappa=1.0)))
+        out = rhs(u, Params(kappa=1.0))
         # WaveState construction enforces realness and the curl residue bound
         assert out.dim == 2
 
-    def test_system_spec_validation(self):
-        with pytest.raises(ValueError, match="mu > 0"):
-            SystemSpec(1, Params(kappa=1.0, mu=0.0), regularized=True)
+    def test_regularized_params_validation(self):
         with pytest.raises(ValueError, match="kappa > 0"):
-            SystemSpec(1, Params(kappa=0.0, mu=0.5), regularized=True)
-        with pytest.raises(ValueError, match="mu = 0"):
-            SystemSpec(1, Params(kappa=1.0, mu=0.5), regularized=False)
+            Params(kappa=0.0, mu=0.5)
 
 
 def expm_mode(k, kappa, mu, p, t):
@@ -178,12 +173,11 @@ class TestSemigroup:
         # centered difference of t -> S(t)u against the linear RHS, dt = 1e-4
         g = Grid(64)
         params = Params(kappa=1.0, mu=0.2, p=1.0)
-        spec = SystemSpec(1, params, regularized=True)
         u = small_state(g, seed=11)
         dt = 1e-4
         plus = SemigroupOperator(g, params, dt).apply(u)
         minus = SemigroupOperator(g, params, -dt).apply(u)
-        want = linear_rhs(u, spec)
+        want = linear_rhs(u, params)
         d_eta = (plus.eta.values - minus.eta.values) / (2 * dt)
         d_v = (plus.v.values - minus.v.values) / (2 * dt)
         scale = max(np.max(np.abs(want.eta.values)), np.max(np.abs(want.v.values)), 1e-12)
@@ -215,25 +209,25 @@ class TestSemigroup:
 class TestEvolve:
     def test_zero_data_zero_trajectory(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0))
+        params = Params(kappa=1.0)
         cfg = IntegratorConfig(dt=0.01)
-        res = evolve(WaveState.zero(g), spec, cfg, T=0.5, report_every=0.1)
+        res = evolve(WaveState.zero(g), params, cfg, T=0.5, report_every=0.1)
         assert not res.blown_up
         assert all(rep.hamiltonian == 0.0 for rep in res.reports)
         assert len(res.reports) == 6
 
     def test_report_count_contract(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0))
-        res = evolve(small_state(g), spec, IntegratorConfig(dt=0.01), T=1.0, report_every=0.3)
+        params = Params(kappa=1.0)
+        res = evolve(small_state(g), params, IntegratorConfig(dt=0.01), T=1.0, report_every=0.3)
         assert len(res.reports) == math.ceil(1.0 / 0.3) + 1
         assert res.reports[-1].time == pytest.approx(1.0, abs=1e-12)
 
     def test_short_conservation(self):
         g = Grid(128)
-        spec = SystemSpec(1, Params(kappa=1.0, s=0.5))
+        params = Params(kappa=1.0, s=0.5)
         u0 = single_mode(g, 0.1)
-        res = evolve(u0, spec, IntegratorConfig(dt=1e-3), T=2.0, report_every=0.25)
+        res = evolve(u0, params, IntegratorConfig(dt=1e-3), T=2.0, report_every=0.25)
         h = [rep.hamiltonian for rep in res.reports]
         mom = [rep.momentum for rep in res.reports]
         assert max(abs(x - h[0]) for x in h) <= 1e-9 * abs(h[0])
@@ -241,44 +235,44 @@ class TestEvolve:
 
     def test_viscous_hamiltonian_decreases(self):
         g = Grid(128)
-        spec = SystemSpec(1, Params(kappa=0.5, mu=0.2, p=1.0, s=0.5), regularized=True)
+        params = Params(kappa=0.5, mu=0.2, p=1.0, s=0.5)
         u0 = single_mode(g, 0.05)
-        res = evolve(u0, spec, IntegratorConfig(dt=2e-3), T=3.0, report_every=0.5)
+        res = evolve(u0, params, IntegratorConfig(dt=2e-3), T=3.0, report_every=0.5)
         h = [rep.hamiltonian for rep in res.reports]
         assert all(b <= a + 1e-10 * abs(h[0]) for a, b in zip(h, h[1:]))
         assert h[-1] < h[0]
 
     def test_blowup_flagged_with_partial_trajectory(self):
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=1.0))
+        params = Params(kappa=1.0)
         u0 = single_mode(g, 40.0)
         cfg = IntegratorConfig(method="reference_rk4", dt=0.05, blowup_ceiling=100.0)
-        res = evolve(u0, spec, cfg, T=5.0, report_every=0.05)
+        res = evolve(u0, params, cfg, T=5.0, report_every=0.05)
         assert res.blown_up
         assert res.blowup_time is not None and res.blowup_time <= 5.0
         assert len(res.trajectory.states) >= 1
 
     def test_reference_and_exponential_agree(self):
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=1.0))
+        params = Params(kappa=1.0)
         u0 = small_state(g, seed=12)
-        a = evolve(u0, spec, IntegratorConfig(method="exponential_rk4", dt=1e-3), T=0.5)
-        b = evolve(u0, spec, IntegratorConfig(method="reference_rk4", dt=1e-3), T=0.5)
+        a = evolve(u0, params, IntegratorConfig(method="exponential_rk4", dt=1e-3), T=0.5)
+        b = evolve(u0, params, IntegratorConfig(method="reference_rk4", dt=1e-3), T=0.5)
         diff = np.max(np.abs(a.final.eta.values - b.final.eta.values))
         assert diff < 1e-9
 
     def test_realness_along_trajectory(self):
         # from_coeffs enforces the 1e-12 residue bound at every report time
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=1.0))
-        res = evolve(small_state(g, seed=13), spec, IntegratorConfig(dt=2e-3), T=1.0, report_every=0.1)
+        params = Params(kappa=1.0)
+        res = evolve(small_state(g, seed=13), params, IntegratorConfig(dt=2e-3), T=1.0, report_every=0.1)
         assert len(res.reports) == 11
 
     def test_2d_short_run_stays_curl_free(self):
         g = Grid((32, 32))
-        spec = SystemSpec(2, Params(kappa=1.0))
+        params = Params(kappa=1.0)
         u0 = small_state(g, seed=14, amplitude=0.05)
-        res = evolve(u0, spec, IntegratorConfig(dt=2e-3), T=0.2, report_every=0.05)
+        res = evolve(u0, params, IntegratorConfig(dt=2e-3), T=0.2, report_every=0.05)
         # WaveState materialization would have raised on curl growth
         assert not res.blown_up
         h = [rep.hamiltonian for rep in res.reports]
@@ -288,26 +282,25 @@ class TestEvolve:
 class TestPicard:
     def test_zero_data_converges_immediately(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0, mu=0.1, p=1.0), regularized=True)
-        res = picard_solve(WaveState.zero(g), spec, IntegratorConfig(dt=0.01), T=0.1)
+        params = Params(kappa=1.0, mu=0.1, p=1.0)
+        res = picard_solve(WaveState.zero(g), params, IntegratorConfig(dt=0.01), T=0.1)
         assert res.iterations == 1
         assert all(np.max(np.abs(st.eta.values)) == 0.0 for st in res.trajectory.states)
 
     def test_requires_regularization(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0))
+        params = Params(kappa=1.0)
         with pytest.raises(ValueError, match="regularized"):
-            picard_solve(WaveState.zero(g), spec, IntegratorConfig(), T=0.1)
+            picard_solve(WaveState.zero(g), params, IntegratorConfig(), T=0.1)
 
     def test_matches_reference_rk4(self):
         g = Grid(64)
         params = Params(kappa=1.0, mu=0.1, p=1.0, s=1.0)
-        spec = SystemSpec(1, params, regularized=True)
         u0 = small_state(g, seed=15, amplitude=0.02)
         dt = 1e-3
         cfg = IntegratorConfig(dt=dt, picard_tol=1e-10, picard_max_iter=40)
-        pic = picard_solve(u0, spec, cfg, T=0.3)
-        ref = evolve(u0, spec, IntegratorConfig(method="reference_rk4", dt=dt), T=0.3)
+        pic = picard_solve(u0, params, cfg, T=0.3)
+        ref = evolve(u0, params, IntegratorConfig(method="reference_rk4", dt=dt), T=0.3)
         diff = WaveState(
             pic.final.eta - ref.final.eta, (pic.final.v - ref.final.v,)
         )
@@ -317,16 +310,14 @@ class TestPicard:
     def test_discrete_duhamel_identity(self):
         g = Grid(64)
         params = Params(kappa=1.0, mu=0.1, p=1.0)
-        spec = SystemSpec(1, params, regularized=True)
         u0 = small_state(g, seed=16, amplitude=0.02)
         cfg = IntegratorConfig(dt=5e-3, picard_tol=1e-11, picard_max_iter=40)
-        res = picard_solve(u0, spec, cfg, T=0.2)
+        res = picard_solve(u0, params, cfg, T=0.2)
         assert res.defects[-1] < cfg.picard_tol
 
     def test_admissible_horizon_shrinks_with_amplitude(self):
         g = Grid(32)
         params = Params(kappa=1.0, mu=0.2, p=1.0, s=1.0)
-        spec = SystemSpec(1, params, regularized=True)
         horizons = []
         grid_T = [3.2, 1.6, 0.8, 0.4, 0.2, 0.1]
         for amp in (0.5, 2.0, 8.0):
@@ -335,7 +326,7 @@ class TestPicard:
             for T in grid_T:
                 cfg = IntegratorConfig(dt=T / 40, picard_tol=1e-8, picard_max_iter=20)
                 try:
-                    picard_solve(u0, spec, cfg, T=T)
+                    picard_solve(u0, params, cfg, T=T)
                     best = T
                     break
                 except PicardError:
@@ -346,18 +337,18 @@ class TestPicard:
 
     def test_nonconvergence_reports_contraction(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0, mu=0.2, p=1.0), regularized=True)
+        params = Params(kappa=1.0, mu=0.2, p=1.0)
         u0 = single_mode(g, 20.0)
         cfg = IntegratorConfig(dt=0.05, picard_tol=1e-10, picard_max_iter=5)
         with pytest.raises(PicardError, match="contraction"):
-            picard_solve(u0, spec, cfg, T=2.0)
+            picard_solve(u0, params, cfg, T=2.0)
 
     def test_nan_defect_counts_as_divergence(self, monkeypatch):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0, mu=0.1, p=1.0), regularized=True)
+        params = Params(kappa=1.0, mu=0.1, p=1.0)
         monkeypatch.setattr(dynamics, "_weighted_sq_coeffs", lambda *args: math.nan)
         with pytest.raises(PicardError, match="diverged"):
-            picard_solve(WaveState.zero(g), spec, IntegratorConfig(dt=0.01), T=0.1)
+            picard_solve(WaveState.zero(g), params, IntegratorConfig(dt=0.01), T=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +395,10 @@ def weighted_norm(grid, params, u):
     return math.sqrt(_weighted_sq_coeffs(grid, u[0], u[1:], params.s, params.kappa))
 
 
-def quadratic_picard(u0, spec, cfg, T):
+def quadratic_picard(u0, params, cfg, T):
     """Node coefficient arrays and per-sweep defects of the O(N^2) iteration."""
     n_steps, dt = _resolve_steps(T, cfg.dt)
-    ops = _ops(u0.grid, spec, cfg.dealias)
+    ops = _ops(u0.grid, params, cfg.dealias)
     props = {k: _Propagator(ops, k * dt) for k in range(-2, n_steps + 1)}
     free = [props[m].apply(_pack(u0)) for m in range(n_steps + 1)]
     u, defects = free, []
@@ -421,7 +412,7 @@ def quadratic_picard(u0, spec, cfg, T):
                 acc = _axpy(acc, wj, props[m - int(j)].apply(forcing[int(j)]))
             new_u.append(acc)
         defects.append(
-            max(weighted_norm(u0.grid, spec.params, _axpy(a, -1.0, b)) for a, b in zip(new_u, u))
+            max(weighted_norm(u0.grid, params, _axpy(a, -1.0, b)) for a, b in zip(new_u, u))
         )
         u = new_u
         if defects[-1] < cfg.picard_tol:
@@ -438,12 +429,11 @@ class TestPanelRecurrence:
     def test_matches_quadratic_sum(self, n, steps):
         g = Grid(n)
         params = Params(kappa=1.0, mu=0.1, p=1.0, s=1.0)
-        spec = SystemSpec(g.dim, params, regularized=True)
         u0 = random_bandlimited(g, seed=7, band=4, amplitude=0.05)
         T = 0.2 if steps < 400 else 0.8
         cfg = IntegratorConfig(dt=T / steps, picard_tol=1e-6, picard_max_iter=30)
-        res = picard_solve(u0, spec, cfg, T)
-        ref, ref_defects = quadratic_picard(u0, spec, cfg, T)
+        res = picard_solve(u0, params, cfg, T)
+        ref, ref_defects = quadratic_picard(u0, params, cfg, T)
         assert len(res.trajectory.states) == steps + 1
         # Both sides go through the same coefficients -> real fields round trip.
         ref = [_pack(dynamics._unpack(g, um, 0.0)) for um in ref]
@@ -461,21 +451,21 @@ class TestPanelRecurrence:
 class TestOperatorCaches:
     def test_kappa_sweep_keeps_ops_cache_bounded(self):
         g = Grid(16)
-        kept = _ops(g, SystemSpec(1, Params(kappa=1.0)), True)
+        kept = _ops(g, Params(kappa=1.0), True)
         for kappa in np.linspace(0.01, 5.0, 50):
-            spec = SystemSpec(1, Params(kappa=float(kappa)))
-            ops = _ops(g, spec, True)
-            assert _ops(g, spec, True) is ops
-            assert _ops(g, SystemSpec(1, Params(kappa=1.0)), True) is kept  # recently used
+            params = Params(kappa=float(kappa))
+            ops = _ops(g, params, True)
+            assert _ops(g, params, True) is ops
+            assert _ops(g, Params(kappa=1.0), True) is kept  # recently used
             assert len(dynamics._OPS_CACHE) <= dynamics._CACHE_SIZE
 
     def test_long_solve_keeps_propagator_cache_bounded(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0, mu=0.1, p=1.0), regularized=True)
+        params = Params(kappa=1.0, mu=0.1, p=1.0)
         u0 = small_state(g, seed=3, amplitude=0.02)
-        res = picard_solve(u0, spec, IntegratorConfig(dt=1e-3, picard_tol=1e-8), T=0.4)
+        res = picard_solve(u0, params, IntegratorConfig(dt=1e-3, picard_tol=1e-8), T=0.4)
         assert len(res.trajectory.states) == 401
-        ops = _ops(g, spec, True)
+        ops = _ops(g, params, True)
         assert len(ops._props) <= dynamics._CACHE_SIZE
         assert ops.propagator(0.5) is ops.propagator(0.5)
 
@@ -520,30 +510,145 @@ class TestCurlFreeProjection:
 class TestEnergyDerivative:
     def test_zero_state(self):
         g = Grid(32)
-        spec = SystemSpec(1, Params(kappa=1.0))
-        chk = energy_derivative_check(WaveState.zero(g), spec, s=1.0)
+        params = Params(kappa=1.0)
+        chk = energy_derivative_check(WaveState.zero(g), params, s=1.0)
         assert chk.chain_rule == 0.0 and chk.evolution == 0.0 and chk.agree
 
     def test_conserved_at_half(self):
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=1.0, s=0.5))
+        params = Params(kappa=1.0, s=0.5)
         for seed in (20, 21, 22):
             u = small_state(g, seed=seed, amplitude=0.05)
-            chk = energy_derivative_check(u, spec, s=0.5)
+            chk = energy_derivative_check(u, params, s=0.5)
             assert abs(chk.chain_rule) <= 1e-8
 
     def test_routes_agree_on_family(self):
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=1.0, s=1.0))
+        params = Params(kappa=1.0, s=1.0)
         for seed in range(23, 29):
             u = small_state(g, seed=seed, amplitude=0.05)
-            chk = energy_derivative_check(u, spec, s=1.0)
+            chk = energy_derivative_check(u, params, s=1.0)
             assert chk.agree, (chk.chain_rule, chk.evolution)
             assert math.isfinite(chk.ratio)
 
     def test_viscous_derivative_negative_at_half(self):
         g = Grid(64)
-        spec = SystemSpec(1, Params(kappa=1.0, mu=0.3, p=1.0, s=0.5), regularized=True)
+        params = Params(kappa=1.0, mu=0.3, p=1.0, s=0.5)
         u = small_state(g, seed=30, amplitude=0.03)
-        chk = energy_derivative_check(u, spec, s=0.5)
+        chk = energy_derivative_check(u, params, s=0.5)
         assert chk.chain_rule < 0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-dimension operators that the dimension-generic _Ops and
+# _Propagator replaced, each array written inline.  1D used -i tanh(D) and
+# -i tanh(D)(1 + kappa D^2) with the signed phase xi K_kappa; 2D used K^2 div,
+# K^2 grad and the potential amplitude psi = e.v, dropping velocity content
+# off e.  Agreement is to roundoff on states whose velocity lies on e.
+
+OPERATOR_RTOL = 1e-13
+
+
+class PerDimensionOperators:
+    def __init__(self, grid, params):
+        a = grid.xi_norm
+        safe = np.where(a == 0.0, 1.0, a)
+        k2 = np.where(a == 0.0, 1.0, np.tanh(safe) / safe)
+        kk = np.sqrt((1.0 + params.kappa * a * a) * k2)
+        self.grid, self.mask, self.dim = grid, grid.dealias_mask, grid.dim
+        self.dx = [np.where(grid.axis_nyquist(j), 0.0, 1j * grid.xi[j]) for j in range(grid.dim)]
+        self.heat_rate = None
+        if params.mu > 0:
+            self.heat_rate = params.kappa * params.mu * np.where(a == 0.0, 0.0, safe**params.p)
+        self.kk, self.kk_inv = kk, 1.0 / kk
+        if grid.dim == 1:
+            xi = grid.xi[0]
+            t = np.where(grid.axis_nyquist(0), 0.0, np.tanh(xi))
+            self.A = -1j * t
+            self.Acap = -1j * t * (1.0 + params.kappa * xi * xi)
+            self.phase = np.where(grid.axis_nyquist(0), 0.0, xi) * kk
+        else:
+            self.K2, self.cap = k2, 1.0 + params.kappa * a * a
+            self.unit = [np.where(grid.nyquist_mask | (a == 0.0), 0.0, x / safe) for x in grid.xi]
+            self.phase = np.where(grid.nyquist_mask, 0.0, a * kk)
+
+    def coeffs(self, values):
+        return np.where(self.mask, np.fft.fftn(values) * self.grid._norm_factor, 0.0)
+
+    def phys(self, c):
+        return self.grid.inverse(np.where(self.mask, c, 0.0)).real
+
+    def nonlinear(self, u):
+        if self.dim == 1:
+            eta, v = (self.phys(c) for c in u)
+            return (self.A * self.coeffs(eta * v), self.A * self.coeffs(0.5 * v * v))
+        eta, v1, v2 = (self.phys(c) for c in u)
+        de = -self.K2 * (self.dx[0] * self.coeffs(eta * v1) + self.dx[1] * self.coeffs(eta * v2))
+        grad = self.K2 * self.coeffs(0.5 * (v1 * v1 + v2 * v2))
+        return (de, -self.dx[0] * grad, -self.dx[1] * grad)
+
+    def linear(self, u):
+        if self.dim == 1:
+            out = [-self.dx[0] * u[1], self.Acap * u[0]]
+        else:
+            grad = self.K2 * self.cap * u[0]
+            out = [-(self.dx[0] * u[1] + self.dx[1] * u[2]), -self.dx[0] * grad, -self.dx[1] * grad]
+        if self.heat_rate is not None:
+            out = [d - self.heat_rate * c for d, c in zip(out, u)]
+        return out
+
+    def propagate(self, u, t):
+        cos, sin = np.cos(t * self.phase), np.sin(t * self.phase)
+        psi = u[1] if self.dim == 1 else self.unit[0] * u[1] + self.unit[1] * u[2]
+        e_new = cos * u[0] - 1j * self.kk_inv * sin * psi
+        p_new = -1j * self.kk * sin * u[0] + cos * psi
+        if self.heat_rate is not None:
+            heat = np.exp(-t * self.heat_rate)
+            e_new, p_new = heat * e_new, heat * p_new
+        if self.dim == 1:
+            return [e_new, p_new]
+        return [e_new, self.unit[0] * p_new, self.unit[1] * p_new]
+
+
+def _max_rel(got, want):
+    scale = max(float(np.max(np.abs(w))) for w in want)
+    return max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) / scale
+
+
+class TestDimensionGenericOperators:
+    @pytest.mark.parametrize("n", [(64,), (256,), (32, 32), (16, 24)])
+    @pytest.mark.parametrize("mu", [0.0, 0.2])
+    def test_match_per_dimension_formulas(self, n, mu):
+        g = Grid(n)
+        params = Params(kappa=0.7, mu=mu, p=0.75 if mu else 1.0)
+        ops, ref = _ops(g, params, True), PerDimensionOperators(g, params)
+        for seed in range(3):
+            if g.dim == 1:  # full spectrum, velocity mean and Nyquist mode included
+                rng = np.random.default_rng(seed)
+                u = tuple(g.transform(0.3 * rng.standard_normal(g.shape)) for _ in range(2))
+            else:
+                u = _pack(random_bandlimited(g, seed=seed, band=min(n) // 3, amplitude=0.3))
+            assert _max_rel(ops.nonlinear(u), ref.nonlinear(u)) <= OPERATOR_RTOL
+            assert _max_rel(ops.linear(u), ref.linear(u)) <= OPERATOR_RTOL
+            for t in (1e-3, -0.02, 0.37):
+                assert _max_rel(ops.propagator(t).apply(u), ref.propagate(u, t)) <= OPERATOR_RTOL
+
+    @pytest.mark.parametrize("n", [(16,), (16, 16)])
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_velocity_mean_and_nyquist_pass_with_heat_factor(self, n, mu):
+        """Velocity content where the unit wave vector vanishes (the mean and
+        the Nyquist modes) is multiplied by the heat factor and nothing else."""
+        g = Grid(n)
+        params = Params(kappa=1.0, mu=mu, p=1.0)
+        t = 0.4
+        rng = np.random.default_rng(1)
+        modes = [0, 8] if g.dim == 1 else [(0, 0), (8, 3), (5, 8), (8, 8)]
+        u = [np.zeros(g.shape, dtype=complex) for _ in range(1 + g.dim)]
+        for c in u[1:]:
+            for k in modes:
+                c[g.coeff_index(k)] = rng.standard_normal()
+        out = _ops(g, params, True).propagator(t).apply(tuple(u))
+        heat = np.exp(-t * (params.kappa * params.mu * g.xi_norm)) if mu else np.ones(g.shape)
+        for got, c in zip(out[1:], u[1:]):
+            assert np.array_equal(got, heat * c)
+        assert not np.any(out[0])

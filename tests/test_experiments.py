@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wbwaves.config import config_from_dict
-from wbwaves.dynamics import IntegratorConfig, SystemSpec, evolve
+from wbwaves.dynamics import IntegratorConfig, evolve
 from wbwaves.experiments import (
     ExistenceEstimate,
     conservation_check,
@@ -184,8 +184,7 @@ class TestStability:
         g = Grid(64)
         u0 = single_mode(g, 0.05)
         params = Params(kappa=1.0, s=1.5)
-        spec = SystemSpec(1, params)
-        res = evolve(u0, spec, IntegratorConfig(dt=5e-3), T=0.5, report_every=0.1)
+        res = evolve(u0, params, IntegratorConfig(dt=5e-3), T=0.5, report_every=0.1)
         from wbwaves.functionals import difference_energy
 
         for st in res.trajectory.states:
@@ -251,9 +250,9 @@ class TestGrowthBound:
     def test_constant_history_dominated(self):
         g = Grid(64)
         u0 = single_mode(g, 0.05)
-        spec = SystemSpec(1, Params(kappa=1.0, s=0.75))
-        res = evolve(u0, spec, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
-        report = growth_bound_monitor(res, s=0.75, params=spec.params)
+        params = Params(kappa=1.0, s=0.75)
+        res = evolve(u0, params, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
+        report = growth_bound_monitor(res, s=0.75, params=params)
         assert report.passed
         assert report.extra["kind"] == "double_exponential"
         assert report.extra["margin"] >= 1.0 - 1e-9
@@ -261,20 +260,20 @@ class TestGrowthBound:
     def test_high_regularity_envelope(self):
         g = Grid(64)
         u0 = single_mode(g, 0.05)
-        spec = SystemSpec(1, Params(kappa=1.0, s=1.5))
-        res = evolve(u0, spec, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
-        report = growth_bound_monitor(res, s=1.5, params=spec.params)
+        params = Params(kappa=1.0, s=1.5)
+        res = evolve(u0, params, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
+        report = growth_bound_monitor(res, s=1.5, params=params)
         assert report.passed
         assert report.extra["kind"] == "exponential_integral"
 
     def test_blowup_not_dominated(self):
         g = Grid(64)
         u0 = single_mode(g, 40.0)
-        spec = SystemSpec(1, Params(kappa=1.0, s=1.0))
+        params = Params(kappa=1.0, s=1.0)
         cfg = IntegratorConfig(method="reference_rk4", dt=0.05, blowup_ceiling=50.0)
-        res = evolve(u0, spec, cfg, T=5.0, report_every=0.05)
+        res = evolve(u0, params, cfg, T=5.0, report_every=0.05)
         assert res.blown_up
-        report = growth_bound_monitor(res, s=1.0, params=spec.params)
+        report = growth_bound_monitor(res, s=1.0, params=params)
         assert not report.passed
 
 

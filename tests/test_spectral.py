@@ -160,7 +160,6 @@ class TestApplyMultiplier:
         f = random_field(g, 17)
         for sym in [
             SymbolCatalog.neg_i_tanh(),
-            SymbolCatalog.neg_i_tanh_capillary(1.0),
             SymbolCatalog.partial(0),
             SymbolCatalog.heat(1.0, 0.1, 0.3, 1.0),
             SymbolCatalog.K_kappa(0.5),

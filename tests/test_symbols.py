@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wbwaves
-from wbwaves.dynamics import SystemSpec, _ops, curl_free_project
+from wbwaves.dynamics import _ops, curl_free_project
 from wbwaves.experiments import low_capillarity_error
 from wbwaves.functionals import hamiltonian
 from wbwaves.presets import random_bandlimited
@@ -43,7 +43,7 @@ def _inline_unit(grid):
     a = grid.xi_norm
     safe = np.where(a == 0.0, 1.0, a)
     unit = []
-    for j in range(2):
+    for j in range(grid.dim):
         u = np.where(a == 0.0, 0.0, grid.xi[j] / safe)
         unit.append(np.where(grid.nyquist_mask, 0.0, u))
     return tuple(unit)
@@ -55,23 +55,14 @@ def inline_ops_arrays(grid, p, regularized):
     out = {"heat_rate": p.kappa * p.mu * a**p.p if regularized else None}
     out["Kk"] = np.sqrt((1.0 + p.kappa * a * a) * _tanh_over_x(a))
     out["Kk_inv"] = 1.0 / out["Kk"]
-    if grid.dim == 1:
-        xi = grid.xi[0]
-        nyq = grid.axis_nyquist(0)
-        t = np.where(nyq, 0.0, np.tanh(xi))
-        out["dx"] = (np.where(nyq, 0.0, 1j * xi),)
-        out["A"] = -1j * t
-        out["Acap"] = -1j * t * (1.0 + p.kappa * xi * xi)
-        out["phase"] = np.where(nyq, 0.0, xi * out["Kk"])
-        out["unit"] = None
-    else:
-        out["K2"] = _tanh_over_x(a)
-        out["cap"] = 1.0 + p.kappa * a * a
-        out["dx"] = tuple(
-            np.where(grid.axis_nyquist(j), 0.0, 1j * grid.xi[j]) for j in range(2)
-        )
-        out["unit"] = _inline_unit(grid)
-        out["phase"] = np.where(grid.nyquist_mask, 0.0, a * out["Kk"])
+    out["dx"] = tuple(
+        np.where(grid.axis_nyquist(j), 0.0, 1j * grid.xi[j]) for j in range(grid.dim)
+    )
+    out["unit"] = _inline_unit(grid)
+    out["phase"] = np.where(grid.nyquist_mask, 0.0, a * out["Kk"])
+    forcing = tuple(-1j * (np.tanh(a) * e) for e in out["unit"])
+    out["restoring"] = tuple(g * (1.0 + p.kappa * a * a) for g in forcing)
+    out["forcing"] = tuple(np.where(grid.dealias_mask, g, 0.0) for g in forcing)
     return out
 
 
@@ -113,12 +104,11 @@ class TestOpsArrays:
         (n, k, r) for n, k, r in product(GRIDS, KAPPAS, (False, True)) if not (r and k == 0)
     ])
     def test_every_array_bitwise_equal(self, n, kappa, regularized):
-        """All arrays are equal element for element.  The only difference is
-        the sign of the zero real parts of A and Acap (-i*t versus i*(-t)),
-        which == does not see."""
+        """All arrays are equal element for element (== does not see the
+        sign of zero real parts)."""
         grid = Grid(n)
         p = Params(kappa=kappa, mu=0.1 if regularized else 0.0, p=0.75 if regularized else 1.0)
-        ops = _ops(grid, SystemSpec(grid.dim, p, regularized), True)
+        ops = _ops(grid, p, True)
         want = inline_ops_arrays(grid, p, regularized)
         for name, ref in want.items():
             got = getattr(ops, name)
@@ -129,6 +119,20 @@ class TestOpsArrays:
             for g, r in pairs:
                 assert g.shape == r.shape and g.dtype == r.dtype, name
                 assert np.array_equal(g, r), name
+        # The restoring multiplier G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j is
+        # the former -i tanh(xi)(1 + kappa xi^2) element for element in 1D; in
+        # 2D it is -K^2 d_j (1 + kappa|xi|^2) to roundoff off the Nyquist
+        # planes, and zero on them.
+        cap = 1.0 + kappa * grid.xi_norm * grid.xi_norm
+        for j, got in enumerate(ops.restoring):
+            if grid.dim == 1:
+                t = np.where(grid.axis_nyquist(0), 0.0, np.tanh(grid.xi[0]))
+                assert np.array_equal(got, -1j * t * cap)
+            else:
+                nyq = grid.nyquist_mask
+                ref = np.where(nyq, 0.0, -_tanh_over_x(grid.xi_norm) * want["dx"][j] * cap)
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+                assert not np.any(got[nyq])
 
 
 class TestCatalogEntries:
