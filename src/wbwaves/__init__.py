@@ -6,19 +6,13 @@ from .dynamics import (
     EvolveResult,
     IntegratorConfig,
     PicardError,
-    SemigroupOperator,
-    curl_free_project,
     energy_derivative_check,
     evolve,
-    linear_rhs,
     picard_solve,
     rhs,
 )
 from .functionals import (
     EnergyReport,
-    NoncavitationBounds,
-    check_noncavitation,
-    coercivity_ratio,
     difference_energy,
     hamiltonian,
     modified_energy,
@@ -33,13 +27,12 @@ from .spectral import (
     SymbolCatalog,
     apply_multiplier,
     commutator,
-    low_pass,
     lp_norm,
     pair_product,
     sobolev_norm,
     triple_quadrature,
 )
-from .state import Params, WaveState, mollify, weighted_pair_norm
+from .state import Params, WaveState, weighted_pair_norm
 
 __version__ = "0.1.0"
 
@@ -49,28 +42,20 @@ __all__ = [
     "Field",
     "Grid",
     "IntegratorConfig",
-    "NoncavitationBounds",
     "Params",
     "PicardError",
-    "SemigroupOperator",
     "SpectralError",
     "Symbol",
     "SymbolCatalog",
     "WaveState",
     "apply_multiplier",
-    "check_noncavitation",
-    "coercivity_ratio",
     "commutator",
-    "curl_free_project",
     "difference_energy",
     "energy_derivative_check",
     "evolve",
     "hamiltonian",
-    "linear_rhs",
-    "low_pass",
     "lp_norm",
     "modified_energy",
-    "mollify",
     "momentum",
     "pair_product",
     "picard_solve",

@@ -15,9 +15,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .config import ConfigError, RunConfig, load_config, output_header
+from .config import ConfigError, RunConfig, _number, load_config, output_header
 from .dynamics import BlowUpError, PicardError, evolve
 from .experiments import (
     conservation_check,
@@ -109,16 +107,16 @@ def _family(config, opt):
     return small_data_family(
         config.grid(),
         config.kappa,
-        count=int(opt["count"]),
+        count=opt["count"],
         epsilon=opt["epsilon"],
         seed=config.seed,
-        band=int(opt["band"]),
+        band=opt["band"],
     )
 
 
 def _invariant_region(config, opt):
     family = _family(config, opt)
-    params = Params(kappa=config.kappa, mu=float(opt["mu"]), p=config.p, s=config.s)
+    params = Params(kappa=config.kappa, mu=opt["mu"], p=config.p, s=config.s)
     return invariant_region_test(
         family, params, config.T, config.integrator(),
         epsilon=opt["epsilon"], report_every=config.report_every,
@@ -127,11 +125,34 @@ def _invariant_region(config, opt):
 
 def _dissipation(config, opt):
     family = _family(config, opt)
-    params = Params(kappa=config.kappa, mu=float(opt["mu"]), p=1.0, s=config.s)
+    params = Params(kappa=config.kappa, mu=opt["mu"], p=1.0, s=config.s)
     return dissipation_test(
         family, params, config.T, config.integrator(),
-        delta=float(opt["delta"]), report_every=config.report_every,
+        delta=opt["delta"], report_every=config.report_every,
     )
+
+
+def _study_options(name, defaults, given):
+    """The defaults updated by the configured study options, each checked for
+    its type as the rest of the config is: ``count`` and ``band`` are
+    integers, ``values`` and ``sizes`` lists of numbers, ``comparison_norm``
+    a name the study checks, and every other option a number.  An option
+    whose default is None also accepts null."""
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown field(s) in study {name}: {', '.join(unknown)}")
+    options = dict(defaults)
+    for key, value in given.items():
+        where = f"study.{key}"
+        if (value is None and defaults[key] is None) or key == "comparison_norm":
+            options[key] = value
+        elif key in ("values", "sizes"):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+            options[key] = tuple(_number(v, where) for v in value)
+        else:
+            options[key] = _number(value, where, int if key in ("count", "band") else float)
+    return options
 
 
 _FAMILY = {"count": 10, "epsilon": None, "band": 6, "mu": 0.2}
@@ -161,7 +182,7 @@ STUDIES = {
         "_size",
     ),
     "inequalities": (
-        lambda c, o: inequality_study(c.grid(), int(o["count"]), c.seed),
+        lambda c, o: inequality_study(c.grid(), o["count"], c.seed),
         {"count": 8},
         "",
     ),
@@ -183,12 +204,10 @@ def cmd_study(name: str, config: RunConfig) -> int:
         )
         return 1
     runner, defaults, suffix = STUDIES[name]
-    unknown = sorted(set(config.study) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown field(s) in study {name}: {', '.join(unknown)}")
+    options = _study_options(name, defaults, config.study)
     outdir = config.resolved_output_dir()
     try:
-        report = runner(config, {**defaults, **config.study})
+        report = runner(config, options)
     except BlowUpError as exc:
         summary = {"study": name, "status": "blowup", "pass": False,
                    "member": exc.member, "blowup_time": exc.time}
@@ -213,17 +232,6 @@ def cmd_describe(config: RunConfig) -> int:
         f"dealias: {'on' if config.dealias else 'off'}",
         f"horizon: T={config.T:g} report_every={config.report_every:g}",
     ]
-    symbols = ["-i*tanh(xi)", f"-i*tanh(xi)*(1+{params.kappa:g}*xi^2)", "K_kappa", "K_kappa^-1"]
-    if params.mu > 0:
-        symbols.append(f"exp(-{params.kappa * params.mu:g}*t*|xi|^{params.p:g})")
-    if grid.dim == 2:
-        symbols = ["K^2*grad", "K^2*div", "K_kappa", "K_kappa^-1"]
-        lines.append("curl-free projection: active")
-    lines.append("symbols: " + ", ".join(symbols))
-    fields = 1 + grid.dim
-    work_arrays = 12  # state + stages + propagator tables, rough upper bound
-    mem = int(np.prod(grid.n)) * 16 * fields * work_arrays
-    lines.append(f"estimated working memory: {mem / 1e6:.1f} MB")
     if "snapshot" in config.initial_data:
         from .snapshot import read_header
 

@@ -17,14 +17,15 @@ per-axis multipliers.
 The linear part diagonalizes exactly: with the unit wave vector
 e = xi/|xi| (sgn xi in 1D), in the variables eta +- K_kappa^-1 (e.v) it
 reduces to phase rotation exp(-+ i t |xi| K_kappa) times the heat factor.
-The resulting propagator backs both the exponential (integrating-factor)
-RK4 stepper and the Duhamel fixed-point solver.
+The resulting propagator (``_Ops.propagator``) backs both the exponential
+(integrating-factor) RK4 stepper and the Duhamel fixed-point solver; the
+linear part itself is ``_Ops.linear``.  The public entry points are
+``evolve``, ``picard_solve``, ``rhs`` and ``energy_derivative_check``.
 
 Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
 operators, so velocity content there (and off e) is propagated by the heat
-factor alone; the 2D ``SemigroupOperator`` additionally requires mean-free
-velocity.
+factor alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .functionals import EnergyReport, modified_energy
-from .spectral import Field, Grid, SpectralError, SymbolCatalog
+from .spectral import Field, Grid, SymbolCatalog
 from .state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
 INTEGRATOR_METHODS = ("exponential_rk4", "reference_rk4", "picard_duhamel")
@@ -227,74 +228,13 @@ def _scale(u, a):
 
 
 # ---------------------------------------------------------------------------
-# Public right-hand sides
+# Public right-hand side
 
 
-def rhs(state: WaveState, params: Params, dealias=True) -> WaveState:
+def rhs(state: WaveState, params: Params) -> WaveState:
     """Time derivative of the state under the system with these parameters."""
-    ops = _ops(state.grid, params, dealias)
-    return _unpack(state.grid, ops.full(_pack(state)), state.time)
-
-
-def linear_rhs(state: WaveState, params: Params) -> WaveState:
     ops = _ops(state.grid, params, True)
-    return _unpack(state.grid, ops.linear(_pack(state)), state.time)
-
-
-# ---------------------------------------------------------------------------
-# Semigroup
-
-
-class SemigroupOperator:
-    """Solution operator of the linear(ized) regularized system at time t.
-
-    Built from the diagonalization of the 2x2 (eta, potential) symbol
-    matrix; for mu = 0 it is a unitary group on the quadratic energy, for
-    mu > 0 a contraction on mean-free states.  In 2D it is defined on
-    curl-free, mean-free velocity fields.
-    """
-
-    def __init__(self, grid: Grid, params: Params, t: float):
-        self.grid = grid
-        self.params = params
-        self.t = float(t)
-        self._prop = _ops(grid, params, True).propagator(self.t)
-
-    def apply(self, state: WaveState) -> WaveState:
-        if state.grid != self.grid:
-            raise SpectralError("state grid does not match the operator grid")
-        u = _pack(state)
-        if self.grid.dim == 2:
-            scale = 1.0 + math.sqrt(sum(float(np.sum(np.abs(c) ** 2)) for c in u[1:]))
-            zero = self.grid.coeff_index((0, 0))
-            for c in u[1:]:
-                if abs(c[zero]) > 1e-10 * scale:
-                    raise SpectralError(
-                        "2D semigroup requires mean-free velocity "
-                        f"(mean magnitude {abs(c[zero]):.3e})"
-                    )
-        return _unpack(self.grid, self._prop.apply(u), state.time + self.t)
-
-
-def curl_free_project(vel) -> tuple:
-    """Helmholtz projection onto gradient fields: v -> xi (xi.v)/|xi|^2.
-
-    The zero mode passes through; Nyquist planes follow the odd-symbol
-    convention and are annihilated.  Idempotent, and the identity on
-    spectral gradients."""
-    v1, v2 = vel
-    grid = v1.grid
-    if grid.dim != 2:
-        raise SpectralError("curl-free projection is only defined on 2D grids")
-    unit = SymbolCatalog.unit_vectors(grid)
-    psi = unit[0] * v1.coeffs + unit[1] * v2.coeffs
-    zero = grid.coeff_index((0, 0))
-    out = []
-    for j, comp in enumerate((v1, v2)):
-        c = unit[j] * psi
-        c[zero] = comp.coeffs[zero]
-        out.append(Field.from_coeffs(grid, c, context="curl-free projection"))
-    return tuple(out)
+    return _unpack(state.grid, ops.full(_pack(state)), state.time)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,7 @@ from .dynamics import (
     PicardError,
     evolve,
 )
-from .functionals import (
-    NoncavitationBounds,
-    check_noncavitation,
-    difference_energy,
-    smallness_threshold,
-)
+from .functionals import difference_energy, smallness_threshold
 from .inequalities import (
     brezis_gallouet_report,
     kato_ponce_report,
@@ -360,100 +355,6 @@ def stability_test(
     rows = [{"size": s_, "sup_energy": e} for s_, e in zip(sizes, sups)]
     extra = {"slope": slope, "slope_residual": resid, "growth_rates": rates}
     return StudyReport("stability", rows, passed, extra)
-
-
-@dataclass(frozen=True)
-class ExistenceEstimate:
-    T0: float
-    T1: float
-    T2: float
-    data_norm: float
-
-
-def existence_time_estimate(u0: WaveState, params: Params, constants: dict) -> ExistenceEstimate:
-    """Heuristic existence horizon from the a priori estimate.
-
-    T1 = log(1 + 1/(1 + C1 (1+kappa) C0 N^2)) / (C1 (1+kappa)) with N the
-    weighted data norm; for s > 3/2 additionally T2 = h0 / (C2 (N + N^2))
-    gated on non-cavitation of the datum within (h0, H0); otherwise T2 = 1.
-    The constants are user supplied (they are not constructive); T0 is
-    non-increasing in kappa and in the data norm, never a certified bound."""
-    constants = dict(constants)
-    C0 = float(constants.pop("C0", 1.0))
-    C1 = float(constants.pop("C1"))
-    C2 = float(constants.pop("C2", 1.0))
-    h0 = constants.pop("h0", None)
-    H0 = constants.pop("H0", None)
-    if constants:
-        raise ValueError(f"unknown constants: {', '.join(sorted(constants))}")
-    if C0 <= 0 or C1 <= 0 or C2 <= 0:
-        raise ValueError("constants C0, C1, C2 must be positive")
-    N = weighted_pair_norm(u0, params.s, params.kappa)
-    fac = C1 * (1.0 + params.kappa)
-    T1 = math.log(1.0 + 1.0 / (1.0 + fac * C0 * N * N)) / fac
-    if params.s > 1.5:
-        if h0 is None or H0 is None:
-            raise ValueError("s > 3/2 needs non-cavitation bounds h0, H0")
-        res = check_noncavitation(u0, NoncavitationBounds(float(h0), float(H0)))
-        if not res.ok:
-            raise ValueError(
-                f"datum violates non-cavitation: eta range "
-                f"[{res.eta_min:.3g}, {res.eta_max:.3g}] vs [{res.lower:.3g}, {res.upper:.3g}]"
-            )
-        T2 = math.inf if N == 0 else float(h0) / (C2 * (N + N * N))
-    else:
-        T2 = 1.0
-    return ExistenceEstimate(min(T1, T2), T1, T2, N)
-
-
-def _growth_bound(kind, constants, margin, dominated) -> StudyReport:
-    extra = {"kind": kind, "constants": constants, "margin": margin}
-    return StudyReport("growth_bound", [], dominated, extra)
-
-
-def growth_bound_monitor(result: EvolveResult, s, params: Params) -> StudyReport:
-    """Fit a regularity-persistence envelope over a norm history.
-
-    For s < 1 the envelope is exp(C1 exp(C2 t)) with C2 = 1 + kappa and C1
-    the smallest constant dominating the history; for s >= 1 it is
-    N(0) exp(C (1+kappa)(t + int ||u||_{s-1/4}^2)).  Domination fails only
-    when the run blew up or the constants are not finite."""
-    s = float(s)
-    states = result.trajectory.states
-    t0 = states[0].time
-    times = np.asarray([st.time - t0 for st in states])
-    y = np.asarray([weighted_pair_norm(st, s, params.kappa) for st in states])
-    if result.blown_up or not np.all(np.isfinite(y)):
-        return _growth_bound("blown_up", {}, math.inf, False)
-    floor = 1e-300
-    if s < 1.0:
-        C2 = 1.0 + params.kappa
-        C1 = float(np.max(np.exp(-C2 * times) * np.log(np.maximum(y, floor))))
-        envelope = np.exp(min(C1, 700.0) * np.exp(C2 * times)) if C1 > 0 else np.ones_like(y)
-        if C1 <= 0:
-            # History never exceeds 1: any arbitrarily small C1 > 0 dominates.
-            C1 = 0.0
-            envelope = np.ones_like(y)
-        margin = float(np.min(envelope / np.maximum(y, floor)))
-        return _growth_bound(
-            "double_exponential", {"C1": C1, "C2": C2}, margin, math.isfinite(C1)
-        )
-    norms_quarter = np.asarray(
-        [weighted_pair_norm(st, s - 0.25, params.kappa) for st in states]
-    )
-    integral = np.concatenate(
-        [[0.0], np.cumsum(0.5 * np.diff(times) * (norms_quarter[1:] ** 2 + norms_quarter[:-1] ** 2))]
-    )
-    y0 = max(y[0], floor)
-    denom = (1.0 + params.kappa) * (times + integral)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cs = np.where(denom > 0, np.log(np.maximum(y, floor) / y0) / np.where(denom > 0, denom, 1.0), -math.inf)
-    C = float(max(np.max(cs), 0.0))
-    envelope = y0 * np.exp(C * denom)
-    margin = float(np.min(envelope / np.maximum(y, floor)))
-    return _growth_bound(
-        "exponential_integral", {"C": C, "kappa": params.kappa}, margin, math.isfinite(C)
-    )
 
 
 def small_data_family(grid, kappa, count=10, epsilon=None, seed=0, band=6) -> list:

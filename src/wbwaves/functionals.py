@@ -1,4 +1,4 @@
-"""Conserved and monitored functionals: energy, momentum, cavitation checks.
+"""Conserved and monitored functionals: energy, momentum, the energy report.
 
 The Hamiltonian
 
@@ -103,45 +103,6 @@ def difference_energy(state1: WaveState, state2: WaveState, r, params: Params) -
     return 0.5 * total
 
 
-@dataclass(frozen=True)
-class NoncavitationBounds:
-    """Band h - 1 <= eta <= H keeping the surface off the flat bottom."""
-
-    h: float
-    Hupper: float
-
-    def __post_init__(self):
-        if not (0 < self.h <= 1):
-            raise ValueError(f"h must lie in (0, 1], got {self.h}")
-        if not (self.Hupper > 0):
-            raise ValueError(f"Hupper must be positive, got {self.Hupper}")
-
-
-@dataclass(frozen=True)
-class NoncavitationResult:
-    ok: bool
-    eta_min: float
-    eta_max: float
-    argmin: tuple
-    argmax: tuple
-    lower: float
-    upper: float
-
-
-def check_noncavitation(state: WaveState, bounds: NoncavitationBounds) -> NoncavitationResult:
-    values = state.eta.values
-    imin = np.unravel_index(int(np.argmin(values)), values.shape)
-    imax = np.unravel_index(int(np.argmax(values)), values.shape)
-    grid = state.grid
-    loc_min = tuple(float(np.broadcast_to(grid.x[j], grid.shape)[imin]) for j in range(grid.dim))
-    loc_max = tuple(float(np.broadcast_to(grid.x[j], grid.shape)[imax]) for j in range(grid.dim))
-    eta_min = float(values[imin])
-    eta_max = float(values[imax])
-    lower = bounds.h - 1.0
-    ok = eta_min >= lower and eta_max <= bounds.Hupper
-    return NoncavitationResult(ok, eta_min, eta_max, loc_min, loc_max, lower, bounds.Hupper)
-
-
 def smallness_threshold(override=None) -> float:
     """The small-data level used by invariant-region experiments.
 
@@ -154,18 +115,6 @@ def smallness_threshold(override=None) -> float:
     if eps <= 0:
         raise ValueError(f"smallness threshold must be positive, got {override}")
     return eps
-
-
-def coercivity_ratio(state: WaveState, params: Params) -> float:
-    """Modified energy over half the squared weighted norm.
-
-    Equals 1 whenever eta vanishes; stays within a fixed bracket under
-    non-cavitation (the test suite uses [0.25, 4] for its state family).
-    """
-    wsq = weighted_pair_norm(state, params.s, params.kappa) ** 2
-    if wsq == 0.0:
-        raise ValueError("coercivity ratio is undefined for the zero state")
-    return modified_energy(state, params) / (0.5 * wsq)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ class RatioReport:
     which: str
     samples: list = field(default_factory=list)
     max_ratio: float = 0.0
-    details: dict = field(default_factory=dict)
 
     def record(self, lhs, rhs, **extra):
         ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0 else lhs / rhs)
@@ -74,7 +73,7 @@ def kato_ponce_report(family, s=1.0, p=2.0, p1=4.0, p2=4.0, p3=4.0, p4=4.0) -> R
         raise HypothesisError(f"kato_ponce needs p in (1, inf), got {p}")
     _check_holder_pair(p, p1, p2, "kato_ponce")
     _check_holder_pair(p, p3, p4, "kato_ponce")
-    report = RatioReport("kato_ponce", details={"s": s, "p": (p, p1, p2, p3, p4)})
+    report = RatioReport("kato_ponce")
     bess_s = SymbolCatalog.bessel(s)
     bess_sm1 = SymbolCatalog.bessel(s - 1.0)
     for f, g in family:
@@ -100,9 +99,7 @@ def leibniz_report(family, sigma=0.5, sigma1=0.25, sigma2=0.25, p=2.0, p1=4.0, p
     if not (1 < p < math.inf):
         raise HypothesisError(f"leibniz needs p in (1, inf), got {p}")
     _check_holder_pair(p, p1, p2, "leibniz")
-    report = RatioReport(
-        "leibniz", details={"sigma": (sigma, sigma1, sigma2), "p": (p, p1, p2)}
-    )
+    report = RatioReport("leibniz")
     riesz = SymbolCatalog.riesz(sigma)
     r1 = SymbolCatalog.riesz(sigma1)
     r2 = SymbolCatalog.riesz(sigma2)
@@ -129,7 +126,7 @@ def trilinear_report(family, a=0.5, b=0.5, c=0.5) -> RatioReport:
     for pair, val in (("a+b", a + b), ("a+c", a + c), ("b+c", b + c)):
         if val < 0:
             raise HypothesisError(f"trilinear needs {pair} >= 0, got {val}")
-    report = RatioReport("trilinear", details={"abc": (a, b, c)})
+    report = RatioReport("trilinear")
     for f, g, h in family:
         prod = f.values * g.values * h.values
         lhs = f.grid.quadrature(np.abs(prod))
@@ -143,7 +140,7 @@ def brezis_gallouet_report(family, s=1.0) -> RatioReport:
     """Limiting embedding ||f||_inf <= C(1 + ||f||_{H^1/2} sqrt(log(1 + ||f||_{H^s})))."""
     if not (s > 0.5):
         raise HypothesisError(f"brezis_gallouet needs s > 1/2, got {s}")
-    report = RatioReport("brezis_gallouet", details={"s": s})
+    report = RatioReport("brezis_gallouet")
     for f in family:
         lhs = f.linf()
         rhs = 1.0 + sobolev_norm(f, 0.5) * math.sqrt(

@@ -41,29 +41,48 @@ def write_snapshot(path, state: WaveState) -> None:
             fh.write(np.ascontiguousarray(comp.values, dtype="<f8").tobytes())
 
 
-def read_header(path) -> dict:
-    with open(path, "rb") as fh:
-        magic = fh.read(7)
-        if magic != MAGIC:
-            raise SnapshotError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (dim,) = struct.unpack("<B", fh.read(1))
+def _read(path, size=-1) -> bytes:
+    """Up to ``size`` bytes of the file (all of it by default); an unreadable
+    file is a SnapshotError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read(size)
+    except OSError as exc:
+        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+
+
+def _header_size(dim) -> int:
+    return 7 + 1 + 4 * dim + 8 * dim + 8
+
+
+def _parse_header(raw: bytes, path) -> dict:
+    magic = raw[:7]
+    if magic != MAGIC:
+        raise SnapshotError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    try:
+        (dim,) = struct.unpack_from("<B", raw, 7)
         if dim not in (1, 2):
             raise SnapshotError(f"bad dimension {dim}")
-        n = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        length = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        (time,) = struct.unpack("<d", fh.read(8))
+        n = struct.unpack_from(f"<{dim}I", raw, 8)
+        length = struct.unpack_from(f"<{dim}d", raw, 8 + 4 * dim)
+        (time,) = struct.unpack_from("<d", raw, 8 + 12 * dim)
+    except struct.error:
+        raise SnapshotError(f"snapshot {path} ends inside its header") from None
     return {"dim": dim, "n": n, "length": length, "time": time}
 
 
+def read_header(path) -> dict:
+    """The header fields, read from at most the length of a 2D header."""
+    return _parse_header(_read(path, _header_size(2)), path)
+
+
 def read_snapshot(path) -> WaveState:
-    header = read_header(path)
+    data = _read(path)
+    header = _parse_header(data, path)
     dim = header["dim"]
     grid = Grid(header["n"], header["length"])
     count = int(np.prod(grid.n))
-    offset = 7 + 1 + 4 * dim + 8 * dim + 8
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        raw = fh.read()
+    raw = data[_header_size(dim):]
     expected = count * (1 + dim) * 8
     if len(raw) != expected:
         raise SnapshotError(f"payload has {len(raw)} bytes, expected {expected}")

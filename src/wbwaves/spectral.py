@@ -182,9 +182,6 @@ class Grid:
         """Trapezoidal (here: exact rectangle) rule over the periodic cell."""
         return self.cell * float(np.sum(values))
 
-    def field(self, values):
-        return Field(self, values)
-
     def zero_field(self):
         return Field(self, np.zeros(self.shape))
 
@@ -344,19 +341,6 @@ class SymbolCatalog:
     """
 
     @staticmethod
-    def tanh():
-        return Symbol("tanh(xi)", "odd", False, np.tanh)
-
-    @staticmethod
-    def derivative():
-        """The operator with symbol xi (conventionally written D)."""
-        return Symbol("xi", "odd", False, lambda x: x)
-
-    @staticmethod
-    def sgn():
-        return Symbol("sgn(xi)", "odd", False, np.sign)
-
-    @staticmethod
     def riesz(alpha):
         """|xi|^alpha; zero mode gives 0 for alpha != 0 (mean annihilated)."""
         alpha = float(alpha)
@@ -379,19 +363,6 @@ class SymbolCatalog:
         """1 + kappa |xi|^2, the surface-tension weight of the elevation."""
         kappa = float(kappa)
         return Symbol(f"1+{kappa:g}|xi|^2", "even", False, lambda a: 1.0 + kappa * a * a)
-
-    @staticmethod
-    def K_squared():
-        """K^2 = tanh|xi|/|xi| with value 1 at xi = 0."""
-        return Symbol("K^2", "even", False, _tanh_over_x)
-
-    @staticmethod
-    def K():
-        return Symbol("K", "even", False, lambda a: np.sqrt(_tanh_over_x(a)))
-
-    @staticmethod
-    def K_inv():
-        return Symbol("K^-1", "even", False, lambda a: np.sqrt(_x_over_tanh(a)))
 
     @staticmethod
     def K_kappa(kappa):
@@ -419,22 +390,6 @@ class SymbolCatalog:
     def d_over_tanh():
         """xi/tanh(xi) with value 1 at xi = 0 (even, so evaluated radially)."""
         return Symbol("xi/tanh(xi)", "even", False, _x_over_tanh)
-
-    @staticmethod
-    def heat(kappa, mu, t, p=1.0):
-        """exp(-kappa*mu*t*|xi|^p), the smoothing factor of the viscous flow."""
-        rate = float(kappa) * float(mu) * float(t)
-        p = float(p)
-        return Symbol(
-            f"exp(-{rate:g}|xi|^{p:g})", "even", False, lambda a: np.exp(-rate * a**p)
-        )
-
-    # Real-to-real composites the dynamics is built from.
-
-    @staticmethod
-    def neg_i_tanh():
-        """-i tanh(D): the skew map coupling elevation and velocity."""
-        return Symbol("-i*tanh(xi)", "odd", True, lambda x: -np.tanh(x))
 
     @staticmethod
     def partial(axis=0):
@@ -469,7 +424,7 @@ class SymbolCatalog:
 
 
 # ---------------------------------------------------------------------------
-# Norms, products, commutators, mollifier
+# Norms, products, commutators
 
 
 def lp_norm(f: Field, p) -> float:
@@ -481,31 +436,18 @@ def lp_norm(f: Field, p) -> float:
     return float(f.grid.quadrature(np.abs(f.values) ** p) ** (1.0 / p))
 
 
-def sobolev_norm(f: Field, order, homogeneous=False) -> float:
-    """H^order (Bessel) or homogeneous (Riesz) Sobolev norm from coefficients."""
-    order = float(order)
+def sobolev_norm(f: Field, order) -> float:
+    """H^order (Bessel potential) Sobolev norm from coefficients."""
     c2 = np.abs(f.coeffs) ** 2
-    if not homogeneous:
-        w = SymbolCatalog.bessel(2.0 * order).values(f.grid)
-        return float(math.sqrt(np.sum(w * c2)))
-    zero = f.grid.coeff_index(0 if f.grid.dim == 1 else (0, 0))
-    if order < 0:
-        scale = math.sqrt(float(np.sum(c2)))
-        if abs(f.coeffs[zero]) > 1e-12 * max(scale, 1e-300):
-            raise SpectralError(
-                "homogeneous norm of negative order requires a mean-free field"
-            )
-    w = SymbolCatalog.riesz(2.0 * order).values(f.grid)
+    w = SymbolCatalog.bessel(2.0 * float(order)).values(f.grid)
     return float(math.sqrt(np.sum(w * c2)))
 
 
-def pair_product(f: Field, g: Field, dealiased=True) -> Field:
-    """Pointwise product; with the 2/3 rule both factors and the result
-    are truncated so the retained band is alias free."""
+def pair_product(f: Field, g: Field) -> Field:
+    """Pointwise product under the 2/3 rule: both factors and the result are
+    truncated so the retained band is alias free."""
     f._check_same_grid(g)
     grid = f.grid
-    if not dealiased:
-        return Field(grid, f.values * g.values)
     mask = grid.dealias_mask
     fv = grid.inverse(np.where(mask, f.coeffs, 0.0)).real
     gv = grid.inverse(np.where(mask, g.coeffs, 0.0)).real
@@ -513,32 +455,23 @@ def pair_product(f: Field, g: Field, dealiased=True) -> Field:
     return Field.from_coeffs(grid, np.where(mask, ch, 0.0))
 
 
-def triple_quadrature(f: Field, g: Field, h: Field, dealiased=True) -> float:
+def triple_quadrature(f: Field, g: Field, h: Field) -> float:
     """Quadrature of f*g*h; truncating each factor to the 2/3 band makes the
     value exact for fields supported there (no triple-product aliasing
     reaches the zero mode)."""
     f._check_same_grid(g)
     f._check_same_grid(h)
     grid = f.grid
-    if dealiased:
-        mask = grid.dealias_mask
-        fv = grid.inverse(np.where(mask, f.coeffs, 0.0)).real
-        gv = grid.inverse(np.where(mask, g.coeffs, 0.0)).real
-        hv = grid.inverse(np.where(mask, h.coeffs, 0.0)).real
-    else:
-        fv, gv, hv = f.values, g.values, h.values
+    mask = grid.dealias_mask
+    fv = grid.inverse(np.where(mask, f.coeffs, 0.0)).real
+    gv = grid.inverse(np.where(mask, g.coeffs, 0.0)).real
+    hv = grid.inverse(np.where(mask, h.coeffs, 0.0)).real
     return grid.quadrature(fv * gv * hv)
 
 
-def commutator(sym: Symbol, f: Field, g: Field, dealiased=True) -> Field:
+def commutator(sym: Symbol, f: Field, g: Field) -> Field:
     """[sym(D), f] g = sym(D)(f g) - f sym(D) g with dealiased products."""
-    fg = pair_product(f, g, dealiased=dealiased)
+    fg = pair_product(f, g)
     first = apply_multiplier(sym, fg)
-    second = pair_product(f, apply_multiplier(sym, g), dealiased=dealiased)
+    second = pair_product(f, apply_multiplier(sym, g))
     return first - second
-
-
-def low_pass(f: Field, cutoff) -> Field:
-    """Sharp spectral cutoff keeping modes with |xi| <= cutoff."""
-    keep = f.grid.xi_norm <= float(cutoff)
-    return Field.from_coeffs(f.grid, np.where(keep, f.coeffs, 0.0))

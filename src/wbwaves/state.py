@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Field, Grid, SpectralError, SymbolCatalog, low_pass
+from .spectral import Field, Grid, SpectralError, SymbolCatalog
 
 CURL_TOL = 1e-10
 
@@ -151,20 +151,3 @@ def weighted_pair_norm(state: WaveState, s, kappa) -> float:
         state.grid, state.eta.coeffs, [c.coeffs for c in state.vel], s, float(kappa)
     )
     return math.sqrt(sq)
-
-
-def mollify(state: WaveState, epsilon) -> WaveState:
-    """Sharp low-pass regularization keeping modes |xi| <= 1/epsilon.
-
-    Idempotent, never increases any coefficient-weighted norm, and
-    converges to the identity as epsilon -> 0.
-    """
-    epsilon = float(epsilon)
-    if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    cutoff = 1.0 / epsilon
-    return WaveState(
-        low_pass(state.eta, cutoff),
-        tuple(low_pass(c, cutoff) for c in state.vel),
-        time=state.time,
-    )

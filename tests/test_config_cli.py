@@ -414,6 +414,18 @@ class TestStudyOutputFaults:
         assert "count" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("name, option, value", [
+        ("inequalities", "count", [1]),
+        ("kappa_limit", "values", 5),
+        ("stability", "r", [1]),
+    ])
+    def test_option_of_wrong_type_named(self, tmp_path, capsys, name, option, value):
+        outdir = tmp_path / "out"
+        raw = small_run(str(outdir), study={option: value})
+        assert main(["study", name, write_config(tmp_path, raw)]) == 1
+        assert f"error: study.{option} must be" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_two_value_mu_sweep_writes_null_order(self, tmp_path):
         outdir = tmp_path / "out"
         raw = small_run(str(outdir), params={"kappa": 1.0, "s": 2.0}, T=0.5,
@@ -527,7 +539,7 @@ class TestDescribeCommand:
         raw["initial_data"] = {"preset": "single_mode", "amplitude": 0.01, "mode": [1, 0]}
         cfgfile = write_config(tmp_path, raw)
         assert main(["describe", cfgfile]) == 0
-        assert "curl-free projection: active" in capsys.readouterr().out
+        assert "system: wb2d (2D)" in capsys.readouterr().out
 
     def test_snapshot_header_echoed(self, tmp_path, capsys):
         from wbwaves.presets import single_mode
@@ -548,3 +560,24 @@ class TestDescribeCommand:
         path.write_text("{not json")
         assert main(["describe", str(path)]) == 1
         assert "line" in capsys.readouterr().err
+
+
+def _missing_snapshot(path):
+    pass
+
+
+def _header_cut_after_magic(path):
+    path.write_bytes(b"WBSNAP1")
+
+
+@pytest.mark.parametrize("command", ["run", "describe"])
+@pytest.mark.parametrize("make_snapshot", [_missing_snapshot, _header_cut_after_magic],
+                         ids=["missing", "magic_only"])
+def test_unreadable_snapshot_exits_one(tmp_path, capsys, command, make_snapshot):
+    snap = tmp_path / "init.wbsnap"
+    make_snapshot(snap)
+    outdir = tmp_path / "o"
+    raw = small_run(str(outdir), initial_data={"snapshot": str(snap)})
+    assert main([command, write_config(tmp_path, raw)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not outdir.exists()

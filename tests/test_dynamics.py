@@ -7,26 +7,35 @@ from wbwaves import dynamics
 from wbwaves.dynamics import (
     IntegratorConfig,
     PicardError,
-    SemigroupOperator,
     _axpy,
     _ops,
     _pack,
     _Propagator,
     _resolve_steps,
-    curl_free_project,
+    _unpack,
     energy_derivative_check,
     evolve,
-    linear_rhs,
     picard_solve,
     rhs,
 )
 from wbwaves.presets import random_bandlimited, single_mode
-from wbwaves.spectral import Field, Grid, SpectralError, SymbolCatalog, apply_multiplier
+from wbwaves.spectral import Field, Grid, SymbolCatalog, apply_multiplier
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
 
 def small_state(grid, seed=0, band=4, amplitude=0.05):
     return random_bandlimited(grid, seed=seed, band=band, amplitude=amplitude)
+
+
+def propagate(params, t, u):
+    """S(t)u by the solver's propagator, as the state at time u.time + t."""
+    prop = _ops(u.grid, params, True).propagator(t)
+    return _unpack(u.grid, prop.apply(_pack(u)), u.time + t)
+
+
+def linear_part(u, params):
+    """The linear part of the right-hand side, as the solver evaluates it."""
+    return _unpack(u.grid, _ops(u.grid, params, True).linear(_pack(u)), u.time)
 
 
 class TestRhs:
@@ -51,18 +60,18 @@ class TestRhs:
         assert np.max(np.abs(out.v.values - want)) < 1e-12
 
     def test_neg_i_tanh_orientation(self):
-        # The base oracle: -i tanh(D) cos x = tanh(1) sin x.
+        # The base oracle: the 1D forcing -i tanh(D) maps cos x to tanh(1) sin x.
         g = Grid(64)
         x = np.asarray(g.x[0])
         f = Field(g, np.cos(x))
-        out = apply_multiplier(SymbolCatalog.neg_i_tanh(), f)
+        out = Field.from_coeffs(g, SymbolCatalog.forcing(g)[0] * f.coeffs)
         assert np.max(np.abs(out.values - math.tanh(1.0) * np.sin(x))) < 1e-13
 
     def test_linearization_residual_scales_linearly(self):
         g = Grid(64)
         params = Params(kappa=0.5)
         u = random_bandlimited(g, seed=3, band=5, amplitude=1.0)
-        lin = linear_rhs(u, params)
+        lin = linear_part(u, params)
 
         def residual(a):
             scaled = WaveState(a * u.eta, (a * u.v,))
@@ -112,7 +121,7 @@ class TestSemigroup:
     def test_identity_at_zero_time(self):
         g = Grid(64)
         u = small_state(g, seed=6)
-        out = SemigroupOperator(g, Params(kappa=1.0), 0.0).apply(u)
+        out = propagate(Params(kappa=1.0), 0.0, u)
         assert np.max(np.abs(out.eta.values - u.eta.values)) < 1e-12
         assert np.max(np.abs(out.v.values - u.v.values)) < 1e-12
 
@@ -122,7 +131,7 @@ class TestSemigroup:
         kappa, p, t = 0.7, 1.0, 0.37
         params = Params(kappa=kappa, mu=mu, p=p)
         u = small_state(g, seed=7, band=6, amplitude=0.3)
-        out = SemigroupOperator(g, params, t).apply(u)
+        out = propagate(params, t, u)
         for k in (1, 2, 5):
             vec = np.array([u.eta.coeffs[g.coeff_index(k)], u.v.coeffs[g.coeff_index(k)]])
             want = expm_mode(k, kappa, mu, p, t) @ vec
@@ -133,8 +142,8 @@ class TestSemigroup:
         g = Grid(64)
         params = Params(kappa=1.0)
         u = small_state(g, seed=8)
-        one = SemigroupOperator(g, params, 0.7).apply(SemigroupOperator(g, params, 0.4).apply(u))
-        two = SemigroupOperator(g, params, 1.1).apply(u)
+        one = propagate(params, 0.7, propagate(params, 0.4, u))
+        two = propagate(params, 1.1, u)
         scale = max(np.max(np.abs(two.eta.values)), np.max(np.abs(two.v.values)))
         assert np.max(np.abs(one.eta.values - two.eta.values)) <= 1e-10 * scale
         assert np.max(np.abs(one.v.values - two.v.values)) <= 1e-10 * scale
@@ -143,12 +152,12 @@ class TestSemigroup:
         g = Grid(64)
         params = Params(kappa=1.0, mu=0.4, p=1.0)
         u = small_state(g, seed=9)
-        u = WaveState(u.eta - g.field(np.full(64, np.mean(u.eta.values))), (u.v,))
-        one = SemigroupOperator(g, params, 0.3).apply(SemigroupOperator(g, params, 0.5).apply(u))
-        two = SemigroupOperator(g, params, 0.8).apply(u)
+        u = WaveState(u.eta - Field(g, np.full(64, np.mean(u.eta.values))), (u.v,))
+        one = propagate(params, 0.3, propagate(params, 0.5, u))
+        two = propagate(params, 0.8, u)
         assert np.max(np.abs(one.eta.values - two.eta.values)) < 1e-10
         l2 = lambda st: math.sqrt(g.quadrature(st.eta.values**2 + st.v.values**2))
-        decayed = SemigroupOperator(g, params, 0.5).apply(u)
+        decayed = propagate(params, 0.5, u)
         assert l2(decayed) < l2(u)
 
     def test_energy_of_single_mode_constant(self):
@@ -158,7 +167,7 @@ class TestSemigroup:
         u = single_mode(g, 0.1, mode=3)
         quad = lambda st: weighted_pair_norm(st, 0.5, params.kappa)
         before = quad(u)
-        after = quad(SemigroupOperator(g, params, 2.3).apply(u))
+        after = quad(propagate(params, 2.3, u))
         assert after == pytest.approx(before, rel=1e-10)
 
     def test_quadratic_hamiltonian_preserved(self):
@@ -166,7 +175,7 @@ class TestSemigroup:
         params = Params(kappa=0.6, s=0.5)
         u = small_state(g, seed=10)
         before = weighted_pair_norm(u, 0.5, params.kappa)
-        after = weighted_pair_norm(SemigroupOperator(g, params, 1.7).apply(u), 0.5, params.kappa)
+        after = weighted_pair_norm(propagate(params, 1.7, u), 0.5, params.kappa)
         assert after == pytest.approx(before, rel=1e-10)
 
     def test_generator_matches_linear_rhs(self):
@@ -175,21 +184,14 @@ class TestSemigroup:
         params = Params(kappa=1.0, mu=0.2, p=1.0)
         u = small_state(g, seed=11)
         dt = 1e-4
-        plus = SemigroupOperator(g, params, dt).apply(u)
-        minus = SemigroupOperator(g, params, -dt).apply(u)
-        want = linear_rhs(u, params)
+        plus = propagate(params, dt, u)
+        minus = propagate(params, -dt, u)
+        want = linear_part(u, params)
         d_eta = (plus.eta.values - minus.eta.values) / (2 * dt)
         d_v = (plus.v.values - minus.v.values) / (2 * dt)
         scale = max(np.max(np.abs(want.eta.values)), np.max(np.abs(want.v.values)), 1e-12)
         assert np.max(np.abs(d_eta - want.eta.values)) <= 1e-6 * scale
         assert np.max(np.abs(d_v - want.v.values)) <= 1e-6 * scale
-
-    def test_2d_requires_mean_free_velocity(self):
-        g = Grid((16, 16))
-        ones = Field(g, np.full(g.shape, 0.1))
-        state = WaveState(g.zero_field(), (ones, g.zero_field()))
-        with pytest.raises(SpectralError, match="mean-free"):
-            SemigroupOperator(g, Params(kappa=1.0), 0.5).apply(state)
 
     def test_2d_matches_1d_structure_on_plane_wave(self):
         # A plane wave along x1 must rotate with phase |xi| K_kappa(|xi|).
@@ -197,10 +199,10 @@ class TestSemigroup:
         params = Params(kappa=0.8)
         u = single_mode(g, 0.1, mode=(2, 0))
         t = 0.41
-        out = SemigroupOperator(g, params, t).apply(u)
+        out = propagate(params, t, u)
         g1 = Grid(32)
         u1 = single_mode(g1, 0.1, mode=2)
-        out1 = SemigroupOperator(g1, params, t).apply(u1)
+        out1 = propagate(params, t, u1)
         got = out.eta.coeffs[g.coeff_index((2, 0))] / math.sqrt(2 * math.pi)
         want = out1.eta.coeffs[g1.coeff_index(2)]
         assert abs(got - want) < 1e-12
@@ -468,43 +470,6 @@ class TestOperatorCaches:
         ops = _ops(g, params, True)
         assert len(ops._props) <= dynamics._CACHE_SIZE
         assert ops.propagator(0.5) is ops.propagator(0.5)
-
-
-class TestCurlFreeProjection:
-    def test_gradient_unchanged(self):
-        g = Grid((32, 32))
-        x1, x2 = (np.asarray(a) for a in g.x)
-        psi = Field(g, np.cos(x1) * np.cos(x2))
-        grad = tuple(apply_multiplier(SymbolCatalog.partial(j), psi, axis=j) for j in range(2))
-        out = curl_free_project(grad)
-        for a, b in zip(out, grad):
-            assert np.max(np.abs(a.values - b.values)) < 1e-12
-
-    def test_pure_curl_killed(self):
-        g = Grid((32, 32))
-        x1, x2 = (np.asarray(a) for a in g.x)
-        psi = Field(g, np.cos(x1) * np.cos(x2))
-        d1 = apply_multiplier(SymbolCatalog.partial(0), psi, axis=0)
-        d2 = apply_multiplier(SymbolCatalog.partial(1), psi, axis=1)
-        out = curl_free_project((-1.0 * d2, d1))
-        assert np.max(np.abs(out[0].values)) < 1e-13
-        assert np.max(np.abs(out[1].values)) < 1e-13
-
-    def test_idempotent(self):
-        g = Grid((32, 32))
-        rng = np.random.default_rng(17)
-        v = (Field(g, rng.standard_normal(g.shape)), Field(g, rng.standard_normal(g.shape)))
-        once = curl_free_project(v)
-        twice = curl_free_project(once)
-        for a, b in zip(once, twice):
-            assert np.max(np.abs(a.values - b.values)) < 1e-12
-
-    def test_projection_output_is_curl_free(self):
-        g = Grid((32, 32))
-        rng = np.random.default_rng(18)
-        v = (Field(g, rng.standard_normal(g.shape)), Field(g, rng.standard_normal(g.shape)))
-        out = curl_free_project(v)
-        WaveState(g.zero_field(), out)  # constructor asserts the curl bound
 
 
 class TestEnergyDerivative:

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -6,12 +5,9 @@ import pytest
 from wbwaves.config import config_from_dict
 from wbwaves.dynamics import IntegratorConfig, evolve
 from wbwaves.experiments import (
-    ExistenceEstimate,
     conservation_check,
     dissipation_test,
-    existence_time_estimate,
     fit_rate,
-    growth_bound_monitor,
     invariant_region_test,
     kappa_limit_study,
     low_capillarity_error,
@@ -206,75 +202,6 @@ class TestStability:
             stability_test(single_mode(g, 0.01), [1e-2, 1e-3], r=2.0,
                            params=Params(kappa=1.0, s=1.0), T=0.1,
                            cfg=IntegratorConfig(dt=5e-3))
-
-
-class TestExistenceTime:
-    def test_limit_as_norm_vanishes(self):
-        g = Grid(32)
-        est = existence_time_estimate(
-            WaveState.zero(g), Params(kappa=1.0, s=1.0), {"C1": 2.0}
-        )
-        want = math.log(2.0) / (2.0 * 2.0)
-        assert est.T1 == pytest.approx(want, rel=1e-12)
-        assert est.T0 == min(est.T1, 1.0)
-
-    def test_monotone_in_amplitude(self):
-        g = Grid(64)
-        params = Params(kappa=1.0, s=1.0)
-        t_values = []
-        for amp in (0.05, 0.1, 0.2):
-            est = existence_time_estimate(single_mode(g, amp), params, {"C1": 2.0})
-            t_values.append(est.T0)
-        assert t_values[0] > t_values[1] > t_values[2]
-
-    def test_monotone_in_kappa(self):
-        g = Grid(64)
-        u0 = single_mode(g, 0.1)
-        est0 = existence_time_estimate(u0, Params(kappa=0.0, s=1.0), {"C1": 2.0})
-        est1 = existence_time_estimate(u0, Params(kappa=1.0, s=1.0), {"C1": 2.0})
-        assert est1.T0 <= est0.T0
-
-    def test_high_regularity_needs_noncavitation(self):
-        g = Grid(64)
-        deep = single_mode(g, 1.5)  # min eta = -1.5 < h - 1 for any valid h
-        with pytest.raises(ValueError, match="non-cavitation"):
-            existence_time_estimate(deep, Params(kappa=1.0, s=2.0),
-                                    {"C1": 2.0, "C2": 1.0, "h0": 0.5, "H0": 2.0})
-        ok = single_mode(g, 0.2)
-        est = existence_time_estimate(ok, Params(kappa=1.0, s=2.0),
-                                      {"C1": 2.0, "C2": 1.0, "h0": 0.5, "H0": 2.0})
-        assert isinstance(est, ExistenceEstimate) and est.T0 > 0
-
-
-class TestGrowthBound:
-    def test_constant_history_dominated(self):
-        g = Grid(64)
-        u0 = single_mode(g, 0.05)
-        params = Params(kappa=1.0, s=0.75)
-        res = evolve(u0, params, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
-        report = growth_bound_monitor(res, s=0.75, params=params)
-        assert report.passed
-        assert report.extra["kind"] == "double_exponential"
-        assert report.extra["margin"] >= 1.0 - 1e-9
-
-    def test_high_regularity_envelope(self):
-        g = Grid(64)
-        u0 = single_mode(g, 0.05)
-        params = Params(kappa=1.0, s=1.5)
-        res = evolve(u0, params, IntegratorConfig(dt=5e-3), T=2.0, report_every=0.25)
-        report = growth_bound_monitor(res, s=1.5, params=params)
-        assert report.passed
-        assert report.extra["kind"] == "exponential_integral"
-
-    def test_blowup_not_dominated(self):
-        g = Grid(64)
-        u0 = single_mode(g, 40.0)
-        params = Params(kappa=1.0, s=1.0)
-        cfg = IntegratorConfig(method="reference_rk4", dt=0.05, blowup_ceiling=50.0)
-        res = evolve(u0, params, cfg, T=5.0, report_every=0.05)
-        assert res.blown_up
-        report = growth_bound_monitor(res, s=1.0, params=params)
-        assert not report.passed
 
 
 class TestConservationCheck:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wbwaves
-from wbwaves.dynamics import _ops, curl_free_project
+from wbwaves.dynamics import _ops
 from wbwaves.experiments import low_capillarity_error
 from wbwaves.functionals import hamiltonian
 from wbwaves.presets import random_bandlimited
@@ -141,7 +141,6 @@ class TestCatalogEntries:
         grid = Grid(n)
         a = grid.xi_norm
         assert np.array_equal(SymbolCatalog.d_over_tanh().values(grid), _x_over_tanh(a))
-        assert np.array_equal(SymbolCatalog.K_squared().values(grid), _tanh_over_x(a))
         for kappa in KAPPAS:
             cap = SymbolCatalog.capillary(kappa).values(grid)
             assert np.array_equal(cap, 1.0 + kappa * a * a)
@@ -165,16 +164,6 @@ class TestCatalogEntries:
             d = np.where(grid.axis_nyquist(j), 0.0, grid.xi[j])
             assert np.array_equal(SymbolCatalog.partial(j).multiplier(grid, axis=j), 1j * d)
 
-    def test_curl_free_projection_unchanged(self):
-        grid = Grid((32, 32))
-        v = random_bandlimited(grid, seed=3, band=5, amplitude=0.4).vel
-        unit = _inline_unit(grid)
-        psi = unit[0] * v[0].coeffs + unit[1] * v[1].coeffs
-        for j, comp in enumerate(curl_free_project(v)):
-            want = unit[j] * psi
-            want[0, 0] = v[j].coeffs[0, 0]
-            assert np.array_equal(comp.values, grid.inverse(want).real)
-
     def test_sobolev_norm_weights(self):
         grid = Grid(64)
         f = random_bandlimited(grid, seed=4, band=6, amplitude=1.0).v
@@ -182,10 +171,6 @@ class TestCatalogEntries:
         c2 = np.abs(f.coeffs) ** 2
         for order in (0.0, 0.5, 1.0, 2.5):
             assert sobolev_norm(f, order) == math.sqrt(np.sum((1.0 + a * a) ** order * c2))
-        safe = np.where(a == 0.0, 1.0, a)
-        for order in (0.0, 0.5, 1.5):
-            w = np.where(a == 0.0, 0.0, safe ** (2.0 * order)) if order else 1.0
-            assert sobolev_norm(f, order, homogeneous=True) == math.sqrt(np.sum(w * c2))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_weighted_sq_coeffs_bitwise_equal(self, dim):
