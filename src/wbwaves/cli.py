@@ -14,8 +14,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .config import ConfigError, RunConfig, _number, load_config, output_header
+from .config import ConfigError, RunConfig, load_config, output_header
 from .dynamics import BlowUpError, PicardError, evolve
 from .experiments import (
     conservation_check,
@@ -28,7 +29,7 @@ from .experiments import (
     stability_test,
 )
 from .functionals import EnergyReport
-from .state import Params
+from .typed import typed
 
 
 def _open_output(path):
@@ -72,11 +73,9 @@ def _write_json(path, config, payload):
 
 def cmd_run(config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
-    grid = config.grid()
-    u0 = config.initial_state(grid)
-    cfg = config.integrator()
+    u0 = config.initial_state()
     try:
-        result = evolve(u0, config.params(), cfg, config.T, config.report_every)
+        result = evolve(u0, config.params, config.integrator, config.T, config.report_every)
     except PicardError as exc:
         summary = {"status": "no_contraction", "iterations": len(exc.defects),
                    "defects": exc.defects, "contraction_estimate": exc.contraction}
@@ -105,8 +104,8 @@ def cmd_run(config: RunConfig) -> int:
 
 def _family(config, opt):
     return small_data_family(
-        config.grid(),
-        config.kappa,
+        config.grid,
+        config.params.kappa,
         count=opt["count"],
         epsilon=opt["epsilon"],
         seed=config.seed,
@@ -116,18 +115,18 @@ def _family(config, opt):
 
 def _invariant_region(config, opt):
     family = _family(config, opt)
-    params = Params(kappa=config.kappa, mu=opt["mu"], p=config.p, s=config.s)
+    params = replace(config.params, mu=opt["mu"])
     return invariant_region_test(
-        family, params, config.T, config.integrator(),
+        family, params, config.T, config.integrator,
         epsilon=opt["epsilon"], report_every=config.report_every,
     )
 
 
 def _dissipation(config, opt):
     family = _family(config, opt)
-    params = Params(kappa=config.kappa, mu=opt["mu"], p=1.0, s=config.s)
+    params = replace(config.params, mu=opt["mu"], p=1.0)
     return dissipation_test(
-        family, params, config.T, config.integrator(),
+        family, params, config.T, config.integrator,
         delta=opt["delta"], report_every=config.report_every,
     )
 
@@ -149,9 +148,9 @@ def _study_options(name, defaults, given):
         elif key in ("values", "sizes"):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-            options[key] = tuple(_number(v, where) for v in value)
+            options[key] = tuple(typed(v, where, float) for v in value)
         else:
-            options[key] = _number(value, where, int if key in ("count", "band") else float)
+            options[key] = typed(value, where, int if key in ("count", "band") else float)
     return options
 
 
@@ -175,20 +174,20 @@ STUDIES = {
     "dissipation": (_dissipation, {**_FAMILY, "delta": 0.1}, "_datum"),
     "stability": (
         lambda c, o: stability_test(
-            c.initial_state(), o["sizes"], o["r"], c.params(), c.T, c.integrator(),
+            c.initial_state(), o["sizes"], o["r"], c.params, c.T, c.integrator,
             seed=c.seed, report_every=c.report_every,
         ),
         {"sizes": (1e-2, 1e-3, 1e-4), "r": 0.5},
         "_size",
     ),
     "inequalities": (
-        lambda c, o: inequality_study(c.grid(), o["count"], c.seed),
+        lambda c, o: inequality_study(c.grid, o["count"], c.seed),
         {"count": 8},
         "",
     ),
     "conservation": (
         lambda c, o: conservation_check(
-            c.initial_state(), c.params(), c.T, c.integrator(), report_every=c.report_every
+            c.initial_state(), c.params, c.T, c.integrator, report_every=c.report_every
         ),
         {},
         "",
@@ -222,14 +221,13 @@ def cmd_study(name: str, config: RunConfig) -> int:
 
 
 def cmd_describe(config: RunConfig) -> int:
-    grid = config.grid()
-    params = config.params()
+    grid, params, integrator = config.grid, config.params, config.integrator
     lines = [
         f"system: {config.system} ({grid.dim}D)",
         f"grid: n={grid.n} length={tuple(round(L, 12) for L in grid.length)}",
         f"params: kappa={params.kappa:g} mu={params.mu:g} p={params.p:g} s={params.s:g}",
-        f"integrator: {config.method} dt={config.dt:g}",
-        f"dealias: {'on' if config.dealias else 'off'}",
+        f"integrator: {integrator.method} dt={integrator.dt:g}",
+        f"dealias: {'on' if integrator.dealias else 'off'}",
         f"horizon: T={config.T:g} report_every={config.report_every:g}",
     ]
     if "snapshot" in config.initial_data:

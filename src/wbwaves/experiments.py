@@ -10,7 +10,7 @@ the RMS fit residual reported alongside the slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -135,15 +135,13 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
         )
     if any(not (0 < k <= 1) for k in kappas):
         raise ValueError("kappa sweep values must lie in (0, 1]")
-    if base.mu != 0:
+    if base.params.mu != 0:
         raise ValueError("kappa_limit_study runs the unregularized system")
-    grid = base.grid()
-    u0 = base.initial_state(grid)
-    cfg = base.integrator()
+    u0 = base.initial_state()
 
     def run(kappa):
-        params = Params(kappa=kappa, mu=0.0, p=base.p, s=base.s)
-        return _evolve_member(f"kappa={kappa:g}", u0, params, cfg, base)
+        params = replace(base.params, kappa=kappa)
+        return _evolve_member(f"kappa={kappa:g}", u0, params, base.integrator, base)
 
     reference = run(0.0)
     points = []
@@ -154,7 +152,7 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
             point[comparison_norm] = _sup_error(
                 res,
                 reference,
-                lambda a, b: _comparison_error(comparison_norm, a, b, base.s, kappa),
+                lambda a, b: _comparison_error(comparison_norm, a, b, base.params.s, kappa),
             )
         points.append(point)
     order, resid = fit_rate(kappas, [pt["error"] for pt in points])
@@ -174,33 +172,28 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
         raise ValueError("mu_limit_study needs at least 2 sweep values")
     if any(not (0 < m < 1) for m in mus) or any(b <= a for a, b in zip(mus[1:], mus)):
         raise ValueError("mu sweep values must be strictly decreasing in (0, 1)")
-    if base.p != 1.0:
+    s = base.params.s
+    if base.params.p != 1.0:
         raise ValueError("mu_limit_study fixes p = 1")
-    if base.kappa <= 0:
+    if base.params.kappa <= 0:
         raise ValueError("mu_limit_study needs kappa > 0")
     if r is None:
-        r = max(0.5, base.s - 0.5)
+        r = max(0.5, s - 0.5)
     r = float(r)
-    if not (0 < r < base.s or r == base.s):
+    if not (0 < r < s or r == s):
         raise ValueError(f"mu_limit_study needs 0 < r <= s, got r={r}")
-    grid = base.grid()
-    u0 = base.initial_state(grid)
-    cfg = base.integrator()
+    u0 = base.initial_state()
+    cfg = base.integrator
     fallback = False
 
     def run(mu):
         nonlocal fallback
-        params = Params(kappa=base.kappa, mu=mu, p=1.0, s=base.s)
+        params = replace(base.params, mu=mu)
         try:
             return _evolve_member(f"mu={mu:g}", u0, params, cfg, base)
         except PicardError:
             fallback = True
-            alt = IntegratorConfig(
-                method="exponential_rk4",
-                dt=cfg.dt,
-                dealias=cfg.dealias,
-                blowup_ceiling=cfg.blowup_ceiling,
-            )
+            alt = replace(cfg, method="exponential_rk4")
             return _evolve_member(f"mu={mu:g}", u0, params, alt, base)
 
     reference = run(0.0)
@@ -244,7 +237,7 @@ def invariant_region_test(
             row["reason"] = "initial norm exceeds epsilon/2"
             rows.append(row)
             continue
-        variants = [("mu0", Params(kappa=params.kappa, mu=0.0, p=params.p, s=params.s))]
+        variants = [("mu0", replace(params, mu=0.0))]
         if params.mu > 0:
             variants.append(("mu", params))
         ok = True
@@ -288,8 +281,7 @@ def dissipation_test(
         row["monotone"] = all(b <= a + tol for a, b in zip(series, series[1:]))
         row["total_drop"] = series[0] - series[-1]
 
-        ctrl_params = Params(kappa=params.kappa, mu=0.0, p=params.p, s=params.s)
-        ctrl = evolve(u0, ctrl_params, cfg, T, report_every)
+        ctrl = evolve(u0, replace(params, mu=0.0), cfg, T, report_every)
         ctrl_series = [rep.hamiltonian for rep in ctrl.reports]
         drift = max(abs(h - ctrl_series[0]) for h in ctrl_series)
         row["control_drift"] = drift / max(abs(ctrl_series[0]), 1e-300)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .spectral import Field, Grid, SymbolCatalog, apply_multiplier
 from .state import WaveState
+from .typed import typed
 
 PRESETS = ("single_mode", "gaussian_bump", "random_bandlimited")
 
@@ -116,10 +117,28 @@ def random_bandlimited(grid: Grid, seed, band=8, amplitude=0.1) -> WaveState:
     return WaveState(eta, vel)
 
 
+# The type of each preset option; a 2D ``mode`` may also be a pair of
+# integers, and ``v_amplitude`` may be null.
+_OPTION_KINDS = {
+    "mode": int, "seed": int, "band": int, "amplitude": float, "width": float, "v_amplitude": float,
+}
+
+
+def _option(grid: Grid, key, value):
+    where = f"initial_data.{key}"
+    if key == "v_amplitude" and value is None:
+        return None
+    if key == "mode" and grid.dim == 2 and isinstance(value, list) and len(value) == 2:
+        return tuple(typed(m, where, int) for m in value)
+    return typed(value, where, _OPTION_KINDS[key])
+
+
 def build_preset(grid: Grid, data: dict, seed=0) -> WaveState:
-    """Build the state described by a config ``initial_data`` table."""
+    """Build the state described by a config ``initial_data`` table, each
+    option checked for its type."""
     data = dict(data)
     name = data.pop("preset")
+    data = {k: _option(grid, k, v) if k in _OPTION_KINDS else v for k, v in data.items()}
     if name == "single_mode":
         state = single_mode(
             grid,

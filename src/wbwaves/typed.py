@@ -1,0 +1,24 @@
+"""The one type check every config value passes: run settings, study options
+and preset options alike."""
+
+from __future__ import annotations
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def typed(value, name, kind):
+    """``value`` read as ``kind`` (bool, int, float or str), or a ConfigError
+    naming the field.  A float is any number and an int a number with no
+    fractional part (16.0 reads as 16); neither takes a boolean or a string."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")

@@ -80,15 +80,15 @@ class TestConfigValidation:
 
     def test_default_length_is_two_pi(self):
         cfg = config_from_dict(small_run("x"))
-        assert cfg.grid_length == (2 * math.pi,)
+        assert cfg.grid.length == (2 * math.pi,)
 
     def test_2d_scalar_broadcast(self):
         raw = small_run("x", system="wb2d")
         raw["grid"] = {"n": 16}
         raw["initial_data"] = {"preset": "single_mode", "amplitude": 0.01, "mode": [1, 0]}
         cfg = config_from_dict(raw)
-        assert cfg.grid_n == (16, 16)
-        assert cfg.dim == 2
+        assert cfg.grid.n == (16, 16)
+        assert cfg.grid.dim == 2
 
     def test_hash_stable(self):
         a = config_from_dict(small_run("x"))
@@ -116,16 +116,93 @@ def _study_not_a_table(raw):
     raw["study"] = [1]
 
 
+def _setting(field, value):
+    """A config edit that sets the dotted ``field`` to ``value``."""
+
+    def edit(raw):
+        *tables, key = field.split(".")
+        for table in tables:
+            raw = raw.setdefault(table, {})
+        raw[key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize("break_config, field", [
     (_grid_not_a_table, "grid"),
     (_kappa_not_a_number, "params.kappa"),
     (_study_not_a_table, "study"),
+    # Integers take no fraction or boolean, numbers no string or boolean, and
+    # output_dir only a string: nothing is truncated or coerced.
+    *(pytest.param(_setting(f, v), f, id=f"{f}={v!r}") for f, v in [
+        ("seed", 1.7),
+        ("grid.n", 16.5),
+        ("integrator.picard_max_iter", 2.9),
+        ("params.kappa", "1.0"),
+        ("params.s", True),
+        ("T", True),
+        ("output_dir", None),
+    ]),
 ])
 def test_wrong_value_type_names_the_field(tmp_path, capsys, break_config, field):
     raw = small_run(str(tmp_path / "o"))
     break_config(raw)
     assert main(["describe", write_config(tmp_path, raw)]) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, option, value", [
+    ("single_mode", "mode", 1.5),
+    ("random_bandlimited", "band", 2.7),
+    ("single_mode", "amplitude", "0.05"),
+    ("single_mode", "amplitude", True),
+    ("single_mode", "v_amplitude", "0.05"),
+    ("gaussian_bump", "width", [0.5]),
+    ("random_bandlimited", "seed", 1.5),
+])
+def test_mistyped_preset_option_names_it(tmp_path, capsys, preset, option, value):
+    outdir = tmp_path / "o"
+    data = {"preset": preset, "amplitude": 0.05, "width": 0.5}
+    if preset != "gaussian_bump":
+        del data["width"]
+    data[option] = value
+    raw = small_run(str(outdir), initial_data=data)
+    assert main(["run", write_config(tmp_path, raw)]) == 1
+    assert f"error: initial_data.{option} must be" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_preset_options_of_the_right_type_accepted():
+    raw = small_run("x", system="wb2d", grid={"n": 16})
+    raw["initial_data"] = {"preset": "single_mode", "amplitude": 1, "mode": [1, 2.0],
+                           "v_amplitude": None}
+    state = config_from_dict(raw).initial_state()
+    assert state.eta.linf() == pytest.approx(1.0)
+    raw["initial_data"]["mode"] = [1, 2.5]
+    with pytest.raises(ConfigError, match="initial_data.mode must be an integer"):
+        config_from_dict(raw).initial_state()
+
+
+COMMITTED_HASHES = {
+    "kappa_study.json": "0fab833118bd",
+    "reference_run.json": "8255d074e8ca",
+    "wb2d_run.json": "79aac2047d1c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED_HASHES))
+def test_committed_config_hash_pinned(name):
+    """The hash in every output header stays put for the committed configs."""
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    assert load_config(str(path)).config_hash() == COMMITTED_HASHES[name]
+
+
+def test_float_field_spelled_as_integer_hashes_the_same():
+    spelled_int = small_run("x", params={"kappa": 1, "s": 1}, integrator={"dt": 1}, T=2)
+    spelled_float = small_run("x", params={"kappa": 1.0, "s": 1.0}, integrator={"dt": 1.0},
+                              T=2.0)
+    a, b = config_from_dict(spelled_int), config_from_dict(spelled_float)
+    assert a.config_hash() == b.config_hash()
 
 
 def test_top_level_list_rejected(tmp_path, capsys):
@@ -418,6 +495,7 @@ class TestStudyOutputFaults:
         ("inequalities", "count", [1]),
         ("kappa_limit", "values", 5),
         ("stability", "r", [1]),
+        ("inequalities", "count", 2.5),
     ])
     def test_option_of_wrong_type_named(self, tmp_path, capsys, name, option, value):
         outdir = tmp_path / "out"
