@@ -26,6 +26,12 @@ Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
 operators, so velocity content there (and off e) is propagated by the heat
 factor alone.
+
+State layout: inside this module a state is one (1 + d, *half) complex
+array, half = (*n[:-1], n[-1]//2 + 1), of the rfftn coefficients of
+(eta, v_1, .., v_d), and every multiplier is cut to the same half
+spectrum.  ``Field.coeffs`` keeps the full fftn spectrum; ``_pack`` and
+``_unpack`` convert at the boundary.
 """
 
 from __future__ import annotations
@@ -92,53 +98,58 @@ class IntegratorConfig:
 
 
 class _Ops:
-    """The system's multipliers on one grid, one array per axis j: the
-    derivative d_j, the unit wave vector e_j, the forcing G_j = -K^2 d_j
-    (2/3-masked when dealiasing) and the restoring G_j (1 + kappa|xi|^2)."""
+    """The system's multipliers on the half spectrum of one grid, stacked
+    over the axes j: the derivative d_j, the unit wave vector e_j, the
+    forcing G_j = -K^2 d_j (2/3-masked when dealiasing) and the restoring
+    G_j (1 + kappa|xi|^2)."""
 
     def __init__(self, grid: Grid, params: Params, dealias: bool):
         self.grid = grid
         cat = SymbolCatalog
-        self.mask = grid.dealias_mask.astype(np.float64) if dealias else None
-        if params.mu > 0:
-            self.heat_rate = params.kappa * params.mu * cat.riesz(params.p).values(grid)
-        else:
-            self.heat_rate = None
-        self.Kk = cat.K_kappa(params.kappa).values(grid)
-        self.Kk_inv = cat.K_kappa_inv(params.kappa).values(grid)
-        self.phase = cat.frequency(grid, params.kappa)
-        self.unit = cat.unit_vectors(grid)
-        self.dx = tuple(cat.partial(j).multiplier(grid, axis=j) for j in range(grid.dim))
-        forcing = cat.forcing(grid)
-        cap = cat.capillary(params.kappa).values(grid)
-        self.restoring = tuple(g * cap for g in forcing)
-        self.forcing = forcing if self.mask is None else tuple(g * self.mask for g in forcing)
+        half = grid.half
+        self.mask = half(grid.dealias_mask.astype(np.float64)) if dealias else None
+        rate = cat.riesz(params.p)
+        self.heat_rate = half(params.kappa * params.mu * rate.values(grid)) if params.mu > 0 else None
+        self.Kk = half(cat.K_kappa(params.kappa).values(grid))
+        self.Kk_inv = half(cat.K_kappa_inv(params.kappa).values(grid))
+        self.phase = half(cat.frequency(grid, params.kappa))
+        self.unit = np.stack([half(e) for e in cat.unit_vectors(grid)])
+        self.dx = np.stack([half(cat.partial(j).multiplier(grid, axis=j)) for j in range(grid.dim)])
+        forcing = np.stack([half(g) for g in cat.forcing(grid)])
+        self.restoring = forcing * half(cat.capillary(params.kappa).values(grid))
+        self.forcing = forcing if self.mask is None else forcing * self.mask
         self._props = OrderedDict()
-
-    # FFT helpers on raw coefficient arrays.
-    def coeffs(self, values):
-        return np.fft.fftn(values) * self.grid._norm_factor
-
-    def truncated_phys(self, c):
-        return self.grid.inverse(c if self.mask is None else c * self.mask).real
 
     def nonlinear(self, u):
         """Quadratic forcing of the evolution (the Duhamel integrand):
-        -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j."""
-        eta = self.truncated_phys(u[0])
-        vs = [self.truncated_phys(c) for c in u[1:]]
-        flux = [self.coeffs(eta * v) for v in vs]
-        b = self.coeffs(0.5 * _dot(vs, vs))
-        return (_dot(self.forcing, flux),) + tuple(g * b for g in self.forcing)
+        -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j.
+        One inverse transform of the masked state, then one forward
+        transform of (|v|^2/2, eta v_1, .., eta v_d) in its place."""
+        grid = self.grid
+        axes = tuple(range(1, u.ndim))
+        phys = np.fft.irfftn(u if self.mask is None else u * self.mask, s=grid.n, axes=axes)
+        phys /= grid._norm_factor
+        eta, vel = phys[0], phys[1:]
+        sq = np.sum(vel * vel, axis=0)
+        vel *= eta
+        np.multiply(sq, 0.5, out=eta)
+        c = np.fft.rfftn(phys, axes=axes)
+        c *= grid._norm_factor
+        out = np.empty_like(u)
+        np.multiply(self.forcing, c[0], out=out[1:])
+        c[1:] *= self.forcing
+        np.sum(c[1:], axis=0, out=out[0])
+        return out
 
     def linear(self, u):
-        out = [-_dot(self.dx, u[1:])] + [r * u[0] for r in self.restoring]
+        div = np.sum(self.dx * u[1:], axis=0, keepdims=True)
+        out = np.concatenate([-div, self.restoring * u[0]])
         if self.heat_rate is not None:
-            out = [d - self.heat_rate * c for d, c in zip(out, u)]
-        return tuple(out)
+            out -= self.heat_rate * u
+        return out
 
     def full(self, u):
-        return _axpy(self.linear(u), 1.0, self.nonlinear(u))
+        return self.linear(u) + self.nonlinear(u)
 
     def propagator(self, t):
         return _cached(self._props, t, lambda: _Propagator(self, t))
@@ -161,8 +172,7 @@ class _Propagator:
 
     def __init__(self, ops: _Ops, t: float):
         theta = t * ops.phase
-        cos = np.cos(theta)
-        sin = np.sin(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
         e = ops.unit
         self.rows = [(cos,) + tuple(-1j * (ops.Kk_inv * sin * ej) for ej in e)]
         self.rows += [
@@ -173,11 +183,14 @@ class _Propagator:
         self.heat = np.exp(-t * ops.heat_rate) if ops.heat_rate is not None else None
 
     def apply(self, u):
-        out = [_dot(row, u) for row in self.rows]
+        out = np.empty_like(u)
+        for row, acc in zip(self.rows, out):
+            np.multiply(row[0], u[0], out=acc)
+            for m, c in zip(row[1:], u[1:]):
+                acc += m * c
         if self.heat is not None:
-            for c in out:
-                c *= self.heat
-        return tuple(out)
+            out *= self.heat
+        return out
 
 
 # The _Ops and _Propagator caches keep their _CACHE_SIZE most recently used
@@ -203,28 +216,21 @@ def _ops(grid: Grid, params: Params, dealias: bool) -> _Ops:
 
 
 def _pack(state: WaveState):
-    return (state.eta.coeffs,) + tuple(c.coeffs for c in state.vel)
+    """The state as one (1 + d, *half) array of half-spectrum coefficients."""
+    return np.stack([state.grid.half(f.coeffs) for f in (state.eta, *state.vel)])
 
 
 def _unpack(grid: Grid, u, time) -> WaveState:
-    fields = [Field.from_coeffs(grid, c, context="trajectory sample") for c in u]
+    """The state of half-spectrum coefficients ``u``.  The full spectrum
+    mirrors the last axis's columns 1 .. n/2 - 1 and takes the self-conjugate
+    columns 0 and n/2 as they are, for the realness check to see."""
+    n = grid.n[-1]
+    mirror = u[..., n // 2 - 1 : 0 : -1].conj()
+    for axis in range(1, grid.dim):
+        mirror = np.roll(np.flip(mirror, axis), 1, axis)
+    full = np.concatenate([u, mirror], axis=-1)
+    fields = [Field.from_coeffs(grid, c, context="trajectory sample") for c in full]
     return WaveState(fields[0], tuple(fields[1:]), time=time)
-
-
-def _dot(a, b):
-    """sum_j a_j b_j over the axes, starting from the first term."""
-    acc = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        acc += x * y
-    return acc
-
-
-def _axpy(u, a, v):
-    return tuple(x + a * y for x, y in zip(u, v))
-
-
-def _scale(u, a):
-    return tuple(a * x for x in u)
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +251,19 @@ def _lawson_rk4_step(ops: _Ops, u, dt):
     full = ops.propagator(dt)
     half = ops.propagator(0.5 * dt)
     k1 = ops.nonlinear(u)
-    k2 = ops.nonlinear(half.apply(_axpy(u, 0.5 * dt, k1)))
-    su_half = half.apply(u)
-    k3 = ops.nonlinear(_axpy(su_half, 0.5 * dt, k2))
+    k2 = ops.nonlinear(half.apply(u + 0.5 * dt * k1))
+    k3 = ops.nonlinear(half.apply(u) + 0.5 * dt * k2)
     su_full = full.apply(u)
-    k4 = ops.nonlinear(_axpy(su_full, dt, half.apply(k3)))
-    acc = _axpy(full.apply(k1), 2.0, half.apply(_axpy(k2, 1.0, k3)))
-    acc = _axpy(acc, 1.0, k4)
-    return _axpy(su_full, dt / 6.0, acc)
+    k4 = ops.nonlinear(su_full + dt * half.apply(k3))
+    return su_full + dt / 6.0 * (full.apply(k1) + 2.0 * half.apply(k2 + k3) + k4)
 
 
 def _reference_rk4_step(ops: _Ops, u, dt):
     k1 = ops.full(u)
-    k2 = ops.full(_axpy(u, 0.5 * dt, k1))
-    k3 = ops.full(_axpy(u, 0.5 * dt, k2))
-    k4 = ops.full(_axpy(u, dt, k3))
-    acc = _axpy(_axpy(k1, 2.0, k2), 1.0, _axpy(_scale(k3, 2.0), 1.0, k4))
-    return _axpy(u, dt / 6.0, acc)
+    k2 = ops.full(u + 0.5 * dt * k1)
+    k3 = ops.full(u + 0.5 * dt * k2)
+    k4 = ops.full(u + dt * k3)
+    return u + dt / 6.0 * (k1 + 2.0 * k2 + (2.0 * k3 + k4))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,7 @@ def evolve(
             break
         with np.errstate(over="ignore", invalid="ignore"):
             u = step(ops, u, dt)
-            sup = max(float(np.max(np.abs(c))) for c in u)
+            sup = float(np.max(np.abs(u)))
         if not math.isfinite(sup) or sup > 1e3 * cfg.blowup_ceiling:
             result.blown_up = True
             result.blowup_time = t + dt
@@ -385,23 +387,22 @@ def _duhamel_integrals(ops: _Ops, forcing, dt):
     three nodes back, so a sweep applies O(N) propagators and keeps only the
     two latest even values."""
     s1, s2, s3 = (ops.propagator(k * dt) for k in (1, 2, 3))
-    before = last = tuple(np.zeros_like(c) for c in forcing[0])
+    before = last = np.zeros_like(forcing[0])
     yield last
     for m in range(1, len(forcing)):
         if m == 1:
-            acc = last
+            acc = np.zeros_like(last)
             for j, wj in enumerate(_FIRST_PANEL[min(len(forcing), 4)]):
-                acc = _axpy(acc, dt * wj, ops.propagator((1 - j) * dt).apply(forcing[j]))
+                acc += dt * wj * ops.propagator((1 - j) * dt).apply(forcing[j])
         elif m % 2 == 0:
-            acc = s2.apply(_axpy(last, dt / 3.0, forcing[m - 2]))
-            acc = _axpy(acc, 4.0 * dt / 3.0, s1.apply(forcing[m - 1]))
-            acc = _axpy(acc, dt / 3.0, forcing[m])
+            acc = s2.apply(last + dt / 3.0 * forcing[m - 2])
+            acc += 4.0 * dt / 3.0 * s1.apply(forcing[m - 1])
+            acc += dt / 3.0 * forcing[m]
             before, last = last, acc
         else:
-            acc = s3.apply(_axpy(before, 3.0 * dt / 8.0, forcing[m - 3]))
-            inner = _axpy(s2.apply(forcing[m - 2]), 1.0, s1.apply(forcing[m - 1]))
-            acc = _axpy(acc, 9.0 * dt / 8.0, inner)
-            acc = _axpy(acc, 3.0 * dt / 8.0, forcing[m])
+            acc = s3.apply(before + 3.0 * dt / 8.0 * forcing[m - 3])
+            acc += 9.0 * dt / 8.0 * (s2.apply(forcing[m - 2]) + s1.apply(forcing[m - 1]))
+            acc += 3.0 * dt / 8.0 * forcing[m]
         yield acc
 
 
@@ -436,17 +437,15 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     u = free = [ops.propagator(m * dt).apply(u_init) for m in range(n_steps + 1)]
 
     def defect_norm(a, b):
-        diff = _axpy(a, -1.0, b)
-        return math.sqrt(
-            _weighted_sq_coeffs(grid, diff[0], diff[1:], params.s, params.kappa)
-        )
+        d = a - b
+        return math.sqrt(_weighted_sq_coeffs(grid, d[0], d[1:], params.s, params.kappa, True))
 
     defects = []
     for iteration in range(1, cfg.picard_max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = [ops.nonlinear(um) for um in u]
             integrals = _duhamel_integrals(ops, forcing, dt)
-            new_u = [_axpy(fm, 1.0, im) for fm, im in zip(free, integrals)]
+            new_u = [fm + im for fm, im in zip(free, integrals)]
             # np.max, unlike max, lets a NaN defect through to the check below.
             worst = float(np.max([defect_norm(a, b) for a, b in zip(new_u, u)]))
         u = new_u

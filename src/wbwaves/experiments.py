@@ -196,7 +196,9 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
             alt = replace(cfg, method="exponential_rk4")
             return _evolve_member(f"mu={mu:g}", u0, params, alt, base)
 
-    reference = run(0.0)
+    # The Duhamel solver is undefined at mu = 0: the reference steps by ERK4.
+    ref_cfg = replace(cfg, method="exponential_rk4") if cfg.method == "picard_duhamel" else cfg
+    reference = _evolve_member("mu=0", u0, replace(base.params, mu=0.0), ref_cfg, base)
 
     def metric(a, b):
         theta, ws = _pair_difference_norms(a, b)

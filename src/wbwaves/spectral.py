@@ -162,6 +162,12 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
+    def half(self, a):
+        """The rfftn half-spectrum slice (last axis cut to n//2 + 1) of a
+        full-lattice array, or of one broadcastable to the grid shape."""
+        a = np.broadcast_to(a, self.shape)[..., : self.n[-1] // 2 + 1]
+        return np.ascontiguousarray(a)
+
     def coeff_index(self, k):
         """Array index of integer mode k (int in 1D, pair in 2D)."""
         if self.dim == 1:

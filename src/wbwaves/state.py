@@ -116,22 +116,29 @@ def curl_residue(vel) -> float:
 
 
 @lru_cache(maxsize=16)
-def _norm_weights(grid: Grid, s, kappa):
-    """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi."""
+def _norm_weights(grid: Grid, s, kappa, half=False):
+    """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi; with
+    ``half``, on the rfftn half spectrum, where each interior column of the
+    last axis counts twice, for itself and its Hermitian mirror (Parseval)."""
     bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
     eta_w = bess * SymbolCatalog.capillary(kappa).values(grid)
     vel_w = bess * SymbolCatalog.d_over_tanh().values(grid)
+    if half:
+        count = np.full(grid.n[-1] // 2 + 1, 2.0)
+        count[0] = count[-1] = 1.0
+        eta_w, vel_w = grid.half(eta_w) * count, grid.half(vel_w) * count
     eta_w.flags.writeable = vel_w.flags.writeable = False
     return eta_w, vel_w
 
 
-def _weighted_sq_coeffs(grid: Grid, eta_c, vel_cs, s, kappa) -> float:
-    """Squared weighted norm from raw coefficient arrays.
+def _weighted_sq_coeffs(grid: Grid, eta_c, vel_cs, s, kappa, half=False) -> float:
+    """Squared weighted norm from raw coefficient arrays (rfftn half spectra
+    with ``half``).
 
     kappa*|grad eta|^2 + |eta|^2 weighted by <xi>^(2s-1), plus the velocity
     measured through K^-1 (symbol sqrt(|xi|/tanh|xi|)) at the same weight.
     """
-    eta_w, vel_w = _norm_weights(grid, s, kappa)
+    eta_w, vel_w = _norm_weights(grid, s, kappa, half)
     total = np.sum(eta_w * np.abs(eta_c) ** 2)
     for vc in vel_cs:
         total += np.sum(vel_w * np.abs(vc) ** 2)

@@ -512,6 +512,28 @@ class TestStudyOutputFaults:
         summary = strict_json(outdir / "mu_limit_mu.json")
         assert summary["fitted_order"] is None and summary["residual"] is None
 
+    def test_picard_mu_sweep_runs_its_reference_by_erk4(self, tmp_path, capsys):
+        """The mu = 0 reference of a picard_duhamel sweep cannot use the
+        Duhamel solver; the study still ends with its verdict and a row per mu."""
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            system="wb1d_regularized",
+            grid={"n": 32},
+            params={"kappa": 1.0, "mu": 0.1, "s": 1.0},
+            initial_data={"preset": "random_bandlimited", "band": 4, "amplitude": 0.05},
+            integrator={"method": "picard_duhamel", "dt": 0.01},
+            T=0.2,
+            study={"values": [0.5, 0.2, 0.1]},
+        )
+        code = main(["study", "mu_limit", write_config(tmp_path, raw)])
+        assert "error" not in capsys.readouterr().err
+        summary = strict_json(outdir / "mu_limit_mu.json")
+        assert code == (0 if summary["pass"] else 1)
+        lines = (outdir / "mu_limit_mu.csv").read_text().splitlines()
+        assert lines[1] == "mu,error"
+        assert [float(line.split(",")[0]) for line in lines[2:]] == [0.5, 0.2, 0.1]
+
     def test_diverging_picard_run_writes_null_estimate(self, tmp_path):
         outdir = tmp_path / "out"
         raw = small_run(

@@ -7,7 +7,6 @@ from wbwaves import dynamics
 from wbwaves.dynamics import (
     IntegratorConfig,
     PicardError,
-    _axpy,
     _ops,
     _pack,
     _Propagator,
@@ -394,7 +393,12 @@ def duhamel_weights(m, n_nodes, dt):
 
 
 def weighted_norm(grid, params, u):
-    return math.sqrt(_weighted_sq_coeffs(grid, u[0], u[1:], params.s, params.kappa))
+    """Weighted norm of half-spectrum coefficients (Parseval weights)."""
+    return math.sqrt(_weighted_sq_coeffs(grid, u[0], u[1:], params.s, params.kappa, True))
+
+
+def state_difference(a, b):
+    return WaveState(a.eta - b.eta, tuple(x - y for x, y in zip(a.vel, b.vel)))
 
 
 def quadratic_picard(u0, params, cfg, T):
@@ -411,11 +415,9 @@ def quadratic_picard(u0, params, cfg, T):
             nodes, w = duhamel_weights(m, n_steps + 1, dt)
             acc = free[m]
             for j, wj in zip(nodes, w):
-                acc = _axpy(acc, wj, props[m - int(j)].apply(forcing[int(j)]))
+                acc = acc + wj * props[m - int(j)].apply(forcing[int(j)])
             new_u.append(acc)
-        defects.append(
-            max(weighted_norm(u0.grid, params, _axpy(a, -1.0, b)) for a, b in zip(new_u, u))
-        )
+        defects.append(max(weighted_norm(u0.grid, params, a - b) for a, b in zip(new_u, u)))
         u = new_u
         if defects[-1] < cfg.picard_tol:
             return u, defects
@@ -438,10 +440,11 @@ class TestPanelRecurrence:
         ref, ref_defects = quadratic_picard(u0, params, cfg, T)
         assert len(res.trajectory.states) == steps + 1
         # Both sides go through the same coefficients -> real fields round trip.
-        ref = [_pack(dynamics._unpack(g, um, 0.0)) for um in ref]
-        got = [_pack(st) for st in res.trajectory.states]
-        scale = max(weighted_norm(g, params, um) for um in ref)
-        err = max(weighted_norm(g, params, _axpy(a, -1.0, b)) for a, b in zip(got, ref))
+        ref = [_unpack(g, um, 0.0) for um in ref]
+        got = res.trajectory.states
+        norm = lambda st: weighted_pair_norm(st, params.s, params.kappa)
+        scale = max(norm(st) for st in ref)
+        err = max(norm(state_difference(a, b)) for a, b in zip(got, ref))
         assert err <= DUHAMEL_RTOL * scale
         assert res.iterations == len(ref_defects) >= 2
         # A defect is a norm of a difference of two sweeps, so it moves by at
@@ -575,6 +578,11 @@ class PerDimensionOperators:
         return [e_new, self.unit[0] * p_new, self.unit[1] * p_new]
 
 
+def _half(grid, u):
+    """The half-spectrum layout of a tuple of full spectra."""
+    return np.stack([grid.half(c) for c in u])
+
+
 def _max_rel(got, want):
     scale = max(float(np.max(np.abs(w))) for w in want)
     return max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) / scale
@@ -592,11 +600,14 @@ class TestDimensionGenericOperators:
                 rng = np.random.default_rng(seed)
                 u = tuple(g.transform(0.3 * rng.standard_normal(g.shape)) for _ in range(2))
             else:
-                u = _pack(random_bandlimited(g, seed=seed, band=min(n) // 3, amplitude=0.3))
-            assert _max_rel(ops.nonlinear(u), ref.nonlinear(u)) <= OPERATOR_RTOL
-            assert _max_rel(ops.linear(u), ref.linear(u)) <= OPERATOR_RTOL
+                st = random_bandlimited(g, seed=seed, band=min(n) // 3, amplitude=0.3)
+                u = (st.eta.coeffs,) + tuple(c.coeffs for c in st.vel)
+            uh = _half(g, u)
+            assert _max_rel(ops.nonlinear(uh), _half(g, ref.nonlinear(u))) <= OPERATOR_RTOL
+            assert _max_rel(ops.linear(uh), _half(g, ref.linear(u))) <= OPERATOR_RTOL
             for t in (1e-3, -0.02, 0.37):
-                assert _max_rel(ops.propagator(t).apply(u), ref.propagate(u, t)) <= OPERATOR_RTOL
+                got = ops.propagator(t).apply(uh)
+                assert _max_rel(got, _half(g, ref.propagate(u, t))) <= OPERATOR_RTOL
 
     @pytest.mark.parametrize("n", [(16,), (16, 16)])
     @pytest.mark.parametrize("mu", [0.0, 0.3])
@@ -612,8 +623,9 @@ class TestDimensionGenericOperators:
         for c in u[1:]:
             for k in modes:
                 c[g.coeff_index(k)] = rng.standard_normal()
-        out = _ops(g, params, True).propagator(t).apply(tuple(u))
+        uh = _half(g, u)
+        out = _ops(g, params, True).propagator(t).apply(uh)
         heat = np.exp(-t * (params.kappa * params.mu * g.xi_norm)) if mu else np.ones(g.shape)
-        for got, c in zip(out[1:], u[1:]):
-            assert np.array_equal(got, heat * c)
+        for got, c in zip(out[1:], uh[1:]):
+            assert np.array_equal(got, g.half(heat) * c)
         assert not np.any(out[0])

@@ -110,15 +110,16 @@ class TestOpsArrays:
         p = Params(kappa=kappa, mu=0.1 if regularized else 0.0, p=0.75 if regularized else 1.0)
         ops = _ops(grid, p, True)
         want = inline_ops_arrays(grid, p, regularized)
+        half = grid.half
         for name, ref in want.items():
             got = getattr(ops, name)
             if ref is None:
                 assert got is None, name
                 continue
-            pairs = zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]
-            for g, r in pairs:
-                assert g.shape == r.shape and g.dtype == r.dtype, name
-                assert np.array_equal(g, r), name
+            # Each _Ops array is the half-spectrum slice, stacked over the axes.
+            ref = np.stack([half(r) for r in ref]) if isinstance(ref, tuple) else half(ref)
+            assert got.shape == ref.shape and got.dtype == ref.dtype, name
+            assert np.array_equal(got, ref), name
         # The restoring multiplier G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j is
         # the former -i tanh(xi)(1 + kappa xi^2) element for element in 1D; in
         # 2D it is -K^2 d_j (1 + kappa|xi|^2) to roundoff off the Nyquist
@@ -127,10 +128,11 @@ class TestOpsArrays:
         for j, got in enumerate(ops.restoring):
             if grid.dim == 1:
                 t = np.where(grid.axis_nyquist(0), 0.0, np.tanh(grid.xi[0]))
-                assert np.array_equal(got, -1j * t * cap)
+                assert np.array_equal(got, half(-1j * t * cap))
             else:
-                nyq = grid.nyquist_mask
-                ref = np.where(nyq, 0.0, -_tanh_over_x(grid.xi_norm) * want["dx"][j] * cap)
+                nyq = half(grid.nyquist_mask)
+                ref = half(np.where(grid.nyquist_mask, 0.0,
+                                    -_tanh_over_x(grid.xi_norm) * want["dx"][j] * cap))
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
                 assert not np.any(got[nyq])
 
