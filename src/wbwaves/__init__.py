@@ -30,7 +30,6 @@ from .spectral import (
     lp_norm,
     pair_product,
     sobolev_norm,
-    triple_quadrature,
 )
 from .state import Params, WaveState, weighted_pair_norm
 
@@ -62,6 +61,5 @@ __all__ = [
     "rhs",
     "smallness_threshold",
     "sobolev_norm",
-    "triple_quadrature",
     "weighted_pair_norm",
 ]

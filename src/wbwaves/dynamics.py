@@ -12,7 +12,8 @@ with K = sqrt(tanh|D|/|D|) and, in 2D, a curl-free velocity.  In 1D
 
 The bracketed viscous terms are active in the regularized variant
 (params.mu > 0).  Every operator is written once for both dimensions, from
-per-axis multipliers.
+per-axis multipliers cut to the half spectrum, and acts on the packed
+state array of ``WaveState.packed``.
 
 The linear part diagonalizes exactly: with the unit wave vector
 e = xi/|xi| (sgn xi in 1D), in the variables eta +- K_kappa^-1 (e.v) it
@@ -26,12 +27,6 @@ Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
 operators, so velocity content there (and off e) is propagated by the heat
 factor alone.
-
-State layout: inside this module a state is one (1 + d, *half) complex
-array, half = (*n[:-1], n[-1]//2 + 1), of the rfftn coefficients of
-(eta, v_1, .., v_d), and every multiplier is cut to the same half
-spectrum.  ``Field.coeffs`` keeps the full fftn spectrum; ``_pack`` and
-``_unpack`` convert at the boundary.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .functionals import EnergyReport, modified_energy
-from .spectral import Field, Grid, SymbolCatalog
+from .spectral import Grid, SymbolCatalog
 from .state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
 INTEGRATOR_METHODS = ("exponential_rk4", "reference_rk4", "picard_duhamel")
@@ -215,24 +210,6 @@ def _ops(grid: Grid, params: Params, dealias: bool) -> _Ops:
     return _cached(_OPS_CACHE, (grid, params, dealias), lambda: _Ops(grid, params, dealias))
 
 
-def _pack(state: WaveState):
-    """The state as one (1 + d, *half) array of half-spectrum coefficients."""
-    return np.stack([state.grid.half(f.coeffs) for f in (state.eta, *state.vel)])
-
-
-def _unpack(grid: Grid, u, time) -> WaveState:
-    """The state of half-spectrum coefficients ``u``.  The full spectrum
-    mirrors the last axis's columns 1 .. n/2 - 1 and takes the self-conjugate
-    columns 0 and n/2 as they are, for the realness check to see."""
-    n = grid.n[-1]
-    mirror = u[..., n // 2 - 1 : 0 : -1].conj()
-    for axis in range(1, grid.dim):
-        mirror = np.roll(np.flip(mirror, axis), 1, axis)
-    full = np.concatenate([u, mirror], axis=-1)
-    fields = [Field.from_coeffs(grid, c, context="trajectory sample") for c in full]
-    return WaveState(fields[0], tuple(fields[1:]), time=time)
-
-
 # ---------------------------------------------------------------------------
 # Public right-hand side
 
@@ -240,7 +217,7 @@ def _unpack(grid: Grid, u, time) -> WaveState:
 def rhs(state: WaveState, params: Params) -> WaveState:
     """Time derivative of the state under the system with these parameters."""
     ops = _ops(state.grid, params, True)
-    return _unpack(state.grid, ops.full(_pack(state)), state.time)
+    return WaveState.from_packed(state.grid, ops.full(state.packed()), state.time)
 
 
 # ---------------------------------------------------------------------------
@@ -333,29 +310,34 @@ def evolve(
     n_rep = math.ceil(T / report_every - 1e-9)
     report_steps = [min(n_steps, round(i * report_every / dt)) for i in range(n_rep + 1)]
     report_steps[-1] = n_steps
-    traj = Trajectory()
+    result = EvolveResult(Trajectory())
+
+    def sample(state):
+        """Report on ``state``; True once its weighted norm passes the ceiling."""
+        report = EnergyReport.measure(state, params)
+        result.trajectory.append(state, report)
+        if report.weighted_norm > cfg.blowup_ceiling:
+            result.blown_up = True
+            result.blowup_time = state.time
+        return result.blown_up
+
     if cfg.method == "picard_duhamel":
         nodes = picard_solve(u0, params, cfg, T).trajectory.states
         for k in report_steps:
-            traj.append(nodes[k], EnergyReport.measure(nodes[k], params))
-        return EvolveResult(traj)
+            if sample(nodes[k]):
+                break
+        return result
     ops = _ops(u0.grid, params, cfg.dealias)
     step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
 
-    result = EvolveResult(traj)
-    u = _pack(u0)
+    u = u0.packed()
     t0 = u0.time
     rep_i = 0
     for k in range(n_steps + 1):
         t = t0 + k * dt
         while rep_i < len(report_steps) and report_steps[rep_i] == k:
-            state = _unpack(u0.grid, u, t)
-            report = EnergyReport.measure(state, params)
-            traj.append(state, report)
             rep_i += 1
-            if report.weighted_norm > cfg.blowup_ceiling:
-                result.blown_up = True
-                result.blowup_time = t
+            if sample(WaveState.from_packed(u0.grid, u, t)):
                 return result
         if k == n_steps:
             break
@@ -433,12 +415,11 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     n_steps, dt = _resolve_steps(T, cfg.dt)
     ops = _ops(u0.grid, params, cfg.dealias)
     grid = u0.grid
-    u_init = _pack(u0)
+    u_init = u0.packed()
     u = free = [ops.propagator(m * dt).apply(u_init) for m in range(n_steps + 1)]
 
     def defect_norm(a, b):
-        d = a - b
-        return math.sqrt(_weighted_sq_coeffs(grid, d[0], d[1:], params.s, params.kappa, True))
+        return math.sqrt(_weighted_sq_coeffs(grid, a - b, params.s, params.kappa))
 
     defects = []
     for iteration in range(1, cfg.picard_max_iter + 1):
@@ -460,7 +441,7 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
         if worst < cfg.picard_tol:
             traj = Trajectory()
             for m, um in enumerate(u):
-                traj.append(_unpack(grid, um, u0.time + m * dt))
+                traj.append(WaveState.from_packed(grid, um, u0.time + m * dt))
             return PicardResult(traj, iteration, defects)
     ratios = [b / a for a, b in zip(defects, defects[1:]) if a > 0]
     contraction = max(ratios) if ratios else math.inf
@@ -510,26 +491,18 @@ def energy_derivative_check(state: WaveState, params: Params, s=None) -> Derivat
 
     tau = 0.01 * (1.0 + norm_state) / (1.0 + norm_rate)
 
-    def shifted(sigma):
-        scale = sigma * tau
-        eta = state.eta + scale * f.eta
-        vel = tuple(v + scale * fv for v, fv in zip(state.vel, f.vel))
-        return WaveState(eta, vel, time=state.time)
+    u = state.packed()
+    h = 5e-4 / (1.0 + norm_state)
 
-    def stencil(values, h):
-        em2, em1, ep1, ep2 = values
+    def stencil(packed_at, h):
+        em2, em1, ep1, ep2 = (
+            modified_energy(WaveState.from_packed(state.grid, packed_at(sig), state.time), params)
+            for sig in (-2, -1, 1, 2)
+        )
         return (em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * h)
 
-    chain = stencil([modified_energy(shifted(sig), params) for sig in (-2, -1, 1, 2)], tau)
-
-    h = 5e-4 / (1.0 + norm_state)
-    u = _pack(state)
-
-    def advanced(sigma):
-        advanced_state = _unpack(state.grid, _reference_rk4_step(ops, u, sigma * h), state.time)
-        return modified_energy(advanced_state, params)
-
-    evol = stencil([advanced(sig) for sig in (-2, -1, 1, 2)], h)
+    chain = stencil(lambda sig: u + sig * tau * f.packed(), tau)
+    evol = stencil(lambda sig: _reference_rk4_step(ops, u, sig * h), h)
 
     denom = (1.0 + params.kappa) * (norm_state**2 + norm_state**4)
     ratio = chain / denom if denom > 0 else 0.0

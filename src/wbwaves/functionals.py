@@ -11,9 +11,10 @@ and dissipated by the viscous one.  The energy with cubic correction
     E_s(eta, v) = 1/2 ||eta, v||_w^2 + 1/2 int eta (J^{s-1/2} v)^2 dx
 
 uses the weighted pair norm and reduces to the Hamiltonian at s = 1/2, which
-is how the Hamiltonian is computed.  Quadratic terms are coefficient sums
-(exact by Parseval); cubic integrands use dealiased products and plain grid
-quadrature.
+is how the Hamiltonian is computed.  Every functional reads the state's
+half spectrum (``WaveState.packed``): quadratic terms are coefficient sums
+(exact by Parseval), and a cubic term is one inverse transform of its
+dealiased factors plus plain grid quadrature.
 """
 
 from __future__ import annotations
@@ -23,14 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    SpectralError,
-    SymbolCatalog,
-    apply_multiplier,
-    sobolev_norm,
-    triple_quadrature,
-)
+from .spectral import Grid, SpectralError, SymbolCatalog
 from .state import Params, WaveState, weighted_pair_norm
+from .state import _norm_weights, _parseval, _weighted_sq_coeffs
 
 #: Default small-data level for invariant-region experiments.  The proofs
 #: only assert existence of such a level; this value is calibrated so the
@@ -49,35 +45,44 @@ CSV_COLUMNS = (
 )
 
 
+def _cubic(grid: Grid, eta_c, w, order) -> float:
+    """int eta |J^order w|^2 dx for the half spectra eta_c and w = (w_1, ..).
+
+    One inverse transform of the 2/3-masked factors, then grid quadrature:
+    exact for fields supported in the band, since no triple-product alias
+    reaches the zero mode.  J^0 multiplies by exactly 1."""
+    mask = grid.half(grid.dealias_mask)
+    jw = mask * grid.half(SymbolCatalog.bessel(order).values(grid)) * w
+    factors = np.concatenate([(mask * eta_c)[None], jw])
+    phys = np.fft.irfftn(factors, s=grid.n, axes=tuple(range(1, w.ndim)))
+    phys /= grid._norm_factor
+    return grid.quadrature(phys[0] * np.sum(phys[1:] ** 2, axis=0))
+
+
+def _energy(state: WaveState, s, kappa) -> float:
+    u = state.packed()
+    wsq = _weighted_sq_coeffs(state.grid, u, s, kappa)
+    return 0.5 * (wsq + _cubic(state.grid, u[0], u[1:], s - 0.5))
+
+
 def hamiltonian(state: WaveState, params: Params) -> float:
     """The energy at s = 1/2: half the squared weighted norm (by Parseval)
     plus the cubic term 1/2 int eta |v|^2."""
-    cubic = sum(triple_quadrature(state.eta, comp, comp) for comp in state.vel)
-    return 0.5 * (weighted_pair_norm(state, 0.5, params.kappa) ** 2 + cubic)
+    return _energy(state, 0.5, params.kappa)
 
 
 def momentum(state: WaveState, params: Params) -> float:
-    """int eta (D/tanh D) v dx; defined in one dimension only."""
+    """int eta (D/tanh D) v dx, the s = 1/2 velocity weight of the pair norm
+    between eta and v; defined in one dimension only."""
     if state.dim != 1:
         raise SpectralError("momentum is only defined for 1D states")
-    kinv2 = SymbolCatalog.d_over_tanh().values(state.grid)
-    return float(np.real(np.sum(np.conj(state.eta.coeffs) * kinv2 * state.v.coeffs)))
-
-
-def _cubic_modifier(state: WaveState, order) -> float:
-    """int eta |J^order v|^2 dx with dealiased products."""
-    bess = SymbolCatalog.bessel(order)
-    total = 0.0
-    for comp in state.vel:
-        jv = apply_multiplier(bess, comp)
-        total += triple_quadrature(state.eta, jv, jv)
-    return total
+    u = state.packed()
+    vel_w = _norm_weights(state.grid, 0.5, params.kappa)[1]
+    return float(np.sum(vel_w * (np.conj(u[0]) * u[1]).real))
 
 
 def modified_energy(state: WaveState, params: Params) -> float:
-    s = params.s
-    wsq = weighted_pair_norm(state, s, params.kappa) ** 2
-    return 0.5 * wsq + 0.5 * _cubic_modifier(state, s - 0.5)
+    return _energy(state, params.s, params.kappa)
 
 
 def difference_energy(state1: WaveState, state2: WaveState, r, params: Params) -> float:
@@ -92,15 +97,14 @@ def difference_energy(state1: WaveState, state2: WaveState, r, params: Params) -
         raise ValueError(f"difference energy needs 0 < r <= s - 1/2, got r={r}")
     if state1.grid != state2.grid:
         raise SpectralError("difference energy needs states on the same grid")
-    theta = state1.eta - state2.eta
-    total = params.kappa * sobolev_norm(theta, r + 0.5) ** 2
-    bess = SymbolCatalog.bessel(r - 0.5)
-    for c1, c2 in zip(state1.vel, state2.vel):
-        w = c1 - c2
-        total += sobolev_norm(w, r) ** 2
-        jw = apply_multiplier(bess, w)
-        total += triple_quadrature(state1.eta, jw, jw)
-    return 0.5 * total
+    grid = state1.grid
+    u1 = state1.packed()
+    d = u1 - state2.packed()
+    bess = SymbolCatalog.bessel
+    theta_w = params.kappa * _parseval(grid, bess(2.0 * r + 1.0).values(grid))
+    total = np.sum(theta_w * np.abs(d[0]) ** 2)
+    total += np.sum(_parseval(grid, bess(2.0 * r).values(grid)) * np.abs(d[1:]) ** 2)
+    return 0.5 * (float(total) + _cubic(grid, u1[0], d[1:], r - 0.5))
 
 
 def smallness_threshold(override=None) -> float:

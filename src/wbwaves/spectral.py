@@ -461,20 +461,6 @@ def pair_product(f: Field, g: Field) -> Field:
     return Field.from_coeffs(grid, np.where(mask, ch, 0.0))
 
 
-def triple_quadrature(f: Field, g: Field, h: Field) -> float:
-    """Quadrature of f*g*h; truncating each factor to the 2/3 band makes the
-    value exact for fields supported there (no triple-product aliasing
-    reaches the zero mode)."""
-    f._check_same_grid(g)
-    f._check_same_grid(h)
-    grid = f.grid
-    mask = grid.dealias_mask
-    fv = grid.inverse(np.where(mask, f.coeffs, 0.0)).real
-    gv = grid.inverse(np.where(mask, g.coeffs, 0.0)).real
-    hv = grid.inverse(np.where(mask, h.coeffs, 0.0)).real
-    return grid.quadrature(fv * gv * hv)
-
-
 def commutator(sym: Symbol, f: Field, g: Field) -> Field:
     """[sym(D), f] g = sym(D)(f g) - f sym(D) g with dealiased products."""
     fg = pair_product(f, g)

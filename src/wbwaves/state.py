@@ -1,4 +1,5 @@
-"""Wave states (eta, v), physical parameters, and the weighted pair norm."""
+"""Wave states (eta, v) and their half-spectrum layout, physical parameters,
+and the weighted pair norm."""
 
 from __future__ import annotations
 
@@ -50,11 +51,18 @@ class WaveState:
     All fields share one grid.  Two-dimensional velocities must be curl
     free: the relative homogeneous-L2 curl residue is checked on
     construction against ``CURL_TOL``.
+
+    Layout: ``packed()`` is the state as one (1 + d, *half) complex array,
+    half = (*n[:-1], n[-1]//2 + 1), of the rfftn coefficients of
+    (eta, v_1, .., v_d).  The solver integrates that array, every state
+    functional is a sum or a transform over it, and ``from_packed`` turns
+    it back into a state that keeps it (passed as ``_packed``).
+    ``Field.coeffs`` keeps the full fftn spectrum for the scalar tools.
     """
 
-    __slots__ = ("eta", "vel", "time")
+    __slots__ = ("eta", "vel", "time", "_packed")
 
-    def __init__(self, eta: Field, vel, time=0.0):
+    def __init__(self, eta: Field, vel, time=0.0, _packed=None):
         if isinstance(vel, Field):
             vel = (vel,)
         vel = tuple(vel)
@@ -66,19 +74,44 @@ class WaveState:
             raise SpectralError(
                 f"velocity needs {grid.dim} component(s), got {len(vel)}"
             )
+        self.eta = eta
+        self.vel = vel
+        self.time = float(time)
+        self._packed = _packed
         if grid.dim == 2:
-            res = curl_residue(vel)
-            scale = 1.0 + math.sqrt(
-                sum(float(np.sum(np.abs(c.coeffs) ** 2)) for c in vel)
-            )
+            vel_c = self.packed()[1:]
+            res = _curl_residue(grid, vel_c)
+            scale = 1.0 + math.sqrt(np.sum(_parseval(grid, 1.0) * np.abs(vel_c) ** 2))
             if res > CURL_TOL * scale:
                 raise SpectralError(
                     f"velocity is not curl free: residue {res:.3e} "
                     f"exceeds {CURL_TOL:.0e} * {scale:.3e}"
                 )
-        self.eta = eta
-        self.vel = vel
-        self.time = float(time)
+
+    @classmethod
+    def from_packed(cls, grid: Grid, u, time):
+        """The state of half-spectrum coefficients ``u``, which it keeps.
+
+        The full spectrum mirrors the last axis's columns 1 .. n/2 - 1 and
+        takes the self-conjugate columns 0 and n/2 as they are, so
+        ``Field.from_coeffs``'s realness check sees every coefficient."""
+        n = grid.n[-1]
+        mirror = u[..., n // 2 - 1 : 0 : -1].conj()
+        for axis in range(1, grid.dim):
+            mirror = np.roll(np.flip(mirror, axis), 1, axis)
+        full = np.concatenate([u, mirror], axis=-1)
+        fields = [Field.from_coeffs(grid, c, context="trajectory sample") for c in full]
+        u = u.view()
+        u.flags.writeable = False
+        return cls(fields[0], tuple(fields[1:]), time, _packed=u)
+
+    def packed(self):
+        """The read-only (1 + d, *half) rfftn coefficient array (see Layout)."""
+        if self._packed is None:
+            u = np.stack([self.grid.half(f.coeffs) for f in (self.eta, *self.vel)])
+            u.flags.writeable = False
+            self._packed = u
+        return self._packed
 
     @property
     def grid(self) -> Grid:
@@ -109,40 +142,45 @@ class WaveState:
 
 def curl_residue(vel) -> float:
     """Homogeneous-L2 norm of d1 v2 - d2 v1 computed spectrally."""
-    v1, v2 = vel
-    d1, d2 = (SymbolCatalog.partial(j).multiplier(v1.grid, axis=j) for j in range(2))
-    curl = d1 * v2.coeffs - d2 * v1.coeffs
-    return float(math.sqrt(np.sum(np.abs(curl) ** 2)))
+    grid = vel[0].grid
+    return _curl_residue(grid, [grid.half(c.coeffs) for c in vel])
+
+
+def _curl_residue(grid: Grid, vel_c) -> float:
+    """``curl_residue`` from the half spectra of the two components."""
+    d1, d2 = (grid.half(SymbolCatalog.partial(j).multiplier(grid, axis=j)) for j in range(2))
+    curl = d1 * vel_c[1] - d2 * vel_c[0]
+    return math.sqrt(float(np.sum(_parseval(grid, 1.0) * np.abs(curl) ** 2)))
+
+
+def _parseval(grid: Grid, weight):
+    """A full-lattice weight cut to the half spectrum, each interior column of
+    the last axis counted twice, for itself and its Hermitian mirror: the
+    half sum of it times |u|^2 is the full-spectrum sum (Parseval)."""
+    count = np.full(grid.n[-1] // 2 + 1, 2.0)
+    count[0] = count[-1] = 1.0
+    return grid.half(weight) * count
 
 
 @lru_cache(maxsize=16)
-def _norm_weights(grid: Grid, s, kappa, half=False):
-    """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi; with
-    ``half``, on the rfftn half spectrum, where each interior column of the
-    last axis counts twice, for itself and its Hermitian mirror (Parseval)."""
+def _norm_weights(grid: Grid, s, kappa):
+    """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi, by
+    ``_parseval`` on the half spectrum."""
     bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
-    eta_w = bess * SymbolCatalog.capillary(kappa).values(grid)
-    vel_w = bess * SymbolCatalog.d_over_tanh().values(grid)
-    if half:
-        count = np.full(grid.n[-1] // 2 + 1, 2.0)
-        count[0] = count[-1] = 1.0
-        eta_w, vel_w = grid.half(eta_w) * count, grid.half(vel_w) * count
+    eta_w = _parseval(grid, bess * SymbolCatalog.capillary(kappa).values(grid))
+    vel_w = _parseval(grid, bess * SymbolCatalog.d_over_tanh().values(grid))
     eta_w.flags.writeable = vel_w.flags.writeable = False
     return eta_w, vel_w
 
 
-def _weighted_sq_coeffs(grid: Grid, eta_c, vel_cs, s, kappa, half=False) -> float:
-    """Squared weighted norm from raw coefficient arrays (rfftn half spectra
-    with ``half``).
+def _weighted_sq_coeffs(grid: Grid, u, s, kappa) -> float:
+    """Squared weighted norm of a packed (1 + d, *half) coefficient array.
 
     kappa*|grad eta|^2 + |eta|^2 weighted by <xi>^(2s-1), plus the velocity
     measured through K^-1 (symbol sqrt(|xi|/tanh|xi|)) at the same weight.
     """
-    eta_w, vel_w = _norm_weights(grid, s, kappa, half)
-    total = np.sum(eta_w * np.abs(eta_c) ** 2)
-    for vc in vel_cs:
-        total += np.sum(vel_w * np.abs(vc) ** 2)
-    return float(total)
+    eta_w, vel_w = _norm_weights(grid, s, kappa)
+    return float(np.sum(eta_w * np.abs(u[0]) ** 2) + np.sum(vel_w * np.abs(u[1:]) ** 2))
 
 
 def weighted_pair_norm(state: WaveState, s, kappa) -> float:
@@ -154,7 +192,4 @@ def weighted_pair_norm(state: WaveState, s, kappa) -> float:
     s = float(s)
     if s < 0.5:
         raise ValueError(f"weighted pair norm needs s >= 1/2, got {s}")
-    sq = _weighted_sq_coeffs(
-        state.grid, state.eta.coeffs, [c.coeffs for c in state.vel], s, float(kappa)
-    )
-    return math.sqrt(sq)
+    return math.sqrt(_weighted_sq_coeffs(state.grid, state.packed(), s, float(kappa)))

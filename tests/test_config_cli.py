@@ -267,6 +267,23 @@ class TestRunCommand:
         assert summary["status"] == "blowup"
         assert "blowup_time" in summary
 
+    @pytest.mark.parametrize("method", ["exponential_rk4", "picard_duhamel"])
+    def test_norm_ceiling_stops_every_method(self, tmp_path, method):
+        """Both integrators sample through the same report step, which
+        compares each weighted norm with blowup_ceiling."""
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            system="wb1d_regularized",
+            params={"kappa": 1.0, "mu": 0.1, "s": 0.5},
+            integrator={"method": method, "dt": 0.01, "blowup_ceiling": 1e-3},
+            T=0.2,
+        )
+        assert main(["run", write_config(tmp_path, raw)]) == 2
+        summary = json.loads((outdir / "run_summary.json").read_text())
+        assert summary["status"] == "blowup"
+        assert summary["blowup_time"] == 0.0
+
     def test_no_contraction_exits_one_with_summary(self, tmp_path):
         outdir = tmp_path / "out"
         raw = small_run(

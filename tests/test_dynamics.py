@@ -8,10 +8,8 @@ from wbwaves.dynamics import (
     IntegratorConfig,
     PicardError,
     _ops,
-    _pack,
     _Propagator,
     _resolve_steps,
-    _unpack,
     energy_derivative_check,
     evolve,
     picard_solve,
@@ -29,12 +27,12 @@ def small_state(grid, seed=0, band=4, amplitude=0.05):
 def propagate(params, t, u):
     """S(t)u by the solver's propagator, as the state at time u.time + t."""
     prop = _ops(u.grid, params, True).propagator(t)
-    return _unpack(u.grid, prop.apply(_pack(u)), u.time + t)
+    return WaveState.from_packed(u.grid, prop.apply(u.packed()), u.time + t)
 
 
 def linear_part(u, params):
     """The linear part of the right-hand side, as the solver evaluates it."""
-    return _unpack(u.grid, _ops(u.grid, params, True).linear(_pack(u)), u.time)
+    return WaveState.from_packed(u.grid, _ops(u.grid, params, True).linear(u.packed()), u.time)
 
 
 class TestRhs:
@@ -394,7 +392,7 @@ def duhamel_weights(m, n_nodes, dt):
 
 def weighted_norm(grid, params, u):
     """Weighted norm of half-spectrum coefficients (Parseval weights)."""
-    return math.sqrt(_weighted_sq_coeffs(grid, u[0], u[1:], params.s, params.kappa, True))
+    return math.sqrt(_weighted_sq_coeffs(grid, u, params.s, params.kappa))
 
 
 def state_difference(a, b):
@@ -406,7 +404,7 @@ def quadratic_picard(u0, params, cfg, T):
     n_steps, dt = _resolve_steps(T, cfg.dt)
     ops = _ops(u0.grid, params, cfg.dealias)
     props = {k: _Propagator(ops, k * dt) for k in range(-2, n_steps + 1)}
-    free = [props[m].apply(_pack(u0)) for m in range(n_steps + 1)]
+    free = [props[m].apply(u0.packed()) for m in range(n_steps + 1)]
     u, defects = free, []
     for _ in range(cfg.picard_max_iter):
         forcing = [ops.nonlinear(um) for um in u]
@@ -440,7 +438,7 @@ class TestPanelRecurrence:
         ref, ref_defects = quadratic_picard(u0, params, cfg, T)
         assert len(res.trajectory.states) == steps + 1
         # Both sides go through the same coefficients -> real fields round trip.
-        ref = [_unpack(g, um, 0.0) for um in ref]
+        ref = [WaveState.from_packed(g, um, 0.0) for um in ref]
         got = res.trajectory.states
         norm = lambda st: weighted_pair_norm(st, params.s, params.kappa)
         scale = max(norm(st) for st in ref)

@@ -1,11 +1,16 @@
-"""The solver's half-spectrum layout against the full-spectrum one it replaced.
+"""The half-spectrum layout against the full-spectrum one it replaced.
 
-Inside ``dynamics`` a state is one (1 + d, *half) array of rfftn
-coefficients; ``Field.coeffs`` and everything outside keep full fftn
-spectra.  ``FullSpectrumOps`` below is the former layout: a tuple of full
-spectra, every multiplier on the full lattice, the same arithmetic.  Only
-the transforms differ (rfft against fft roundoff), so every operator, one
-ERK4 step and one Duhamel sweep agree to OPERATOR_RTOL on the half slice.
+``WaveState.packed`` is a state as one (1 + d, *half) array of rfftn
+coefficients; the solver integrates it and every state functional reads it,
+while ``Field.coeffs`` keeps full fftn spectra.  ``FullSpectrumOps`` below
+is the former layout of the operators: a tuple of full spectra, every
+multiplier on the full lattice, the same arithmetic.  Only the transforms
+differ (rfft against fft roundoff), so every operator, one ERK4 step and
+one Duhamel sweep agree to OPERATOR_RTOL on the half slice.  The ``full_*``
+functions are the former functionals on ``Field.coeffs``, and
+``full_spectrum_state`` the former way back from a packed array; the
+energy report agrees with them to FUNCTIONAL_RTOL, its pointwise columns
+exactly.
 """
 
 import math
@@ -13,19 +18,14 @@ import math
 import numpy as np
 import pytest
 
-from wbwaves.dynamics import (
-    _FIRST_PANEL,
-    _duhamel_integrals,
-    _lawson_rk4_step,
-    _ops,
-    _pack,
-    _unpack,
-)
+from wbwaves.dynamics import _FIRST_PANEL, _duhamel_integrals, _lawson_rk4_step, _ops
+from wbwaves.functionals import EnergyReport, difference_energy
 from wbwaves.presets import random_bandlimited
-from wbwaves.spectral import Grid, SymbolCatalog
-from wbwaves.state import Params, _weighted_sq_coeffs
+from wbwaves.spectral import Field, Grid, SymbolCatalog, apply_multiplier, sobolev_norm
+from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, curl_residue, weighted_pair_norm
 
 OPERATOR_RTOL = 1e-13
+FUNCTIONAL_RTOL = 1e-13
 PARSEVAL_RTOL = 1e-14
 ROUND_TRIP_RTOL = 1e-15
 DT = 1e-2
@@ -182,6 +182,104 @@ class TestAgainstFullSpectrum:
             assert max_rel(g, half(grid, w)) <= OPERATOR_RTOL
 
 
+def full_weighted_sq(grid, coeffs, s, kappa):
+    """The squared weighted pair norm summed over full spectra."""
+    bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
+    eta_w = bess * SymbolCatalog.capillary(kappa).values(grid)
+    vel_w = bess * SymbolCatalog.d_over_tanh().values(grid)
+    total = np.sum(eta_w * np.abs(coeffs[0]) ** 2)
+    for c in coeffs[1:]:
+        total += np.sum(vel_w * np.abs(c) ** 2)
+    return float(total)
+
+
+def triple_quadrature(f, g, h):
+    """Grid quadrature of f*g*h with each factor cut to the 2/3 band."""
+    grid = f.grid
+    mask = grid.dealias_mask
+    fv, gv, hv = (grid.inverse(np.where(mask, x.coeffs, 0.0)).real for x in (f, g, h))
+    return grid.quadrature(fv * gv * hv)
+
+
+def full_weighted_norm(state, s, kappa):
+    coeffs = [f.coeffs for f in (state.eta, *state.vel)]
+    return math.sqrt(full_weighted_sq(state.grid, coeffs, s, kappa))
+
+
+def full_cubic_modifier(state, order):
+    """int eta |J^order v|^2 dx with dealiased products."""
+    bess = SymbolCatalog.bessel(order)
+    total = 0.0
+    for comp in state.vel:
+        jv = apply_multiplier(bess, comp)
+        total += triple_quadrature(state.eta, jv, jv)
+    return total
+
+
+def full_report(state, params):
+    """Every EnergyReport column, by the formulas on Field.coeffs."""
+    grid, kappa, s = state.grid, params.kappa, params.s
+    cubic = sum(triple_quadrature(state.eta, comp, comp) for comp in state.vel)
+    momentum = math.nan
+    if grid.dim == 1:
+        kinv2 = SymbolCatalog.d_over_tanh().values(grid)
+        momentum = float(np.real(np.sum(np.conj(state.eta.coeffs) * kinv2 * state.v.coeffs)))
+    return {
+        "time": state.time,
+        "hamiltonian": 0.5 * (full_weighted_norm(state, 0.5, kappa) ** 2 + cubic),
+        "momentum": momentum,
+        "modified_energy": 0.5 * full_weighted_norm(state, s, kappa) ** 2
+        + 0.5 * full_cubic_modifier(state, s - 0.5),
+        "weighted_norm": full_weighted_norm(state, s, kappa),
+        "eta_min": float(np.min(state.eta.values)),
+        "eta_max": float(np.max(state.eta.values)),
+        "linf_v": state.speed_linf(),
+    }
+
+
+def full_difference_energy(state1, state2, r, params):
+    theta = state1.eta - state2.eta
+    total = params.kappa * sobolev_norm(theta, r + 0.5) ** 2
+    bess = SymbolCatalog.bessel(r - 0.5)
+    for c1, c2 in zip(state1.vel, state2.vel):
+        w = c1 - c2
+        total += sobolev_norm(w, r) ** 2
+        jw = apply_multiplier(bess, w)
+        total += triple_quadrature(state1.eta, jw, jw)
+    return 0.5 * total
+
+
+def full_spectrum_state(grid, u, time):
+    """The state of half-spectrum coefficients ``u`` through full spectra:
+    the last axis's columns 1 .. n/2 - 1 mirrored by Hermitian symmetry,
+    then one inverse fftn per field, coefficients dropped."""
+    n = grid.n[-1]
+    mirror = u[..., n // 2 - 1 : 0 : -1].conj()
+    for axis in range(1, grid.dim):
+        mirror = np.roll(np.flip(mirror, axis), 1, axis)
+    full = np.concatenate([u, mirror], axis=-1)
+    fields = [Field.from_coeffs(grid, c) for c in full]
+    return WaveState(fields[0], tuple(fields[1:]), time=time)
+
+
+def rough_state(grid, seed, amplitude=0.3):
+    """Random samples on every mode (a gradient velocity in 2D), so the 2/3
+    masks of the cubic terms cut something."""
+    rng = np.random.default_rng(seed)
+    eta = Field(grid, amplitude * rng.standard_normal(grid.shape))
+    if grid.dim == 1:
+        return WaveState(eta, (Field(grid, amplitude * rng.standard_normal(grid.shape)),))
+    psi = Field(grid, amplitude * rng.standard_normal(grid.shape))
+    vel = [apply_multiplier(SymbolCatalog.partial(j), psi, axis=j) for j in range(2)]
+    scale = amplitude / max(c.linf() for c in vel)
+    return WaveState(eta, tuple(scale * c for c in vel))
+
+
+def evolved_packed(grid, start, params):
+    """One ERK4 step of ``start``: coefficients as evolve holds them."""
+    return _lawson_rk4_step(_ops(grid, params, True), start.packed(), DT)
+
+
 @pytest.mark.parametrize("n", GRIDS)
 def test_defect_norm_is_parseval(n):
     """The half-spectrum weighted norm (interior columns counted twice) of a
@@ -189,11 +287,94 @@ def test_defect_norm_is_parseval(n):
     grid = Grid(n)
     (_, a), (_, b) = full_state(grid, 5), full_state(grid, 6)
     diff = tuple(x - y for x, y in zip(a, b))
-    dh = half(grid, diff)
     for s, kappa in ((1.0, 1.0), (2.5, 0.37), (0.5, 0.0)):
-        want = _weighted_sq_coeffs(grid, diff[0], diff[1:], s, kappa)
-        got = _weighted_sq_coeffs(grid, dh[0], dh[1:], s, kappa, True)
+        want = full_weighted_sq(grid, diff, s, kappa)
+        got = _weighted_sq_coeffs(grid, half(grid, diff), s, kappa)
         assert math.isclose(got, want, rel_tol=PARSEVAL_RTOL)
+
+
+def _close(got, want, rtol=FUNCTIONAL_RTOL):
+    return abs(got - want) <= rtol * abs(want)
+
+
+@pytest.mark.parametrize("n", GRIDS)
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+class TestFunctionalsAgainstFullSpectrum:
+    """Old-vs-new equivalence of every state functional, on states built
+    from fields and on states from_packed from an ERK4 step."""
+
+    def _states(self, grid, kappa):
+        params = Params(kappa=kappa)
+        for start in (full_state(grid, 9)[0], rough_state(grid, 10)):
+            yield start
+            u = evolved_packed(grid, start, params)
+            yield WaveState.from_packed(grid, u, DT)
+
+    def test_energy_report(self, n, kappa):
+        grid = Grid(n)
+        for s in (0.5, 1.0, 2.0):
+            params = Params(kappa=kappa, s=s)
+            for st in self._states(grid, kappa):
+                got = EnergyReport.measure(st, params)
+                want = full_report(st, params)
+                for name in ("eta_min", "eta_max", "linf_v", "time"):
+                    assert getattr(got, name) == want[name], name
+                for name in ("hamiltonian", "modified_energy", "weighted_norm"):
+                    assert _close(getattr(got, name), want[name]), name
+                assert _close(weighted_pair_norm(st, s, kappa), want["weighted_norm"])
+                if grid.dim == 1:
+                    # Bounded by the s = 1/2 norm squared, which sets its scale.
+                    scale = full_weighted_norm(st, 0.5, kappa) ** 2
+                    assert abs(got.momentum - want["momentum"]) <= FUNCTIONAL_RTOL * scale
+                else:
+                    assert math.isnan(got.momentum)
+
+    def test_difference_energy(self, n, kappa):
+        grid = Grid(n)
+        states = list(self._states(grid, kappa))
+        for s in (1.0, 2.0):
+            params = Params(kappa=kappa, s=s)
+            for r in (0.25, 0.5):
+                for a, b in zip(states, states[1:]):
+                    want = full_difference_energy(a, b, r, params)
+                    assert _close(difference_energy(a, b, r, params), want)
+
+    def test_pointwise_columns_bitwise_equal(self, n, kappa):
+        """from_packed builds the same samples as the full-spectrum way back."""
+        grid = Grid(n)
+        for seed in (11, 12):
+            u = evolved_packed(grid, rough_state(grid, seed), Params(kappa=kappa))
+            got = EnergyReport.measure(WaveState.from_packed(grid, u, DT), Params(kappa=kappa))
+            want = full_report(full_spectrum_state(grid, u, DT), Params(kappa=kappa))
+            for name in ("eta_min", "eta_max", "linf_v"):
+                assert getattr(got, name) == want[name], name
+
+
+FFT_NAMES = [name for name in dir(np.fft) if name.endswith(("fft", "fft2", "fftn"))]
+
+
+@pytest.mark.parametrize("n, s, limit", [((256,), 0.5, 4), ((256,), 2.0, 4), ((32, 32), 1.0, 8)])
+def test_report_transform_count(monkeypatch, n, s, limit):
+    """A sample of an evolving state and its energy report take at most
+    ``limit`` transforms (every np.fft function wrapped, as bench/tracer.py
+    does): the realness check inverts each field once and each cubic term
+    is one batched inverse transform."""
+    grid = Grid(n)
+    params = Params(kappa=1.0, s=s)
+    u = evolved_packed(grid, full_state(grid, 13)[0], params)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    EnergyReport.measure(WaveState.from_packed(grid, u, DT), params)
+    assert 0 < len(calls) <= limit, calls
 
 
 class TestHalfSpectrumConvention:
@@ -211,20 +392,45 @@ class TestHalfSpectrumConvention:
             assert arr[zero] == 0.0
 
     @pytest.mark.parametrize("n", [(16,), (256,), (32, 32), (16, 24), (128, 128)])
-    def test_pack_unpack_round_trip(self, n):
+    def test_packed_round_trip(self, n):
         grid = Grid(n)
-        st, _ = full_state(grid, 7)
-        back = _unpack(grid, _pack(st), st.time)
+        st, full = full_state(grid, 7)
+        assert np.array_equal(st.packed(), half(grid, full))
+        back = WaveState.from_packed(grid, st.packed(), st.time)
         for a, b in zip((st.eta, *st.vel), (back.eta, *back.vel)):
             assert np.max(np.abs(a.values - b.values)) <= ROUND_TRIP_RTOL * np.max(np.abs(a.values))
 
+    def test_from_packed_keeps_its_array_read_only(self):
+        grid = Grid((16, 24))
+        u = np.array(full_state(grid, 7)[0].packed())
+        st = WaveState.from_packed(grid, u, 0.5)
+        assert st.packed() is st.packed()
+        assert np.shares_memory(st.packed(), u) and not st.packed().flags.writeable
+        assert u.flags.writeable
+
+    def test_curl_check_reads_the_half_spectrum(self):
+        """The curl residue by Parseval on the half spectrum equals the
+        full-spectrum one, and both ways to build a state reject a velocity
+        that is not curl free."""
+        grid = Grid((16, 24))
+        x1, x2 = (np.asarray(x) for x in grid.x)
+        vel = (Field(grid, np.cos(x2) + 0 * x1), grid.zero_field())
+        d = [SymbolCatalog.partial(j).multiplier(grid, axis=j) for j in range(2)]
+        want = math.sqrt(np.sum(np.abs(d[0] * vel[1].coeffs - d[1] * vel[0].coeffs) ** 2))
+        assert math.isclose(curl_residue(vel), want, rel_tol=PARSEVAL_RTOL)
+        with pytest.raises(ValueError, match="not curl free"):
+            WaveState(grid.zero_field(), vel)
+        u = np.stack([grid.half(f.coeffs) for f in (grid.zero_field(), *vel)])
+        with pytest.raises(ValueError, match="not curl free"):
+            WaveState.from_packed(grid, u, 0.0)
+
     @pytest.mark.parametrize("n, column", [((16,), 0), ((16,), 8), ((16, 16), 0), ((16, 16), 8)])
-    def test_unpack_checks_self_conjugate_columns(self, n, column):
+    def test_from_packed_checks_self_conjugate_columns(self, n, column):
         """A non-Hermitian residue in column 0 or n/2 fails the realness check."""
         grid = Grid(n)
         st, _ = full_state(grid, 8)
-        u = _pack(st)
+        u = np.array(st.packed())
         index = (0, 3, column) if grid.dim == 2 else (0, column)
         u[index] += 1j * 1e-6 * np.max(np.abs(u))
         with pytest.raises(ValueError, match="imaginary residue"):
-            _unpack(grid, u, 0.0)
+            WaveState.from_packed(grid, u, 0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wbwaves.functionals import _cubic
 from wbwaves.spectral import (
     Field,
     Grid,
@@ -13,7 +14,6 @@ from wbwaves.spectral import (
     commutator,
     pair_product,
     sobolev_norm,
-    triple_quadrature,
 )
 
 TWO_PI = 2 * math.pi
@@ -281,13 +281,14 @@ class TestProducts:
         assert np.max(np.abs(out.values - np.cos(x) ** 2)) < 1e-13
 
     def test_triple_quadrature_odd_harmonics(self):
+        # The cubic term int eta |J^0 w|^2 of the functionals at eta = w = f.
         g = Grid(32)
-        f = Field(g, np.cos(np.asarray(g.x[0])))
-        assert abs(triple_quadrature(f, f, f)) < 1e-13
+        f = g.half(Field(g, np.cos(np.asarray(g.x[0]))).coeffs)
+        assert abs(_cubic(g, f, f[None], 0.0)) < 1e-13
 
     def test_triple_quadrature_value(self):
-        # int cos^2(x) * 1 dx = pi on [0, 2 pi)
+        # int 1 * cos^2(x) dx = pi on [0, 2 pi)
         g = Grid(32)
-        f = Field(g, np.cos(np.asarray(g.x[0])))
-        one = Field(g, np.ones(32))
-        assert triple_quadrature(f, f, one) == pytest.approx(math.pi, rel=1e-13)
+        f = g.half(Field(g, np.cos(np.asarray(g.x[0]))).coeffs)
+        one = g.half(Field(g, np.ones(32)).coeffs)
+        assert _cubic(g, one, f[None], 0.0) == pytest.approx(math.pi, rel=1e-13)

@@ -1,9 +1,9 @@
 """Every multiplier array comes from SymbolCatalog.
 
 The reference builders below spell out each formula inline.  The
-catalog-built arrays must agree with them bitwise; the Hamiltonian and the
-low-capillarity metric, whose arithmetic differs from their references, must
-agree to an explicit relative tolerance.
+catalog-built arrays must agree with them bitwise; the Hamiltonian, the
+low-capillarity metric and the half-spectrum weighted norm, whose arithmetic
+differs from their references, must agree to an explicit relative tolerance.
 """
 
 import ast
@@ -19,13 +19,14 @@ from wbwaves.dynamics import _ops
 from wbwaves.experiments import low_capillarity_error
 from wbwaves.functionals import hamiltonian
 from wbwaves.presets import random_bandlimited
-from wbwaves.spectral import Grid, SymbolCatalog, apply_multiplier, sobolev_norm, triple_quadrature
+from wbwaves.spectral import Grid, SymbolCatalog, apply_multiplier, sobolev_norm
 from wbwaves.state import Params, _norm_weights, _weighted_sq_coeffs
 
 GRIDS = [(256,), (64,), (128, 128), (16, 24)]
 KAPPAS = [1.0, 0.37, 0.0]
 
-# Grid quadrature of |grad eta|^2 and the Parseval sum agree to roundoff.
+# Grid quadrature of |grad eta|^2 and the Parseval sum agree to roundoff, as
+# do sums over the full and the half spectrum.
 HAMILTONIAN_RTOL = 1e-13
 
 
@@ -75,11 +76,20 @@ def quadrature_hamiltonian(state, params):
         d = apply_multiplier(SymbolCatalog.partial(axis), eta, axis=axis)
         quad += params.kappa * grid.quadrature(d.values**2)
     kinv2 = _x_over_tanh(grid.xi_norm)
+    eta_band = grid.inverse(np.where(grid.dealias_mask, eta.coeffs, 0.0)).real
     cubic = 0.0
     for comp in state.vel:
         quad += float(np.sum(kinv2 * np.abs(comp.coeffs) ** 2))
-        cubic += triple_quadrature(eta, comp, comp)
+        v_band = grid.inverse(np.where(grid.dealias_mask, comp.coeffs, 0.0)).real
+        cubic += grid.quadrature(eta_band * v_band * v_band)
     return 0.5 * (quad + cubic)
+
+
+def parseval_count(grid):
+    """Interior columns of the last axis stand for themselves and their
+    Hermitian mirrors; columns 0 and n/2 for themselves."""
+    m = grid.n[-1] // 2 + 1
+    return np.array([1.0] + [2.0] * (m - 2) + [1.0])
 
 
 def coefficient_low_capillarity_error(a, b):
@@ -175,7 +185,9 @@ class TestCatalogEntries:
             assert sobolev_norm(f, order) == math.sqrt(np.sum((1.0 + a * a) ** order * c2))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_weighted_sq_coeffs_bitwise_equal(self, dim):
+    def test_weighted_sq_coeffs_equals_full_spectrum_sum(self, dim):
+        """The half-spectrum sum of a state's packed coefficients equals the
+        inline formula summed over its full spectrum."""
         for st in random_states(dim, 4):
             a = st.grid.xi_norm
             for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
@@ -183,21 +195,23 @@ class TestCatalogEntries:
                 want = np.sum(bess * (1.0 + kappa * a * a) * np.abs(st.eta.coeffs) ** 2)
                 for c in st.vel:
                     want += np.sum(bess * _x_over_tanh(a) * np.abs(c.coeffs) ** 2)
-                got = _weighted_sq_coeffs(
-                    st.grid, st.eta.coeffs, [c.coeffs for c in st.vel], s, kappa
-                )
-                assert got == float(want)
-
+                got = _weighted_sq_coeffs(st.grid, st.packed(), s, kappa)
+                assert got == pytest.approx(float(want), rel=HAMILTONIAN_RTOL)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_norm_weight_table_equals_catalog_products(self, dim):
+        """The weights are the half slices of the catalog products times the
+        Parseval column count, element for element."""
         for n in (n for n in GRIDS if len(n) == dim):
             grid = Grid(n)
+            count = parseval_count(grid)
             for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
                 eta_w, vel_w = _norm_weights(grid, s, kappa)
                 bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
-                assert np.array_equal(eta_w, bess * SymbolCatalog.capillary(kappa).values(grid))
-                assert np.array_equal(vel_w, bess * SymbolCatalog.d_over_tanh().values(grid))
+                cap = SymbolCatalog.capillary(kappa).values(grid)
+                kinv2 = SymbolCatalog.d_over_tanh().values(grid)
+                assert np.array_equal(eta_w, grid.half(bess * cap) * count)
+                assert np.array_equal(vel_w, grid.half(bess * kinv2) * count)
                 assert not (eta_w.flags.writeable or vel_w.flags.writeable)
                 assert _norm_weights(Grid(n), s, kappa)[0] is eta_w
 
