@@ -23,6 +23,11 @@ The resulting propagator (``_Ops.propagator``) backs both the exponential
 linear part itself is ``_Ops.linear``.  The public entry points are
 ``evolve``, ``picard_solve``, ``rhs`` and ``energy_derivative_check``.
 
+Trajectories stay packed: the two RK4 steppers and the converged Duhamel
+nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
+loop runs both blow-up checks on them and builds a ``WaveState`` only for
+the nodes it reports on.
+
 Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
 operators, so velocity content there (and off e) is propagated by the heat
@@ -253,15 +258,10 @@ class Trajectory:
     states: list = field(default_factory=list)
     reports: list = field(default_factory=list)
 
-    def append(self, state, report=None):
+    def append(self, state, report):
         self.times.append(state.time)
         self.states.append(state)
-        if report is not None:
-            self.reports.append(report)
-
-    @property
-    def final(self) -> WaveState:
-        return self.states[-1]
+        self.reports.append(report)
 
 
 @dataclass
@@ -275,13 +275,22 @@ class EvolveResult:
         return self.trajectory.reports
 
     @property
-    def final(self):
-        return self.trajectory.final
+    def final(self) -> WaveState:
+        return self.trajectory.states[-1]
 
 
 def _resolve_steps(T, dt):
     n = max(1, math.ceil(T / dt - 1e-9))
     return n, T / n
+
+
+def _stepped(step, ops: _Ops, u, dt, n_steps):
+    """Yield ``u`` and the ``n_steps`` packed states ``step`` advances it to."""
+    yield u
+    for _ in range(n_steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = step(ops, u, dt)
+        yield u
 
 
 def evolve(
@@ -294,60 +303,40 @@ def evolve(
     """Integrate to time T, sampling energy reports every ``report_every``.
 
     dt is adjusted down so an integer number of steps lands exactly on T.
-    Returns the sampled trajectory; on NaN/overflow or when the weighted
-    norm passes the configured ceiling, integration stops with the partial
+    Returns the sampled trajectory; at a node that is not finite or whose
+    coefficient sup passes 1e3 * blowup_ceiling, or at a report whose
+    weighted norm passes blowup_ceiling, integration stops with the partial
     trajectory and the blow-up flag set.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
-    if report_every is None:
-        report_every = T
+    report_every = T if report_every is None else report_every
     if report_every <= 0:
         raise ValueError(f"report_every must be positive, got {report_every}")
     n_steps, dt = _resolve_steps(T, cfg.dt)
     if report_every < dt * (1 - 1e-12):
         raise ValueError("report_every must be at least the time step")
     n_rep = math.ceil(T / report_every - 1e-9)
-    report_steps = [min(n_steps, round(i * report_every / dt)) for i in range(n_rep + 1)]
-    report_steps[-1] = n_steps
-    result = EvolveResult(Trajectory())
-
-    def sample(state):
-        """Report on ``state``; True once its weighted norm passes the ceiling."""
-        report = EnergyReport.measure(state, params)
-        result.trajectory.append(state, report)
-        if report.weighted_norm > cfg.blowup_ceiling:
-            result.blown_up = True
-            result.blowup_time = state.time
-        return result.blown_up
-
+    report_steps = {round(i * report_every / dt) for i in range(n_rep)} | {n_steps}
     if cfg.method == "picard_duhamel":
-        nodes = picard_solve(u0, params, cfg, T).trajectory.states
-        for k in report_steps:
-            if sample(nodes[k]):
-                break
-        return result
-    ops = _ops(u0.grid, params, cfg.dealias)
-    step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
+        nodes = picard_solve(u0, params, cfg, T).nodes
+    else:
+        step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
+        nodes = _stepped(step, _ops(u0.grid, params, cfg.dealias), u0.packed(), dt, n_steps)
 
-    u = u0.packed()
-    t0 = u0.time
-    rep_i = 0
-    for k in range(n_steps + 1):
-        t = t0 + k * dt
-        while rep_i < len(report_steps) and report_steps[rep_i] == k:
-            rep_i += 1
-            if sample(WaveState.from_packed(u0.grid, u, t)):
-                return result
-        if k == n_steps:
-            break
+    result = EvolveResult(Trajectory())
+    for k, u in enumerate(nodes):
+        t = u0.time + k * dt
         with np.errstate(over="ignore", invalid="ignore"):
-            u = step(ops, u, dt)
-            sup = float(np.max(np.abs(u)))
-        if not math.isfinite(sup) or sup > 1e3 * cfg.blowup_ceiling:
-            result.blown_up = True
-            result.blowup_time = t + dt
-            return result
+            sup = float(np.max(np.abs(u))) if k else 0.0
+        blown = not math.isfinite(sup) or sup > 1e3 * cfg.blowup_ceiling
+        if not blown and k in report_steps:
+            state = WaveState.from_packed(u0.grid, u, t)
+            result.trajectory.append(state, EnergyReport.measure(state, params))
+            blown = result.reports[-1].weighted_norm > cfg.blowup_ceiling
+        if blown:
+            result.blown_up, result.blowup_time = True, t
+            break
     return result
 
 
@@ -390,24 +379,29 @@ def _duhamel_integrals(ops: _Ops, forcing, dt):
 
 @dataclass
 class PicardResult:
-    trajectory: Trajectory
+    """The converged nodes: ``nodes[m]`` is the packed state at ``times[m]``."""
+
+    grid: Grid
+    nodes: list
+    times: list
     iterations: int
     defects: list
 
     @property
-    def final(self):
-        return self.trajectory.final
+    def final(self) -> WaveState:
+        return WaveState.from_packed(self.grid, self.nodes[-1], self.times[-1])
 
 
 def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float) -> PicardResult:
     """Solve u = S(t)u0 + int_0^t S(t-t') N(u(t')) dt' by fixed-point iteration.
 
-    The Duhamel integral is discretized with a composite fourth-order rule
-    on the uniform node set and evaluated by its panel recurrence, O(N)
-    propagator applies per sweep; iteration stops when successive
-    trajectories differ by less than picard_tol in the sup-in-time weighted
-    pair norm.  Non-convergence within picard_max_iter reports the observed
-    contraction ratio (the horizon is too large for the data size)."""
+    The free trajectory S(m dt)u0 steps node to node by S(dt).  The Duhamel
+    integral is discretized with a composite fourth-order rule on the
+    uniform node set and evaluated by its panel recurrence, O(N) propagator
+    applies per sweep; iteration stops when successive trajectories differ
+    by less than picard_tol in the sup-in-time weighted pair norm.
+    Non-convergence within picard_max_iter reports the observed contraction
+    ratio (the horizon is too large for the data size)."""
     if not params.mu > 0:
         raise ValueError("the Duhamel solver is defined for the regularized system (mu > 0)")
     if T <= 0:
@@ -415,8 +409,11 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     n_steps, dt = _resolve_steps(T, cfg.dt)
     ops = _ops(u0.grid, params, cfg.dealias)
     grid = u0.grid
-    u_init = u0.packed()
-    u = free = [ops.propagator(m * dt).apply(u_init) for m in range(n_steps + 1)]
+    s_dt = ops.propagator(dt)
+    free = [u0.packed()]
+    for _ in range(n_steps):
+        free.append(s_dt.apply(free[-1]))
+    u = free
 
     def defect_norm(a, b):
         return math.sqrt(_weighted_sq_coeffs(grid, a - b, params.s, params.kappa))
@@ -439,10 +436,8 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
                 math.inf,
             )
         if worst < cfg.picard_tol:
-            traj = Trajectory()
-            for m, um in enumerate(u):
-                traj.append(WaveState.from_packed(grid, um, u0.time + m * dt))
-            return PicardResult(traj, iteration, defects)
+            times = [u0.time + m * dt for m in range(n_steps + 1)]
+            return PicardResult(grid, u, times, iteration, defects)
     ratios = [b / a for a, b in zip(defects, defects[1:]) if a > 0]
     contraction = max(ratios) if ratios else math.inf
     raise PicardError(

@@ -30,8 +30,7 @@ from .inequalities import (
     trilinear_report,
 )
 from .presets import random_bandlimited
-from .spectral import sobolev_norm
-from .state import Params, WaveState, weighted_pair_norm
+from .state import Params, WaveState, _sobolev_sq, _weighted_sq_coeffs, weighted_pair_norm
 
 COMPARISON_NORMS = ("L2xH12", "H1xH12", "HskappaxHs")
 
@@ -72,48 +71,39 @@ def fit_rate(params, errors):
     return float(slope), float(math.sqrt(np.mean(resid**2)))
 
 
-def _pair_difference_norms(a: WaveState, b: WaveState):
-    theta = a.eta - b.eta
-    ws = [va - vb for va, vb in zip(a.vel, b.vel)]
-    return theta, ws
-
-
 def low_capillarity_error(a: WaveState, b: WaveState) -> float:
     """sqrt(||theta||_L2^2 + ||K^-1 w||_L2^2), the zero-surface-tension metric:
     the weighted pair norm of the difference at s = 1/2 and kappa = 0."""
-    theta, ws = _pair_difference_norms(a, b)
-    return weighted_pair_norm(WaveState(theta, tuple(ws), time=a.time), 0.5, 0.0)
+    return math.sqrt(_weighted_sq_coeffs(a.grid, a.packed() - b.packed(), 0.5, 0.0))
 
 
-def _evolve_member(member, u0, params, cfg, base) -> EvolveResult:
-    """Evolve one sweep member; a blow-up aborts the whole study."""
-    res = evolve(u0, params, cfg, base.T, base.report_every)
+def _sobolev_pair(grid, u, eta_order, vel_order) -> float:
+    """sqrt(||eta||^2_{H^eta_order} + ||v||^2_{H^vel_order}) of a packed pair."""
+    return math.sqrt(_sobolev_sq(grid, u[0], eta_order) + _sobolev_sq(grid, u[1:], vel_order))
+
+
+def _evolve_member(member, u0, params, cfg, T, report_every) -> EvolveResult:
+    """Evolve one study member; a blow-up aborts the whole study."""
+    res = evolve(u0, params, cfg, T, report_every)
     if res.blown_up:
         raise BlowUpError(member, res.blowup_time)
     return res
 
 
+# The comparison norms other than HskappaxHs, by (eta order, velocity order).
+_SOBOLEV_PAIRS = {"L2xH12": (0.0, 0.5), "H1xH12": (1.0, 0.5)}
+
+
 def _comparison_error(name, a, b, s, kappa):
-    theta, ws = _pair_difference_norms(a, b)
-    if name == "L2xH12":
-        total = sobolev_norm(theta, 0.0) ** 2
-        total += sum(sobolev_norm(w, 0.5) ** 2 for w in ws)
-        return math.sqrt(total)
-    if name == "H1xH12":
-        total = sobolev_norm(theta, 1.0) ** 2
-        total += sum(sobolev_norm(w, 0.5) ** 2 for w in ws)
-        return math.sqrt(total)
+    d = a.packed() - b.packed()
     if name == "HskappaxHs":
-        diff = WaveState(theta, tuple(ws), time=a.time)
-        return weighted_pair_norm(diff, s, kappa)
-    raise ValueError(f"unknown comparison norm {name!r}")
+        return math.sqrt(_weighted_sq_coeffs(a.grid, d, s, kappa))
+    return _sobolev_pair(a.grid, d, *_SOBOLEV_PAIRS[name])
 
 
 def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
-    sa, sb = result_a.trajectory.states, result_b.trajectory.states
-    if len(sa) != len(sb):
-        raise RuntimeError("trajectories sampled at different cadences")
-    return max(metric(x, y) for x, y in zip(sa, sb))
+    pairs = zip(result_a.trajectory.states, result_b.trajectory.states, strict=True)
+    return max(metric(x, y) for x, y in pairs)
 
 
 def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
@@ -141,7 +131,8 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
 
     def run(kappa):
         params = replace(base.params, kappa=kappa)
-        return _evolve_member(f"kappa={kappa:g}", u0, params, base.integrator, base)
+        cfg = base.integrator
+        return _evolve_member(f"kappa={kappa:g}", u0, params, cfg, base.T, base.report_every)
 
     reference = run(0.0)
     points = []
@@ -164,7 +155,7 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
     """Cauchy behavior of the viscous approximations as mu decreases.
 
     Errors against the mu = 0 run, measured in the (r+1/2, r) Sobolev pair
-    for r < s (default max(1/2, s - 1/2)), must decrease strictly along the
+    for 0 < r <= s (default max(1/2, s - 1/2)), must decrease strictly along the
     sweep; the fitted order is reported without asserting a value (NaN for
     fewer than 3 values)."""
     mus = tuple(float(m) for m in mus)
@@ -180,31 +171,30 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
     if r is None:
         r = max(0.5, s - 0.5)
     r = float(r)
-    if not (0 < r < s or r == s):
+    if not 0 < r <= s:
         raise ValueError(f"mu_limit_study needs 0 < r <= s, got r={r}")
     u0 = base.initial_state()
     cfg = base.integrator
     fallback = False
 
+    def member(name, params, integrator):
+        return _evolve_member(name, u0, params, integrator, base.T, base.report_every)
+
     def run(mu):
         nonlocal fallback
         params = replace(base.params, mu=mu)
         try:
-            return _evolve_member(f"mu={mu:g}", u0, params, cfg, base)
+            return member(f"mu={mu:g}", params, cfg)
         except PicardError:
             fallback = True
-            alt = replace(cfg, method="exponential_rk4")
-            return _evolve_member(f"mu={mu:g}", u0, params, alt, base)
+            return member(f"mu={mu:g}", params, replace(cfg, method="exponential_rk4"))
 
     # The Duhamel solver is undefined at mu = 0: the reference steps by ERK4.
     ref_cfg = replace(cfg, method="exponential_rk4") if cfg.method == "picard_duhamel" else cfg
-    reference = _evolve_member("mu=0", u0, replace(base.params, mu=0.0), ref_cfg, base)
+    reference = member("mu=0", replace(base.params, mu=0.0), ref_cfg)
 
     def metric(a, b):
-        theta, ws = _pair_difference_norms(a, b)
-        total = sobolev_norm(theta, r + 0.5) ** 2
-        total += sum(sobolev_norm(w, r) ** 2 for w in ws)
-        return math.sqrt(total)
+        return _sobolev_pair(a.grid, a.packed() - b.packed(), r + 0.5, r)
 
     errors = [_sup_error(run(mu), reference, metric) for mu in mus]
     order, resid = fit_rate(mus, errors) if len(mus) >= 3 else (math.nan, math.nan)
@@ -268,22 +258,23 @@ def dissipation_test(
     report_every = report_every or max(T / 20.0, cfg.dt)
     rows = []
     for i, u0 in enumerate(data):
-        size = sobolev_norm(u0.eta, 0.0) + math.sqrt(
-            sum(sobolev_norm(v, 0.5) ** 2 for v in u0.vel)
-        )
+        u, grid = u0.packed(), u0.grid
+        size = math.sqrt(_sobolev_sq(grid, u[0], 0.0)) + math.sqrt(_sobolev_sq(grid, u[1:], 0.5))
         row = {"index": i, "data_size": size, "delta": delta}
         if size > delta:
             row["skipped"] = True
             row["reason"] = "data size exceeds delta"
             rows.append(row)
             continue
-        res = evolve(u0, params, cfg, T, report_every)
+        res = _evolve_member(f"datum={i}", u0, params, cfg, T, report_every)
         series = [rep.hamiltonian for rep in res.reports]
         tol = 1e-10 * max(abs(series[0]), 1e-300)
         row["monotone"] = all(b <= a + tol for a, b in zip(series, series[1:]))
         row["total_drop"] = series[0] - series[-1]
 
-        ctrl = evolve(u0, replace(params, mu=0.0), cfg, T, report_every)
+        ctrl = _evolve_member(
+            f"datum={i} control", u0, replace(params, mu=0.0), cfg, T, report_every
+        )
         ctrl_series = [rep.hamiltonian for rep in ctrl.reports]
         drift = max(abs(h - ctrl_series[0]) for h in ctrl_series)
         row["control_drift"] = drift / max(abs(ctrl_series[0]), 1e-300)
@@ -317,7 +308,7 @@ def stability_test(
     report_every = report_every or max(T / 20.0, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
-    base = evolve(u0, params, cfg, T, report_every)
+    base = _evolve_member("base", u0, params, cfg, T, report_every)
 
     sups = []
     rates = []
@@ -328,7 +319,7 @@ def stability_test(
             tuple(v + scale * d for v, d in zip(u0.vel, direction.vel)),
             time=u0.time,
         )
-        res = evolve(pert, params, cfg, T, report_every)
+        res = _evolve_member(f"size={size:g}", pert, params, cfg, T, report_every)
         series = [
             difference_energy(a, b, r, params)
             for a, b in zip(res.trajectory.states, base.trajectory.states)

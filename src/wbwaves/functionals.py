@@ -26,7 +26,7 @@ import numpy as np
 
 from .spectral import Grid, SpectralError, SymbolCatalog
 from .state import Params, WaveState, weighted_pair_norm
-from .state import _norm_weights, _parseval, _weighted_sq_coeffs
+from .state import _norm_weights, _sobolev_sq, _weighted_sq_coeffs
 
 #: Default small-data level for invariant-region experiments.  The proofs
 #: only assert existence of such a level; this value is calibrated so the
@@ -100,11 +100,8 @@ def difference_energy(state1: WaveState, state2: WaveState, r, params: Params) -
     grid = state1.grid
     u1 = state1.packed()
     d = u1 - state2.packed()
-    bess = SymbolCatalog.bessel
-    theta_w = params.kappa * _parseval(grid, bess(2.0 * r + 1.0).values(grid))
-    total = np.sum(theta_w * np.abs(d[0]) ** 2)
-    total += np.sum(_parseval(grid, bess(2.0 * r).values(grid)) * np.abs(d[1:]) ** 2)
-    return 0.5 * (float(total) + _cubic(grid, u1[0], d[1:], r - 0.5))
+    total = params.kappa * _sobolev_sq(grid, d[0], r + 0.5) + _sobolev_sq(grid, d[1:], r)
+    return 0.5 * (total + _cubic(grid, u1[0], d[1:], r - 0.5))
 
 
 def smallness_threshold(override=None) -> float:

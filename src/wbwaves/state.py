@@ -173,6 +173,19 @@ def _norm_weights(grid: Grid, s, kappa):
     return eta_w, vel_w
 
 
+@lru_cache(maxsize=16)
+def _sobolev_weights(grid: Grid, order):
+    """Read-only <xi>^(2 order), by ``_parseval`` on the half spectrum."""
+    w = _parseval(grid, SymbolCatalog.bessel(2.0 * order).values(grid))
+    w.flags.writeable = False
+    return w
+
+
+def _sobolev_sq(grid: Grid, c, order) -> float:
+    """Squared H^order norm of half-spectrum coefficients, over any leading axes."""
+    return float(np.sum(_sobolev_weights(grid, float(order)) * np.abs(c) ** 2))
+
+
 def _weighted_sq_coeffs(grid: Grid, u, s, kappa) -> float:
     """Squared weighted norm of a packed (1 + d, *half) coefficient array.
 

@@ -359,20 +359,29 @@ class TestStudyCommand:
         cfgfile = write_config(tmp_path, raw)
         assert main(["study", "kappa_limit", cfgfile]) == 1
 
-    def test_sweep_member_blowup_exits_two_with_summary(self, tmp_path):
+    @pytest.mark.parametrize(
+        "study, options, member",
+        [
+            ("kappa_limit", {"values": [0.1, 0.01, 0.001]}, "kappa=0"),
+            ("dissipation", {"count": 2}, "datum=0"),
+            ("stability", {}, "base"),
+        ],
+        ids=["kappa_limit", "dissipation", "stability"],
+    )
+    def test_sweep_member_blowup_exits_two_with_summary(self, tmp_path, study, options, member):
         outdir = tmp_path / "out"
         raw = small_run(
             str(outdir),
             params={"kappa": 1.0, "s": 2.0},
             integrator={"dt": 2e-3, "blowup_ceiling": 1e-3},
-            study={"values": [0.1, 0.01, 0.001]},
+            study=options,
         )
-        proc = run_cli("study", "kappa_limit", write_config(tmp_path, raw))
+        proc = run_cli("study", study, write_config(tmp_path, raw))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        summary = json.loads((outdir / "kappa_limit.json").read_text())
+        summary = json.loads((outdir / f"{study}.json").read_text())
         assert summary["status"] == "blowup"
-        assert summary["member"] == "kappa=0"
+        assert summary["member"] == member
         assert summary["blowup_time"] == 0.0
         assert summary["pass"] is False
 

@@ -260,6 +260,14 @@ class TestEvolve:
         diff = np.max(np.abs(a.final.eta.values - b.final.eta.values))
         assert diff < 1e-9
 
+    def test_report_steps_are_distinct_when_the_cadence_does_not_divide_T(self):
+        g = Grid(32)
+        params = Params(kappa=1.0)
+        res = evolve(small_state(g), params, IntegratorConfig(dt=0.01), T=1.0, report_every=0.333)
+        times = res.trajectory.times
+        assert len(times) == len(set(times)) == 4
+        assert times[-1] == pytest.approx(1.0, abs=1e-12)
+
     def test_realness_along_trajectory(self):
         # from_coeffs enforces the 1e-12 residue bound at every report time
         g = Grid(64)
@@ -284,7 +292,7 @@ class TestPicard:
         params = Params(kappa=1.0, mu=0.1, p=1.0)
         res = picard_solve(WaveState.zero(g), params, IntegratorConfig(dt=0.01), T=0.1)
         assert res.iterations == 1
-        assert all(np.max(np.abs(st.eta.values)) == 0.0 for st in res.trajectory.states)
+        assert all(np.max(np.abs(um)) == 0.0 for um in res.nodes)
 
     def test_requires_regularization(self):
         g = Grid(32)
@@ -395,10 +403,6 @@ def weighted_norm(grid, params, u):
     return math.sqrt(_weighted_sq_coeffs(grid, u, params.s, params.kappa))
 
 
-def state_difference(a, b):
-    return WaveState(a.eta - b.eta, tuple(x - y for x, y in zip(a.vel, b.vel)))
-
-
 def quadratic_picard(u0, params, cfg, T):
     """Node coefficient arrays and per-sweep defects of the O(N^2) iteration."""
     n_steps, dt = _resolve_steps(T, cfg.dt)
@@ -436,13 +440,9 @@ class TestPanelRecurrence:
         cfg = IntegratorConfig(dt=T / steps, picard_tol=1e-6, picard_max_iter=30)
         res = picard_solve(u0, params, cfg, T)
         ref, ref_defects = quadratic_picard(u0, params, cfg, T)
-        assert len(res.trajectory.states) == steps + 1
-        # Both sides go through the same coefficients -> real fields round trip.
-        ref = [WaveState.from_packed(g, um, 0.0) for um in ref]
-        got = res.trajectory.states
-        norm = lambda st: weighted_pair_norm(st, params.s, params.kappa)
-        scale = max(norm(st) for st in ref)
-        err = max(norm(state_difference(a, b)) for a, b in zip(got, ref))
+        assert len(res.nodes) == steps + 1
+        scale = max(weighted_norm(g, params, um) for um in ref)
+        err = max(weighted_norm(g, params, a - b) for a, b in zip(res.nodes, ref))
         assert err <= DUHAMEL_RTOL * scale
         assert res.iterations == len(ref_defects) >= 2
         # A defect is a norm of a difference of two sweeps, so it moves by at
@@ -467,10 +467,55 @@ class TestOperatorCaches:
         params = Params(kappa=1.0, mu=0.1, p=1.0)
         u0 = small_state(g, seed=3, amplitude=0.02)
         res = picard_solve(u0, params, IntegratorConfig(dt=1e-3, picard_tol=1e-8), T=0.4)
-        assert len(res.trajectory.states) == 401
+        assert len(res.nodes) == 401
         ops = _ops(g, params, True)
         assert len(ops._props) <= dynamics._CACHE_SIZE
         assert ops.propagator(0.5) is ops.propagator(0.5)
+
+    def test_long_solve_builds_few_propagators(self, monkeypatch):
+        # The free trajectory steps by S(dt) and a sweep applies S(k dt) for
+        # k = -2 .. 3, so the node count does not set the number of builds.
+        builds = []
+        init = _Propagator.__init__
+
+        def counted(self, ops, t):
+            builds.append(t)
+            init(self, ops, t)
+
+        monkeypatch.setattr(_Propagator, "__init__", counted)
+        g = Grid(32)
+        params = Params(kappa=1.0, mu=0.15, p=1.0)
+        u0 = small_state(g, seed=4, amplitude=0.02)
+        res = picard_solve(u0, params, IntegratorConfig(dt=1e-3, picard_tol=1e-8), T=0.4)
+        assert len(res.nodes) == 401
+        assert len(builds) <= 8
+
+
+class TestPackedTrajectory:
+    @pytest.mark.parametrize("n", [(64,), (16, 16)])
+    def test_picard_evolve_builds_states_only_for_reports(self, n, monkeypatch):
+        calls = []
+        from_coeffs = Field.__dict__["from_coeffs"].__func__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(1)
+            return from_coeffs(cls, *args, **kwargs)
+
+        g = Grid(n)
+        params = Params(kappa=1.0, mu=0.1, p=1.0)
+        u0 = small_state(g, seed=5, amplitude=0.02)
+        monkeypatch.setattr(Field, "from_coeffs", classmethod(counted))
+        cfg = IntegratorConfig(method="picard_duhamel", dt=0.01)
+        res = evolve(u0, params, cfg, T=0.4, report_every=0.1)
+        assert len(res.reports) == 5
+        assert len(calls) == (1 + g.dim) * len(res.reports)
+
+    def test_picard_final_is_the_last_node(self):
+        g = Grid(32)
+        params = Params(kappa=1.0, mu=0.1, p=1.0)
+        res = picard_solve(small_state(g, seed=6), params, IntegratorConfig(dt=0.01), T=0.1)
+        assert np.array_equal(res.final.packed(), res.nodes[-1])
+        assert res.final.time == res.times[-1] == pytest.approx(0.1, abs=1e-15)
 
 
 class TestEnergyDerivative:

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from wbwaves import experiments
 from wbwaves.config import config_from_dict
-from wbwaves.dynamics import IntegratorConfig, evolve
+from wbwaves.dynamics import BlowUpError, IntegratorConfig, evolve
 from wbwaves.experiments import (
     conservation_check,
     dissipation_test,
@@ -202,6 +203,42 @@ class TestStability:
             stability_test(single_mode(g, 0.01), [1e-2, 1e-3], r=2.0,
                            params=Params(kappa=1.0, s=1.0), T=0.1,
                            cfg=IntegratorConfig(dt=5e-3))
+
+
+class TestMemberBlowup:
+    """A member that blows up aborts its study, named; ``evolve`` is wrapped
+    so that only the chosen member blows up."""
+
+    @staticmethod
+    def blow_up_when(monkeypatch, chosen):
+        real = experiments.evolve
+
+        def wrapped(u0, params, cfg, T, report_every=None):
+            res = real(u0, params, cfg, T, report_every)
+            if chosen(u0, params):
+                res.blown_up, res.blowup_time = True, T
+            return res
+
+        monkeypatch.setattr(experiments, "evolve", wrapped)
+
+    def test_dissipation_names_the_control_run(self, monkeypatch):
+        self.blow_up_when(monkeypatch, lambda u0, params: params.mu == 0)
+        with pytest.raises(BlowUpError) as info:
+            dissipation_test(
+                [WaveState.zero(Grid(32))], Params(kappa=1.0, mu=0.2, p=1.0), T=0.1,
+                cfg=IntegratorConfig(dt=5e-3),
+            )
+        assert info.value.member == "datum=0 control"
+
+    def test_stability_names_the_perturbed_run(self, monkeypatch):
+        u0 = single_mode(Grid(64), 0.05)
+        self.blow_up_when(monkeypatch, lambda u, params: u is not u0)
+        with pytest.raises(BlowUpError) as info:
+            stability_test(
+                u0, [1e-2, 1e-3, 1e-4], r=0.5, params=Params(kappa=1.0, s=1.5), T=0.1,
+                cfg=IntegratorConfig(dt=5e-3),
+            )
+        assert info.value.member == "size=0.01"
 
 
 class TestConservationCheck:

@@ -18,7 +18,20 @@ import math
 import numpy as np
 import pytest
 
-from wbwaves.dynamics import _FIRST_PANEL, _duhamel_integrals, _lawson_rk4_step, _ops
+from wbwaves.dynamics import (
+    _FIRST_PANEL,
+    IntegratorConfig,
+    _duhamel_integrals,
+    _lawson_rk4_step,
+    _ops,
+)
+from wbwaves.experiments import (
+    _SOBOLEV_PAIRS,
+    _comparison_error,
+    _sobolev_pair,
+    dissipation_test,
+    low_capillarity_error,
+)
 from wbwaves.functionals import EnergyReport, difference_energy
 from wbwaves.presets import random_bandlimited
 from wbwaves.spectral import Field, Grid, SymbolCatalog, apply_multiplier, sobolev_norm
@@ -26,6 +39,7 @@ from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, curl_residue, 
 
 OPERATOR_RTOL = 1e-13
 FUNCTIONAL_RTOL = 1e-13
+STUDY_METRIC_RTOL = 1e-12
 PARSEVAL_RTOL = 1e-14
 ROUND_TRIP_RTOL = 1e-15
 DT = 1e-2
@@ -297,24 +311,26 @@ def _close(got, want, rtol=FUNCTIONAL_RTOL):
     return abs(got - want) <= rtol * abs(want)
 
 
+def sample_states(grid, kappa):
+    """Two field-built states, each followed by its ERK4 step as from_packed."""
+    params = Params(kappa=kappa)
+    for start in (full_state(grid, 9)[0], rough_state(grid, 10)):
+        yield start
+        u = evolved_packed(grid, start, params)
+        yield WaveState.from_packed(grid, u, DT)
+
+
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 class TestFunctionalsAgainstFullSpectrum:
     """Old-vs-new equivalence of every state functional, on states built
     from fields and on states from_packed from an ERK4 step."""
 
-    def _states(self, grid, kappa):
-        params = Params(kappa=kappa)
-        for start in (full_state(grid, 9)[0], rough_state(grid, 10)):
-            yield start
-            u = evolved_packed(grid, start, params)
-            yield WaveState.from_packed(grid, u, DT)
-
     def test_energy_report(self, n, kappa):
         grid = Grid(n)
         for s in (0.5, 1.0, 2.0):
             params = Params(kappa=kappa, s=s)
-            for st in self._states(grid, kappa):
+            for st in sample_states(grid, kappa):
                 got = EnergyReport.measure(st, params)
                 want = full_report(st, params)
                 for name in ("eta_min", "eta_max", "linf_v", "time"):
@@ -331,7 +347,7 @@ class TestFunctionalsAgainstFullSpectrum:
 
     def test_difference_energy(self, n, kappa):
         grid = Grid(n)
-        states = list(self._states(grid, kappa))
+        states = list(sample_states(grid, kappa))
         for s in (1.0, 2.0):
             params = Params(kappa=kappa, s=s)
             for r in (0.25, 0.5):
@@ -348,6 +364,63 @@ class TestFunctionalsAgainstFullSpectrum:
             want = full_report(full_spectrum_state(grid, u, DT), Params(kappa=kappa))
             for name in ("eta_min", "eta_max", "linf_v"):
                 assert getattr(got, name) == want[name], name
+
+
+def field_difference(a, b):
+    """A state difference by field arithmetic (sample subtraction)."""
+    return a.eta - b.eta, [va - vb for va, vb in zip(a.vel, b.vel)]
+
+
+def field_sobolev_pair(a, b, eta_order, vel_order):
+    theta, ws = field_difference(a, b)
+    total = sobolev_norm(theta, eta_order) ** 2 + sum(sobolev_norm(w, vel_order) ** 2 for w in ws)
+    return math.sqrt(total)
+
+
+def field_weighted_difference(a, b, s, kappa):
+    """The weighted pair norm of the difference as a new ``WaveState``."""
+    theta, ws = field_difference(a, b)
+    return weighted_pair_norm(WaveState(theta, tuple(ws), time=a.time), s, kappa)
+
+
+def field_data_size(st):
+    return sobolev_norm(st.eta, 0.0) + math.sqrt(sum(sobolev_norm(v, 0.5) ** 2 for v in st.vel))
+
+
+@pytest.mark.parametrize("n", [(64,), (256,), (32, 32)])
+class TestStudyMetricsAgainstFieldPath:
+    """The study metrics on packed differences against the field-arithmetic
+    differences and full-spectrum ``sobolev_norm`` they replaced."""
+
+    def _pairs(self, grid):
+        states = list(sample_states(grid, 1.0))
+        return list(zip(states, states[1:]))
+
+    def test_difference_norms(self, n):
+        grid = Grid(n)
+        for a, b in self._pairs(grid):
+            want = field_weighted_difference(a, b, 0.5, 0.0)
+            assert _close(low_capillarity_error(a, b), want, STUDY_METRIC_RTOL)
+            for s, kappa in ((1.0, 1.0), (2.0, 0.01)):
+                want = field_weighted_difference(a, b, s, kappa)
+                got = _comparison_error("HskappaxHs", a, b, s, kappa)
+                assert _close(got, want, STUDY_METRIC_RTOL)
+            for name, orders in _SOBOLEV_PAIRS.items():
+                want = field_sobolev_pair(a, b, *orders)
+                assert _close(_comparison_error(name, a, b, 1.0, 1.0), want, STUDY_METRIC_RTOL)
+            for r in (0.5, 1.0, 1.5):  # the mu_limit metric
+                want = field_sobolev_pair(a, b, r + 0.5, r)
+                got = _sobolev_pair(grid, a.packed() - b.packed(), r + 0.5, r)
+                assert _close(got, want, STUDY_METRIC_RTOL)
+
+    def test_data_size(self, n):
+        grid = Grid(n)
+        data = list(sample_states(grid, 1.0))
+        params = Params(kappa=1.0, mu=0.2, p=1.0)
+        # delta = 0 skips every datum, so only the sizes are computed.
+        report = dissipation_test(data, params, T=DT, cfg=IntegratorConfig(dt=DT), delta=0.0)
+        for row, st in zip(report.rows, data):
+            assert _close(row["data_size"], field_data_size(st), STUDY_METRIC_RTOL)
 
 
 FFT_NAMES = [name for name in dir(np.fft) if name.endswith(("fft", "fft2", "fftn"))]
