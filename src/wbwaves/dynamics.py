@@ -28,6 +28,15 @@ nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
 loop runs both blow-up checks on them and builds a ``WaveState`` only for
 the nodes it reports on.
 
+Batch axis: every operator, the propagator and both steppers act on
+(..., 1 + d, *half) arrays, the component axis and the d transform axes
+counted from the end, so independent runs on one grid with one ``Params``
+step as one (B, 1 + d, *half) stack, each row exactly as it would alone.
+``evolve`` given a sequence of states integrates them so; its sampling loop
+checks each row, reports on each live member and freezes a blown member at
+its own time.  A Picard sweep evaluates the forcing of all its nodes, a
+(N + 1, 1 + d, *half) stack, in one call.
+
 Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
 operators, so velocity content there (and off e) is propagated by the heat
@@ -45,7 +54,7 @@ import numpy as np
 
 from .functionals import EnergyReport, modified_energy
 from .spectral import Grid, SymbolCatalog
-from .state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
+from .state import Params, WaveState, _part, _weighted_sq_coeffs, weighted_pair_norm
 
 INTEGRATOR_METHODS = ("exponential_rk4", "reference_rk4", "picard_duhamel")
 
@@ -118,32 +127,48 @@ class _Ops:
         forcing = np.stack([half(g) for g in cat.forcing(grid)])
         self.restoring = forcing * half(cat.capillary(params.kappa).values(grid))
         self.forcing = forcing if self.mask is None else forcing * self.mask
+        # A packed array is (..., 1 + d, *half): the transform axes and the
+        # component axis count from the end, so leading axes batch.
+        d = grid.dim
+        self.axes = tuple(range(-d, 0))
+        self.comp = -d - 1
+        self.parts = [_part(d, k) for k in range(1 + d)]
+        self.eta, self.vel = _part(d, slice(0, 1)), _part(d, slice(1, None))
         self._props = OrderedDict()
 
     def nonlinear(self, u):
         """Quadratic forcing of the evolution (the Duhamel integrand):
-        -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j.
-        One inverse transform of the masked state, then one forward
-        transform of (|v|^2/2, eta v_1, .., eta v_d) in its place."""
-        grid = self.grid
-        axes = tuple(range(1, u.ndim))
-        phys = np.fft.irfftn(u if self.mask is None else u * self.mask, s=grid.n, axes=axes)
-        phys /= grid._norm_factor
-        eta, vel = phys[0], phys[1:]
-        sq = np.sum(vel * vel, axis=0)
-        vel *= eta
-        np.multiply(sq, 0.5, out=eta)
-        c = np.fft.rfftn(phys, axes=axes)
-        c *= grid._norm_factor
+        -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j,
+        from the coefficients of ``_products``."""
+        c = self._products(u)
         out = np.empty_like(u)
-        np.multiply(self.forcing, c[0], out=out[1:])
-        c[1:] *= self.forcing
-        np.sum(c[1:], axis=0, out=out[0])
+        np.multiply(self.forcing, c[self.eta], out=out[self.vel])
+        c_vel = c[self.vel]
+        c_vel *= self.forcing
+        np.sum(c_vel, axis=self.comp, keepdims=True, out=out[self.eta])
         return out
 
+    def _products(self, u):
+        """The coefficients of (|v|^2/2, eta v_1, .., eta v_d): one inverse
+        transform of the masked state, then one forward transform of the
+        products in its place.  On a Picard sweep's stack of nodes every
+        temporary is as large as the stack, so ``sq`` goes before the forward
+        transform and the rest before ``nonlinear`` allocates its output."""
+        grid, axes = self.grid, self.axes
+        phys = np.fft.irfftn(u if self.mask is None else u * self.mask, s=grid.n, axes=axes)
+        phys /= grid._norm_factor
+        eta, vel = phys[self.eta], phys[self.vel]
+        sq = np.sum(vel * vel, axis=self.comp, keepdims=True)
+        vel *= eta
+        np.multiply(sq, 0.5, out=eta)
+        del sq
+        c = np.fft.rfftn(phys, axes=axes)
+        c *= grid._norm_factor
+        return c
+
     def linear(self, u):
-        div = np.sum(self.dx * u[1:], axis=0, keepdims=True)
-        out = np.concatenate([-div, self.restoring * u[0]])
+        div = np.sum(self.dx * u[self.vel], axis=self.comp, keepdims=True)
+        out = np.concatenate([-div, self.restoring * u[self.eta]], axis=self.comp)
         if self.heat_rate is not None:
             out -= self.heat_rate * u
         return out
@@ -181,13 +206,16 @@ class _Propagator:
             for j, ej in enumerate(e)
         ]
         self.heat = np.exp(-t * ops.heat_rate) if ops.heat_rate is not None else None
+        self.parts = ops.parts
 
     def apply(self, u):
         out = np.empty_like(u)
-        for row, acc in zip(self.rows, out):
-            np.multiply(row[0], u[0], out=acc)
-            for m, c in zip(row[1:], u[1:]):
-                acc += m * c
+        parts = self.parts
+        for row, i in zip(self.rows, parts):
+            acc = out[i]
+            np.multiply(row[0], u[parts[0]], out=acc)
+            for m, j in zip(row[1:], parts[1:]):
+                acc += m * u[j]
         if self.heat is not None:
             out *= self.heat
         return out
@@ -254,13 +282,17 @@ def _reference_rk4_step(ops: _Ops, u, dt):
 
 @dataclass
 class Trajectory:
+    """A run's reported nodes: the times, the energy reports, and in
+    ``states`` what its ``keep`` made of each reported state (by default the
+    state itself)."""
+
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     reports: list = field(default_factory=list)
 
-    def append(self, state, report):
-        self.times.append(state.time)
-        self.states.append(state)
+    def append(self, time, kept, report):
+        self.times.append(time)
+        self.states.append(kept)
         self.reports.append(report)
 
 
@@ -294,19 +326,24 @@ def _stepped(step, ops: _Ops, u, dt, n_steps):
 
 
 def evolve(
-    u0: WaveState,
+    u0,
     params: Params,
     cfg: IntegratorConfig,
     T: float,
     report_every: float | None = None,
-) -> EvolveResult:
+    keep=None,
+):
     """Integrate to time T, sampling energy reports every ``report_every``.
 
-    dt is adjusted down so an integer number of steps lands exactly on T.
-    Returns the sampled trajectory; at a node that is not finite or whose
-    coefficient sup passes 1e3 * blowup_ceiling, or at a report whose
-    weighted norm passes blowup_ceiling, integration stops with the partial
-    trajectory and the blow-up flag set.
+    ``u0`` is one WaveState, or a sequence of states on one grid that are
+    integrated together as one (B, 1 + d, *half) stack and give one
+    EvolveResult each, equal to their single runs.  dt is adjusted down so an
+    integer number of steps lands exactly on T.  At each reported node a
+    member's trajectory records the time, the EnergyReport and
+    ``keep(state)`` (the state itself when ``keep`` is None).  A member whose
+    node is not finite or whose coefficient sup passes 1e3 * blowup_ceiling,
+    or whose report's weighted norm passes blowup_ceiling, stops there with
+    its partial trajectory and the blow-up flag set; the others go on.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -318,26 +355,49 @@ def evolve(
         raise ValueError("report_every must be at least the time step")
     n_rep = math.ceil(T / report_every - 1e-9)
     report_steps = {round(i * report_every / dt) for i in range(n_rep)} | {n_steps}
+    single = isinstance(u0, WaveState)
+    members = [u0] if single else list(u0)
+    results = [EvolveResult(Trajectory()) for _ in members]
+    if not members:
+        return results
+    grid = members[0].grid
+    if any(m.grid != grid for m in members):
+        raise ValueError("the states of one evolve call must share their grid")
+    # One state steps as (1 + d, *half), which small arrays step faster than a
+    # one-row stack; the loop below views each of its nodes as that stack.
     if cfg.method == "picard_duhamel":
-        nodes = picard_solve(u0, params, cfg, T).nodes
+        # Each member's fixed point converges in its own number of sweeps.
+        solved = [picard_solve(m, params, cfg, T).nodes for m in members]
+        nodes = solved[0] if single else np.stack(solved, axis=1)
     else:
         step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
-        nodes = _stepped(step, _ops(u0.grid, params, cfg.dealias), u0.packed(), dt, n_steps)
+        u = members[0].packed() if single else np.stack([m.packed() for m in members])
+        nodes = _stepped(step, _ops(grid, params, cfg.dealias), u, dt, n_steps)
 
-    result = EvolveResult(Trajectory())
+    live = list(range(len(members)))
+    row_axes = tuple(range(1, 2 + grid.dim))
     for k, u in enumerate(nodes):
-        t = u0.time + k * dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            sup = float(np.max(np.abs(u))) if k else 0.0
-        blown = not math.isfinite(sup) or sup > 1e3 * cfg.blowup_ceiling
-        if not blown and k in report_steps:
-            state = WaveState.from_packed(u0.grid, u, t)
-            result.trajectory.append(state, EnergyReport.measure(state, params))
-            blown = result.reports[-1].weighted_norm > cfg.blowup_ceiling
-        if blown:
-            result.blown_up, result.blowup_time = True, t
+        u = u[None] if single else u
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sup = np.max(np.abs(u), axis=row_axes)
+            bad = (~np.isfinite(sup) | (sup > 1e3 * cfg.blowup_ceiling)).tolist()
+        else:
+            bad = [False] * len(members)
+        for b in list(live):
+            t = members[b].time + k * dt
+            blown = bad[b]
+            if not blown and k in report_steps:
+                state = WaveState.from_packed(grid, u[b], t)
+                report = EnergyReport.measure(state, params)
+                results[b].trajectory.append(t, state if keep is None else keep(state), report)
+                blown = report.weighted_norm > cfg.blowup_ceiling
+            if blown:
+                results[b].blown_up, results[b].blowup_time = True, t
+                live.remove(b)
+        if not live:
             break
-    return result
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +439,11 @@ def _duhamel_integrals(ops: _Ops, forcing, dt):
 
 @dataclass
 class PicardResult:
-    """The converged nodes: ``nodes[m]`` is the packed state at ``times[m]``."""
+    """The converged nodes: ``nodes[m]`` is the packed state at ``times[m]``,
+    stacked in one (N + 1, 1 + d, *half) array."""
 
     grid: Grid
-    nodes: list
+    nodes: np.ndarray
     times: list
     iterations: int
     defects: list
@@ -395,7 +456,8 @@ class PicardResult:
 def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float) -> PicardResult:
     """Solve u = S(t)u0 + int_0^t S(t-t') N(u(t')) dt' by fixed-point iteration.
 
-    The free trajectory S(m dt)u0 steps node to node by S(dt).  The Duhamel
+    The free trajectory S(m dt)u0 steps node to node by S(dt), and each sweep
+    evaluates the forcing of all nodes in one call on their stack.  The Duhamel
     integral is discretized with a composite fourth-order rule on the
     uniform node set and evaluated by its panel recurrence, O(N) propagator
     applies per sweep; iteration stops when successive trajectories differ
@@ -413,19 +475,19 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     free = [u0.packed()]
     for _ in range(n_steps):
         free.append(s_dt.apply(free[-1]))
-    u = free
-
-    def defect_norm(a, b):
-        return math.sqrt(_weighted_sq_coeffs(grid, a - b, params.s, params.kappa))
+    free = u = np.stack(free)
 
     defects = []
     for iteration in range(1, cfg.picard_max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            forcing = [ops.nonlinear(um) for um in u]
-            integrals = _duhamel_integrals(ops, forcing, dt)
-            new_u = [fm + im for fm, im in zip(free, integrals)]
+            forcing = ops.nonlinear(u)
+            new_u = free.copy()
+            for m, im in enumerate(_duhamel_integrals(ops, forcing, dt)):
+                new_u[m] += im
+            del forcing  # each stack is large: free it before the defect's temporaries
+            sq = _weighted_sq_coeffs(grid, new_u - u, params.s, params.kappa)
             # np.max, unlike max, lets a NaN defect through to the check below.
-            worst = float(np.max([defect_norm(a, b) for a, b in zip(new_u, u)]))
+            worst = float(np.max(np.sqrt(sq)))
         u = new_u
         defects.append(worst)
         if not math.isfinite(worst):

@@ -82,9 +82,8 @@ def _sobolev_pair(grid, u, eta_order, vel_order) -> float:
     return math.sqrt(_sobolev_sq(grid, u[0], eta_order) + _sobolev_sq(grid, u[1:], vel_order))
 
 
-def _evolve_member(member, u0, params, cfg, T, report_every) -> EvolveResult:
-    """Evolve one study member; a blow-up aborts the whole study."""
-    res = evolve(u0, params, cfg, T, report_every)
+def _checked(member, res: EvolveResult) -> EvolveResult:
+    """A study member's result; a blow-up aborts the whole study."""
     if res.blown_up:
         raise BlowUpError(member, res.blowup_time)
     return res
@@ -132,7 +131,7 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
     def run(kappa):
         params = replace(base.params, kappa=kappa)
         cfg = base.integrator
-        return _evolve_member(f"kappa={kappa:g}", u0, params, cfg, base.T, base.report_every)
+        return _checked(f"kappa={kappa:g}", evolve(u0, params, cfg, base.T, base.report_every))
 
     reference = run(0.0)
     points = []
@@ -178,7 +177,7 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
     fallback = False
 
     def member(name, params, integrator):
-        return _evolve_member(name, u0, params, integrator, base.T, base.report_every)
+        return _checked(name, evolve(u0, params, integrator, base.T, base.report_every))
 
     def run(mu):
         nonlocal fallback
@@ -217,32 +216,31 @@ def invariant_region_test(
 
     Each datum's H_kappa^1 x H^(1/2) norm is computed (not assumed); data
     above eps/2 are flagged as precondition violations and skipped.  Both
-    the conservative and, when params.mu > 0, the viscous flow are run."""
+    the conservative and, when params.mu > 0, the viscous flow are run, each
+    as one batched integration of the admitted data."""
     eps = smallness_threshold(epsilon)
     report_every = report_every or max(T / 20.0, cfg.dt)
     rows = []
     for i, u0 in enumerate(data):
         gate = weighted_pair_norm(u0, 0.5, params.kappa)
-        row = {"index": i, "gate_norm": gate, "epsilon": eps}
+        rows.append({"index": i, "gate_norm": gate, "epsilon": eps})
         if gate > 0.5 * eps * (1 + 1e-12):
-            row["skipped"] = True
-            row["reason"] = "initial norm exceeds epsilon/2"
-            rows.append(row)
-            continue
-        variants = [("mu0", replace(params, mu=0.0))]
-        if params.mu > 0:
-            variants.append(("mu", params))
-        ok = True
-        for label, pv in variants:
-            res = evolve(u0, pv, cfg, T, report_every)
-            peak = max(
-                weighted_pair_norm(st, 0.5, params.kappa) for st in res.trajectory.states
-            )
+            rows[-1].update(skipped=True, reason="initial norm exceeds epsilon/2")
+    active = [(row, u0) for row, u0 in zip(rows, data) if not row.get("skipped")]
+    variants = [("mu0", replace(params, mu=0.0))]
+    if params.mu > 0:
+        variants.append(("mu", params))
+    for label, pv in variants:
+        results = evolve(
+            [u0 for _, u0 in active], pv, cfg, T, report_every,
+            keep=lambda st: weighted_pair_norm(st, 0.5, params.kappa),
+        )
+        for (row, _), res in zip(active, results):
+            peak = max(res.trajectory.states)
             row[f"max_norm_{label}"] = peak
             row[f"ok_{label}"] = (not res.blown_up) and peak <= eps
-            ok = ok and row[f"ok_{label}"]
-        row["ok"] = ok
-        rows.append(row)
+    for row, _ in active:
+        row["ok"] = all(row[f"ok_{label}"] for label, _ in variants)
     return _table_report("invariant_region", rows, epsilon=eps)
 
 
@@ -252,7 +250,10 @@ def dissipation_test(
     """Viscosity makes the Hamiltonian non-increasing for small data.
 
     Hamiltonian increases below 1e-10 relative are counted as roundoff;
-    the mu = 0 control run must instead conserve to 1e-8 relative."""
+    the mu = 0 control run must instead conserve to 1e-8 relative.  The
+    viscous runs and the controls are one batched integration each; a
+    blow-up names the first blown member in datum order, the run before its
+    control."""
     if not (params.mu > 0 and params.p == 1.0):
         raise ValueError("dissipation_test needs mu > 0 and p = 1")
     report_every = report_every or max(T / 20.0, cfg.dt)
@@ -260,26 +261,28 @@ def dissipation_test(
     for i, u0 in enumerate(data):
         u, grid = u0.packed(), u0.grid
         size = math.sqrt(_sobolev_sq(grid, u[0], 0.0)) + math.sqrt(_sobolev_sq(grid, u[1:], 0.5))
-        row = {"index": i, "data_size": size, "delta": delta}
+        rows.append({"index": i, "data_size": size, "delta": delta})
         if size > delta:
-            row["skipped"] = True
-            row["reason"] = "data size exceeds delta"
-            rows.append(row)
-            continue
-        res = _evolve_member(f"datum={i}", u0, params, cfg, T, report_every)
-        series = [rep.hamiltonian for rep in res.reports]
-        tol = 1e-10 * max(abs(series[0]), 1e-300)
-        row["monotone"] = all(b <= a + tol for a, b in zip(series, series[1:]))
-        row["total_drop"] = series[0] - series[-1]
+            rows[-1].update(skipped=True, reason="data size exceeds delta")
+    active = [(row, u0) for row, u0 in zip(rows, data) if not row.get("skipped")]
 
-        ctrl = _evolve_member(
-            f"datum={i} control", u0, replace(params, mu=0.0), cfg, T, report_every
-        )
-        ctrl_series = [rep.hamiltonian for rep in ctrl.reports]
-        drift = max(abs(h - ctrl_series[0]) for h in ctrl_series)
-        row["control_drift"] = drift / max(abs(ctrl_series[0]), 1e-300)
+    def series(member, res):
+        return [rep.hamiltonian for rep in _checked(member, res).reports]
+
+    states = [u0 for _, u0 in active]
+    # The runs read only their reports.
+    runs = evolve(states, params, cfg, T, report_every, keep=lambda st: None)
+    ctrls = evolve(states, replace(params, mu=0.0), cfg, T, report_every, keep=lambda st: None)
+    for (row, _), run, ctrl in zip(active, runs, ctrls):
+        h = series(f"datum={row['index']}", run)
+        tol = 1e-10 * max(abs(h[0]), 1e-300)
+        row["monotone"] = all(b <= a + tol for a, b in zip(h, h[1:]))
+        row["total_drop"] = h[0] - h[-1]
+
+        ctrl_h = series(f"datum={row['index']} control", ctrl)
+        drift = max(abs(x - ctrl_h[0]) for x in ctrl_h)
+        row["control_drift"] = drift / max(abs(ctrl_h[0]), 1e-300)
         row["ok"] = row["monotone"] and row["control_drift"] <= 1e-8
-        rows.append(row)
     return _table_report("dissipation", rows, delta=delta)
 
 
@@ -308,7 +311,7 @@ def stability_test(
     report_every = report_every or max(T / 20.0, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
-    base = _evolve_member("base", u0, params, cfg, T, report_every)
+    base = _checked("base", evolve(u0, params, cfg, T, report_every))
 
     sups = []
     rates = []
@@ -319,7 +322,7 @@ def stability_test(
             tuple(v + scale * d for v, d in zip(u0.vel, direction.vel)),
             time=u0.time,
         )
-        res = _evolve_member(f"size={size:g}", pert, params, cfg, T, report_every)
+        res = _checked(f"size={size:g}", evolve(pert, params, cfg, T, report_every))
         series = [
             difference_energy(a, b, r, params)
             for a, b in zip(res.trajectory.states, base.trajectory.states)

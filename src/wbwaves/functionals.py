@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,14 +46,23 @@ CSV_COLUMNS = (
 )
 
 
+@lru_cache(maxsize=16)
+def _cubic_weights(grid: Grid, order):
+    """Read-only float 2/3 mask and masked <xi>^order on the half spectrum."""
+    mask = grid.half(grid.dealias_mask).astype(np.float64)
+    weights = mask * grid.half(SymbolCatalog.bessel(order).values(grid))
+    mask.flags.writeable = weights.flags.writeable = False
+    return mask, weights
+
+
 def _cubic(grid: Grid, eta_c, w, order) -> float:
     """int eta |J^order w|^2 dx for the half spectra eta_c and w = (w_1, ..).
 
     One inverse transform of the 2/3-masked factors, then grid quadrature:
     exact for fields supported in the band, since no triple-product alias
     reaches the zero mode.  J^0 multiplies by exactly 1."""
-    mask = grid.half(grid.dealias_mask)
-    jw = mask * grid.half(SymbolCatalog.bessel(order).values(grid)) * w
+    mask, weights = _cubic_weights(grid, float(order))
+    jw = weights * w
     factors = np.concatenate([(mask * eta_c)[None], jw])
     phys = np.fft.irfftn(factors, s=grid.n, axes=tuple(range(1, w.ndim)))
     phys /= grid._norm_factor
@@ -134,11 +144,13 @@ class EnergyReport:
     @classmethod
     def measure(cls, state: WaveState, params: Params):
         mom = momentum(state, params) if state.dim == 1 else math.nan
+        ham = hamiltonian(state, params)
         return cls(
             time=state.time,
-            hamiltonian=hamiltonian(state, params),
+            hamiltonian=ham,
             momentum=mom,
-            modified_energy=modified_energy(state, params),
+            # At s = 1/2 the energy is the Hamiltonian, by the same call.
+            modified_energy=ham if params.s == 0.5 else modified_energy(state, params),
             weighted_norm=weighted_pair_norm(state, params.s, params.kappa),
             eta_min=float(np.min(state.eta.values)),
             eta_max=float(np.max(state.eta.values)),

@@ -186,14 +186,26 @@ def _sobolev_sq(grid: Grid, c, order) -> float:
     return float(np.sum(_sobolev_weights(grid, float(order)) * np.abs(c) ** 2))
 
 
-def _weighted_sq_coeffs(grid: Grid, u, s, kappa) -> float:
-    """Squared weighted norm of a packed (1 + d, *half) coefficient array.
+def _part(dim, k):
+    """Index of component k (an int or a slice) of a packed (..., 1 + d, *half)
+    array: the component axis and the d transform axes count from the end."""
+    return (Ellipsis, k) + (slice(None),) * dim
+
+
+def _weighted_sq_coeffs(grid: Grid, u, s, kappa):
+    """Squared weighted norm of a packed (..., 1 + d, *half) coefficient array:
+    a float for one state, an array over the leading axes for a stack.
 
     kappa*|grad eta|^2 + |eta|^2 weighted by <xi>^(2s-1), plus the velocity
     measured through K^-1 (symbol sqrt(|xi|/tanh|xi|)) at the same weight.
     """
     eta_w, vel_w = _norm_weights(grid, s, kappa)
-    return float(np.sum(eta_w * np.abs(u[0]) ** 2) + np.sum(vel_w * np.abs(u[1:]) ** 2))
+    d = grid.dim
+    axes = tuple(range(-d, 0))
+    eta = np.sum(eta_w * np.abs(u[_part(d, 0)]) ** 2, axis=axes)
+    vel = np.sum(vel_w * np.abs(u[_part(d, slice(1, None))]) ** 2, axis=(-d - 1,) + axes)
+    total = eta + vel
+    return float(total) if total.ndim == 0 else total
 
 
 def weighted_pair_norm(state: WaveState, s, kappa) -> float:

@@ -1,0 +1,116 @@
+"""The leading batch axis: the operators and both steppers act on a
+(..., 1 + d, *half) stack row by row, and one ``evolve`` call on several
+states gives each member its single run, bit for bit."""
+
+import numpy as np
+import pytest
+
+from wbwaves import dynamics
+from wbwaves.dynamics import IntegratorConfig, evolve
+from wbwaves.presets import random_bandlimited
+from wbwaves.spectral import Grid
+from wbwaves.state import Params, _weighted_sq_coeffs
+
+GRIDS = [Grid(64), Grid(256), Grid((32, 32)), Grid((16, 24))]
+
+
+def family(grid, count=3, amplitude=0.05):
+    return [
+        random_bandlimited(grid, seed=40 + i, band=4, amplitude=amplitude) for i in range(count)
+    ]
+
+
+def stacked(states):
+    return np.stack([st.packed() for st in states])
+
+
+def same_rows(f, u):
+    batched = f(u)
+    return all(np.array_equal(batched[b], f(u[b])) for b in range(len(u)))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.2])
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+class TestRowByRow:
+    def test_operators(self, grid, mu):
+        ops = dynamics._ops(grid, Params(kappa=1.0, mu=mu), True)
+        u = stacked(family(grid))
+        assert same_rows(ops.nonlinear, u)
+        assert same_rows(ops.linear, u)
+        assert same_rows(ops.propagator(0.01).apply, u)
+
+    def test_steppers(self, grid, mu):
+        ops = dynamics._ops(grid, Params(kappa=1.0, mu=mu), True)
+        u = stacked(family(grid))
+        assert same_rows(lambda x: dynamics._lawson_rk4_step(ops, x, 0.01), u)
+        assert same_rows(lambda x: dynamics._reference_rk4_step(ops, x, 0.01), u)
+
+    def test_weighted_sum(self, grid, mu):
+        u = stacked(family(grid))
+        sums = _weighted_sq_coeffs(grid, u, 1.0, 1.0)
+        assert sums.shape == (len(u),)
+        assert [float(x) for x in sums] == [_weighted_sq_coeffs(grid, row, 1.0, 1.0) for row in u]
+
+
+def test_two_leading_axes():
+    grid = Grid(64)
+    ops = dynamics._ops(grid, Params(kappa=1.0, mu=0.2), True)
+    u = stacked(family(grid, count=6)).reshape(2, 3, 2, -1)
+    out = ops.nonlinear(u)
+    for i in range(2):
+        assert all(np.array_equal(out[i, j], ops.nonlinear(u[i, j])) for j in range(3))
+
+
+def _same_run(batched, single):
+    assert batched.blown_up == single.blown_up
+    assert batched.blowup_time == single.blowup_time
+    assert batched.trajectory.times == single.trajectory.times
+    assert batched.reports == single.reports
+    for a, b in zip(batched.trajectory.states, single.trajectory.states):
+        assert np.array_equal(a.packed(), b.packed())
+
+
+@pytest.mark.parametrize("method", ["exponential_rk4", "reference_rk4", "picard_duhamel"])
+def test_batched_evolve_gives_each_member_its_single_run(method):
+    grid = Grid(64)
+    params = Params(kappa=1.0, mu=0.1, s=1.0)
+    cfg = IntegratorConfig(method=method, dt=5e-3)
+    states = family(grid)
+    results = evolve(states, params, cfg, T=0.2, report_every=0.05)
+    assert len(results) == len(states)
+    for st, res in zip(states, results):
+        _same_run(res, evolve(st, params, cfg, T=0.2, report_every=0.05))
+
+
+def test_a_blown_member_freezes_and_the_others_go_on():
+    grid = Grid(64)
+    params = Params(kappa=1.0)
+    cfg = IntegratorConfig(dt=5e-3)
+    small = family(grid, count=2)
+    big = random_bandlimited(grid, seed=3, band=4, amplitude=10.0)
+    states = [small[0], big, small[1]]
+    results = evolve(states, params, cfg, T=1.0, report_every=0.1)
+    singles = [evolve(st, params, cfg, T=1.0, report_every=0.1) for st in states]
+    assert singles[1].blown_up and 0 < singles[1].blowup_time < 1.0
+    assert not singles[0].blown_up and not singles[2].blown_up
+    for res, single in zip(results, singles):
+        _same_run(res, single)
+
+
+def test_keep_replaces_the_states():
+    grid = Grid(64)
+    states = family(grid, count=2)
+    results = evolve(
+        states, Params(kappa=1.0), IntegratorConfig(dt=5e-3), T=0.1, report_every=0.05,
+        keep=lambda st: st.time,
+    )
+    for res in results:
+        assert res.trajectory.states == res.trajectory.times
+
+
+def test_empty_batch_and_mixed_grids():
+    cfg = IntegratorConfig(dt=5e-3)
+    assert evolve([], Params(kappa=1.0), cfg, T=0.1) == []
+    mixed = family(Grid(32), count=1) + family(Grid(64), count=1)
+    with pytest.raises(ValueError, match="grid"):
+        evolve(mixed, Params(kappa=1.0), cfg, T=0.1)

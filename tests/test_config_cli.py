@@ -595,7 +595,7 @@ def test_bench_launcher_traces_a_study(tmp_path):
 
 
 def test_bench_launcher_traces_a_picard_run(tmp_path):
-    """bench/tracer.py wraps picard_solve and the defect norm's
+    """bench/tracer.py wraps picard_solve, the forcing and the defect norm's
     _weighted_sq_coeffs where dynamics looks them up, and reads the operator
     caches, which a 20-step solve leaves at their cap or below."""
     from wbwaves.dynamics import _CACHE_SIZE
@@ -616,8 +616,10 @@ def test_bench_launcher_traces_a_picard_run(tmp_path):
     trace = json.loads(record.read_text())["trace"]
     spans, counts = trace["spans"], trace["counts"]
     assert spans["dynamics.picard"][0] == 1
-    # One defect norm per node per sweep, besides the energy reports.
-    assert spans["state.weighted_norm"][0] >= 21 * counts["dynamics.picard_iterations"] > 0
+    # One forcing call and one defect sum per sweep, on the stacked nodes.
+    sweeps = counts["dynamics.picard_iterations"]
+    assert spans["dynamics.nonlinear"][0] == sweeps > 0
+    assert spans["state.weighted_norm"][0] >= sweeps
     assert counts["dynamics.cached_propagators"] <= _CACHE_SIZE
 
 

@@ -207,17 +207,20 @@ class TestStability:
 
 class TestMemberBlowup:
     """A member that blows up aborts its study, named; ``evolve`` is wrapped
-    so that only the chosen member blows up."""
+    so that only the chosen members blow up, in a single run or a batch."""
 
     @staticmethod
     def blow_up_when(monkeypatch, chosen):
         real = experiments.evolve
 
-        def wrapped(u0, params, cfg, T, report_every=None):
-            res = real(u0, params, cfg, T, report_every)
-            if chosen(u0, params):
-                res.blown_up, res.blowup_time = True, T
-            return res
+        def wrapped(u0, params, cfg, T, report_every=None, keep=None):
+            results = real(u0, params, cfg, T, report_every, keep)
+            single = isinstance(u0, WaveState)
+            members = [u0] if single else u0
+            for state, res in zip(members, [results] if single else results):
+                if chosen(state, params):
+                    res.blown_up, res.blowup_time = True, T
+            return results
 
         monkeypatch.setattr(experiments, "evolve", wrapped)
 
@@ -226,6 +229,22 @@ class TestMemberBlowup:
         with pytest.raises(BlowUpError) as info:
             dissipation_test(
                 [WaveState.zero(Grid(32))], Params(kappa=1.0, mu=0.2, p=1.0), T=0.1,
+                cfg=IntegratorConfig(dt=5e-3),
+            )
+        assert info.value.member == "datum=0 control"
+
+    def test_dissipation_names_the_first_member_in_datum_order(self, monkeypatch):
+        # Datum 1's viscous run and datum 0's control blow up; one at a time,
+        # datum 0's control would have run first.
+        family = small_data_family(Grid(32), kappa=1.0, count=2, seed=3, band=4)
+        self.blow_up_when(
+            monkeypatch,
+            lambda u0, params: (u0 is family[1] and params.mu > 0)
+            or (u0 is family[0] and params.mu == 0),
+        )
+        with pytest.raises(BlowUpError) as info:
+            dissipation_test(
+                family, Params(kappa=1.0, mu=0.2, p=1.0), T=0.1,
                 cfg=IntegratorConfig(dt=5e-3),
             )
         assert info.value.member == "datum=0 control"
