@@ -36,9 +36,10 @@ _STUDY_BASE = {
 }
 
 
-def _reference_run():
-    raw = json.loads((ROOT / "configs" / "reference_run.json").read_text())
-    return dict(raw, T=1.0)
+def _config_run(name):
+    """A ``configs/`` file with its horizon T cut to a tenth."""
+    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    return dict(raw, T=raw["T"] / 10)
 
 
 # name -> (wbwaves arguments before the config path, config)
@@ -64,7 +65,9 @@ CASES = {
             "seed": 0,
         },
     ),
-    "reference_run": (("run",), _reference_run()),
+    "reference_run": (("run",), _config_run("reference_run")),
+    "wb2d_run": (("run",), _config_run("wb2d_run")),
+    "kappa_study": (("run",), _config_run("kappa_study")),
 }
 
 
