@@ -25,7 +25,7 @@ linear part itself is ``_Ops.linear``.  The public entry points are
 
 Trajectories stay packed: the two RK4 steppers and the converged Duhamel
 nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
-loop runs both blow-up checks on them and builds a ``WaveState`` only for
+loop runs both blow-up checks on them and builds ``WaveState``s only for
 the nodes it reports on.
 
 Batch axis: every operator, the propagator and both steppers act on
@@ -33,9 +33,10 @@ Batch axis: every operator, the propagator and both steppers act on
 counted from the end, so independent runs on one grid with one ``Params``
 step as one (B, 1 + d, *half) stack, each row exactly as it would alone.
 ``evolve`` given a sequence of states integrates them so; its sampling loop
-checks each row, reports on each live member and freezes a blown member at
-its own time.  A Picard sweep evaluates the forcing of all its nodes, a
-(N + 1, 1 + d, *half) stack, in one call.
+checks each row, reports on the stack of live members with one
+``from_packed`` and one ``EnergyReport.measure`` call per report step, and
+freezes a blown member at its own time.  A Picard sweep evaluates the
+forcing of all its nodes, a (N + 1, 1 + d, *half) stack, in one call.
 
 Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
@@ -384,16 +385,17 @@ def evolve(
             bad = (~np.isfinite(sup) | (sup > 1e3 * cfg.blowup_ceiling)).tolist()
         else:
             bad = [False] * len(members)
+        times = [m.time + k * dt for m in members]
+        rows = [b for b in live if not bad[b]] if k in report_steps else []
+        if rows:
+            states = WaveState.from_packed(grid, u[rows], [times[b] for b in rows])
+            for b, state, report in zip(rows, states, EnergyReport.measure(states, params)):
+                kept = state if keep is None else keep(state)
+                results[b].trajectory.append(times[b], kept, report)
+                bad[b] = report.weighted_norm > cfg.blowup_ceiling
         for b in list(live):
-            t = members[b].time + k * dt
-            blown = bad[b]
-            if not blown and k in report_steps:
-                state = WaveState.from_packed(grid, u[b], t)
-                report = EnergyReport.measure(state, params)
-                results[b].trajectory.append(t, state if keep is None else keep(state), report)
-                blown = report.weighted_norm > cfg.blowup_ceiling
-            if blown:
-                results[b].blown_up, results[b].blowup_time = True, t
+            if bad[b]:
+                results[b].blown_up, results[b].blowup_time = True, times[b]
                 live.remove(b)
         if not live:
             break

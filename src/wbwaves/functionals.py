@@ -15,6 +15,13 @@ is how the Hamiltonian is computed.  Every functional reads the state's
 half spectrum (``WaveState.packed``): quadratic terms are coefficient sums
 (exact by Parseval), and a cubic term is one inverse transform of its
 dealiased factors plus plain grid quadrature.
+
+``EnergyReport.measure`` reports on one state or on a list of them in one
+pass over their (B, 1 + d, *half) stack: each quadratic term (H, E_s, the
+weighted norm, the momentum) is one half-spectrum sum over the stack, the
+cubic terms of H and E_s share one inverse transform of
+(eta, v, J^(s-1/2) v), and eta_min, eta_max and linf_v read the samples the
+states were built with (``WaveState.from_packed``).
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import Grid, SpectralError, SymbolCatalog
-from .state import Params, WaveState, weighted_pair_norm
-from .state import _norm_weights, _sobolev_sq, _weighted_sq_coeffs
+# weighted_pair_norm is unused here but stays bound: bench/tracer.py wraps it in this module.
+from .state import Params, WaveState, weighted_pair_norm  # noqa: F401
+from .state import _norm_weights, _part, _sobolev_sq, _weighted_sq_coeffs
 
 #: Default small-data level for invariant-region experiments.  The proofs
 #: only assert existence of such a level; this value is calibrated so the
@@ -55,24 +63,28 @@ def _cubic_weights(grid: Grid, order):
     return mask, weights
 
 
-def _cubic(grid: Grid, eta_c, w, order) -> float:
-    """int eta |J^order w|^2 dx for the half spectra eta_c and w = (w_1, ..).
+def _cubic(grid: Grid, eta_c, w, *orders):
+    """int eta |J^order w|^2 dx for each order, from the half spectra eta_c
+    (..., *half) and w (..., d, *half): an array (..., len(orders)).
 
-    One inverse transform of the 2/3-masked factors, then grid quadrature:
-    exact for fields supported in the band, since no triple-product alias
-    reaches the zero mode.  J^0 multiplies by exactly 1."""
-    mask, weights = _cubic_weights(grid, float(order))
-    jw = weights * w
-    factors = np.concatenate([(mask * eta_c)[None], jw])
-    phys = np.fft.irfftn(factors, s=grid.n, axes=tuple(range(1, w.ndim)))
+    One inverse transform of the 2/3-masked factors (eta, J^order w, ..),
+    then grid quadrature: exact for fields supported in the band, since no
+    triple-product alias reaches the zero mode.  J^0 multiplies by exactly 1."""
+    d = grid.dim
+    parts = [(_cubic_weights(grid, 0.0)[0] * eta_c)[_part(d, None)]]
+    parts += [_cubic_weights(grid, float(order))[1] * w for order in orders]
+    axes = tuple(range(-d, 0))
+    phys = np.fft.irfftn(np.concatenate(parts, axis=-d - 1), s=grid.n, axes=axes)
     phys /= grid._norm_factor
-    return grid.quadrature(phys[0] * np.sum(phys[1:] ** 2, axis=0))
+    jw = phys[_part(d, slice(1, None))].reshape(*phys.shape[:-d - 1], len(orders), d, *grid.n)
+    terms = phys[_part(d, slice(0, 1))] * (jw**2).sum(axis=-d - 1)
+    return grid.cell * terms.sum(axis=axes)
 
 
 def _energy(state: WaveState, s, kappa) -> float:
     u = state.packed()
     wsq = _weighted_sq_coeffs(state.grid, u, s, kappa)
-    return 0.5 * (wsq + _cubic(state.grid, u[0], u[1:], s - 0.5))
+    return 0.5 * (wsq + float(_cubic(state.grid, u[0], u[1:], s - 0.5)[0]))
 
 
 def hamiltonian(state: WaveState, params: Params) -> float:
@@ -86,9 +98,13 @@ def momentum(state: WaveState, params: Params) -> float:
     between eta and v; defined in one dimension only."""
     if state.dim != 1:
         raise SpectralError("momentum is only defined for 1D states")
-    u = state.packed()
-    vel_w = _norm_weights(state.grid, 0.5, params.kappa)[1]
-    return float(np.sum(vel_w * (np.conj(u[0]) * u[1]).real))
+    return float(_momentum(state.grid, state.packed(), params.kappa))
+
+
+def _momentum(grid: Grid, u, kappa):
+    """``momentum`` of a packed 1D (..., 2, half) array, one per leading index."""
+    vel_w = _norm_weights(grid, 0.5, kappa)[1]
+    return (vel_w * (u[..., 0, :].conj() * u[..., 1, :]).real).sum(axis=-1)
 
 
 def modified_energy(state: WaveState, params: Params) -> float:
@@ -111,7 +127,7 @@ def difference_energy(state1: WaveState, state2: WaveState, r, params: Params) -
     u1 = state1.packed()
     d = u1 - state2.packed()
     total = params.kappa * _sobolev_sq(grid, d[0], r + 0.5) + _sobolev_sq(grid, d[1:], r)
-    return 0.5 * (total + _cubic(grid, u1[0], d[1:], r - 0.5))
+    return 0.5 * (total + float(_cubic(grid, u1[0], d[1:], r - 0.5)[0]))
 
 
 def smallness_threshold(override=None) -> float:
@@ -142,20 +158,44 @@ class EnergyReport:
     linf_v: float
 
     @classmethod
-    def measure(cls, state: WaveState, params: Params):
-        mom = momentum(state, params) if state.dim == 1 else math.nan
-        ham = hamiltonian(state, params)
-        return cls(
-            time=state.time,
-            hamiltonian=ham,
-            momentum=mom,
-            # At s = 1/2 the energy is the Hamiltonian, by the same call.
-            modified_energy=ham if params.s == 0.5 else modified_energy(state, params),
-            weighted_norm=weighted_pair_norm(state, params.s, params.kappa),
-            eta_min=float(np.min(state.eta.values)),
-            eta_max=float(np.max(state.eta.values)),
-            linf_v=state.speed_linf(),
+    def measure(cls, states, params: Params):
+        """The report of one state, or the list of reports of a sequence of
+        states on one grid, measured as one stack: each quadratic term is one
+        half-spectrum sum over it, both cubic terms one inverse transform,
+        and the pointwise columns read the states' samples."""
+        single = isinstance(states, WaveState)
+        states = [states] if single else list(states)
+        if not states:
+            return []
+        grid = states[0].grid
+        if any(st.grid != grid for st in states):
+            raise SpectralError("the states of one report must share their grid")
+        d, s, kappa = grid.dim, params.s, params.kappa
+        axes = tuple(range(-d, 0))
+        u = np.array([st.packed() for st in states])
+        x = np.array([[f.values for f in (st.eta, *st.vel)] for st in states])
+        wsq = _weighted_sq_coeffs(grid, u, 0.5, kappa)
+        cubic = _cubic(grid, u[:, 0], u[:, 1:], *((0.0,) if s == 0.5 else (0.0, s - 0.5)))
+        ham = 0.5 * (wsq + cubic[:, 0])
+        if s == 0.5:  # the energy is the Hamiltonian
+            energy, norm_sq = ham, wsq
+        else:
+            norm_sq = _weighted_sq_coeffs(grid, u, s, kappa)
+            energy = 0.5 * (norm_sq + cubic[:, 1])
+        if d == 1:
+            mom = _momentum(grid, u, kappa)
+            speed = np.abs(x[:, 1]).max(axis=-1)
+        else:
+            mom = np.full(len(states), math.nan)
+            speed = np.sqrt((x[:, 1] ** 2 + x[:, 2] ** 2).max(axis=axes))
+        eta = x[:, 0]
+        columns = (
+            ham, mom, energy, np.sqrt(norm_sq), eta.min(axis=axes), eta.max(axis=axes), speed,
         )
+        reports = [
+            cls(st.time, *row) for st, row in zip(states, zip(*(c.tolist() for c in columns)))
+        ]
+        return reports[0] if single else reports
 
     def csv_row(self) -> str:
         vals = [getattr(self, name) for name in CSV_COLUMNS]

@@ -233,6 +233,14 @@ class Field:
             )
         return cls(grid, w.real)
 
+    @classmethod
+    def _of_samples(cls, grid, values):
+        """A field kept on ``values`` as they are, no copy: read-only finite
+        float64 samples of the grid's shape, which the caller checked."""
+        f = cls.__new__(cls)
+        f.grid, f.values, f._coeffs = grid, values, None
+        return f
+
     @property
     def coeffs(self):
         if self._coeffs is None:

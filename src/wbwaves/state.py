@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Field, Grid, SpectralError, SymbolCatalog
+from .spectral import REALNESS_TOL, Field, Grid, SpectralError, SymbolCatalog
 
 CURL_TOL = 1e-10
 
@@ -54,10 +54,13 @@ class WaveState:
 
     Layout: ``packed()`` is the state as one (1 + d, *half) complex array,
     half = (*n[:-1], n[-1]//2 + 1), of the rfftn coefficients of
-    (eta, v_1, .., v_d).  The solver integrates that array, every state
-    functional is a sum or a transform over it, and ``from_packed`` turns
-    it back into a state that keeps it (passed as ``_packed``).
-    ``Field.coeffs`` keeps the full fftn spectrum for the scalar tools.
+    (eta, v_1, .., v_d).  The solver integrates that array, or a
+    (B, 1 + d, *half) stack of them, and every state functional is a sum or
+    a transform over it.  ``from_packed`` turns an array or a whole stack
+    back into states that keep it, with the fields' samples from one
+    inverse rfftn; ``EnergyReport.measure`` reads a list of such states as
+    one stack again.  ``Field.coeffs`` keeps the full fftn spectrum for the
+    scalar tools.
     """
 
     __slots__ = ("eta", "vel", "time", "_packed")
@@ -79,31 +82,35 @@ class WaveState:
         self.time = float(time)
         self._packed = _packed
         if grid.dim == 2:
-            vel_c = self.packed()[1:]
-            res = _curl_residue(grid, vel_c)
-            scale = 1.0 + math.sqrt(np.sum(_parseval(grid, 1.0) * np.abs(vel_c) ** 2))
-            if res > CURL_TOL * scale:
-                raise SpectralError(
-                    f"velocity is not curl free: residue {res:.3e} "
-                    f"exceeds {CURL_TOL:.0e} * {scale:.3e}"
-                )
+            _check_curl(grid, self.packed())
 
     @classmethod
     def from_packed(cls, grid: Grid, u, time):
-        """The state of half-spectrum coefficients ``u``, which it keeps.
+        """The state of half-spectrum coefficients ``u``, which it keeps; for
+        a (B, 1 + d, *half) stack and B times, the list of its B states.
 
-        The full spectrum mirrors the last axis's columns 1 .. n/2 - 1 and
-        takes the self-conjugate columns 0 and n/2 as they are, so
-        ``Field.from_coeffs``'s realness check sees every coefficient."""
-        n = grid.n[-1]
-        mirror = u[..., n // 2 - 1 : 0 : -1].conj()
-        for axis in range(1, grid.dim):
-            mirror = np.roll(np.flip(mirror, axis), 1, axis)
-        full = np.concatenate([u, mirror], axis=-1)
-        fields = [Field.from_coeffs(grid, c, context="trajectory sample") for c in full]
+        One inverse rfftn gives every field's samples, checked by
+        ``_samples`` for realness, and in 2D the stack's velocities are
+        checked curl free in one sum."""
         u = u.view()
         u.flags.writeable = False
-        return cls(fields[0], tuple(fields[1:]), time, _packed=u)
+        stack = u.ndim == grid.dim + 2
+        rows, times = (u, list(time)) if stack else (u[None], [time])
+        if len(times) != len(rows):
+            raise ValueError(f"{len(rows)} states need as many times, got {len(times)}")
+        x = _samples(grid, rows)
+        if grid.dim == 2:
+            _check_curl(grid, rows)
+        fields = [Field._of_samples(grid, c) for c in x.reshape(-1, *grid.n)]
+        k = 1 + grid.dim
+        states = []
+        for b, t in enumerate(times):
+            state = cls.__new__(cls)
+            state.eta, state.vel = fields[k * b], tuple(fields[k * b + 1 : k * b + k])
+            state.time = float(t)
+            state._packed = rows[b]
+            states.append(state)
+        return states if stack else states[0]
 
     def packed(self):
         """The read-only (1 + d, *half) rfftn coefficient array (see Layout)."""
@@ -132,25 +139,81 @@ class WaveState:
     def zero(cls, grid: Grid, time=0.0):
         return cls(grid.zero_field(), tuple(grid.zero_field() for _ in range(grid.dim)), time)
 
-    def speed_linf(self) -> float:
-        """Max pointwise speed |v| (Euclidean magnitude in 2D)."""
-        if self.dim == 1:
-            return self.vel[0].linf()
-        mag2 = self.vel[0].values ** 2 + self.vel[1].values ** 2
-        return float(math.sqrt(np.max(mag2)))
+
+def _samples(grid: Grid, u):
+    """The real samples of every field of a (B, 1 + d, *half) stack, by one
+    inverse rfftn, under ``Field.from_coeffs``'s realness rule.
+
+    The full spectrum the half one stands for mirrors the last axis's
+    interior columns, so the imaginary part of its inverse comes from the
+    self-conjugate columns 0 and n/2 alone: at x = (x', x_d) it is
+    (Im g_0(x') + (-1)^x_d Im g_n/2(x')) / n_d, g the inverse transform of a
+    column over the other axes (none in 1D).  Its largest value,
+    |Im g_0| + |Im g_n/2| at the worst x', must stay within REALNESS_TOL of
+    the field's largest sample."""
+    d, n = grid.dim, grid.n[-1]
+    axes = tuple(range(-d, 0))
+    x = np.fft.irfftn(u, s=grid.n, axes=axes)
+    x /= grid._norm_factor
+    scale = np.abs(x).max(axis=axes)
+    ends = u[..., :: n // 2]
+    if d == 2:
+        ends = np.fft.ifft(ends, axis=-2)
+    imag = np.abs(ends.imag).sum(axis=-1)
+    if d == 2:
+        imag = imag.max(axis=-1)
+    # NaN fails the comparison too: such a field is reported as non-finite.
+    within = imag <= (REALNESS_TOL * n * grid._norm_factor) * scale
+    if not within.all():
+        if not np.isfinite(scale).all():
+            raise SpectralError("trajectory sample: non-finite sample")
+        i = np.argmin(within)  # the first field past the bound
+        raise SpectralError(
+            f"trajectory sample: imaginary residue {imag.flat[i] / (n * grid._norm_factor):.3e} "
+            f"exceeds {REALNESS_TOL:.0e} of field scale {scale.flat[i]:.3e}"
+        )
+    x.flags.writeable = False
+    return x
+
+
+def _check_curl(grid: Grid, u):
+    """Raise unless every 2D velocity of a packed (..., 3, *half) array is
+    curl free: residue within CURL_TOL * (1 + its L2 norm)."""
+    vel_c = u[_part(2, slice(1, None))]
+    res = _curl_residue(grid, vel_c)
+    count = _curl_weights(grid)[2]
+    scale = 1.0 + np.sqrt((count * np.abs(vel_c) ** 2).sum(axis=(-3, -2, -1)))
+    over = res > CURL_TOL * scale
+    if np.any(over):
+        i = np.argmax(over)
+        raise SpectralError(
+            f"velocity is not curl free: residue {np.ravel(res)[i]:.3e} "
+            f"exceeds {CURL_TOL:.0e} * {np.ravel(scale)[i]:.3e}"
+        )
 
 
 def curl_residue(vel) -> float:
     """Homogeneous-L2 norm of d1 v2 - d2 v1 computed spectrally."""
     grid = vel[0].grid
-    return _curl_residue(grid, [grid.half(c.coeffs) for c in vel])
+    return float(_curl_residue(grid, np.stack([grid.half(c.coeffs) for c in vel])))
 
 
-def _curl_residue(grid: Grid, vel_c) -> float:
-    """``curl_residue`` from the half spectra of the two components."""
-    d1, d2 = (grid.half(SymbolCatalog.partial(j).multiplier(grid, axis=j)) for j in range(2))
-    curl = d1 * vel_c[1] - d2 * vel_c[0]
-    return math.sqrt(float(np.sum(_parseval(grid, 1.0) * np.abs(curl) ** 2)))
+def _curl_residue(grid: Grid, vel_c):
+    """``curl_residue`` from the (..., 2, *half) half spectra of the two
+    components, one value per leading index."""
+    d1, d2, count = _curl_weights(grid)
+    curl = d1 * vel_c[..., 1, :, :] - d2 * vel_c[..., 0, :, :]
+    return np.sqrt((count * np.abs(curl) ** 2).sum(axis=(-2, -1)))
+
+
+@lru_cache(maxsize=16)
+def _curl_weights(grid: Grid):
+    """Read-only half-spectrum d/dx_1, d/dx_2 and ``_parseval`` count of a 2D grid."""
+    arrays = [grid.half(SymbolCatalog.partial(j).multiplier(grid, axis=j)) for j in range(2)]
+    arrays.append(_parseval(grid, 1.0))
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(arrays)
 
 
 def _parseval(grid: Grid, weight):
@@ -202,8 +265,9 @@ def _weighted_sq_coeffs(grid: Grid, u, s, kappa):
     eta_w, vel_w = _norm_weights(grid, s, kappa)
     d = grid.dim
     axes = tuple(range(-d, 0))
-    eta = np.sum(eta_w * np.abs(u[_part(d, 0)]) ** 2, axis=axes)
-    vel = np.sum(vel_w * np.abs(u[_part(d, slice(1, None))]) ** 2, axis=(-d - 1,) + axes)
+    sq = np.abs(u) ** 2
+    eta = (eta_w * sq[_part(d, 0)]).sum(axis=axes)
+    vel = (vel_w * sq[_part(d, slice(1, None))]).sum(axis=(-d - 1,) + axes)
     total = eta + vel
     return float(total) if total.ndim == 0 else total
 

@@ -15,6 +15,7 @@ from wbwaves.dynamics import (
     picard_solve,
     rhs,
 )
+from wbwaves.functionals import EnergyReport
 from wbwaves.presets import random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid, SymbolCatalog, apply_multiplier
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
@@ -491,24 +492,63 @@ class TestOperatorCaches:
         assert len(builds) <= 8
 
 
+def count_report_transforms(monkeypatch):
+    """Wrap every np.fft function (as bench/tracer.py does) to record the
+    calls made inside ``WaveState.from_packed`` or ``EnergyReport.measure``,
+    the transforms of evolve's reports."""
+    calls, depth = [], [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def inside(fn):
+        def wrapper(cls, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(cls, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return classmethod(wrapper)
+
+    for name in dir(np.fft):
+        if name.endswith(("fft", "fft2", "fftn")):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for owner, attr in ((WaveState, "from_packed"), (EnergyReport, "measure")):
+        monkeypatch.setattr(owner, attr, inside(owner.__dict__[attr].__func__))
+    return calls
+
+
 class TestPackedTrajectory:
+    # A report step samples its stack with one inverse rfftn (plus one small
+    # transform of the self-conjugate columns in 2D) and takes both cubic
+    # terms from one more: 1 + d transforms, whatever the number of members.
+
     @pytest.mark.parametrize("n", [(64,), (16, 16)])
     def test_picard_evolve_builds_states_only_for_reports(self, n, monkeypatch):
-        calls = []
-        from_coeffs = Field.__dict__["from_coeffs"].__func__
-
-        def counted(cls, *args, **kwargs):
-            calls.append(1)
-            return from_coeffs(cls, *args, **kwargs)
-
         g = Grid(n)
         params = Params(kappa=1.0, mu=0.1, p=1.0)
         u0 = small_state(g, seed=5, amplitude=0.02)
-        monkeypatch.setattr(Field, "from_coeffs", classmethod(counted))
+        calls = count_report_transforms(monkeypatch)
         cfg = IntegratorConfig(method="picard_duhamel", dt=0.01)
         res = evolve(u0, params, cfg, T=0.4, report_every=0.1)
         assert len(res.reports) == 5
         assert len(calls) == (1 + g.dim) * len(res.reports)
+
+    @pytest.mark.parametrize("n", [(64,), (16, 16)])
+    def test_batched_reports_transform_once_per_report_step(self, n, monkeypatch):
+        g = Grid(n)
+        params = Params(kappa=1.0)
+        members = [small_state(g, seed=seed, amplitude=0.02) for seed in (5, 6, 7)]
+        calls = count_report_transforms(monkeypatch)
+        results = evolve(members, params, IntegratorConfig(dt=0.01), T=0.4, report_every=0.1)
+        assert [len(r.reports) for r in results] == [5, 5, 5]
+        assert len(calls) == (1 + g.dim) * 5
 
     def test_picard_final_is_the_last_node(self):
         g = Grid(32)

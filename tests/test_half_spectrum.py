@@ -8,9 +8,11 @@ multiplier on the full lattice, the same arithmetic.  Only the transforms
 differ (rfft against fft roundoff), so every operator, one ERK4 step and
 one Duhamel sweep agree to OPERATOR_RTOL on the half slice.  The ``full_*``
 functions are the former functionals on ``Field.coeffs``, and
-``full_spectrum_state`` the former way back from a packed array; the
-energy report agrees with them to FUNCTIONAL_RTOL, its pointwise columns
-exactly.
+``full_spectrum_state`` (a Hermitian mirror, then ``Field.from_coeffs``)
+the former way back from a packed array; the energy report agrees with
+them to FUNCTIONAL_RTOL, its samples and pointwise columns to
+ROUND_TRIP_RTOL, and the realness rule of ``from_packed``, read from the
+self-conjugate columns, raises exactly when ``Field.from_coeffs`` does.
 """
 
 import math
@@ -34,7 +36,15 @@ from wbwaves.experiments import (
 )
 from wbwaves.functionals import EnergyReport, difference_energy
 from wbwaves.presets import random_bandlimited
-from wbwaves.spectral import Field, Grid, SymbolCatalog, apply_multiplier, sobolev_norm
+from wbwaves.spectral import (
+    REALNESS_TOL,
+    Field,
+    Grid,
+    SpectralError,
+    SymbolCatalog,
+    apply_multiplier,
+    sobolev_norm,
+)
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, curl_residue, weighted_pair_norm
 
 OPERATOR_RTOL = 1e-13
@@ -230,6 +240,13 @@ def full_cubic_modifier(state, order):
     return total
 
 
+def speed_linf(state):
+    """Max pointwise speed |v| (Euclidean magnitude in 2D) from the samples."""
+    if state.dim == 1:
+        return state.v.linf()
+    return float(math.sqrt(np.max(state.vel[0].values ** 2 + state.vel[1].values ** 2)))
+
+
 def full_report(state, params):
     """Every EnergyReport column, by the formulas on Field.coeffs."""
     grid, kappa, s = state.grid, params.kappa, params.s
@@ -247,7 +264,7 @@ def full_report(state, params):
         "weighted_norm": full_weighted_norm(state, s, kappa),
         "eta_min": float(np.min(state.eta.values)),
         "eta_max": float(np.max(state.eta.values)),
-        "linf_v": state.speed_linf(),
+        "linf_v": speed_linf(state),
     }
 
 
@@ -355,15 +372,22 @@ class TestFunctionalsAgainstFullSpectrum:
                     want = full_difference_energy(a, b, r, params)
                     assert _close(difference_energy(a, b, r, params), want)
 
-    def test_pointwise_columns_bitwise_equal(self, n, kappa):
-        """from_packed builds the same samples as the full-spectrum way back."""
+    def test_samples_match_full_spectrum(self, n, kappa):
+        """from_packed's samples, one inverse rfftn, against the full-spectrum
+        way back (rfft against fft roundoff): every sample and the report's
+        pointwise columns within ROUND_TRIP_RTOL of the largest sample."""
         grid = Grid(n)
         for seed in (11, 12):
             u = evolved_packed(grid, rough_state(grid, seed), Params(kappa=kappa))
-            got = EnergyReport.measure(WaveState.from_packed(grid, u, DT), Params(kappa=kappa))
-            want = full_report(full_spectrum_state(grid, u, DT), Params(kappa=kappa))
+            new = WaveState.from_packed(grid, u, DT)
+            old = full_spectrum_state(grid, u, DT)
+            scale = max(f.linf() for f in (old.eta, *old.vel))
+            for a, b in zip((new.eta, *new.vel), (old.eta, *old.vel)):
+                assert np.max(np.abs(a.values - b.values)) <= ROUND_TRIP_RTOL * scale
+            got = EnergyReport.measure(new, Params(kappa=kappa))
+            want = full_report(old, Params(kappa=kappa))
             for name in ("eta_min", "eta_max", "linf_v"):
-                assert getattr(got, name) == want[name], name
+                assert abs(getattr(got, name) - want[name]) <= ROUND_TRIP_RTOL * scale, name
 
 
 def field_difference(a, b):
@@ -426,12 +450,14 @@ class TestStudyMetricsAgainstFieldPath:
 FFT_NAMES = [name for name in dir(np.fft) if name.endswith(("fft", "fft2", "fftn"))]
 
 
-@pytest.mark.parametrize("n, s, limit", [((256,), 0.5, 4), ((256,), 2.0, 4), ((32, 32), 1.0, 8)])
-def test_report_transform_count(monkeypatch, n, s, limit):
-    """A sample of an evolving state and its energy report take at most
-    ``limit`` transforms (every np.fft function wrapped, as bench/tracer.py
-    does): the realness check inverts each field once and each cubic term
-    is one batched inverse transform."""
+@pytest.mark.parametrize("batch", [None, 10])
+@pytest.mark.parametrize("n, s, count", [((256,), 0.5, 2), ((256,), 2.0, 2), ((32, 32), 1.0, 3)])
+def test_report_transform_count(monkeypatch, n, s, count, batch):
+    """Sampling an evolving state and its energy report take ``count``
+    transforms (every np.fft function wrapped, as bench/tracer.py does), and
+    a (10, 1 + d, *half) stack takes as many as one state: the samples are
+    one inverse rfftn (plus, in 2D, one small transform of the self-conjugate
+    columns for the realness check), and both cubic terms one more."""
     grid = Grid(n)
     params = Params(kappa=1.0, s=s)
     u = evolved_packed(grid, full_state(grid, 13)[0], params)
@@ -446,8 +472,13 @@ def test_report_transform_count(monkeypatch, n, s, limit):
 
     for name in FFT_NAMES:
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    EnergyReport.measure(WaveState.from_packed(grid, u, DT), params)
-    assert 0 < len(calls) <= limit, calls
+    if batch is None:
+        EnergyReport.measure(WaveState.from_packed(grid, u, DT), params)
+    else:
+        stack = np.stack([(1.0 + 0.1 * b) * u for b in range(batch)])
+        reports = EnergyReport.measure(WaveState.from_packed(grid, stack, [DT] * batch), params)
+        assert len(reports) == batch
+    assert len(calls) == count, calls
 
 
 class TestHalfSpectrumConvention:
@@ -507,3 +538,41 @@ class TestHalfSpectrumConvention:
         u[index] += 1j * 1e-6 * np.max(np.abs(u))
         with pytest.raises(ValueError, match="imaginary residue"):
             WaveState.from_packed(grid, u, 0.0)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [(64,), (16, 24)])
+    @pytest.mark.parametrize("column", ["0", "n/2"])
+    def test_realness_rule_matches_full_spectrum(self, n, column, factor, batched):
+        """A residue at ``factor`` times the realness bound in column 0 or
+        n/2 (of the velocity in 1D, of eta at row 3 in 2D; in row 1 of a
+        three-state stack when batched) fails from_packed's rule exactly when
+        it fails ``Field.from_coeffs`` on the full spectrum."""
+        grid = Grid(n)
+        stack = np.stack([np.array(full_state(grid, seed)[0].packed()) for seed in (8, 9, 10)])
+        comp = 1 if grid.dim == 1 else 0
+        row = 1 if batched else 0
+        col = 0 if column == "0" else n[-1] // 2
+        index = (row, comp, 3, col) if grid.dim == 2 else (row, comp, col)
+        state = full_spectrum_state(grid, stack[row], 0.0)
+        scale = (state.eta, *state.vel)[comp].linf()
+        # An imaginary a on one coefficient gives samples an imaginary part
+        # of largest size a / (n_1 .. n_d * norm factor).
+        a = factor * REALNESS_TOL * scale * np.prod(grid.n) * grid._norm_factor
+        stack[index] += 1j * a
+
+        def raises(build):
+            try:
+                build()
+            except SpectralError as exc:
+                assert "imaginary residue" in str(exc)
+                return True
+            return False
+
+        if batched:
+            old = raises(lambda: [full_spectrum_state(grid, u, 0.0) for u in stack])
+            new = raises(lambda: WaveState.from_packed(grid, stack, [0.0] * len(stack)))
+        else:
+            old = raises(lambda: full_spectrum_state(grid, stack[0], 0.0))
+            new = raises(lambda: WaveState.from_packed(grid, stack[0], 0.0))
+        assert old == new == (factor > 1)
