@@ -65,6 +65,22 @@ CASES = {
             "seed": 0,
         },
     ),
+    # stability needs r in (0, s - 1/2], so it runs at s = 1 with r = 1/2.
+    "study_stability": (
+        ("study", "stability"),
+        dict(_STUDY_BASE, params={"kappa": 1.0, "s": 1.0}, study={"r": 0.5}),
+    ),
+    "study_conservation": (("study", "conservation"), _STUDY_BASE),
+    "study_conservation_2d": (
+        ("study", "conservation"),
+        dict(
+            _STUDY_BASE,
+            system="wb2d",
+            grid={"n": 16},
+            params={"kappa": 1.0, "s": 1.0},
+            initial_data={"preset": "random_bandlimited", "band": 4, "amplitude": 0.05},
+        ),
+    ),
     "reference_run": (("run",), _config_run("reference_run")),
     "wb2d_run": (("run",), _config_run("wb2d_run")),
     "kappa_study": (("run",), _config_run("kappa_study")),
