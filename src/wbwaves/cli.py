@@ -3,8 +3,10 @@
 Exit codes: 0 success (for ``study``: the pass criterion holds), 1 config
 or usage error or a Duhamel iteration that does not contract, 2 blow-up
 detected during a run or in a study's sweep member.  Every run writes
-``run_summary.json`` with status ``ok``, ``blowup`` or ``no_contraction``; a
-study whose member blows up writes ``<study>.json`` with status ``blowup``.
+``run_summary.json`` with status ``ok``, ``blowup`` or ``no_contraction``,
+its number of steps and the effective dt (T over the steps, at most the
+configured dt); a study whose member blows up writes ``<study>.json`` with
+status ``blowup``.
 Environment override: WB_OUTPUT_DIR replaces the configured output directory.
 """
 
@@ -17,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, RunConfig, load_config, output_header
-from .dynamics import BlowUpError, PicardError, evolve
+from .dynamics import BlowUpError, PicardError, _resolve_steps, evolve
 from .experiments import (
     conservation_check,
     dissipation_test,
@@ -74,10 +76,12 @@ def _write_json(path, config, payload):
 def cmd_run(config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
     u0 = config.initial_state()
+    steps, dt = _resolve_steps(config.T, config.integrator.dt)
     try:
         result = evolve(u0, config.params, config.integrator, config.T, config.report_every)
     except PicardError as exc:
-        summary = {"status": "no_contraction", "iterations": len(exc.defects),
+        summary = {"status": "no_contraction", "steps": steps, "dt": dt,
+                   "iterations": len(exc.defects),
                    "defects": exc.defects, "contraction_estimate": exc.contraction}
         _write_json(os.path.join(outdir, "run_summary.json"), config, summary)
         print(f"error: {exc}", file=sys.stderr)
@@ -91,6 +95,8 @@ def cmd_run(config: RunConfig) -> int:
             write_snapshot(os.path.join(outdir, f"snap_{i:05d}.wbsnap"), state)
     summary = {
         "status": "blowup" if result.blown_up else "ok",
+        "steps": steps,
+        "dt": dt,
         "final_time": result.trajectory.times[-1] if result.trajectory.times else 0.0,
     }
     if result.blown_up:

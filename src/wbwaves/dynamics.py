@@ -23,6 +23,12 @@ The resulting propagator (``_Ops.propagator``) backs both the exponential
 linear part itself is ``_Ops.linear``.  The public entry points are
 ``evolve``, ``picard_solve``, ``rhs`` and ``energy_derivative_check``.
 
+The exponential stepper is Lawson's RK4 written with one propagator,
+S(dt/2), applied four times per step (S(dt) = S(dt/2)^2).  The quadratic
+forcing (``_Ops.nonlinear``) transforms axis by axis; in 2D its
+leading-axis passes see only the last-axis columns the 2/3 mask keeps, and
+the mask and the transform scaling are folded into two precomputed weights.
+
 Trajectories stay packed: the two RK4 steppers and the converged Duhamel
 nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
 loop runs both blow-up checks on them and builds ``WaveState``s only for
@@ -110,14 +116,13 @@ class IntegratorConfig:
 class _Ops:
     """The system's multipliers on the half spectrum of one grid, stacked
     over the axes j: the derivative d_j, the unit wave vector e_j, the
-    forcing G_j = -K^2 d_j (2/3-masked when dealiasing) and the restoring
-    G_j (1 + kappa|xi|^2)."""
+    restoring G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j, and the forcing's
+    transform weights, G_j (2/3-masked when dealiasing) among them."""
 
     def __init__(self, grid: Grid, params: Params, dealias: bool):
         self.grid = grid
         cat = SymbolCatalog
         half = grid.half
-        self.mask = half(grid.dealias_mask.astype(np.float64)) if dealias else None
         rate = cat.riesz(params.p)
         self.heat_rate = half(params.kappa * params.mu * rate.values(grid)) if params.mu > 0 else None
         self.Kk = half(cat.K_kappa(params.kappa).values(grid))
@@ -127,7 +132,6 @@ class _Ops:
         self.dx = np.stack([half(cat.partial(j).multiplier(grid, axis=j)) for j in range(grid.dim)])
         forcing = np.stack([half(g) for g in cat.forcing(grid)])
         self.restoring = forcing * half(cat.capillary(params.kappa).values(grid))
-        self.forcing = forcing if self.mask is None else forcing * self.mask
         # A packed array is (..., 1 + d, *half): the transform axes and the
         # component axis count from the end, so leading axes batch.
         d = grid.dim
@@ -135,36 +139,51 @@ class _Ops:
         self.comp = -d - 1
         self.parts = [_part(d, k) for k in range(1 + d)]
         self.eta, self.vel = _part(d, slice(0, 1)), _part(d, slice(1, None))
+        # In 2D the forcing's leading-axis passes see only the last-axis
+        # columns the 2/3 mask keeps (43 of 65 at 128^2); a 1D transform has
+        # no such pass and runs full width.  The two weights fold in the mask
+        # and the transform scaling, the inverse one for norm="forward".
+        n = grid.n[-1]
+        self.width = (n - 1) // 3 + 1 if dealias and d > 1 else n // 2 + 1
+        keep = half(grid.dealias_mask if dealias else True)[..., : self.width]
+        self.inv_weight = keep / math.sqrt(math.prod(grid.length))
+        self.fwd_weight = forcing[..., : self.width] * (keep * grid._norm_factor)
         self._props = OrderedDict()
 
     def nonlinear(self, u):
         """Quadratic forcing of the evolution (the Duhamel integrand):
         -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j,
-        from the coefficients of ``_products``."""
+        from the coefficients of ``_products``; the columns the mask drops
+        stay zero."""
         c = self._products(u)
-        out = np.empty_like(u)
-        np.multiply(self.forcing, c[self.eta], out=out[self.vel])
+        out = np.zeros_like(u)
+        kept = out[..., : self.width]
+        np.multiply(self.fwd_weight, c[self.eta], out=kept[self.vel])
         c_vel = c[self.vel]
-        c_vel *= self.forcing
-        np.sum(c_vel, axis=self.comp, keepdims=True, out=out[self.eta])
+        c_vel *= self.fwd_weight
+        np.sum(c_vel, axis=self.comp, keepdims=True, out=kept[self.eta])
         return out
 
     def _products(self, u):
-        """The coefficients of (|v|^2/2, eta v_1, .., eta v_d): one inverse
-        transform of the masked state, then one forward transform of the
-        products in its place.  On a Picard sweep's stack of nodes every
-        temporary is as large as the stack, so ``sq`` goes before the forward
-        transform and the rest before ``nonlinear`` allocates its output."""
-        grid, axes = self.grid, self.axes
-        phys = np.fft.irfftn(u if self.mask is None else u * self.mask, s=grid.n, axes=axes)
-        phys /= grid._norm_factor
+        """The kept coefficients of (|v|^2/2, eta v_1, .., eta v_d): the
+        weighted state's inverse transform, then the products' forward one,
+        axis by axis.  On a Picard sweep's stack of nodes every temporary is
+        as large as the stack, so each is freed before the next is made."""
+        lead = self.axes[:-1]
+        c = u[..., : self.width] * self.inv_weight
+        for axis in lead:
+            c = np.fft.ifft(c, axis=axis, norm="forward")
+        phys = np.fft.irfft(c, n=self.grid.n[-1], axis=-1, norm="forward")
+        del c
         eta, vel = phys[self.eta], phys[self.vel]
         sq = np.sum(vel * vel, axis=self.comp, keepdims=True)
         vel *= eta
         np.multiply(sq, 0.5, out=eta)
-        del sq
-        c = np.fft.rfftn(phys, axes=axes)
-        c *= grid._norm_factor
+        del sq, eta, vel
+        c = np.fft.rfft(phys, axis=-1)[..., : self.width]
+        del phys
+        for axis in lead:
+            c = np.fft.fft(c, axis=axis)
         return c
 
     def linear(self, u):
@@ -259,14 +278,16 @@ def rhs(state: WaveState, params: Params) -> WaveState:
 
 
 def _lawson_rk4_step(ops: _Ops, u, dt):
-    full = ops.propagator(dt)
-    half = ops.propagator(0.5 * dt)
+    """Lawson RK4 with the one propagator S = S(dt/2): with a = S u and
+    b = S k1, S(dt) = S^2 turns the scheme's six applies of S(dt/2) and S(dt)
+    into four of S."""
+    s = ops.propagator(0.5 * dt)
     k1 = ops.nonlinear(u)
-    k2 = ops.nonlinear(half.apply(u + 0.5 * dt * k1))
-    k3 = ops.nonlinear(half.apply(u) + 0.5 * dt * k2)
-    su_full = full.apply(u)
-    k4 = ops.nonlinear(su_full + dt * half.apply(k3))
-    return su_full + dt / 6.0 * (full.apply(k1) + 2.0 * half.apply(k2 + k3) + k4)
+    a, b = s.apply(u), s.apply(k1)
+    k2 = ops.nonlinear(a + 0.5 * dt * b)
+    k3 = ops.nonlinear(a + 0.5 * dt * k2)
+    k4 = ops.nonlinear(s.apply(a + dt * k3))
+    return s.apply(a + dt / 6.0 * b + dt / 3.0 * (k2 + k3)) + dt / 6.0 * k4
 
 
 def _reference_rk4_step(ops: _Ops, u, dt):

@@ -231,6 +231,24 @@ class TestRunCommand:
         summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
         assert summary["status"] == "ok"
 
+    @pytest.mark.parametrize("method", ["exponential_rk4", "reference_rk4", "picard_duhamel"])
+    def test_summary_records_steps_and_effective_dt(self, tmp_path, method):
+        """dt = 3e-3 does not divide T = 0.1: the run takes ceil(T / dt) = 34
+        steps of T / 34."""
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            system="wb1d_regularized",
+            params={"kappa": 1.0, "mu": 0.1, "s": 0.5},
+            integrator={"method": method, "dt": 3e-3},
+            T=0.1,
+            report_every=0.05,
+        )
+        assert main(["run", write_config(tmp_path, raw)]) == 0
+        summary = json.loads((outdir / "run_summary.json").read_text())
+        assert summary["steps"] == 34
+        assert summary["dt"] == 0.1 / 34
+
     def test_invalid_config_exits_one(self, tmp_path):
         raw = small_run(str(tmp_path / "o"))
         raw["params"]["mu"] = 1.5
@@ -302,6 +320,7 @@ class TestRunCommand:
         summary = json.loads((outdir / "run_summary.json").read_text())
         assert summary["status"] == "no_contraction"
         assert summary["iterations"] == len(summary["defects"]) == 3
+        assert summary["steps"] == 40 and summary["dt"] == 0.05
         ratios = [b / a for a, b in zip(summary["defects"], summary["defects"][1:])]
         assert summary["contraction_estimate"] == max(ratios)
         assert 0 < summary["contraction_estimate"] < math.inf

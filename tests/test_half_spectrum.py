@@ -485,14 +485,19 @@ class TestHalfSpectrumConvention:
     @pytest.mark.parametrize("n", [(16,), (64,), (16, 16), (16, 24)])
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     def test_odd_arrays_vanish_on_last_column_and_zero_mode(self, n, mu):
-        """The last half-spectrum column is the Nyquist column: the forcing,
-        the unit wave vector and the phase vanish there and on the zero mode."""
+        """The last half-spectrum column is the Nyquist column: the restoring
+        forcing, the unit wave vector and the phase vanish there and on the
+        zero mode.  The masked forcing's weight is cut to the kept columns
+        and vanishes on the zero mode."""
         grid = Grid(n)
         ops = _ops(grid, Params(kappa=1.0, mu=mu), True)
         zero = (0,) * grid.dim
-        for arr in (*ops.forcing, *ops.unit, ops.phase):
+        for arr in (*ops.restoring, *ops.unit, ops.phase):
             assert arr.shape[-1] == n[-1] // 2 + 1
             assert not np.any(arr[..., -1])
+            assert arr[zero] == 0.0
+        for arr in ops.fwd_weight:
+            assert arr.shape[-1] == ops.width <= n[-1] // 2 + 1
             assert arr[zero] == 0.0
 
     @pytest.mark.parametrize("n", [(16,), (256,), (32, 32), (16, 24), (128, 128)])

@@ -63,7 +63,12 @@ def inline_ops_arrays(grid, p, regularized):
     out["phase"] = np.where(grid.nyquist_mask, 0.0, a * out["Kk"])
     forcing = tuple(-1j * (np.tanh(a) * e) for e in out["unit"])
     out["restoring"] = tuple(g * (1.0 + p.kappa * a * a) for g in forcing)
-    out["forcing"] = tuple(np.where(grid.dealias_mask, g, 0.0) for g in forcing)
+    # The forcing's transform weights: the masked forcing times the grid's
+    # transform scaling, and the mask over sqrt(prod L).
+    out["fwd_weight"] = tuple(
+        np.where(grid.dealias_mask, g, 0.0) * grid._norm_factor for g in forcing
+    )
+    out["inv_weight"] = np.where(grid.dealias_mask, 1.0 / math.sqrt(math.prod(grid.length)), 0.0)
     return out
 
 
@@ -121,6 +126,10 @@ class TestOpsArrays:
         ops = _ops(grid, p, True)
         want = inline_ops_arrays(grid, p, regularized)
         half = grid.half
+        # The weights are cut to the last-axis columns the forcing's
+        # transforms see: those the 2/3 mask keeps in 2D, all of them in 1D.
+        m = grid.n[-1]
+        width = m // 2 + 1 if grid.dim == 1 else (m - 1) // 3 + 1
         for name, ref in want.items():
             got = getattr(ops, name)
             if ref is None:
@@ -128,6 +137,8 @@ class TestOpsArrays:
                 continue
             # Each _Ops array is the half-spectrum slice, stacked over the axes.
             ref = np.stack([half(r) for r in ref]) if isinstance(ref, tuple) else half(ref)
+            if name.endswith("_weight"):
+                ref = ref[..., :width]
             assert got.shape == ref.shape and got.dtype == ref.dtype, name
             assert np.array_equal(got, ref), name
         # The restoring multiplier G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j is
