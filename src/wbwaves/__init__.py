@@ -16,7 +16,6 @@ from .functionals import (
     difference_energy,
     hamiltonian,
     modified_energy,
-    momentum,
     smallness_threshold,
 )
 from .spectral import (
@@ -55,7 +54,6 @@ __all__ = [
     "hamiltonian",
     "lp_norm",
     "modified_energy",
-    "momentum",
     "pair_product",
     "picard_solve",
     "rhs",

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .config import ConfigError, RunConfig, load_config, output_header
 from .dynamics import BlowUpError, PicardError, _resolve_steps, evolve
@@ -30,7 +30,6 @@ from .experiments import (
     small_data_family,
     stability_test,
 )
-from .functionals import EnergyReport
 from .typed import typed
 
 
@@ -41,24 +40,20 @@ def _open_output(path):
     return open(path, "w")
 
 
-def _write_csv(path, config, header_row, rows):
-    with _open_output(path) as fh:
-        fh.write(output_header(config) + "\n")
-        fh.write(header_row + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
-def _csv_table(rows):
-    """CSV header and lines for dict rows: the union of their keys in first-seen
-    order, numbers with 17 significant digits, strings as is, missing cells empty."""
+def _write_csv(path, config, rows):
+    """Write dict rows under the config's provenance line: the columns are
+    the union of the rows' keys in first-seen order, numbers with 17
+    significant digits, strings as is, missing cells empty."""
     cols = list(dict.fromkeys(key for row in rows for key in row))
 
     def cell(v):
         return v if isinstance(v, str) else format(float(v), ".17g")
 
-    lines = [",".join(cell(row[c]) if c in row else "" for c in cols) for row in rows]
-    return ",".join(cols), lines
+    with _open_output(path) as fh:
+        fh.write(output_header(config) + "\n")
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(row[c]) if c in row else "" for c in cols) + "\n")
 
 
 def _write_json(path, config, payload):
@@ -86,8 +81,9 @@ def cmd_run(config: RunConfig) -> int:
         _write_json(os.path.join(outdir, "run_summary.json"), config, summary)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = [rep.csv_row() for rep in result.reports]
-    _write_csv(os.path.join(outdir, "energy.csv"), config, EnergyReport.csv_header(), rows)
+    # The first node is always reported, so the header is every report field.
+    rows = [asdict(rep) for rep in result.reports]
+    _write_csv(os.path.join(outdir, "energy.csv"), config, rows)
     if config.snapshots:
         from .snapshot import write_snapshot
 
@@ -221,7 +217,7 @@ def cmd_study(name: str, config: RunConfig) -> int:
         return 2
     base = os.path.join(outdir, name + suffix)
     if report.rows:
-        _write_csv(base + ".csv", config, *_csv_table(report.rows))
+        _write_csv(base + ".csv", config, report.rows)
     _write_json(base + ".json", config, report.summary())
     return 0 if report.passed else 1
 

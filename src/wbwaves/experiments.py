@@ -62,6 +62,8 @@ def fit_rate(params, errors):
     errors = np.asarray(errors, dtype=float)
     if len(params) < 3:
         raise ValueError("rate fitting needs at least 3 points")
+    if np.any(params <= 0):
+        raise ValueError("rate fitting needs positive parameters")
     if np.any(errors <= 0):
         raise ValueError("rate fitting needs positive errors")
     x = np.log10(params)
@@ -299,36 +301,38 @@ def stability_test(
     """Continuous dependence via the difference energy.
 
     Perturbs the datum along a fixed random band-limited direction at the
-    given sizes, evolves all runs, and checks that sup_t E^r scales
-    quadratically in the perturbation size while the fitted exponential
-    growth rate of E^r(t) stays comparable across sizes."""
+    given sizes, evolves the base and the perturbed runs as one batch (a
+    blow-up names the first blown member, base first), and checks that
+    sup_t E^r scales quadratically in the perturbation size while the fitted
+    exponential growth rate of E^r(t) stays comparable across sizes."""
     r = float(r)
     if not (0 < r <= params.s - 0.5):
         raise ValueError(f"stability_test needs r in (0, s - 1/2], got {r}")
     sizes = [float(s_) for s_ in sizes]
+    if any(not s_ > 0 for s_ in sizes):
+        raise ValueError(f"perturbation sizes must be positive, got {sizes}")
     if any(b >= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("perturbation sizes must be strictly decreasing")
     report_every = report_every or max(T / 20.0, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
-    base = _checked("base", evolve(u0, params, cfg, T, report_every))
-
-    sups = []
-    rates = []
+    members = [u0]
     for size in sizes:
         scale = size / dnorm
-        pert = WaveState(
-            u0.eta + scale * direction.eta,
-            tuple(v + scale * d for v, d in zip(u0.vel, direction.vel)),
-            time=u0.time,
-        )
-        res = _checked(f"size={size:g}", evolve(pert, params, cfg, T, report_every))
+        vel = tuple(v + scale * d for v, d in zip(u0.vel, direction.vel))
+        members.append(WaveState(u0.eta + scale * direction.eta, vel, time=u0.time))
+    names = ["base", *(f"size={size:g}" for size in sizes)]
+    base, *runs = map(_checked, names, evolve(members, params, cfg, T, report_every))
+
+    times = np.asarray(base.trajectory.times) - base.trajectory.times[0]
+    sups = []
+    rates = []
+    for res in runs:
         series = [
             difference_energy(a, b, r, params)
             for a, b in zip(res.trajectory.states, base.trajectory.states)
         ]
         sups.append(max(series))
-        times = np.asarray(base.trajectory.times) - base.trajectory.times[0]
         logs = np.log(np.maximum(series, 1e-300))
         rate = float(np.polyfit(times, logs, 1)[0]) if len(times) > 1 else math.nan
         rates.append(rate)

@@ -1,4 +1,4 @@
-"""Conserved and monitored functionals: energy, momentum, the energy report.
+"""Monitored functionals: the energy report, and the difference energy.
 
 The Hamiltonian
 
@@ -10,18 +10,18 @@ and dissipated by the viscous one.  The energy with cubic correction
 
     E_s(eta, v) = 1/2 ||eta, v||_w^2 + 1/2 int eta (J^{s-1/2} v)^2 dx
 
-uses the weighted pair norm and reduces to the Hamiltonian at s = 1/2, which
-is how the Hamiltonian is computed.  Every functional reads the state's
-half spectrum (``WaveState.packed``): quadratic terms are coefficient sums
-(exact by Parseval), and a cubic term is one inverse transform of its
-dealiased factors plus plain grid quadrature.
+uses the weighted pair norm and reduces to the Hamiltonian at s = 1/2.
+Every functional reads the state's half spectrum (``WaveState.packed``):
+quadratic terms are coefficient sums (exact by Parseval), and a cubic term
+is one inverse transform of its dealiased factors plus grid quadrature.
 
-``EnergyReport.measure`` reports on one state or on a list of them in one
-pass over their (B, 1 + d, *half) stack: each quadratic term (H, E_s, the
-weighted norm, the momentum) is one half-spectrum sum over the stack, the
-cubic terms of H and E_s share one inverse transform of
-(eta, v, J^(s-1/2) v), and eta_min, eta_max and linf_v read the samples the
-states were built with (``WaveState.from_packed``).
+``EnergyReport`` declares what a run monitors: its fields are the columns
+of ``energy.csv``, and ``EnergyReport.measure`` is the only code computing
+H, E_s and the 1D momentum I = int eta (D/tanh D) v dx.  It measures one
+state or a list of them in one pass over their (B, 1 + d, *half) stack:
+each quadratic term is one half-spectrum sum, the cubic terms of H and E_s
+share one inverse transform of (eta, v, J^(s-1/2) v), and eta_min, eta_max
+and linf_v read the states' samples (``WaveState.from_packed``).
 """
 
 from __future__ import annotations
@@ -41,17 +41,6 @@ from .state import _norm_weights, _part, _sobolev_sq, _weighted_sq_coeffs
 #: only assert existence of such a level; this value is calibrated so the
 #: reference runs pass with at least a 2x margin.
 DEFAULT_SMALLNESS = 0.05
-
-CSV_COLUMNS = (
-    "time",
-    "hamiltonian",
-    "momentum",
-    "modified_energy",
-    "weighted_norm",
-    "eta_min",
-    "eta_max",
-    "linf_v",
-)
 
 
 @lru_cache(maxsize=16)
@@ -81,34 +70,15 @@ def _cubic(grid: Grid, eta_c, w, *orders):
     return grid.cell * terms.sum(axis=axes)
 
 
-def _energy(state: WaveState, s, kappa) -> float:
-    u = state.packed()
-    wsq = _weighted_sq_coeffs(state.grid, u, s, kappa)
-    return 0.5 * (wsq + float(_cubic(state.grid, u[0], u[1:], s - 0.5)[0]))
-
-
 def hamiltonian(state: WaveState, params: Params) -> float:
     """The energy at s = 1/2: half the squared weighted norm (by Parseval)
-    plus the cubic term 1/2 int eta |v|^2."""
-    return _energy(state, 0.5, params.kappa)
-
-
-def momentum(state: WaveState, params: Params) -> float:
-    """int eta (D/tanh D) v dx, the s = 1/2 velocity weight of the pair norm
-    between eta and v; defined in one dimension only."""
-    if state.dim != 1:
-        raise SpectralError("momentum is only defined for 1D states")
-    return float(_momentum(state.grid, state.packed(), params.kappa))
-
-
-def _momentum(grid: Grid, u, kappa):
-    """``momentum`` of a packed 1D (..., 2, half) array, one per leading index."""
-    vel_w = _norm_weights(grid, 0.5, kappa)[1]
-    return (vel_w * (u[..., 0, :].conj() * u[..., 1, :]).real).sum(axis=-1)
+    plus the cubic term 1/2 int eta |v|^2; the report's column."""
+    return EnergyReport.measure(state, params).hamiltonian
 
 
 def modified_energy(state: WaveState, params: Params) -> float:
-    return _energy(state, params.s, params.kappa)
+    """The energy E_s at s = params.s; the report's column."""
+    return EnergyReport.measure(state, params).modified_energy
 
 
 def difference_energy(state1: WaveState, state2: WaveState, r, params: Params) -> float:
@@ -146,7 +116,8 @@ def smallness_threshold(override=None) -> float:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """All monitored quantities at one time, serializable as one CSV row."""
+    """All monitored quantities at one time: its fields, in order, are the
+    columns of ``energy.csv``.  The momentum is NaN in 2D."""
 
     time: float
     hamiltonian: float
@@ -183,7 +154,8 @@ class EnergyReport:
             norm_sq = _weighted_sq_coeffs(grid, u, s, kappa)
             energy = 0.5 * (norm_sq + cubic[:, 1])
         if d == 1:
-            mom = _momentum(grid, u, kappa)
+            vel_w = _norm_weights(grid, 0.5, kappa)[1]
+            mom = (vel_w * (u[:, 0].conj() * u[:, 1]).real).sum(axis=-1)
             speed = np.abs(x[:, 1]).max(axis=-1)
         else:
             mom = np.full(len(states), math.nan)
@@ -196,11 +168,3 @@ class EnergyReport:
             cls(st.time, *row) for st, row in zip(states, zip(*(c.tolist() for c in columns)))
         ]
         return reports[0] if single else reports
-
-    def csv_row(self) -> str:
-        vals = [getattr(self, name) for name in CSV_COLUMNS]
-        return ",".join(format(v, ".17g") for v in vals)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(CSV_COLUMNS)

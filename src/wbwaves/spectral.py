@@ -201,7 +201,7 @@ class Field:
 
     __slots__ = ("grid", "values", "_coeffs")
 
-    def __init__(self, grid, values, _coeffs=None):
+    def __init__(self, grid, values):
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.shape:
             raise SpectralError(f"field shape {values.shape} does not match grid {grid.shape}")
@@ -212,7 +212,7 @@ class Field:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self._coeffs = _coeffs
+        self._coeffs = None
 
     @classmethod
     def from_coeffs(cls, grid, coeffs, context="inverse transform"):

@@ -65,7 +65,7 @@ class WaveState:
 
     __slots__ = ("eta", "vel", "time", "_packed")
 
-    def __init__(self, eta: Field, vel, time=0.0, _packed=None):
+    def __init__(self, eta: Field, vel, time=0.0):
         if isinstance(vel, Field):
             vel = (vel,)
         vel = tuple(vel)
@@ -80,7 +80,7 @@ class WaveState:
         self.eta = eta
         self.vel = vel
         self.time = float(time)
-        self._packed = _packed
+        self._packed = None
         if grid.dim == 2:
             _check_curl(grid, self.packed())
 

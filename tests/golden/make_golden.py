@@ -81,6 +81,15 @@ CASES = {
             initial_data={"preset": "random_bandlimited", "band": 4, "amplitude": 0.05},
         ),
     ),
+    "study_kappa_limit": (
+        ("study", "kappa_limit"),
+        dict(_STUDY_BASE, study={"values": [0.1, 0.01, 0.001], "comparison_norm": "H1xH12"}),
+    ),
+    "study_mu_limit": (
+        ("study", "mu_limit"),
+        dict(_STUDY_BASE, study={"values": [0.1, 0.01, 0.001], "r": 0.5}),
+    ),
+    "study_inequalities": (("study", "inequalities"), dict(_STUDY_BASE, study={"count": 4})),
     "reference_run": (("run",), _config_run("reference_run")),
     "wb2d_run": (("run",), _config_run("wb2d_run")),
     "kappa_study": (("run",), _config_run("kappa_study")),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,11 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wbwaves
+from wbwaves import experiments
 from wbwaves.cli import main
 from wbwaves.config import ConfigError, config_from_dict, load_config
+from wbwaves.dynamics import evolve
+from wbwaves.functionals import EnergyReport
 
 
 def write_config(tmp_path, raw, name="run.json"):
@@ -230,6 +235,27 @@ class TestRunCommand:
         assert len(lines) == 2 + math.ceil(0.5 / 0.1) + 1
         summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
         assert summary["status"] == "ok"
+
+    @pytest.mark.parametrize("system, grid", [("wb1d", {"n": 64}), ("wb2d", {"n": 16})])
+    def test_energy_csv_columns_are_the_report_fields(self, tmp_path, system, grid):
+        """The header is EnergyReport's fields in order, and each cell reads
+        back to the reported float exactly (17 significant digits)."""
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir), system=system, grid=grid,
+            initial_data={"preset": "random_bandlimited", "band": 4, "amplitude": 0.05},
+        )
+        config_path = write_config(tmp_path, raw)
+        assert main(["run", config_path]) == 0
+        lines = (outdir / "energy.csv").read_text().splitlines()
+        assert lines[1].split(",") == [f.name for f in dataclasses.fields(EnergyReport)]
+        config = load_config(config_path)
+        result = evolve(config.initial_state(), config.params, config.integrator, config.T,
+                        config.report_every)
+        assert len(lines) == 2 + len(result.reports)
+        for line, rep in zip(lines[2:], result.reports):
+            got = [float(cell) for cell in line.split(",")]
+            assert np.array_equal(got, dataclasses.astuple(rep), equal_nan=True)
 
     @pytest.mark.parametrize("method", ["exponential_rk4", "reference_rk4", "picard_duhamel"])
     def test_summary_records_steps_and_effective_dt(self, tmp_path, method):
@@ -534,6 +560,21 @@ class TestStudyOutputFaults:
         raw = small_run(str(outdir), study={"count": 0})
         assert main(["study", "inequalities", write_config(tmp_path, raw)]) == 1
         assert "count" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("sizes", [[0.01, 0.001, -0.0001], [0.01, 0.001, 0.0]])
+    def test_non_positive_stability_size_rejected_before_any_run(
+        self, tmp_path, capsys, monkeypatch, sizes
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(experiments, "evolve", no_run)
+        outdir = tmp_path / "out"
+        raw = small_run(str(outdir), params={"kappa": 1.0, "s": 1.5},
+                        study={"sizes": sizes, "r": 0.5})
+        assert main(["study", "stability", write_config(tmp_path, raw)]) == 1
+        assert "error: perturbation sizes must be positive" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("name, option, value", [

@@ -70,6 +70,11 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([1.0, 0.1], [1.0, 0.1])
 
+    @pytest.mark.parametrize("params", [[1e-2, 1e-3, -1e-4], [1e-2, 1e-3, 0.0]])
+    def test_needs_positive_parameters(self, params):
+        with pytest.raises(ValueError, match="positive parameters"):
+            fit_rate(params, [1.0, 0.1, 0.01])
+
 
 class TestKappaLimit:
     def test_self_comparison_is_zero(self):
@@ -196,6 +201,13 @@ class TestStability:
         )
         assert abs(report.extra["slope"] - 2.0) <= 0.2
         assert report.passed
+
+    @pytest.mark.parametrize("sizes", [[1e-2, 1e-3, -1e-4], [1e-2, 1e-3, 0.0]])
+    def test_sizes_must_be_positive(self, sizes):
+        with pytest.raises(ValueError, match="sizes must be positive"):
+            stability_test(single_mode(Grid(32), 0.01), sizes, r=0.5,
+                           params=Params(kappa=1.0, s=1.5), T=0.1,
+                           cfg=IntegratorConfig(dt=5e-3))
 
     def test_r_range_validated(self):
         g = Grid(32)

@@ -14,17 +14,17 @@ ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 
 
 def _used_names(tree, skip=None):
-    """Names read as a variable or an attribute anywhere in ``tree``, except
-    inside the top-level definition called ``skip``; imports do not count."""
+    """Names read as a variable (``ast.Load``) anywhere in ``tree``, except
+    inside the top-level definition called ``skip``.  Imports, stores (a
+    dataclass field such as ``momentum: float``) and attribute reads (a
+    report's ``rep.momentum`` reads its field, not the function) do not count."""
     used = set()
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
             continue
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
     return used
 
 
