@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .dynamics import IntegratorConfig
+from .dynamics import IntegratorConfig, _report_cadence
 from .presets import build_preset
 from .spectral import Grid
 from .state import Params, WaveState
@@ -97,19 +97,14 @@ class RunConfig:
             raise ConfigError(f"initial_data: {exc}") from exc
 
     def canonical(self) -> dict:
-        return {
-            "system": self.system,
-            "grid": {"n": list(self.grid.n), "length": list(self.grid.length)},
-            "params": dataclasses.asdict(self.params),
-            "initial_data": self.initial_data,
-            "integrator": dataclasses.asdict(self.integrator),
-            "T": self.T,
-            "report_every": self.report_every,
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "snapshots": self.snapshots,
-            "study": self.study,
-        }
+        """Every field as plain JSON data, the input of ``config_hash``."""
+
+        def plain(value):
+            if isinstance(value, Grid):
+                return {"n": list(value.n), "length": list(value.length)}
+            return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
@@ -168,7 +163,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     integrator = _section(_table(raw, "integrator", default={}), "integrator", IntegratorConfig)
 
     T = typed(_take(raw, "T", required=True), "T", float)
-    report_every = _take(raw, "report_every", default=max(T / 20.0, integrator.dt))
+    report_every = _take(raw, "report_every", default=_report_cadence(None, T, integrator.dt))
     report_every = typed(report_every, "report_every", float)
     output_dir = typed(_take(raw, "output_dir", default="out"), "output_dir", str)
     seed = typed(_take(raw, "seed", default=0), "seed", int)

@@ -19,6 +19,7 @@ from .dynamics import (
     EvolveResult,
     IntegratorConfig,
     PicardError,
+    _report_cadence,
     evolve,
 )
 from .functionals import difference_energy, smallness_threshold
@@ -32,7 +33,10 @@ from .inequalities import (
 from .presets import random_bandlimited
 from .state import Params, WaveState, _sobolev_sq, _weighted_sq_coeffs, weighted_pair_norm
 
-COMPARISON_NORMS = ("L2xH12", "H1xH12", "HskappaxHs")
+# Each comparison norm of a difference (theta, w): the Sobolev pair
+# sqrt(||theta||^2_{H^a} + ||w||^2_{H^b}) by its orders (a, b), or None for
+# HskappaxHs, the weighted pair norm at the study's s and kappa.
+COMPARISON_NORMS = {"L2xH12": (0.0, 0.5), "H1xH12": (1.0, 0.5), "HskappaxHs": None}
 
 
 @dataclass
@@ -75,8 +79,8 @@ def fit_rate(params, errors):
 
 def low_capillarity_error(a: WaveState, b: WaveState) -> float:
     """sqrt(||theta||_L2^2 + ||K^-1 w||_L2^2), the zero-surface-tension metric:
-    the weighted pair norm of the difference at s = 1/2 and kappa = 0."""
-    return math.sqrt(_weighted_sq_coeffs(a.grid, a.packed() - b.packed(), 0.5, 0.0))
+    HskappaxHs at s = 1/2 and kappa = 0."""
+    return _comparison_error("HskappaxHs", a, b, 0.5, 0.0)
 
 
 def _sobolev_pair(grid, u, eta_order, vel_order) -> float:
@@ -91,15 +95,11 @@ def _checked(member, res: EvolveResult) -> EvolveResult:
     return res
 
 
-# The comparison norms other than HskappaxHs, by (eta order, velocity order).
-_SOBOLEV_PAIRS = {"L2xH12": (0.0, 0.5), "H1xH12": (1.0, 0.5)}
-
-
 def _comparison_error(name, a, b, s, kappa):
-    d = a.packed() - b.packed()
-    if name == "HskappaxHs":
+    d, orders = a.packed() - b.packed(), COMPARISON_NORMS[name]
+    if orders is None:
         return math.sqrt(_weighted_sq_coeffs(a.grid, d, s, kappa))
-    return _sobolev_pair(a.grid, d, *_SOBOLEV_PAIRS[name])
+    return _sobolev_pair(a.grid, d, *orders)
 
 
 def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
@@ -122,7 +122,7 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
         raise ValueError("kappa sweep values must be strictly monotone")
     if comparison_norm is not None and comparison_norm not in COMPARISON_NORMS:
         raise ValueError(
-            f"comparison_norm must be one of {COMPARISON_NORMS}, got {comparison_norm!r}"
+            f"comparison_norm must be one of {tuple(COMPARISON_NORMS)}, got {comparison_norm!r}"
         )
     if any(not (0 < k <= 1) for k in kappas):
         raise ValueError("kappa sweep values must lie in (0, 1]")
@@ -221,7 +221,7 @@ def invariant_region_test(
     the conservative and, when params.mu > 0, the viscous flow are run, each
     as one batched integration of the admitted data."""
     eps = smallness_threshold(epsilon)
-    report_every = report_every or max(T / 20.0, cfg.dt)
+    report_every = _report_cadence(report_every, T, cfg.dt)
     rows = []
     for i, u0 in enumerate(data):
         gate = weighted_pair_norm(u0, 0.5, params.kappa)
@@ -258,7 +258,7 @@ def dissipation_test(
     control."""
     if not (params.mu > 0 and params.p == 1.0):
         raise ValueError("dissipation_test needs mu > 0 and p = 1")
-    report_every = report_every or max(T / 20.0, cfg.dt)
+    report_every = _report_cadence(report_every, T, cfg.dt)
     rows = []
     for i, u0 in enumerate(data):
         u, grid = u0.packed(), u0.grid
@@ -313,7 +313,9 @@ def stability_test(
         raise ValueError(f"perturbation sizes must be positive, got {sizes}")
     if any(b >= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("perturbation sizes must be strictly decreasing")
-    report_every = report_every or max(T / 20.0, cfg.dt)
+    if len(sizes) < 3:
+        raise ValueError(f"stability_test needs at least 3 perturbation sizes, got {len(sizes)}")
+    report_every = _report_cadence(report_every, T, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
     members = [u0]
@@ -369,7 +371,7 @@ def conservation_check(u0: WaveState, params: Params, T, cfg, report_every=None)
     """Relative drift of the invariants along the conservative flow."""
     if params.mu != 0:
         raise ValueError("conservation_check runs the unregularized system (mu = 0)")
-    report_every = report_every or max(T / 20.0, cfg.dt)
+    report_every = _report_cadence(report_every, T, cfg.dt)
     res = evolve(u0, params, cfg, T, report_every)
     h = [rep.hamiltonian for rep in res.reports]
     drift_h = max(abs(x - h[0]) for x in h) / max(abs(h[0]), 1e-300)

@@ -63,8 +63,7 @@ def _cubic(grid: Grid, eta_c, w, *orders):
     parts = [(_cubic_weights(grid, 0.0)[0] * eta_c)[_part(d, None)]]
     parts += [_cubic_weights(grid, float(order))[1] * w for order in orders]
     axes = tuple(range(-d, 0))
-    phys = np.fft.irfftn(np.concatenate(parts, axis=-d - 1), s=grid.n, axes=axes)
-    phys /= grid._norm_factor
+    phys = grid.inverse_half(np.concatenate(parts, axis=-d - 1))
     jw = phys[_part(d, slice(1, None))].reshape(*phys.shape[:-d - 1], len(orders), d, *grid.n)
     terms = phys[_part(d, slice(0, 1))] * (jw**2).sum(axis=-d - 1)
     return grid.cell * terms.sum(axis=axes)

@@ -36,7 +36,6 @@ SYMBOL_CHAIN_ULP = 4
 
 @dataclass
 class RatioReport:
-    which: str
     samples: list = field(default_factory=list)
     max_ratio: float = 0.0
 
@@ -52,17 +51,14 @@ class RatioReport:
 
 
 def kato_ponce_report(family) -> RatioReport:
-    """Commutator bound ||[J, f] g||_2 <= C(||f'||_4 ||J^0 g||_4 + ||J f||_4 ||g||_4),
+    """Commutator bound ||[J, f] g||_2 <= C(||f'||_4 ||g||_4 + ||J f||_4 ||g||_4),
     the s = 1 case of Kato-Ponce with Holder pairs 1/2 = 1/4 + 1/4."""
-    report = RatioReport("kato_ponce")
+    report = RatioReport()
     j1 = SymbolCatalog.bessel(1.0)
-    # J^0 is the identity, but applying it moves the last bits of g through a
-    # transform round trip, and the inequalities study writes those bits.
-    j0 = SymbolCatalog.bessel(0.0)
     for f, g in family:
         lhs = lp_norm(commutator(j1, f, g), 2.0)
         fx = apply_multiplier(SymbolCatalog.partial(0), f)
-        rhs = lp_norm(fx, 4.0) * lp_norm(apply_multiplier(j0, g), 4.0)
+        rhs = lp_norm(fx, 4.0) * lp_norm(g, 4.0)
         rhs += lp_norm(apply_multiplier(j1, f), 4.0) * lp_norm(g, 4.0)
         report.record(lhs, rhs)
     return report
@@ -71,7 +67,7 @@ def kato_ponce_report(family) -> RatioReport:
 def leibniz_report(family) -> RatioReport:
     """Fractional Leibniz defect ||D^(1/2)(fg) - f D^(1/2) g - g D^(1/2) f||_2
     against ||D^(1/4) f||_4 ||D^(1/4) g||_4."""
-    report = RatioReport("leibniz")
+    report = RatioReport()
     riesz = SymbolCatalog.riesz(0.5)
     quarter = SymbolCatalog.riesz(0.25)
     for f, g in family:
@@ -92,7 +88,7 @@ def trilinear_report(family) -> RatioReport:
 
     The signed integral |int fgh| (the quantity the energy estimates actually
     use) is reported alongside the L1 norm."""
-    report = RatioReport("trilinear")
+    report = RatioReport()
     for f, g, h in family:
         prod = f.values * g.values * h.values
         lhs = f.grid.quadrature(np.abs(prod))
@@ -104,7 +100,7 @@ def trilinear_report(family) -> RatioReport:
 
 def brezis_gallouet_report(family) -> RatioReport:
     """Limiting embedding ||f||_inf <= C(1 + ||f||_{H^1/2} sqrt(log(1 + ||f||_{H^1})))."""
-    report = RatioReport("brezis_gallouet")
+    report = RatioReport()
     for f in family:
         lhs = f.linf()
         rhs = 1.0 + sobolev_norm(f, 0.5) * math.sqrt(

@@ -15,10 +15,16 @@ random_bandlimited(seed, band, a):
     2D) drawn i.i.d. standard complex normal, Hermitian-symmetrized, field
     rescaled to max amplitude a; velocity from an independent draw, in 2D
     as the gradient of a random potential rescaled to max speed a.
+
+A preset is its function, listed in ``PRESETS`` by name.  A config's
+``initial_data`` table names it as ``preset``, and its other entries are
+the function's parameters other than ``grid``, with the function's
+defaults; ``random_bandlimited``'s ``seed`` defaults to the config's seed.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -26,9 +32,6 @@ import numpy as np
 from .spectral import Field, Grid, SymbolCatalog, apply_multiplier
 from .state import WaveState
 from .typed import typed
-
-PRESETS = ("single_mode", "gaussian_bump", "random_bandlimited")
-
 
 def single_mode(grid: Grid, amplitude, mode=1, v_amplitude=None) -> WaveState:
     a = float(amplitude)
@@ -117,6 +120,8 @@ def random_bandlimited(grid: Grid, seed, band=8, amplitude=0.1) -> WaveState:
     return WaveState(eta, vel)
 
 
+PRESETS = {f.__name__: f for f in (single_mode, gaussian_bump, random_bandlimited)}
+
 # The type of each preset option; a 2D ``mode`` may also be a pair of
 # integers, and ``v_amplitude`` may be null.
 _OPTION_KINDS = {
@@ -134,29 +139,21 @@ def _option(grid: Grid, key, value):
 
 
 def build_preset(grid: Grid, data: dict, seed=0) -> WaveState:
-    """Build the state described by a config ``initial_data`` table, each
-    option checked for its type."""
+    """Build the state described by a config ``initial_data`` table: the
+    preset's function called with the table's other entries, each option
+    checked for its type.  A ``seed`` left out is the config's ``seed``."""
     data = dict(data)
     name = data.pop("preset")
-    data = {k: _option(grid, k, v) if k in _OPTION_KINDS else v for k, v in data.items()}
-    if name == "single_mode":
-        state = single_mode(
-            grid,
-            data.pop("amplitude"),
-            mode=data.pop("mode", 1),
-            v_amplitude=data.pop("v_amplitude", None),
-        )
-    elif name == "gaussian_bump":
-        state = gaussian_bump(grid, data.pop("amplitude"), data.pop("width"))
-    elif name == "random_bandlimited":
-        state = random_bandlimited(
-            grid,
-            data.pop("seed", seed),
-            band=data.pop("band", 8),
-            amplitude=data.pop("amplitude", 0.1),
-        )
-    else:
+    preset = PRESETS.get(name) if isinstance(name, str) else None
+    if preset is None:
         raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")
-    if data:
-        raise ValueError(f"unknown preset option(s): {', '.join(sorted(data))}")
-    return state
+    options = list(inspect.signature(preset).parameters.values())[1:]  # all but grid
+    unknown = sorted(set(data) - {opt.name for opt in options})
+    if unknown:
+        raise ValueError(f"unknown preset option(s): {', '.join(unknown)}")
+    if any(opt.name == "seed" for opt in options):
+        data.setdefault("seed", seed)
+    missing = [opt.name for opt in options if opt.default is opt.empty and opt.name not in data]
+    if missing:
+        raise ValueError(f"preset {name} needs option(s): {', '.join(missing)}")
+    return preset(grid, **{k: _option(grid, k, v) for k, v in data.items()})

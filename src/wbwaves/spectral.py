@@ -12,14 +12,17 @@ Under this scaling Parseval holds without loose 2*pi factors,
 
 so L2 and Sobolev norms are plain weighted sums over coefficients, and the
 coefficient of an integer mode is resolution independent (c(k) = sqrt(L)
-times the Fourier-series coefficient).
+times the Fourier-series coefficient).  ``Grid.transform``, ``Grid.inverse``
+and, for the rfftn half spectrum, ``Grid.inverse_half`` apply this scaling;
+the solver's forcing folds it into its precomputed weights.
 
 Conventions forced by the finite periodic lattice:
 
 * every odd symbol annihilates the unpaired Nyquist mode (it cannot carry
   the odd-symbol image of a real field),
 * negative-order Riesz potentials annihilate the mean,
-* pointwise products inside operator compositions are 2/3-rule dealiased.
+* pointwise products inside operator compositions are 2/3-rule dealiased,
+  keeping the integer modes |k| <= ``Grid.dealias_band`` per axis.
 """
 
 from __future__ import annotations
@@ -96,31 +99,29 @@ class Grid:
         # sqrt(prod L) / prod n; see module docstring.
         return math.sqrt(float(np.prod(self.length))) / float(np.prod(self.n))
 
+    def _on_axis(self, axis, a):
+        """The read-only vector ``a`` of one axis's n values, shaped to
+        broadcast along that axis."""
+        shape = [1] * self.dim
+        shape[axis] = self.n[axis]
+        a = a.reshape(shape)
+        a.setflags(write=False)
+        return a
+
     @cached_property
     def x(self):
         """Per-axis sample coordinates, broadcastable to the grid shape."""
-        axes = []
-        for j, (m, h) in enumerate(zip(self.n, self.spacing)):
-            a = np.arange(m) * h
-            shape = [1] * self.dim
-            shape[j] = m
-            a = a.reshape(shape)
-            a.setflags(write=False)
-            axes.append(a)
-        return tuple(axes)
+        return tuple(
+            self._on_axis(j, np.arange(m) * h) for j, (m, h) in enumerate(zip(self.n, self.spacing))
+        )
 
     @cached_property
     def xi(self):
         """Per-axis wavenumbers 2*pi*k/L in FFT order, broadcastable."""
-        axes = []
-        for j, (m, L) in enumerate(zip(self.n, self.length)):
-            a = TWO_PI * np.fft.fftfreq(m, d=L / m)
-            shape = [1] * self.dim
-            shape[j] = m
-            a = a.reshape(shape)
-            a.setflags(write=False)
-            axes.append(a)
-        return tuple(axes)
+        return tuple(
+            self._on_axis(j, TWO_PI * np.fft.fftfreq(m, d=L / m))
+            for j, (m, L) in enumerate(zip(self.n, self.length))
+        )
 
     @cached_property
     def xi_norm(self):
@@ -137,9 +138,7 @@ class Grid:
         m = self.n[axis]
         mask = np.zeros(m, dtype=bool)
         mask[m // 2] = True
-        shape = [1] * self.dim
-        shape[axis] = m
-        return mask.reshape(shape)
+        return self._on_axis(axis, mask)
 
     @cached_property
     def nyquist_mask(self):
@@ -149,16 +148,17 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
+    def dealias_band(self, axis):
+        """The 2/3 rule: the largest integer mode |k| it keeps on one axis."""
+        return (self.n[axis] - 1) // 3
+
     @cached_property
     def dealias_mask(self):
-        """2/3-rule mask: keep integer modes |k| <= (n-1)//3 per axis."""
+        """2/3-rule mask: keep integer modes |k| <= ``dealias_band`` per axis."""
         mask = np.ones(self.shape, dtype=bool)
         for j, m in enumerate(self.n):
             k = np.fft.fftfreq(m, d=1.0 / m)  # integer mode numbers
-            keep = np.abs(k) <= (m - 1) // 3
-            shape = [1] * self.dim
-            shape[j] = m
-            mask &= keep.reshape(shape)
+            mask &= self._on_axis(j, np.abs(k) <= self.dealias_band(j))
         mask.setflags(write=False)
         return mask
 
@@ -183,6 +183,13 @@ class Grid:
 
     def inverse(self, coeffs):
         return np.fft.ifftn(np.asarray(coeffs)) / self._norm_factor
+
+    def inverse_half(self, c):
+        """The real samples of half-spectrum coefficients ``c`` (..., *half;
+        see ``half``), by one inverse rfftn over the last ``dim`` axes."""
+        x = np.fft.irfftn(c, s=self.n, axes=tuple(range(-self.dim, 0)))
+        x /= self._norm_factor
+        return x
 
     def quadrature(self, values):
         """Trapezoidal (here: exact rectangle) rule over the periodic cell."""
@@ -392,13 +399,8 @@ class SymbolCatalog:
     @staticmethod
     def K_kappa_inv(kappa):
         kappa = float(kappa)
-        cap = SymbolCatalog.capillary(kappa).profile
-        return Symbol(
-            f"K_kappa^-1(kappa={kappa:g})",
-            "even",
-            False,
-            lambda a: 1.0 / np.sqrt(cap(a) * _tanh_over_x(a)),
-        )
+        k = SymbolCatalog.K_kappa(kappa).profile
+        return Symbol(f"K_kappa^-1(kappa={kappa:g})", "even", False, lambda a: 1.0 / k(a))
 
     @staticmethod
     def d_over_tanh():

@@ -153,8 +153,7 @@ def _samples(grid: Grid, u):
     the field's largest sample."""
     d, n = grid.dim, grid.n[-1]
     axes = tuple(range(-d, 0))
-    x = np.fft.irfftn(u, s=grid.n, axes=axes)
-    x /= grid._norm_factor
+    x = grid.inverse_half(u)
     scale = np.abs(x).max(axis=axes)
     ends = u[..., :: n // 2]
     if d == 2:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -12,9 +13,18 @@ import pytest
 import wbwaves
 from wbwaves import experiments
 from wbwaves.cli import main
-from wbwaves.config import ConfigError, config_from_dict, load_config
-from wbwaves.dynamics import evolve
+from wbwaves.config import ConfigError, RunConfig, config_from_dict, load_config
+from wbwaves.dynamics import IntegratorConfig, evolve
 from wbwaves.functionals import EnergyReport
+from wbwaves.presets import (
+    _OPTION_KINDS,
+    PRESETS,
+    build_preset,
+    random_bandlimited,
+    single_mode,
+)
+from wbwaves.spectral import Grid
+from wbwaves.state import Params
 
 
 def write_config(tmp_path, raw, name="run.json"):
@@ -200,6 +210,76 @@ def test_committed_config_hash_pinned(name):
     """The hash in every output header stays put for the committed configs."""
     path = Path(__file__).resolve().parents[1] / "configs" / name
     assert load_config(str(path)).config_hash() == COMMITTED_HASHES[name]
+
+
+# One changed value for every RunConfig field: a field added without one
+# fails test_config_hash_covers_every_field.
+_CHANGED_FIELD = {
+    "system": "wb1d_regularized",
+    "grid": Grid(32),
+    "params": Params(kappa=2.0, s=0.5),
+    "initial_data": {"preset": "single_mode", "amplitude": 0.06, "mode": 1},
+    "integrator": IntegratorConfig(dt=1e-3),
+    "T": 0.6,
+    "report_every": 0.2,
+    "output_dir": "y",
+    "seed": 2,
+    "snapshots": True,
+    "study": {"count": 3},
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+def test_config_hash_covers_every_field(field):
+    cfg = config_from_dict(small_run("x"))
+    changed = dataclasses.replace(cfg, **{field: _CHANGED_FIELD[field]})
+    assert getattr(changed, field) != getattr(cfg, field)
+    assert changed.config_hash() != cfg.config_hash()
+
+
+_PRESET_OPTIONS = {
+    "single_mode": {"amplitude": 0.05, "mode": 2, "v_amplitude": 0.01},
+    "gaussian_bump": {"amplitude": 0.05, "width": 0.5},
+    "random_bandlimited": {"seed": 3, "band": 4, "amplitude": 0.05},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_accepts_exactly_its_function_parameters(name):
+    """A preset's options are its function's parameters other than ``grid``:
+    all of them build the state the function does, and any other option
+    of another preset is rejected, named."""
+    grid, options = Grid(32), _PRESET_OPTIONS[name]
+    assert list(inspect.signature(PRESETS[name]).parameters) == ["grid", *options]
+    state = build_preset(grid, {"preset": name, **options})
+    assert np.array_equal(state.packed(), PRESETS[name](grid, **options).packed())
+    for other in sorted(set(_OPTION_KINDS) - set(options)):
+        with pytest.raises(ValueError, match=rf"unknown preset option\(s\): {other}$"):
+            build_preset(grid, {"preset": name, **options, other: 1})
+
+
+def test_preset_defaults_are_its_function_defaults():
+    grid = Grid(32)
+    state = build_preset(grid, {"preset": "single_mode", "amplitude": 0.05})
+    assert np.array_equal(state.packed(), single_mode(grid, 0.05).packed())
+    # seed defaults to the config's seed, band and amplitude to the function's.
+    state = build_preset(grid, {"preset": "random_bandlimited"}, seed=7)
+    assert np.array_equal(state.packed(), random_bandlimited(grid, 7).packed())
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"preset": "gaussian_bump", "amplitude": 0.05, "widht": 0.5},
+     "initial_data: unknown preset option(s): widht"),
+    ({"preset": "gaussian_bump", "amplitude": 0.05},
+     "initial_data: preset gaussian_bump needs option(s): width"),
+    ({"preset": "single_mode", "mode": 2}, "initial_data: preset single_mode needs option(s): amplitude"),
+    ({"preset": "bump", "amplitude": 0.05}, "initial_data: unknown preset 'bump'"),
+])
+def test_preset_option_errors_name_the_option(tmp_path, capsys, data, message):
+    outdir = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, small_run(str(outdir), initial_data=data))]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_float_field_spelled_as_integer_hashes_the_same():
@@ -562,9 +642,13 @@ class TestStudyOutputFaults:
         assert "count" in capsys.readouterr().err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("sizes", [[0.01, 0.001, -0.0001], [0.01, 0.001, 0.0]])
-    def test_non_positive_stability_size_rejected_before_any_run(
-        self, tmp_path, capsys, monkeypatch, sizes
+    @pytest.mark.parametrize("sizes, message", [
+        ([0.01, 0.001, -0.0001], "perturbation sizes must be positive"),
+        ([0.01, 0.001, 0.0], "perturbation sizes must be positive"),
+        ([0.01, 0.001], "stability_test needs at least 3 perturbation sizes, got 2"),
+    ])
+    def test_bad_stability_sizes_rejected_before_any_run(
+        self, tmp_path, capsys, monkeypatch, sizes, message
     ):
         def no_run(*args, **kwargs):
             raise AssertionError("a member ran")
@@ -574,7 +658,7 @@ class TestStudyOutputFaults:
         raw = small_run(str(outdir), params={"kappa": 1.0, "s": 1.5},
                         study={"sizes": sizes, "r": 0.5})
         assert main(["study", "stability", write_config(tmp_path, raw)]) == 1
-        assert "error: perturbation sizes must be positive" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not outdir.exists()
 
     @pytest.mark.parametrize("name, option, value", [

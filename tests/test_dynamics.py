@@ -582,7 +582,6 @@ class TestEnergyDerivative:
             u = small_state(g, seed=seed, amplitude=0.05)
             chk = energy_derivative_check(u, params, s=1.0)
             assert chk.agree, (chk.chain_rule, chk.evolution)
-            assert math.isfinite(chk.ratio)
 
     def test_viscous_derivative_negative_at_half(self):
         g = Grid(64)

@@ -209,6 +209,12 @@ class TestStability:
                            params=Params(kappa=1.0, s=1.5), T=0.1,
                            cfg=IntegratorConfig(dt=5e-3))
 
+    def test_fewer_than_three_sizes_rejected(self):
+        with pytest.raises(ValueError, match="at least 3 perturbation sizes, got 2"):
+            stability_test(single_mode(Grid(32), 0.01), [1e-2, 1e-3], r=0.5,
+                           params=Params(kappa=1.0, s=1.5), T=0.1,
+                           cfg=IntegratorConfig(dt=5e-3))
+
     def test_r_range_validated(self):
         g = Grid(32)
         with pytest.raises(ValueError, match="r in"):
@@ -270,6 +276,21 @@ class TestMemberBlowup:
                 cfg=IntegratorConfig(dt=5e-3),
             )
         assert info.value.member == "size=0.01"
+
+
+@pytest.mark.parametrize("study", [
+    lambda u0, cfg, **kw: conservation_check(u0, Params(kappa=1.0), 0.1, cfg, **kw),
+    lambda u0, cfg, **kw: invariant_region_test([u0], Params(kappa=1.0), 0.1, cfg, **kw),
+    lambda u0, cfg, **kw: dissipation_test([u0], Params(kappa=1.0, mu=0.2), 0.1, cfg, **kw),
+    lambda u0, cfg, **kw: stability_test(
+        u0, [1e-2, 1e-3, 1e-4], 0.5, Params(kappa=1.0, s=1.5), 0.1, cfg, **kw
+    ),
+], ids=["conservation", "invariant_region", "dissipation", "stability"])
+def test_zero_report_cadence_is_not_the_default(study):
+    """Only None takes the default cadence: report_every = 0 reaches evolve,
+    which rejects it."""
+    with pytest.raises(ValueError, match="report_every must be positive, got 0"):
+        study(single_mode(Grid(32), 0.001), IntegratorConfig(dt=5e-3), report_every=0)
 
 
 class TestConservationCheck:
