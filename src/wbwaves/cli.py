@@ -5,8 +5,9 @@ or usage error or a Duhamel iteration that does not contract, 2 blow-up
 detected during a run or in a study's sweep member.  Every run writes
 ``run_summary.json`` with status ``ok``, ``blowup`` or ``no_contraction``,
 its number of steps and the effective dt (T over the steps, at most the
-configured dt); a study whose member blows up writes ``<study>.json`` with
-status ``blowup``.
+configured dt), and a ``picard_duhamel`` run its iterations, the defect of
+each sweep and the contraction estimate; a study whose member blows up
+writes ``<study>.json`` with status ``blowup``.
 Environment override: WB_OUTPUT_DIR replaces the configured output directory.
 """
 
@@ -19,7 +20,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .config import ConfigError, RunConfig, load_config, output_header
-from .dynamics import BlowUpError, PicardError, _resolve_steps, evolve
+from .dynamics import BlowUpError, PicardError, _resolve_steps, contraction_estimate, evolve
 from .experiments import (
     conservation_check,
     dissipation_test,
@@ -68,6 +69,11 @@ def _write_json(path, config, payload):
         fh.write("\n")
 
 
+def _picard_summary(defects):
+    return {"iterations": len(defects), "defects": defects,
+            "contraction_estimate": contraction_estimate(defects)}
+
+
 def cmd_run(config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
     u0 = config.initial_state()
@@ -76,8 +82,7 @@ def cmd_run(config: RunConfig) -> int:
         result = evolve(u0, config.params, config.integrator, config.T, config.report_every)
     except PicardError as exc:
         summary = {"status": "no_contraction", "steps": steps, "dt": dt,
-                   "iterations": len(exc.defects),
-                   "defects": exc.defects, "contraction_estimate": exc.contraction}
+                   **_picard_summary(exc.defects)}
         _write_json(os.path.join(outdir, "run_summary.json"), config, summary)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -97,6 +102,8 @@ def cmd_run(config: RunConfig) -> int:
     }
     if result.blown_up:
         summary["blowup_time"] = result.blowup_time
+    if result.defects is not None:
+        summary.update(_picard_summary(result.defects))
     _write_json(os.path.join(outdir, "run_summary.json"), config, summary)
     if result.blown_up:
         print(f"blow-up detected at t={result.blowup_time:g}", file=sys.stderr)

@@ -64,6 +64,7 @@ def test_two_leading_axes():
 def _same_run(batched, single):
     assert batched.blown_up == single.blown_up
     assert batched.blowup_time == single.blowup_time
+    assert batched.defects == single.defects
     assert batched.trajectory.times == single.trajectory.times
     assert batched.reports == single.reports
     for a, b in zip(batched.trajectory.states, single.trajectory.states):
@@ -80,6 +81,8 @@ def test_batched_evolve_gives_each_member_its_single_run(method):
     assert len(results) == len(states)
     for st, res in zip(states, results):
         _same_run(res, evolve(st, params, cfg, T=0.2, report_every=0.05))
+        # Only a Duhamel solve has sweeps to report.
+        assert (res.defects is None) == (method != "picard_duhamel")
 
 
 def test_a_blown_member_freezes_and_the_others_go_on():

@@ -14,7 +14,7 @@ import wbwaves
 from wbwaves import experiments
 from wbwaves.cli import main
 from wbwaves.config import ConfigError, RunConfig, config_from_dict, load_config
-from wbwaves.dynamics import IntegratorConfig, evolve
+from wbwaves.dynamics import IntegratorConfig, evolve, picard_solve
 from wbwaves.functionals import EnergyReport
 from wbwaves.presets import (
     _OPTION_KINDS,
@@ -350,10 +350,22 @@ class TestRunCommand:
             T=0.1,
             report_every=0.05,
         )
-        assert main(["run", write_config(tmp_path, raw)]) == 0
+        path = write_config(tmp_path, raw)
+        assert main(["run", path]) == 0
         summary = json.loads((outdir / "run_summary.json").read_text())
         assert summary["steps"] == 34
         assert summary["dt"] == 0.1 / 34
+        picard_keys = {"iterations", "defects", "contraction_estimate"}
+        if method != "picard_duhamel":
+            assert not picard_keys & summary.keys()
+            return
+        # A converged solve reports its sweeps as a non-contracting one does.
+        config = load_config(path)
+        res = picard_solve(config.initial_state(), config.params, config.integrator, config.T)
+        assert summary["iterations"] == res.iterations == len(summary["defects"]) >= 2
+        assert summary["defects"] == res.defects
+        ratios = [b / a for a, b in zip(res.defects, res.defects[1:])]
+        assert summary["contraction_estimate"] == max(ratios) < 1
 
     def test_invalid_config_exits_one(self, tmp_path):
         raw = small_run(str(tmp_path / "o"))

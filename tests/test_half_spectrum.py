@@ -199,7 +199,9 @@ class TestAgainstFullSpectrum:
         grid, ops, ref = self._pair(n, mu)
         _, u = full_state(grid, 4)
         nodes = [ref.propagator(m * DT)(u) for m in range(8)]
-        got = list(_duhamel_integrals(ops, [ops.nonlinear(half(grid, um)) for um in nodes], DT))
+        forcing = ops.nonlinear(np.stack([half(grid, um) for um in nodes]))
+        got = np.zeros_like(forcing)
+        _duhamel_integrals(ops, forcing, DT, got)
         want = ref.duhamel_integrals([ref.nonlinear(um) for um in nodes], DT)
         assert len(got) == len(want) == 8
         for g, w in zip(got[1:], want[1:]):
