@@ -24,11 +24,6 @@ from .spectral import (
     SpectralError,
     Symbol,
     SymbolCatalog,
-    apply_multiplier,
-    commutator,
-    lp_norm,
-    pair_product,
-    sobolev_norm,
 )
 from .state import Params, WaveState, weighted_pair_norm
 
@@ -46,18 +41,13 @@ __all__ = [
     "Symbol",
     "SymbolCatalog",
     "WaveState",
-    "apply_multiplier",
-    "commutator",
     "difference_energy",
     "energy_derivative_check",
     "evolve",
     "hamiltonian",
-    "lp_norm",
     "modified_energy",
-    "pair_product",
     "picard_solve",
     "rhs",
     "smallness_threshold",
-    "sobolev_norm",
     "weighted_pair_norm",
 ]

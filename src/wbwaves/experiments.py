@@ -398,14 +398,14 @@ def inequality_study(grid, count, seed) -> StudyReport:
     if count < 1:
         raise ValueError(f"the inequalities study needs count >= 1, got {count}")
     chain = symbol_chain_report(grid)
-    states = [
-        random_bandlimited(grid, seed=seed + i, band=6, amplitude=0.5) for i in range(count)
-    ]
+    states = [random_bandlimited(grid, seed=seed + i, band=6, amplitude=0.5) for i in range(count)]
+    u = np.stack([st.packed() for st in states])
+    eta, v = u[:, 0], u[:, 1]
     reports = {
-        "kato_ponce": kato_ponce_report([(st.eta, st.v) for st in states]),
-        "leibniz": leibniz_report([(st.eta, st.v) for st in states]),
-        "trilinear": trilinear_report([(st.eta, st.v, st.eta) for st in states]),
-        "brezis_gallouet": brezis_gallouet_report([st.v for st in states]),
+        "kato_ponce": kato_ponce_report(grid, eta, v),
+        "leibniz": leibniz_report(grid, eta, v),
+        "trilinear": trilinear_report(grid, eta, v, eta),
+        "brezis_gallouet": brezis_gallouet_report(grid, v),
     }
     rows = [
         {"check": which, "sample": i, "lhs": sm["lhs"], "rhs": sm["rhs"], "ratio": sm["ratio"]}

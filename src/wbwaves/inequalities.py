@@ -3,8 +3,11 @@
 Each check evaluates, for a family of sample fields, the two sides of an
 inequality whose sharp constant is not constructive, and reports the ratio
 LHS / RHS-without-constant.  The diagnostics assert finiteness and
-stability of these ratios, never a specific constant.  The symbol
-comparison is the one exact statement: the pointwise chain
+stability of these ratios, never a specific constant.  A family is given as
+half-spectrum stacks (B, *half) of rfftn coefficients, one per factor, the
+layout of ``WaveState.packed``: each operation below acts on a whole stack
+at once.  The symbol comparison is the one exact statement: the pointwise
+chain
 
     0 <= <xi> - xi/tanh(xi) <= <xi> - |xi| <= 1/(2|xi|)
 
@@ -19,15 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    SymbolCatalog,
-    apply_multiplier,
-    commutator,
-    lp_norm,
-    pair_product,
-    sobolev_norm,
-)
+from .spectral import Grid, SymbolCatalog
+from .state import _sobolev_weights
 
 #: Each literal inequality of the symbol chain may be violated by at most
 #: this many ulp of <xi> (the magnitude whose subtraction produced it).
@@ -39,75 +35,104 @@ class RatioReport:
     samples: list = field(default_factory=list)
     max_ratio: float = 0.0
 
-    def record(self, lhs, rhs, **extra):
-        ratio = 0.0 if lhs == 0 else (math.inf if rhs == 0 else lhs / rhs)
-        self.samples.append({"lhs": lhs, "rhs": rhs, "ratio": ratio, **extra})
-        self.max_ratio = max(self.max_ratio, ratio)
-        return ratio
+    @classmethod
+    def of(cls, lhs, rhs, **extra):
+        """The report of per-sample arrays: both sides and any extra column."""
+        report, columns = cls(), {k: v.tolist() for k, v in extra.items()}
+        for i, (a, b) in enumerate(zip(lhs.tolist(), rhs.tolist())):
+            ratio = 0.0 if a == 0 else (math.inf if b == 0 else a / b)
+            more = {k: v[i] for k, v in columns.items()}
+            report.samples.append({"lhs": a, "rhs": b, "ratio": ratio, **more})
+            report.max_ratio = max(report.max_ratio, ratio)
+        return report
 
     @property
     def all_finite(self):
         return all(math.isfinite(s["ratio"]) for s in self.samples)
 
 
-def kato_ponce_report(family) -> RatioReport:
+def _axes(grid: Grid):
+    return tuple(range(-grid.dim, 0))
+
+
+def multiply(grid: Grid, sym, c, axis=0):
+    """sym(D) applied to half-spectrum coefficients ``c`` (..., *half)."""
+    return grid.half(sym.multiplier(grid, axis=axis)) * c
+
+
+def product(grid: Grid, f, g):
+    """Pointwise product under the 2/3 rule: both factors and the result are
+    cut to the band, so the band is alias free.  One inverse transform of
+    both factors, one rfftn of their product."""
+    mask = grid.half(grid.dealias_mask)
+    x = grid.inverse_half(np.stack([f * mask, g * mask]))
+    return np.fft.rfftn(x[0] * x[1], axes=_axes(grid)) * grid._norm_factor * mask
+
+
+def commutator(grid: Grid, sym, f, g):
+    """[sym(D), f] g = sym(D)(f g) - f sym(D) g with dealiased products."""
+    return multiply(grid, sym, product(grid, f, g)) - product(grid, f, multiply(grid, sym, g))
+
+
+def lp_norms(grid: Grid, c, p):
+    """L^p norm (p >= 1 or inf) of each field of a stack, from its samples."""
+    x = np.abs(grid.inverse_half(c))
+    if p == math.inf:
+        return x.max(axis=_axes(grid))
+    return (grid.cell * (x**p).sum(axis=_axes(grid))) ** (1.0 / p)
+
+
+def sobolev_norms(grid: Grid, c, order):
+    """H^order (Bessel potential) norm of each field of a stack, by Parseval."""
+    w = _sobolev_weights(grid, float(order))
+    return np.sqrt((w * np.abs(c) ** 2).sum(axis=_axes(grid)))
+
+
+def kato_ponce_report(grid: Grid, f, g) -> RatioReport:
     """Commutator bound ||[J, f] g||_2 <= C(||f'||_4 ||g||_4 + ||J f||_4 ||g||_4),
     the s = 1 case of Kato-Ponce with Holder pairs 1/2 = 1/4 + 1/4."""
-    report = RatioReport()
     j1 = SymbolCatalog.bessel(1.0)
-    for f, g in family:
-        lhs = lp_norm(commutator(j1, f, g), 2.0)
-        fx = apply_multiplier(SymbolCatalog.partial(0), f)
-        rhs = lp_norm(fx, 4.0) * lp_norm(g, 4.0)
-        rhs += lp_norm(apply_multiplier(j1, f), 4.0) * lp_norm(g, 4.0)
-        report.record(lhs, rhs)
-    return report
+    lhs = lp_norms(grid, commutator(grid, j1, f, g), 2.0)
+    g4 = lp_norms(grid, g, 4.0)
+    rhs = lp_norms(grid, multiply(grid, SymbolCatalog.partial(0), f), 4.0) * g4
+    rhs += lp_norms(grid, multiply(grid, j1, f), 4.0) * g4
+    return RatioReport.of(lhs, rhs)
 
 
-def leibniz_report(family) -> RatioReport:
+def leibniz_report(grid: Grid, f, g) -> RatioReport:
     """Fractional Leibniz defect ||D^(1/2)(fg) - f D^(1/2) g - g D^(1/2) f||_2
     against ||D^(1/4) f||_4 ||D^(1/4) g||_4."""
-    report = RatioReport()
     riesz = SymbolCatalog.riesz(0.5)
     quarter = SymbolCatalog.riesz(0.25)
-    for f, g in family:
-        defect = (
-            apply_multiplier(riesz, pair_product(f, g))
-            - pair_product(f, apply_multiplier(riesz, g))
-            - pair_product(g, apply_multiplier(riesz, f))
-        )
-        lhs = lp_norm(defect, 2.0)
-        rhs = lp_norm(apply_multiplier(quarter, f), 4.0)
-        rhs *= lp_norm(apply_multiplier(quarter, g), 4.0)
-        report.record(lhs, rhs)
-    return report
+    defect = (
+        multiply(grid, riesz, product(grid, f, g))
+        - product(grid, f, multiply(grid, riesz, g))
+        - product(grid, g, multiply(grid, riesz, f))
+    )
+    lhs = lp_norms(grid, defect, 2.0)
+    rhs = lp_norms(grid, multiply(grid, quarter, f), 4.0)
+    rhs *= lp_norms(grid, multiply(grid, quarter, g), 4.0)
+    return RatioReport.of(lhs, rhs)
 
 
-def trilinear_report(family) -> RatioReport:
+def trilinear_report(grid: Grid, f, g, h) -> RatioReport:
     """Product bound ||fgh||_L1 <= C ||f||_{H^1/2} ||g||_{H^1/2} ||h||_{H^1/2}.
 
     The signed integral |int fgh| (the quantity the energy estimates actually
     use) is reported alongside the L1 norm."""
-    report = RatioReport()
-    for f, g, h in family:
-        prod = f.values * g.values * h.values
-        lhs = f.grid.quadrature(np.abs(prod))
-        integral = f.grid.quadrature(prod)
-        rhs = sobolev_norm(f, 0.5) * sobolev_norm(g, 0.5) * sobolev_norm(h, 0.5)
-        report.record(lhs, rhs, integral=integral)
-    return report
+    x = grid.inverse_half(np.stack([f, g, h]))
+    prod = x[0] * x[1] * x[2]
+    lhs = grid.cell * np.abs(prod).sum(axis=_axes(grid))
+    integral = grid.cell * prod.sum(axis=_axes(grid))
+    rhs = sobolev_norms(grid, f, 0.5) * sobolev_norms(grid, g, 0.5) * sobolev_norms(grid, h, 0.5)
+    return RatioReport.of(lhs, rhs, integral=integral)
 
 
-def brezis_gallouet_report(family) -> RatioReport:
+def brezis_gallouet_report(grid: Grid, f) -> RatioReport:
     """Limiting embedding ||f||_inf <= C(1 + ||f||_{H^1/2} sqrt(log(1 + ||f||_{H^1})))."""
-    report = RatioReport()
-    for f in family:
-        lhs = f.linf()
-        rhs = 1.0 + sobolev_norm(f, 0.5) * math.sqrt(
-            math.log(1.0 + sobolev_norm(f, 1.0))
-        )
-        report.record(lhs, rhs)
-    return report
+    lhs = lp_norms(grid, f, math.inf)
+    rhs = 1.0 + sobolev_norms(grid, f, 0.5) * np.sqrt(np.log(1.0 + sobolev_norms(grid, f, 1.0)))
+    return RatioReport.of(lhs, rhs)
 
 
 @dataclass(frozen=True)

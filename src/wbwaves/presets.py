@@ -3,7 +3,8 @@
 single_mode(a, k):
     1D: eta = a cos(2 pi k x / L),  v = a_v cos(2 pi k x / L)
     2D: eta = a cos(k~ . x),        v = a_v (k~/|k~|) cos(k~ . x)
-    with k~ = (2 pi k_1/L_1, 2 pi k_2/L_2); a_v defaults to a.
+    with k~ = (2 pi k_1/L_1, 2 pi k_2/L_2); a_v defaults to a; every |k_j|
+    at most the grid's 2/3-rule band ``Grid.dealias_band(j)``.
 
 gaussian_bump(a, w):
     G(x) = sum_{m=-3..3} exp(-(x - L/2 + m L)^2 / (2 w^2))  (periodized bump)
@@ -14,7 +15,8 @@ random_bandlimited(seed, band, a):
     coefficients of the integer modes 0 < |k| <= band (max norm per axis in
     2D) drawn i.i.d. standard complex normal, Hermitian-symmetrized, field
     rescaled to max amplitude a; velocity from an independent draw, in 2D
-    as the gradient of a random potential rescaled to max speed a.
+    as the gradient of a random potential rescaled to max speed a.  The
+    band is at most the 2/3-rule band of every axis.
 
 A preset is its function, listed in ``PRESETS`` by name.  A config's
 ``initial_data`` table names it as ``preset``, and its other entries are
@@ -29,31 +31,30 @@ import math
 
 import numpy as np
 
-from .spectral import Field, Grid, SymbolCatalog, apply_multiplier
+from .spectral import Field, Grid, SymbolCatalog
 from .state import WaveState
 from .typed import typed
 
 def single_mode(grid: Grid, amplitude, mode=1, v_amplitude=None) -> WaveState:
     a = float(amplitude)
     av = a if v_amplitude is None else float(v_amplitude)
+    ks = tuple(int(k) for k in ((mode, 0)[: grid.dim] if np.isscalar(mode) else mode))
+    if len(ks) != grid.dim:
+        raise ValueError(f"single_mode needs a {grid.dim}D mode, got {mode!r}")
+    for j, k in enumerate(ks):
+        if abs(k) > grid.dealias_band(j):
+            raise ValueError(f"single_mode: mode {k} on axis {j} lies outside the "
+                             f"2/3-rule band |k| <= {grid.dealias_band(j)}")
+    xis = [2.0 * math.pi * k / L for k, L in zip(ks, grid.length)]
     if grid.dim == 1:
-        k = int(mode)
-        xi = 2.0 * math.pi * k / grid.length[0]
-        wave = np.cos(xi * grid.x[0])
+        wave = np.cos(xis[0] * grid.x[0])
         return WaveState(Field(grid, a * wave), (Field(grid, av * wave),))
-    if np.isscalar(mode):
-        mode = (int(mode), 0)
-    k1, k2 = (int(m) for m in mode)
-    xi1 = 2.0 * math.pi * k1 / grid.length[0]
-    xi2 = 2.0 * math.pi * k2 / grid.length[1]
-    norm = math.hypot(xi1, xi2)
+    norm = math.hypot(*xis)
     if norm == 0:
         raise ValueError("single_mode needs a nonzero 2D mode")
-    phase = xi1 * grid.x[0] + xi2 * grid.x[1]
-    wave = np.cos(phase)
-    eta = Field(grid, a * wave)
-    vel = (Field(grid, av * xi1 / norm * wave), Field(grid, av * xi2 / norm * wave))
-    return WaveState(eta, vel)
+    wave = np.cos(xis[0] * grid.x[0] + xis[1] * grid.x[1])
+    vel = tuple(Field(grid, av * xi / norm * wave) for xi in xis)
+    return WaveState(Field(grid, a * wave), vel)
 
 
 def _periodized_bump(x, L, width):
@@ -61,6 +62,13 @@ def _periodized_bump(x, L, width):
     for m in range(-3, 4):
         acc += np.exp(-((x - 0.5 * L + m * L) ** 2) / (2.0 * width**2))
     return acc
+
+
+def _gradient(grid: Grid, c):
+    """The (2, *half) half spectra of the gradient of a 2D field's half
+    spectrum ``c``."""
+    d = (grid.half(SymbolCatalog.partial(j).multiplier(grid, axis=j)) for j in range(2))
+    return np.stack([dj * c for dj in d])
 
 
 def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:
@@ -73,14 +81,11 @@ def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:
         return WaveState(Field(grid, a * g), (Field(grid, a * g),))
     g1 = _periodized_bump(grid.x[0], grid.length[0], w)
     g2 = _periodized_bump(grid.x[1], grid.length[1], w)
-    eta = Field(grid, a * g1 * g2)
-    vel = tuple(
-        w * apply_multiplier(SymbolCatalog.partial(j), eta, axis=j) for j in range(2)
-    )
-    return WaveState(eta, vel)
+    eta = grid.half(grid.transform(a * g1 * g2))
+    return WaveState.from_packed(grid, np.concatenate([eta[None], w * _gradient(grid, eta)]), 0.0)
 
 
-def _random_band_field(grid: Grid, rng, band) -> Field:
+def _random_band_coeffs(grid: Grid, rng, band):
     c = np.zeros(grid.shape, dtype=np.complex128)
     if grid.dim == 1:
         for k in range(1, band + 1):
@@ -96,28 +101,30 @@ def _random_band_field(grid: Grid, rng, band) -> Field:
                 z = complex(rng.standard_normal(), rng.standard_normal())
                 c[grid.coeff_index((k1, k2))] = z
                 c[grid.coeff_index((-k1, -k2))] = np.conj(z)
-    return Field.from_coeffs(grid, c)
+    return c
 
 
 def random_bandlimited(grid: Grid, seed, band=8, amplitude=0.1) -> WaveState:
     band = int(band)
-    if band < 1 or band > min(grid.n) // 3:
-        raise ValueError(f"band must lie in [1, n//3], got {band}")
+    top = min(grid.dealias_band(j) for j in range(grid.dim))
+    if not 1 <= band <= top:
+        raise ValueError(f"band must lie in [1, {top}], the grid's 2/3-rule band, got {band}")
     rng = np.random.default_rng(int(seed))
-    eta = _random_band_field(grid, rng, band)
-    peak = eta.linf()
-    eta = (float(amplitude) / peak) * eta if peak > 0 else eta
     if grid.dim == 1:
-        v = _random_band_field(grid, rng, band)
-        peak = v.linf()
-        v = (float(amplitude) / peak) * v if peak > 0 else v
-        return WaveState(eta, (v,))
-    psi = _random_band_field(grid, rng, band)
-    vel = [apply_multiplier(SymbolCatalog.partial(j), psi, axis=j) for j in range(2)]
-    speed = math.sqrt(float(np.max(vel[0].values ** 2 + vel[1].values ** 2)))
-    scale = float(amplitude) / speed if speed > 0 else 1.0
-    vel = tuple(scale * comp for comp in vel)
-    return WaveState(eta, vel)
+        fields = []
+        for _ in range(2):  # eta, then v
+            f = Field.from_coeffs(grid, _random_band_coeffs(grid, rng, band))
+            peak = f.linf()
+            fields.append((float(amplitude) / peak) * f if peak > 0 else f)
+        return WaveState(fields[0], (fields[1],))
+    eta, psi = (grid.half(_random_band_coeffs(grid, rng, band)) for _ in range(2))
+    u = np.concatenate([eta[None], _gradient(grid, psi)])
+    x = grid.inverse_half(u)
+    peak = float(np.max(np.abs(x[0])))
+    speed = math.sqrt(float(np.max(x[1] ** 2 + x[2] ** 2)))
+    u[0] *= float(amplitude) / peak if peak > 0 else 1.0
+    u[1:] *= float(amplitude) / speed if speed > 0 else 1.0
+    return WaveState.from_packed(grid, u, 0.0)
 
 
 PRESETS = {f.__name__: f for f in (single_mode, gaussian_bump, random_bandlimited)}

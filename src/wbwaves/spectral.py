@@ -1,4 +1,5 @@
-"""Periodic pseudospectral core: grids, fields, Fourier multipliers, norms.
+"""Periodic pseudospectral core: grids, transforms, fields and the Fourier
+multiplier symbols.
 
 Normalization convention (the single place it is defined).  Samples live on
 the uniform lattice x_j = j*L/n per axis.  The forward transform is
@@ -14,7 +15,10 @@ so L2 and Sobolev norms are plain weighted sums over coefficients, and the
 coefficient of an integer mode is resolution independent (c(k) = sqrt(L)
 times the Fourier-series coefficient).  ``Grid.transform``, ``Grid.inverse``
 and, for the rfftn half spectrum, ``Grid.inverse_half`` apply this scaling;
-the solver's forcing folds it into its precomputed weights.
+the solver's forcing folds it into its precomputed weights.  Every norm,
+product and operator of the solver, the reports and the studies acts on
+half-spectrum arrays (``Grid.half``, ``WaveState.packed``); a symbol's
+multiplier on them is ``grid.half(sym.multiplier(grid, axis))``.
 
 Conventions forced by the finite periodic lattice:
 
@@ -191,10 +195,6 @@ class Grid:
         x /= self._norm_factor
         return x
 
-    def quadrature(self, values):
-        """Trapezoidal (here: exact rectangle) rule over the periodic cell."""
-        return self.cell * float(np.sum(values))
-
     def zero_field(self):
         return Field(self, np.zeros(self.shape))
 
@@ -325,22 +325,6 @@ class Symbol:
         v = self.values(grid, axis=axis)
         return 1j * v if self.imaginary else v
 
-    @property
-    def maps_real_to_real(self):
-        return (self.parity == "even") != self.imaginary
-
-
-def apply_multiplier(sym: Symbol, f: Field, axis=0) -> Field:
-    """Apply a real-to-real Fourier multiplier to a real field."""
-    if not sym.maps_real_to_real:
-        raise SpectralError(
-            f"symbol {sym.name!r} ({sym.parity}, "
-            f"{'imaginary' if sym.imaginary else 'real'}-valued) does not map "
-            "real fields to real fields"
-        )
-    out = sym.multiplier(f.grid, axis=axis) * f.coeffs
-    return Field.from_coeffs(f.grid, out, context=f"apply {sym.name}")
-
 
 def _tanh_over_x(a):
     # tanh(a)/a with the removable singularity patched to 1 at a = 0.
@@ -437,43 +421,3 @@ class SymbolCatalog:
         modes/planes."""
         kk = SymbolCatalog.K_kappa(kappa).values(grid)
         return np.where(grid.nyquist_mask, 0.0, grid.xi_norm * kk)
-
-
-# ---------------------------------------------------------------------------
-# Norms, products, commutators
-
-
-def lp_norm(f: Field, p) -> float:
-    if p == np.inf or p == "inf":
-        return f.linf()
-    p = float(p)
-    if p < 1:
-        raise SpectralError(f"Lp norm needs p >= 1, got {p}")
-    return float(f.grid.quadrature(np.abs(f.values) ** p) ** (1.0 / p))
-
-
-def sobolev_norm(f: Field, order) -> float:
-    """H^order (Bessel potential) Sobolev norm from coefficients."""
-    c2 = np.abs(f.coeffs) ** 2
-    w = SymbolCatalog.bessel(2.0 * float(order)).values(f.grid)
-    return float(math.sqrt(np.sum(w * c2)))
-
-
-def pair_product(f: Field, g: Field) -> Field:
-    """Pointwise product under the 2/3 rule: both factors and the result are
-    truncated so the retained band is alias free."""
-    f._check_same_grid(g)
-    grid = f.grid
-    mask = grid.dealias_mask
-    fv = grid.inverse(np.where(mask, f.coeffs, 0.0)).real
-    gv = grid.inverse(np.where(mask, g.coeffs, 0.0)).real
-    ch = grid.transform(fv * gv)
-    return Field.from_coeffs(grid, np.where(mask, ch, 0.0))
-
-
-def commutator(sym: Symbol, f: Field, g: Field) -> Field:
-    """[sym(D), f] g = sym(D)(f g) - f sym(D) g with dealiased products."""
-    fg = pair_product(f, g)
-    first = apply_multiplier(sym, fg)
-    second = pair_product(f, apply_multiplier(sym, g))
-    return first - second

@@ -59,8 +59,8 @@ class WaveState:
     a transform over it.  ``from_packed`` turns an array or a whole stack
     back into states that keep it, with the fields' samples from one
     inverse rfftn; ``EnergyReport.measure`` reads a list of such states as
-    one stack again.  ``Field.coeffs`` keeps the full fftn spectrum for the
-    scalar tools.
+    one stack again.  ``Field.coeffs``, the full fftn spectrum of a field's
+    samples, is read only to pack a state built from fields.
     """
 
     __slots__ = ("eta", "vel", "time", "_packed")

@@ -267,6 +267,49 @@ def test_preset_defaults_are_its_function_defaults():
     assert np.array_equal(state.packed(), random_bandlimited(grid, 7).packed())
 
 
+@pytest.mark.parametrize("n, mode, axis, band", [
+    (16, 9, 0, 5), (16, -6, 0, 5), ((16, 16), (9, 0), 0, 5), ((16, 16), 9, 0, 5),
+    ((16, 24), (0, 8), 1, 7), ((16, 24), (6, 7), 0, 5),
+])
+def test_single_mode_outside_the_dealias_band_rejected(n, mode, axis, band):
+    """A mode past the 2/3-rule band on any axis is refused, the bound named:
+    mode 9 on 16 points would alias to k = 7."""
+    with pytest.raises(ValueError, match=rf"mode -?\d+ on axis {axis} .* band \|k\| <= {band}$"):
+        single_mode(Grid(n), 0.1, mode=mode)
+
+
+@pytest.mark.parametrize("n, mode", [(16, 5), (16, -5), ((16, 16), (5, -5)), ((16, 24), (5, 7))])
+def test_single_mode_inside_the_dealias_band_accepted(n, mode):
+    grid = Grid(n)
+    state = single_mode(grid, 0.1, mode=mode)
+    assert state.eta.linf() == pytest.approx(0.1)
+
+
+def test_single_mode_outside_the_band_through_a_config(tmp_path, capsys):
+    outdir = tmp_path / "o"
+    data = {"preset": "single_mode", "amplitude": 0.05, "mode": 40}
+    assert main(["run", write_config(tmp_path, small_run(str(outdir), initial_data=data))]) == 1
+    assert "lies outside the 2/3-rule band |k| <= 21" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("n, band, ok", [
+    (48, 16, False), (48, 15, True), (64, 21, True), (64, 22, False), (64, 0, False),
+    ((16, 24), 5, True), ((16, 24), 6, False), ((24, 16), 6, False),
+])
+def test_random_bandlimited_band_is_the_dealias_band(n, band, ok):
+    """The band is at most ``Grid.dealias_band`` of every axis: on 48 points
+    the 2/3 rule keeps |k| <= 15, so band 16 would put modes outside it."""
+    grid = Grid(n)
+    if not ok:
+        with pytest.raises(ValueError, match=r"band must lie in \[1, \d+\]"):
+            random_bandlimited(grid, seed=1, band=band)
+        return
+    u = random_bandlimited(grid, seed=1, band=band).packed()
+    outside = u[:, ~grid.half(grid.dealias_mask)]
+    assert np.max(np.abs(outside)) <= 1e-14 * np.max(np.abs(u))  # transform roundoff
+
+
 @pytest.mark.parametrize("data, message", [
     ({"preset": "gaussian_bump", "amplitude": 0.05, "widht": 0.5},
      "initial_data: unknown preset option(s): widht"),

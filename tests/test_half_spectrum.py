@@ -35,17 +35,22 @@ from wbwaves.experiments import (
     low_capillarity_error,
 )
 from wbwaves.functionals import EnergyReport, difference_energy
-from wbwaves.presets import random_bandlimited
+from wbwaves.presets import (
+    _periodized_bump,
+    _random_band_coeffs,
+    gaussian_bump,
+    random_bandlimited,
+)
 from wbwaves.spectral import (
     REALNESS_TOL,
     Field,
     Grid,
     SpectralError,
     SymbolCatalog,
-    apply_multiplier,
-    sobolev_norm,
 )
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, curl_residue, weighted_pair_norm
+
+from full_spectrum import apply_multiplier, sobolev_norm
 
 OPERATOR_RTOL = 1e-13
 FUNCTIONAL_RTOL = 1e-13
@@ -165,7 +170,10 @@ def max_rel(got, want):
 
 
 def full_state(grid, seed):
+    """A random state built from its fields, so that ``packed()`` is the half
+    slice of the fields' full spectra, and those spectra."""
     st = random_bandlimited(grid, seed=seed, band=min(grid.n) // 3, amplitude=0.3)
+    st = WaveState(st.eta, st.vel, st.time)
     return st, (st.eta.coeffs,) + tuple(c.coeffs for c in st.vel)
 
 
@@ -224,7 +232,7 @@ def triple_quadrature(f, g, h):
     grid = f.grid
     mask = grid.dealias_mask
     fv, gv, hv = (grid.inverse(np.where(mask, x.coeffs, 0.0)).real for x in (f, g, h))
-    return grid.quadrature(fv * gv * hv)
+    return grid.cell * np.sum(fv * gv * hv)
 
 
 def full_weighted_norm(state, s, kappa):
@@ -585,3 +593,68 @@ class TestHalfSpectrumConvention:
             old = raises(lambda: full_spectrum_state(grid, stack[0], 0.0))
             new = raises(lambda: WaveState.from_packed(grid, stack[0], 0.0))
         assert old == new == (factor > 1)
+
+
+def old_random_bandlimited(grid, seed, band, amplitude):
+    """The former preset: every field by ``Field.from_coeffs``, the 2D
+    velocity by full-spectrum derivatives of the potential."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return Field.from_coeffs(grid, _random_band_coeffs(grid, rng, band))
+
+    eta = draw()
+    eta = (amplitude / eta.linf()) * eta
+    if grid.dim == 1:
+        v = draw()
+        return WaveState(eta, ((amplitude / v.linf()) * v,))
+    psi = draw()
+    vel = [apply_multiplier(SymbolCatalog.partial(j), psi, axis=j) for j in range(2)]
+    speed = math.sqrt(float(np.max(vel[0].values ** 2 + vel[1].values ** 2)))
+    return WaveState(eta, tuple((amplitude / speed) * c for c in vel))
+
+
+def old_gaussian_bump_2d(grid, amplitude, width):
+    g1, g2 = (_periodized_bump(grid.x[j], grid.length[j], width) for j in range(2))
+    eta = Field(grid, amplitude * g1 * g2)
+    return WaveState(eta, tuple(
+        width * apply_multiplier(SymbolCatalog.partial(j), eta, axis=j) for j in range(2)
+    ))
+
+
+def _fields(state):
+    return np.stack([f.values for f in (state.eta, *state.vel)])
+
+
+class TestPresetsAgainstFieldPath:
+    """The 2D presets build their gradient velocities on the half spectrum;
+    they agree with the former field-built states to PRESET_RTOL of the
+    largest value, while every 1D preset is the former one bit for bit."""
+
+    PRESET_RTOL = 1e-13
+
+    def _close_states(self, got, want):
+        for new, old in ((got.packed(), want.packed()), (_fields(got), _fields(want))):
+            assert np.max(np.abs(new - old)) <= self.PRESET_RTOL * np.max(np.abs(old))
+
+    @pytest.mark.parametrize("n", [(32, 32), (16, 24), (128, 128)])
+    def test_random_bandlimited_2d(self, n):
+        grid = Grid(n)
+        for seed in (0, 7):
+            got = random_bandlimited(grid, seed=seed, band=5, amplitude=0.05)
+            self._close_states(got, old_random_bandlimited(grid, seed, 5, 0.05))
+
+    @pytest.mark.parametrize("n", [(32, 32), (16, 24)])
+    def test_gaussian_bump_2d(self, n):
+        grid = Grid(n)
+        got = gaussian_bump(grid, 0.1, 0.6)
+        self._close_states(got, old_gaussian_bump_2d(grid, 0.1, 0.6))
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_random_bandlimited_1d_bitwise(self, n):
+        grid = Grid(n)
+        for seed, band in ((0, 6), (3, 21)):
+            got = random_bandlimited(grid, seed=seed, band=band, amplitude=0.5)
+            want = old_random_bandlimited(grid, seed, band, 0.5)
+            assert np.array_equal(got.packed(), want.packed())
+            assert np.array_equal(_fields(got), _fields(want))

@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from wbwaves.functionals import _cubic
-from wbwaves.spectral import (
-    Field,
-    Grid,
-    SpectralError,
-    Symbol,
-    SymbolCatalog,
-    apply_multiplier,
-    commutator,
-    pair_product,
-    sobolev_norm,
-)
+from wbwaves.inequalities import commutator, multiply, product, sobolev_norms
+from wbwaves.spectral import Field, Grid, SpectralError, Symbol, SymbolCatalog
+
+from full_spectrum import apply_multiplier
 
 TWO_PI = 2 * math.pi
 
@@ -22,6 +15,11 @@ TWO_PI = 2 * math.pi
 # odd tanh(xi), which maps no real field to a real one.
 NEG_I_TANH = Symbol("-i*tanh(xi)", "odd", True, lambda x: -np.tanh(x))
 TANH = Symbol("tanh(xi)", "odd", False, np.tanh)
+
+
+def half(f):
+    """The half spectrum of a field, the layout of the packed operators."""
+    return f.grid.half(f.coeffs)
 
 
 def random_field(grid, seed, band=6, amplitude=1.0):
@@ -74,7 +72,7 @@ class TestGrid:
     def test_parseval(self):
         g = Grid(64, 5.0)
         f = random_field(g, 7)
-        quad = g.quadrature(f.values**2)
+        quad = g.cell * np.sum(f.values**2)
         spec = float(np.sum(np.abs(f.coeffs) ** 2))
         assert abs(quad - spec) <= 1e-12 * abs(quad)
 
@@ -109,57 +107,53 @@ class TestTransform:
             Field(g, v)
 
 
-class TestApplyMultiplier:
+class TestMultiply:
     def test_neg_i_tanh_on_sine(self):
         # Single-mode computation: sin x has coefficients -+ i/2 at k = +-1;
         # multiplying by -i tanh(+-1) gives -tanh(1)/2 at both, i.e.
         # -tanh(1) cos x.
         g = Grid(32)
         f = Field(g, np.sin(np.asarray(g.x[0])))
-        out = apply_multiplier(NEG_I_TANH, f)
+        out = g.inverse_half(multiply(g, NEG_I_TANH, half(f)))
         expected = -math.tanh(1.0) * np.cos(np.asarray(g.x[0]))
-        assert np.max(np.abs(out.values - expected)) < 1e-13
+        assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_bessel_zero_is_identity(self):
         g = Grid(32)
         f = random_field(g, 11)
-        out = apply_multiplier(SymbolCatalog.bessel(0.0), f)
-        assert np.max(np.abs(out.values - f.values)) < 1e-13
+        out = g.inverse_half(multiply(g, SymbolCatalog.bessel(0.0), half(f)))
+        assert np.max(np.abs(out - f.values)) < 1e-13
 
     def test_d_over_tanh_fixes_constants(self):
         g = Grid(16)
         f = Field(g, np.ones(16))
-        out = apply_multiplier(SymbolCatalog.d_over_tanh(), f)
-        assert np.max(np.abs(out.values - 1.0)) < 1e-13
-
-    def test_odd_real_symbol_rejected(self):
-        g = Grid(16)
-        f = random_field(g, 5)
-        with pytest.raises(SpectralError, match="does not map real"):
-            apply_multiplier(TANH, f)
+        out = g.inverse_half(multiply(g, SymbolCatalog.d_over_tanh(), half(f)))
+        assert np.max(np.abs(out - 1.0)) < 1e-13
 
     def test_singular_symbol_names_wavenumber(self):
         g = Grid(16)
-        f = random_field(g, 5)
         bad = Symbol("bad", "even", False, lambda a: np.where(a == 0, np.inf, a))
         with pytest.raises(SpectralError, match="not finite at wavenumber"):
-            apply_multiplier(bad, f)
+            bad.values(g)
 
     def test_composition_bessel(self):
         g = Grid(32)
-        f = random_field(g, 13)
-        one = apply_multiplier(SymbolCatalog.bessel(0.7), apply_multiplier(SymbolCatalog.bessel(0.8), f))
-        two = apply_multiplier(SymbolCatalog.bessel(1.5), f)
-        scale = max(np.max(np.abs(two.values)), 1e-300)
-        assert np.max(np.abs(one.values - two.values)) <= 1e-12 * scale
+        c = half(random_field(g, 13))
+        one = g.inverse_half(
+            multiply(g, SymbolCatalog.bessel(0.7), multiply(g, SymbolCatalog.bessel(0.8), c))
+        )
+        two = g.inverse_half(multiply(g, SymbolCatalog.bessel(1.5), c))
+        scale = max(np.max(np.abs(two)), 1e-300)
+        assert np.max(np.abs(one - two)) <= 1e-12 * scale
 
     def test_riesz_negative_annihilates_mean(self):
         g = Grid(16)
         f = Field(g, 2.0 + np.cos(np.asarray(g.x[0])))
-        out = apply_multiplier(SymbolCatalog.riesz(-1.0), f)
-        assert abs(out.coeffs[0]) < 1e-14
+        out = multiply(g, SymbolCatalog.riesz(-1.0), half(f))
+        assert abs(out[0]) < 1e-14
 
     def test_realness_of_dynamics_composites(self):
+        # On the full spectrum: Field.from_coeffs enforces the residue bound.
         g = Grid(64)
         f = random_field(g, 17)
         for sym in [
@@ -169,7 +163,7 @@ class TestApplyMultiplier:
             SymbolCatalog.K_kappa(0.5),
             SymbolCatalog.K_kappa_inv(0.5),
         ]:
-            out = apply_multiplier(sym, f)  # from_coeffs enforces the residue bound
+            out = apply_multiplier(sym, f)
             assert np.all(np.isfinite(out.values))
 
 
@@ -207,47 +201,55 @@ class TestSobolevNorm:
         # ||cos||_{H^1}^2 = <1>^2 * 2 * (2 pi / 4) = 2 pi.
         g = Grid(64)
         f = Field(g, np.cos(np.asarray(g.x[0])))
-        assert sobolev_norm(f, 1.0) ** 2 == pytest.approx(TWO_PI, rel=1e-13)
+        assert sobolev_norms(g, half(f), 1.0) ** 2 == pytest.approx(TWO_PI, rel=1e-13)
 
     def test_h0_equals_l2(self):
         g = Grid(64)
         f = random_field(g, 23)
-        l2 = math.sqrt(g.quadrature(f.values**2))
-        assert sobolev_norm(f, 0.0) == pytest.approx(l2, rel=1e-12)
+        l2 = math.sqrt(g.cell * np.sum(f.values**2))
+        assert sobolev_norms(g, half(f), 0.0) == pytest.approx(l2, rel=1e-12)
 
     def test_plancherel_consistency(self):
         # Coefficient-space norm against grid quadrature of |J^s f|^2.
         g = Grid(64)
-        f = random_field(g, 31)
+        c = half(random_field(g, 31))
         for s in (0.5, 1.0, 1.5, -0.5):
-            jf = apply_multiplier(SymbolCatalog.bessel(s), f)
-            quad = math.sqrt(g.quadrature(jf.values**2))
-            assert sobolev_norm(f, s) == pytest.approx(quad, rel=1e-10)
+            jf = g.inverse_half(multiply(g, SymbolCatalog.bessel(s), c))
+            quad = math.sqrt(g.cell * np.sum(jf**2))
+            assert sobolev_norms(g, c, s) == pytest.approx(quad, rel=1e-10)
 
     def test_2d_norms(self):
         g = Grid((32, 32))
         x1, x2 = (np.asarray(a) for a in g.x)
-        f = Field(g, np.cos(x1) * np.cos(x2))
+        c = half(Field(g, np.cos(x1) * np.cos(x2)))
         # coefficients sqrt(L1 L2)/4 at the four modes (+-1, +-1), <xi>^2 = 3
         l2sq = 4 * (TWO_PI * TWO_PI / 16)
-        assert sobolev_norm(f, 0.0) ** 2 == pytest.approx(l2sq, rel=1e-12)
-        assert sobolev_norm(f, 1.0) ** 2 == pytest.approx(3 * l2sq, rel=1e-12)
+        assert sobolev_norms(g, c, 0.0) ** 2 == pytest.approx(l2sq, rel=1e-12)
+        assert sobolev_norms(g, c, 1.0) ** 2 == pytest.approx(3 * l2sq, rel=1e-12)
+
+    def test_rows_of_a_stack(self):
+        g = Grid(64)
+        stack = np.stack([half(random_field(g, seed)) for seed in (1, 2, 3)])
+        rows = sobolev_norms(g, stack, 1.5)
+        assert rows.shape == (3,)
+        for row, c in zip(rows, stack):
+            assert row == sobolev_norms(g, c, 1.5)
 
 
 class TestCommutator:
     def test_constant_f_commutes(self):
         g = Grid(32)
-        f = Field(g, np.full(32, 1.7))
-        h = random_field(g, 3)
-        out = commutator(SymbolCatalog.bessel(1.0), f, h)
-        assert np.max(np.abs(out.values)) < 1e-13
+        f = half(Field(g, np.full(32, 1.7)))
+        h = half(random_field(g, 3))
+        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(1.0), f, h))
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_identity_symbol_commutes(self):
         g = Grid(32)
-        f = random_field(g, 5)
-        h = random_field(g, 6)
-        out = commutator(SymbolCatalog.bessel(0.0), f, h)
-        assert np.max(np.abs(out.values)) < 1e-13
+        f = half(random_field(g, 5))
+        h = half(random_field(g, 6))
+        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(0.0), f, h))
+        assert np.max(np.abs(out)) < 1e-13
 
     def test_cos_cos_against_hand_expansion(self):
         # Oracle: cos^2 = 1/2 + cos(2x)/2, J^1 cos^2 = 1/2 + sqrt(5)/2 cos 2x,
@@ -255,40 +257,38 @@ class TestCommutator:
         # (1 - sqrt 2)/2 + (sqrt 5 - sqrt 2)/2 cos 2x.
         g = Grid(32)
         x = np.asarray(g.x[0])
-        f = Field(g, np.cos(x))
-        out = commutator(SymbolCatalog.bessel(1.0), f, f)
+        f = half(Field(g, np.cos(x)))
+        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(1.0), f, f))
         expected = (1 - math.sqrt(2)) / 2 + (math.sqrt(5) - math.sqrt(2)) / 2 * np.cos(2 * x)
-        assert np.max(np.abs(out.values - expected)) < 1e-13
+        assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_bilinearity(self):
         g = Grid(32)
         sym = SymbolCatalog.bessel(1.0)
-        f = random_field(g, 8)
-        g1 = random_field(g, 9)
-        g2 = random_field(g, 10)
-        lhs = commutator(sym, f, g1 + g2)
-        rhs = commutator(sym, f, g1) + commutator(sym, f, g2)
-        scale = max(np.max(np.abs(rhs.values)), 1e-300)
-        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * scale
+        f, g1, g2 = (half(random_field(g, seed)) for seed in (8, 9, 10))
+        lhs = g.inverse_half(commutator(g, sym, f, g1 + g2))
+        rhs = g.inverse_half(commutator(g, sym, f, g1) + commutator(g, sym, f, g2))
+        scale = max(np.max(np.abs(rhs)), 1e-300)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
 class TestProducts:
     def test_dealiased_product_exact_for_low_modes(self):
         g = Grid(32)
         x = np.asarray(g.x[0])
-        f = Field(g, np.cos(x))
-        out = pair_product(f, f)
-        assert np.max(np.abs(out.values - np.cos(x) ** 2)) < 1e-13
+        f = half(Field(g, np.cos(x)))
+        out = g.inverse_half(product(g, f, f))
+        assert np.max(np.abs(out - np.cos(x) ** 2)) < 1e-13
 
     def test_triple_quadrature_odd_harmonics(self):
         # The cubic term int eta |J^0 w|^2 of the functionals at eta = w = f.
         g = Grid(32)
-        f = g.half(Field(g, np.cos(np.asarray(g.x[0]))).coeffs)
+        f = half(Field(g, np.cos(np.asarray(g.x[0]))))
         assert abs(_cubic(g, f, f[None], 0.0)[0]) < 1e-13
 
     def test_triple_quadrature_value(self):
         # int 1 * cos^2(x) dx = pi on [0, 2 pi)
         g = Grid(32)
-        f = g.half(Field(g, np.cos(np.asarray(g.x[0]))).coeffs)
-        one = g.half(Field(g, np.ones(32)).coeffs)
+        f = half(Field(g, np.cos(np.asarray(g.x[0]))))
+        one = half(Field(g, np.ones(32)))
         assert _cubic(g, one, f[None], 0.0)[0] == pytest.approx(math.pi, rel=1e-13)

@@ -19,8 +19,10 @@ from wbwaves.dynamics import _ops
 from wbwaves.experiments import low_capillarity_error
 from wbwaves.functionals import hamiltonian
 from wbwaves.presets import random_bandlimited
-from wbwaves.spectral import Grid, SymbolCatalog, apply_multiplier, sobolev_norm
+from wbwaves.spectral import Grid, SymbolCatalog
 from wbwaves.state import Params, _norm_weights, _weighted_sq_coeffs
+
+from full_spectrum import apply_multiplier, sobolev_norm
 
 GRIDS = [(256,), (64,), (128, 128), (16, 24)]
 KAPPAS = [1.0, 0.37, 0.0]
@@ -76,17 +78,17 @@ def quadrature_hamiltonian(state, params):
     """H with kappa*|grad eta|^2 by grid quadrature of spectral derivatives."""
     grid = state.grid
     eta = state.eta
-    quad = grid.quadrature(eta.values**2)
+    quad = grid.cell * np.sum(eta.values**2)
     for axis in range(grid.dim):
         d = apply_multiplier(SymbolCatalog.partial(axis), eta, axis=axis)
-        quad += params.kappa * grid.quadrature(d.values**2)
+        quad += params.kappa * (grid.cell * np.sum(d.values**2))
     kinv2 = _x_over_tanh(grid.xi_norm)
     eta_band = grid.inverse(np.where(grid.dealias_mask, eta.coeffs, 0.0)).real
     cubic = 0.0
     for comp in state.vel:
         quad += float(np.sum(kinv2 * np.abs(comp.coeffs) ** 2))
         v_band = grid.inverse(np.where(grid.dealias_mask, comp.coeffs, 0.0)).real
-        cubic += grid.quadrature(eta_band * v_band * v_band)
+        cubic += grid.cell * np.sum(eta_band * v_band * v_band)
     return 0.5 * (quad + cubic)
 
 
