@@ -24,7 +24,10 @@ linear part itself is ``_Ops.linear``.  The public entry points are
 ``evolve``, ``picard_solve``, ``rhs`` and ``energy_derivative_check``.
 
 The exponential stepper is Lawson's RK4 written with one propagator,
-S(dt/2), applied four times per step (S(dt) = S(dt/2)^2).  The quadratic
+S(dt/2), applied four times per step (S(dt) = S(dt/2)^2).  Its stages live
+in one five-array workspace that each integration allocates for itself and
+never caches, so the cached operators stay read-only and concurrent
+integrations share them; a step allocates only the new state.  The quadratic
 forcing (``_Ops.nonlinear``) transforms axis by axis; in 2D its
 leading-axis passes see only the last-axis columns the 2/3 mask keeps, and
 the mask and the transform scaling are folded into two precomputed weights.
@@ -151,13 +154,15 @@ class _Ops:
         self.fwd_weight = forcing[..., : self.width] * (keep * grid._norm_factor)
         self._props = OrderedDict()
 
-    def nonlinear(self, u):
+    def nonlinear(self, u, out=None):
         """Quadratic forcing of the evolution (the Duhamel integrand):
         -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j,
-        from the coefficients of ``_products``; the columns the mask drops
-        stay zero."""
+        from the coefficients of ``_products``, written to ``out`` (a new
+        array when None); the columns the mask drops are zero."""
         c = self._products(u)
-        out = np.zeros_like(u)
+        if out is None:
+            out = np.empty_like(u)
+        out[..., self.width :] = 0
         kept = out[..., : self.width]
         np.multiply(self.fwd_weight, c[self.eta], out=kept[self.vel])
         c_vel = c[self.vel]
@@ -229,8 +234,11 @@ class _Propagator:
         self.heat = np.exp(-t * ops.heat_rate) if ops.heat_rate is not None else None
         self.parts = ops.parts
 
-    def apply(self, u):
-        out = np.empty_like(u)
+    def apply(self, u, out=None):
+        """S(t)u, written to ``out`` (a new array when None), which must not
+        overlap ``u``."""
+        if out is None:
+            out = np.empty_like(u)
         parts = self.parts
         for row, i in zip(self.rows, parts):
             acc = out[i]
@@ -278,20 +286,50 @@ def rhs(state: WaveState, params: Params) -> WaveState:
 # Time steppers
 
 
-def _lawson_rk4_step(ops: _Ops, u, dt):
+def _lawson_rk4_step(ops: _Ops, u, dt, work=None):
     """Lawson RK4 with the one propagator S = S(dt/2): with a = S u and
     b = S k1, S(dt) = S^2 turns the scheme's six applies of S(dt/2) and S(dt)
-    into four of S."""
+    into four of S.
+
+    The stages live in ``work``, a (5, *u.shape) array (a new one when
+    None), and every combination runs in place in the order of
+
+        k2 = N(a + dt/2 b),  k3 = N(a + dt/2 k2),  k4 = N(S(a + dt k3)),
+        S(a + dt/6 b + dt/3 (k2 + k3)) + dt/6 k4,
+
+    so the step allocates no state-sized array but the new state it
+    returns."""
     s = ops.propagator(0.5 * dt)
-    k1 = ops.nonlinear(u)
-    a, b = s.apply(u), s.apply(k1)
-    k2 = ops.nonlinear(a + 0.5 * dt * b)
-    k3 = ops.nonlinear(a + 0.5 * dt * k2)
-    k4 = ops.nonlinear(s.apply(a + dt * k3))
-    return s.apply(a + dt / 6.0 * b + dt / 3.0 * (k2 + k3)) + dt / 6.0 * k4
+    if work is None:
+        work = np.empty((5,) + u.shape, u.dtype)
+    a, b, k, t, w = work
+    ops.nonlinear(u, out=k)  # k1
+    s.apply(u, out=a)
+    s.apply(k, out=b)
+    np.multiply(0.5 * dt, b, out=t)
+    t += a
+    ops.nonlinear(t, out=k)  # k2
+    np.multiply(0.5 * dt, k, out=t)
+    t += a
+    ops.nonlinear(t, out=w)  # k3
+    np.multiply(dt, w, out=t)
+    t += a
+    k += w  # k2 + k3
+    s.apply(t, out=w)
+    ops.nonlinear(w, out=t)  # k4
+    b *= dt / 6.0
+    b += a
+    k *= dt / 3.0
+    b += k
+    out = s.apply(b)
+    t *= dt / 6.0
+    out += t
+    return out
 
 
-def _reference_rk4_step(ops: _Ops, u, dt):
+def _reference_rk4_step(ops: _Ops, u, dt, work=None):
+    """Classical RK4 on the full right-hand side; ``work`` is accepted for
+    the steppers' common call form and not used."""
     k1 = ops.full(u)
     k2 = ops.full(u + 0.5 * dt * k1)
     k3 = ops.full(u + 0.5 * dt * k2)
@@ -351,11 +389,14 @@ def _report_cadence(report_every, T, dt):
 
 
 def _stepped(step, ops: _Ops, u, dt, n_steps):
-    """Yield ``u`` and the ``n_steps`` packed states ``step`` advances it to."""
+    """Yield ``u`` and the ``n_steps`` packed states ``step`` advances it to,
+    every step through one workspace of this integration (never cached, so
+    concurrent integrations share only the read-only operators)."""
+    work = np.empty((5,) + u.shape, u.dtype)
     yield u
     for _ in range(n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            u = step(ops, u, dt)
+            u = step(ops, u, dt, work)
         yield u
 
 
@@ -531,8 +572,9 @@ class PicardResult:
 def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float) -> PicardResult:
     """Solve u = S(t)u0 + int_0^t S(t-t') N(u(t')) dt' by fixed-point iteration.
 
-    The free trajectory S(m dt)u0 steps node to node by S(dt), and each sweep
-    evaluates the forcing of all nodes in one call on their stack.  The Duhamel
+    The free trajectory S(m dt)u0 steps node to node by S(dt), each apply
+    writing its node into the node stack, and each sweep evaluates the
+    forcing of all nodes in one call on their stack.  The Duhamel
     integral is discretized with a composite fourth-order rule on the
     uniform node set and evaluated by its panel recurrence
     (``_duhamel_integrals``), which adds it to the free trajectory in place:
@@ -550,10 +592,11 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     ops = _ops(u0.grid, params, cfg.dealias)
     grid = u0.grid
     s_dt = ops.propagator(dt)
-    free = [u0.packed()]
-    for _ in range(n_steps):
-        free.append(s_dt.apply(free[-1]))
-    free = u = np.stack(free)
+    start = u0.packed()
+    free = u = np.empty((n_steps + 1,) + start.shape, start.dtype)
+    free[0] = start
+    for m in range(1, n_steps + 1):
+        s_dt.apply(free[m - 1], out=free[m])
 
     defects = []
     for iteration in range(1, cfg.picard_max_iter + 1):

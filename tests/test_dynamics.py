@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -874,18 +877,23 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
 
 
+def step_case(n, mu, dealias, rows):
+    """The operators of one grid and parameter set, and one state or a
+    stack of three."""
+    grid = Grid(n)
+    params = Params(kappa=0.7, mu=mu, p=0.75 if mu else 1.0)
+    states = [random_bandlimited(grid, seed=s, band=min(n) // 3, amplitude=0.3) for s in range(3)]
+    u = states[0].packed() if rows == 1 else np.stack([st.packed() for st in states])
+    return _ops(grid, params, dealias), u
+
+
 @pytest.mark.parametrize("n", [(64,), (256,), (32, 32), (16, 24)])
 @pytest.mark.parametrize("mu", [0.0, 0.2])
 @pytest.mark.parametrize("dealias", [True, False])
 class TestAgainstTwoPropagatorStep:
     def _setup(self, n, mu, dealias, rows):
-        grid = Grid(n)
-        params = Params(kappa=0.7, mu=mu, p=0.75 if mu else 1.0)
-        states = [
-            random_bandlimited(grid, seed=s, band=min(n) // 3, amplitude=0.3) for s in range(3)
-        ]
-        u = states[0].packed() if rows == 1 else np.stack([st.packed() for st in states])
-        return grid, _ops(grid, params, dealias), u
+        ops, u = step_case(n, mu, dealias, rows)
+        return ops.grid, ops, u
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_forcing_and_step(self, n, mu, dealias, rows):
@@ -928,3 +936,115 @@ def test_forcing_peak_memory_on_a_stack(n, shape, bound):
         tracemalloc.stop()
     assert out.shape == shape
     assert peak <= bound * u.nbytes, peak / u.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Lawson step as it was written before it ran in a workspace,
+# every stage a new array.  The workspace step does the same arithmetic in the
+# same order, so the two are bitwise equal.
+
+
+def allocating_lawson_step(ops, u, dt):
+    s = ops.propagator(0.5 * dt)
+    k1 = ops.nonlinear(u)
+    a, b = s.apply(u), s.apply(k1)
+    k2 = ops.nonlinear(a + 0.5 * dt * b)
+    k3 = ops.nonlinear(a + 0.5 * dt * k2)
+    k4 = ops.nonlinear(s.apply(a + dt * k3))
+    return s.apply(a + dt / 6.0 * b + dt / 3.0 * (k2 + k3)) + dt / 6.0 * k4
+
+
+def garbage(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestWorkspaceStep:
+    @pytest.mark.parametrize("n", [(256,), (32, 32), (16, 24)])
+    @pytest.mark.parametrize("mu", [0.0, 0.2])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_allocating_step(self, n, mu, rows):
+        ops, u = step_case(n, mu, True, rows)
+        work = garbage((5,) + u.shape)
+        new, ref = u, u
+        for _ in range(20):
+            new = dynamics._lawson_rk4_step(ops, new, 1e-2, work)
+            ref = allocating_lawson_step(ops, ref, 1e-2)
+            assert np.array_equal(new, ref)
+            # evolve's states keep views of the returned array
+            assert not np.shares_memory(new, work)
+
+    @pytest.mark.parametrize("n", [(256,), (32, 32), (16, 24)])
+    @pytest.mark.parametrize("mu", [0.0, 0.2])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_out_forms_match_allocating_forms(self, n, mu, dealias):
+        ops, u = step_case(n, mu, dealias, 3)
+        out = garbage(u.shape, seed=1)
+        assert ops.nonlinear(u, out=out) is out
+        assert np.array_equal(out, ops.nonlinear(u))
+        prop = ops.propagator(0.05)
+        out = garbage(u.shape, seed=2)
+        assert prop.apply(u, out=out) is out
+        assert np.array_equal(out, prop.apply(u))
+
+
+def test_step_allocation_with_a_workspace():
+    """After warm-up, a 2D 32^2 step given a workspace peaks at 2.1 state
+    sizes (the new state and the forcing's transform temporaries); the step
+    that made every stage a new array peaked at 9.1."""
+    ops = _ops(Grid((32, 32)), Params(kappa=0.7, mu=0.2, p=0.75), True)
+    u = random_bandlimited(ops.grid, seed=0, band=10, amplitude=0.3).packed()
+    work = np.empty((5,) + u.shape, u.dtype)
+    dynamics._lawson_rk4_step(ops, u, 1e-2, work)  # warm the FFT plans
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dynamics._lawson_rk4_step(ops, u, 1e-2, work)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * u.nbytes, peak / u.nbytes
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["two-params", "one-params"])
+def test_concurrent_evolves_match_serial_runs(shared):
+    """Two threads integrate at once on one grid through the shared operator
+    caches, each with its own workspace; each result is its serial run's."""
+    g = Grid((32, 32))
+    first = Params(kappa=1.0, mu=0.1, p=1.0)
+    params = [first, first if shared else Params(kappa=0.5)]
+    u0 = [small_state(g, seed=s, band=8, amplitude=0.1) for s in (1, 2)]
+    cfg = IntegratorConfig(dt=2.5e-3)
+
+    def run(k):
+        return evolve(u0[k], params[k], cfg, 0.5, report_every=0.1)
+
+    serial = [run(k) for k in range(2)]
+    with dynamics._CACHE_LOCK:
+        dynamics._OPS_CACHE.clear()  # the threads also build the operators at once
+    barrier = threading.Barrier(2, timeout=60)
+    results = [None, None]
+
+    def worker(k):
+        barrier.wait()
+        results[k] = run(k)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the steps' Python code too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, serial):
+        # a 2D report's momentum is NaN (undefined), so compare as arrays
+        table = [np.array([astuple(r) for r in res.reports]) for res in (got, want)]
+        assert np.array_equal(*table, equal_nan=True)
+        assert all(
+            np.array_equal(a.packed(), b.packed())
+            for a, b in zip(got.trajectory.states, want.trajectory.states)
+        )
