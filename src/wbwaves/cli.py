@@ -7,7 +7,9 @@ detected during a run or in a study's sweep member.  Every run writes
 its number of steps and the effective dt (T over the steps, at most the
 configured dt), and a ``picard_duhamel`` run its iterations, the defect of
 each sweep and the contraction estimate; a study whose member blows up
-writes ``<study>.json`` with status ``blowup``.
+writes ``<study>.json`` with status ``blowup``, and one whose Duhamel solve
+does not contract writes it with status ``no_contraction`` and the solve's
+Picard fields.
 Environment override: WB_OUTPUT_DIR replaces the configured output directory.
 """
 
@@ -92,13 +94,13 @@ def cmd_run(config: RunConfig) -> int:
     if config.snapshots:
         from .snapshot import write_snapshot
 
-        for i, state in enumerate(result.trajectory.states):
+        for i, state in enumerate(result.states):
             write_snapshot(os.path.join(outdir, f"snap_{i:05d}.wbsnap"), state)
     summary = {
         "status": "blowup" if result.blown_up else "ok",
         "steps": steps,
         "dt": dt,
-        "final_time": result.trajectory.times[-1] if result.trajectory.times else 0.0,
+        "final_time": result.times[-1],
     }
     if result.blown_up:
         summary["blowup_time"] = result.blowup_time
@@ -222,6 +224,12 @@ def cmd_study(name: str, config: RunConfig) -> int:
         _write_json(os.path.join(outdir, name + ".json"), config, summary)
         print(f"{name}: {exc}", file=sys.stderr)
         return 2
+    except PicardError as exc:
+        summary = {"study": name, "status": "no_contraction", "pass": False,
+                   **_picard_summary(exc.defects)}
+        _write_json(os.path.join(outdir, name + ".json"), config, summary)
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 1
     base = os.path.join(outdir, name + suffix)
     if report.rows:
         _write_csv(base + ".csv", config, report.rows)

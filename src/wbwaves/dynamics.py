@@ -83,13 +83,12 @@ class BlowUpError(RuntimeError):
 class PicardError(RuntimeError):
     """Fixed-point iteration failed to contract (horizon too large for the data).
 
-    ``defects`` holds the defect of every sweep, ``contraction`` the largest
-    ratio of successive defects (infinite when the iteration diverged)."""
+    ``defects`` holds the defect of every sweep; their contraction estimate,
+    reported in the message, is infinite when the iteration diverged."""
 
-    def __init__(self, message, defects, contraction):
+    def __init__(self, message, defects):
         super().__init__(message)
         self.defects = list(defects)
-        self.contraction = contraction
 
 
 @dataclass(frozen=True)
@@ -338,43 +337,27 @@ def _reference_rk4_step(ops: _Ops, u, dt, work=None):
 
 
 # ---------------------------------------------------------------------------
-# Trajectories
-
-
-@dataclass
-class Trajectory:
-    """A run's reported nodes: the times, the energy reports, and in
-    ``states`` what its ``keep`` made of each reported state (by default the
-    state itself)."""
-
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
-
-    def append(self, time, kept, report):
-        self.times.append(time)
-        self.states.append(kept)
-        self.reports.append(report)
+# Results
 
 
 @dataclass
 class EvolveResult:
-    """A member's trajectory, whether and when it blew up, and for
+    """A member's reported nodes, one entry each in ``times``, ``states`` and
+    ``reports``: the time, what ``keep`` made of the state (by default the
+    state itself) and the EnergyReport; whether and when it blew up; and for
     ``picard_duhamel`` the defect of each sweep of its converged solve (None
     for the RK4 methods)."""
 
-    trajectory: Trajectory
+    times: list = field(default_factory=list)
+    states: list = field(default_factory=list)
+    reports: list = field(default_factory=list)
     blown_up: bool = False
     blowup_time: float | None = None
     defects: list | None = None
 
     @property
-    def reports(self):
-        return self.trajectory.reports
-
-    @property
     def final(self) -> WaveState:
-        return self.trajectory.states[-1]
+        return self.states[-1]
 
 
 def _resolve_steps(T, dt):
@@ -413,12 +396,13 @@ def evolve(
     ``u0`` is one WaveState, or a sequence of states on one grid that are
     integrated together as one (B, 1 + d, *half) stack and give one
     EvolveResult each, equal to their single runs.  dt is adjusted down so an
-    integer number of steps lands exactly on T.  At each reported node a
-    member's trajectory records the time, the EnergyReport and
-    ``keep(state)`` (the state itself when ``keep`` is None).  A member whose
-    node is not finite or whose coefficient sup passes 1e3 * blowup_ceiling,
-    or whose report's weighted norm passes blowup_ceiling, stops there with
-    its partial trajectory and the blow-up flag set; the others go on.
+    integer number of steps lands exactly on T.  At each reported node, the
+    first always among them, a member's result appends the time,
+    ``keep(state)`` (the state itself when ``keep`` is None) and the
+    EnergyReport.  A member whose node is not finite or whose coefficient sup
+    passes 1e3 * blowup_ceiling, or whose report's weighted norm passes
+    blowup_ceiling, stops there with the nodes reported so far and the
+    blow-up flag set; the others go on.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -432,7 +416,7 @@ def evolve(
     report_steps = {round(i * report_every / dt) for i in range(n_rep)} | {n_steps}
     single = isinstance(u0, WaveState)
     members = [u0] if single else list(u0)
-    results = [EvolveResult(Trajectory()) for _ in members]
+    results = [EvolveResult() for _ in members]
     if not members:
         return results
     grid = members[0].grid
@@ -466,8 +450,10 @@ def evolve(
         if rows:
             states = WaveState.from_packed(grid, u[rows], [times[b] for b in rows])
             for b, state, report in zip(rows, states, EnergyReport.measure(states, params)):
-                kept = state if keep is None else keep(state)
-                results[b].trajectory.append(times[b], kept, report)
+                res = results[b]
+                res.times.append(times[b])
+                res.states.append(state if keep is None else keep(state))
+                res.reports.append(report)
                 bad[b] = report.weighted_norm > cfg.blowup_ceiling
         for b in list(live):
             if bad[b]:
@@ -615,7 +601,6 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
                 f"iteration diverged after {iteration} sweeps "
                 "(no contraction; reduce T or the data size)",
                 defects,
-                contraction_estimate(defects),
             )
         if worst < cfg.picard_tol:
             times = [u0.time + m * dt for m in range(n_steps + 1)]
@@ -626,7 +611,6 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
         f"(last defect {defects[-1]:.3e}, contraction estimate {contraction:.3f}); "
         "reduce T or the data size",
         defects,
-        contraction,
     )
 
 

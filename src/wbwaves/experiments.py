@@ -103,7 +103,7 @@ def _comparison_error(name, a, b, s, kappa):
 
 
 def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
-    pairs = zip(result_a.trajectory.states, result_b.trajectory.states, strict=True)
+    pairs = zip(result_a.states, result_b.states, strict=True)
     return max(metric(x, y) for x, y in pairs)
 
 
@@ -238,7 +238,7 @@ def invariant_region_test(
             keep=lambda st: weighted_pair_norm(st, 0.5, params.kappa),
         )
         for (row, _), res in zip(active, results):
-            peak = max(res.trajectory.states)
+            peak = max(res.states)
             row[f"max_norm_{label}"] = peak
             row[f"ok_{label}"] = (not res.blown_up) and peak <= eps
     for row, _ in active:
@@ -256,6 +256,8 @@ def dissipation_test(
     viscous runs and the controls are one batched integration each; a
     blow-up names the first blown member in datum order, the run before its
     control."""
+    if not delta > 0:
+        raise ValueError(f"dissipation_test needs delta > 0, got {delta}")
     if not (params.mu > 0 and params.p == 1.0):
         raise ValueError("dissipation_test needs mu > 0 and p = 1")
     report_every = _report_cadence(report_every, T, cfg.dt)
@@ -326,14 +328,11 @@ def stability_test(
     names = ["base", *(f"size={size:g}" for size in sizes)]
     base, *runs = map(_checked, names, evolve(members, params, cfg, T, report_every))
 
-    times = np.asarray(base.trajectory.times) - base.trajectory.times[0]
+    times = np.asarray(base.times) - base.times[0]
     sups = []
     rates = []
     for res in runs:
-        series = [
-            difference_energy(a, b, r, params)
-            for a, b in zip(res.trajectory.states, base.trajectory.states)
-        ]
+        series = [difference_energy(a, b, r, params) for a, b in zip(res.states, base.states)]
         sups.append(max(series))
         logs = np.log(np.maximum(series, 1e-300))
         rate = float(np.polyfit(times, logs, 1)[0]) if len(times) > 1 else math.nan
@@ -353,6 +352,8 @@ def stability_test(
 
 def small_data_family(grid, kappa, count=10, epsilon=None, seed=0, band=6) -> list:
     """Random band-limited states rescaled to gate norm epsilon/2."""
+    if count < 1:
+        raise ValueError(f"the small-data family needs count >= 1, got {count}")
     eps = smallness_threshold(epsilon)
     family = []
     for i in range(count):

@@ -174,7 +174,7 @@ def test_criterion_10_two_dimensional_structure():
     h = [r.hamiltonian for r in res.reports]
     drift = max(abs(x - h[0]) for x in h) / abs(h[0])
     worst_curl = 0.0
-    for st in res.trajectory.states:
+    for st in res.states:
         scale = 1.0 + math.sqrt(sum(float(np.sum(np.abs(c.coeffs) ** 2)) for c in st.vel))
         worst_curl = max(worst_curl, curl_residue(st.vel) / scale)
     ok = worst_curl <= 1e-10 and drift <= 1e-7

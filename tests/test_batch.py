@@ -65,9 +65,9 @@ def _same_run(batched, single):
     assert batched.blown_up == single.blown_up
     assert batched.blowup_time == single.blowup_time
     assert batched.defects == single.defects
-    assert batched.trajectory.times == single.trajectory.times
+    assert batched.times == single.times
     assert batched.reports == single.reports
-    for a, b in zip(batched.trajectory.states, single.trajectory.states):
+    for a, b in zip(batched.states, single.states):
         assert np.array_equal(a.packed(), b.packed())
 
 
@@ -108,7 +108,7 @@ def test_keep_replaces_the_states():
         keep=lambda st: st.time,
     )
     for res in results:
-        assert res.trajectory.states == res.trajectory.times
+        assert res.states == res.times
 
 
 def test_empty_batch_and_mixed_grids():

@@ -12,7 +12,7 @@ import pytest
 
 import wbwaves
 from wbwaves import experiments
-from wbwaves.cli import main
+from wbwaves.cli import STUDIES, main
 from wbwaves.config import ConfigError, RunConfig, config_from_dict, load_config
 from wbwaves.dynamics import IntegratorConfig, evolve, picard_solve
 from wbwaves.functionals import EnergyReport
@@ -565,6 +565,34 @@ class TestStudyCommand:
         assert summary["blowup_time"] == 0.0
         assert summary["pass"] is False
 
+    @pytest.mark.parametrize("study", list(STUDIES))
+    def test_no_study_ends_in_an_exception(self, tmp_path, capsys, study):
+        """Under a Duhamel solve that cannot contract (two sweeps against a
+        1e-12 tolerance) every study ends with an exit code, and the two that
+        run the solve write a no_contraction summary."""
+        outdir = tmp_path / "out"
+        raw = small_run(
+            str(outdir),
+            system="wb1d_regularized",
+            grid={"n": 32},
+            params={"kappa": 1.0, "mu": 0.1, "s": 1.5},
+            initial_data={"preset": "single_mode", "amplitude": 0.5, "mode": 1},
+            integrator={"method": "picard_duhamel", "dt": 0.01, "picard_max_iter": 2,
+                        "picard_tol": 1e-12},
+            T=0.2,
+            report_every=0.05,
+            study={"count": 2} if study in ("invariant_region", "dissipation") else {},
+        )
+        assert main(["study", study, write_config(tmp_path, raw)]) in (0, 1, 2)
+        if study in ("dissipation", "stability"):
+            summary = strict_json(outdir / f"{study}.json")
+            assert (summary["study"], summary["status"]) == (study, "no_contraction")
+            assert summary["pass"] is False
+            assert summary["iterations"] == len(summary["defects"]) == 2
+            assert "contraction_estimate" in summary
+            err = capsys.readouterr().err
+            assert err.startswith(f"{study}: no contraction after 2 iterations")
+
     def test_inequalities_study(self, tmp_path):
         outdir = str(tmp_path / "out")
         raw = small_run(outdir)
@@ -656,6 +684,16 @@ def test_study_outputs(tmp_path, name):
     assert summary["study"] == name and summary["pass"] is True
 
 
+@pytest.fixture
+def no_member_runs(monkeypatch):
+    """Fail the test if a study integrates any member."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(experiments, "evolve", no_run)
+
+
 class TestStudyOutputFaults:
     def test_partly_skipped_table_is_written(self, tmp_path):
         outdir = tmp_path / "out"
@@ -703,16 +741,27 @@ class TestStudyOutputFaults:
         ([0.01, 0.001], "stability_test needs at least 3 perturbation sizes, got 2"),
     ])
     def test_bad_stability_sizes_rejected_before_any_run(
-        self, tmp_path, capsys, monkeypatch, sizes, message
+        self, tmp_path, capsys, no_member_runs, sizes, message
     ):
-        def no_run(*args, **kwargs):
-            raise AssertionError("a member ran")
-
-        monkeypatch.setattr(experiments, "evolve", no_run)
         outdir = tmp_path / "out"
         raw = small_run(str(outdir), params={"kappa": 1.0, "s": 1.5},
                         study={"sizes": sizes, "r": 0.5})
         assert main(["study", "stability", write_config(tmp_path, raw)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("name, options, message", [
+        ("dissipation", {"count": -2}, "the small-data family needs count >= 1, got -2"),
+        ("invariant_region", {"count": 0}, "the small-data family needs count >= 1, got 0"),
+        ("dissipation", {"delta": -1.0}, "dissipation_test needs delta > 0, got -1.0"),
+        ("dissipation", {"delta": 0.0}, "dissipation_test needs delta > 0, got 0.0"),
+    ])
+    def test_bad_family_options_rejected_before_any_run(
+        self, tmp_path, capsys, no_member_runs, name, options, message
+    ):
+        outdir = tmp_path / "out"
+        raw = small_run(str(outdir), study=options)
+        assert main(["study", name, write_config(tmp_path, raw)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not outdir.exists()
 

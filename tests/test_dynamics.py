@@ -257,7 +257,7 @@ class TestEvolve:
         res = evolve(u0, params, cfg, T=5.0, report_every=0.05)
         assert res.blown_up
         assert res.blowup_time is not None and res.blowup_time <= 5.0
-        assert len(res.trajectory.states) >= 1
+        assert len(res.states) >= 1
 
     def test_reference_and_exponential_agree(self):
         g = Grid(64)
@@ -272,7 +272,7 @@ class TestEvolve:
         g = Grid(32)
         params = Params(kappa=1.0)
         res = evolve(small_state(g), params, IntegratorConfig(dt=0.01), T=1.0, report_every=0.333)
-        times = res.trajectory.times
+        times = res.times
         assert len(times) == len(set(times)) == 4
         assert times[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -1046,5 +1046,5 @@ def test_concurrent_evolves_match_serial_runs(shared):
         assert np.array_equal(*table, equal_nan=True)
         assert all(
             np.array_equal(a.packed(), b.packed())
-            for a, b in zip(got.trajectory.states, want.trajectory.states)
+            for a, b in zip(got.states, want.states)
         )

@@ -189,7 +189,7 @@ class TestStability:
         res = evolve(u0, params, IntegratorConfig(dt=5e-3), T=0.5, report_every=0.1)
         from wbwaves.functionals import difference_energy
 
-        for st in res.trajectory.states:
+        for st in res.states:
             assert difference_energy(st, st, 0.5, params) == 0.0
 
     def test_quadratic_scaling(self):

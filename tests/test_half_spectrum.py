@@ -453,8 +453,10 @@ class TestStudyMetricsAgainstFieldPath:
         grid = Grid(n)
         data = list(sample_states(grid, 1.0))
         params = Params(kappa=1.0, mu=0.2, p=1.0)
-        # delta = 0 skips every datum, so only the sizes are computed.
-        report = dissipation_test(data, params, T=DT, cfg=IntegratorConfig(dt=DT), delta=0.0)
+        # A delta below every size skips every datum, so only the sizes are
+        # computed (delta must be positive).
+        report = dissipation_test(data, params, T=DT, cfg=IntegratorConfig(dt=DT), delta=1e-300)
+        assert all(row["skipped"] for row in report.rows)
         for row, st in zip(report.rows, data):
             assert _close(row["data_size"], field_data_size(st), STUDY_METRIC_RTOL)
 
