@@ -8,14 +8,15 @@ its number of steps and the effective dt (T over the steps, at most the
 configured dt), and a ``picard_duhamel`` run its iterations, the defect of
 each sweep and the contraction estimate; a study whose member blows up
 writes ``<study>.json`` with status ``blowup``, and one whose Duhamel solve
-does not contract writes it with status ``no_contraction`` and the solve's
-Picard fields.
+does not contract writes it with status ``no_contraction``, the member and
+the solve's Picard fields.
 Environment override: WB_OUTPUT_DIR replaces the configured output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -33,7 +34,7 @@ from .experiments import (
     small_data_family,
     stability_test,
 )
-from .typed import typed
+from .typed import like
 
 
 def _open_output(path):
@@ -113,97 +114,70 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def _family(config, opt):
-    return small_data_family(
-        config.grid,
-        config.params.kappa,
-        count=opt["count"],
-        epsilon=opt["epsilon"],
-        seed=config.seed,
-        band=opt["band"],
-    )
+def _family(c, count, epsilon, band):
+    return small_data_family(c.grid, c.params.kappa, count=count, epsilon=epsilon, seed=c.seed,
+                             band=band)
 
 
-def _invariant_region(config, opt):
-    family = _family(config, opt)
-    params = replace(config.params, mu=opt["mu"])
-    return invariant_region_test(
-        family, params, config.T, config.integrator,
-        epsilon=opt["epsilon"], report_every=config.report_every,
-    )
+def _kappa_limit(c, values=(1e-1, 1e-2, 1e-3, 1e-4), comparison_norm=None):
+    return kappa_limit_study(c, values, comparison_norm)
 
 
-def _dissipation(config, opt):
-    family = _family(config, opt)
-    params = replace(config.params, mu=opt["mu"], p=1.0)
-    return dissipation_test(
-        family, params, config.T, config.integrator,
-        delta=opt["delta"], report_every=config.report_every,
-    )
+def _mu_limit(c, values=(1e-1, 1e-2, 1e-3), r=None):
+    return mu_limit_study(c, values, r)
 
 
-def _study_options(name, defaults, given):
-    """The defaults updated by the configured study options, each checked for
-    its type as the rest of the config is: ``count`` and ``band`` are
-    integers, ``values`` and ``sizes`` lists of numbers, ``comparison_norm``
-    a name the study checks, and every other option a number.  An option
-    whose default is None also accepts null."""
+def _invariant_region(c, count=10, epsilon=None, band=6, mu=0.2):
+    family = _family(c, count, epsilon, band)
+    return invariant_region_test(family, replace(c.params, mu=mu), c.T, c.integrator,
+                                 epsilon=epsilon, report_every=c.report_every)
+
+
+def _dissipation(c, count=10, epsilon=None, band=6, mu=0.2, delta=0.1):
+    family = _family(c, count, epsilon, band)
+    return dissipation_test(family, replace(c.params, mu=mu, p=1.0), c.T, c.integrator,
+                            delta=delta, report_every=c.report_every)
+
+
+def _stability(c, sizes=(1e-2, 1e-3, 1e-4), r=0.5):
+    return stability_test(c.initial_state(), sizes, r, c.params, c.T, c.integrator,
+                          seed=c.seed, report_every=c.report_every)
+
+
+def _inequalities(c, count=8):
+    return inequality_study(c.grid, count, c.seed)
+
+
+def _conservation(c):
+    return conservation_check(c.initial_state(), c.params, c.T, c.integrator,
+                              report_every=c.report_every)
+
+
+# name -> (runner(config, **options), output-file suffix).  A study's options
+# are its runner's keyword parameters, with their defaults.  The runners look
+# the study functions up in this module at call time, so wrappers installed on
+# this module's names (bench/launch.py, bench/tracer.py) see them.
+STUDIES = {
+    "kappa_limit": (_kappa_limit, "_kappa"),
+    "mu_limit": (_mu_limit, "_mu"),
+    "invariant_region": (_invariant_region, "_datum"),
+    "dissipation": (_dissipation, "_datum"),
+    "stability": (_stability, "_size"),
+    "inequalities": (_inequalities, ""),
+    "conservation": (_conservation, ""),
+}
+
+
+def _study_options(name, runner, given):
+    """The configured study options, each typed like the runner's default
+    for it as the rest of the config is; ``comparison_norm`` is a name the
+    study checks."""
+    defaults = {k: p.default for k, p in list(inspect.signature(runner).parameters.items())[1:]}
     unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown field(s) in study {name}: {', '.join(unknown)}")
-    options = dict(defaults)
-    for key, value in given.items():
-        where = f"study.{key}"
-        if (value is None and defaults[key] is None) or key == "comparison_norm":
-            options[key] = value
-        elif key in ("values", "sizes"):
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-            options[key] = tuple(typed(v, where, float) for v in value)
-        else:
-            options[key] = typed(value, where, int if key in ("count", "band") else float)
-    return options
-
-
-_FAMILY = {"count": 10, "epsilon": None, "band": 6, "mu": 0.2}
-
-# name -> (runner(config, options), option defaults, output-file suffix).  The
-# runners look the study functions up in this module at call time, so wrappers
-# installed on this module's names (bench/launch.py, bench/tracer.py) see them.
-STUDIES = {
-    "kappa_limit": (
-        lambda c, o: kappa_limit_study(c, o["values"], o["comparison_norm"]),
-        {"values": (1e-1, 1e-2, 1e-3, 1e-4), "comparison_norm": None},
-        "_kappa",
-    ),
-    "mu_limit": (
-        lambda c, o: mu_limit_study(c, o["values"], o["r"]),
-        {"values": (1e-1, 1e-2, 1e-3), "r": None},
-        "_mu",
-    ),
-    "invariant_region": (_invariant_region, _FAMILY, "_datum"),
-    "dissipation": (_dissipation, {**_FAMILY, "delta": 0.1}, "_datum"),
-    "stability": (
-        lambda c, o: stability_test(
-            c.initial_state(), o["sizes"], o["r"], c.params, c.T, c.integrator,
-            seed=c.seed, report_every=c.report_every,
-        ),
-        {"sizes": (1e-2, 1e-3, 1e-4), "r": 0.5},
-        "_size",
-    ),
-    "inequalities": (
-        lambda c, o: inequality_study(c.grid, o["count"], c.seed),
-        {"count": 8},
-        "",
-    ),
-    "conservation": (
-        lambda c, o: conservation_check(
-            c.initial_state(), c.params, c.T, c.integrator, report_every=c.report_every
-        ),
-        {},
-        "",
-    ),
-}
+    return {k: v if k == "comparison_norm" else like(v, f"study.{k}", defaults[k])
+            for k, v in given.items()}
 
 
 def cmd_study(name: str, config: RunConfig) -> int:
@@ -213,11 +187,11 @@ def cmd_study(name: str, config: RunConfig) -> int:
             file=sys.stderr,
         )
         return 1
-    runner, defaults, suffix = STUDIES[name]
-    options = _study_options(name, defaults, config.study)
+    runner, suffix = STUDIES[name]
+    options = _study_options(name, runner, config.study)
     outdir = config.resolved_output_dir()
     try:
-        report = runner(config, options)
+        report = runner(config, **options)
     except BlowUpError as exc:
         summary = {"study": name, "status": "blowup", "pass": False,
                    "member": exc.member, "blowup_time": exc.time}
@@ -226,7 +200,7 @@ def cmd_study(name: str, config: RunConfig) -> int:
         return 2
     except PicardError as exc:
         summary = {"study": name, "status": "no_contraction", "pass": False,
-                   **_picard_summary(exc.defects)}
+                   "member": exc.member, **_picard_summary(exc.defects)}
         _write_json(os.path.join(outdir, name + ".json"), config, summary)
         print(f"{name}: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ from .dynamics import IntegratorConfig, _report_cadence
 from .presets import build_preset
 from .spectral import Grid
 from .state import Params, WaveState
-from .typed import ConfigError, typed
+from .typed import ConfigError, like, typed
 
 ARTIFACT_VERSION = "wbwaves-0.1.0"
 
@@ -54,7 +54,7 @@ def _section(table: dict, where, cls, required=()):
     for f in dataclasses.fields(cls):
         if f.name in table or f.name in required:
             value = _take(table, f.name, required=True)
-            values[f.name] = typed(value, f"{where}.{f.name}", type(f.default))
+            values[f.name] = like(value, f"{where}.{f.name}", f.default)
     _no_leftovers(table, where)
     try:
         return cls(**values)

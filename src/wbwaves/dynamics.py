@@ -84,11 +84,14 @@ class PicardError(RuntimeError):
     """Fixed-point iteration failed to contract (horizon too large for the data).
 
     ``defects`` holds the defect of every sweep; their contraction estimate,
-    reported in the message, is infinite when the iteration diverged."""
+    reported in the message, is infinite when the iteration diverged.
+    ``member`` is the index of the failing state in its ``evolve`` call
+    (None from ``picard_solve`` itself)."""
 
     def __init__(self, message, defects):
         super().__init__(message)
         self.defects = list(defects)
+        self.member = None
 
 
 @dataclass(frozen=True)
@@ -402,7 +405,8 @@ def evolve(
     EnergyReport.  A member whose node is not finite or whose coefficient sup
     passes 1e3 * blowup_ceiling, or whose report's weighted norm passes
     blowup_ceiling, stops there with the nodes reported so far and the
-    blow-up flag set; the others go on.
+    blow-up flag set; the others go on.  A member whose Duhamel solve does
+    not contract raises its PicardError with the member's index as ``member``.
     """
     if T <= 0:
         raise ValueError(f"horizon T must be positive, got {T}")
@@ -426,7 +430,13 @@ def evolve(
     # one-row stack; the loop below views each of its nodes as that stack.
     if cfg.method == "picard_duhamel":
         # Each member's fixed point converges in its own number of sweeps.
-        solved = [picard_solve(m, params, cfg, T) for m in members]
+        solved = []
+        for b, m in enumerate(members):
+            try:
+                solved.append(picard_solve(m, params, cfg, T))
+            except PicardError as exc:
+                exc.member = b
+                raise
         for result, solve in zip(results, solved):
             result.defects = solve.defects
         nodes = solved[0].nodes if single else np.stack([r.nodes for r in solved], axis=1)

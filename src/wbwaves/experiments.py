@@ -95,6 +95,23 @@ def _checked(member, res: EvolveResult) -> EvolveResult:
     return res
 
 
+def _inviscid(params: Params, cfg: IntegratorConfig):
+    """The params and integrator of a study's mu = 0 run: the Duhamel solver
+    is undefined at mu = 0, so such a run steps by ERK4."""
+    method = "exponential_rk4" if cfg.method == "picard_duhamel" else cfg.method
+    return replace(params, mu=0.0), replace(cfg, method=method)
+
+
+def _evolve(names, members, params, cfg, T, report_every, keep=None):
+    """``evolve`` of the named members: a Duhamel solve that does not
+    contract names its member, as a blow-up does."""
+    try:
+        return evolve(members, params, cfg, T, report_every, keep=keep)
+    except PicardError as exc:
+        exc.member = names[exc.member]
+        raise
+
+
 def _comparison_error(name, a, b, s, kappa):
     d, orders = a.packed() - b.packed(), COMPARISON_NORMS[name]
     if orders is None:
@@ -190,9 +207,7 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
             fallback = True
             return member(f"mu={mu:g}", params, replace(cfg, method="exponential_rk4"))
 
-    # The Duhamel solver is undefined at mu = 0: the reference steps by ERK4.
-    ref_cfg = replace(cfg, method="exponential_rk4") if cfg.method == "picard_duhamel" else cfg
-    reference = member("mu=0", replace(base.params, mu=0.0), ref_cfg)
+    reference = member("mu=0", *_inviscid(base.params, cfg))
 
     def metric(a, b):
         return _sobolev_pair(a.grid, a.packed() - b.packed(), r + 0.5, r)
@@ -219,7 +234,8 @@ def invariant_region_test(
     Each datum's H_kappa^1 x H^(1/2) norm is computed (not assumed); data
     above eps/2 are flagged as precondition violations and skipped.  Both
     the conservative and, when params.mu > 0, the viscous flow are run, each
-    as one batched integration of the admitted data."""
+    as one batched integration of the admitted data, the conservative one
+    by ERK4 under picard_duhamel."""
     eps = smallness_threshold(epsilon)
     report_every = _report_cadence(report_every, T, cfg.dt)
     rows = []
@@ -229,12 +245,13 @@ def invariant_region_test(
         if gate > 0.5 * eps * (1 + 1e-12):
             rows[-1].update(skipped=True, reason="initial norm exceeds epsilon/2")
     active = [(row, u0) for row, u0 in zip(rows, data) if not row.get("skipped")]
-    variants = [("mu0", replace(params, mu=0.0))]
+    names = [f"datum={row['index']}" for row, _ in active]
+    variants = [("mu0", *_inviscid(params, cfg))]
     if params.mu > 0:
-        variants.append(("mu", params))
-    for label, pv in variants:
-        results = evolve(
-            [u0 for _, u0 in active], pv, cfg, T, report_every,
+        variants.append(("mu", params, cfg))
+    for label, pv, cv in variants:
+        results = _evolve(
+            names, [u0 for _, u0 in active], pv, cv, T, report_every,
             keep=lambda st: weighted_pair_norm(st, 0.5, params.kappa),
         )
         for (row, _), res in zip(active, results):
@@ -242,7 +259,7 @@ def invariant_region_test(
             row[f"max_norm_{label}"] = peak
             row[f"ok_{label}"] = (not res.blown_up) and peak <= eps
     for row, _ in active:
-        row["ok"] = all(row[f"ok_{label}"] for label, _ in variants)
+        row["ok"] = all(row[f"ok_{label}"] for label, _, _ in variants)
     return _table_report("invariant_region", rows, epsilon=eps)
 
 
@@ -252,10 +269,10 @@ def dissipation_test(
     """Viscosity makes the Hamiltonian non-increasing for small data.
 
     Hamiltonian increases below 1e-10 relative are counted as roundoff;
-    the mu = 0 control run must instead conserve to 1e-8 relative.  The
-    viscous runs and the controls are one batched integration each; a
-    blow-up names the first blown member in datum order, the run before its
-    control."""
+    the mu = 0 control run (by ERK4 under picard_duhamel) must instead
+    conserve to 1e-8 relative.  The viscous runs and the controls are one
+    batched integration each; a blow-up names the first blown member in
+    datum order, the run before its control."""
     if not delta > 0:
         raise ValueError(f"dissipation_test needs delta > 0, got {delta}")
     if not (params.mu > 0 and params.p == 1.0):
@@ -274,16 +291,17 @@ def dissipation_test(
         return [rep.hamiltonian for rep in _checked(member, res).reports]
 
     states = [u0 for _, u0 in active]
+    names = [f"datum={row['index']}" for row, _ in active]
     # The runs read only their reports.
-    runs = evolve(states, params, cfg, T, report_every, keep=lambda st: None)
-    ctrls = evolve(states, replace(params, mu=0.0), cfg, T, report_every, keep=lambda st: None)
-    for (row, _), run, ctrl in zip(active, runs, ctrls):
-        h = series(f"datum={row['index']}", run)
+    runs = _evolve(names, states, params, cfg, T, report_every, keep=lambda st: None)
+    ctrls = evolve(states, *_inviscid(params, cfg), T, report_every, keep=lambda st: None)
+    for (row, _), name, run, ctrl in zip(active, names, runs, ctrls):
+        h = series(name, run)
         tol = 1e-10 * max(abs(h[0]), 1e-300)
         row["monotone"] = all(b <= a + tol for a, b in zip(h, h[1:]))
         row["total_drop"] = h[0] - h[-1]
 
-        ctrl_h = series(f"datum={row['index']} control", ctrl)
+        ctrl_h = series(f"{name} control", ctrl)
         drift = max(abs(x - ctrl_h[0]) for x in ctrl_h)
         row["control_drift"] = drift / max(abs(ctrl_h[0]), 1e-300)
         row["ok"] = row["monotone"] and row["control_drift"] <= 1e-8
@@ -326,7 +344,7 @@ def stability_test(
         vel = tuple(v + scale * d for v, d in zip(u0.vel, direction.vel))
         members.append(WaveState(u0.eta + scale * direction.eta, vel, time=u0.time))
     names = ["base", *(f"size={size:g}" for size in sizes)]
-    base, *runs = map(_checked, names, evolve(members, params, cfg, T, report_every))
+    base, *runs = map(_checked, names, _evolve(names, members, params, cfg, T, report_every))
 
     times = np.asarray(base.times) - base.times[0]
     sups = []

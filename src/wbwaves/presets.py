@@ -21,7 +21,9 @@ random_bandlimited(seed, band, a):
 A preset is its function, listed in ``PRESETS`` by name.  A config's
 ``initial_data`` table names it as ``preset``, and its other entries are
 the function's parameters other than ``grid``, with the function's
-defaults; ``random_bandlimited``'s ``seed`` defaults to the config's seed.
+defaults, each typed like its default (a required option is a number);
+``random_bandlimited``'s ``seed`` defaults to the config's seed, which
+defaults to 0 as the function's does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .spectral import Field, Grid, SymbolCatalog
 from .state import WaveState
-from .typed import typed
+from .typed import like, typed
 
 def single_mode(grid: Grid, amplitude, mode=1, v_amplitude=None) -> WaveState:
     a = float(amplitude)
@@ -104,7 +106,7 @@ def _random_band_coeffs(grid: Grid, rng, band):
     return c
 
 
-def random_bandlimited(grid: Grid, seed, band=8, amplitude=0.1) -> WaveState:
+def random_bandlimited(grid: Grid, seed=0, band=8, amplitude=0.1) -> WaveState:
     band = int(band)
     top = min(grid.dealias_band(j) for j in range(grid.dim))
     if not 1 <= band <= top:
@@ -129,38 +131,31 @@ def random_bandlimited(grid: Grid, seed, band=8, amplitude=0.1) -> WaveState:
 
 PRESETS = {f.__name__: f for f in (single_mode, gaussian_bump, random_bandlimited)}
 
-# The type of each preset option; a 2D ``mode`` may also be a pair of
-# integers, and ``v_amplitude`` may be null.
-_OPTION_KINDS = {
-    "mode": int, "seed": int, "band": int, "amplitude": float, "width": float, "v_amplitude": float,
-}
 
-
-def _option(grid: Grid, key, value):
-    where = f"initial_data.{key}"
-    if key == "v_amplitude" and value is None:
-        return None
-    if key == "mode" and grid.dim == 2 and isinstance(value, list) and len(value) == 2:
+def _option(grid: Grid, opt: inspect.Parameter, value):
+    where = f"initial_data.{opt.name}"
+    if opt.name == "mode" and grid.dim == 2 and isinstance(value, list) and len(value) == 2:
         return tuple(typed(m, where, int) for m in value)
-    return typed(value, where, _OPTION_KINDS[key])
+    return like(value, where, 0.0 if opt.default is opt.empty else opt.default)
 
 
 def build_preset(grid: Grid, data: dict, seed=0) -> WaveState:
     """Build the state described by a config ``initial_data`` table: the
-    preset's function called with the table's other entries, each option
-    checked for its type.  A ``seed`` left out is the config's ``seed``."""
+    preset's function called with the table's other entries, each typed
+    like its default (a required option is a number, and a 2D ``mode`` may
+    be a pair of integers).  A ``seed`` left out is the config's ``seed``."""
     data = dict(data)
     name = data.pop("preset")
     preset = PRESETS.get(name) if isinstance(name, str) else None
     if preset is None:
         raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")
-    options = list(inspect.signature(preset).parameters.values())[1:]  # all but grid
-    unknown = sorted(set(data) - {opt.name for opt in options})
+    options = dict(list(inspect.signature(preset).parameters.items())[1:])  # all but grid
+    unknown = sorted(set(data) - set(options))
     if unknown:
         raise ValueError(f"unknown preset option(s): {', '.join(unknown)}")
-    if any(opt.name == "seed" for opt in options):
+    if "seed" in options:
         data.setdefault("seed", seed)
-    missing = [opt.name for opt in options if opt.default is opt.empty and opt.name not in data]
+    missing = [k for k, opt in options.items() if opt.default is opt.empty and k not in data]
     if missing:
         raise ValueError(f"preset {name} needs option(s): {', '.join(missing)}")
-    return preset(grid, **{k: _option(grid, k, v) for k, v in data.items()})
+    return preset(grid, **{k: _option(grid, options[k], v) for k, v in data.items()})

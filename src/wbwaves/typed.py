@@ -1,5 +1,5 @@
 """The one type check every config value passes: run settings, study options
-and preset options alike."""
+and preset options alike, each typed like the default it replaces."""
 
 from __future__ import annotations
 
@@ -22,3 +22,16 @@ def typed(value, name, kind):
     if kind in (bool, str) and isinstance(value, kind):
         return value
     raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def like(value, name, default):
+    """``value`` typed like the ``default`` it replaces: a list of numbers for
+    a tuple default, null or a number for a None default, and a value of the
+    default's own kind otherwise."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+        return tuple(typed(v, name, float) for v in value)
+    if default is None:
+        return None if value is None else typed(value, name, float)
+    return typed(value, name, type(default))

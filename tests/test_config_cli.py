@@ -17,7 +17,6 @@ from wbwaves.config import ConfigError, RunConfig, config_from_dict, load_config
 from wbwaves.dynamics import IntegratorConfig, evolve, picard_solve
 from wbwaves.functionals import EnergyReport
 from wbwaves.presets import (
-    _OPTION_KINDS,
     PRESETS,
     build_preset,
     random_bandlimited,
@@ -187,6 +186,36 @@ def test_mistyped_preset_option_names_it(tmp_path, capsys, preset, option, value
     assert not outdir.exists()
 
 
+def _options(fn):
+    return list(inspect.signature(fn).parameters.values())[1:]  # all but config or grid
+
+
+# Every study and preset option, read from its runner's or function's
+# parameters, so an option added later is covered here with no edit;
+# comparison_norm is a name the study itself checks.
+_EVERY_OPTION = [
+    *(("study", name, opt.name) for name, (runner, _) in STUDIES.items()
+      for opt in _options(runner) if opt.name != "comparison_norm"),
+    *(("initial_data", name, opt.name) for name, preset in PRESETS.items()
+      for opt in _options(preset)),
+]
+
+
+@pytest.mark.parametrize("table, name, key", _EVERY_OPTION,
+                         ids=[f"{t}-{n}-{k}" for t, n, k in _EVERY_OPTION])
+def test_every_option_rejects_a_string(tmp_path, capsys, table, name, key):
+    outdir = tmp_path / "o"
+    if table == "study":
+        raw, command = small_run(str(outdir), study={key: "0.1"}), ["study", name]
+    else:
+        data = {"preset": name, **{o.name: 0.5 for o in _options(PRESETS[name])
+                                   if o.default is o.empty}, key: "0.1"}
+        raw, command = small_run(str(outdir), initial_data=data), ["run"]
+    assert main([*command, write_config(tmp_path, raw)]) == 1
+    assert f"error: {table}.{key} must be" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_preset_options_of_the_right_type_accepted():
     raw = small_run("x", system="wb2d", grid={"n": 16})
     raw["initial_data"] = {"preset": "single_mode", "amplitude": 1, "mode": [1, 2.0],
@@ -253,7 +282,8 @@ def test_preset_accepts_exactly_its_function_parameters(name):
     assert list(inspect.signature(PRESETS[name]).parameters) == ["grid", *options]
     state = build_preset(grid, {"preset": name, **options})
     assert np.array_equal(state.packed(), PRESETS[name](grid, **options).packed())
-    for other in sorted(set(_OPTION_KINDS) - set(options)):
+    every = {opt.name for preset in PRESETS.values() for opt in _options(preset)}
+    for other in sorted(every - set(options)):
         with pytest.raises(ValueError, match=rf"unknown preset option\(s\): {other}$"):
             build_preset(grid, {"preset": name, **options, other: 1})
 
@@ -568,8 +598,9 @@ class TestStudyCommand:
     @pytest.mark.parametrize("study", list(STUDIES))
     def test_no_study_ends_in_an_exception(self, tmp_path, capsys, study):
         """Under a Duhamel solve that cannot contract (two sweeps against a
-        1e-12 tolerance) every study ends with an exit code, and the two that
-        run the solve write a no_contraction summary."""
+        1e-12 tolerance) every study ends with an exit code, and the three
+        that run the solve write a no_contraction summary naming the member
+        whose solve failed."""
         outdir = tmp_path / "out"
         raw = small_run(
             str(outdir),
@@ -584,14 +615,19 @@ class TestStudyCommand:
             study={"count": 2} if study in ("invariant_region", "dissipation") else {},
         )
         assert main(["study", study, write_config(tmp_path, raw)]) in (0, 1, 2)
-        if study in ("dissipation", "stability"):
+        if study in ("invariant_region", "dissipation", "stability"):
             summary = strict_json(outdir / f"{study}.json")
             assert (summary["study"], summary["status"]) == (study, "no_contraction")
             assert summary["pass"] is False
             assert summary["iterations"] == len(summary["defects"]) == 2
             assert "contraction_estimate" in summary
+            assert summary["member"] == ("base" if study == "stability" else "datum=0")
             err = capsys.readouterr().err
             assert err.startswith(f"{study}: no contraction after 2 iterations")
+        if study == "mu_limit":
+            # Each viscous member is rerun by ERK4.
+            assert strict_json(outdir / "mu_limit_mu.json")["fallback_integrator"] is True
+            assert len((outdir / "mu_limit_mu.csv").read_text().splitlines()) == 2 + 3
 
     def test_inequalities_study(self, tmp_path):
         outdir = str(tmp_path / "out")
@@ -807,6 +843,38 @@ class TestStudyOutputFaults:
         lines = (outdir / "mu_limit_mu.csv").read_text().splitlines()
         assert lines[1] == "mu,error"
         assert [float(line.split(",")[0]) for line in lines[2:]] == [0.5, 0.2, 0.1]
+
+    @pytest.mark.parametrize("study, column", [
+        ("invariant_region", "max_norm_mu0"), ("dissipation", "control_drift"),
+    ])
+    def test_picard_family_study_steps_its_mu0_runs_by_erk4(self, tmp_path, capsys, study,
+                                                             column):
+        """The mu = 0 variant and controls of a picard_duhamel family study
+        cannot use the Duhamel solver; they are the ERK4 config's runs, and
+        the study ends with its verdict and a row per datum."""
+        rows = {}
+        for method in ("picard_duhamel", "exponential_rk4"):
+            outdir = tmp_path / method
+            raw = small_run(
+                str(outdir),
+                system="wb1d_regularized",
+                grid={"n": 32},
+                params={"kappa": 1.0, "mu": 0.1, "s": 1.5},
+                initial_data={"preset": "random_bandlimited", "band": 4, "amplitude": 0.02},
+                integrator={"method": method, "dt": 0.01},
+                T=0.2,
+                study={"count": 2},
+            )
+            code = main(["study", study, write_config(tmp_path, raw, f"{method}.json")])
+            assert "error" not in capsys.readouterr().err
+            summary = strict_json(outdir / f"{study}_datum.json")
+            assert code == (0 if summary["pass"] else 1)
+            assert (summary["rows"], summary["skipped"]) == (2, 0)
+            lines = (outdir / f"{study}_datum.csv").read_text().splitlines()[1:]
+            rows[method] = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [r[column] for r in rows["picard_duhamel"]] == [
+            r[column] for r in rows["exponential_rk4"]
+        ]
 
     def test_diverging_picard_run_writes_null_estimate(self, tmp_path):
         outdir = tmp_path / "out"
