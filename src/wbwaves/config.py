@@ -151,16 +151,17 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"grid for {system} needs {dim} axis value(s)")
 
     params = _section(_table(raw, "params", required=True), "params", Params, ("kappa",))
+    integrator = _section(_table(raw, "integrator", default={}), "integrator", IntegratorConfig)
     if system == "wb1d_regularized" and params.mu == 0.0:
         raise ConfigError("mu must be positive for wb1d_regularized")
     if system in ("wb1d", "wb2d") and params.mu != 0.0:
         raise ConfigError(f"mu must be 0 for {system}, got {params.mu}")
+    if system in ("wb1d", "wb2d") and integrator.method == "picard_duhamel":
+        raise ConfigError(f"picard_duhamel needs the regularized system (mu > 0), not {system}")
 
     data_tab = _table(raw, "initial_data", required=True)
     if "snapshot" not in data_tab and "preset" not in data_tab:
         raise ConfigError("initial_data needs either 'preset' or 'snapshot'")
-
-    integrator = _section(_table(raw, "integrator", default={}), "integrator", IntegratorConfig)
 
     T = typed(_take(raw, "T", required=True), "T", float)
     report_every = _take(raw, "report_every", default=_report_cadence(None, T, integrator.dt))

@@ -338,11 +338,10 @@ def stability_test(
     report_every = _report_cadence(report_every, T, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
-    members = [u0]
-    for size in sizes:
-        scale = size / dnorm
-        vel = tuple(v + scale * d for v, d in zip(u0.vel, direction.vel))
-        members.append(WaveState(u0.eta + scale * direction.eta, vel, time=u0.time))
+    members = [u0] + [
+        WaveState.from_packed(u0.grid, u0.packed() + (size / dnorm) * direction.packed(), u0.time)
+        for size in sizes
+    ]
     names = ["base", *(f"size={size:g}" for size in sizes)]
     base, *runs = map(_checked, names, _evolve(names, members, params, cfg, T, report_every))
 
@@ -377,12 +376,7 @@ def small_data_family(grid, kappa, count=10, epsilon=None, seed=0, band=6) -> li
     for i in range(count):
         raw = random_bandlimited(grid, seed=seed + i, band=band, amplitude=1.0)
         norm = weighted_pair_norm(raw, 0.5, kappa)
-        scale = 0.5 * eps / norm
-        family.append(
-            WaveState(
-                scale * raw.eta, tuple(scale * v for v in raw.vel), time=raw.time
-            )
-        )
+        family.append(WaveState.from_packed(grid, (0.5 * eps / norm) * raw.packed(), raw.time))
     return family
 
 

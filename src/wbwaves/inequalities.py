@@ -66,7 +66,7 @@ def product(grid: Grid, f, g):
     both factors, one rfftn of their product."""
     mask = grid.half(grid.dealias_mask)
     x = grid.inverse_half(np.stack([f * mask, g * mask]))
-    return np.fft.rfftn(x[0] * x[1], axes=_axes(grid)) * grid._norm_factor * mask
+    return grid.forward_half(x[0] * x[1]) * mask
 
 
 def commutator(grid: Grid, sym, f, g):

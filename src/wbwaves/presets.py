@@ -83,7 +83,7 @@ def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:
         return WaveState(Field(grid, a * g), (Field(grid, a * g),))
     g1 = _periodized_bump(grid.x[0], grid.length[0], w)
     g2 = _periodized_bump(grid.x[1], grid.length[1], w)
-    eta = grid.half(grid.transform(a * g1 * g2))
+    eta = grid.forward_half(a * g1 * g2)
     return WaveState.from_packed(grid, np.concatenate([eta[None], w * _gradient(grid, eta)]), 0.0)
 
 
@@ -92,8 +92,8 @@ def _random_band_coeffs(grid: Grid, rng, band):
     if grid.dim == 1:
         for k in range(1, band + 1):
             z = complex(rng.standard_normal(), rng.standard_normal())
-            c[grid.coeff_index(k)] = z
-            c[grid.coeff_index(-k)] = np.conj(z)
+            c[k] = z
+            c[-k] = np.conj(z)
     else:
         # One representative per Hermitian pair: k1 > 0, or k1 = 0 and k2 > 0.
         for k1 in range(0, band + 1):
@@ -101,8 +101,8 @@ def _random_band_coeffs(grid: Grid, rng, band):
                 if k1 == 0 and k2 <= 0:
                     continue
                 z = complex(rng.standard_normal(), rng.standard_normal())
-                c[grid.coeff_index((k1, k2))] = z
-                c[grid.coeff_index((-k1, -k2))] = np.conj(z)
+                c[k1, k2] = z
+                c[-k1, -k2] = np.conj(z)
     return c
 
 
@@ -112,18 +112,11 @@ def random_bandlimited(grid: Grid, seed=0, band=8, amplitude=0.1) -> WaveState:
     if not 1 <= band <= top:
         raise ValueError(f"band must lie in [1, {top}], the grid's 2/3-rule band, got {band}")
     rng = np.random.default_rng(int(seed))
-    if grid.dim == 1:
-        fields = []
-        for _ in range(2):  # eta, then v
-            f = Field.from_coeffs(grid, _random_band_coeffs(grid, rng, band))
-            peak = f.linf()
-            fields.append((float(amplitude) / peak) * f if peak > 0 else f)
-        return WaveState(fields[0], (fields[1],))
     eta, psi = (grid.half(_random_band_coeffs(grid, rng, band)) for _ in range(2))
-    u = np.concatenate([eta[None], _gradient(grid, psi)])
+    u = np.concatenate([eta[None], psi[None] if grid.dim == 1 else _gradient(grid, psi)])
     x = grid.inverse_half(u)
     peak = float(np.max(np.abs(x[0])))
-    speed = math.sqrt(float(np.max(x[1] ** 2 + x[2] ** 2)))
+    speed = math.sqrt(float(np.max(np.sum(x[1:] ** 2, axis=0))))
     u[0] *= float(amplitude) / peak if peak > 0 else 1.0
     u[1:] *= float(amplitude) / speed if speed > 0 else 1.0
     return WaveState.from_packed(grid, u, 0.0)

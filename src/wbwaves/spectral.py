@@ -13,12 +13,12 @@ Under this scaling Parseval holds without loose 2*pi factors,
 
 so L2 and Sobolev norms are plain weighted sums over coefficients, and the
 coefficient of an integer mode is resolution independent (c(k) = sqrt(L)
-times the Fourier-series coefficient).  ``Grid.transform``, ``Grid.inverse``
-and, for the rfftn half spectrum, ``Grid.inverse_half`` apply this scaling;
-the solver's forcing folds it into its precomputed weights.  Every norm,
-product and operator of the solver, the reports and the studies acts on
-half-spectrum arrays (``Grid.half``, ``WaveState.packed``); a symbol's
-multiplier on them is ``grid.half(sym.multiplier(grid, axis))``.
+times the Fourier-series coefficient).  ``Grid.forward_half`` and
+``Grid.inverse_half``, the rfftn pair, apply this scaling; the solver's
+forcing folds it into its precomputed weights.  Every norm, product and
+operator of the solver, the reports and the studies acts on half-spectrum
+arrays (``Grid.half``, ``WaveState.packed``); a symbol's multiplier on them
+is ``grid.half(sym.multiplier(grid, axis))``.
 
 Conventions forced by the finite periodic lattice:
 
@@ -172,21 +172,10 @@ class Grid:
         a = np.broadcast_to(a, self.shape)[..., : self.n[-1] // 2 + 1]
         return np.ascontiguousarray(a)
 
-    def coeff_index(self, k):
-        """Array index of integer mode k (int in 1D, pair in 2D)."""
-        if self.dim == 1:
-            return int(k) % self.n[0]
-        return tuple(int(kj) % m for kj, m in zip(k, self.n))
-
-    def transform(self, values):
-        values = np.asarray(values)
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise SpectralError(f"non-finite sample at grid index {tuple(bad)}")
-        return np.fft.fftn(values) * self._norm_factor
-
-    def inverse(self, coeffs):
-        return np.fft.ifftn(np.asarray(coeffs)) / self._norm_factor
+    def forward_half(self, values):
+        """The half-spectrum coefficients (..., *half; see ``half``) of real
+        samples (..., *n), by one rfftn over the last ``dim`` axes."""
+        return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0))) * self._norm_factor
 
     def inverse_half(self, c):
         """The real samples of half-spectrum coefficients ``c`` (..., *half;
@@ -195,18 +184,12 @@ class Grid:
         x /= self._norm_factor
         return x
 
-    def zero_field(self):
-        return Field(self, np.zeros(self.shape))
-
 
 class Field:
-    """Real grid function with lazily cached spectral coefficients.
+    """Real grid function: finite float64 samples, immutable after
+    construction."""
 
-    Values are immutable after construction; the coefficient cache is
-    computed at most once (a benign race under concurrent readers).
-    """
-
-    __slots__ = ("grid", "values", "_coeffs")
+    __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=np.float64)
@@ -219,18 +202,14 @@ class Field:
         values.setflags(write=False)
         self.grid = grid
         self.values = values
-        self._coeffs = None
 
     @classmethod
     def from_coeffs(cls, grid, coeffs, context="inverse transform"):
-        """Build a real field from coefficients, enforcing the realness bound.
-
-        The coefficient cache is left to be rebuilt from the real samples:
-        long complex-arithmetic pipelines leave an anti-Hermitian roundoff
-        residue that growing symbols (e.g. a derivative) would amplify, while
-        the transform of exactly real samples is Hermitian to fresh roundoff.
-        """
-        w = grid.inverse(coeffs)
+        """Build a real field from full fftn-lattice coefficients, enforcing
+        the realness bound.  No package code calls it (states are built on
+        the half spectrum); ``bench/tracer.py`` wraps it by name, and the
+        tests' full-spectrum references use it."""
+        w = np.fft.ifftn(coeffs) / grid._norm_factor
         scale = float(np.max(np.abs(w))) if w.size else 0.0
         imag = float(np.max(np.abs(w.imag))) if w.size else 0.0
         if imag > REALNESS_TOL * scale:
@@ -245,16 +224,8 @@ class Field:
         """A field kept on ``values`` as they are, no copy: read-only finite
         float64 samples of the grid's shape, which the caller checked."""
         f = cls.__new__(cls)
-        f.grid, f.values, f._coeffs = grid, values, None
+        f.grid, f.values = grid, values
         return f
-
-    @property
-    def coeffs(self):
-        if self._coeffs is None:
-            c = self.grid.transform(self.values)
-            c.setflags(write=False)
-            self._coeffs = c
-        return self._coeffs
 
     def linf(self):
         return float(np.max(np.abs(self.values)))

@@ -59,8 +59,8 @@ class WaveState:
     a transform over it.  ``from_packed`` turns an array or a whole stack
     back into states that keep it, with the fields' samples from one
     inverse rfftn; ``EnergyReport.measure`` reads a list of such states as
-    one stack again.  ``Field.coeffs``, the full fftn spectrum of a field's
-    samples, is read only to pack a state built from fields.
+    one stack again.  A state built from fields is packed by one rfftn of
+    its stacked samples (``Grid.forward_half``).
     """
 
     __slots__ = ("eta", "vel", "time", "_packed")
@@ -115,7 +115,7 @@ class WaveState:
     def packed(self):
         """The read-only (1 + d, *half) rfftn coefficient array (see Layout)."""
         if self._packed is None:
-            u = np.stack([self.grid.half(f.coeffs) for f in (self.eta, *self.vel)])
+            u = self.grid.forward_half(np.stack([f.values for f in (self.eta, *self.vel)]))
             u.flags.writeable = False
             self._packed = u
         return self._packed
@@ -137,20 +137,21 @@ class WaveState:
 
     @classmethod
     def zero(cls, grid: Grid, time=0.0):
-        return cls(grid.zero_field(), tuple(grid.zero_field() for _ in range(grid.dim)), time)
+        zero = Field(grid, np.zeros(grid.shape))
+        return cls(zero, (zero,) * grid.dim, time)
 
 
 def _samples(grid: Grid, u):
     """The real samples of every field of a (B, 1 + d, *half) stack, by one
-    inverse rfftn, under ``Field.from_coeffs``'s realness rule.
+    inverse rfftn, checked real: the imaginary part of the inverse of the
+    full spectrum the half one stands for stays within REALNESS_TOL of the
+    field's largest sample (``Field.from_coeffs``'s rule).
 
-    The full spectrum the half one stands for mirrors the last axis's
-    interior columns, so the imaginary part of its inverse comes from the
-    self-conjugate columns 0 and n/2 alone: at x = (x', x_d) it is
-    (Im g_0(x') + (-1)^x_d Im g_n/2(x')) / n_d, g the inverse transform of a
-    column over the other axes (none in 1D).  Its largest value,
-    |Im g_0| + |Im g_n/2| at the worst x', must stay within REALNESS_TOL of
-    the field's largest sample."""
+    That full spectrum mirrors the last axis's interior columns, so the
+    imaginary part of its inverse comes from the self-conjugate columns 0
+    and n/2 alone: at x = (x', x_d) it is (Im g_0(x') + (-1)^x_d Im
+    g_n/2(x')) / n_d, g the inverse transform of a column over the other
+    axes (none in 1D), at most |Im g_0| + |Im g_n/2| at the worst x'."""
     d, n = grid.dim, grid.n[-1]
     axes = tuple(range(-d, 0))
     x = grid.inverse_half(u)
@@ -194,7 +195,7 @@ def _check_curl(grid: Grid, u):
 def curl_residue(vel) -> float:
     """Homogeneous-L2 norm of d1 v2 - d2 v1 computed spectrally."""
     grid = vel[0].grid
-    return float(_curl_residue(grid, np.stack([grid.half(c.coeffs) for c in vel])))
+    return float(_curl_residue(grid, grid.forward_half(np.stack([c.values for c in vel]))))
 
 
 def _curl_residue(grid: Grid, vel_c):

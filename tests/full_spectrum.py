@@ -1,11 +1,13 @@
-"""The full-spectrum field operators the package once had, kept as
-independent references for the tests.
+"""The full-spectrum transforms and field operators the package once had,
+kept as independent references for the tests.
 
-Each acts on ``Field`` objects through their full fftn spectra
-(``Field.coeffs``) and returns a new ``Field`` (or a float) by one inverse
-fftn per result, the way the package computed them before every operator
-moved to the half spectrum.  The package's half-spectrum code is checked
-against them, never the other way round.
+``transform``, ``coeffs``, ``inverse`` and ``index`` are the full fftn
+lattice under the package's scaling (see the ``spectral`` module
+docstring).  The operators act on ``Field`` objects through those full
+spectra and return a new ``Field`` (or a float) by one inverse fftn per
+result, the way the package computed them before every operator moved to
+the half spectrum.  The package's half-spectrum code is checked against
+them, never the other way round.
 """
 
 import math
@@ -15,9 +17,36 @@ import numpy as np
 from wbwaves.spectral import Field, SymbolCatalog
 
 
+def transform(grid, values):
+    """The full fftn spectrum of samples on ``grid``."""
+    return np.fft.fftn(values) * grid._norm_factor
+
+
+def coeffs(f):
+    """The full fftn spectrum of a field's samples."""
+    return transform(f.grid, f.values)
+
+
+def inverse(grid, c):
+    """The complex samples of a full spectrum ``c``."""
+    return np.fft.ifftn(c) / grid._norm_factor
+
+
+def index(grid, k):
+    """Array index of integer mode k (int in 1D, pair in 2D), FFT order."""
+    if grid.dim == 1:
+        return int(k) % grid.n[0]
+    return tuple(int(kj) % m for kj, m in zip(k, grid.n))
+
+
+def zero(grid):
+    """The zero field."""
+    return Field(grid, np.zeros(grid.shape))
+
+
 def apply_multiplier(sym, f, axis=0):
     """A real-to-real Fourier multiplier applied to a real field."""
-    out = sym.multiplier(f.grid, axis=axis) * f.coeffs
+    out = sym.multiplier(f.grid, axis=axis) * coeffs(f)
     return Field.from_coeffs(f.grid, out, context=f"apply {sym.name}")
 
 
@@ -30,7 +59,7 @@ def lp_norm(f, p):
 def sobolev_norm(f, order):
     """H^order (Bessel potential) norm, a sum over the full spectrum."""
     w = SymbolCatalog.bessel(2.0 * float(order)).values(f.grid)
-    return float(math.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
+    return float(math.sqrt(np.sum(w * np.abs(coeffs(f)) ** 2)))
 
 
 def pair_product(f, g):
@@ -38,9 +67,9 @@ def pair_product(f, g):
     truncated so the retained band is alias free."""
     grid = f.grid
     mask = grid.dealias_mask
-    fv = grid.inverse(np.where(mask, f.coeffs, 0.0)).real
-    gv = grid.inverse(np.where(mask, g.coeffs, 0.0)).real
-    ch = grid.transform(fv * gv)
+    fv = inverse(grid, np.where(mask, coeffs(f), 0.0)).real
+    gv = inverse(grid, np.where(mask, coeffs(g), 0.0)).real
+    ch = transform(grid, fv * gv)
     return Field.from_coeffs(grid, np.where(mask, ch, 0.0))
 
 

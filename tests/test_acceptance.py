@@ -31,6 +31,8 @@ from wbwaves.presets import random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid
 from wbwaves.state import Params, WaveState, curl_residue, weighted_pair_norm
 
+from full_spectrum import coeffs, index
+
 
 def report(num, name, ok, detail):
     line = f"[criterion {num:02d}] {name}: {detail} -> {'PASS' if ok else 'FAIL'}"
@@ -175,7 +177,7 @@ def test_criterion_10_two_dimensional_structure():
     drift = max(abs(x - h[0]) for x in h) / abs(h[0])
     worst_curl = 0.0
     for st in res.states:
-        scale = 1.0 + math.sqrt(sum(float(np.sum(np.abs(c.coeffs) ** 2)) for c in st.vel))
+        scale = 1.0 + math.sqrt(sum(float(np.sum(np.abs(coeffs(c)) ** 2)) for c in st.vel))
         worst_curl = max(worst_curl, curl_residue(st.vel) / scale)
     ok = worst_curl <= 1e-10 and drift <= 1e-7
     report(10, "2D curl-free structure", ok,
@@ -189,16 +191,16 @@ def test_criterion_11_numerics_sanity():
     c_eta = np.zeros(512, dtype=complex)
     c_v = np.zeros(512, dtype=complex)
     for k in range(-85, 86):
-        c_eta[fine.coeff_index(k)] = u_c.eta.coeffs[coarse.coeff_index(k)]
-        c_v[fine.coeff_index(k)] = u_c.v.coeffs[coarse.coeff_index(k)]
+        c_eta[index(fine, k)] = coeffs(u_c.eta)[index(coarse, k)]
+        c_v[index(fine, k)] = coeffs(u_c.v)[index(coarse, k)]
     u_f = WaveState(Field.from_coeffs(fine, c_eta), (Field.from_coeffs(fine, c_v),))
     params = Params(kappa=1.0, s=1.0)
     fa = evolve(u_c, params, IntegratorConfig(dt=1e-3), T=1.0).final
     fb = evolve(u_f, params, IntegratorConfig(dt=1e-3), T=1.0).final
     refine_diff = 0.0
     for k in range(-128, 128):
-        refine_diff += abs(fa.eta.coeffs[coarse.coeff_index(k)] - fb.eta.coeffs[fine.coeff_index(k)]) ** 2
-        refine_diff += abs(fa.v.coeffs[coarse.coeff_index(k)] - fb.v.coeffs[fine.coeff_index(k)]) ** 2
+        refine_diff += abs(coeffs(fa.eta)[index(coarse, k)] - coeffs(fb.eta)[index(fine, k)]) ** 2
+        refine_diff += abs(coeffs(fa.v)[index(coarse, k)] - coeffs(fb.v)[index(fine, k)]) ** 2
     refine_diff = math.sqrt(refine_diff)
 
     # temporal order of the exponential integrator

@@ -82,6 +82,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="mu"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("system", ["wb1d", "wb2d"])
+    def test_duhamel_rejected_for_unregularized(self, tmp_path, capsys, system):
+        raw = small_run("x", system=system)
+        raw["integrator"]["method"] = "picard_duhamel"
+        with pytest.raises(ConfigError, match=f"picard_duhamel.*{system}"):
+            config_from_dict(raw)
+        assert main(["describe", write_config(tmp_path, raw)]) == 1
+        assert system in capsys.readouterr().err
+
     def test_bad_system(self):
         with pytest.raises(ConfigError, match="system"):
             config_from_dict(small_run("x", system="kdv"))

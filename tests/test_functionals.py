@@ -15,7 +15,7 @@ from wbwaves.presets import random_bandlimited
 from wbwaves.spectral import Field, Grid, SpectralError
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
-from full_spectrum import apply_multiplier, sobolev_norm
+from full_spectrum import apply_multiplier, coeffs, index, inverse, sobolev_norm, zero
 
 TWO_PI = 2 * math.pi
 
@@ -32,7 +32,8 @@ def cos_field(grid, k=1):
 def triple_quadrature(f, g, h):
     """Grid quadrature of f*g*h with each factor cut to the 2/3 band."""
     grid = f.grid
-    fv, gv, hv = (grid.inverse(np.where(grid.dealias_mask, x.coeffs, 0.0)).real for x in (f, g, h))
+    mask = grid.dealias_mask
+    fv, gv, hv = (inverse(grid, np.where(mask, coeffs(x), 0.0)).real for x in (f, g, h))
     return grid.cell * np.sum(fv * gv * hv)
 
 
@@ -55,11 +56,11 @@ def brute_force_energy(state, params, refine=4):
         n = grid.n[0]
         for k in range(-n // 2 + 1, n // 2):
             if grid.dim == 1:
-                c[fine.coeff_index(k)] = f.coeffs[grid.coeff_index(k)]
+                c[index(fine, k)] = coeffs(f)[index(grid, k)]
             else:
                 for k2 in range(-grid.n[1] // 2 + 1, grid.n[1] // 2):
-                    c[fine.coeff_index((k, k2))] = f.coeffs[grid.coeff_index((k, k2))]
-        return fine.inverse(c).real
+                    c[index(fine, (k, k2))] = coeffs(f)[index(grid, (k, k2))]
+        return inverse(fine, c).real
 
     s = params.s
     # weighted norm, written out mode by mode
@@ -67,16 +68,16 @@ def brute_force_energy(state, params, refine=4):
     a = np.asarray(grid.xi_norm)
     for idx in np.ndindex(grid.shape):
         w = (1 + a[idx] ** 2) ** (s - 0.5)
-        total += w * (1 + params.kappa * a[idx] ** 2) * abs(state.eta.coeffs[idx]) ** 2
+        total += w * (1 + params.kappa * a[idx] ** 2) * abs(coeffs(state.eta)[idx]) ** 2
         ktrm = a[idx] / math.tanh(a[idx]) if a[idx] > 0 else 1.0
         for comp in state.vel:
-            total += w * ktrm * abs(comp.coeffs[idx]) ** 2
+            total += w * ktrm * abs(coeffs(comp)[idx]) ** 2
     # cubic term on the fine grid
     eta_f = interp(state.eta)
     cubic = 0.0
     for comp in state.vel:
         bess = (1 + a * a) ** ((s - 0.5) / 2.0)
-        jv = Field.from_coeffs(grid, bess * comp.coeffs)
+        jv = Field.from_coeffs(grid, bess * coeffs(comp))
         jv_f = interp(jv)
         cubic += fine.cell * np.sum(eta_f * jv_f * jv_f)
     return 0.5 * total + 0.5 * cubic
@@ -85,13 +86,13 @@ def brute_force_energy(state, params, refine=4):
 class TestHamiltonian:
     def test_cosine_elevation(self):
         g = Grid(64)
-        st = WaveState(cos_field(g), (g.zero_field(),))
+        st = WaveState(cos_field(g), (zero(g),))
         assert hamiltonian(st, Params(kappa=1.0)) == pytest.approx(math.pi, rel=1e-13)
 
     def test_cosine_velocity(self):
         # 1/2 * (1/tanh 1) * ||cos||_L2^2 = (pi/2) / tanh(1)
         g = Grid(64)
-        st = WaveState(g.zero_field(), (cos_field(g),))
+        st = WaveState(zero(g), (cos_field(g),))
         want = 0.5 * math.pi / math.tanh(1.0)
         assert hamiltonian(st, Params(kappa=0.3)) == pytest.approx(want, rel=1e-13)
 
@@ -126,7 +127,7 @@ class TestHamiltonian:
         g = Grid((32, 32))
         x1 = np.asarray(g.x[0])
         eta = Field(g, 0.2 * np.cos(x1) * np.ones(g.shape))
-        st = WaveState(eta, (g.zero_field(), g.zero_field()))
+        st = WaveState(eta, (zero(g), zero(g)))
         want = 0.5 * (1 + 0.5) * 0.04 * math.pi * TWO_PI
         assert hamiltonian(st, Params(kappa=0.5)) == pytest.approx(want, rel=1e-12)
 
@@ -140,7 +141,7 @@ class TestMomentum:
 
     def test_zero_velocity(self):
         g = Grid(32)
-        st = WaveState(cos_field(g), (g.zero_field(),))
+        st = WaveState(cos_field(g), (zero(g),))
         assert momentum(st, Params()) == 0.0
 
     def test_orthogonal_modes(self):
@@ -161,7 +162,7 @@ class TestWeightedPairNorm:
     def test_cosine_at_half(self):
         # kappa ||dx cos||_L2^2 + ||cos||_L2^2 = pi + pi at kappa = 1, s = 1/2
         g = Grid(64)
-        st = WaveState(cos_field(g), (g.zero_field(),))
+        st = WaveState(cos_field(g), (zero(g),))
         assert weighted_pair_norm(st, 0.5, 1.0) == pytest.approx(math.sqrt(TWO_PI), rel=1e-13)
 
     def test_kappa_zero_reduction(self):
@@ -190,7 +191,7 @@ class TestModifiedEnergy:
 
     def test_modifier_drops_for_flat_surface(self):
         g = Grid(64)
-        st = WaveState(g.zero_field(), (cos_field(g),))
+        st = WaveState(zero(g), (cos_field(g),))
         params = Params(kappa=1.0, s=1.5)
         want = 0.5 * weighted_pair_norm(st, 1.5, 1.0) ** 2
         assert modified_energy(st, params) == pytest.approx(want, rel=1e-13)
@@ -246,11 +247,11 @@ class TestDifferenceEnergy:
         c_eta = np.zeros(fine.shape, dtype=np.complex128)
         c_jw = np.zeros(fine.shape, dtype=np.complex128)
         bess = (1 + np.asarray(g.xi_norm) ** 2) ** ((r - 0.5) / 2)
-        jw = Field.from_coeffs(g, bess * w.coeffs)
+        jw = Field.from_coeffs(g, bess * coeffs(w))
         for k in range(-15, 16):
-            c_eta[fine.coeff_index(k)] = a.eta.coeffs[g.coeff_index(k)]
-            c_jw[fine.coeff_index(k)] = jw.coeffs[g.coeff_index(k)]
-        cubic = fine.cell * np.sum(fine.inverse(c_eta).real * fine.inverse(c_jw).real ** 2)
+            c_eta[index(fine, k)] = coeffs(a.eta)[index(g, k)]
+            c_jw[index(fine, k)] = coeffs(jw)[index(g, k)]
+        cubic = fine.cell * np.sum(inverse(fine, c_eta).real * inverse(fine, c_jw).real ** 2)
         want = 0.5 * (
             params.kappa * sobolev_norm(theta, r + 0.5) ** 2
             + sobolev_norm(w, r) ** 2
@@ -280,7 +281,7 @@ class TestSmallness:
 class TestCoercivity:
     def test_flat_surface_gives_one(self):
         g = Grid(32)
-        st = WaveState(g.zero_field(), (cos_field(g),))
+        st = WaveState(zero(g), (cos_field(g),))
         assert coercivity_ratio(st, Params(s=1.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_small_states_near_one(self):
@@ -308,8 +309,8 @@ class TestRefinementStability:
         c_eta = np.zeros(fine.shape, dtype=np.complex128)
         c_v = np.zeros(fine.shape, dtype=np.complex128)
         for k in range(-31, 32):
-            c_eta[fine.coeff_index(k)] = st.eta.coeffs[coarse.coeff_index(k)]
-            c_v[fine.coeff_index(k)] = st.v.coeffs[coarse.coeff_index(k)]
+            c_eta[index(fine, k)] = coeffs(st.eta)[index(coarse, k)]
+            c_v[index(fine, k)] = coeffs(st.v)[index(coarse, k)]
         st2 = WaveState(Field.from_coeffs(fine, c_eta), (Field.from_coeffs(fine, c_v),))
         for fn in (hamiltonian, momentum, modified_energy):
             a, b = fn(st, params), fn(st2, params)

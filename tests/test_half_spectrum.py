@@ -2,12 +2,12 @@
 
 ``WaveState.packed`` is a state as one (1 + d, *half) array of rfftn
 coefficients; the solver integrates it and every state functional reads it,
-while ``Field.coeffs`` keeps full fftn spectra.  ``FullSpectrumOps`` below
-is the former layout of the operators: a tuple of full spectra, every
-multiplier on the full lattice, the same arithmetic.  Only the transforms
-differ (rfft against fft roundoff), so every operator, one ERK4 step and
+while ``full_spectrum.coeffs`` gives a field's full fftn spectrum.
+``FullSpectrumOps`` below is the former layout of the operators: a tuple of
+full spectra, every multiplier on the full lattice, the same arithmetic.
+Only the transforms differ (rfft against fft roundoff), so every operator, one ERK4 step and
 one Duhamel sweep agree to OPERATOR_RTOL on the half slice.  The ``full_*``
-functions are the former functionals on ``Field.coeffs``, and
+functions are the former functionals on those full spectra, and
 ``full_spectrum_state`` (a Hermitian mirror, then ``Field.from_coeffs``)
 the former way back from a packed array; the energy report agrees with
 them to FUNCTIONAL_RTOL, its samples and pointwise columns to
@@ -40,7 +40,9 @@ from wbwaves.presets import (
     _random_band_coeffs,
     gaussian_bump,
     random_bandlimited,
+    single_mode,
 )
+from wbwaves.snapshot import read_snapshot, write_snapshot
 from wbwaves.spectral import (
     REALNESS_TOL,
     Field,
@@ -50,7 +52,7 @@ from wbwaves.spectral import (
 )
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, curl_residue, weighted_pair_norm
 
-from full_spectrum import apply_multiplier, sobolev_norm
+from full_spectrum import apply_multiplier, coeffs, inverse, sobolev_norm, zero
 
 OPERATOR_RTOL = 1e-13
 FUNCTIONAL_RTOL = 1e-13
@@ -97,7 +99,7 @@ class FullSpectrumOps:
         return np.fft.fftn(values) * self.grid._norm_factor
 
     def phys(self, c):
-        return self.grid.inverse(c * self.mask).real
+        return inverse(self.grid, c * self.mask).real
 
     def nonlinear(self, u):
         eta = self.phys(u[0])
@@ -170,11 +172,11 @@ def max_rel(got, want):
 
 
 def full_state(grid, seed):
-    """A random state built from its fields, so that ``packed()`` is the half
-    slice of the fields' full spectra, and those spectra."""
+    """A random state built from its fields, so that ``packed()`` is the
+    rfftn of their samples, and the fields' full spectra."""
     st = random_bandlimited(grid, seed=seed, band=min(grid.n) // 3, amplitude=0.3)
     st = WaveState(st.eta, st.vel, st.time)
-    return st, (st.eta.coeffs,) + tuple(c.coeffs for c in st.vel)
+    return st, (coeffs(st.eta),) + tuple(coeffs(c) for c in st.vel)
 
 
 @pytest.mark.parametrize("n", GRIDS)
@@ -231,13 +233,13 @@ def triple_quadrature(f, g, h):
     """Grid quadrature of f*g*h with each factor cut to the 2/3 band."""
     grid = f.grid
     mask = grid.dealias_mask
-    fv, gv, hv = (grid.inverse(np.where(mask, x.coeffs, 0.0)).real for x in (f, g, h))
+    fv, gv, hv = (inverse(grid, np.where(mask, coeffs(x), 0.0)).real for x in (f, g, h))
     return grid.cell * np.sum(fv * gv * hv)
 
 
 def full_weighted_norm(state, s, kappa):
-    coeffs = [f.coeffs for f in (state.eta, *state.vel)]
-    return math.sqrt(full_weighted_sq(state.grid, coeffs, s, kappa))
+    spectra = [coeffs(f) for f in (state.eta, *state.vel)]
+    return math.sqrt(full_weighted_sq(state.grid, spectra, s, kappa))
 
 
 def full_cubic_modifier(state, order):
@@ -258,13 +260,13 @@ def speed_linf(state):
 
 
 def full_report(state, params):
-    """Every EnergyReport column, by the formulas on Field.coeffs."""
+    """Every EnergyReport column, by the formulas on full spectra."""
     grid, kappa, s = state.grid, params.kappa, params.s
     cubic = sum(triple_quadrature(state.eta, comp, comp) for comp in state.vel)
     momentum = math.nan
     if grid.dim == 1:
         kinv2 = SymbolCatalog.d_over_tanh().values(grid)
-        momentum = float(np.real(np.sum(np.conj(state.eta.coeffs) * kinv2 * state.v.coeffs)))
+        momentum = float(np.real(np.sum(np.conj(coeffs(state.eta)) * kinv2 * coeffs(state.v))))
     return {
         "time": state.time,
         "hamiltonian": 0.5 * (full_weighted_norm(state, 0.5, kappa) ** 2 + cubic),
@@ -518,7 +520,7 @@ class TestHalfSpectrumConvention:
     def test_packed_round_trip(self, n):
         grid = Grid(n)
         st, full = full_state(grid, 7)
-        assert np.array_equal(st.packed(), half(grid, full))
+        assert max_rel(st.packed(), half(grid, full)) <= OPERATOR_RTOL
         back = WaveState.from_packed(grid, st.packed(), st.time)
         for a, b in zip((st.eta, *st.vel), (back.eta, *back.vel)):
             assert np.max(np.abs(a.values - b.values)) <= ROUND_TRIP_RTOL * np.max(np.abs(a.values))
@@ -537,13 +539,13 @@ class TestHalfSpectrumConvention:
         that is not curl free."""
         grid = Grid((16, 24))
         x1, x2 = (np.asarray(x) for x in grid.x)
-        vel = (Field(grid, np.cos(x2) + 0 * x1), grid.zero_field())
+        vel = (Field(grid, np.cos(x2) + 0 * x1), zero(grid))
         d = [SymbolCatalog.partial(j).multiplier(grid, axis=j) for j in range(2)]
-        want = math.sqrt(np.sum(np.abs(d[0] * vel[1].coeffs - d[1] * vel[0].coeffs) ** 2))
+        want = math.sqrt(np.sum(np.abs(d[0] * coeffs(vel[1]) - d[1] * coeffs(vel[0])) ** 2))
         assert math.isclose(curl_residue(vel), want, rel_tol=PARSEVAL_RTOL)
         with pytest.raises(ValueError, match="not curl free"):
-            WaveState(grid.zero_field(), vel)
-        u = np.stack([grid.half(f.coeffs) for f in (grid.zero_field(), *vel)])
+            WaveState(zero(grid), vel)
+        u = np.stack([grid.half(coeffs(f)) for f in (zero(grid), *vel)])
         with pytest.raises(ValueError, match="not curl free"):
             WaveState.from_packed(grid, u, 0.0)
 
@@ -628,10 +630,17 @@ def _fields(state):
     return np.stack([f.values for f in (state.eta, *state.vel)])
 
 
+def old_packed(state):
+    """The former packing of a field-built state: each field's full fftn
+    spectrum, cut to the half slice."""
+    return np.stack([state.grid.half(coeffs(f)) for f in (state.eta, *state.vel)])
+
+
 class TestPresetsAgainstFieldPath:
-    """The 2D presets build their gradient velocities on the half spectrum;
-    they agree with the former field-built states to PRESET_RTOL of the
-    largest value, while every 1D preset is the former one bit for bit."""
+    """``random_bandlimited`` and the 2D ``gaussian_bump`` build their states
+    on the half spectrum, and a field-built state is packed by one rfftn;
+    they agree with the former field-built states and fftn packing to
+    PRESET_RTOL of the largest value."""
 
     PRESET_RTOL = 1e-13
 
@@ -653,10 +662,19 @@ class TestPresetsAgainstFieldPath:
         self._close_states(got, old_gaussian_bump_2d(grid, 0.1, 0.6))
 
     @pytest.mark.parametrize("n", [64, 256])
-    def test_random_bandlimited_1d_bitwise(self, n):
+    def test_random_bandlimited_1d(self, n):
         grid = Grid(n)
         for seed, band in ((0, 6), (3, 21)):
             got = random_bandlimited(grid, seed=seed, band=band, amplitude=0.5)
-            want = old_random_bandlimited(grid, seed, band, 0.5)
-            assert np.array_equal(got.packed(), want.packed())
-            assert np.array_equal(_fields(got), _fields(want))
+            self._close_states(got, old_random_bandlimited(grid, seed, band, 0.5))
+
+    @pytest.mark.parametrize("n", [(64,), (32, 32), (16, 24)])
+    def test_field_built_states_pack_as_before(self, n, tmp_path):
+        """``single_mode`` and a snapshot read back are built from fields."""
+        grid = Grid(n)
+        path = tmp_path / "state.wbsnap"
+        write_snapshot(path, random_bandlimited(grid, seed=2, band=4, amplitude=0.3))
+        mode = 3 if grid.dim == 1 else (2, -1)
+        for st in (single_mode(grid, 0.2, mode=mode), read_snapshot(path)):
+            want = old_packed(st)
+            assert np.max(np.abs(st.packed() - want)) <= self.PRESET_RTOL * np.max(np.abs(want))

@@ -24,7 +24,14 @@ from wbwaves.inequalities import (
 from wbwaves.presets import random_bandlimited
 from wbwaves.spectral import Field, Grid, SymbolCatalog
 
-from full_spectrum import apply_multiplier, commutator, lp_norm, pair_product, sobolev_norm
+from full_spectrum import (
+    apply_multiplier,
+    coeffs,
+    commutator,
+    lp_norm,
+    pair_product,
+    sobolev_norm,
+)
 
 REPORT_RTOL = 1e-12
 
@@ -91,7 +98,7 @@ def family(grid, count, **kwargs):
 
 def stack(*fields):
     """The (B, *half) stack of some fields' half spectra."""
-    return np.stack([f.grid.half(f.coeffs) for f in fields])
+    return np.stack([f.grid.half(coeffs(f)) for f in fields])
 
 
 def rough_fields(grid, count, seed0=200, amplitude=0.5):

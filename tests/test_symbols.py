@@ -19,10 +19,10 @@ from wbwaves.dynamics import _ops
 from wbwaves.experiments import low_capillarity_error
 from wbwaves.functionals import hamiltonian
 from wbwaves.presets import random_bandlimited
-from wbwaves.spectral import Grid, SymbolCatalog
+from wbwaves.spectral import Field, Grid, SymbolCatalog
 from wbwaves.state import Params, _norm_weights, _weighted_sq_coeffs
 
-from full_spectrum import apply_multiplier, sobolev_norm
+from full_spectrum import apply_multiplier, coeffs, inverse, sobolev_norm
 
 GRIDS = [(256,), (64,), (128, 128), (16, 24)]
 KAPPAS = [1.0, 0.37, 0.0]
@@ -83,11 +83,11 @@ def quadrature_hamiltonian(state, params):
         d = apply_multiplier(SymbolCatalog.partial(axis), eta, axis=axis)
         quad += params.kappa * (grid.cell * np.sum(d.values**2))
     kinv2 = _x_over_tanh(grid.xi_norm)
-    eta_band = grid.inverse(np.where(grid.dealias_mask, eta.coeffs, 0.0)).real
+    eta_band = inverse(grid, np.where(grid.dealias_mask, coeffs(eta), 0.0)).real
     cubic = 0.0
     for comp in state.vel:
-        quad += float(np.sum(kinv2 * np.abs(comp.coeffs) ** 2))
-        v_band = grid.inverse(np.where(grid.dealias_mask, comp.coeffs, 0.0)).real
+        quad += float(np.sum(kinv2 * np.abs(coeffs(comp)) ** 2))
+        v_band = inverse(grid, np.where(grid.dealias_mask, coeffs(comp), 0.0)).real
         cubic += grid.cell * np.sum(eta_band * v_band * v_band)
     return 0.5 * (quad + cubic)
 
@@ -102,9 +102,9 @@ def parseval_count(grid):
 def coefficient_low_capillarity_error(a, b):
     theta = a.eta - b.eta
     kinv2 = _x_over_tanh(a.grid.xi_norm)
-    total = float(np.sum(np.abs(theta.coeffs) ** 2))
+    total = float(np.sum(np.abs(coeffs(theta)) ** 2))
     for va, vb in zip(a.vel, b.vel):
-        total += float(np.sum(kinv2 * np.abs((va - vb).coeffs) ** 2))
+        total += float(np.sum(kinv2 * np.abs(coeffs(va - vb)) ** 2))
     return math.sqrt(total)
 
 
@@ -193,7 +193,7 @@ class TestCatalogEntries:
         grid = Grid(64)
         f = random_bandlimited(grid, seed=4, band=6, amplitude=1.0).v
         a = grid.xi_norm
-        c2 = np.abs(f.coeffs) ** 2
+        c2 = np.abs(coeffs(f)) ** 2
         for order in (0.0, 0.5, 1.0, 2.5):
             assert sobolev_norm(f, order) == math.sqrt(np.sum((1.0 + a * a) ** order * c2))
 
@@ -205,9 +205,9 @@ class TestCatalogEntries:
             a = st.grid.xi_norm
             for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
                 bess = (1.0 + a * a) ** (s - 0.5)
-                want = np.sum(bess * (1.0 + kappa * a * a) * np.abs(st.eta.coeffs) ** 2)
+                want = np.sum(bess * (1.0 + kappa * a * a) * np.abs(coeffs(st.eta)) ** 2)
                 for c in st.vel:
-                    want += np.sum(bess * _x_over_tanh(a) * np.abs(c.coeffs) ** 2)
+                    want += np.sum(bess * _x_over_tanh(a) * np.abs(coeffs(c)) ** 2)
                 got = _weighted_sq_coeffs(st.grid, st.packed(), s, kappa)
                 assert got == pytest.approx(float(want), rel=HAMILTONIAN_RTOL)
 
@@ -266,3 +266,29 @@ def test_only_spectral_spells_out_tanh():
                     if alias.name in ("_tanh_over_x", "_x_over_tanh"):
                         offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert offenders == []
+
+
+def test_half_spectrum_is_the_only_spectral_path():
+    """No module calls (or imports) np.fft.fftn or np.fft.ifftn but inside
+    ``Field.from_coeffs``, which bench/tracer.py wraps by name; Grid and Field
+    keep no full-spectrum transform."""
+    full = ("fftn", "ifftn")
+    offenders = []
+
+    def visit(node, where, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, where + (child.name,), name)
+                continue
+            called = isinstance(child, ast.Attribute) and child.attr in full
+            imported = isinstance(child, ast.alias) and child.name.split(".")[-1] in full
+            if (called or imported) and where != ("Field", "from_coeffs"):
+                offenders.append(f"{name}:{child.lineno} {'.'.join(where)}")
+            visit(child, where, name)
+
+    for path in sorted(Path(wbwaves.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (), path.name)
+    assert offenders == []
+    gone = ("transform", "inverse", "coeff_index", "zero_field")
+    assert [name for name in gone if hasattr(Grid, name)] == []
+    assert not hasattr(Field, "coeffs")
