@@ -1,7 +1,8 @@
 """Command-line entry points: run, study, describe.
 
 Exit codes: 0 success (for ``study``: the pass criterion holds), 1 config
-or usage error or a Duhamel iteration that does not contract, 2 blow-up
+or usage error, an output that cannot be written or a Duhamel iteration
+that does not contract, 2 blow-up
 detected during a run or in a study's sweep member.  Every run writes
 ``run_summary.json`` with status ``ok``, ``blowup`` or ``no_contraction``,
 its number of steps and the effective dt (T over the steps, at most the
@@ -39,9 +40,13 @@ from .typed import like
 
 def _open_output(path):
     """Open an output file for writing, making its directory on first use, so
-    a command rejected before it writes anything leaves no directory."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    return open(path, "w")
+    a command rejected before it writes anything leaves no directory; an
+    output that cannot be written is a ConfigError naming it."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(path, config, rows):

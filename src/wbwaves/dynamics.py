@@ -39,12 +39,14 @@ the nodes it reports on.
 
 Batch axis: every operator, the propagator and both steppers act on
 (..., 1 + d, *half) arrays, the component axis and the d transform axes
-counted from the end, so independent runs on one grid with one ``Params``
-step as one (B, 1 + d, *half) stack, each row exactly as it would alone.
+counted from the end, so independent runs on one grid step as one
+(B, 1 + d, *half) stack, each row exactly as it would alone; members with
+their own ``Params`` share the forcing and step on parameter tables and
+propagator rows with a member axis (a mu = 0 member's heat factor is 1).
 ``evolve`` given a sequence of states integrates them so; its sampling loop
-checks each row, reports on the stack of live members with one
-``from_packed`` and one ``EnergyReport.measure`` call per report step, and
-freezes a blown member at its own time.  A Picard sweep evaluates the
+checks each row, reports on the live members with one ``from_packed`` and
+one ``EnergyReport.measure`` call per report step and distinct (kappa, s),
+and freezes a blown member at its own time.  A Picard sweep evaluates the
 forcing of all its nodes, a (N + 1, 1 + d, *half) stack, in one call, and
 applies its propagators to blocks of nodes; only the Simpson recurrence of
 the even nodes runs node by node, one S(2dt) apply each.
@@ -124,21 +126,30 @@ class _Ops:
     """The system's multipliers on the half spectrum of one grid, stacked
     over the axes j: the derivative d_j, the unit wave vector e_j, the
     restoring G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j, and the forcing's
-    transform weights, G_j (2/3-masked when dealiasing) among them."""
+    transform weights, G_j (2/3-masked when dealiasing) among them.  A tuple
+    of ``params``, one per row of a (B, 1 + d, *half) stack, gives the tables
+    that depend on them a leading member axis; the forcing's do not."""
 
-    def __init__(self, grid: Grid, params: Params, dealias: bool):
+    def __init__(self, grid: Grid, params, dealias: bool):
         self.grid = grid
         cat = SymbolCatalog
         half = grid.half
-        rate = cat.riesz(params.p)
-        self.heat_rate = half(params.kappa * params.mu * rate.values(grid)) if params.mu > 0 else None
-        self.Kk = half(cat.K_kappa(params.kappa).values(grid))
-        self.Kk_inv = half(cat.K_kappa_inv(params.kappa).values(grid))
-        self.phase = half(cat.frequency(grid, params.kappa))
+        batched = isinstance(params, tuple)
+
+        def table(f):
+            return np.stack([f(p) for p in params]) if batched else f(params)
+
+        # A mu = 0 member has rate 0, so its heat factor is exactly 1; with no
+        # viscous member there is no heat factor.
+        rate = table(lambda p: half(p.kappa * p.mu * cat.riesz(p.p).values(grid)))
+        self.heat_rate = (rate[:, None] if batched else rate) if rate.any() else None
+        self.Kk = table(lambda p: half(cat.K_kappa(p.kappa).values(grid)))
+        self.Kk_inv = table(lambda p: half(cat.K_kappa_inv(p.kappa).values(grid)))
+        self.phase = table(lambda p: half(cat.frequency(grid, p.kappa)))
         self.unit = np.stack([half(e) for e in cat.unit_vectors(grid)])
         self.dx = np.stack([half(cat.partial(j).multiplier(grid, axis=j)) for j in range(grid.dim)])
         forcing = np.stack([half(g) for g in cat.forcing(grid)])
-        self.restoring = forcing * half(cat.capillary(params.kappa).values(grid))
+        self.restoring = table(lambda p: forcing * half(cat.capillary(p.kappa).values(grid)))
         # A packed array is (..., 1 + d, *half): the transform axes and the
         # component axis count from the end, so leading axes batch.
         d = grid.dim
@@ -388,7 +399,7 @@ def _stepped(step, ops: _Ops, u, dt, n_steps):
 
 def evolve(
     u0,
-    params: Params,
+    params,
     cfg: IntegratorConfig,
     T: float,
     report_every: float | None = None,
@@ -398,7 +409,8 @@ def evolve(
 
     ``u0`` is one WaveState, or a sequence of states on one grid that are
     integrated together as one (B, 1 + d, *half) stack and give one
-    EvolveResult each, equal to their single runs.  dt is adjusted down so an
+    EvolveResult each, equal to their single runs; ``params`` is one Params
+    for all of them or a sequence of one per member.  dt is adjusted down so an
     integer number of steps lands exactly on T.  At each reported node, the
     first always among them, a member's result appends the time,
     ``keep(state)`` (the state itself when ``keep`` is None) and the
@@ -420,6 +432,9 @@ def evolve(
     report_steps = {round(i * report_every / dt) for i in range(n_rep)} | {n_steps}
     single = isinstance(u0, WaveState)
     members = [u0] if single else list(u0)
+    per = [params] * len(members) if isinstance(params, Params) else list(params)
+    if len(per) != len(members):
+        raise ValueError(f"{len(members)} states need one Params or as many, got {len(per)}")
     results = [EvolveResult() for _ in members]
     if not members:
         return results
@@ -433,7 +448,7 @@ def evolve(
         solved = []
         for b, m in enumerate(members):
             try:
-                solved.append(picard_solve(m, params, cfg, T))
+                solved.append(picard_solve(m, per[b], cfg, T))
             except PicardError as exc:
                 exc.member = b
                 raise
@@ -443,9 +458,12 @@ def evolve(
     else:
         step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
         u = members[0].packed() if single else np.stack([m.packed() for m in members])
-        nodes = _stepped(step, _ops(grid, params, cfg.dealias), u, dt, n_steps)
+        # Members that share one Params step on its unbatched tables.
+        key = per[0] if len(set(per)) == 1 else tuple(per)
+        nodes = _stepped(step, _ops(grid, key, cfg.dealias), u, dt, n_steps)
 
     live = list(range(len(members)))
+    pairs = [(p.kappa, p.s) for p in per]
     row_axes = tuple(range(1, 2 + grid.dim))
     for k, u in enumerate(nodes):
         u = u[None] if single else u
@@ -457,9 +475,11 @@ def evolve(
             bad = [False] * len(members)
         times = [m.time + k * dt for m in members]
         rows = [b for b in live if not bad[b]] if k in report_steps else []
-        if rows:
-            states = WaveState.from_packed(grid, u[rows], [times[b] for b in rows])
-            for b, state, report in zip(rows, states, EnergyReport.measure(states, params)):
+        # A report reads kappa and s alone: one measure call per such pair.
+        for pair in dict.fromkeys(pairs[b] for b in rows):
+            group = [b for b in rows if pairs[b] == pair]
+            states = WaveState.from_packed(grid, u[group], [times[b] for b in group])
+            for b, state, report in zip(group, states, EnergyReport.measure(states, per[group[0]])):
                 res = results[b]
                 res.times.append(times[b])
                 res.states.append(state if keep is None else keep(state))

@@ -10,6 +10,7 @@ the RMS fit residual reported alongside the slope.
 from __future__ import annotations
 
 import math
+from itertools import product
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,21 +96,25 @@ def _checked(member, res: EvolveResult) -> EvolveResult:
     return res
 
 
-def _inviscid(params: Params, cfg: IntegratorConfig):
-    """The params and integrator of a study's mu = 0 run: the Duhamel solver
-    is undefined at mu = 0, so such a run steps by ERK4."""
-    method = "exponential_rk4" if cfg.method == "picard_duhamel" else cfg.method
-    return replace(params, mu=0.0), replace(cfg, method=method)
-
-
-def _evolve(names, members, params, cfg, T, report_every, keep=None):
-    """``evolve`` of the named members: a Duhamel solve that does not
-    contract names its member, as a blow-up does."""
-    try:
-        return evolve(members, params, cfg, T, report_every, keep=keep)
-    except PicardError as exc:
-        exc.member = names[exc.member]
-        raise
+def _integrate(members, cfg, T, report_every, keep=None, checked=True):
+    """The results of ``members``, (name, state, Params) triples, in their
+    order and each ``_checked`` unless ``checked`` is false, from one
+    ``evolve`` call per integrator: under picard_duhamel a mu = 0 member
+    steps by ERK4.  A solve that does not contract names its member."""
+    inviscid = "exponential_rk4" if cfg.method == "picard_duhamel" else cfg.method
+    methods = [cfg.method if p.mu > 0 else inviscid for _, _, p in members]
+    results = {}
+    for m in dict.fromkeys(methods):
+        idx = [i for i, method in enumerate(methods) if method == m]
+        names, states, params = zip(*(members[i] for i in idx))
+        try:
+            results.update(zip(idx, evolve(states, params, replace(cfg, method=m), T,
+                                           report_every, keep=keep)))
+        except PicardError as exc:
+            exc.member = names[exc.member]
+            raise
+    results = [results[i] for i in range(len(members))]
+    return list(map(_checked, [m[0] for m in members], results)) if checked else results
 
 
 def _comparison_error(name, a, b, s, kappa):
@@ -117,6 +122,14 @@ def _comparison_error(name, a, b, s, kappa):
     if orders is None:
         return math.sqrt(_weighted_sq_coeffs(a.grid, d, s, kappa))
     return _sobolev_pair(a.grid, d, *orders)
+
+
+def _sweep(base, key, values, cfg):
+    """The checked runs of ``base``'s datum with the Params field ``key`` at
+    0 (the reference, first) and at each of ``values``, as one batch."""
+    u0 = base.initial_state()
+    members = [(f"{key}={v:g}", u0, replace(base.params, **{key: v})) for v in (0.0, *values)]
+    return _integrate(members, cfg, base.T, base.report_every)
 
 
 def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
@@ -127,10 +140,10 @@ def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
 def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
     """Convergence rate of the solution as the surface tension vanishes.
 
-    Runs the zero-surface-tension system once, each kappa in the sweep, and
-    fits the order of sup-in-time error decay (guaranteed at least 1/2 up
-    to constants).  ``base`` is the RunConfig every member shares; with a
-    ``comparison_norm`` each point also carries the error in that norm."""
+    Runs the zero-surface-tension system and each kappa in the sweep as one
+    batch and fits the order of sup-in-time error decay (guaranteed at least
+    1/2 up to constants).  ``base`` is the RunConfig the members share but
+    for kappa; with a ``comparison_norm`` each point also carries that error."""
     kappas = tuple(float(k) for k in kappas)
     if len(kappas) < 3:
         raise ValueError("kappa_limit_study needs at least 3 sweep values")
@@ -145,17 +158,9 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
         raise ValueError("kappa sweep values must lie in (0, 1]")
     if base.params.mu != 0:
         raise ValueError("kappa_limit_study runs the unregularized system")
-    u0 = base.initial_state()
-
-    def run(kappa):
-        params = replace(base.params, kappa=kappa)
-        cfg = base.integrator
-        return _checked(f"kappa={kappa:g}", evolve(u0, params, cfg, base.T, base.report_every))
-
-    reference = run(0.0)
+    reference, *runs = _sweep(base, "kappa", kappas, base.integrator)
     points = []
-    for kappa in kappas:
-        res = run(kappa)
+    for kappa, res in zip(kappas, runs):
         point = {"kappa": kappa, "error": _sup_error(res, reference, low_capillarity_error)}
         if comparison_norm:
             point[comparison_norm] = _sup_error(
@@ -175,7 +180,8 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
     Errors against the mu = 0 run, measured in the (r+1/2, r) Sobolev pair
     for 0 < r <= s (default max(1/2, s - 1/2)), must decrease strictly along the
     sweep; the fitted order is reported without asserting a value (NaN for
-    fewer than 3 values)."""
+    fewer than 3 values).  The reference and the sweep are one batch; if a
+    Duhamel solve does not contract, the sweep steps by ERK4 instead."""
     mus = tuple(float(m) for m in mus)
     if len(mus) < 2:
         raise ValueError("mu_limit_study needs at least 2 sweep values")
@@ -191,28 +197,18 @@ def mu_limit_study(base, mus, r=None) -> StudyReport:
     r = float(r)
     if not 0 < r <= s:
         raise ValueError(f"mu_limit_study needs 0 < r <= s, got r={r}")
-    u0 = base.initial_state()
     cfg = base.integrator
-    fallback = False
-
-    def member(name, params, integrator):
-        return _checked(name, evolve(u0, params, integrator, base.T, base.report_every))
-
-    def run(mu):
-        nonlocal fallback
-        params = replace(base.params, mu=mu)
-        try:
-            return member(f"mu={mu:g}", params, cfg)
-        except PicardError:
-            fallback = True
-            return member(f"mu={mu:g}", params, replace(cfg, method="exponential_rk4"))
-
-    reference = member("mu=0", *_inviscid(base.params, cfg))
+    try:
+        reference, *runs = _sweep(base, "mu", mus, cfg)
+        fallback = False
+    except PicardError:
+        reference, *runs = _sweep(base, "mu", mus, replace(cfg, method="exponential_rk4"))
+        fallback = True
 
     def metric(a, b):
         return _sobolev_pair(a.grid, a.packed() - b.packed(), r + 0.5, r)
 
-    errors = [_sup_error(run(mu), reference, metric) for mu in mus]
+    errors = [_sup_error(res, reference, metric) for res in runs]
     order, resid = fit_rate(mus, errors) if len(mus) >= 3 else (math.nan, math.nan)
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     extra = {
@@ -233,9 +229,9 @@ def invariant_region_test(
 
     Each datum's H_kappa^1 x H^(1/2) norm is computed (not assumed); data
     above eps/2 are flagged as precondition violations and skipped.  Both
-    the conservative and, when params.mu > 0, the viscous flow are run, each
-    as one batched integration of the admitted data, the conservative one
-    by ERK4 under picard_duhamel."""
+    the conservative and, when params.mu > 0, the viscous flow are run, both
+    variants of the admitted data as one batch, the conservative one by ERK4
+    under picard_duhamel."""
     eps = smallness_threshold(epsilon)
     report_every = _report_cadence(report_every, T, cfg.dt)
     rows = []
@@ -245,21 +241,20 @@ def invariant_region_test(
         if gate > 0.5 * eps * (1 + 1e-12):
             rows[-1].update(skipped=True, reason="initial norm exceeds epsilon/2")
     active = [(row, u0) for row, u0 in zip(rows, data) if not row.get("skipped")]
-    names = [f"datum={row['index']}" for row, _ in active]
-    variants = [("mu0", *_inviscid(params, cfg))]
+    variants = {"mu0": replace(params, mu=0.0)}
     if params.mu > 0:
-        variants.append(("mu", params, cfg))
-    for label, pv, cv in variants:
-        results = _evolve(
-            names, [u0 for _, u0 in active], pv, cv, T, report_every,
-            keep=lambda st: weighted_pair_norm(st, 0.5, params.kappa),
-        )
-        for (row, _), res in zip(active, results):
-            peak = max(res.states)
-            row[f"max_norm_{label}"] = peak
-            row[f"ok_{label}"] = (not res.blown_up) and peak <= eps
+        variants["mu"] = params
+    pairs = list(product(variants.items(), active))
+    results = _integrate(
+        [(f"datum={row['index']}", u0, pv) for (_, pv), (row, u0) in pairs], cfg, T, report_every,
+        keep=lambda st: weighted_pair_norm(st, 0.5, params.kappa), checked=False,
+    )
+    for ((label, _), (row, _)), res in zip(pairs, results):
+        peak = max(res.states)
+        row[f"max_norm_{label}"] = peak
+        row[f"ok_{label}"] = (not res.blown_up) and peak <= eps
     for row, _ in active:
-        row["ok"] = all(row[f"ok_{label}"] for label, _, _ in variants)
+        row["ok"] = all(row[f"ok_{label}"] for label in variants)
     return _table_report("invariant_region", rows, epsilon=eps)
 
 
@@ -271,8 +266,8 @@ def dissipation_test(
     Hamiltonian increases below 1e-10 relative are counted as roundoff;
     the mu = 0 control run (by ERK4 under picard_duhamel) must instead
     conserve to 1e-8 relative.  The viscous runs and the controls are one
-    batched integration each; a blow-up names the first blown member in
-    datum order, the run before its control."""
+    batch, each run next to its control; a blow-up names the first blown
+    member in datum order, the run before its control."""
     if not delta > 0:
         raise ValueError(f"dissipation_test needs delta > 0, got {delta}")
     if not (params.mu > 0 and params.p == 1.0):
@@ -287,21 +282,16 @@ def dissipation_test(
             rows[-1].update(skipped=True, reason="data size exceeds delta")
     active = [(row, u0) for row, u0 in zip(rows, data) if not row.get("skipped")]
 
-    def series(member, res):
-        return [rep.hamiltonian for rep in _checked(member, res).reports]
-
-    states = [u0 for _, u0 in active]
-    names = [f"datum={row['index']}" for row, _ in active]
+    pairs = (("", params), (" control", replace(params, mu=0.0)))
+    members = [(f"datum={row['index']}{tag}", u0, pv) for row, u0 in active for tag, pv in pairs]
     # The runs read only their reports.
-    runs = _evolve(names, states, params, cfg, T, report_every, keep=lambda st: None)
-    ctrls = evolve(states, *_inviscid(params, cfg), T, report_every, keep=lambda st: None)
-    for (row, _), name, run, ctrl in zip(active, names, runs, ctrls):
-        h = series(name, run)
+    results = _integrate(members, cfg, T, report_every, keep=lambda st: None)
+    series = [[rep.hamiltonian for rep in res.reports] for res in results]
+    for (row, _), h, ctrl_h in zip(active, series[::2], series[1::2]):
         tol = 1e-10 * max(abs(h[0]), 1e-300)
         row["monotone"] = all(b <= a + tol for a, b in zip(h, h[1:]))
         row["total_drop"] = h[0] - h[-1]
 
-        ctrl_h = series(f"{name} control", ctrl)
         drift = max(abs(x - ctrl_h[0]) for x in ctrl_h)
         row["control_drift"] = drift / max(abs(ctrl_h[0]), 1e-300)
         row["ok"] = row["monotone"] and row["control_drift"] <= 1e-8
@@ -338,12 +328,12 @@ def stability_test(
     report_every = _report_cadence(report_every, T, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
-    members = [u0] + [
-        WaveState.from_packed(u0.grid, u0.packed() + (size / dnorm) * direction.packed(), u0.time)
+    members = [("base", u0, params)] + [
+        (f"size={size:g}", WaveState.from_packed(
+            u0.grid, u0.packed() + (size / dnorm) * direction.packed(), u0.time), params)
         for size in sizes
     ]
-    names = ["base", *(f"size={size:g}" for size in sizes)]
-    base, *runs = map(_checked, names, _evolve(names, members, params, cfg, T, report_every))
+    base, *runs = _integrate(members, cfg, T, report_every)
 
     times = np.asarray(base.times) - base.times[0]
     sups = []

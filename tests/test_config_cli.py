@@ -542,6 +542,18 @@ class TestRunCommand:
         assert main(["run", cfgfile]) == 0
         assert (override / "energy.csv").exists()
 
+    @pytest.mark.parametrize("command", [("run",), ("study", "conservation")])
+    def test_unwritable_output_dir_is_an_error(self, tmp_path, command):
+        """An output directory under a regular file cannot be made: the
+        command exits 1 with an error line, not a traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfgfile = write_config(tmp_path, small_run(str(blocker / "out"), T=0.1))
+        proc = run_cli(*command, cfgfile)
+        assert proc.returncode == 1
+        assert f"error: cannot write {blocker / 'out'}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_snapshot_roundtrip_through_config(self, tmp_path):
         outdir = str(tmp_path / "snapout")
         raw = small_run(outdir, snapshots=True, T=0.2, report_every=0.1)

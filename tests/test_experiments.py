@@ -235,8 +235,9 @@ class TestMemberBlowup:
             results = real(u0, params, cfg, T, report_every, keep)
             single = isinstance(u0, WaveState)
             members = [u0] if single else u0
-            for state, res in zip(members, [results] if single else results):
-                if chosen(state, params):
+            per = [params] * len(members) if isinstance(params, Params) else params
+            for state, p, res in zip(members, per, [results] if single else results):
+                if chosen(state, p):
                     res.blown_up, res.blowup_time = True, T
             return results
 
@@ -266,6 +267,18 @@ class TestMemberBlowup:
                 cfg=IntegratorConfig(dt=5e-3),
             )
         assert info.value.member == "datum=0 control"
+
+    @pytest.mark.parametrize("study, field, values", [
+        (kappa_limit_study, "kappa", (0.1, 0.01, 0.001)), (mu_limit_study, "mu", (0.1, 0.01)),
+    ], ids=["kappa_limit", "mu_limit"])
+    def test_limit_study_names_the_reference_first(self, monkeypatch, study, field, values):
+        # The reference and the last sweep member blow up; the reference is named.
+        self.blow_up_when(
+            monkeypatch, lambda u0, params: getattr(params, field) in (0.0, values[-1])
+        )
+        with pytest.raises(BlowUpError) as info:
+            study(base_config(T=0.1), values)
+        assert info.value.member == f"{field}=0"
 
     def test_stability_names_the_perturbed_run(self, monkeypatch):
         u0 = single_mode(Grid(64), 0.05)
