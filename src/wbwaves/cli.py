@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .config import ConfigError, RunConfig, load_config, output_header
-from .dynamics import BlowUpError, PicardError, _resolve_steps, contraction_estimate, evolve
+from .dynamics import BlowUpError, PicardError, _horizon, contraction_estimate, evolve
 from .experiments import (
     conservation_check,
     dissipation_test,
@@ -85,7 +85,7 @@ def _picard_summary(defects):
 def cmd_run(config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
     u0 = config.initial_state()
-    steps, dt = _resolve_steps(config.T, config.integrator.dt)
+    steps, dt, _ = _horizon(config.T, config.integrator.dt, config.report_every)
     try:
         result = evolve(u0, config.params, config.integrator, config.T, config.report_every)
     except PicardError as exc:
@@ -218,6 +218,7 @@ def cmd_study(name: str, config: RunConfig) -> int:
 
 def cmd_describe(config: RunConfig) -> int:
     grid, params, integrator = config.grid, config.params, config.integrator
+    state = config.initial_state()
     lines = [
         f"system: {config.system} ({grid.dim}D)",
         f"grid: n={grid.n} length={tuple(round(L, 12) for L in grid.length)}",
@@ -227,12 +228,9 @@ def cmd_describe(config: RunConfig) -> int:
         f"horizon: T={config.T:g} report_every={config.report_every:g}",
     ]
     if "snapshot" in config.initial_data:
-        from .snapshot import read_header
-
-        head = read_header(config.initial_data["snapshot"])
         lines.append(
-            f"initial data: snapshot dim={head['dim']} n={head['n']} "
-            f"length={head['length']} time={head['time']:g}"
+            f"initial data: snapshot dim={grid.dim} n={grid.n} "
+            f"length={grid.length} time={state.time:g}"
         )
     else:
         preset = dict(config.initial_data)

@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .dynamics import IntegratorConfig, _report_cadence
+from .dynamics import IntegratorConfig, _horizon, _report_cadence
 from .presets import build_preset
 from .spectral import Grid
 from .state import Params, WaveState
@@ -96,18 +96,9 @@ class RunConfig:
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"initial_data: {exc}") from exc
 
-    def canonical(self) -> dict:
-        """Every field as plain JSON data, the input of ``config_hash``."""
-
-        def plain(value):
-            if isinstance(value, Grid):
-                return {"n": list(value.n), "length": list(value.length)}
-            return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
-
-        return {f.name: plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        """The hash of every field as plain JSON data."""
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def resolved_output_dir(self) -> str:
@@ -171,11 +162,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     snapshots = typed(_take(raw, "snapshots", default=False), "snapshots", bool)
     study = _table(raw, "study", default={})
     _no_leftovers(raw, "config")
-
-    if T <= 0:
-        raise ConfigError(f"T must be positive, got {T}")
-    if report_every <= 0:
-        raise ConfigError(f"report_every must be positive, got {report_every}")
+    try:
+        _horizon(T, integrator.dt, report_every)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     return RunConfig(
         system=system,

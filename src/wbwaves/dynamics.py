@@ -374,9 +374,28 @@ class EvolveResult:
         return self.states[-1]
 
 
-def _resolve_steps(T, dt):
-    n = max(1, math.ceil(T / dt - 1e-9))
-    return n, T / n
+def _horizon(T, dt, report_every=None):
+    """The one rule of an integration's plan: ``(n_steps, dt, report_steps)``.
+
+    T and ``report_every`` (None for T) must be positive and finite.  dt is
+    adjusted down so an integer number of steps lands exactly on T, and
+    ``report_every`` must be at least that step.  ``report_steps`` holds the
+    step of every multiple of ``report_every`` before T, node 0 among them,
+    and the last step ``n_steps``."""
+    report_every = T if report_every is None else report_every
+    for name, value in (("T", T), ("report_every", report_every)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"T / dt must be finite, got {T} / {dt}")
+    n_steps = max(1, math.ceil(T / dt - 1e-9))
+    dt = T / n_steps
+    if report_every < dt * (1 - 1e-12):
+        raise ValueError("report_every must be at least the time step")
+    n_rep = max(1, math.ceil(T / report_every - 1e-9))
+    return n_steps, dt, {round(i * report_every / dt) for i in range(n_rep)} | {n_steps}
 
 
 def _report_cadence(report_every, T, dt):
@@ -410,26 +429,19 @@ def evolve(
     ``u0`` is one WaveState, or a sequence of states on one grid that are
     integrated together as one (B, 1 + d, *half) stack and give one
     EvolveResult each, equal to their single runs; ``params`` is one Params
-    for all of them or a sequence of one per member.  dt is adjusted down so an
-    integer number of steps lands exactly on T.  At each reported node, the
-    first always among them, a member's result appends the time,
-    ``keep(state)`` (the state itself when ``keep`` is None) and the
-    EnergyReport.  A member whose node is not finite or whose coefficient sup
+    for all of them or a sequence of one per member.  The steps and the
+    reported nodes follow ``_horizon``: T and ``report_every`` (None for T)
+    positive and finite, dt adjusted down so an integer number of steps lands
+    exactly on T, ``report_every`` at least that step, and the first and the
+    last node always reported.  At each reported node a member's result
+    appends the time, ``keep(state)`` (the state itself when ``keep`` is
+    None) and the EnergyReport.  A member whose node is not finite or whose coefficient sup
     passes 1e3 * blowup_ceiling, or whose report's weighted norm passes
     blowup_ceiling, stops there with the nodes reported so far and the
     blow-up flag set; the others go on.  A member whose Duhamel solve does
     not contract raises its PicardError with the member's index as ``member``.
     """
-    if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
-    report_every = T if report_every is None else report_every
-    if report_every <= 0:
-        raise ValueError(f"report_every must be positive, got {report_every}")
-    n_steps, dt = _resolve_steps(T, cfg.dt)
-    if report_every < dt * (1 - 1e-12):
-        raise ValueError("report_every must be at least the time step")
-    n_rep = math.ceil(T / report_every - 1e-9)
-    report_steps = {round(i * report_every / dt) for i in range(n_rep)} | {n_steps}
+    n_steps, dt, report_steps = _horizon(T, cfg.dt, report_every)
     single = isinstance(u0, WaveState)
     members = [u0] if single else list(u0)
     per = [params] * len(members) if isinstance(params, Params) else list(params)
@@ -602,9 +614,7 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     data size)."""
     if not params.mu > 0:
         raise ValueError("the Duhamel solver is defined for the regularized system (mu > 0)")
-    if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
-    n_steps, dt = _resolve_steps(T, cfg.dt)
+    n_steps, dt, _ = _horizon(T, cfg.dt)
     ops = _ops(u0.grid, params, cfg.dealias)
     grid = u0.grid
     s_dt = ops.propagator(dt)

@@ -41,48 +41,28 @@ def write_snapshot(path, state: WaveState) -> None:
             fh.write(np.ascontiguousarray(comp.values, dtype="<f8").tobytes())
 
 
-def _read(path, size=-1) -> bytes:
-    """Up to ``size`` bytes of the file (all of it by default); an unreadable
-    file is a SnapshotError."""
+def read_snapshot(path) -> WaveState:
+    """The state stored at ``path``; a file that cannot be read or is not a
+    whole snapshot of a valid state is a SnapshotError."""
     try:
         with open(path, "rb") as fh:
-            return fh.read(size)
+            data = fh.read()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-
-
-def _header_size(dim) -> int:
-    return 7 + 1 + 4 * dim + 8 * dim + 8
-
-
-def _parse_header(raw: bytes, path) -> dict:
-    magic = raw[:7]
-    if magic != MAGIC:
-        raise SnapshotError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if data[:7] != MAGIC:
+        raise SnapshotError(f"bad magic {data[:7]!r}, expected {MAGIC!r}")
     try:
-        (dim,) = struct.unpack_from("<B", raw, 7)
+        (dim,) = struct.unpack_from("<B", data, 7)
         if dim not in (1, 2):
             raise SnapshotError(f"bad dimension {dim}")
-        n = struct.unpack_from(f"<{dim}I", raw, 8)
-        length = struct.unpack_from(f"<{dim}d", raw, 8 + 4 * dim)
-        (time,) = struct.unpack_from("<d", raw, 8 + 12 * dim)
+        n = struct.unpack_from(f"<{dim}I", data, 8)
+        length = struct.unpack_from(f"<{dim}d", data, 8 + 4 * dim)
+        (time,) = struct.unpack_from("<d", data, 8 + 12 * dim)
     except struct.error:
         raise SnapshotError(f"snapshot {path} ends inside its header") from None
-    return {"dim": dim, "n": n, "length": length, "time": time}
-
-
-def read_header(path) -> dict:
-    """The header fields, read from at most the length of a 2D header."""
-    return _parse_header(_read(path, _header_size(2)), path)
-
-
-def read_snapshot(path) -> WaveState:
-    data = _read(path)
-    header = _parse_header(data, path)
-    dim = header["dim"]
-    grid = Grid(header["n"], header["length"])
+    grid = Grid(n, length)
     count = int(np.prod(grid.n))
-    raw = data[_header_size(dim):]
+    raw = data[8 + 12 * dim + 8 :]  # the payload follows the time
     expected = count * (1 + dim) * 8
     if len(raw) != expected:
         raise SnapshotError(f"payload has {len(raw)} bytes, expected {expected}")
@@ -91,6 +71,6 @@ def read_snapshot(path) -> WaveState:
     try:
         eta = Field(grid, blocks[0])
         vel = tuple(Field(grid, b) for b in blocks[1:])
-        return WaveState(eta, vel, time=header["time"])
+        return WaveState(eta, vel, time=time)
     except SpectralError as exc:
         raise SnapshotError(f"snapshot holds an invalid state: {exc}") from exc

@@ -47,27 +47,20 @@ class SpectralError(ValueError):
     """Invalid spectral operation: bad grid, singular symbol, non-real data."""
 
 
-def _as_axis_tuple(value, dim, cast):
-    if np.isscalar(value):
-        return (cast(value),) * dim
-    return tuple(cast(v) for v in value)
-
-
+@dataclass(frozen=True)
 class Grid:
     """Uniform periodic sampling lattice in one or two dimensions."""
 
-    def __init__(self, n, length=None):
-        if np.isscalar(n):
-            n = (int(n),)
-        else:
-            n = tuple(int(m) for m in n)
+    n: tuple
+    length: tuple | None = None
+
+    def __post_init__(self):
+        n = (int(self.n),) if np.isscalar(self.n) else tuple(int(m) for m in self.n)
         dim = len(n)
         if dim not in (1, 2):
             raise SpectralError(f"grid dimension must be 1 or 2, got {dim}")
-        if length is None:
-            length = (TWO_PI,) * dim
-        else:
-            length = _as_axis_tuple(length, dim, float)
+        length = TWO_PI if self.length is None else self.length
+        length = (float(length),) * dim if np.isscalar(length) else tuple(map(float, length))
         if len(length) != dim:
             raise SpectralError("grid length must match dimension")
         for m in n:
@@ -76,19 +69,16 @@ class Grid:
         for L in length:
             if not (L > 0 and math.isfinite(L)):
                 raise SpectralError(f"period must be positive and finite, got {L}")
-        self.n = n
-        self.length = length
-        self.dim = dim
-        self.shape = n
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "length", length)
 
-    def __eq__(self, other):
-        return isinstance(other, Grid) and self.n == other.n and self.length == other.length
+    @property
+    def dim(self):
+        return len(self.n)
 
-    def __hash__(self):
-        return hash((self.n, self.length))
-
-    def __repr__(self):
-        return f"Grid(n={self.n}, length={self.length})"
+    @property
+    def shape(self):
+        return self.n
 
     @cached_property
     def spacing(self):

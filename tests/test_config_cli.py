@@ -365,9 +365,10 @@ def test_preset_option_errors_name_the_option(tmp_path, capsys, data, message):
 
 
 def test_float_field_spelled_as_integer_hashes_the_same():
-    spelled_int = small_run("x", params={"kappa": 1, "s": 1}, integrator={"dt": 1}, T=2)
+    spelled_int = small_run("x", params={"kappa": 1, "s": 1}, integrator={"dt": 1}, T=2,
+                            report_every=1)
     spelled_float = small_run("x", params={"kappa": 1.0, "s": 1.0}, integrator={"dt": 1.0},
-                              T=2.0)
+                              T=2.0, report_every=1.0)
     a, b = config_from_dict(spelled_int), config_from_dict(spelled_float)
     assert a.config_hash() == b.config_hash()
 
@@ -1046,3 +1047,46 @@ def test_unreadable_snapshot_exits_one(tmp_path, capsys, command, make_snapshot)
     assert main([command, write_config(tmp_path, raw)]) == 1
     assert "error: " in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def _snapshot(tmp_path, n=64, cut=0, **extra):
+    """initial_data naming a single-mode snapshot on ``n`` points, its last
+    ``cut`` bytes removed, with ``extra`` keys beside it."""
+    from wbwaves.snapshot import write_snapshot
+
+    snap = tmp_path / "init.wbsnap"
+    write_snapshot(snap, single_mode(Grid(n), 0.05))
+    data = snap.read_bytes()
+    snap.write_bytes(data[: len(data) - cut])
+    return {"initial_data": {"snapshot": str(snap), **extra}}
+
+
+@pytest.mark.parametrize("overrides", [
+    lambda tmp: {"initial_data": {"preset": "bump", "amplitude": 0.05}},
+    lambda tmp: {"initial_data": {"preset": "single_mode", "amplitude": 0.05, "widht": 1}},
+    lambda tmp: {"initial_data": {"preset": "gaussian_bump", "amplitude": 0.05}},
+    lambda tmp: {"grid": {"n": 32}, "initial_data": {"preset": "random_bandlimited", "band": 50}},
+    lambda tmp: _snapshot(tmp, n=32),
+    lambda tmp: _snapshot(tmp, cut=8),
+    lambda tmp: _snapshot(tmp, amplitude=0.1),
+    lambda tmp: {"report_every": 1e-3},
+    lambda tmp: {"T": math.nan},
+    lambda tmp: {"T": math.inf},
+    lambda tmp: {"report_every": math.inf},
+    lambda tmp: {"T": 1e308, "integrator": {"dt": 1e-3}},
+], ids=["unknown_preset", "unknown_option", "missing_option", "band_past_dealias",
+        "snapshot_grid", "snapshot_truncated", "snapshot_extra_key", "report_below_step",
+        "T_nan", "T_inf", "report_every_inf", "steps_overflow"])
+def test_describe_and_study_reject_what_run_rejects(tmp_path, capsys, overrides):
+    """describe and a config-based study exit 1 on every config run rejects,
+    with run's error line, and no command makes its output directory."""
+    outdir = tmp_path / "o"
+    cfgfile = write_config(tmp_path, small_run(str(outdir), **overrides(tmp_path)))
+    errors = []
+    for command in (["run"], ["describe"], ["study", "conservation"]):
+        assert main([*command, cfgfile]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out
+        errors.append(captured.err)
+        assert not outdir.exists()
+    assert errors[1] == errors[2] == errors[0]

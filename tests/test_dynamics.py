@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from wbwaves.dynamics import (
     PicardError,
     _ops,
     _Propagator,
-    _resolve_steps,
+    _horizon,
     energy_derivative_check,
     evolve,
     picard_solve,
@@ -276,6 +277,27 @@ class TestEvolve:
         assert len(times) == len(set(times)) == 4
         assert times[-1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_cadence_past_the_horizon_reports_both_ends(self):
+        g = Grid(32)
+        res = evolve(small_state(g), Params(kappa=1.0), IntegratorConfig(dt=0.01), T=0.1,
+                     report_every=1e12)
+        assert res.times[0] == 0.0
+        assert res.times[-1] == pytest.approx(0.1, abs=1e-12)
+        assert len(res.times) == 2
+
+    @pytest.mark.parametrize("T, report_every, message", [
+        (0.0, 0.1, "T must be positive, got 0.0"),
+        (math.nan, 0.1, "T must be positive, got nan"),
+        (math.inf, 0.1, "T must be finite, got inf"),
+        (1.0, 0, "report_every must be positive, got 0"),
+        (1.0, math.inf, "report_every must be finite, got inf"),
+        (1.0, 0.005, "report_every must be at least the time step"),
+        (1e308, 1.0, "T / dt must be finite"),
+    ])
+    def test_horizon_rejects_a_plan_it_cannot_step(self, T, report_every, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _horizon(T, 0.01, report_every)
+
     def test_realness_along_trajectory(self):
         # from_coeffs enforces the 1e-12 residue bound at every report time
         g = Grid(64)
@@ -413,7 +435,7 @@ def weighted_norm(grid, params, u):
 
 def quadratic_picard(u0, params, cfg, T):
     """Node coefficient arrays and per-sweep defects of the O(N^2) iteration."""
-    n_steps, dt = _resolve_steps(T, cfg.dt)
+    n_steps, dt, _ = _horizon(T, cfg.dt)
     ops = _ops(u0.grid, params, cfg.dealias)
     props = {k: _Propagator(ops, k * dt) for k in range(-2, n_steps + 1)}
     free = [props[m].apply(u0.packed()) for m in range(n_steps + 1)]
@@ -484,7 +506,7 @@ def per_node_duhamel_integrals(ops, forcing, dt):
 
 def per_node_picard(u0, params, cfg, T):
     """``picard_solve``'s iteration on the per-node sweep: nodes, defects."""
-    n_steps, dt = _resolve_steps(T, cfg.dt)
+    n_steps, dt, _ = _horizon(T, cfg.dt)
     ops = _ops(u0.grid, params, cfg.dealias)
     s_dt = ops.propagator(dt)
     free = [u0.packed()]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wbwaves.presets import random_bandlimited
-from wbwaves.snapshot import MAGIC, SnapshotError, read_header, read_snapshot, write_snapshot
+from wbwaves.snapshot import MAGIC, SnapshotError, read_snapshot, write_snapshot
 from wbwaves.spectral import Grid
 
 
@@ -44,15 +44,16 @@ def test_header_layout(tmp_path):
     assert struct.unpack("<d", raw[20:28])[0] == st.time
     # payload: 2 fields of 16 float64 samples
     assert len(raw) == 28 + 2 * 16 * 8
-    head = read_header(path)
-    assert head == {"dim": 1, "n": (16,), "length": (3.0,), "time": st.time}
+    back = read_snapshot(path)
+    assert (back.grid.dim, back.grid.n, back.grid.length) == (1, (16,), (3.0,))
+    assert back.time == st.time
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.wbsnap"
     path.write_bytes(b"NOTSNAP" + b"\x01" + b"\x00" * 64)
     with pytest.raises(SnapshotError, match="magic"):
-        read_header(path)
+        read_snapshot(path)
 
 
 def test_truncated_payload_rejected(tmp_path):
