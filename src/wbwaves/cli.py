@@ -1,8 +1,8 @@
 """Command-line entry points: run, study, describe.
 
 Exit codes: 0 success (for ``study``: the pass criterion holds), 1 config
-or usage error, an output that cannot be written or a Duhamel iteration
-that does not contract, 2 blow-up
+or usage error, an output that cannot be written, a Duhamel iteration
+that does not contract or an allocation that fails, 2 blow-up
 detected during a run or in a study's sweep member.  Every run writes
 ``run_summary.json`` with status ``ok``, ``blowup`` or ``no_contraction``,
 its number of steps and the effective dt (T over the steps, at most the
@@ -17,7 +17,6 @@ Environment override: WB_OUTPUT_DIR replaces the configured output directory.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -35,7 +34,7 @@ from .experiments import (
     small_data_family,
     stability_test,
 )
-from .typed import like
+from .typed import bind
 
 
 def _open_output(path):
@@ -124,8 +123,8 @@ def _family(c, count, epsilon, band):
                              band=band)
 
 
-def _kappa_limit(c, values=(1e-1, 1e-2, 1e-3, 1e-4), comparison_norm=None):
-    return kappa_limit_study(c, values, comparison_norm)
+def _kappa_limit(c, values=(1e-1, 1e-2, 1e-3, 1e-4)):
+    return kappa_limit_study(c, values)
 
 
 def _mu_limit(c, values=(1e-1, 1e-2, 1e-3), r=None):
@@ -173,18 +172,6 @@ STUDIES = {
 }
 
 
-def _study_options(name, runner, given):
-    """The configured study options, each typed like the runner's default
-    for it as the rest of the config is; ``comparison_norm`` is a name the
-    study checks."""
-    defaults = {k: p.default for k, p in list(inspect.signature(runner).parameters.items())[1:]}
-    unknown = sorted(set(given) - set(defaults))
-    if unknown:
-        raise ConfigError(f"unknown field(s) in study {name}: {', '.join(unknown)}")
-    return {k: v if k == "comparison_norm" else like(v, f"study.{k}", defaults[k])
-            for k, v in given.items()}
-
-
 def cmd_study(name: str, config: RunConfig) -> int:
     if name not in STUDIES:
         print(
@@ -193,7 +180,7 @@ def cmd_study(name: str, config: RunConfig) -> int:
         )
         return 1
     runner, suffix = STUDIES[name]
-    options = _study_options(name, runner, config.study)
+    options = bind(runner, config.study, "study", skip=1)
     outdir = config.resolved_output_dir()
     try:
         report = runner(config, **options)
@@ -269,6 +256,9 @@ def main(argv=None) -> int:
         return cmd_describe(config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 1
 
 

@@ -19,7 +19,7 @@ from .dynamics import IntegratorConfig, _horizon, _report_cadence
 from .presets import build_preset
 from .spectral import Grid
 from .state import Params, WaveState
-from .typed import ConfigError, like, typed
+from .typed import ConfigError, bind, typed
 
 ARTIFACT_VERSION = "wbwaves-0.1.0"
 
@@ -47,17 +47,9 @@ def _no_leftovers(table: dict, where):
 
 
 def _section(table: dict, where, cls, required=()):
-    """A ``cls`` built from the fields of ``table``: each value typed like the
-    dataclass field's default, a field left out keeping that default unless
-    it is ``required``, and the dataclass's own range checks."""
-    values = {}
-    for f in dataclasses.fields(cls):
-        if f.name in table or f.name in required:
-            value = _take(table, f.name, required=True)
-            values[f.name] = like(value, f"{where}.{f.name}", f.default)
-    _no_leftovers(table, where)
+    """A ``cls`` built from ``table`` by ``bind``, with the class's range checks."""
     try:
-        return cls(**values)
+        return cls(**bind(cls, table, where, required=required))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -116,6 +116,8 @@ class IntegratorConfig:
             raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
+        if not (self.blowup_ceiling > 0):
+            raise ValueError(f"blowup_ceiling must be positive, got {self.blowup_ceiling}")
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +377,13 @@ class EvolveResult:
 
 
 def _horizon(T, dt, report_every=None):
-    """The one rule of an integration's plan: ``(n_steps, dt, report_steps)``.
+    """The one rule of an integration's plan: ``(n_steps, dt, reported)``.
 
     T and ``report_every`` (None for T) must be positive and finite.  dt is
     adjusted down so an integer number of steps lands exactly on T, and
-    ``report_every`` must be at least that step.  ``report_steps`` holds the
-    step of every multiple of ``report_every`` before T, node 0 among them,
-    and the last step ``n_steps``."""
+    ``report_every`` must be at least that step.  ``reported(k)`` is true
+    for the step nearest each multiple of ``report_every`` before T, node 0
+    among them, and the last step ``n_steps``, in O(1) time and memory."""
     report_every = T if report_every is None else report_every
     for name, value in (("T", T), ("report_every", report_every)):
         if not value > 0:
@@ -395,7 +397,14 @@ def _horizon(T, dt, report_every=None):
     if report_every < dt * (1 - 1e-12):
         raise ValueError("report_every must be at least the time step")
     n_rep = max(1, math.ceil(T / report_every - 1e-9))
-    return n_steps, dt, {round(i * report_every / dt) for i in range(n_rep)} | {n_steps}
+
+    def reported(k):
+        # Only the multiples i within one of k * dt / report_every can land on k.
+        near = round(k * dt / report_every)
+        return k == n_steps or any(round(i * report_every / dt) == k
+                                   for i in range(max(near - 1, 0), min(near + 2, n_rep)))
+
+    return n_steps, dt, reported
 
 
 def _report_cadence(report_every, T, dt):
@@ -441,7 +450,7 @@ def evolve(
     blow-up flag set; the others go on.  A member whose Duhamel solve does
     not contract raises its PicardError with the member's index as ``member``.
     """
-    n_steps, dt, report_steps = _horizon(T, cfg.dt, report_every)
+    n_steps, dt, reported = _horizon(T, cfg.dt, report_every)
     single = isinstance(u0, WaveState)
     members = [u0] if single else list(u0)
     per = [params] * len(members) if isinstance(params, Params) else list(params)
@@ -486,7 +495,7 @@ def evolve(
         else:
             bad = [False] * len(members)
         times = [m.time + k * dt for m in members]
-        rows = [b for b in live if not bad[b]] if k in report_steps else []
+        rows = [b for b in live if not bad[b]] if reported(k) else []
         # A report reads kappa and s alone: one measure call per such pair.
         for pair in dict.fromkeys(pairs[b] for b in rows):
             group = [b for b in rows if pairs[b] == pair]

@@ -10,6 +10,7 @@ the RMS fit residual reported alongside the slope.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import product
 from dataclasses import dataclass, field, replace
 
@@ -137,23 +138,19 @@ def _sup_error(result_a: EvolveResult, result_b: EvolveResult, metric) -> float:
     return max(metric(x, y) for x, y in pairs)
 
 
-def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
+def kappa_limit_study(base, kappas) -> StudyReport:
     """Convergence rate of the solution as the surface tension vanishes.
 
     Runs the zero-surface-tension system and each kappa in the sweep as one
     batch and fits the order of sup-in-time error decay (guaranteed at least
     1/2 up to constants).  ``base`` is the RunConfig the members share but
-    for kappa; with a ``comparison_norm`` each point also carries that error."""
+    for kappa; each point also carries its error in every comparison norm."""
     kappas = tuple(float(k) for k in kappas)
     if len(kappas) < 3:
         raise ValueError("kappa_limit_study needs at least 3 sweep values")
     diffs = np.diff(kappas)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("kappa sweep values must be strictly monotone")
-    if comparison_norm is not None and comparison_norm not in COMPARISON_NORMS:
-        raise ValueError(
-            f"comparison_norm must be one of {tuple(COMPARISON_NORMS)}, got {comparison_norm!r}"
-        )
     if any(not (0 < k <= 1) for k in kappas):
         raise ValueError("kappa sweep values must lie in (0, 1]")
     if base.params.mu != 0:
@@ -162,12 +159,9 @@ def kappa_limit_study(base, kappas, comparison_norm=None) -> StudyReport:
     points = []
     for kappa, res in zip(kappas, runs):
         point = {"kappa": kappa, "error": _sup_error(res, reference, low_capillarity_error)}
-        if comparison_norm:
-            point[comparison_norm] = _sup_error(
-                res,
-                reference,
-                lambda a, b: _comparison_error(comparison_norm, a, b, base.params.s, kappa),
-            )
+        for norm in COMPARISON_NORMS:
+            metric = partial(_comparison_error, norm, s=base.params.s, kappa=kappa)
+            point[norm] = _sup_error(res, reference, metric)
         points.append(point)
     order, resid = fit_rate(kappas, [pt["error"] for pt in points])
     extra = {"fitted_order": order, "residual": resid, "points": points}
@@ -319,8 +313,8 @@ def stability_test(
     if not (0 < r <= params.s - 0.5):
         raise ValueError(f"stability_test needs r in (0, s - 1/2], got {r}")
     sizes = [float(s_) for s_ in sizes]
-    if any(not s_ > 0 for s_ in sizes):
-        raise ValueError(f"perturbation sizes must be positive, got {sizes}")
+    if any(not (s_ > 0 and math.isfinite(s_)) for s_ in sizes):
+        raise ValueError(f"perturbation sizes must be positive and finite, got {sizes}")
     if any(b >= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("perturbation sizes must be strictly decreasing")
     if len(sizes) < 3:

@@ -108,8 +108,9 @@ def smallness_threshold(override=None) -> float:
     if override is None:
         return DEFAULT_SMALLNESS
     eps = float(override)
-    if eps <= 0:
-        raise ValueError(f"smallness threshold must be positive, got {override}")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"smallness threshold epsilon must be positive and finite, "
+                         f"got {override}")
     return eps
 
 

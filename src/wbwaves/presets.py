@@ -21,7 +21,8 @@ random_bandlimited(seed, band, a):
 A preset is its function, listed in ``PRESETS`` by name.  A config's
 ``initial_data`` table names it as ``preset``, and its other entries are
 the function's parameters other than ``grid``, with the function's
-defaults, each typed like its default (a required option is a number);
+defaults, bound by ``typed.bind`` like every config table; the one
+exception is a 2D ``mode``, which may be a pair of integers.
 ``random_bandlimited``'s ``seed`` defaults to the config's seed, which
 defaults to 0 as the function's does.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from .spectral import Field, Grid, SymbolCatalog
 from .state import WaveState
-from .typed import like, typed
+from .typed import bind, typed
 
 def single_mode(grid: Grid, amplitude, mode=1, v_amplitude=None) -> WaveState:
     a = float(amplitude)
@@ -125,30 +126,20 @@ def random_bandlimited(grid: Grid, seed=0, band=8, amplitude=0.1) -> WaveState:
 PRESETS = {f.__name__: f for f in (single_mode, gaussian_bump, random_bandlimited)}
 
 
-def _option(grid: Grid, opt: inspect.Parameter, value):
-    where = f"initial_data.{opt.name}"
-    if opt.name == "mode" and grid.dim == 2 and isinstance(value, list) and len(value) == 2:
-        return tuple(typed(m, where, int) for m in value)
-    return like(value, where, 0.0 if opt.default is opt.empty else opt.default)
-
-
 def build_preset(grid: Grid, data: dict, seed=0) -> WaveState:
-    """Build the state described by a config ``initial_data`` table: the
-    preset's function called with the table's other entries, each typed
-    like its default (a required option is a number, and a 2D ``mode`` may
-    be a pair of integers).  A ``seed`` left out is the config's ``seed``."""
+    """Build the state described by a config ``initial_data`` table (see
+    the module docstring); a ``seed`` left out is the config's ``seed``."""
     data = dict(data)
     name = data.pop("preset")
     preset = PRESETS.get(name) if isinstance(name, str) else None
     if preset is None:
         raise ValueError(f"unknown preset {name!r}; valid: {', '.join(PRESETS)}")
-    options = dict(list(inspect.signature(preset).parameters.items())[1:])  # all but grid
-    unknown = sorted(set(data) - set(options))
-    if unknown:
-        raise ValueError(f"unknown preset option(s): {', '.join(unknown)}")
-    if "seed" in options:
+    if "seed" in inspect.signature(preset).parameters:
         data.setdefault("seed", seed)
-    missing = [k for k, opt in options.items() if opt.default is opt.empty and k not in data]
-    if missing:
-        raise ValueError(f"preset {name} needs option(s): {', '.join(missing)}")
-    return preset(grid, **{k: _option(grid, options[k], v) for k, v in data.items()})
+    mode = data.get("mode")
+    pair = grid.dim == 2 and isinstance(mode, list) and len(mode) == 2
+    # A pair is typed apart; its placeholder keeps it unknown to a preset without a mode.
+    options = bind(preset, {**data, "mode": 0} if pair else data, "initial_data", skip=1)
+    if pair:
+        options["mode"] = tuple(typed(m, "initial_data.mode", int) for m in mode)
+    return preset(grid, **options)

@@ -41,8 +41,8 @@ class Params:
             )
         if not (0.5 < self.p <= 1):
             raise ValueError(f"p must lie in (1/2, 1], got {self.p}")
-        if not (self.s >= 0.5):
-            raise ValueError(f"s must be >= 1/2, got {self.s}")
+        if not (self.s >= 0.5 and math.isfinite(self.s)):
+            raise ValueError(f"s must be >= 1/2 and finite, got {self.s}")
 
 
 class WaveState:

@@ -1,7 +1,10 @@
-"""The one type check every config value passes: run settings, study options
-and preset options alike, each typed like the default it replaces."""
+"""The one binding rule every config table passes: run settings, study
+options and preset options alike, each key a parameter of the callable the
+table configures and each value typed like the default it replaces."""
 
 from __future__ import annotations
+
+import inspect
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
@@ -35,3 +38,21 @@ def like(value, name, default):
     if default is None:
         return None if value is None else typed(value, name, float)
     return typed(value, name, type(default))
+
+
+def bind(fn, table, where, skip=0, required=()):
+    """The keyword arguments ``table`` gives ``fn``, a function or a
+    dataclass: every key one of its parameters after the first ``skip``,
+    every parameter without a default and every name in ``required`` given,
+    and each value typed ``like`` its default (a required one like a
+    number).  Anything else is a ConfigError naming ``where``."""
+    params = list(inspect.signature(fn).parameters.values())[skip:]
+    defaults = {p.name: 0.0 if p.default is p.empty else p.default for p in params}
+    unknown = sorted(set(table) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+    missing = [p.name for p in params
+               if (p.default is p.empty or p.name in required) and p.name not in table]
+    if missing:
+        raise ConfigError(f"missing required field(s) in {where}: {', '.join(missing)}")
+    return {k: like(v, f"{where}.{k}", defaults[k]) for k, v in table.items()}

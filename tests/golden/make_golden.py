@@ -90,7 +90,7 @@ CASES = {
     ),
     "study_kappa_limit": (
         ("study", "kappa_limit"),
-        dict(_STUDY_BASE, study={"values": [0.1, 0.01, 0.001], "comparison_norm": "H1xH12"}),
+        dict(_STUDY_BASE, study={"values": [0.1, 0.01, 0.001]}),
     ),
     "study_mu_limit": (
         ("study", "mu_limit"),

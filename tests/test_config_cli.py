@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import wbwaves
-from wbwaves import experiments
+import wbwaves.config
+from wbwaves import cli, experiments
 from wbwaves.cli import STUDIES, main
 from wbwaves.config import ConfigError, RunConfig, config_from_dict, load_config
 from wbwaves.dynamics import IntegratorConfig, evolve, picard_solve
@@ -200,11 +201,10 @@ def _options(fn):
 
 
 # Every study and preset option, read from its runner's or function's
-# parameters, so an option added later is covered here with no edit;
-# comparison_norm is a name the study itself checks.
+# parameters, so an option added later is covered here with no edit.
 _EVERY_OPTION = [
     *(("study", name, opt.name) for name, (runner, _) in STUDIES.items()
-      for opt in _options(runner) if opt.name != "comparison_norm"),
+      for opt in _options(runner)),
     *(("initial_data", name, opt.name) for name, preset in PRESETS.items()
       for opt in _options(preset)),
 ]
@@ -293,7 +293,7 @@ def test_preset_accepts_exactly_its_function_parameters(name):
     assert np.array_equal(state.packed(), PRESETS[name](grid, **options).packed())
     every = {opt.name for preset in PRESETS.values() for opt in _options(preset)}
     for other in sorted(every - set(options)):
-        with pytest.raises(ValueError, match=rf"unknown preset option\(s\): {other}$"):
+        with pytest.raises(ValueError, match=rf"unknown field\(s\) in initial_data: {other}$"):
             build_preset(grid, {"preset": name, **options, other: 1})
 
 
@@ -351,16 +351,126 @@ def test_random_bandlimited_band_is_the_dealias_band(n, band, ok):
 
 @pytest.mark.parametrize("data, message", [
     ({"preset": "gaussian_bump", "amplitude": 0.05, "widht": 0.5},
-     "initial_data: unknown preset option(s): widht"),
+     "unknown field(s) in initial_data: widht"),
     ({"preset": "gaussian_bump", "amplitude": 0.05},
-     "initial_data: preset gaussian_bump needs option(s): width"),
-    ({"preset": "single_mode", "mode": 2}, "initial_data: preset single_mode needs option(s): amplitude"),
+     "missing required field(s) in initial_data: width"),
+    ({"preset": "single_mode", "mode": 2}, "missing required field(s) in initial_data: amplitude"),
     ({"preset": "bump", "amplitude": 0.05}, "initial_data: unknown preset 'bump'"),
 ])
 def test_preset_option_errors_name_the_option(tmp_path, capsys, data, message):
     outdir = tmp_path / "o"
     assert main(["run", write_config(tmp_path, small_run(str(outdir), initial_data=data))]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("table, command", [
+    ("params", ["run"]), ("integrator", ["describe"]), ("initial_data", ["run"]),
+    ("study", ["study", "conservation"]),
+])
+def test_every_bound_table_rejects_an_unknown_key(tmp_path, capsys, table, command):
+    """params, integrator, initial_data and study are bound by one rule, with
+    one message."""
+    outdir = tmp_path / "o"
+    raw = small_run(str(outdir))
+    raw.setdefault(table, {})["bogus"] = 1
+    assert main([*command, write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == f"error: unknown field(s) in {table}: bogus\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("system, mode", [("wb1d", 1), ("wb2d", [1, 0])])
+def test_mode_is_unknown_to_a_preset_without_it(tmp_path, capsys, system, mode):
+    """The 2D mode pair is typed apart, but only for a preset that has a mode."""
+    data = {"preset": "gaussian_bump", "amplitude": 0.05, "width": 0.5, "mode": mode}
+    raw = small_run(str(tmp_path / "o"), system=system, grid={"n": 16}, initial_data=data)
+    assert main(["run", write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == "error: unknown field(s) in initial_data: mode\n"
+
+
+def test_kappa_is_required(tmp_path, capsys):
+    raw = small_run(str(tmp_path / "o"), params={"s": 0.5})
+    assert main(["describe", write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == "error: missing required field(s) in params: kappa\n"
+
+
+@pytest.fixture
+def no_runs(no_member_runs, monkeypatch):
+    """Fail the test if a study or a run integrates anything."""
+    monkeypatch.setattr(cli, "evolve", experiments.evolve)
+
+
+def _numbers(fn):
+    """(name, default) of each option of ``fn`` that takes a number or a list
+    of numbers: the required ones and those whose default is a number, None
+    or a tuple."""
+    return [(o.name, o.default) for o in _options(fn)
+            if o.default is o.empty or o.default is None
+            or isinstance(o.default, (int, float, tuple)) and not isinstance(o.default, bool)]
+
+
+# Every number a config holds, read from the dataclasses' fields and the
+# presets' and studies' parameters: (command, preset, field, default).
+_EVERY_NUMBER = [
+    *((["run"], None, f"params.{f.name}", f.default) for f in dataclasses.fields(Params)),
+    *((["run"], None, f"integrator.{f.name}", f.default)
+      for f in dataclasses.fields(IntegratorConfig) if not isinstance(f.default, (str, bool))),
+    *((["run"], None, field, None) for field in ("T", "report_every", "grid.length")),
+    *((["run"], name, f"initial_data.{key}", default) for name, preset in PRESETS.items()
+      for key, default in _numbers(preset)),
+    *((["study", name], None, f"study.{key}", default) for name, (runner, _) in STUDIES.items()
+      for key, default in _numbers(runner)),
+]
+
+
+@pytest.mark.parametrize("command, preset, field, default", _EVERY_NUMBER,
+                         ids=[f"{c[-1]}-{p or ''}-{f}" for c, p, f, _ in _EVERY_NUMBER])
+def test_every_number_rejects_nan(tmp_path, capsys, no_runs, command, preset, field, default):
+    """NaN in any number of a config, or in every entry of a list of
+    numbers, is an error before anything runs and leaves no output."""
+    outdir = tmp_path / "o"
+    raw = small_run(str(outdir), params={"kappa": 1.0, "s": 1.5})
+    if preset:
+        raw["initial_data"] = {"preset": preset, **{o.name: 0.5 for o in _options(PRESETS[preset])
+                                                    if o.default is o.empty}}
+    _setting(field, [math.nan] * 3 if isinstance(default, tuple) else math.nan)(raw)
+    assert main([*command, write_config(tmp_path, raw)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("integrator.blowup_ceiling", math.nan, "blowup_ceiling must be positive, got nan"),
+    ("integrator.blowup_ceiling", -1, "blowup_ceiling must be positive, got -1.0"),
+    ("params.s", math.inf, "s must be >= 1/2 and finite, got inf"),
+], ids=["ceiling_nan", "ceiling_negative", "s_inf"])
+def test_bad_number_named_before_any_run(tmp_path, capsys, no_runs, field, value, message):
+    outdir = tmp_path / "o"
+    raw = small_run(str(outdir))
+    _setting(field, value)(raw)
+    assert main(["run", write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "describe"])
+@pytest.mark.parametrize("reason, line", [
+    ("Unable to allocate 8.00 TiB for an array", "out of memory: Unable to allocate 8.00 TiB"),
+    ("", "out of memory\n"),
+], ids=["numpy", "bare"])
+def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, command, reason, line):
+    """An allocation that fails while the initial state is built (numpy
+    refuses the 8 TiB of a 2^40-point grid) ends in an error line, exit 1."""
+
+    def too_big(*args, **kwargs):
+        raise MemoryError(reason)
+
+    monkeypatch.setattr(wbwaves.config, "build_preset", too_big)
+    outdir = tmp_path / "o"
+    assert main([command, write_config(tmp_path, small_run(str(outdir)))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {line}") and not captured.out
     assert not outdir.exists()
 
 
@@ -683,9 +793,9 @@ RATE_KEYS = {"config", "study", "pass", "fitted_order", "residual"}
 STUDY_OUTPUTS = {
     "kappa_limit": (
         {"params": {"kappa": 1.0, "s": 2.0}, "T": 1.0, "integrator": {"dt": 5e-3},
-         "study": {"values": [0.1, 0.01, 0.001], "comparison_norm": "HskappaxHs"}},
+         "study": {"values": [0.1, 0.01, 0.001]}},
         "kappa_limit_kappa",
-        "kappa,error,HskappaxHs",
+        "kappa,error,L2xH12,H1xH12,HskappaxHs",
         RATE_KEYS | {"points"},
     ),
     "mu_limit": (
@@ -796,6 +906,7 @@ class TestStudyOutputFaults:
     @pytest.mark.parametrize("sizes, message", [
         ([0.01, 0.001, -0.0001], "perturbation sizes must be positive"),
         ([0.01, 0.001, 0.0], "perturbation sizes must be positive"),
+        ([0.01, math.inf, 0.0001], "perturbation sizes must be positive and finite, got [0.01, inf"),
         ([0.01, 0.001], "stability_test needs at least 3 perturbation sizes, got 2"),
     ])
     def test_bad_stability_sizes_rejected_before_any_run(
@@ -813,6 +924,10 @@ class TestStudyOutputFaults:
         ("invariant_region", {"count": 0}, "the small-data family needs count >= 1, got 0"),
         ("dissipation", {"delta": -1.0}, "dissipation_test needs delta > 0, got -1.0"),
         ("dissipation", {"delta": 0.0}, "dissipation_test needs delta > 0, got 0.0"),
+        ("invariant_region", {"epsilon": math.nan},
+         "smallness threshold epsilon must be positive and finite, got nan"),
+        ("dissipation", {"epsilon": math.inf},
+         "smallness threshold epsilon must be positive and finite, got inf"),
     ])
     def test_bad_family_options_rejected_before_any_run(
         self, tmp_path, capsys, no_member_runs, name, options, message

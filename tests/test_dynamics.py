@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import sys
@@ -297,6 +298,29 @@ class TestEvolve:
     def test_horizon_rejects_a_plan_it_cannot_step(self, T, report_every, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             _horizon(T, 0.01, report_every)
+
+    def test_reported_steps_are_the_multiples_of_the_cadence(self):
+        """``reported`` picks the step nearest each multiple of report_every
+        before T, and the last step: report_every a hair below the step, a
+        cadence past T and cadences that do not divide T among them."""
+        for T, dt, cadence in itertools.product([0.1, 1.0, 3.7, 10.0], [1e-3, 7e-3, 0.03],
+                                                [1 - 1e-13, 1.0, 1.5, 7.3, 20.0, 1e6]):
+            report_every = cadence * T / math.ceil(T / dt - 1e-9)
+            n_steps, step, reported = _horizon(T, dt, report_every)
+            n_rep = max(1, math.ceil(T / report_every - 1e-9))
+            listed = {round(i * report_every / step) for i in range(n_rep)} | {n_steps}
+            assert {k for k in range(n_steps + 1) if reported(k)} == listed, (T, dt, cadence)
+
+    def test_a_dense_plan_costs_no_memory(self):
+        """Two million report nodes are not listed: the plan is O(1)."""
+        tracemalloc.start()
+        try:
+            n_steps, _, reported = _horizon(200.0, 1e-4, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert n_steps == 2_000_000 and reported(0) and reported(1_234_567)
 
     def test_realness_along_trajectory(self):
         # from_coeffs enforces the 1e-12 residue bound at every report time

@@ -49,10 +49,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="3"):
             kappa_limit_study(cfg, (0.1, 0.01))
 
-    def test_unknown_comparison_norm(self):
-        with pytest.raises(ValueError, match="comparison_norm"):
-            kappa_limit_study(base_config(), (0.1, 0.01, 0.001), comparison_norm="L3")
-
     def test_mu_needs_two_values(self):
         with pytest.raises(ValueError, match="2"):
             mu_limit_study(base_config(), (0.1,))
