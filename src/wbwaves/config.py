@@ -19,23 +19,15 @@ from .dynamics import IntegratorConfig, _horizon, _report_cadence
 from .presets import build_preset
 from .spectral import Grid
 from .state import Params, WaveState
-from .typed import ConfigError, bind, typed
+from .typed import ConfigError, bind, require, typed
 
 ARTIFACT_VERSION = "wbwaves-0.1.0"
 
 SYSTEMS = ("wb1d", "wb1d_regularized", "wb2d")
 
 
-def _take(table: dict, key, default=None, required=False):
-    if key in table:
-        return table.pop(key)
-    if required:
-        raise ConfigError(f"missing required field {key!r}")
-    return default
-
-
-def _table(table: dict, key, default=None, required=False) -> dict:
-    value = _take(table, key, default, required)
+def _table(table: dict, key, default=None) -> dict:
+    value = table.pop(key, default)
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a table (JSON object), got {value!r}")
     return dict(value)
@@ -117,14 +109,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a table (JSON object), got {raw!r}")
     raw = dict(raw)
-    system = _take(raw, "system", required=True)
+    require(raw, ("system", "grid", "params", "initial_data", "T"), "config")
+    system = raw.pop("system")
     if system not in SYSTEMS:
         raise ConfigError(f"system must be one of {SYSTEMS}, got {system!r}")
     dim = 2 if system == "wb2d" else 1
 
-    grid_tab = _table(raw, "grid", required=True)
-    n = _axis_value(_take(grid_tab, "n", required=True), "grid.n", int)
-    length = _axis_value(_take(grid_tab, "length", default=2.0 * math.pi), "grid.length", float)
+    grid_tab = _table(raw, "grid")
+    require(grid_tab, ("n",), "grid")
+    n = _axis_value(grid_tab.pop("n"), "grid.n", int)
+    length = _axis_value(grid_tab.pop("length", 2.0 * math.pi), "grid.length", float)
     _no_leftovers(grid_tab, "grid")
     if len(n) == 1 and dim == 2:
         n = n * 2
@@ -133,7 +127,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if len(n) != dim or len(length) != dim:
         raise ConfigError(f"grid for {system} needs {dim} axis value(s)")
 
-    params = _section(_table(raw, "params", required=True), "params", Params, ("kappa",))
+    params = _section(_table(raw, "params"), "params", Params, ("kappa",))
     integrator = _section(_table(raw, "integrator", default={}), "integrator", IntegratorConfig)
     if system == "wb1d_regularized" and params.mu == 0.0:
         raise ConfigError("mu must be positive for wb1d_regularized")
@@ -142,16 +136,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     if system in ("wb1d", "wb2d") and integrator.method == "picard_duhamel":
         raise ConfigError(f"picard_duhamel needs the regularized system (mu > 0), not {system}")
 
-    data_tab = _table(raw, "initial_data", required=True)
+    data_tab = _table(raw, "initial_data")
     if "snapshot" not in data_tab and "preset" not in data_tab:
         raise ConfigError("initial_data needs either 'preset' or 'snapshot'")
 
-    T = typed(_take(raw, "T", required=True), "T", float)
-    report_every = _take(raw, "report_every", default=_report_cadence(None, T, integrator.dt))
+    T = typed(raw.pop("T"), "T", float)
+    report_every = raw.pop("report_every", _report_cadence(None, T, integrator.dt))
     report_every = typed(report_every, "report_every", float)
-    output_dir = typed(_take(raw, "output_dir", default="out"), "output_dir", str)
-    seed = typed(_take(raw, "seed", default=0), "seed", int)
-    snapshots = typed(_take(raw, "snapshots", default=False), "snapshots", bool)
+    output_dir = typed(raw.pop("output_dir", "out"), "output_dir", str)
+    seed = typed(raw.pop("seed", 0), "seed", int)
+    snapshots = typed(raw.pop("snapshots", False), "snapshots", bool)
     study = _table(raw, "study", default={})
     _no_leftovers(raw, "config")
     try:

@@ -24,18 +24,21 @@ linear part itself is ``_Ops.linear``.  The public entry points are
 ``evolve``, ``picard_solve``, ``rhs`` and ``energy_derivative_check``.
 
 The exponential stepper is Lawson's RK4 written with one propagator,
-S(dt/2), applied four times per step (S(dt) = S(dt/2)^2).  Its stages live
-in one five-array workspace that each integration allocates for itself and
-never caches, so the cached operators stay read-only and concurrent
-integrations share them; a step allocates only the new state.  The quadratic
-forcing (``_Ops.nonlinear``) transforms axis by axis; in 2D its
-leading-axis passes see only the last-axis columns the 2/3 mask keeps, and
-the mask and the transform scaling are folded into two precomputed weights.
+S(dt/2), applied four times per step (S(dt) = S(dt/2)^2).  Its stages and
+the forcing's temporaries live in one workspace (``_workspace``) that each
+integration allocates for itself and never caches, so the cached operators
+stay read-only and concurrent integrations share them; a step allocates
+only the new state.  The quadratic forcing (``_Ops.nonlinear``) transforms
+axis by axis into its buffers (new ones when it is given none, as on a
+Picard sweep's node stack); in 2D its leading-axis passes see only the
+last-axis columns the 2/3 mask keeps, and the mask, the transform scaling
+and the 1/2 of |v|^2/2 are folded into precomputed weights.
 
 Trajectories stay packed: the two RK4 steppers and the converged Duhamel
 nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
 loop runs both blow-up checks on them and builds ``WaveState``s only for
-the nodes it reports on.
+the nodes it reports on.  It steps under one ``np.errstate`` that ignores
+overflow and reports under the caller's.
 
 Batch axis: every operator, the propagator and both steppers act on
 (..., 1 + d, *half) arrays, the component axis and the d transform axes
@@ -60,6 +63,7 @@ factor alone.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -164,47 +168,65 @@ class _Ops:
         # no such pass and runs full width.  The two weights fold in the mask
         # and the transform scaling, the inverse one for norm="forward".
         self.width = grid.dealias_band(-1) + 1 if dealias and d > 1 else grid.n[-1] // 2 + 1
+        self.cut = self.width < grid.n[-1] // 2 + 1
         keep = half(grid.dealias_mask if dealias else True)[..., : self.width]
         self.inv_weight = keep / math.sqrt(math.prod(grid.length))
         self.fwd_weight = forcing[..., : self.width] * (keep * grid._norm_factor)
+        # The velocity rows transform |v|^2 and take the 1/2 of |v|^2/2 here:
+        # a power of two scales exactly, so the result is bit for bit the same.
+        self.vel_weight = 0.5 * self.fwd_weight
         self._props = OrderedDict()
 
-    def nonlinear(self, u, out=None):
+    def nonlinear(self, u, out=None, work=None):
         """Quadratic forcing of the evolution (the Duhamel integrand):
         -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j,
         from the coefficients of ``_products``, written to ``out`` (a new
-        array when None); the columns the mask drops are zero."""
-        c = self._products(u)
+        array when None); the columns the mask drops are zero.  ``work`` is
+        the temporaries' ``buffers`` (new arrays when None)."""
+        c = self._products(u, work)
         if out is None:
             out = np.empty_like(u)
-        out[..., self.width :] = 0
+        if self.cut:
+            out[..., self.width :] = 0
         kept = out[..., : self.width]
-        np.multiply(self.fwd_weight, c[self.eta], out=kept[self.vel])
+        np.multiply(self.vel_weight, c[self.eta], out=kept[self.vel])
         c_vel = c[self.vel]
         c_vel *= self.fwd_weight
-        np.sum(c_vel, axis=self.comp, keepdims=True, out=kept[self.eta])
+        np.add.reduce(c_vel, axis=self.comp, keepdims=True, out=kept[self.eta])
         return out
 
-    def _products(self, u):
-        """The kept coefficients of (|v|^2/2, eta v_1, .., eta v_d): the
+    def buffers(self, spec, samples):
+        """The forcing's temporaries ``(spec, phys, sq)`` in two contiguous
+        complex arrays of the state's shape: ``spec`` holds in turn the input
+        columns, the squares v_j^2 (``sq``, real) and the forward spectrum,
+        and ``samples`` holds ``phys``, the samples, real."""
+        lead = spec.shape[: self.comp]
+        d = self.grid.dim
+        phys = _real(samples, lead + (1 + d,) + self.grid.n)
+        return spec, phys, _real(spec, lead + (d,) + self.grid.n)
+
+    def _products(self, u, work=None):
+        """The kept coefficients of (|v|^2, eta v_1, .., eta v_d): the
         weighted state's inverse transform, then the products' forward one,
-        axis by axis.  On a Picard sweep's stack of nodes every temporary is
-        as large as the stack, so each is freed before the next is made."""
+        axis by axis, every temporary in ``work``, the ``buffers``.  With no
+        ``work`` they are new arrays, the samples freed on return, so a Picard
+        sweep's stack of nodes peaks at about two stacks here."""
         lead = self.axes[:-1]
-        c = u[..., : self.width] * self.inv_weight
+        if work is None:
+            work = self.buffers(np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype))
+        spec, phys, sq = work
+        c = spec[..., : self.width]
+        np.multiply(u[..., : self.width], self.inv_weight, out=c)
         for axis in lead:
-            c = np.fft.ifft(c, axis=axis, norm="forward")
-        phys = np.fft.irfft(c, n=self.grid.n[-1], axis=-1, norm="forward")
-        del c
+            np.fft.ifft(c, axis=axis, norm="forward", out=c)
+        np.fft.irfft(c, n=self.grid.n[-1], axis=-1, norm="forward", out=phys)
         eta, vel = phys[self.eta], phys[self.vel]
-        sq = np.sum(vel * vel, axis=self.comp, keepdims=True)
+        np.multiply(vel, vel, out=sq)
         vel *= eta
-        np.multiply(sq, 0.5, out=eta)
-        del sq, eta, vel
-        c = np.fft.rfft(phys, axis=-1)[..., : self.width]
-        del phys
+        np.add.reduce(sq, axis=self.comp, keepdims=True, out=eta)
+        np.fft.rfft(phys, axis=-1, out=spec)
         for axis in lead:
-            c = np.fft.fft(c, axis=axis)
+            np.fft.fft(c, axis=axis, out=c)
         return c
 
     def linear(self, u):
@@ -301,37 +323,50 @@ def rhs(state: WaveState, params: Params) -> WaveState:
 # Time steppers
 
 
+def _real(buf, shape):
+    """A C-ordered float64 array of ``shape`` in the memory of ``buf``, a
+    contiguous complex array."""
+    return buf.reshape(-1).view(np.float64)[: math.prod(shape)].reshape(shape)
+
+
+def _workspace(ops: _Ops, u):
+    """One integration's scratch for ``_lawson_rk4_step`` on states shaped
+    like ``u``: ``(stages, buffers)``, the five stages and the forcing's
+    ``buffers``, all in one (7, *u.shape) array."""
+    block = np.empty((7,) + u.shape, u.dtype)
+    return block[:5], ops.buffers(block[5], block[6])
+
+
 def _lawson_rk4_step(ops: _Ops, u, dt, work=None):
     """Lawson RK4 with the one propagator S = S(dt/2): with a = S u and
     b = S k1, S(dt) = S^2 turns the scheme's six applies of S(dt/2) and S(dt)
     into four of S.
 
-    The stages live in ``work``, a (5, *u.shape) array (a new one when
-    None), and every combination runs in place in the order of
+    The stages live in a ``_workspace`` (a new one when ``work`` is None)
+    and every combination runs in place in the order of
 
         k2 = N(a + dt/2 b),  k3 = N(a + dt/2 k2),  k4 = N(S(a + dt k3)),
         S(a + dt/6 b + dt/3 (k2 + k3)) + dt/6 k4,
 
-    so the step allocates no state-sized array but the new state it
-    returns."""
+    and the forcing's temporaries live there too, so the step allocates no
+    state-sized array but the new state it returns."""
     s = ops.propagator(0.5 * dt)
-    if work is None:
-        work = np.empty((5,) + u.shape, u.dtype)
-    a, b, k, t, w = work
-    ops.nonlinear(u, out=k)  # k1
+    stages, f = _workspace(ops, u) if work is None else work
+    a, b, k, t, w = stages
+    ops.nonlinear(u, out=k, work=f)  # k1
     s.apply(u, out=a)
     s.apply(k, out=b)
     np.multiply(0.5 * dt, b, out=t)
     t += a
-    ops.nonlinear(t, out=k)  # k2
+    ops.nonlinear(t, out=k, work=f)  # k2
     np.multiply(0.5 * dt, k, out=t)
     t += a
-    ops.nonlinear(t, out=w)  # k3
+    ops.nonlinear(t, out=w, work=f)  # k3
     np.multiply(dt, w, out=t)
     t += a
     k += w  # k2 + k3
     s.apply(t, out=w)
-    ops.nonlinear(w, out=t)  # k4
+    ops.nonlinear(w, out=t, work=f)  # k4
     b *= dt / 6.0
     b += a
     k *= dt / 3.0
@@ -416,12 +451,12 @@ def _report_cadence(report_every, T, dt):
 def _stepped(step, ops: _Ops, u, dt, n_steps):
     """Yield ``u`` and the ``n_steps`` packed states ``step`` advances it to,
     every step through one workspace of this integration (never cached, so
-    concurrent integrations share only the read-only operators)."""
-    work = np.empty((5,) + u.shape, u.dtype)
+    concurrent integrations share only the read-only operators).  A step
+    runs as its node is drawn, under the drawer's error state."""
+    work = _workspace(ops, u)
     yield u
     for _ in range(n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = step(ops, u, dt, work)
+        u = step(ops, u, dt, work)
         yield u
 
 
@@ -486,32 +521,42 @@ def evolve(
     live = list(range(len(members)))
     pairs = [(p.kappa, p.s) for p in per]
     row_axes = tuple(range(1, 2 + grid.dim))
-    for k, u in enumerate(nodes):
-        u = u[None] if single else u
-        if k:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sup = np.max(np.abs(u), axis=row_axes)
-            bad = (~np.isfinite(sup) | (sup > 1e3 * cfg.blowup_ceiling)).tolist()
-        else:
-            bad = [False] * len(members)
-        times = [m.time + k * dt for m in members]
-        rows = [b for b in live if not bad[b]] if reported(k) else []
-        # A report reads kappa and s alone: one measure call per such pair.
-        for pair in dict.fromkeys(pairs[b] for b in rows):
-            group = [b for b in rows if pairs[b] == pair]
-            states = WaveState.from_packed(grid, u[group], [times[b] for b in group])
-            for b, state, report in zip(group, states, EnergyReport.measure(states, per[group[0]])):
-                res = results[b]
-                res.times.append(times[b])
-                res.states.append(state if keep is None else keep(state))
-                res.reports.append(report)
-                bad[b] = report.weighted_norm > cfg.blowup_ceiling
-        for b in list(live):
-            if bad[b]:
-                results[b].blown_up, results[b].blowup_time = True, times[b]
-                live.remove(b)
-        if not live:
-            break
+    # NaN fails the one comparison too, so it catches NaN, inf and a sup
+    # past 1e3 * blowup_ceiling.
+    limit = min(1e3 * cfg.blowup_ceiling, sys.float_info.max)
+    caller = np.geterr()
+    # The steps run here, as the loop draws its nodes; the reports keep the
+    # caller's error state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u in enumerate(nodes):
+            u = u[None] if single else u
+            if k:
+                bad = (~(np.maximum.reduce(np.abs(u), axis=row_axes) <= limit)).tolist()
+                due = reported(k)
+                if not (due or any(bad)):
+                    continue
+            else:
+                bad, due = [False] * len(members), True
+            times = [m.time + k * dt for m in members]
+            rows = [b for b in live if not bad[b]] if due else []
+            with np.errstate(**caller):
+                # A report reads kappa and s alone: one measure call per such pair.
+                for pair in dict.fromkeys(pairs[b] for b in rows):
+                    group = [b for b in rows if pairs[b] == pair]
+                    states = WaveState.from_packed(grid, u[group], [times[b] for b in group])
+                    measured = EnergyReport.measure(states, per[group[0]])
+                    for b, state, report in zip(group, states, measured):
+                        res = results[b]
+                        res.times.append(times[b])
+                        res.states.append(state if keep is None else keep(state))
+                        res.reports.append(report)
+                        bad[b] = report.weighted_norm > cfg.blowup_ceiling
+            for b in list(live):
+                if bad[b]:
+                    results[b].blown_up, results[b].blowup_time = True, times[b]
+                    live.remove(b)
+            if not live:
+                break
     return results[0] if single else results
 
 

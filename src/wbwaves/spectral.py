@@ -187,7 +187,7 @@ class Field:
             raise SpectralError(f"field shape {values.shape} does not match grid {grid.shape}")
         if not np.all(np.isfinite(values)):
             bad = np.argwhere(~np.isfinite(values))[0]
-            raise SpectralError(f"non-finite sample at grid index {tuple(bad)}")
+            raise SpectralError(f"non-finite sample at grid index {tuple(bad.tolist())}")
         values = values.copy()
         values.setflags(write=False)
         self.grid = grid

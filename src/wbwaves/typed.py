@@ -15,10 +15,11 @@ class ConfigError(ValueError):
 
 def typed(value, name, kind):
     """``value`` read as ``kind`` (bool, int, float or str), or a ConfigError
-    naming the field.  A float is any number and an int a number with no
-    fractional part (16.0 reads as 16); neither takes a boolean or a string."""
+    naming the field.  A float is any number but NaN and an int a number with
+    no fractional part (16.0 reads as 16); neither takes a boolean or a
+    string."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float and number:
+    if kind is float and number and value == value:
         return float(value)
     if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
@@ -40,6 +41,14 @@ def like(value, name, default):
     return typed(value, name, type(default))
 
 
+def require(table, names, where):
+    """A ConfigError naming ``where`` and the missing keys unless ``table``
+    has every key in ``names``."""
+    missing = [k for k in names if k not in table]
+    if missing:
+        raise ConfigError(f"missing required field(s) in {where}: {', '.join(missing)}")
+
+
 def bind(fn, table, where, skip=0, required=()):
     """The keyword arguments ``table`` gives ``fn``, a function or a
     dataclass: every key one of its parameters after the first ``skip``,
@@ -51,8 +60,5 @@ def bind(fn, table, where, skip=0, required=()):
     unknown = sorted(set(table) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {', '.join(unknown)}")
-    missing = [p.name for p in params
-               if (p.default is p.empty or p.name in required) and p.name not in table]
-    if missing:
-        raise ConfigError(f"missing required field(s) in {where}: {', '.join(missing)}")
+    require(table, [p.name for p in params if p.default is p.empty or p.name in required], where)
     return {k: like(v, f"{where}.{k}", defaults[k]) for k, v in table.items()}

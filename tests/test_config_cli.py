@@ -394,6 +394,35 @@ def test_kappa_is_required(tmp_path, capsys):
     assert capsys.readouterr().err == "error: missing required field(s) in params: kappa\n"
 
 
+@pytest.mark.parametrize("drop, message", [
+    (lambda raw: raw.pop("T"), "config: T"),
+    (lambda raw: (raw.pop("T"), raw.pop("system")), "config: system, T"),
+    (lambda raw: raw["grid"].pop("n"), "grid: n"),
+], ids=["T", "system_and_T", "grid_n"])
+def test_missing_key_named_with_its_table(tmp_path, capsys, drop, message):
+    """The top-level config and the grid table say what the bound tables say."""
+    raw = small_run(str(tmp_path / "o"), grid={"n": 64, "length": 6.0})
+    drop(raw)
+    assert main(["describe", write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == f"error: missing required field(s) in {message}\n"
+
+
+@pytest.mark.parametrize("field", [
+    "initial_data.amplitude", "study.values", "T", "grid.length", "params.s",
+])
+@pytest.mark.parametrize("preset", ["single_mode", "random_bandlimited"])
+def test_nan_named_by_its_field(tmp_path, capsys, no_runs, preset, field):
+    """One rule refuses NaN in any number, named by its field, whatever the
+    preset or study would have made of it."""
+    outdir = tmp_path / "o"
+    data = {"preset": preset, "amplitude": 0.05}
+    raw = small_run(str(outdir), initial_data=data, study={"values": [0.1, 0.01, 0.001]})
+    _setting(field, [0.1, math.nan, 0.001] if field == "study.values" else math.nan)(raw)
+    assert main(["study", "kappa_limit", write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be a number, got nan\n"
+    assert not outdir.exists()
+
+
 @pytest.fixture
 def no_runs(no_member_runs, monkeypatch):
     """Fail the test if a study or a run integrates anything."""
@@ -441,7 +470,7 @@ def test_every_number_rejects_nan(tmp_path, capsys, no_runs, command, preset, fi
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("integrator.blowup_ceiling", math.nan, "blowup_ceiling must be positive, got nan"),
+    ("integrator.blowup_ceiling", math.nan, "integrator.blowup_ceiling must be a number, got nan"),
     ("integrator.blowup_ceiling", -1, "blowup_ceiling must be positive, got -1.0"),
     ("params.s", math.inf, "s must be >= 1/2 and finite, got inf"),
 ], ids=["ceiling_nan", "ceiling_negative", "s_inf"])
@@ -924,8 +953,7 @@ class TestStudyOutputFaults:
         ("invariant_region", {"count": 0}, "the small-data family needs count >= 1, got 0"),
         ("dissipation", {"delta": -1.0}, "dissipation_test needs delta > 0, got -1.0"),
         ("dissipation", {"delta": 0.0}, "dissipation_test needs delta > 0, got 0.0"),
-        ("invariant_region", {"epsilon": math.nan},
-         "smallness threshold epsilon must be positive and finite, got nan"),
+        ("invariant_region", {"epsilon": math.nan}, "study.epsilon must be a number, got nan"),
         ("dissipation", {"epsilon": math.inf},
          "smallness threshold epsilon must be positive and finite, got inf"),
     ])

@@ -721,6 +721,126 @@ class TestPackedTrajectory:
         assert res.final.time == res.times[-1] == pytest.approx(0.1, abs=1e-15)
 
 
+def parent_blowup_nodes(grid, params, nodes, ceiling, reported):
+    """The node at which each row of a stack stops, by the rule evolve's
+    sampling loop used before its one comparison: from node 1 on, a sup that
+    is not finite or passes 1e3 * ceiling, and at a reported node a weighted
+    norm past the ceiling.  Each row that stops maps to its node and whether
+    that node was reported (a report past the ceiling is kept)."""
+    stopped = {}
+    for k, u in enumerate(nodes):
+        for b in range(len(u)):
+            if b in stopped:
+                continue
+            sup = np.max(np.abs(u[b]))
+            if k and (~np.isfinite(sup) | (sup > 1e3 * ceiling)):
+                stopped[b] = k, False
+            elif reported(k):
+                state = WaveState.from_packed(grid, u[b], 0.0)
+                if EnergyReport.measure(state, params).weighted_norm > ceiling:
+                    stopped[b] = k, True
+    return stopped
+
+
+def poisoned(step, member, at, value):
+    """``step`` that writes ``value`` into one coefficient of row ``member``
+    of the state it returns at its ``at``-th call."""
+    calls = itertools.count(1)
+
+    def wrapped(ops, u, dt, work=None):
+        out = step(ops, u, dt, work)
+        if next(calls) == at:
+            out[member, 0, 2] = value
+        return out
+
+    return wrapped
+
+
+class TestSamplingLoop:
+    """evolve's blow-up test is one comparison per node, sup <= min(1e3 *
+    ceiling, float max), which NaN fails too; a row stops where the rule it
+    replaced stopped it."""
+
+    @pytest.mark.parametrize("ceiling", [1.0, 1e6, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 900.0, 2e3, 2e9],
+                             ids=["nan", "inf", "-inf", "9e2", "2e3", "2e9"])
+    @pytest.mark.parametrize("at", [3, 10], ids=["unreported", "last"])
+    def test_a_poisoned_member_stops_where_it_stopped(self, monkeypatch, ceiling, value, at):
+        g = Grid(32)
+        params = Params(kappa=1.0)
+        members = [small_state(g, seed=seed) for seed in (1, 2, 3)]
+        cfg = IntegratorConfig(dt=0.01, blowup_ceiling=ceiling)
+        n_steps, dt, reported = _horizon(0.1, cfg.dt, 0.05)
+        clean = evolve(members, params, cfg, T=0.1, report_every=0.05)
+        ops = _ops(g, params, True)
+        u = np.stack([m.packed() for m in members])
+        step = poisoned(dynamics._lawson_rk4_step, 1, at, value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = [n.copy() for n in dynamics._stepped(step, ops, u, dt, n_steps)]
+        expected = parent_blowup_nodes(g, params, nodes, ceiling, reported)
+        monkeypatch.setattr(dynamics, "_lawson_rk4_step",
+                            poisoned(dynamics._lawson_rk4_step, 1, at, value))
+        before = np.geterr()
+        results = evolve(members, params, cfg, T=0.1, report_every=0.05)
+        assert np.geterr() == before
+        assert set(expected) <= {1}
+        res = results[1]
+        assert res.blown_up == (1 in expected)
+        if res.blown_up:
+            stop, kept = expected[1]
+            assert res.blowup_time == stop * dt
+            assert res.times == [k * dt for k in range(stop + kept) if reported(k)]
+        else:
+            assert res.times == clean[1].times
+        for b in (0, 2):
+            assert not results[b].blown_up
+            assert np.array_equal(results[b].final.packed(), clean[b].final.packed())
+
+    def test_the_verdicts_the_cases_cover(self):
+        """The cases above reach each way of stopping: NaN and inf at once,
+        a sup past 1e3 * ceiling, a report past the ceiling, and none."""
+        g = Grid(32)
+        params = Params(kappa=1.0)
+        members = [small_state(g, seed=seed) for seed in (1, 2, 3)]
+        u = np.stack([m.packed() for m in members])
+        ops = _ops(g, params, True)
+
+        def verdict(value, ceiling, at):
+            n_steps, dt, reported = _horizon(0.1, 0.01, 0.05)
+            step = poisoned(dynamics._lawson_rk4_step, 1, at, value)
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = [n.copy() for n in dynamics._stepped(step, ops, u, dt, n_steps)]
+            return parent_blowup_nodes(g, params, nodes, ceiling, reported).get(1)
+
+        assert verdict(math.nan, math.inf, 3) == (3, False)
+        assert verdict(2e3, 1.0, 3) == (3, False)  # sup past 1e3 * ceiling
+        assert verdict(900.0, 1.0, 3) == (5, True)  # the report at node 5
+        assert verdict(900.0, 1e6, 10) is None
+
+    def test_reports_keep_the_callers_error_state(self, monkeypatch):
+        """The steps run with overflow ignored, the reports under the
+        caller's error state, and evolve leaves that state as it found it."""
+        g = Grid(32)
+        params = Params(kappa=1.0)
+        steps, reports = [], []
+        step, measure = dynamics._lawson_rk4_step, EnergyReport.measure.__func__
+
+        def step_spy(*args):
+            steps.append(np.geterr()["over"])
+            return step(*args)
+
+        def measure_spy(cls, states, p):
+            reports.append(np.geterr()["over"])
+            return measure(cls, states, p)
+
+        monkeypatch.setattr(dynamics, "_lawson_rk4_step", step_spy)
+        monkeypatch.setattr(EnergyReport, "measure", classmethod(measure_spy))
+        with np.errstate(over="raise", invalid="warn"):
+            evolve(small_state(g), params, IntegratorConfig(dt=0.01), T=0.1, report_every=0.05)
+            assert np.geterr()["over"] == "raise"
+        assert steps == ["ignore"] * 10 and reports == ["raise"] * 3
+
+
 class TestEnergyDerivative:
     def test_zero_state(self):
         g = Grid(32)
@@ -1000,9 +1120,44 @@ def allocating_lawson_step(ops, u, dt):
     return s.apply(a + dt / 6.0 * b + dt / 3.0 * (k2 + k3)) + dt / 6.0 * k4
 
 
+# Reference: the forcing as it was written before its temporaries had buffers,
+# each one a new array and the 1/2 of |v|^2/2 applied to the samples.  Halving
+# is exact, so folding it into the velocity rows' weight moves no bit.
+
+
+def allocating_nonlinear(ops, u):
+    lead = ops.axes[:-1]
+    c = u[..., : ops.width] * ops.inv_weight
+    for axis in lead:
+        c = np.fft.ifft(c, axis=axis, norm="forward")
+    phys = np.fft.irfft(c, n=ops.grid.n[-1], axis=-1, norm="forward")
+    eta, vel = phys[ops.eta], phys[ops.vel]
+    sq = np.sum(vel * vel, axis=ops.comp, keepdims=True)
+    vel *= eta
+    np.multiply(sq, 0.5, out=eta)
+    c = np.fft.rfft(phys, axis=-1)[..., : ops.width]
+    for axis in lead:
+        c = np.fft.fft(c, axis=axis)
+    out = np.zeros_like(u)
+    kept = out[..., : ops.width]
+    np.multiply(ops.fwd_weight, c[ops.eta], out=kept[ops.vel])
+    c_vel = c[ops.vel]
+    c_vel *= ops.fwd_weight
+    np.sum(c_vel, axis=ops.comp, keepdims=True, out=kept[ops.eta])
+    return out
+
+
 def garbage(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def garbage_workspace(ops, u, seed=0):
+    """A step's workspace whose every slot holds stale numbers."""
+    work = dynamics._workspace(ops, u)
+    block = work[0].base
+    block[...] = garbage(block.shape, seed)
+    return work, block
 
 
 class TestWorkspaceStep:
@@ -1011,23 +1166,31 @@ class TestWorkspaceStep:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_matches_allocating_step(self, n, mu, rows):
         ops, u = step_case(n, mu, True, rows)
-        work = garbage((5,) + u.shape)
+        work, block = garbage_workspace(ops, u)
         new, ref = u, u
         for _ in range(20):
             new = dynamics._lawson_rk4_step(ops, new, 1e-2, work)
             ref = allocating_lawson_step(ops, ref, 1e-2)
             assert np.array_equal(new, ref)
             # evolve's states keep views of the returned array
-            assert not np.shares_memory(new, work)
+            assert not np.shares_memory(new, block)
 
     @pytest.mark.parametrize("n", [(256,), (32, 32), (16, 24)])
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     @pytest.mark.parametrize("dealias", [True, False])
-    def test_out_forms_match_allocating_forms(self, n, mu, dealias):
-        ops, u = step_case(n, mu, dealias, 3)
-        out = garbage(u.shape, seed=1)
-        assert ops.nonlinear(u, out=out) is out
-        assert np.array_equal(out, ops.nonlinear(u))
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_out_forms_match_allocating_forms(self, n, mu, dealias, rows):
+        """The forcing with no buffers, in a workspace's buffers (holding
+        garbage, then the last call's numbers) and as it was written before
+        either agree bit for bit, and so do both forms of an apply."""
+        ops, u = step_case(n, mu, dealias, rows)
+        ref = allocating_nonlinear(ops, u)
+        assert np.array_equal(ops.nonlinear(u), ref)
+        (_, buffers), _ = garbage_workspace(ops, u, seed=3)
+        for seed, work in ((1, None), (4, buffers), (5, buffers)):
+            out = garbage(u.shape, seed)
+            assert ops.nonlinear(u, out=out, work=work) is out
+            assert np.array_equal(out, ref)
         prop = ops.propagator(0.05)
         out = garbage(u.shape, seed=2)
         assert prop.apply(u, out=out) is out
@@ -1036,11 +1199,12 @@ class TestWorkspaceStep:
 
 def test_step_allocation_with_a_workspace():
     """After warm-up, a 2D 32^2 step given a workspace peaks at 2.1 state
-    sizes (the new state and the forcing's transform temporaries); the step
-    that made every stage a new array peaked at 9.1."""
+    sizes (the new state, one propagator product and numpy's iteration
+    buffers; the forcing's temporaries are in the workspace); the step that
+    made every stage a new array peaked at 9.1."""
     ops = _ops(Grid((32, 32)), Params(kappa=0.7, mu=0.2, p=0.75), True)
     u = random_bandlimited(ops.grid, seed=0, band=10, amplitude=0.3).packed()
-    work = np.empty((5,) + u.shape, u.dtype)
+    work = dynamics._workspace(ops, u)
     dynamics._lawson_rk4_step(ops, u, 1e-2, work)  # warm the FFT plans
     tracemalloc.start()
     try:

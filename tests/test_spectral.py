@@ -101,7 +101,7 @@ class TestTransform:
         g = Grid(16)
         v = np.zeros(16)
         v[3] = np.nan
-        with pytest.raises(SpectralError, match="non-finite"):
+        with pytest.raises(SpectralError, match=r"non-finite sample at grid index \(3,\)$"):
             Field(g, v)
 
 
