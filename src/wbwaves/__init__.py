@@ -19,7 +19,6 @@ from .functionals import (
     smallness_threshold,
 )
 from .spectral import (
-    Field,
     Grid,
     SpectralError,
     Symbol,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "EnergyReport",
     "EvolveResult",
-    "Field",
     "Grid",
     "IntegratorConfig",
     "Params",

@@ -21,7 +21,7 @@ H, E_s and the 1D momentum I = int eta (D/tanh D) v dx.  It measures one
 state or a list of them in one pass over their (B, 1 + d, *half) stack:
 each quadratic term is one half-spectrum sum, the cubic terms of H and E_s
 share one inverse transform of (eta, v, J^(s-1/2) v), and eta_min, eta_max
-and linf_v read the states' samples (``WaveState.from_packed``).
+and linf_v read the states' samples (``WaveState.samples``).
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class EnergyReport:
         d, s, kappa = grid.dim, params.s, params.kappa
         axes = tuple(range(-d, 0))
         u = np.array([st.packed() for st in states])
-        x = np.array([[f.values for f in (st.eta, *st.vel)] for st in states])
+        x = np.array([st.samples for st in states])
         wsq = _weighted_sq_coeffs(grid, u, 0.5, kappa)
         cubic = _cubic(grid, u[:, 0], u[:, 1:], *((0.0,) if s == 0.5 else (0.0, s - 0.5)))
         ham = 0.5 * (wsq + cubic[:, 0])

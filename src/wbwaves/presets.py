@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .spectral import Field, Grid, SymbolCatalog
+from .spectral import Grid, SymbolCatalog
 from .state import WaveState
 from .typed import bind, typed
 
@@ -51,13 +51,12 @@ def single_mode(grid: Grid, amplitude, mode=1, v_amplitude=None) -> WaveState:
     xis = [2.0 * math.pi * k / L for k, L in zip(ks, grid.length)]
     if grid.dim == 1:
         wave = np.cos(xis[0] * grid.x[0])
-        return WaveState(Field(grid, a * wave), (Field(grid, av * wave),))
+        return WaveState(grid, np.stack([a * wave, av * wave]))
     norm = math.hypot(*xis)
     if norm == 0:
         raise ValueError("single_mode needs a nonzero 2D mode")
     wave = np.cos(xis[0] * grid.x[0] + xis[1] * grid.x[1])
-    vel = tuple(Field(grid, av * xi / norm * wave) for xi in xis)
-    return WaveState(Field(grid, a * wave), vel)
+    return WaveState(grid, np.stack([a * wave, *(av * xi / norm * wave for xi in xis)]))
 
 
 def _periodized_bump(x, L, width):
@@ -81,7 +80,7 @@ def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:
         raise ValueError(f"width must be positive, got {width}")
     if grid.dim == 1:
         g = _periodized_bump(grid.x[0], grid.length[0], w)
-        return WaveState(Field(grid, a * g), (Field(grid, a * g),))
+        return WaveState(grid, np.stack([a * g, a * g]))
     g1 = _periodized_bump(grid.x[0], grid.length[0], w)
     g2 = _periodized_bump(grid.x[1], grid.length[1], w)
     eta = grid.forward_half(a * g1 * g2)

@@ -1,5 +1,5 @@
-"""Periodic pseudospectral core: grids, transforms, fields and the Fourier
-multiplier symbols.
+"""Periodic pseudospectral core: grids, transforms, the samples rule and the
+Fourier multiplier symbols.
 
 Normalization convention (the single place it is defined).  Samples live on
 the uniform lattice x_j = j*L/n per axis.  The forward transform is
@@ -175,30 +175,35 @@ class Grid:
         return x
 
 
+def checked_samples(values, shape):
+    """A read-only float64 copy of ``values``, which must have ``shape`` and
+    be finite: the one rule for the samples of a state or a field."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != tuple(shape):
+        raise SpectralError(f"samples of shape {values.shape} do not match {tuple(shape)}")
+    if not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))[0]
+        raise SpectralError(f"non-finite sample at grid index {tuple(bad.tolist())}")
+    values = values.copy()
+    values.setflags(write=False)
+    return values
+
+
 class Field:
-    """Real grid function: finite float64 samples, immutable after
-    construction."""
+    """Real grid function: the tests' full-spectrum reference, used by no
+    package code (a state is one samples array, ``WaveState.samples``);
+    ``bench/tracer.py`` wraps ``from_coeffs`` by name."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != grid.shape:
-            raise SpectralError(f"field shape {values.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise SpectralError(f"non-finite sample at grid index {tuple(bad.tolist())}")
-        values = values.copy()
-        values.setflags(write=False)
         self.grid = grid
-        self.values = values
+        self.values = checked_samples(values, grid.shape)
 
     @classmethod
     def from_coeffs(cls, grid, coeffs, context="inverse transform"):
         """Build a real field from full fftn-lattice coefficients, enforcing
-        the realness bound.  No package code calls it (states are built on
-        the half spectrum); ``bench/tracer.py`` wraps it by name, and the
-        tests' full-spectrum references use it."""
+        the realness bound."""
         w = np.fft.ifftn(coeffs) / grid._norm_factor
         scale = float(np.max(np.abs(w))) if w.size else 0.0
         imag = float(np.max(np.abs(w.imag))) if w.size else 0.0
@@ -208,37 +213,6 @@ class Field:
                 f"{REALNESS_TOL:.0e} of field scale {scale:.3e}"
             )
         return cls(grid, w.real)
-
-    @classmethod
-    def _of_samples(cls, grid, values):
-        """A field kept on ``values`` as they are, no copy: read-only finite
-        float64 samples of the grid's shape, which the caller checked."""
-        f = cls.__new__(cls)
-        f.grid, f.values = grid, values
-        return f
-
-    def linf(self):
-        return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other):
-        self._check_same_grid(other)
-        return Field(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._check_same_grid(other)
-        return Field(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return Field(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
-    def _check_same_grid(self, other):
-        if not isinstance(other, Field) or other.grid != self.grid:
-            raise SpectralError("fields live on different grids")
 
 
 # ---------------------------------------------------------------------------

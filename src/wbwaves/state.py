@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import REALNESS_TOL, Field, Grid, SpectralError, SymbolCatalog
+from .spectral import REALNESS_TOL, Grid, SpectralError, SymbolCatalog, checked_samples
 
 CURL_TOL = 1e-10
 
@@ -48,37 +48,23 @@ class Params:
 class WaveState:
     """Surface elevation plus velocity (one component in 1D, two in 2D).
 
-    All fields share one grid.  Two-dimensional velocities must be curl
-    free: the relative homogeneous-L2 curl residue is checked on
-    construction against ``CURL_TOL``.
-
-    Layout: ``packed()`` is the state as one (1 + d, *half) complex array,
-    half = (*n[:-1], n[-1]//2 + 1), of the rfftn coefficients of
-    (eta, v_1, .., v_d).  The solver integrates that array, or a
+    Layout: ``samples`` is one read-only (1 + d, *n) float64 array of the
+    samples of (eta, v_1, .., v_d), checked finite on construction (and in
+    2D curl free: relative homogeneous-L2 curl residue within ``CURL_TOL``);
+    ``eta``, ``vel`` and the 1D ``v`` are views of it.  ``packed()`` is the
+    state as one (1 + d, *half) complex array, half = (*n[:-1], n[-1]//2 +
+    1), of their rfftn coefficients.  The solver integrates that array, or a
     (B, 1 + d, *half) stack of them, and every state functional is a sum or
-    a transform over it.  ``from_packed`` turns an array or a whole stack
-    back into states that keep it, with the fields' samples from one
-    inverse rfftn; ``EnergyReport.measure`` reads a list of such states as
-    one stack again.  A state built from fields is packed by one rfftn of
-    its stacked samples (``Grid.forward_half``).
+    a transform over it.  ``from_packed`` turns an array or a stack back
+    into states that keep it, each holding its row of one inverse rfftn;
+    ``EnergyReport.measure`` reads a list of states as one stack again.
     """
 
-    __slots__ = ("eta", "vel", "time", "_packed")
+    __slots__ = ("grid", "samples", "time", "_packed")
 
-    def __init__(self, eta: Field, vel, time=0.0):
-        if isinstance(vel, Field):
-            vel = (vel,)
-        vel = tuple(vel)
-        grid = eta.grid
-        for comp in vel:
-            if comp.grid != grid:
-                raise SpectralError("state fields live on different grids")
-        if len(vel) != grid.dim:
-            raise SpectralError(
-                f"velocity needs {grid.dim} component(s), got {len(vel)}"
-            )
-        self.eta = eta
-        self.vel = vel
+    def __init__(self, grid: Grid, samples, time=0.0):
+        self.grid = grid
+        self.samples = checked_samples(samples, (1 + grid.dim, *grid.shape))
         self.time = float(time)
         self._packed = None
         if grid.dim == 2:
@@ -89,7 +75,7 @@ class WaveState:
         """The state of half-spectrum coefficients ``u``, which it keeps; for
         a (B, 1 + d, *half) stack and B times, the list of its B states.
 
-        One inverse rfftn gives every field's samples, checked by
+        One inverse rfftn gives every state's samples, checked by
         ``_samples`` for realness, and in 2D the stack's velocities are
         checked curl free in one sum."""
         u = u.view()
@@ -101,51 +87,50 @@ class WaveState:
         x = _samples(grid, rows)
         if grid.dim == 2:
             _check_curl(grid, rows)
-        fields = [Field._of_samples(grid, c) for c in x.reshape(-1, *grid.n)]
-        k = 1 + grid.dim
         states = []
-        for b, t in enumerate(times):
+        for row, samples, t in zip(rows, x, times):
             state = cls.__new__(cls)
-            state.eta, state.vel = fields[k * b], tuple(fields[k * b + 1 : k * b + k])
-            state.time = float(t)
-            state._packed = rows[b]
+            state.grid, state.samples, state.time, state._packed = grid, samples, float(t), row
             states.append(state)
         return states if stack else states[0]
 
     def packed(self):
         """The read-only (1 + d, *half) rfftn coefficient array (see Layout)."""
         if self._packed is None:
-            u = self.grid.forward_half(np.stack([f.values for f in (self.eta, *self.vel)]))
+            u = self.grid.forward_half(self.samples)
             u.flags.writeable = False
             self._packed = u
         return self._packed
-
-    @property
-    def grid(self) -> Grid:
-        return self.eta.grid
 
     @property
     def dim(self) -> int:
         return self.grid.dim
 
     @property
-    def v(self) -> Field:
+    def eta(self):
+        return self.samples[0]
+
+    @property
+    def vel(self):
+        return self.samples[1:]
+
+    @property
+    def v(self):
         """The single velocity component of a 1D state."""
         if self.dim != 1:
             raise SpectralError("v is only defined for 1D states; use vel")
-        return self.vel[0]
+        return self.samples[1]
 
     @classmethod
     def zero(cls, grid: Grid, time=0.0):
-        zero = Field(grid, np.zeros(grid.shape))
-        return cls(zero, (zero,) * grid.dim, time)
+        return cls(grid, np.zeros((1 + grid.dim, *grid.shape)), time)
 
 
 def _samples(grid: Grid, u):
-    """The real samples of every field of a (B, 1 + d, *half) stack, by one
-    inverse rfftn, checked real: the imaginary part of the inverse of the
-    full spectrum the half one stands for stays within REALNESS_TOL of the
-    field's largest sample (``Field.from_coeffs``'s rule).
+    """The read-only (B, 1 + d, *n) real samples of a (B, 1 + d, *half)
+    stack, by one inverse rfftn, checked real: the imaginary part of the
+    inverse of the full spectrum the half one stands for stays within
+    REALNESS_TOL of each component's largest sample.
 
     That full spectrum mirrors the last axis's interior columns, so the
     imaginary part of its inverse comes from the self-conjugate columns 0
@@ -192,10 +177,10 @@ def _check_curl(grid: Grid, u):
         )
 
 
-def curl_residue(vel) -> float:
-    """Homogeneous-L2 norm of d1 v2 - d2 v1 computed spectrally."""
-    grid = vel[0].grid
-    return float(_curl_residue(grid, grid.forward_half(np.stack([c.values for c in vel]))))
+def curl_residue(grid: Grid, vel) -> float:
+    """Homogeneous-L2 norm of d1 v2 - d2 v1 of (2, *n) velocity samples,
+    computed spectrally."""
+    return float(_curl_residue(grid, grid.forward_half(np.asarray(vel, dtype=np.float64))))
 
 
 def _curl_residue(grid: Grid, vel_c):

@@ -3,11 +3,13 @@ kept as independent references for the tests.
 
 ``transform``, ``coeffs``, ``inverse`` and ``index`` are the full fftn
 lattice under the package's scaling (see the ``spectral`` module
-docstring).  The operators act on ``Field`` objects through those full
+docstring).  The operators act on ``Field`` objects (``spectral.Field``, a
+grid plus read-only samples, kept for these references) through those full
 spectra and return a new ``Field`` (or a float) by one inverse fftn per
 result, the way the package computed them before every operator moved to
 the half spectrum.  The package's half-spectrum code is checked against
-them, never the other way round.
+them, never the other way round.  ``fields`` and ``state_of`` convert
+between a ``WaveState``'s one samples array and its components as Fields.
 """
 
 import math
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from wbwaves.spectral import Field, SymbolCatalog
+from wbwaves.state import WaveState
 
 
 def transform(grid, values):
@@ -39,6 +42,20 @@ def index(grid, k):
     return tuple(int(kj) % m for kj, m in zip(k, grid.n))
 
 
+def fields(state):
+    """A state's components (eta, v_1, .., v_d) as Fields."""
+    return tuple(Field(state.grid, c) for c in state.samples)
+
+
+def state_of(*components, time=0.0):
+    """The ``WaveState`` of Fields (eta, v_1, .., v_d) on one grid."""
+    return WaveState(components[0].grid, np.stack([f.values for f in components]), time)
+
+
+def linf(f):
+    return float(np.max(np.abs(f.values)))
+
+
 def zero(grid):
     """The zero field."""
     return Field(grid, np.zeros(grid.shape))
@@ -52,7 +69,7 @@ def apply_multiplier(sym, f, axis=0):
 
 def lp_norm(f, p):
     if p == math.inf:
-        return f.linf()
+        return linf(f)
     return (f.grid.cell * float(np.sum(np.abs(f.values) ** p))) ** (1.0 / p)
 
 
@@ -75,4 +92,5 @@ def pair_product(f, g):
 
 def commutator(sym, f, g):
     """[sym(D), f] g = sym(D)(f g) - f sym(D) g with dealiased products."""
-    return apply_multiplier(sym, pair_product(f, g)) - pair_product(f, apply_multiplier(sym, g))
+    a, b = apply_multiplier(sym, pair_product(f, g)), pair_product(f, apply_multiplier(sym, g))
+    return Field(f.grid, a.values - b.values)

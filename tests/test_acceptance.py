@@ -31,7 +31,7 @@ from wbwaves.presets import random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid
 from wbwaves.state import Params, WaveState, curl_residue, weighted_pair_norm
 
-from full_spectrum import coeffs, index
+from full_spectrum import index, state_of, transform
 
 
 def report(num, name, ok, detail):
@@ -149,7 +149,7 @@ def test_criterion_08_picard_vs_direct():
     cfg = IntegratorConfig(dt=2e-3, picard_tol=1e-8, picard_max_iter=30)
     pic = picard_solve(u0, params, cfg, T=0.5)
     ref = evolve(u0, params, IntegratorConfig(method="reference_rk4", dt=2e-3), T=0.5)
-    diff = WaveState(pic.final.eta - ref.final.eta, (pic.final.v - ref.final.v,))
+    diff = WaveState(g, pic.final.samples - ref.final.samples)
     err = weighted_pair_norm(diff, params.s, params.kappa)
     ok = err <= 1e-6 and pic.iterations <= 30
     report(8, "Duhamel fixed point vs direct integration", ok,
@@ -177,8 +177,8 @@ def test_criterion_10_two_dimensional_structure():
     drift = max(abs(x - h[0]) for x in h) / abs(h[0])
     worst_curl = 0.0
     for st in res.states:
-        scale = 1.0 + math.sqrt(sum(float(np.sum(np.abs(coeffs(c)) ** 2)) for c in st.vel))
-        worst_curl = max(worst_curl, curl_residue(st.vel) / scale)
+        scale = 1.0 + math.sqrt(sum(float(np.sum(np.abs(transform(g, c)) ** 2)) for c in st.vel))
+        worst_curl = max(worst_curl, curl_residue(g, st.vel) / scale)
     ok = worst_curl <= 1e-10 and drift <= 1e-7
     report(10, "2D curl-free structure", ok,
            f"curl residue {worst_curl:.2e} (tol 1e-10), H drift {drift:.2e} (tol 1e-7)")
@@ -191,16 +191,18 @@ def test_criterion_11_numerics_sanity():
     c_eta = np.zeros(512, dtype=complex)
     c_v = np.zeros(512, dtype=complex)
     for k in range(-85, 86):
-        c_eta[index(fine, k)] = coeffs(u_c.eta)[index(coarse, k)]
-        c_v[index(fine, k)] = coeffs(u_c.v)[index(coarse, k)]
-    u_f = WaveState(Field.from_coeffs(fine, c_eta), (Field.from_coeffs(fine, c_v),))
+        c_eta[index(fine, k)] = transform(coarse, u_c.eta)[index(coarse, k)]
+        c_v[index(fine, k)] = transform(coarse, u_c.v)[index(coarse, k)]
+    u_f = state_of(Field.from_coeffs(fine, c_eta), Field.from_coeffs(fine, c_v))
     params = Params(kappa=1.0, s=1.0)
     fa = evolve(u_c, params, IntegratorConfig(dt=1e-3), T=1.0).final
     fb = evolve(u_f, params, IntegratorConfig(dt=1e-3), T=1.0).final
     refine_diff = 0.0
     for k in range(-128, 128):
-        refine_diff += abs(coeffs(fa.eta)[index(coarse, k)] - coeffs(fb.eta)[index(fine, k)]) ** 2
-        refine_diff += abs(coeffs(fa.v)[index(coarse, k)] - coeffs(fb.v)[index(fine, k)]) ** 2
+        refine_diff += abs(transform(coarse, fa.eta)[index(coarse, k)]
+                           - transform(fine, fb.eta)[index(fine, k)]) ** 2
+        refine_diff += abs(transform(coarse, fa.v)[index(coarse, k)]
+                           - transform(fine, fb.v)[index(fine, k)]) ** 2
     refine_diff = math.sqrt(refine_diff)
 
     # temporal order of the exponential integrator
@@ -213,7 +215,7 @@ def test_criterion_11_numerics_sanity():
     errs = []
     for dt in dts:
         f = final(dt)
-        d = WaveState(f.eta - ref.eta, (f.v - ref.v,))
+        d = WaveState(g, f.samples - ref.samples)
         errs.append(weighted_pair_norm(d, 1.0, 1.0))
     order, _ = fit_rate(dts, errs)
     ok = refine_diff < 1e-10 and abs(order - 4.0) <= 0.5

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -230,7 +231,7 @@ def test_preset_options_of_the_right_type_accepted():
     raw["initial_data"] = {"preset": "single_mode", "amplitude": 1, "mode": [1, 2.0],
                            "v_amplitude": None}
     state = config_from_dict(raw).initial_state()
-    assert state.eta.linf() == pytest.approx(1.0)
+    assert np.max(np.abs(state.eta)) == pytest.approx(1.0)
     raw["initial_data"]["mode"] = [1, 2.5]
     with pytest.raises(ConfigError, match="initial_data.mode must be an integer"):
         config_from_dict(raw).initial_state()
@@ -321,7 +322,7 @@ def test_single_mode_outside_the_dealias_band_rejected(n, mode, axis, band):
 def test_single_mode_inside_the_dealias_band_accepted(n, mode):
     grid = Grid(n)
     state = single_mode(grid, 0.1, mode=mode)
-    assert state.eta.linf() == pytest.approx(0.1)
+    assert np.max(np.abs(state.eta)) == pytest.approx(0.1)
 
 
 def test_single_mode_outside_the_band_through_a_config(tmp_path, capsys):
@@ -1192,15 +1193,20 @@ def test_unreadable_snapshot_exits_one(tmp_path, capsys, command, make_snapshot)
     assert not outdir.exists()
 
 
-def _snapshot(tmp_path, n=64, cut=0, **extra):
+def _snapshot(tmp_path, n=64, cut=0, header=None, **extra):
     """initial_data naming a single-mode snapshot on ``n`` points, its last
-    ``cut`` bytes removed, with ``extra`` keys beside it."""
+    ``cut`` bytes removed, with ``extra`` keys beside it.  ``header`` names
+    a 1D header field ("n", "L" or "time") and the value written over it."""
     from wbwaves.snapshot import write_snapshot
 
     snap = tmp_path / "init.wbsnap"
     write_snapshot(snap, single_mode(Grid(n), 0.05))
-    data = snap.read_bytes()
-    snap.write_bytes(data[: len(data) - cut])
+    data = bytearray(snap.read_bytes())
+    if header is not None:
+        name, value = header
+        offset, fmt = {"n": (8, "<I"), "L": (12, "<d"), "time": (20, "<d")}[name]
+        struct.pack_into(fmt, data, offset, value)
+    snap.write_bytes(bytes(data[: len(data) - cut]))
     return {"initial_data": {"snapshot": str(snap), **extra}}
 
 
@@ -1212,13 +1218,17 @@ def _snapshot(tmp_path, n=64, cut=0, **extra):
     lambda tmp: _snapshot(tmp, n=32),
     lambda tmp: _snapshot(tmp, cut=8),
     lambda tmp: _snapshot(tmp, amplitude=0.1),
+    lambda tmp: _snapshot(tmp, header=("time", math.nan)),
+    lambda tmp: _snapshot(tmp, header=("n", 63)),
+    lambda tmp: _snapshot(tmp, header=("L", math.nan)),
     lambda tmp: {"report_every": 1e-3},
     lambda tmp: {"T": math.nan},
     lambda tmp: {"T": math.inf},
     lambda tmp: {"report_every": math.inf},
     lambda tmp: {"T": 1e308, "integrator": {"dt": 1e-3}},
 ], ids=["unknown_preset", "unknown_option", "missing_option", "band_past_dealias",
-        "snapshot_grid", "snapshot_truncated", "snapshot_extra_key", "report_below_step",
+        "snapshot_grid", "snapshot_truncated", "snapshot_extra_key", "snapshot_time_nan",
+        "snapshot_odd_n", "snapshot_length_nan", "report_below_step",
         "T_nan", "T_inf", "report_every_inf", "steps_overflow"])
 def test_describe_and_study_reject_what_run_rejects(tmp_path, capsys, overrides):
     """describe and a config-based study exit 1 on every config run rejects,

@@ -319,7 +319,7 @@ class TestDeterminism:
         fam1 = small_data_family(g, kappa=1.0, count=2, seed=7, band=4)
         fam2 = small_data_family(g, kappa=1.0, count=2, seed=7, band=4)
         for a, b in zip(fam1, fam2):
-            assert np.array_equal(a.eta.values, b.eta.values)
+            assert np.array_equal(a.eta, b.eta)
         r1 = invariant_region_test(fam1, Params(kappa=1.0), T=0.3, cfg=IntegratorConfig(dt=5e-3))
         r2 = invariant_region_test(fam2, Params(kappa=1.0), T=0.3, cfg=IntegratorConfig(dt=5e-3))
         assert r1.rows == r2.rows

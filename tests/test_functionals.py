@@ -15,7 +15,17 @@ from wbwaves.presets import random_bandlimited
 from wbwaves.spectral import Field, Grid, SpectralError
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
-from full_spectrum import apply_multiplier, coeffs, index, inverse, sobolev_norm, zero
+from full_spectrum import (
+    apply_multiplier,
+    coeffs,
+    fields,
+    index,
+    inverse,
+    sobolev_norm,
+    state_of,
+    transform,
+    zero,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -50,6 +60,7 @@ def brute_force_energy(state, params, refine=4):
     cubic term by quadrature on a spectrally interpolated finer grid."""
     grid = state.grid
     fine = Grid(tuple(refine * m for m in grid.n), grid.length)
+    eta, *vel = fields(state)
 
     def interp(f):
         c = np.zeros(fine.shape, dtype=np.complex128)
@@ -68,14 +79,14 @@ def brute_force_energy(state, params, refine=4):
     a = np.asarray(grid.xi_norm)
     for idx in np.ndindex(grid.shape):
         w = (1 + a[idx] ** 2) ** (s - 0.5)
-        total += w * (1 + params.kappa * a[idx] ** 2) * abs(coeffs(state.eta)[idx]) ** 2
+        total += w * (1 + params.kappa * a[idx] ** 2) * abs(coeffs(eta)[idx]) ** 2
         ktrm = a[idx] / math.tanh(a[idx]) if a[idx] > 0 else 1.0
-        for comp in state.vel:
+        for comp in vel:
             total += w * ktrm * abs(coeffs(comp)[idx]) ** 2
     # cubic term on the fine grid
-    eta_f = interp(state.eta)
+    eta_f = interp(eta)
     cubic = 0.0
-    for comp in state.vel:
+    for comp in vel:
         bess = (1 + a * a) ** ((s - 0.5) / 2.0)
         jv = Field.from_coeffs(grid, bess * coeffs(comp))
         jv_f = interp(jv)
@@ -86,13 +97,13 @@ def brute_force_energy(state, params, refine=4):
 class TestHamiltonian:
     def test_cosine_elevation(self):
         g = Grid(64)
-        st = WaveState(cos_field(g), (zero(g),))
+        st = state_of(cos_field(g), zero(g))
         assert hamiltonian(st, Params(kappa=1.0)) == pytest.approx(math.pi, rel=1e-13)
 
     def test_cosine_velocity(self):
         # 1/2 * (1/tanh 1) * ||cos||_L2^2 = (pi/2) / tanh(1)
         g = Grid(64)
-        st = WaveState(zero(g), (cos_field(g),))
+        st = state_of(zero(g), cos_field(g))
         want = 0.5 * math.pi / math.tanh(1.0)
         assert hamiltonian(st, Params(kappa=0.3)) == pytest.approx(want, rel=1e-13)
 
@@ -104,9 +115,7 @@ class TestHamiltonian:
         g = Grid(64)
         st = random_bandlimited(g, seed=2, band=6, amplitude=0.3)
         params = Params(kappa=0.7, s=1.0)
-        rolled = WaveState(
-            Field(g, np.roll(st.eta.values, 9)), (Field(g, np.roll(st.v.values, 9)),)
-        )
+        rolled = WaveState(g, np.roll(st.samples, 9, axis=-1))
         for fn in (hamiltonian, momentum, modified_energy):
             a, b = fn(st, params), fn(rolled, params)
             assert abs(b - a) <= 1e-10 * max(abs(a), 1)
@@ -117,7 +126,8 @@ class TestHamiltonian:
         g = Grid(64)
         st = random_bandlimited(g, seed=12, band=6, amplitude=0.3)
         params = Params(kappa=0.9, s=0.5)
-        cubic = 0.5 * triple_quadrature(st.eta, st.v, st.v)
+        eta, v = fields(st)
+        cubic = 0.5 * triple_quadrature(eta, v, v)
         quad_part = hamiltonian(st, params) - cubic
         want = 0.5 * weighted_pair_norm(st, 0.5, params.kappa) ** 2
         assert quad_part == pytest.approx(want, rel=1e-12)
@@ -127,7 +137,7 @@ class TestHamiltonian:
         g = Grid((32, 32))
         x1 = np.asarray(g.x[0])
         eta = Field(g, 0.2 * np.cos(x1) * np.ones(g.shape))
-        st = WaveState(eta, (zero(g), zero(g)))
+        st = state_of(eta, zero(g), zero(g))
         want = 0.5 * (1 + 0.5) * 0.04 * math.pi * TWO_PI
         assert hamiltonian(st, Params(kappa=0.5)) == pytest.approx(want, rel=1e-12)
 
@@ -135,18 +145,18 @@ class TestHamiltonian:
 class TestMomentum:
     def test_cosine_pair(self):
         g = Grid(64)
-        st = WaveState(cos_field(g), (cos_field(g),))
+        st = state_of(cos_field(g), cos_field(g))
         want = math.pi / math.tanh(1.0)
         assert momentum(st, Params()) == pytest.approx(want, rel=1e-13)
 
     def test_zero_velocity(self):
         g = Grid(32)
-        st = WaveState(cos_field(g), (zero(g),))
+        st = state_of(cos_field(g), zero(g))
         assert momentum(st, Params()) == 0.0
 
     def test_orthogonal_modes(self):
         g = Grid(64)
-        st = WaveState(cos_field(g, 1), (cos_field(g, 2),))
+        st = state_of(cos_field(g, 1), cos_field(g, 2))
         assert abs(momentum(st, Params())) < 1e-14
 
     def test_nan_in_2d(self):
@@ -162,7 +172,7 @@ class TestWeightedPairNorm:
     def test_cosine_at_half(self):
         # kappa ||dx cos||_L2^2 + ||cos||_L2^2 = pi + pi at kappa = 1, s = 1/2
         g = Grid(64)
-        st = WaveState(cos_field(g), (zero(g),))
+        st = state_of(cos_field(g), zero(g))
         assert weighted_pair_norm(st, 0.5, 1.0) == pytest.approx(math.sqrt(TWO_PI), rel=1e-13)
 
     def test_kappa_zero_reduction(self):
@@ -172,9 +182,10 @@ class TestWeightedPairNorm:
 
         k_inv = Symbol("K^-1", "even", False,
                        lambda a: np.sqrt(SymbolCatalog.d_over_tanh().profile(a)))
-        kinv_v = apply_multiplier(k_inv, st.v)
+        eta, v = fields(st)
+        kinv_v = apply_multiplier(k_inv, v)
         want = math.sqrt(
-            sobolev_norm(st.eta, 0.5) ** 2 + sobolev_norm(kinv_v, 0.5) ** 2
+            sobolev_norm(eta, 0.5) ** 2 + sobolev_norm(kinv_v, 0.5) ** 2
         )
         assert weighted_pair_norm(st, 1.0, 0.0) == pytest.approx(want, rel=1e-11)
 
@@ -191,7 +202,7 @@ class TestModifiedEnergy:
 
     def test_modifier_drops_for_flat_surface(self):
         g = Grid(64)
-        st = WaveState(zero(g), (cos_field(g),))
+        st = state_of(zero(g), cos_field(g))
         params = Params(kappa=1.0, s=1.5)
         want = 0.5 * weighted_pair_norm(st, 1.5, 1.0) ** 2
         assert modified_energy(st, params) == pytest.approx(want, rel=1e-13)
@@ -199,7 +210,7 @@ class TestModifiedEnergy:
     def test_against_brute_force_oracle(self):
         g = Grid(32)
         params = Params(kappa=1.0, s=1.5)
-        st = WaveState(cos_field(g), (cos_field(g),))
+        st = state_of(cos_field(g), cos_field(g))
         want = brute_force_energy(st, params)
         assert modified_energy(st, params) == pytest.approx(want, rel=1e-11)
 
@@ -225,11 +236,12 @@ class TestDifferenceEnergy:
         from wbwaves.spectral import SymbolCatalog
 
         r = 0.75
-        jw = apply_multiplier(SymbolCatalog.bessel(r - 0.5), st.v)
+        eta, v = fields(st)
+        jw = apply_multiplier(SymbolCatalog.bessel(r - 0.5), v)
         want = 0.5 * (
-            params.kappa * sobolev_norm(st.eta, r + 0.5) ** 2
-            + sobolev_norm(st.v, r) ** 2
-            + triple_quadrature(st.eta, jw, jw)
+            params.kappa * sobolev_norm(eta, r + 0.5) ** 2
+            + sobolev_norm(v, r) ** 2
+            + triple_quadrature(eta, jw, jw)
         )
         assert difference_energy(st, zero, r, params) == pytest.approx(want, rel=1e-12)
 
@@ -241,15 +253,15 @@ class TestDifferenceEnergy:
         r = 1.0
         # oracle: difference energy is the r-energy of (theta, w) plus the
         # eta_1-weighted cubic term; reuse the brute-force machinery.
-        theta = a.eta - b.eta
-        w = a.v - b.v
+        theta = Field(g, a.eta - b.eta)
+        w = Field(g, a.v - b.v)
         fine = Grid((128,), g.length)
         c_eta = np.zeros(fine.shape, dtype=np.complex128)
         c_jw = np.zeros(fine.shape, dtype=np.complex128)
         bess = (1 + np.asarray(g.xi_norm) ** 2) ** ((r - 0.5) / 2)
         jw = Field.from_coeffs(g, bess * coeffs(w))
         for k in range(-15, 16):
-            c_eta[index(fine, k)] = coeffs(a.eta)[index(g, k)]
+            c_eta[index(fine, k)] = transform(g, a.eta)[index(g, k)]
             c_jw[index(fine, k)] = coeffs(jw)[index(g, k)]
         cubic = fine.cell * np.sum(inverse(fine, c_eta).real * inverse(fine, c_jw).real ** 2)
         want = 0.5 * (
@@ -281,7 +293,7 @@ class TestSmallness:
 class TestCoercivity:
     def test_flat_surface_gives_one(self):
         g = Grid(32)
-        st = WaveState(zero(g), (cos_field(g),))
+        st = state_of(zero(g), cos_field(g))
         assert coercivity_ratio(st, Params(s=1.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_small_states_near_one(self):
@@ -290,13 +302,12 @@ class TestCoercivity:
         for seed in range(5):
             st = random_bandlimited(g, seed=seed, band=6, amplitude=1.0)
             scale = 0.05 / weighted_pair_norm(st, params.s, params.kappa)
-            small = WaveState(scale * st.eta, (scale * st.v,))
+            small = WaveState(g, scale * st.samples)
             assert 0.9 <= coercivity_ratio(small, params) <= 1.1
 
     def test_negative_elevation_lowers_ratio(self):
         g = Grid(64)
-        eta = Field(g, -np.ones(64))
-        st = WaveState(eta, (3.0 * cos_field(g),))
+        st = state_of(Field(g, -np.ones(64)), Field(g, 3.0 * cos_field(g).values))
         assert coercivity_ratio(st, Params(kappa=1.0, s=1.0)) < 1.0
 
 
@@ -306,12 +317,13 @@ class TestRefinementStability:
         fine = Grid(128)
         params = Params(kappa=0.9, s=1.25)
         st = random_bandlimited(coarse, seed=5, band=8, amplitude=0.3)
+        eta, v = fields(st)
         c_eta = np.zeros(fine.shape, dtype=np.complex128)
         c_v = np.zeros(fine.shape, dtype=np.complex128)
         for k in range(-31, 32):
-            c_eta[index(fine, k)] = coeffs(st.eta)[index(coarse, k)]
-            c_v[index(fine, k)] = coeffs(st.v)[index(coarse, k)]
-        st2 = WaveState(Field.from_coeffs(fine, c_eta), (Field.from_coeffs(fine, c_v),))
+            c_eta[index(fine, k)] = coeffs(eta)[index(coarse, k)]
+            c_v[index(fine, k)] = coeffs(v)[index(coarse, k)]
+        st2 = state_of(Field.from_coeffs(fine, c_eta), Field.from_coeffs(fine, c_v))
         for fn in (hamiltonian, momentum, modified_energy):
             a, b = fn(st, params), fn(st2, params)
             assert abs(a - b) <= 1e-10 * max(abs(a), 1e-6)

@@ -52,7 +52,16 @@ from wbwaves.spectral import (
 )
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, curl_residue, weighted_pair_norm
 
-from full_spectrum import apply_multiplier, coeffs, inverse, sobolev_norm, zero
+from full_spectrum import (
+    apply_multiplier,
+    coeffs,
+    fields,
+    inverse,
+    linf,
+    sobolev_norm,
+    state_of,
+    zero,
+)
 
 OPERATOR_RTOL = 1e-13
 FUNCTIONAL_RTOL = 1e-13
@@ -172,11 +181,11 @@ def max_rel(got, want):
 
 
 def full_state(grid, seed):
-    """A random state built from its fields, so that ``packed()`` is the
-    rfftn of their samples, and the fields' full spectra."""
+    """A random state built from its samples, so that ``packed()`` is the
+    rfftn of them, and its components' full spectra."""
     st = random_bandlimited(grid, seed=seed, band=min(grid.n) // 3, amplitude=0.3)
-    st = WaveState(st.eta, st.vel, st.time)
-    return st, (coeffs(st.eta),) + tuple(coeffs(c) for c in st.vel)
+    st = WaveState(grid, st.samples, st.time)
+    return st, tuple(coeffs(f) for f in fields(st))
 
 
 @pytest.mark.parametrize("n", GRIDS)
@@ -238,35 +247,37 @@ def triple_quadrature(f, g, h):
 
 
 def full_weighted_norm(state, s, kappa):
-    spectra = [coeffs(f) for f in (state.eta, *state.vel)]
+    spectra = [coeffs(f) for f in fields(state)]
     return math.sqrt(full_weighted_sq(state.grid, spectra, s, kappa))
 
 
 def full_cubic_modifier(state, order):
     """int eta |J^order v|^2 dx with dealiased products."""
     bess = SymbolCatalog.bessel(order)
+    eta, *vel = fields(state)
     total = 0.0
-    for comp in state.vel:
+    for comp in vel:
         jv = apply_multiplier(bess, comp)
-        total += triple_quadrature(state.eta, jv, jv)
+        total += triple_quadrature(eta, jv, jv)
     return total
 
 
 def speed_linf(state):
     """Max pointwise speed |v| (Euclidean magnitude in 2D) from the samples."""
     if state.dim == 1:
-        return state.v.linf()
-    return float(math.sqrt(np.max(state.vel[0].values ** 2 + state.vel[1].values ** 2)))
+        return float(np.max(np.abs(state.v)))
+    return float(math.sqrt(np.max(state.vel[0] ** 2 + state.vel[1] ** 2)))
 
 
 def full_report(state, params):
     """Every EnergyReport column, by the formulas on full spectra."""
     grid, kappa, s = state.grid, params.kappa, params.s
-    cubic = sum(triple_quadrature(state.eta, comp, comp) for comp in state.vel)
+    eta, *vel = fields(state)
+    cubic = sum(triple_quadrature(eta, comp, comp) for comp in vel)
     momentum = math.nan
     if grid.dim == 1:
         kinv2 = SymbolCatalog.d_over_tanh().values(grid)
-        momentum = float(np.real(np.sum(np.conj(coeffs(state.eta)) * kinv2 * coeffs(state.v))))
+        momentum = float(np.real(np.sum(np.conj(coeffs(eta)) * kinv2 * coeffs(vel[0]))))
     return {
         "time": state.time,
         "hamiltonian": 0.5 * (full_weighted_norm(state, 0.5, kappa) ** 2 + cubic),
@@ -274,21 +285,22 @@ def full_report(state, params):
         "modified_energy": 0.5 * full_weighted_norm(state, s, kappa) ** 2
         + 0.5 * full_cubic_modifier(state, s - 0.5),
         "weighted_norm": full_weighted_norm(state, s, kappa),
-        "eta_min": float(np.min(state.eta.values)),
-        "eta_max": float(np.max(state.eta.values)),
+        "eta_min": float(np.min(state.eta)),
+        "eta_max": float(np.max(state.eta)),
         "linf_v": speed_linf(state),
     }
 
 
 def full_difference_energy(state1, state2, r, params):
-    theta = state1.eta - state2.eta
+    grid = state1.grid
+    theta = Field(grid, state1.eta - state2.eta)
     total = params.kappa * sobolev_norm(theta, r + 0.5) ** 2
     bess = SymbolCatalog.bessel(r - 0.5)
     for c1, c2 in zip(state1.vel, state2.vel):
-        w = c1 - c2
+        w = Field(grid, c1 - c2)
         total += sobolev_norm(w, r) ** 2
         jw = apply_multiplier(bess, w)
-        total += triple_quadrature(state1.eta, jw, jw)
+        total += triple_quadrature(Field(grid, state1.eta), jw, jw)
     return 0.5 * total
 
 
@@ -301,8 +313,7 @@ def full_spectrum_state(grid, u, time):
     for axis in range(1, grid.dim):
         mirror = np.roll(np.flip(mirror, axis), 1, axis)
     full = np.concatenate([u, mirror], axis=-1)
-    fields = [Field.from_coeffs(grid, c) for c in full]
-    return WaveState(fields[0], tuple(fields[1:]), time=time)
+    return state_of(*(Field.from_coeffs(grid, c) for c in full), time=time)
 
 
 def rough_state(grid, seed, amplitude=0.3):
@@ -311,11 +322,11 @@ def rough_state(grid, seed, amplitude=0.3):
     rng = np.random.default_rng(seed)
     eta = Field(grid, amplitude * rng.standard_normal(grid.shape))
     if grid.dim == 1:
-        return WaveState(eta, (Field(grid, amplitude * rng.standard_normal(grid.shape)),))
+        return state_of(eta, Field(grid, amplitude * rng.standard_normal(grid.shape)))
     psi = Field(grid, amplitude * rng.standard_normal(grid.shape))
     vel = [apply_multiplier(SymbolCatalog.partial(j), psi, axis=j) for j in range(2)]
-    scale = amplitude / max(c.linf() for c in vel)
-    return WaveState(eta, tuple(scale * c for c in vel))
+    scale = amplitude / max(linf(c) for c in vel)
+    return state_of(eta, *(Field(grid, scale * c.values) for c in vel))
 
 
 def evolved_packed(grid, start, params):
@@ -341,7 +352,7 @@ def _close(got, want, rtol=FUNCTIONAL_RTOL):
 
 
 def sample_states(grid, kappa):
-    """Two field-built states, each followed by its ERK4 step as from_packed."""
+    """Two states built from samples, each followed by its ERK4 step as from_packed."""
     params = Params(kappa=kappa)
     for start in (full_state(grid, 9)[0], rough_state(grid, 10)):
         yield start
@@ -353,7 +364,7 @@ def sample_states(grid, kappa):
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 class TestFunctionalsAgainstFullSpectrum:
     """Old-vs-new equivalence of every state functional, on states built
-    from fields and on states from_packed from an ERK4 step."""
+    from samples and on states from_packed from an ERK4 step."""
 
     def test_energy_report(self, n, kappa):
         grid = Grid(n)
@@ -393,9 +404,9 @@ class TestFunctionalsAgainstFullSpectrum:
             u = evolved_packed(grid, rough_state(grid, seed), Params(kappa=kappa))
             new = WaveState.from_packed(grid, u, DT)
             old = full_spectrum_state(grid, u, DT)
-            scale = max(f.linf() for f in (old.eta, *old.vel))
-            for a, b in zip((new.eta, *new.vel), (old.eta, *old.vel)):
-                assert np.max(np.abs(a.values - b.values)) <= ROUND_TRIP_RTOL * scale
+            scale = float(np.max(np.abs(old.samples)))
+            for a, b in zip(new.samples, old.samples):
+                assert np.max(np.abs(a - b)) <= ROUND_TRIP_RTOL * scale
             got = EnergyReport.measure(new, Params(kappa=kappa))
             want = full_report(old, Params(kappa=kappa))
             for name in ("eta_min", "eta_max", "linf_v"):
@@ -403,8 +414,8 @@ class TestFunctionalsAgainstFullSpectrum:
 
 
 def field_difference(a, b):
-    """A state difference by field arithmetic (sample subtraction)."""
-    return a.eta - b.eta, [va - vb for va, vb in zip(a.vel, b.vel)]
+    """A state difference by sample subtraction, as Fields."""
+    return Field(a.grid, a.eta - b.eta), [Field(a.grid, va - vb) for va, vb in zip(a.vel, b.vel)]
 
 
 def field_sobolev_pair(a, b, eta_order, vel_order):
@@ -416,11 +427,12 @@ def field_sobolev_pair(a, b, eta_order, vel_order):
 def field_weighted_difference(a, b, s, kappa):
     """The weighted pair norm of the difference as a new ``WaveState``."""
     theta, ws = field_difference(a, b)
-    return weighted_pair_norm(WaveState(theta, tuple(ws), time=a.time), s, kappa)
+    return weighted_pair_norm(state_of(theta, *ws, time=a.time), s, kappa)
 
 
 def field_data_size(st):
-    return sobolev_norm(st.eta, 0.0) + math.sqrt(sum(sobolev_norm(v, 0.5) ** 2 for v in st.vel))
+    eta, *vel = fields(st)
+    return sobolev_norm(eta, 0.0) + math.sqrt(sum(sobolev_norm(v, 0.5) ** 2 for v in vel))
 
 
 @pytest.mark.parametrize("n", [(64,), (256,), (32, 32)])
@@ -522,8 +534,8 @@ class TestHalfSpectrumConvention:
         st, full = full_state(grid, 7)
         assert max_rel(st.packed(), half(grid, full)) <= OPERATOR_RTOL
         back = WaveState.from_packed(grid, st.packed(), st.time)
-        for a, b in zip((st.eta, *st.vel), (back.eta, *back.vel)):
-            assert np.max(np.abs(a.values - b.values)) <= ROUND_TRIP_RTOL * np.max(np.abs(a.values))
+        for a, b in zip(st.samples, back.samples):
+            assert np.max(np.abs(a - b)) <= ROUND_TRIP_RTOL * np.max(np.abs(a))
 
     def test_from_packed_keeps_its_array_read_only(self):
         grid = Grid((16, 24))
@@ -532,6 +544,29 @@ class TestHalfSpectrumConvention:
         assert st.packed() is st.packed()
         assert np.shares_memory(st.packed(), u) and not st.packed().flags.writeable
         assert u.flags.writeable
+
+    @pytest.mark.parametrize("n", [(16,), (16, 24)])
+    def test_state_is_one_samples_array(self, n):
+        """A state keeps one read-only (1 + d, *n) samples array, of which
+        eta, vel and the 1D v are views: a copy of the constructor's input,
+        or a state's row of from_packed's one inverse transform.  The
+        constructor checks its shape and finiteness."""
+        grid = Grid(n)
+        values = np.array(full_state(grid, 7)[0].samples)
+        built = WaveState(grid, values)
+        stack = np.stack([built.packed(), 2.0 * built.packed()])
+        rows = WaveState.from_packed(grid, stack, [0.0, 1.0])
+        assert rows[0].samples.base is not None and rows[0].samples.base is rows[1].samples.base
+        for st in (built, *rows):
+            assert st.samples.shape == (1 + grid.dim, *grid.n) and not st.samples.flags.writeable
+            views = [st.eta, st.vel] + ([st.v] if grid.dim == 1 else [])
+            assert all(np.shares_memory(v, st.samples) for v in views)
+        assert not np.shares_memory(built.samples, values)
+        with pytest.raises(SpectralError, match="do not match"):
+            WaveState(grid, values[:1])
+        values[1].flat[3] = np.nan
+        with pytest.raises(SpectralError, match=r"non-finite sample at grid index \(1, "):
+            WaveState(grid, values)
 
     def test_curl_check_reads_the_half_spectrum(self):
         """The curl residue by Parseval on the half spectrum equals the
@@ -542,9 +577,10 @@ class TestHalfSpectrumConvention:
         vel = (Field(grid, np.cos(x2) + 0 * x1), zero(grid))
         d = [SymbolCatalog.partial(j).multiplier(grid, axis=j) for j in range(2)]
         want = math.sqrt(np.sum(np.abs(d[0] * coeffs(vel[1]) - d[1] * coeffs(vel[0])) ** 2))
-        assert math.isclose(curl_residue(vel), want, rel_tol=PARSEVAL_RTOL)
+        got = curl_residue(grid, [f.values for f in vel])
+        assert math.isclose(got, want, rel_tol=PARSEVAL_RTOL)
         with pytest.raises(ValueError, match="not curl free"):
-            WaveState(zero(grid), vel)
+            state_of(zero(grid), *vel)
         u = np.stack([grid.half(coeffs(f)) for f in (zero(grid), *vel)])
         with pytest.raises(ValueError, match="not curl free"):
             WaveState.from_packed(grid, u, 0.0)
@@ -576,7 +612,7 @@ class TestHalfSpectrumConvention:
         col = 0 if column == "0" else n[-1] // 2
         index = (row, comp, 3, col) if grid.dim == 2 else (row, comp, col)
         state = full_spectrum_state(grid, stack[row], 0.0)
-        scale = (state.eta, *state.vel)[comp].linf()
+        scale = float(np.max(np.abs(state.samples[comp])))
         # An imaginary a on one coefficient gives samples an imaginary part
         # of largest size a / (n_1 .. n_d * norm factor).
         a = factor * REALNESS_TOL * scale * np.prod(grid.n) * grid._norm_factor
@@ -607,45 +643,41 @@ def old_random_bandlimited(grid, seed, band, amplitude):
     def draw():
         return Field.from_coeffs(grid, _random_band_coeffs(grid, rng, band))
 
-    eta = draw()
-    eta = (amplitude / eta.linf()) * eta
+    eta = draw().values
+    eta = (amplitude / np.max(np.abs(eta))) * eta
     if grid.dim == 1:
-        v = draw()
-        return WaveState(eta, ((amplitude / v.linf()) * v,))
+        v = draw().values
+        return WaveState(grid, np.stack([eta, (amplitude / np.max(np.abs(v))) * v]))
     psi = draw()
-    vel = [apply_multiplier(SymbolCatalog.partial(j), psi, axis=j) for j in range(2)]
-    speed = math.sqrt(float(np.max(vel[0].values ** 2 + vel[1].values ** 2)))
-    return WaveState(eta, tuple((amplitude / speed) * c for c in vel))
+    vel = np.stack([apply_multiplier(SymbolCatalog.partial(j), psi, axis=j).values
+                    for j in range(2)])
+    speed = math.sqrt(float(np.max(vel[0] ** 2 + vel[1] ** 2)))
+    return WaveState(grid, np.concatenate([eta[None], (amplitude / speed) * vel]))
 
 
 def old_gaussian_bump_2d(grid, amplitude, width):
     g1, g2 = (_periodized_bump(grid.x[j], grid.length[j], width) for j in range(2))
     eta = Field(grid, amplitude * g1 * g2)
-    return WaveState(eta, tuple(
-        width * apply_multiplier(SymbolCatalog.partial(j), eta, axis=j) for j in range(2)
-    ))
-
-
-def _fields(state):
-    return np.stack([f.values for f in (state.eta, *state.vel)])
+    vel = [width * apply_multiplier(SymbolCatalog.partial(j), eta, axis=j).values for j in range(2)]
+    return WaveState(grid, np.stack([eta.values, *vel]))
 
 
 def old_packed(state):
-    """The former packing of a field-built state: each field's full fftn
-    spectrum, cut to the half slice."""
-    return np.stack([state.grid.half(coeffs(f)) for f in (state.eta, *state.vel)])
+    """The former packing of a state built from samples: each component's
+    full fftn spectrum, cut to the half slice."""
+    return np.stack([state.grid.half(coeffs(f)) for f in fields(state)])
 
 
 class TestPresetsAgainstFieldPath:
     """``random_bandlimited`` and the 2D ``gaussian_bump`` build their states
-    on the half spectrum, and a field-built state is packed by one rfftn;
-    they agree with the former field-built states and fftn packing to
-    PRESET_RTOL of the largest value."""
+    on the half spectrum, and a state built from samples is packed by one
+    rfftn; they agree with the former field-built states and fftn packing
+    to PRESET_RTOL of the largest value."""
 
     PRESET_RTOL = 1e-13
 
     def _close_states(self, got, want):
-        for new, old in ((got.packed(), want.packed()), (_fields(got), _fields(want))):
+        for new, old in ((got.packed(), want.packed()), (got.samples, want.samples)):
             assert np.max(np.abs(new - old)) <= self.PRESET_RTOL * np.max(np.abs(old))
 
     @pytest.mark.parametrize("n", [(32, 32), (16, 24), (128, 128)])
@@ -670,7 +702,7 @@ class TestPresetsAgainstFieldPath:
 
     @pytest.mark.parametrize("n", [(64,), (32, 32), (16, 24)])
     def test_field_built_states_pack_as_before(self, n, tmp_path):
-        """``single_mode`` and a snapshot read back are built from fields."""
+        """``single_mode`` and a snapshot read back are built from samples."""
         grid = Grid(n)
         path = tmp_path / "state.wbsnap"
         write_snapshot(path, random_bandlimited(grid, seed=2, band=4, amplitude=0.3))

@@ -16,8 +16,7 @@ def test_round_trip_1d(tmp_path):
     back = read_snapshot(path)
     assert back.grid == g
     assert back.time == st.time
-    assert np.array_equal(back.eta.values, st.eta.values)
-    assert np.array_equal(back.v.values, st.v.values)
+    assert np.array_equal(back.samples, st.samples)
 
 
 def test_round_trip_2d(tmp_path):
@@ -27,8 +26,7 @@ def test_round_trip_2d(tmp_path):
     write_snapshot(path, st)
     back = read_snapshot(path)
     assert back.grid == g
-    for a, b in zip(back.vel, st.vel):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(back.samples, st.samples)
 
 
 def test_header_layout(tmp_path):
@@ -42,7 +40,7 @@ def test_header_layout(tmp_path):
     assert struct.unpack("<I", raw[8:12])[0] == 16
     assert struct.unpack("<d", raw[12:20])[0] == 3.0
     assert struct.unpack("<d", raw[20:28])[0] == st.time
-    # payload: 2 fields of 16 float64 samples
+    # payload: the (2, 16) float64 samples
     assert len(raw) == 28 + 2 * 16 * 8
     back = read_snapshot(path)
     assert (back.grid.dim, back.grid.n, back.grid.length) == (1, (16,), (3.0,))
@@ -52,7 +50,7 @@ def test_header_layout(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.wbsnap"
     path.write_bytes(b"NOTSNAP" + b"\x01" + b"\x00" * 64)
-    with pytest.raises(SnapshotError, match="magic"):
+    with pytest.raises(SnapshotError, match="bad.wbsnap: bad magic"):
         read_snapshot(path)
 
 
@@ -63,5 +61,21 @@ def test_truncated_payload_rejected(tmp_path):
     write_snapshot(path, st)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(SnapshotError, match="payload"):
+    with pytest.raises(SnapshotError, match="trunc.wbsnap: payload"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("offset, fmt, value", [
+    (20, "<d", float("nan")), (20, "<d", float("inf")), (8, "<I", 15), (12, "<d", float("nan")),
+    (12, "<d", 0.0),
+], ids=["time_nan", "time_inf", "odd_n", "length_nan", "length_zero"])
+def test_bad_header_is_a_snapshot_error_naming_the_file(tmp_path, offset, fmt, value):
+    """A non-finite time or an invalid grid in the header is a SnapshotError
+    that names the file, not a state with a NaN time or a SpectralError."""
+    path = tmp_path / "bad_header.wbsnap"
+    write_snapshot(path, random_bandlimited(Grid(16), seed=5, band=4, amplitude=0.1))
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(SnapshotError, match="bad_header.wbsnap"):
         read_snapshot(path)

@@ -7,7 +7,7 @@ from wbwaves.functionals import _cubic
 from wbwaves.inequalities import commutator, multiply, product, sobolev_norms
 from wbwaves.spectral import Field, Grid, SpectralError, Symbol, SymbolCatalog
 
-from full_spectrum import apply_multiplier, coeffs, index, transform
+from full_spectrum import apply_multiplier, coeffs, index, linf, transform
 
 TWO_PI = 2 * math.pi
 
@@ -39,7 +39,7 @@ def random_field(grid, seed, band=6, amplitude=1.0):
                 c[index(grid, (k1, k2))] = z
                 c[index(grid, (-k1, -k2))] = np.conj(z)
     f = Field.from_coeffs(grid, c)
-    return (amplitude / f.linf()) * f
+    return Field(grid, (amplitude / linf(f)) * f.values)
 
 
 class TestGrid:

@@ -22,7 +22,7 @@ from wbwaves.presets import random_bandlimited
 from wbwaves.spectral import Field, Grid, SymbolCatalog
 from wbwaves.state import Params, _norm_weights, _weighted_sq_coeffs
 
-from full_spectrum import apply_multiplier, coeffs, inverse, sobolev_norm
+from full_spectrum import apply_multiplier, coeffs, fields, inverse, sobolev_norm, transform
 
 GRIDS = [(256,), (64,), (128, 128), (16, 24)]
 KAPPAS = [1.0, 0.37, 0.0]
@@ -77,7 +77,7 @@ def inline_ops_arrays(grid, p, regularized):
 def quadrature_hamiltonian(state, params):
     """H with kappa*|grad eta|^2 by grid quadrature of spectral derivatives."""
     grid = state.grid
-    eta = state.eta
+    eta, *vel = fields(state)
     quad = grid.cell * np.sum(eta.values**2)
     for axis in range(grid.dim):
         d = apply_multiplier(SymbolCatalog.partial(axis), eta, axis=axis)
@@ -85,7 +85,7 @@ def quadrature_hamiltonian(state, params):
     kinv2 = _x_over_tanh(grid.xi_norm)
     eta_band = inverse(grid, np.where(grid.dealias_mask, coeffs(eta), 0.0)).real
     cubic = 0.0
-    for comp in state.vel:
+    for comp in vel:
         quad += float(np.sum(kinv2 * np.abs(coeffs(comp)) ** 2))
         v_band = inverse(grid, np.where(grid.dealias_mask, coeffs(comp), 0.0)).real
         cubic += grid.cell * np.sum(eta_band * v_band * v_band)
@@ -100,11 +100,10 @@ def parseval_count(grid):
 
 
 def coefficient_low_capillarity_error(a, b):
-    theta = a.eta - b.eta
     kinv2 = _x_over_tanh(a.grid.xi_norm)
-    total = float(np.sum(np.abs(coeffs(theta)) ** 2))
+    total = float(np.sum(np.abs(transform(a.grid, a.eta - b.eta)) ** 2))
     for va, vb in zip(a.vel, b.vel):
-        total += float(np.sum(kinv2 * np.abs(coeffs(va - vb)) ** 2))
+        total += float(np.sum(kinv2 * np.abs(transform(a.grid, va - vb)) ** 2))
     return math.sqrt(total)
 
 
@@ -191,7 +190,7 @@ class TestCatalogEntries:
 
     def test_sobolev_norm_weights(self):
         grid = Grid(64)
-        f = random_bandlimited(grid, seed=4, band=6, amplitude=1.0).v
+        f = Field(grid, random_bandlimited(grid, seed=4, band=6, amplitude=1.0).v)
         a = grid.xi_norm
         c2 = np.abs(coeffs(f)) ** 2
         for order in (0.0, 0.5, 1.0, 2.5):
@@ -205,8 +204,9 @@ class TestCatalogEntries:
             a = st.grid.xi_norm
             for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
                 bess = (1.0 + a * a) ** (s - 0.5)
-                want = np.sum(bess * (1.0 + kappa * a * a) * np.abs(coeffs(st.eta)) ** 2)
-                for c in st.vel:
+                eta, *vel = fields(st)
+                want = np.sum(bess * (1.0 + kappa * a * a) * np.abs(coeffs(eta)) ** 2)
+                for c in vel:
                     want += np.sum(bess * _x_over_tanh(a) * np.abs(coeffs(c)) ** 2)
                 got = _weighted_sq_coeffs(st.grid, st.packed(), s, kappa)
                 assert got == pytest.approx(float(want), rel=HAMILTONIAN_RTOL)
@@ -271,9 +271,12 @@ def test_only_spectral_spells_out_tanh():
 def test_half_spectrum_is_the_only_spectral_path():
     """No module calls (or imports) np.fft.fftn or np.fft.ifftn but inside
     ``Field.from_coeffs``, which bench/tracer.py wraps by name; Grid and Field
-    keep no full-spectrum transform."""
+    keep no full-spectrum transform.  ``Field`` is the tests' full-spectrum
+    reference only: no module but spectral names it, and it has no
+    arithmetic and no ``linf`` (a state is one samples array)."""
     full = ("fftn", "ifftn")
     offenders = []
+    naming = []
 
     def visit(node, where, name):
         for child in ast.iter_child_nodes(node):
@@ -287,8 +290,21 @@ def test_half_spectrum_is_the_only_spectral_path():
             visit(child, where, name)
 
     for path in sorted(Path(wbwaves.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), (), path.name)
+        tree = ast.parse(path.read_text())
+        visit(tree, (), path.name)
+        if path.name != "spectral.py":
+            naming += [
+                f"{path.name}:{getattr(node, 'lineno', '')}"
+                for node in ast.walk(tree)
+                if "Field" in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None), getattr(node, "value", None),
+                )
+            ]
     assert offenders == []
+    assert naming == []
+    arithmetic = ("__add__", "__sub__", "__mul__", "__neg__", "linf")
+    assert [name for name in arithmetic if hasattr(Field, name)] == []
     gone = ("transform", "inverse", "coeff_index", "zero_field")
     assert [name for name in gone if hasattr(Grid, name)] == []
     assert not hasattr(Field, "coeffs")
