@@ -211,14 +211,11 @@ def cmd_describe(config: RunConfig) -> int:
         f"grid: n={grid.n} length={tuple(round(L, 12) for L in grid.length)}",
         f"params: kappa={params.kappa:g} mu={params.mu:g} p={params.p:g} s={params.s:g}",
         f"integrator: {integrator.method} dt={integrator.dt:g}",
-        f"dealias: {'on' if integrator.dealias else 'off'}",
         f"horizon: T={config.T:g} report_every={config.report_every:g}",
     ]
     if "snapshot" in config.initial_data:
-        lines.append(
-            f"initial data: snapshot dim={grid.dim} n={grid.n} "
-            f"length={grid.length} time={state.time:g}"
-        )
+        lines.append(f"initial data: snapshot {config.initial_data['snapshot']} "
+                     f"time={state.time:g}")
     else:
         preset = dict(config.initial_data)
         name = preset.pop("preset")

@@ -145,6 +145,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     report_every = typed(report_every, "report_every", float)
     output_dir = typed(raw.pop("output_dir", "out"), "output_dir", str)
     seed = typed(raw.pop("seed", 0), "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     snapshots = typed(raw.pop("snapshots", False), "snapshots", bool)
     study = _table(raw, "study", default={})
     _no_leftovers(raw, "config")

@@ -28,11 +28,12 @@ S(dt/2), applied four times per step (S(dt) = S(dt/2)^2).  Its stages and
 the forcing's temporaries live in one workspace (``_workspace``) that each
 integration allocates for itself and never caches, so the cached operators
 stay read-only and concurrent integrations share them; a step allocates
-only the new state.  The quadratic forcing (``_Ops.nonlinear``) transforms
-axis by axis into its buffers (new ones when it is given none, as on a
-Picard sweep's node stack); in 2D its leading-axis passes see only the
-last-axis columns the 2/3 mask keeps, and the mask, the transform scaling
-and the 1/2 of |v|^2/2 are folded into precomputed weights.
+only the new state.  The quadratic forcing (``_Ops.nonlinear``) is cut by
+the 2/3 rule, as are the cubic terms of H and E_s: one discrete system.  It
+transforms axis by axis into its buffers (new ones when it is given none, as
+on a Picard sweep's node stack); in 2D its leading-axis passes see only the
+last-axis columns the mask keeps, and the mask, the transform scaling and
+the 1/2 of |v|^2/2 are folded into precomputed weights.
 
 Trajectories stay packed: the two RK4 steppers and the converged Duhamel
 nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
@@ -106,7 +107,6 @@ class IntegratorConfig:
     dt: float = 1e-3
     picard_tol: float = 1e-8
     picard_max_iter: int = 30
-    dealias: bool = True
     blowup_ceiling: float = 1e6
 
     def __post_init__(self):
@@ -125,18 +125,18 @@ class IntegratorConfig:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed multiplier arrays for one (grid, params, dealias) combination
+# Precomputed multiplier arrays for one (grid, params) combination
 
 
 class _Ops:
     """The system's multipliers on the half spectrum of one grid, stacked
     over the axes j: the derivative d_j, the unit wave vector e_j, the
     restoring G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j, and the forcing's
-    transform weights, G_j (2/3-masked when dealiasing) among them.  A tuple
-    of ``params``, one per row of a (B, 1 + d, *half) stack, gives the tables
+    transform weights, the 2/3-masked G_j among them.  A tuple of
+    ``params``, one per row of a (B, 1 + d, *half) stack, gives the tables
     that depend on them a leading member axis; the forcing's do not."""
 
-    def __init__(self, grid: Grid, params, dealias: bool):
+    def __init__(self, grid: Grid, params):
         self.grid = grid
         cat = SymbolCatalog
         half = grid.half
@@ -167,9 +167,9 @@ class _Ops:
         # columns the 2/3 mask keeps (43 of 65 at 128^2); a 1D transform has
         # no such pass and runs full width.  The two weights fold in the mask
         # and the transform scaling, the inverse one for norm="forward".
-        self.width = grid.dealias_band(-1) + 1 if dealias and d > 1 else grid.n[-1] // 2 + 1
+        self.width = grid.dealias_band(-1) + 1 if d > 1 else grid.n[-1] // 2 + 1
         self.cut = self.width < grid.n[-1] // 2 + 1
-        keep = half(grid.dealias_mask if dealias else True)[..., : self.width]
+        keep = half(grid.dealias_mask)[..., : self.width]
         self.inv_weight = keep / math.sqrt(math.prod(grid.length))
         self.fwd_weight = forcing[..., : self.width] * (keep * grid._norm_factor)
         # The velocity rows transform |v|^2 and take the 1/2 of |v|^2/2 here:
@@ -305,8 +305,8 @@ def _cached(cache: OrderedDict, key, build):
         return cache[key]
 
 
-def _ops(grid: Grid, params: Params, dealias: bool) -> _Ops:
-    return _cached(_OPS_CACHE, (grid, params, dealias), lambda: _Ops(grid, params, dealias))
+def _ops(grid: Grid, params: Params) -> _Ops:
+    return _cached(_OPS_CACHE, (grid, params), lambda: _Ops(grid, params))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def _ops(grid: Grid, params: Params, dealias: bool) -> _Ops:
 
 def rhs(state: WaveState, params: Params) -> WaveState:
     """Time derivative of the state under the system with these parameters."""
-    ops = _ops(state.grid, params, True)
+    ops = _ops(state.grid, params)
     return WaveState.from_packed(state.grid, ops.full(state.packed()), state.time)
 
 
@@ -516,7 +516,7 @@ def evolve(
         u = members[0].packed() if single else np.stack([m.packed() for m in members])
         # Members that share one Params step on its unbatched tables.
         key = per[0] if len(set(per)) == 1 else tuple(per)
-        nodes = _stepped(step, _ops(grid, key, cfg.dealias), u, dt, n_steps)
+        nodes = _stepped(step, _ops(grid, key), u, dt, n_steps)
 
     live = list(range(len(members)))
     pairs = [(p.kappa, p.s) for p in per]
@@ -669,7 +669,7 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     if not params.mu > 0:
         raise ValueError("the Duhamel solver is defined for the regularized system (mu > 0)")
     n_steps, dt, _ = _horizon(T, cfg.dt)
-    ops = _ops(u0.grid, params, cfg.dealias)
+    ops = _ops(u0.grid, params)
     grid = u0.grid
     s_dt = ops.propagator(dt)
     start = u0.packed()
@@ -729,7 +729,7 @@ def energy_derivative_check(state: WaveState, params: Params, s=None) -> Derivat
         integrations to +-h, +-2h.
     """
     f = rhs(state, params)
-    ops = _ops(state.grid, params, True)
+    ops = _ops(state.grid, params)
     params = params if s is None else replace(params, s=float(s))
     norm_state = weighted_pair_norm(state, params.s, params.kappa)
     norm_rate = weighted_pair_norm(f, params.s, params.kappa)

@@ -156,10 +156,9 @@ class EnergyReport:
         if d == 1:
             vel_w = _norm_weights(grid, 0.5, kappa)[1]
             mom = (vel_w * (u[:, 0].conj() * u[:, 1]).real).sum(axis=-1)
-            speed = np.abs(x[:, 1]).max(axis=-1)
         else:
             mom = np.full(len(states), math.nan)
-            speed = np.sqrt((x[:, 1] ** 2 + x[:, 2] ** 2).max(axis=axes))
+        speed = np.sqrt((x[:, 1:] ** 2).sum(axis=1).max(axis=axes))
         eta = x[:, 0]
         columns = (
             ham, mom, energy, np.sqrt(norm_sq), eta.min(axis=axes), eta.max(axis=axes), speed,

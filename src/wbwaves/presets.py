@@ -30,6 +30,7 @@ defaults to 0 as the function's does.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -88,21 +89,13 @@ def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:
 
 
 def _random_band_coeffs(grid: Grid, rng, band):
+    # One draw per Hermitian pair, in lexicographic order of k with first nonzero k_j > 0.
     c = np.zeros(grid.shape, dtype=np.complex128)
-    if grid.dim == 1:
-        for k in range(1, band + 1):
+    for k in itertools.product(range(-band, band + 1), repeat=grid.dim):
+        if next((kj for kj in k if kj), 0) > 0:
             z = complex(rng.standard_normal(), rng.standard_normal())
             c[k] = z
-            c[-k] = np.conj(z)
-    else:
-        # One representative per Hermitian pair: k1 > 0, or k1 = 0 and k2 > 0.
-        for k1 in range(0, band + 1):
-            for k2 in range(-band, band + 1):
-                if k1 == 0 and k2 <= 0:
-                    continue
-                z = complex(rng.standard_normal(), rng.standard_normal())
-                c[k1, k2] = z
-                c[-k1, -k2] = np.conj(z)
+            c[tuple(-kj for kj in k)] = np.conj(z)
     return c
 
 
@@ -111,6 +104,8 @@ def random_bandlimited(grid: Grid, seed=0, band=8, amplitude=0.1) -> WaveState:
     top = min(grid.dealias_band(j) for j in range(grid.dim))
     if not 1 <= band <= top:
         raise ValueError(f"band must lie in [1, {top}], the grid's 2/3-rule band, got {band}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(int(seed))
     eta, psi = (grid.half(_random_band_coeffs(grid, rng, band)) for _ in range(2))
     u = np.concatenate([eta[None], psi[None] if grid.dim == 1 else _gradient(grid, psi)])

@@ -120,10 +120,7 @@ class Grid:
     @cached_property
     def xi_norm(self):
         """|xi| on the full lattice."""
-        if self.dim == 1:
-            a = np.abs(self.xi[0])
-        else:
-            a = np.sqrt(self.xi[0] ** 2 + self.xi[1] ** 2)
+        a = np.sqrt(sum(xi * xi for xi in self.xi))
         a.setflags(write=False)
         return a
 

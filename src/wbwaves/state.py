@@ -142,11 +142,9 @@ def _samples(grid: Grid, u):
     x = grid.inverse_half(u)
     scale = np.abs(x).max(axis=axes)
     ends = u[..., :: n // 2]
-    if d == 2:
-        ends = np.fft.ifft(ends, axis=-2)
-    imag = np.abs(ends.imag).sum(axis=-1)
-    if d == 2:
-        imag = imag.max(axis=-1)
+    for axis in axes[:-1]:
+        ends = np.fft.ifft(ends, axis=axis)
+    imag = np.abs(ends.imag).sum(axis=-1).max(axis=axes[1:])
     # NaN fails the comparison too: such a field is reported as non-finite.
     within = imag <= (REALNESS_TOL * n * grid._norm_factor) * scale
     if not within.all():

@@ -37,14 +37,14 @@ def same_rows(f, u):
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "x".join(map(str, g.n)))
 class TestRowByRow:
     def test_operators(self, grid, mu):
-        ops = dynamics._ops(grid, Params(kappa=1.0, mu=mu), True)
+        ops = dynamics._ops(grid, Params(kappa=1.0, mu=mu))
         u = stacked(family(grid))
         assert same_rows(ops.nonlinear, u)
         assert same_rows(ops.linear, u)
         assert same_rows(ops.propagator(0.01).apply, u)
 
     def test_steppers(self, grid, mu):
-        ops = dynamics._ops(grid, Params(kappa=1.0, mu=mu), True)
+        ops = dynamics._ops(grid, Params(kappa=1.0, mu=mu))
         u = stacked(family(grid))
         assert same_rows(lambda x: dynamics._lawson_rk4_step(ops, x, 0.01), u)
         assert same_rows(lambda x: dynamics._reference_rk4_step(ops, x, 0.01), u)
@@ -58,7 +58,7 @@ class TestRowByRow:
 
 def test_two_leading_axes():
     grid = Grid(64)
-    ops = dynamics._ops(grid, Params(kappa=1.0, mu=0.2), True)
+    ops = dynamics._ops(grid, Params(kappa=1.0, mu=0.2))
     u = stacked(family(grid, count=6)).reshape(2, 3, 2, -1)
     out = ops.nonlinear(u)
     for i in range(2):

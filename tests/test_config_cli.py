@@ -238,9 +238,9 @@ def test_preset_options_of_the_right_type_accepted():
 
 
 COMMITTED_HASHES = {
-    "kappa_study.json": "0fab833118bd",
-    "reference_run.json": "8255d074e8ca",
-    "wb2d_run.json": "79aac2047d1c",
+    "kappa_study.json": "7832de288413",
+    "reference_run.json": "0f57e82f6478",
+    "wb2d_run.json": "d14d2ea5c7f6",
 }
 
 
@@ -474,13 +474,43 @@ def test_every_number_rejects_nan(tmp_path, capsys, no_runs, command, preset, fi
     ("integrator.blowup_ceiling", math.nan, "integrator.blowup_ceiling must be a number, got nan"),
     ("integrator.blowup_ceiling", -1, "blowup_ceiling must be positive, got -1.0"),
     ("params.s", math.inf, "s must be >= 1/2 and finite, got inf"),
-], ids=["ceiling_nan", "ceiling_negative", "s_inf"])
+    ("seed", -1, "seed must be non-negative, got -1"),
+], ids=["ceiling_nan", "ceiling_negative", "s_inf", "seed_negative"])
 def test_bad_number_named_before_any_run(tmp_path, capsys, no_runs, field, value, message):
     outdir = tmp_path / "o"
     raw = small_run(str(outdir))
     _setting(field, value)(raw)
     assert main(["run", write_config(tmp_path, raw)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("overrides, message, commands", [
+    ({"seed": -1}, "seed must be non-negative, got -1",
+     (["run"], ["describe"], ["study", "dissipation"], ["study", "stability"])),
+    ({"initial_data": {"preset": "random_bandlimited", "seed": -1}},
+     "initial_data: seed must be non-negative, got -1",
+     (["run"], ["describe"], ["study", "stability"])),
+], ids=["config", "preset"])
+def test_negative_seed_named_by_its_field(tmp_path, capsys, no_runs, overrides, message,
+                                          commands):
+    """A negative seed is refused by name, not by the random generator."""
+    outdir = tmp_path / "o"
+    cfgfile = write_config(tmp_path, small_run(str(outdir), **overrides))
+    for command in commands:
+        assert main([*command, cfgfile]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["describe"], ["study", "conservation"]])
+def test_dealias_is_not_a_setting(tmp_path, capsys, command):
+    """The forcing is always 2/3-rule dealiased: integrator.dealias is an
+    unknown field."""
+    outdir = tmp_path / "o"
+    raw = small_run(str(outdir), integrator={"dt": 2e-3, "dealias": True})
+    assert main([*command, write_config(tmp_path, raw)]) == 1
+    assert capsys.readouterr().err == "error: unknown field(s) in integrator: dealias\n"
     assert not outdir.exists()
 
 
@@ -1129,19 +1159,12 @@ def test_bench_launcher_traces_a_2d_run(tmp_path):
 
 
 class TestDescribeCommand:
-    def test_plan_contains_dealias_state(self, tmp_path, capsys):
+    def test_plan_names_the_preset(self, tmp_path, capsys):
         cfgfile = write_config(tmp_path, small_run(str(tmp_path / "o")))
         assert main(["describe", cfgfile]) == 0
         out = capsys.readouterr().out
-        assert "dealias: on" in out
         assert "single_mode" in out
-
-    def test_plan_dealias_off(self, tmp_path, capsys):
-        raw = small_run(str(tmp_path / "o"))
-        raw["integrator"]["dealias"] = False
-        cfgfile = write_config(tmp_path, raw)
-        main(["describe", cfgfile])
-        assert "dealias: off" in capsys.readouterr().out
+        assert "dealias" not in out
 
     def test_2d_plan_lists_projection(self, tmp_path, capsys):
         raw = small_run(str(tmp_path / "o"), system="wb2d")
@@ -1163,7 +1186,22 @@ class TestDescribeCommand:
         cfgfile = write_config(tmp_path, raw)
         assert main(["describe", cfgfile]) == 0
         out = capsys.readouterr().out
-        assert "snapshot" in out and "n=(64,)" in out
+        assert f"initial data: snapshot {snap} time=0\n" in out and "n=(64,)" in out
+
+    def test_snapshot_period_printed_once(self, tmp_path, capsys):
+        """The grid: line gives a snapshot's n and period; the snapshot
+        line names the file and the time only."""
+        from wbwaves.snapshot import write_snapshot
+
+        snap = tmp_path / "init.wbsnap"
+        write_snapshot(snap, single_mode(Grid(32, 3.0), 0.05))
+        raw = small_run(str(tmp_path / "o"), grid={"n": 32, "length": 3.0},
+                        initial_data={"snapshot": str(snap)})
+        assert main(["describe", write_config(tmp_path, raw)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("length=") == out.count("n=(") == 1
+        assert "grid: n=(32,) length=(3.0,)\n" in out
+        assert f"initial data: snapshot {snap} time=0\n" in out
 
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1226,10 +1264,11 @@ def _snapshot(tmp_path, n=64, cut=0, header=None, **extra):
     lambda tmp: {"T": math.inf},
     lambda tmp: {"report_every": math.inf},
     lambda tmp: {"T": 1e308, "integrator": {"dt": 1e-3}},
+    lambda tmp: {"seed": -1},
 ], ids=["unknown_preset", "unknown_option", "missing_option", "band_past_dealias",
         "snapshot_grid", "snapshot_truncated", "snapshot_extra_key", "snapshot_time_nan",
         "snapshot_odd_n", "snapshot_length_nan", "report_below_step",
-        "T_nan", "T_inf", "report_every_inf", "steps_overflow"])
+        "T_nan", "T_inf", "report_every_inf", "steps_overflow", "seed_negative"])
 def test_describe_and_study_reject_what_run_rejects(tmp_path, capsys, overrides):
     """describe and a config-based study exit 1 on every config run rejects,
     with run's error line, and no command makes its output directory."""

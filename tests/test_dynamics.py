@@ -36,13 +36,13 @@ def small_state(grid, seed=0, band=4, amplitude=0.05):
 
 def propagate(params, t, u):
     """S(t)u by the solver's propagator, as the state at time u.time + t."""
-    prop = _ops(u.grid, params, True).propagator(t)
+    prop = _ops(u.grid, params).propagator(t)
     return WaveState.from_packed(u.grid, prop.apply(u.packed()), u.time + t)
 
 
 def linear_part(u, params):
     """The linear part of the right-hand side, as the solver evaluates it."""
-    return WaveState.from_packed(u.grid, _ops(u.grid, params, True).linear(u.packed()), u.time)
+    return WaveState.from_packed(u.grid, _ops(u.grid, params).linear(u.packed()), u.time)
 
 
 class TestRhs:
@@ -458,7 +458,7 @@ def weighted_norm(grid, params, u):
 def quadratic_picard(u0, params, cfg, T):
     """Node coefficient arrays and per-sweep defects of the O(N^2) iteration."""
     n_steps, dt, _ = _horizon(T, cfg.dt)
-    ops = _ops(u0.grid, params, cfg.dealias)
+    ops = _ops(u0.grid, params)
     props = {k: _Propagator(ops, k * dt) for k in range(-2, n_steps + 1)}
     free = [props[m].apply(u0.packed()) for m in range(n_steps + 1)]
     u, defects = free, []
@@ -529,7 +529,7 @@ def per_node_duhamel_integrals(ops, forcing, dt):
 def per_node_picard(u0, params, cfg, T):
     """``picard_solve``'s iteration on the per-node sweep: nodes, defects."""
     n_steps, dt, _ = _horizon(T, cfg.dt)
-    ops = _ops(u0.grid, params, cfg.dealias)
+    ops = _ops(u0.grid, params)
     s_dt = ops.propagator(dt)
     free = [u0.packed()]
     for _ in range(n_steps):
@@ -564,7 +564,7 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("steps", list(range(1, 13)) + BLOCK_EDGES + [400, 401])
     def test_sweep_matches_per_node_recurrence(self, n, steps):
         g = Grid(n)
-        ops = _ops(g, Params(kappa=0.7, mu=0.2, p=0.75, s=1.0), True)
+        ops = _ops(g, Params(kappa=0.7, mu=0.2, p=0.75, s=1.0))
         dt = 0.2 / steps
         s_dt = ops.propagator(dt)
         free = [small_state(g, seed=steps, amplitude=0.3).packed()]
@@ -616,12 +616,12 @@ class TestBlockedSweep:
 class TestOperatorCaches:
     def test_kappa_sweep_keeps_ops_cache_bounded(self):
         g = Grid(16)
-        kept = _ops(g, Params(kappa=1.0), True)
+        kept = _ops(g, Params(kappa=1.0))
         for kappa in np.linspace(0.01, 5.0, 50):
             params = Params(kappa=float(kappa))
-            ops = _ops(g, params, True)
-            assert _ops(g, params, True) is ops
-            assert _ops(g, Params(kappa=1.0), True) is kept  # recently used
+            ops = _ops(g, params)
+            assert _ops(g, params) is ops
+            assert _ops(g, Params(kappa=1.0)) is kept  # recently used
             assert len(dynamics._OPS_CACHE) <= dynamics._CACHE_SIZE
 
     def test_long_solve_keeps_propagator_cache_bounded(self):
@@ -630,7 +630,7 @@ class TestOperatorCaches:
         u0 = small_state(g, seed=3, amplitude=0.02)
         res = picard_solve(u0, params, IntegratorConfig(dt=1e-3, picard_tol=1e-8), T=0.4)
         assert len(res.nodes) == 401
-        ops = _ops(g, params, True)
+        ops = _ops(g, params)
         assert len(ops._props) <= dynamics._CACHE_SIZE
         assert ops.propagator(0.5) is ops.propagator(0.5)
 
@@ -770,7 +770,7 @@ class TestSamplingLoop:
         cfg = IntegratorConfig(dt=0.01, blowup_ceiling=ceiling)
         n_steps, dt, reported = _horizon(0.1, cfg.dt, 0.05)
         clean = evolve(members, params, cfg, T=0.1, report_every=0.05)
-        ops = _ops(g, params, True)
+        ops = _ops(g, params)
         u = np.stack([m.packed() for m in members])
         step = poisoned(dynamics._lawson_rk4_step, 1, at, value)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -801,7 +801,7 @@ class TestSamplingLoop:
         params = Params(kappa=1.0)
         members = [small_state(g, seed=seed) for seed in (1, 2, 3)]
         u = np.stack([m.packed() for m in members])
-        ops = _ops(g, params, True)
+        ops = _ops(g, params)
 
         def verdict(value, ceiling, at):
             n_steps, dt, reported = _horizon(0.1, 0.01, 0.05)
@@ -957,7 +957,7 @@ class TestDimensionGenericOperators:
     def test_match_per_dimension_formulas(self, n, mu):
         g = Grid(n)
         params = Params(kappa=0.7, mu=mu, p=0.75 if mu else 1.0)
-        ops, ref = _ops(g, params, True), PerDimensionOperators(g, params)
+        ops, ref = _ops(g, params), PerDimensionOperators(g, params)
         for seed in range(3):
             if g.dim == 1:  # full spectrum, velocity mean and Nyquist mode included
                 rng = np.random.default_rng(seed)
@@ -987,7 +987,7 @@ class TestDimensionGenericOperators:
             for k in modes:
                 c[index(g, k)] = rng.standard_normal()
         uh = _half(g, u)
-        out = _ops(g, params, True).propagator(t).apply(uh)
+        out = _ops(g, params).propagator(t).apply(uh)
         heat = np.exp(-t * (params.kappa * params.mu * g.xi_norm)) if mu else np.ones(g.shape)
         for got, c in zip(out[1:], uh[1:]):
             assert np.array_equal(got, g.half(heat) * c)
@@ -1027,8 +1027,8 @@ def test_forcing_is_the_exact_forcing_of_the_kept_band(n):
     u = grid.forward_half(rng.standard_normal((2, 1 + grid.dim) + grid.shape))
     u_fine = np.zeros(u.shape[: -grid.dim] + fine.half(np.zeros(fine.shape)).shape, complex)
     u_fine[(Ellipsis, *fine_k)] = u[(Ellipsis, *coarse_k)]
-    got = _ops(grid, params, True).nonlinear(u)
-    exact = _ops(fine, params, False).nonlinear(u_fine)
+    got = _ops(grid, params).nonlinear(u)
+    exact = full_width_nonlinear(fine, False, u_fine)
     want = np.zeros_like(got)
     want[(Ellipsis, *coarse_k)] = exact[(Ellipsis, *fine_k)]
     above = np.ones(got.shape, bool)
@@ -1052,7 +1052,8 @@ TRAJECTORY_RTOL = 1e-12
 
 def full_width_nonlinear(grid, dealias, u):
     """Scaled ``irfftn`` of the masked state, the products, a scaled
-    ``rfftn``, then the masked forcing multipliers."""
+    ``rfftn``, then the masked forcing multipliers; with ``dealias`` false
+    nothing is masked, the exact forcing on a grid where nothing aliases."""
     half, d = grid.half, grid.dim
     axes, comp = tuple(range(-d, 0)), -d - 1
     forcing = np.stack([half(g) for g in SymbolCatalog.forcing(grid)])
@@ -1084,36 +1085,35 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
 
 
-def step_case(n, mu, dealias, rows):
+def step_case(n, mu, rows):
     """The operators of one grid and parameter set, and one state or a
     stack of three."""
     grid = Grid(n)
     params = Params(kappa=0.7, mu=mu, p=0.75 if mu else 1.0)
     states = [random_bandlimited(grid, seed=s, band=min(n) // 3, amplitude=0.3) for s in range(3)]
     u = states[0].packed() if rows == 1 else np.stack([st.packed() for st in states])
-    return _ops(grid, params, dealias), u
+    return _ops(grid, params), u
 
 
 @pytest.mark.parametrize("n", [(64,), (256,), (32, 32), (16, 24)])
 @pytest.mark.parametrize("mu", [0.0, 0.2])
-@pytest.mark.parametrize("dealias", [True, False])
 class TestAgainstTwoPropagatorStep:
-    def _setup(self, n, mu, dealias, rows):
-        ops, u = step_case(n, mu, dealias, rows)
+    def _setup(self, n, mu, rows):
+        ops, u = step_case(n, mu, rows)
         return ops.grid, ops, u
 
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_forcing_and_step(self, n, mu, dealias, rows):
-        grid, ops, u = self._setup(n, mu, dealias, rows)
-        old = partial(full_width_nonlinear, grid, dealias)
+    def test_forcing_and_step(self, n, mu, rows):
+        grid, ops, u = self._setup(n, mu, rows)
+        old = partial(full_width_nonlinear, grid, True)
         assert rel_err(ops.nonlinear(u), old(u)) <= ROUNDOFF_RTOL
         for dt in (1e-2, 0.1):
             got = dynamics._lawson_rk4_step(ops, u, dt)
             assert rel_err(got, two_propagator_lawson_step(ops, old, u, dt)) <= ROUNDOFF_RTOL
 
-    def test_trajectory(self, n, mu, dealias):
-        grid, ops, u = self._setup(n, mu, dealias, 1)
-        old = partial(full_width_nonlinear, grid, dealias)
+    def test_trajectory(self, n, mu):
+        grid, ops, u = self._setup(n, mu, 1)
+        old = partial(full_width_nonlinear, grid, True)
         new, ref = u, u
         for _ in range(TRAJECTORY_STEPS):
             new = dynamics._lawson_rk4_step(ops, new, 1e-2)
@@ -1130,7 +1130,7 @@ class TestAgainstTwoPropagatorStep:
     ids=["1d", "2d"],
 )
 def test_forcing_peak_memory_on_a_stack(n, shape, bound):
-    ops = _ops(Grid(n), Params(kappa=1.0, mu=0.1, s=1.0), True)
+    ops = _ops(Grid(n), Params(kappa=1.0, mu=0.1, s=1.0))
     rng = np.random.default_rng(0)
     u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ops.nonlinear(u)  # warm the FFT plans
@@ -1206,7 +1206,7 @@ class TestWorkspaceStep:
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_matches_allocating_step(self, n, mu, rows):
-        ops, u = step_case(n, mu, True, rows)
+        ops, u = step_case(n, mu, rows)
         work, block = garbage_workspace(ops, u)
         new, ref = u, u
         for _ in range(20):
@@ -1218,13 +1218,12 @@ class TestWorkspaceStep:
 
     @pytest.mark.parametrize("n", [(256,), (32, 32), (16, 24)])
     @pytest.mark.parametrize("mu", [0.0, 0.2])
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_out_forms_match_allocating_forms(self, n, mu, dealias, rows):
+    def test_out_forms_match_allocating_forms(self, n, mu, rows):
         """The forcing with no buffers, in a workspace's buffers (holding
         garbage, then the last call's numbers) and as it was written before
         either agree bit for bit, and so do both forms of an apply."""
-        ops, u = step_case(n, mu, dealias, rows)
+        ops, u = step_case(n, mu, rows)
         ref = allocating_nonlinear(ops, u)
         assert np.array_equal(ops.nonlinear(u), ref)
         (_, buffers), _ = garbage_workspace(ops, u, seed=3)
@@ -1243,7 +1242,7 @@ def test_step_allocation_with_a_workspace():
     sizes (the new state, one propagator product and numpy's iteration
     buffers; the forcing's temporaries are in the workspace); the step that
     made every stage a new array peaked at 9.1."""
-    ops = _ops(Grid((32, 32)), Params(kappa=0.7, mu=0.2, p=0.75), True)
+    ops = _ops(Grid((32, 32)), Params(kappa=0.7, mu=0.2, p=0.75))
     u = random_bandlimited(ops.grid, seed=0, band=10, amplitude=0.3).packed()
     work = dynamics._workspace(ops, u)
     dynamics._lawson_rk4_step(ops, u, 1e-2, work)  # warm the FFT plans

@@ -50,7 +50,14 @@ from wbwaves.spectral import (
     SpectralError,
     SymbolCatalog,
 )
-from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, curl_residue, weighted_pair_norm
+from wbwaves.state import (
+    Params,
+    WaveState,
+    _samples,
+    _weighted_sq_coeffs,
+    curl_residue,
+    weighted_pair_norm,
+)
 
 from full_spectrum import (
     apply_multiplier,
@@ -194,7 +201,7 @@ class TestAgainstFullSpectrum:
     def _pair(self, n, mu):
         grid = Grid(n)
         params = Params(kappa=0.7, mu=mu, p=0.75 if mu else 1.0)
-        return grid, _ops(grid, params, True), FullSpectrumOps(grid, params)
+        return grid, _ops(grid, params), FullSpectrumOps(grid, params)
 
     def test_operators(self, n, mu):
         grid, ops, ref = self._pair(n, mu)
@@ -331,7 +338,7 @@ def rough_state(grid, seed, amplitude=0.3):
 
 def evolved_packed(grid, start, params):
     """One ERK4 step of ``start``: coefficients as evolve holds them."""
-    return _lawson_rk4_step(_ops(grid, params, True), start.packed(), DT)
+    return _lawson_rk4_step(_ops(grid, params), start.packed(), DT)
 
 
 @pytest.mark.parametrize("n", GRIDS)
@@ -518,7 +525,7 @@ class TestHalfSpectrumConvention:
         zero mode.  The masked forcing's weight is cut to the kept columns
         and vanishes on the zero mode."""
         grid = Grid(n)
-        ops = _ops(grid, Params(kappa=1.0, mu=mu), True)
+        ops = _ops(grid, Params(kappa=1.0, mu=mu))
         zero = (0,) * grid.dim
         for arr in (*ops.restoring, *ops.unit, ops.phase):
             assert arr.shape[-1] == n[-1] // 2 + 1
@@ -710,3 +717,125 @@ class TestPresetsAgainstFieldPath:
         for st in (single_mode(grid, 0.2, mode=mode), read_snapshot(path)):
             want = old_packed(st)
             assert np.max(np.abs(st.packed() - want)) <= self.PRESET_RTOL * np.max(np.abs(want))
+
+
+# The former per-dimension bodies of three helpers that are now written once,
+# the 1D formula the d = 1 case of the 2D one.  The new bodies make the same
+# draws and the same floating-point operations, so they agree bit for bit.
+
+def two_loop_band_coeffs(grid, rng, band):
+    """The former ``_random_band_coeffs``: one loop per dimension."""
+    c = np.zeros(grid.shape, dtype=np.complex128)
+    if grid.dim == 1:
+        for k in range(1, band + 1):
+            z = complex(rng.standard_normal(), rng.standard_normal())
+            c[k] = z
+            c[-k] = np.conj(z)
+    else:
+        for k1 in range(0, band + 1):
+            for k2 in range(-band, band + 1):
+                if k1 == 0 and k2 <= 0:
+                    continue
+                z = complex(rng.standard_normal(), rng.standard_normal())
+                c[k1, k2] = z
+                c[-k1, -k2] = np.conj(z)
+    return c
+
+
+def old_xi_norm(grid):
+    if grid.dim == 1:
+        return np.abs(grid.xi[0])
+    return np.sqrt(grid.xi[0] ** 2 + grid.xi[1] ** 2)
+
+
+def old_linf_v(x):
+    """The former ``linf_v`` column of a (B, 1 + d, *n) stack of samples."""
+    if x.ndim == 3:
+        return np.abs(x[:, 1]).max(axis=-1)
+    return np.sqrt((x[:, 1] ** 2 + x[:, 2] ** 2).max(axis=(-2, -1)))
+
+
+def old_samples_residue(grid, u):
+    """The former realness residue of ``_samples``: per field, the summed
+    |Im| of the end columns' inverse over the other axes, its max over x'."""
+    d, n = grid.dim, grid.n[-1]
+    ends = u[..., :: n // 2]
+    if d == 2:
+        ends = np.fft.ifft(ends, axis=-2)
+    imag = np.abs(ends.imag).sum(axis=-1)
+    if d == 2:
+        imag = imag.max(axis=-1)
+    return imag
+
+
+BITWISE_GRIDS = [
+    Grid(16), Grid(64, 3.7), Grid(256), Grid(18, 100.0),
+    Grid((32, 32)), Grid((16, 24), (2.0, 9.5)), Grid((128, 128), (1e-3, 50.0)), Grid((12, 40)),
+]
+
+
+@pytest.mark.parametrize("grid", BITWISE_GRIDS, ids=lambda g: f"{g.n}-{g.length[0]:g}")
+class TestOneBodyForBothDimensions:
+    def test_band_coeffs_draw_as_before(self, grid):
+        top = min(grid.dealias_band(j) for j in range(grid.dim))
+        for band in sorted({1, 2, top // 2 or 1, top}):
+            for seed in (0, 7, 123):
+                new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(2):  # eta's draw, then the velocity's
+                    new = _random_band_coeffs(grid, new_rng, band)
+                    assert np.array_equal(new, two_loop_band_coeffs(grid, old_rng, band))
+                assert new_rng.standard_normal() == old_rng.standard_normal()
+
+    def test_xi_norm_as_before(self, grid):
+        assert np.array_equal(grid.xi_norm, old_xi_norm(grid))
+
+    def test_linf_v_as_before(self, grid):
+        band = min(grid.dealias_band(j) for j in range(grid.dim))
+        states = [random_bandlimited(grid, seed=s, band=max(band // 2, 1), amplitude=a)
+                  for s, a in ((0, 0.05), (5, 1.3), (9, 40.0))]
+        mode = 1 if grid.dim == 1 else (1, -1)
+        states += [single_mode(grid, 0.2, mode=mode, v_amplitude=0.7),
+                   gaussian_bump(grid, 0.1, 0.3 * min(grid.length))]
+        reports = EnergyReport.measure(states, Params(kappa=1.0, s=1.5))
+        want = old_linf_v(np.array([st.samples for st in states]))
+        assert np.array_equal([rep.linf_v for rep in reports], want)
+
+    def test_samples_check_as_before(self, grid):
+        """Stacks whose end columns carry imaginary parts from a third to
+        three times the realness bound: ``_samples`` accepts exactly the
+        stacks the former residue accepts, returning the inverse transform,
+        and refuses the others naming the former residue of the first
+        field past the bound."""
+        d, n = grid.dim, grid.n[-1]
+        axes = tuple(range(-d, 0))
+        rng = np.random.default_rng(11)
+        band = max(min(grid.dealias_band(j) for j in range(d)) // 2, 1)
+        u = np.stack([random_bandlimited(grid, seed=s, band=band, amplitude=0.3).packed()
+                      for s in range(4)])
+        x = grid.inverse_half(u)
+        bound = (REALNESS_TOL * n * grid._norm_factor) * np.abs(x).max(axis=axes)
+        noise = np.zeros_like(u)
+        noise[..., :: n // 2] = 1j * rng.standard_normal(noise[..., :: n // 2].shape)
+        noise *= (bound / old_samples_residue(grid, noise)).reshape(bound.shape + (1,) * d)
+        seen = set()
+        for factors in ([0.3] * 4, [0.3, 0.3, 3.0, 0.3], [3.0, 0.3, 3.0, 3.0]):
+            scaled = u + noise * np.reshape(factors, (4,) + (1,) * (d + 1))
+            for stack in (scaled, scaled[1], scaled[2]):
+                imag = old_samples_residue(grid, stack)
+                scale = np.abs(grid.inverse_half(stack)).max(axis=axes)
+                within = imag <= (REALNESS_TOL * n * grid._norm_factor) * scale
+                seen.add(bool(within.all()))
+                if within.all():
+                    got = _samples(grid, stack)
+                    assert np.array_equal(got, grid.inverse_half(stack))
+                    assert not got.flags.writeable
+                    continue
+                i = np.argmin(within)
+                with pytest.raises(SpectralError) as err:
+                    _samples(grid, stack)
+                assert str(err.value) == (
+                    f"trajectory sample: imaginary residue "
+                    f"{imag.flat[i] / (n * grid._norm_factor):.3e} exceeds "
+                    f"{REALNESS_TOL:.0e} of field scale {scale.flat[i]:.3e}"
+                )
+        assert seen == {True, False}

@@ -124,7 +124,7 @@ class TestOpsArrays:
         sign of zero real parts)."""
         grid = Grid(n)
         p = Params(kappa=kappa, mu=0.1 if regularized else 0.0, p=0.75 if regularized else 1.0)
-        ops = _ops(grid, p, True)
+        ops = _ops(grid, p)
         want = inline_ops_arrays(grid, p, regularized)
         half = grid.half
         # The weights are cut to the last-axis columns the forcing's
