@@ -21,7 +21,6 @@ from .functionals import (
 from .spectral import (
     Grid,
     SpectralError,
-    Symbol,
     SymbolCatalog,
 )
 from .state import Params, WaveState, weighted_pair_norm
@@ -36,7 +35,6 @@ __all__ = [
     "Params",
     "PicardError",
     "SpectralError",
-    "Symbol",
     "SymbolCatalog",
     "WaveState",
     "difference_energy",

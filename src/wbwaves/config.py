@@ -15,10 +15,12 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dynamics import IntegratorConfig, _horizon, _report_cadence
 from .presets import build_preset
-from .spectral import Grid
-from .state import Params, WaveState
+from .spectral import Grid, SpectralError
+from .state import Params, WaveState, _norm_weights
 from .typed import ConfigError, bind, require, typed
 
 ARTIFACT_VERSION = "wbwaves-0.1.0"
@@ -154,10 +156,20 @@ def config_from_dict(raw: dict) -> RunConfig:
         _horizon(T, integrator.dt, report_every)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    grid = Grid(n, length)
+    # Every norm and energy of a run reads <xi>^(2s-1) times its other weights.
+    with np.errstate(over="ignore"):
+        try:
+            eta_w, vel_w = _norm_weights(grid, params.s, params.kappa)
+            finite = np.isfinite(eta_w).all() and np.isfinite(vel_w).all()
+        except SpectralError:
+            finite = False
+    if not finite:
+        raise ConfigError(f"params.s = {params.s:g} is too large: its norm weight overflows on the grid")
 
     return RunConfig(
         system=system,
-        grid=Grid(n, length),
+        grid=grid,
         params=params,
         initial_data=data_tab,
         integrator=integrator,

@@ -147,15 +147,15 @@ class _Ops:
 
         # A mu = 0 member has rate 0, so its heat factor is exactly 1; with no
         # viscous member there is no heat factor.
-        rate = table(lambda p: half(p.kappa * p.mu * cat.riesz(p.p).values(grid)))
+        rate = table(lambda p: half(p.kappa * p.mu * cat.riesz(grid, p.p)))
         self.heat_rate = (rate[:, None] if batched else rate) if rate.any() else None
-        self.Kk = table(lambda p: half(cat.K_kappa(p.kappa).values(grid)))
-        self.Kk_inv = table(lambda p: half(cat.K_kappa_inv(p.kappa).values(grid)))
+        self.Kk = table(lambda p: half(cat.K_kappa(grid, p.kappa)))
+        self.Kk_inv = table(lambda p: half(cat.K_kappa_inv(grid, p.kappa)))
         self.phase = table(lambda p: half(cat.frequency(grid, p.kappa)))
         self.unit = np.stack([half(e) for e in cat.unit_vectors(grid)])
-        self.dx = np.stack([half(cat.partial(j).multiplier(grid, axis=j)) for j in range(grid.dim)])
+        self.dx = np.stack([half(d) for d in cat.gradient(grid)])
         forcing = np.stack([half(g) for g in cat.forcing(grid)])
-        self.restoring = table(lambda p: forcing * half(cat.capillary(p.kappa).values(grid)))
+        self.restoring = table(lambda p: forcing * half(cat.capillary(grid, p.kappa)))
         # A packed array is (..., 1 + d, *half): the transform axes and the
         # component axis count from the end, so leading axes batch.
         d = grid.dim

@@ -47,7 +47,7 @@ DEFAULT_SMALLNESS = 0.05
 def _cubic_weights(grid: Grid, order):
     """Read-only float 2/3 mask and masked <xi>^order on the half spectrum."""
     mask = grid.half(grid.dealias_mask).astype(np.float64)
-    weights = mask * grid.half(SymbolCatalog.bessel(order).values(grid))
+    weights = mask * grid.half(SymbolCatalog.bessel(grid, order))
     mask.flags.writeable = weights.flags.writeable = False
     return mask, weights
 
@@ -158,7 +158,14 @@ class EnergyReport:
             mom = (vel_w * (u[:, 0].conj() * u[:, 1]).real).sum(axis=-1)
         else:
             mom = np.full(len(states), math.nan)
-        speed = np.sqrt((x[:, 1:] ** 2).sum(axis=1).max(axis=axes))
+        sq = (x[:, 1:] ** 2).sum(axis=1).max(axis=axes)
+        speed = np.sqrt(sq)
+        low = sq < np.finfo(float).tiny  # squares underflow: rescale by the largest |v_j|
+        if low.any():
+            v = np.abs(x[low, 1:])
+            top = v.max(axis=tuple(range(1, d + 2)), keepdims=True)
+            unit = v / np.where(top > 0, top, 1.0)
+            speed[low] = top.ravel() * np.sqrt((unit**2).sum(axis=1).max(axis=axes))
         eta = x[:, 0]
         columns = (
             ham, mom, energy, np.sqrt(norm_sq), eta.min(axis=axes), eta.max(axis=axes), speed,

@@ -55,9 +55,9 @@ def _axes(grid: Grid):
     return tuple(range(-grid.dim, 0))
 
 
-def multiply(grid: Grid, sym, c, axis=0):
-    """sym(D) applied to half-spectrum coefficients ``c`` (..., *half)."""
-    return grid.half(sym.multiplier(grid, axis=axis)) * c
+def multiply(grid: Grid, sym, c):
+    """The full-lattice multiplier ``sym`` applied to half-spectrum ``c`` (..., *half)."""
+    return grid.half(sym) * c
 
 
 def product(grid: Grid, f, g):
@@ -91,10 +91,10 @@ def sobolev_norms(grid: Grid, c, order):
 def kato_ponce_report(grid: Grid, f, g) -> RatioReport:
     """Commutator bound ||[J, f] g||_2 <= C(||f'||_4 ||g||_4 + ||J f||_4 ||g||_4),
     the s = 1 case of Kato-Ponce with Holder pairs 1/2 = 1/4 + 1/4."""
-    j1 = SymbolCatalog.bessel(1.0)
+    j1 = SymbolCatalog.bessel(grid, 1.0)
     lhs = lp_norms(grid, commutator(grid, j1, f, g), 2.0)
     g4 = lp_norms(grid, g, 4.0)
-    rhs = lp_norms(grid, multiply(grid, SymbolCatalog.partial(0), f), 4.0) * g4
+    rhs = lp_norms(grid, multiply(grid, SymbolCatalog.gradient(grid)[0], f), 4.0) * g4
     rhs += lp_norms(grid, multiply(grid, j1, f), 4.0) * g4
     return RatioReport.of(lhs, rhs)
 
@@ -102,8 +102,8 @@ def kato_ponce_report(grid: Grid, f, g) -> RatioReport:
 def leibniz_report(grid: Grid, f, g) -> RatioReport:
     """Fractional Leibniz defect ||D^(1/2)(fg) - f D^(1/2) g - g D^(1/2) f||_2
     against ||D^(1/4) f||_4 ||D^(1/4) g||_4."""
-    riesz = SymbolCatalog.riesz(0.5)
-    quarter = SymbolCatalog.riesz(0.25)
+    riesz = SymbolCatalog.riesz(grid, 0.5)
+    quarter = SymbolCatalog.riesz(grid, 0.25)
     defect = (
         multiply(grid, riesz, product(grid, f, g))
         - product(grid, f, multiply(grid, riesz, g))

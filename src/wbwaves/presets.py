@@ -68,10 +68,8 @@ def _periodized_bump(x, L, width):
 
 
 def _gradient(grid: Grid, c):
-    """The (2, *half) half spectra of the gradient of a 2D field's half
-    spectrum ``c``."""
-    d = (grid.half(SymbolCatalog.partial(j).multiplier(grid, axis=j)) for j in range(2))
-    return np.stack([dj * c for dj in d])
+    """The (2, *half) half spectra of the gradient of a 2D half spectrum ``c``."""
+    return np.stack([grid.half(d) * c for d in SymbolCatalog.gradient(grid)])
 
 
 def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:

@@ -17,13 +17,13 @@ times the Fourier-series coefficient).  ``Grid.forward_half`` and
 ``Grid.inverse_half``, the rfftn pair, apply this scaling; the solver's
 forcing folds it into its precomputed weights.  Every norm, product and
 operator of the solver, the reports and the studies acts on half-spectrum
-arrays (``Grid.half``, ``WaveState.packed``); a symbol's multiplier on them
-is ``grid.half(sym.multiplier(grid, axis))``.
+arrays (``Grid.half``, ``WaveState.packed``); a ``SymbolCatalog`` entry
+is a full-lattice array, cut to them by ``grid.half``.
 
 Conventions forced by the finite periodic lattice:
 
-* every odd symbol annihilates the unpaired Nyquist mode (it cannot carry
-  the odd-symbol image of a real field),
+* every per-axis (odd) multiplier annihilates its axis's unpaired Nyquist
+  mode (it cannot carry the odd-symbol image of a real field),
 * negative-order Riesz potentials annihilate the mean,
 * pointwise products inside operator compositions are 2/3-rule dealiased,
   keeping the integer modes |k| <= ``Grid.dealias_band`` per axis.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -216,46 +215,16 @@ class Field:
 # Fourier multiplier symbols
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Fourier multiplier with declared parity and value type.
-
-    The actual multiplier is ``profile(arg)`` for even symbols (arg = |xi|)
-    and ``profile(xi_axis)`` for odd ones, times 1j when ``imaginary`` is
-    set.  Even real and odd imaginary symbols map real fields to real
-    fields; nothing else does.  Removable singularities are patched inside
-    ``profile``.
-    """
-
-    name: str
-    parity: str  # "even" | "odd"
-    imaginary: bool
-    profile: Callable[[np.ndarray], np.ndarray]
-
-    def values(self, grid, axis=0):
-        """Real content of the multiplier on the grid's wavenumber lattice."""
-        if self.parity == "even":
-            arr = np.asarray(self.profile(grid.xi_norm), dtype=np.float64)
-        elif self.parity == "odd":
-            arr = np.asarray(self.profile(grid.xi[axis]), dtype=np.float64)
-            arr = np.where(grid.axis_nyquist(axis), 0.0, arr)
-        else:
-            raise SpectralError(f"unknown parity {self.parity!r}")
-        if not np.all(np.isfinite(arr)):
-            xi_ref = grid.xi_norm if self.parity == "even" else np.broadcast_to(
-                grid.xi[axis], grid.shape
-            )
-            arr_full = np.broadcast_to(arr, grid.shape)
-            bad = np.argwhere(~np.isfinite(arr_full))[0]
-            xi_bad = np.asarray(xi_ref)[tuple(bad)]
-            raise SpectralError(
-                f"symbol {self.name!r} is not finite at wavenumber {xi_bad!r}"
-            )
-        return arr
-
-    def multiplier(self, grid, axis=0):
-        v = self.values(grid, axis=axis)
-        return 1j * v if self.imaginary else v
+def _radial(grid, name, profile):
+    """The full-lattice array ``profile(|xi|)`` of the symbol ``name``, which
+    must be finite: the error names the symbol and its first bad wavenumber.
+    Removable singularities are patched inside ``profile``."""
+    with np.errstate(all="ignore"):
+        arr = np.asarray(profile(grid.xi_norm), dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        xi = float(grid.xi_norm[~np.isfinite(arr)][0])
+        raise SpectralError(f"symbol {name!r} is not finite at wavenumber {xi}")
+    return arr
 
 
 def _tanh_over_x(a):
@@ -270,72 +239,60 @@ def _x_over_tanh(a):
 
 
 class SymbolCatalog:
-    """The multiplier symbols used throughout the suite.
-
-    Even entries are radial (functions of |xi|) and hence valid in one and
-    two dimensions; odd entries act along a single axis.  Every multiplier
-    array of the package is built here, so each formula is written once.
-    """
+    """The multiplier symbols of the suite, each formula written once.  Every
+    entry takes the grid first and returns its full-lattice multiplier: one
+    array for a scalar symbol (a function of |xi|, in 1D and 2D), a tuple of
+    one array per axis for a vector one (d_j, e_j, G_j), odd and zero on its
+    axis's unpaired Nyquist index."""
 
     @staticmethod
-    def riesz(alpha):
+    def riesz(grid, alpha):
         """|xi|^alpha; zero mode gives 0 for alpha != 0 (mean annihilated)."""
         alpha = float(alpha)
+        at_zero = 1.0 if alpha == 0.0 else 0.0
 
         def prof(a):
-            if alpha == 0.0:
-                return np.ones_like(a)
             safe = np.where(a == 0.0, 1.0, a)
-            return np.where(a == 0.0, 0.0, safe**alpha)
+            return np.where(a == 0.0, at_zero, safe**alpha)
 
-        return Symbol(f"|xi|^{alpha:g}", "even", False, prof)
+        return _radial(grid, f"|xi|^{alpha:g}", prof)
 
     @staticmethod
-    def bessel(alpha):
+    def bessel(grid, alpha):
         alpha = float(alpha)
-        return Symbol(f"<xi>^{alpha:g}", "even", False, lambda a: (1.0 + a * a) ** (alpha / 2.0))
+        return _radial(grid, f"<xi>^{alpha:g}", lambda a: (1.0 + a * a) ** (alpha / 2.0))
 
     @staticmethod
-    def capillary(kappa):
+    def capillary(grid, kappa):
         """1 + kappa |xi|^2, the surface-tension weight of the elevation."""
         kappa = float(kappa)
-        return Symbol(f"1+{kappa:g}|xi|^2", "even", False, lambda a: 1.0 + kappa * a * a)
+        return _radial(grid, f"1+{kappa:g}|xi|^2", lambda a: 1.0 + kappa * a * a)
 
     @staticmethod
-    def K_kappa(kappa):
+    def K_kappa(grid, kappa):
+        """sqrt((1 + kappa |xi|^2) tanh|xi| / |xi|), 1 at xi = 0."""
         kappa = float(kappa)
-        cap = SymbolCatalog.capillary(kappa).profile
-        return Symbol(
-            f"K_kappa(kappa={kappa:g})",
-            "even",
-            False,
-            lambda a: np.sqrt(cap(a) * _tanh_over_x(a)),
-        )
+        name = f"K_kappa(kappa={kappa:g})"
+        return _radial(grid, name, lambda a: np.sqrt((1.0 + kappa * a * a) * _tanh_over_x(a)))
 
     @staticmethod
-    def K_kappa_inv(kappa):
-        kappa = float(kappa)
-        k = SymbolCatalog.K_kappa(kappa).profile
-        return Symbol(f"K_kappa^-1(kappa={kappa:g})", "even", False, lambda a: 1.0 / k(a))
+    def K_kappa_inv(grid, kappa):
+        return 1.0 / SymbolCatalog.K_kappa(grid, kappa)
 
     @staticmethod
-    def d_over_tanh():
-        """xi/tanh(xi) with value 1 at xi = 0 (even, so evaluated radially)."""
-        return Symbol("xi/tanh(xi)", "even", False, _x_over_tanh)
+    def d_over_tanh(grid):
+        """|xi|/tanh|xi| with value 1 at xi = 0."""
+        return _radial(grid, "xi/tanh(xi)", _x_over_tanh)
 
     @staticmethod
-    def partial(axis=0):
-        """d/dx_axis, symbol i*xi_axis."""
-        return Symbol(f"i*xi_{axis}", "odd", True, lambda x: x)
-
-    # Per-axis arrays of the dynamics that are not Symbols: in 2D they couple
-    # both axes.  They vanish on the zero mode and the Nyquist modes/planes,
-    # the odd-symbol convention.
+    def gradient(grid):
+        """d/dx_j, symbol i*xi_j, per axis."""
+        return tuple(1j * np.where(grid.axis_nyquist(j), 0.0, xi) for j, xi in enumerate(grid.xi))
 
     @staticmethod
     def unit_vectors(grid):
         """e_j = xi_j/|xi| per axis (sgn xi in 1D), zero on the zero mode and
-        the Nyquist modes/planes."""
+        the Nyquist modes/planes (in 2D they couple both axes)."""
         a = grid.xi_norm
         safe = np.where(a == 0.0, 1.0, a)
         drop = grid.nyquist_mask | (a == 0.0)
@@ -344,12 +301,11 @@ class SymbolCatalog:
     @staticmethod
     def forcing(grid):
         """G_j = -K^2 d_j = -i tanh|xi| e_j per axis (-i tanh(xi) in 1D)."""
-        t = Symbol("tanh|xi|", "even", False, np.tanh).values(grid)
+        t = np.tanh(grid.xi_norm)
         return tuple(-1j * (t * e) for e in SymbolCatalog.unit_vectors(grid))
 
     @staticmethod
     def frequency(grid, kappa):
         """|xi| K_kappa, the frequency of the linear flow, zero on the Nyquist
         modes/planes."""
-        kk = SymbolCatalog.K_kappa(kappa).values(grid)
-        return np.where(grid.nyquist_mask, 0.0, grid.xi_norm * kk)
+        return np.where(grid.nyquist_mask, 0.0, grid.xi_norm * SymbolCatalog.K_kappa(grid, kappa))

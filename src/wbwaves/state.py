@@ -192,8 +192,7 @@ def _curl_residue(grid: Grid, vel_c):
 @lru_cache(maxsize=16)
 def _curl_weights(grid: Grid):
     """Read-only half-spectrum d/dx_1, d/dx_2 and ``_parseval`` count of a 2D grid."""
-    arrays = [grid.half(SymbolCatalog.partial(j).multiplier(grid, axis=j)) for j in range(2)]
-    arrays.append(_parseval(grid, 1.0))
+    arrays = [*map(grid.half, SymbolCatalog.gradient(grid)), _parseval(grid, 1.0)]
     for a in arrays:
         a.flags.writeable = False
     return tuple(arrays)
@@ -212,9 +211,9 @@ def _parseval(grid: Grid, weight):
 def _norm_weights(grid: Grid, s, kappa):
     """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi, by
     ``_parseval`` on the half spectrum."""
-    bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
-    eta_w = _parseval(grid, bess * SymbolCatalog.capillary(kappa).values(grid))
-    vel_w = _parseval(grid, bess * SymbolCatalog.d_over_tanh().values(grid))
+    bess = SymbolCatalog.bessel(grid, 2.0 * s - 1.0)
+    eta_w = _parseval(grid, bess * SymbolCatalog.capillary(grid, kappa))
+    vel_w = _parseval(grid, bess * SymbolCatalog.d_over_tanh(grid))
     eta_w.flags.writeable = vel_w.flags.writeable = False
     return eta_w, vel_w
 
@@ -222,7 +221,7 @@ def _norm_weights(grid: Grid, s, kappa):
 @lru_cache(maxsize=16)
 def _sobolev_weights(grid: Grid, order):
     """Read-only <xi>^(2 order), by ``_parseval`` on the half spectrum."""
-    w = _parseval(grid, SymbolCatalog.bessel(2.0 * order).values(grid))
+    w = _parseval(grid, SymbolCatalog.bessel(grid, 2.0 * order))
     w.flags.writeable = False
     return w
 

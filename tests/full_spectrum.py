@@ -61,10 +61,10 @@ def zero(grid):
     return Field(grid, np.zeros(grid.shape))
 
 
-def apply_multiplier(sym, f, axis=0):
-    """A real-to-real Fourier multiplier applied to a real field."""
-    out = sym.multiplier(f.grid, axis=axis) * coeffs(f)
-    return Field.from_coeffs(f.grid, out, context=f"apply {sym.name}")
+def apply_multiplier(sym, f):
+    """A real-to-real Fourier multiplier (a full-lattice array of
+    ``SymbolCatalog``) applied to a real field."""
+    return Field.from_coeffs(f.grid, sym * coeffs(f), context="apply multiplier")
 
 
 def lp_norm(f, p):
@@ -75,7 +75,7 @@ def lp_norm(f, p):
 
 def sobolev_norm(f, order):
     """H^order (Bessel potential) norm, a sum over the full spectrum."""
-    w = SymbolCatalog.bessel(2.0 * float(order)).values(f.grid)
+    w = SymbolCatalog.bessel(f.grid, 2.0 * float(order))
     return float(math.sqrt(np.sum(w * np.abs(coeffs(f)) ** 2)))
 
 

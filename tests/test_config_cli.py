@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1265,20 +1266,27 @@ def _snapshot(tmp_path, n=64, cut=0, header=None, **extra):
     lambda tmp: {"report_every": math.inf},
     lambda tmp: {"T": 1e308, "integrator": {"dt": 1e-3}},
     lambda tmp: {"seed": -1},
+    lambda tmp: {"params": {"kappa": 1.0, "s": 200.0}},
 ], ids=["unknown_preset", "unknown_option", "missing_option", "band_past_dealias",
         "snapshot_grid", "snapshot_truncated", "snapshot_extra_key", "snapshot_time_nan",
         "snapshot_odd_n", "snapshot_length_nan", "report_below_step",
-        "T_nan", "T_inf", "report_every_inf", "steps_overflow", "seed_negative"])
+        "T_nan", "T_inf", "report_every_inf", "steps_overflow", "seed_negative",
+        "s_overflow"])
 def test_describe_and_study_reject_what_run_rejects(tmp_path, capsys, overrides):
     """describe and a config-based study exit 1 on every config run rejects,
-    with run's error line, and no command makes its output directory."""
+    with run's error line free of numpy reprs and warnings, and no command
+    makes its output directory."""
     outdir = tmp_path / "o"
     cfgfile = write_config(tmp_path, small_run(str(outdir), **overrides(tmp_path)))
     errors = []
     for command in (["run"], ["describe"], ["study", "conservation"]):
-        assert main([*command, cfgfile]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, cfgfile]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and not captured.out
+        assert "np.float64" not in captured.err and "RuntimeWarning" not in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         errors.append(captured.err)
         assert not outdir.exists()
     assert errors[1] == errors[2] == errors[0]

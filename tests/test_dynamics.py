@@ -95,7 +95,7 @@ class TestRhs:
         u = small_state(g, seed=4)
         base = rhs(u, Params(kappa=1.0))
         reg = rhs(u, Params(kappa=1.0, mu=0.5, p=1.0))
-        heat = apply_multiplier(SymbolCatalog.riesz(1.0), Field(g, u.eta))
+        heat = apply_multiplier(SymbolCatalog.riesz(g, 1.0), Field(g, u.eta))
         want = base.eta - 1.0 * 0.5 * heat.values
         assert np.max(np.abs(reg.eta - want)) < 1e-12
 

@@ -11,7 +11,7 @@ from wbwaves.functionals import (
     modified_energy,
     smallness_threshold,
 )
-from wbwaves.presets import random_bandlimited
+from wbwaves.presets import random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid, SpectralError
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
@@ -178,10 +178,9 @@ class TestWeightedPairNorm:
     def test_kappa_zero_reduction(self):
         g = Grid(64)
         st = random_bandlimited(g, seed=4, band=5, amplitude=0.5)
-        from wbwaves.spectral import Symbol, SymbolCatalog
+        from wbwaves.spectral import SymbolCatalog
 
-        k_inv = Symbol("K^-1", "even", False,
-                       lambda a: np.sqrt(SymbolCatalog.d_over_tanh().profile(a)))
+        k_inv = np.sqrt(SymbolCatalog.d_over_tanh(g))
         eta, v = fields(st)
         kinv_v = apply_multiplier(k_inv, v)
         want = math.sqrt(
@@ -237,7 +236,7 @@ class TestDifferenceEnergy:
 
         r = 0.75
         eta, v = fields(st)
-        jw = apply_multiplier(SymbolCatalog.bessel(r - 0.5), v)
+        jw = apply_multiplier(SymbolCatalog.bessel(g, r - 0.5), v)
         want = 0.5 * (
             params.kappa * sobolev_norm(eta, r + 0.5) ** 2
             + sobolev_norm(v, r) ** 2
@@ -338,6 +337,23 @@ class TestEnergyReport:
         st = random_bandlimited(g, seed=8, band=4, amplitude=0.2)
         rep = EnergyReport.measure(st, Params(kappa=1.0, s=0.5))
         assert rep.modified_energy == rep.hamiltonian
+
+    @pytest.mark.parametrize("amplitude", [1e-170, 1e-300])
+    @pytest.mark.parametrize("n", [32, (16, 16)])
+    def test_linf_v_of_a_velocity_whose_squares_underflow(self, n, amplitude):
+        """linf_v is the largest |v| even where |v|^2 underflows: exactly in
+        1D, within 1e-15 of np.hypot in 2D; a state of ordinary size beside it
+        in the stack keeps its value."""
+        g = Grid(n)
+        st = single_mode(g, 0.1, v_amplitude=amplitude)
+        big = single_mode(g, 0.1, v_amplitude=0.2)
+        tiny_rep, big_rep = EnergyReport.measure([st, big], Params())
+        assert big_rep.linf_v == EnergyReport.measure(big, Params()).linf_v
+        if g.dim == 1:
+            assert tiny_rep.linf_v == np.max(np.abs(st.v))
+        else:
+            want = np.max(np.hypot(*st.vel))
+            assert want > 0 and abs(tiny_rep.linf_v - want) <= 1e-15 * want
 
 
 def _scalar_energy(state, s, kappa):

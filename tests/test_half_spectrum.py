@@ -100,14 +100,14 @@ class FullSpectrumOps:
         self.mask = grid.dealias_mask.astype(np.float64)
         self.heat_rate = None
         if params.mu > 0:
-            self.heat_rate = params.kappa * params.mu * cat.riesz(params.p).values(grid)
-        self.Kk = cat.K_kappa(params.kappa).values(grid)
-        self.Kk_inv = cat.K_kappa_inv(params.kappa).values(grid)
+            self.heat_rate = params.kappa * params.mu * cat.riesz(grid, params.p)
+        self.Kk = cat.K_kappa(grid, params.kappa)
+        self.Kk_inv = cat.K_kappa_inv(grid, params.kappa)
         self.phase = cat.frequency(grid, params.kappa)
         self.unit = cat.unit_vectors(grid)
-        self.dx = tuple(cat.partial(j).multiplier(grid, axis=j) for j in range(grid.dim))
+        self.dx = cat.gradient(grid)
         forcing = cat.forcing(grid)
-        cap = cat.capillary(params.kappa).values(grid)
+        cap = cat.capillary(grid, params.kappa)
         self.restoring = tuple(g * cap for g in forcing)
         self.forcing = tuple(g * self.mask for g in forcing)
 
@@ -236,9 +236,9 @@ class TestAgainstFullSpectrum:
 
 def full_weighted_sq(grid, coeffs, s, kappa):
     """The squared weighted pair norm summed over full spectra."""
-    bess = SymbolCatalog.bessel(2.0 * s - 1.0).values(grid)
-    eta_w = bess * SymbolCatalog.capillary(kappa).values(grid)
-    vel_w = bess * SymbolCatalog.d_over_tanh().values(grid)
+    bess = SymbolCatalog.bessel(grid, 2.0 * s - 1.0)
+    eta_w = bess * SymbolCatalog.capillary(grid, kappa)
+    vel_w = bess * SymbolCatalog.d_over_tanh(grid)
     total = np.sum(eta_w * np.abs(coeffs[0]) ** 2)
     for c in coeffs[1:]:
         total += np.sum(vel_w * np.abs(c) ** 2)
@@ -260,7 +260,7 @@ def full_weighted_norm(state, s, kappa):
 
 def full_cubic_modifier(state, order):
     """int eta |J^order v|^2 dx with dealiased products."""
-    bess = SymbolCatalog.bessel(order)
+    bess = SymbolCatalog.bessel(state.grid, order)
     eta, *vel = fields(state)
     total = 0.0
     for comp in vel:
@@ -283,7 +283,7 @@ def full_report(state, params):
     cubic = sum(triple_quadrature(eta, comp, comp) for comp in vel)
     momentum = math.nan
     if grid.dim == 1:
-        kinv2 = SymbolCatalog.d_over_tanh().values(grid)
+        kinv2 = SymbolCatalog.d_over_tanh(grid)
         momentum = float(np.real(np.sum(np.conj(coeffs(eta)) * kinv2 * coeffs(vel[0]))))
     return {
         "time": state.time,
@@ -302,7 +302,7 @@ def full_difference_energy(state1, state2, r, params):
     grid = state1.grid
     theta = Field(grid, state1.eta - state2.eta)
     total = params.kappa * sobolev_norm(theta, r + 0.5) ** 2
-    bess = SymbolCatalog.bessel(r - 0.5)
+    bess = SymbolCatalog.bessel(grid, r - 0.5)
     for c1, c2 in zip(state1.vel, state2.vel):
         w = Field(grid, c1 - c2)
         total += sobolev_norm(w, r) ** 2
@@ -331,7 +331,7 @@ def rough_state(grid, seed, amplitude=0.3):
     if grid.dim == 1:
         return state_of(eta, Field(grid, amplitude * rng.standard_normal(grid.shape)))
     psi = Field(grid, amplitude * rng.standard_normal(grid.shape))
-    vel = [apply_multiplier(SymbolCatalog.partial(j), psi, axis=j) for j in range(2)]
+    vel = [apply_multiplier(d, psi) for d in SymbolCatalog.gradient(grid)]
     scale = amplitude / max(linf(c) for c in vel)
     return state_of(eta, *(Field(grid, scale * c.values) for c in vel))
 
@@ -582,7 +582,7 @@ class TestHalfSpectrumConvention:
         grid = Grid((16, 24))
         x1, x2 = (np.asarray(x) for x in grid.x)
         vel = (Field(grid, np.cos(x2) + 0 * x1), zero(grid))
-        d = [SymbolCatalog.partial(j).multiplier(grid, axis=j) for j in range(2)]
+        d = SymbolCatalog.gradient(grid)
         want = math.sqrt(np.sum(np.abs(d[0] * coeffs(vel[1]) - d[1] * coeffs(vel[0])) ** 2))
         got = curl_residue(grid, [f.values for f in vel])
         assert math.isclose(got, want, rel_tol=PARSEVAL_RTOL)
@@ -656,8 +656,7 @@ def old_random_bandlimited(grid, seed, band, amplitude):
         v = draw().values
         return WaveState(grid, np.stack([eta, (amplitude / np.max(np.abs(v))) * v]))
     psi = draw()
-    vel = np.stack([apply_multiplier(SymbolCatalog.partial(j), psi, axis=j).values
-                    for j in range(2)])
+    vel = np.stack([apply_multiplier(d, psi).values for d in SymbolCatalog.gradient(grid)])
     speed = math.sqrt(float(np.max(vel[0] ** 2 + vel[1] ** 2)))
     return WaveState(grid, np.concatenate([eta[None], (amplitude / speed) * vel]))
 
@@ -665,7 +664,7 @@ def old_random_bandlimited(grid, seed, band, amplitude):
 def old_gaussian_bump_2d(grid, amplitude, width):
     g1, g2 = (_periodized_bump(grid.x[j], grid.length[j], width) for j in range(2))
     eta = Field(grid, amplitude * g1 * g2)
-    vel = [width * apply_multiplier(SymbolCatalog.partial(j), eta, axis=j).values for j in range(2)]
+    vel = [width * apply_multiplier(d, eta).values for d in SymbolCatalog.gradient(grid)]
     return WaveState(grid, np.stack([eta.values, *vel]))
 
 

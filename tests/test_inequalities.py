@@ -40,10 +40,10 @@ REPORT_RTOL = 1e-12
 
 def old_kato_ponce(family):
     report = RatioReport()
-    j1 = SymbolCatalog.bessel(1.0)
     for f, g in family:
+        j1 = SymbolCatalog.bessel(f.grid, 1.0)
         lhs = lp_norm(commutator(j1, f, g), 2.0)
-        fx = apply_multiplier(SymbolCatalog.partial(0), f)
+        fx = apply_multiplier(SymbolCatalog.gradient(f.grid)[0], f)
         rhs = lp_norm(fx, 4.0) * lp_norm(g, 4.0)
         rhs += lp_norm(apply_multiplier(j1, f), 4.0) * lp_norm(g, 4.0)
         report.samples.append({"lhs": lhs, "rhs": rhs})
@@ -52,9 +52,9 @@ def old_kato_ponce(family):
 
 def old_leibniz(family):
     report = RatioReport()
-    riesz = SymbolCatalog.riesz(0.5)
-    quarter = SymbolCatalog.riesz(0.25)
     for f, g in family:
+        riesz = SymbolCatalog.riesz(f.grid, 0.5)
+        quarter = SymbolCatalog.riesz(f.grid, 0.25)
         defect = Field(f.grid, (
             apply_multiplier(riesz, pair_product(f, g)).values
             - pair_product(f, apply_multiplier(riesz, g)).values

@@ -1,20 +1,17 @@
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wbwaves.functionals import _cubic
 from wbwaves.inequalities import commutator, multiply, product, sobolev_norms
-from wbwaves.spectral import Field, Grid, SpectralError, Symbol, SymbolCatalog
+from wbwaves.spectral import Field, Grid, SpectralError, SymbolCatalog
 
 from full_spectrum import apply_multiplier, coeffs, index, linf, transform
 
 TWO_PI = 2 * math.pi
-
-# Example symbols outside the catalog: the skew map -i tanh(D) and the real
-# odd tanh(xi), which maps no real field to a real one.
-NEG_I_TANH = Symbol("-i*tanh(xi)", "odd", True, lambda x: -np.tanh(x))
-TANH = Symbol("tanh(xi)", "odd", False, np.tanh)
 
 
 def half(f):
@@ -106,48 +103,52 @@ class TestTransform:
 
 
 class TestMultiply:
-    def test_neg_i_tanh_on_sine(self):
+    def test_forcing_on_sine(self):
         # Single-mode computation: sin x has coefficients -+ i/2 at k = +-1;
-        # multiplying by -i tanh(+-1) gives -tanh(1)/2 at both, i.e.
+        # the 1D forcing -i tanh(xi) gives -tanh(1)/2 at both, i.e.
         # -tanh(1) cos x.
         g = Grid(32)
         f = Field(g, np.sin(np.asarray(g.x[0])))
-        out = g.inverse_half(multiply(g, NEG_I_TANH, half(f)))
+        out = g.inverse_half(multiply(g, SymbolCatalog.forcing(g)[0], half(f)))
         expected = -math.tanh(1.0) * np.cos(np.asarray(g.x[0]))
         assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_bessel_zero_is_identity(self):
         g = Grid(32)
         f = random_field(g, 11)
-        out = g.inverse_half(multiply(g, SymbolCatalog.bessel(0.0), half(f)))
+        out = g.inverse_half(multiply(g, SymbolCatalog.bessel(g, 0.0), half(f)))
         assert np.max(np.abs(out - f.values)) < 1e-13
 
     def test_d_over_tanh_fixes_constants(self):
         g = Grid(16)
         f = Field(g, np.ones(16))
-        out = g.inverse_half(multiply(g, SymbolCatalog.d_over_tanh(), half(f)))
+        out = g.inverse_half(multiply(g, SymbolCatalog.d_over_tanh(g), half(f)))
         assert np.max(np.abs(out - 1.0)) < 1e-13
 
-    def test_singular_symbol_names_wavenumber(self):
-        g = Grid(16)
-        bad = Symbol("bad", "even", False, lambda a: np.where(a == 0, np.inf, a))
-        with pytest.raises(SpectralError, match="not finite at wavenumber"):
-            bad.values(g)
+    def test_overflowing_symbol_names_wavenumber(self):
+        # <xi>^2000 = 5^1000 at |xi| = 2 is past the float range: the entry
+        # is refused by name, at a plain-float wavenumber, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                SpectralError, match=r"^symbol '<xi>\^2000' is not finite at wavenumber 2\.0$"
+            ):
+                SymbolCatalog.bessel(Grid(64), 2000.0)
 
     def test_composition_bessel(self):
         g = Grid(32)
         c = half(random_field(g, 13))
         one = g.inverse_half(
-            multiply(g, SymbolCatalog.bessel(0.7), multiply(g, SymbolCatalog.bessel(0.8), c))
+            multiply(g, SymbolCatalog.bessel(g, 0.7), multiply(g, SymbolCatalog.bessel(g, 0.8), c))
         )
-        two = g.inverse_half(multiply(g, SymbolCatalog.bessel(1.5), c))
+        two = g.inverse_half(multiply(g, SymbolCatalog.bessel(g, 1.5), c))
         scale = max(np.max(np.abs(two)), 1e-300)
         assert np.max(np.abs(one - two)) <= 1e-12 * scale
 
     def test_riesz_negative_annihilates_mean(self):
         g = Grid(16)
         f = Field(g, 2.0 + np.cos(np.asarray(g.x[0])))
-        out = multiply(g, SymbolCatalog.riesz(-1.0), half(f))
+        out = multiply(g, SymbolCatalog.riesz(g, -1.0), half(f))
         assert abs(out[0]) < 1e-14
 
     def test_realness_of_dynamics_composites(self):
@@ -155,11 +156,11 @@ class TestMultiply:
         g = Grid(64)
         f = random_field(g, 17)
         for sym in [
-            NEG_I_TANH,
-            SymbolCatalog.partial(0),
-            SymbolCatalog.riesz(1.0),
-            SymbolCatalog.K_kappa(0.5),
-            SymbolCatalog.K_kappa_inv(0.5),
+            SymbolCatalog.forcing(g)[0],
+            SymbolCatalog.gradient(g)[0],
+            SymbolCatalog.riesz(g, 1.0),
+            SymbolCatalog.K_kappa(g, 0.5),
+            SymbolCatalog.K_kappa_inv(g, 0.5),
         ]:
             out = apply_multiplier(sym, f)
             assert np.all(np.isfinite(out.values))
@@ -169,28 +170,42 @@ class TestSymbolCatalog:
     def test_patched_values_at_zero(self):
         g = Grid(16)
         for sym, want in [
-            (SymbolCatalog.K_kappa(2.0), 1.0),
-            (SymbolCatalog.K_kappa_inv(2.0), 1.0),
-            (SymbolCatalog.d_over_tanh(), 1.0),
-            (SymbolCatalog.riesz(1.0), 0.0),
-            (SymbolCatalog.riesz(-0.5), 0.0),
-            (SymbolCatalog.riesz(0.0), 1.0),
+            (SymbolCatalog.K_kappa(g, 2.0), 1.0),
+            (SymbolCatalog.K_kappa_inv(g, 2.0), 1.0),
+            (SymbolCatalog.d_over_tanh(g), 1.0),
+            (SymbolCatalog.riesz(g, 1.0), 0.0),
+            (SymbolCatalog.riesz(g, -0.5), 0.0),
+            (SymbolCatalog.riesz(g, 0.0), 1.0),
         ]:
-            assert sym.values(g)[index(g, 0)] == want
+            assert sym[index(g, 0)] == want
 
     def test_k_kappa_matches_definition(self):
         g = Grid(32)
         xi = np.abs(np.asarray(g.xi[0]))
-        vals = SymbolCatalog.K_kappa(0.7).values(g)
+        vals = SymbolCatalog.K_kappa(g, 0.7)
         mask = xi > 0
         want = np.sqrt((1 + 0.7 * xi[mask] ** 2) * np.tanh(xi[mask]) / xi[mask])
         assert np.allclose(vals[mask], want, rtol=1e-14)
 
-    def test_odd_symbols_zero_nyquist(self):
-        g = Grid(16)
-        sgn = Symbol("sgn(xi)", "odd", False, np.sign)
-        for sym in [TANH, sgn, NEG_I_TANH, SymbolCatalog.partial(0)]:
-            assert sym.values(g)[8] == 0.0
+    @pytest.mark.parametrize("n", [16, (8, 12)])
+    def test_gradient_zero_on_nyquist_only(self, n):
+        g = Grid(n)
+        for j, d in enumerate(SymbolCatalog.gradient(g)):
+            d = np.broadcast_to(d, g.shape)
+            xi = np.broadcast_to(g.xi[j], g.shape)
+            nyquist = np.broadcast_to(g.axis_nyquist(j), g.shape)
+            assert np.all(d[nyquist] == 0.0)
+            assert np.array_equal(d[~nyquist], 1j * xi[~nyquist])
+
+    def test_every_entry_takes_the_grid_first(self):
+        entries = [
+            name for name, fn in vars(SymbolCatalog).items()
+            if isinstance(fn, staticmethod) and not name.startswith("_")
+        ]
+        assert entries
+        for name in entries:
+            first = next(iter(inspect.signature(getattr(SymbolCatalog, name)).parameters))
+            assert first == "grid", name
 
 
 class TestSobolevNorm:
@@ -212,7 +227,7 @@ class TestSobolevNorm:
         g = Grid(64)
         c = half(random_field(g, 31))
         for s in (0.5, 1.0, 1.5, -0.5):
-            jf = g.inverse_half(multiply(g, SymbolCatalog.bessel(s), c))
+            jf = g.inverse_half(multiply(g, SymbolCatalog.bessel(g, s), c))
             quad = math.sqrt(g.cell * np.sum(jf**2))
             assert sobolev_norms(g, c, s) == pytest.approx(quad, rel=1e-10)
 
@@ -239,14 +254,14 @@ class TestCommutator:
         g = Grid(32)
         f = half(Field(g, np.full(32, 1.7)))
         h = half(random_field(g, 3))
-        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(1.0), f, h))
+        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(g, 1.0), f, h))
         assert np.max(np.abs(out)) < 1e-13
 
     def test_identity_symbol_commutes(self):
         g = Grid(32)
         f = half(random_field(g, 5))
         h = half(random_field(g, 6))
-        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(0.0), f, h))
+        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(g, 0.0), f, h))
         assert np.max(np.abs(out)) < 1e-13
 
     def test_cos_cos_against_hand_expansion(self):
@@ -256,13 +271,13 @@ class TestCommutator:
         g = Grid(32)
         x = np.asarray(g.x[0])
         f = half(Field(g, np.cos(x)))
-        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(1.0), f, f))
+        out = g.inverse_half(commutator(g, SymbolCatalog.bessel(g, 1.0), f, f))
         expected = (1 - math.sqrt(2)) / 2 + (math.sqrt(5) - math.sqrt(2)) / 2 * np.cos(2 * x)
         assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_bilinearity(self):
         g = Grid(32)
-        sym = SymbolCatalog.bessel(1.0)
+        sym = SymbolCatalog.bessel(g, 1.0)
         f, g1, g2 = (half(random_field(g, seed)) for seed in (8, 9, 10))
         lhs = g.inverse_half(commutator(g, sym, f, g1 + g2))
         rhs = g.inverse_half(commutator(g, sym, f, g1) + commutator(g, sym, f, g2))
