@@ -27,6 +27,12 @@ ARTIFACT_VERSION = "wbwaves-0.1.0"
 
 SYSTEMS = ("wb1d", "wb1d_regularized", "wb2d")
 
+# The largest share of a norm that coefficient roundoff may take, estimated
+# by the params.s rule in config_from_dict.  At 3e-3 the largest accepted s
+# still measures a mode-1 state's norm within 1e-4, on periods from 0.1 to
+# 100, kappa from 0 to 100 and 64 to 1024 points per axis.
+ROUNDOFF_SHARE = 3e-3
+
 
 def _table(table: dict, key, default=None) -> dict:
     value = table.pop(key, default)
@@ -158,14 +164,22 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
     grid = Grid(n, length)
     # Every norm and energy of a run reads <xi>^(2s-1) times its other weights.
-    with np.errstate(over="ignore"):
+    # A coefficient carries roundoff of about eps times the largest one, so in
+    # the norm of a state at the lowest mode that roundoff weighs about eps^2
+    # times the ratio of the largest weight to the lowest mode's: past
+    # ROUNDOFF_SHARE the norm reads roundoff (an overflowing weight is past it).
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            eta_w, vel_w = _norm_weights(grid, params.s, params.kappa)
-            finite = np.isfinite(eta_w).all() and np.isfinite(vel_w).all()
+            ratio = max(float(w.max() / w[grid.xi_norm > 0].min())
+                        for w in _norm_weights(grid, params.s, params.kappa))
         except SpectralError:
-            finite = False
-    if not finite:
-        raise ConfigError(f"params.s = {params.s:g} is too large: its norm weight overflows on the grid")
+            ratio = math.inf
+    if not ratio * np.finfo(float).eps ** 2 <= ROUNDOFF_SHARE:
+        raise ConfigError(
+            f"params.s = {params.s:g} is too large: its norm weight grows by a factor {ratio:.3g} from "
+            f"the lowest mode to the top of the grid, past {ROUNDOFF_SHARE:g}/eps^2 = "
+            f"{ROUNDOFF_SHARE / np.finfo(float).eps ** 2:.3g}, where roundoff shows in the norm"
+        )
 
     return RunConfig(
         system=system,

@@ -12,8 +12,8 @@ with K = sqrt(tanh|D|/|D|) and, in 2D, a curl-free velocity.  In 1D
 
 The bracketed viscous terms are active in the regularized variant
 (params.mu > 0).  Every operator is written once for both dimensions, from
-per-axis multipliers cut to the half spectrum, and acts on the packed
-state array of ``WaveState.packed``.
+per-axis multipliers on the half spectrum, and acts on the packed state
+array of ``WaveState.packed``.
 
 The linear part diagonalizes exactly: with the unit wave vector
 e = xi/|xi| (sgn xi in 1D), in the variables eta +- K_kappa^-1 (e.v) it
@@ -139,7 +139,6 @@ class _Ops:
     def __init__(self, grid: Grid, params):
         self.grid = grid
         cat = SymbolCatalog
-        half = grid.half
         batched = isinstance(params, tuple)
 
         def table(f):
@@ -147,15 +146,15 @@ class _Ops:
 
         # A mu = 0 member has rate 0, so its heat factor is exactly 1; with no
         # viscous member there is no heat factor.
-        rate = table(lambda p: half(p.kappa * p.mu * cat.riesz(grid, p.p)))
+        rate = table(lambda p: p.kappa * p.mu * cat.riesz(grid, p.p))
         self.heat_rate = (rate[:, None] if batched else rate) if rate.any() else None
-        self.Kk = table(lambda p: half(cat.K_kappa(grid, p.kappa)))
-        self.Kk_inv = table(lambda p: half(cat.K_kappa_inv(grid, p.kappa)))
-        self.phase = table(lambda p: half(cat.frequency(grid, p.kappa)))
-        self.unit = np.stack([half(e) for e in cat.unit_vectors(grid)])
-        self.dx = np.stack([half(d) for d in cat.gradient(grid)])
-        forcing = np.stack([half(g) for g in cat.forcing(grid)])
-        self.restoring = table(lambda p: forcing * half(cat.capillary(grid, p.kappa)))
+        self.Kk = table(lambda p: cat.K_kappa(grid, p.kappa))
+        self.Kk_inv = table(lambda p: cat.K_kappa_inv(grid, p.kappa))
+        self.phase = table(lambda p: cat.frequency(grid, p.kappa))
+        self.unit = np.stack(cat.unit_vectors(grid))
+        self.dx = np.stack(cat.gradient(grid))
+        forcing = np.stack(cat.forcing(grid))
+        self.restoring = table(lambda p: forcing * cat.capillary(grid, p.kappa))
         # A packed array is (..., 1 + d, *half): the transform axes and the
         # component axis count from the end, so leading axes batch.
         d = grid.dim
@@ -169,7 +168,7 @@ class _Ops:
         # and the transform scaling, the inverse one for norm="forward".
         self.width = grid.dealias_band(-1) + 1 if d > 1 else grid.n[-1] // 2 + 1
         self.cut = self.width < grid.n[-1] // 2 + 1
-        keep = half(grid.dealias_mask)[..., : self.width]
+        keep = grid.dealias_mask[..., : self.width]
         self.inv_weight = keep / math.sqrt(math.prod(grid.length))
         self.fwd_weight = forcing[..., : self.width] * (keep * grid._norm_factor)
         # The velocity rows transform |v|^2 and take the 1/2 of |v|^2/2 here:

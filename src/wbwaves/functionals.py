@@ -46,8 +46,8 @@ DEFAULT_SMALLNESS = 0.05
 @lru_cache(maxsize=16)
 def _cubic_weights(grid: Grid, order):
     """Read-only float 2/3 mask and masked <xi>^order on the half spectrum."""
-    mask = grid.half(grid.dealias_mask).astype(np.float64)
-    weights = mask * grid.half(SymbolCatalog.bessel(grid, order))
+    mask = grid.dealias_mask.astype(np.float64)
+    weights = mask * SymbolCatalog.bessel(grid, order)
     mask.flags.writeable = weights.flags.writeable = False
     return mask, weights
 

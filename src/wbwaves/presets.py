@@ -69,7 +69,7 @@ def _periodized_bump(x, L, width):
 
 def _gradient(grid: Grid, c):
     """The (2, *half) half spectra of the gradient of a 2D half spectrum ``c``."""
-    return np.stack([grid.half(d) * c for d in SymbolCatalog.gradient(grid)])
+    return np.stack([d * c for d in SymbolCatalog.gradient(grid)])
 
 
 def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:
@@ -87,13 +87,15 @@ def gaussian_bump(grid: Grid, amplitude, width) -> WaveState:
 
 
 def _random_band_coeffs(grid: Grid, rng, band):
-    # One draw per Hermitian pair, in lexicographic order of k with first nonzero k_j > 0.
-    c = np.zeros(grid.shape, dtype=np.complex128)
+    # One draw per Hermitian pair, in lexicographic order of k with first nonzero k_j > 0;
+    # the half spectrum holds a partner if its last k_j >= 0 (else it would wrap).
+    c = np.zeros(grid.half_shape, dtype=np.complex128)
     for k in itertools.product(range(-band, band + 1), repeat=grid.dim):
         if next((kj for kj in k if kj), 0) > 0:
             z = complex(rng.standard_normal(), rng.standard_normal())
-            c[k] = z
-            c[tuple(-kj for kj in k)] = np.conj(z)
+            for at, value in ((k, z), (tuple(-kj for kj in k), np.conj(z))):
+                if at[-1] >= 0:
+                    c[at] = value
     return c
 
 
@@ -105,7 +107,7 @@ def random_bandlimited(grid: Grid, seed=0, band=8, amplitude=0.1) -> WaveState:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(int(seed))
-    eta, psi = (grid.half(_random_band_coeffs(grid, rng, band)) for _ in range(2))
+    eta, psi = (_random_band_coeffs(grid, rng, band) for _ in range(2))
     u = np.concatenate([eta[None], psi[None] if grid.dim == 1 else _gradient(grid, psi)])
     x = grid.inverse_half(u)
     peak = float(np.max(np.abs(x[0])))

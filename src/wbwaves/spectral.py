@@ -15,10 +15,10 @@ so L2 and Sobolev norms are plain weighted sums over coefficients, and the
 coefficient of an integer mode is resolution independent (c(k) = sqrt(L)
 times the Fourier-series coefficient).  ``Grid.forward_half`` and
 ``Grid.inverse_half``, the rfftn pair, apply this scaling; the solver's
-forcing folds it into its precomputed weights.  Every norm, product and
-operator of the solver, the reports and the studies acts on half-spectrum
-arrays (``Grid.half``, ``WaveState.packed``); a ``SymbolCatalog`` entry
-is a full-lattice array, cut to them by ``grid.half``.
+forcing folds it into its precomputed weights.  A real field's spectrum is
+Hermitian, so every spectral array lives on the half lattice of rfftn,
+``Grid.half_shape``: ``Grid``'s wavenumbers, masks and multiplicity, every
+``SymbolCatalog`` entry and every packed state (``WaveState.packed``).
 
 Conventions forced by the finite periodic lattice:
 
@@ -80,6 +80,11 @@ class Grid:
         return self.n
 
     @cached_property
+    def half_shape(self):
+        """(*n[:-1], n[-1]//2 + 1), the half lattice of rfftn: every spectral array's shape."""
+        return (*self.n[:-1], self.n[-1] // 2 + 1)
+
+    @cached_property
     def spacing(self):
         return tuple(L / m for L, m in zip(self.length, self.n))
 
@@ -93,13 +98,17 @@ class Grid:
         return math.sqrt(float(np.prod(self.length))) / float(np.prod(self.n))
 
     def _on_axis(self, axis, a):
-        """The read-only vector ``a`` of one axis's n values, shaped to
+        """The read-only vector ``a`` of one axis's values, shaped to
         broadcast along that axis."""
         shape = [1] * self.dim
-        shape[axis] = self.n[axis]
+        shape[axis] = len(a)
         a = a.reshape(shape)
         a.setflags(write=False)
         return a
+
+    def _on_half(self, axis, a):
+        """One axis's n values ``a``, cut and broadcast to a read-only half-lattice array."""
+        return np.broadcast_to(self._on_axis(axis, a[: self.half_shape[axis]]), self.half_shape)
 
     @cached_property
     def x(self):
@@ -110,31 +119,34 @@ class Grid:
 
     @cached_property
     def xi(self):
-        """Per-axis wavenumbers 2*pi*k/L in FFT order, broadcastable."""
+        """Per-axis wavenumbers 2*pi*k/L on the half lattice, k from ``np.fft.fftfreq``."""
         return tuple(
-            self._on_axis(j, TWO_PI * np.fft.fftfreq(m, d=L / m))
+            self._on_half(j, TWO_PI * np.fft.fftfreq(m, d=L / m))
             for j, (m, L) in enumerate(zip(self.n, self.length))
         )
 
     @cached_property
     def xi_norm(self):
-        """|xi| on the full lattice."""
+        """|xi| on the half lattice."""
         a = np.sqrt(sum(xi * xi for xi in self.xi))
         a.setflags(write=False)
         return a
 
+    @cached_property
+    def multiplicity(self):
+        """The full-lattice points a half-lattice point stands for: 1 on the last axis's
+        columns 0 and n/2, else 2 (its Hermitian mirror too), so weighted half sums are full."""
+        return self._on_half(-1, np.r_[1.0, np.full(self.half_shape[-1] - 2, 2.0), 1.0])
+
     def axis_nyquist(self, axis):
-        """Broadcastable boolean mask of the unpaired Nyquist index on one axis."""
+        """Half-lattice boolean mask of the unpaired Nyquist index on one axis."""
         m = self.n[axis]
-        mask = np.zeros(m, dtype=bool)
-        mask[m // 2] = True
-        return self._on_axis(axis, mask)
+        return self._on_half(axis, np.arange(m) == m // 2)
 
     @cached_property
     def nyquist_mask(self):
-        mask = np.zeros(self.shape, dtype=bool)
-        for j in range(self.dim):
-            mask |= self.axis_nyquist(j)
+        """Half-lattice mask of the Nyquist modes/planes of every axis."""
+        mask = np.logical_or.reduce([self.axis_nyquist(j) for j in range(self.dim)])
         mask.setflags(write=False)
         return mask
 
@@ -144,28 +156,22 @@ class Grid:
 
     @cached_property
     def dealias_mask(self):
-        """2/3-rule mask: keep integer modes |k| <= ``dealias_band`` per axis."""
-        mask = np.ones(self.shape, dtype=bool)
+        """Half-lattice 2/3-rule mask: keep the modes |k| <= ``dealias_band`` per axis."""
+        mask = np.ones(self.half_shape, dtype=bool)
         for j, m in enumerate(self.n):
             k = np.fft.fftfreq(m, d=1.0 / m)  # integer mode numbers
-            mask &= self._on_axis(j, np.abs(k) <= self.dealias_band(j))
+            mask &= self._on_half(j, np.abs(k) <= self.dealias_band(j))
         mask.setflags(write=False)
         return mask
 
-    def half(self, a):
-        """The rfftn half-spectrum slice (last axis cut to n//2 + 1) of a
-        full-lattice array, or of one broadcastable to the grid shape."""
-        a = np.broadcast_to(a, self.shape)[..., : self.n[-1] // 2 + 1]
-        return np.ascontiguousarray(a)
-
     def forward_half(self, values):
-        """The half-spectrum coefficients (..., *half; see ``half``) of real
-        samples (..., *n), by one rfftn over the last ``dim`` axes."""
+        """The half-spectrum coefficients (..., *half) of real samples
+        (..., *n), by one rfftn over the last ``dim`` axes."""
         return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0))) * self._norm_factor
 
     def inverse_half(self, c):
-        """The real samples of half-spectrum coefficients ``c`` (..., *half;
-        see ``half``), by one inverse rfftn over the last ``dim`` axes."""
+        """The real samples of half-spectrum coefficients ``c`` (..., *half),
+        by one inverse rfftn over the last ``dim`` axes."""
         x = np.fft.irfftn(c, s=self.n, axes=tuple(range(-self.dim, 0)))
         x /= self._norm_factor
         return x
@@ -216,7 +222,7 @@ class Field:
 
 
 def _radial(grid, name, profile):
-    """The full-lattice array ``profile(|xi|)`` of the symbol ``name``, which
+    """The half-lattice array ``profile(|xi|)`` of the symbol ``name``, which
     must be finite: the error names the symbol and its first bad wavenumber.
     Removable singularities are patched inside ``profile``."""
     with np.errstate(all="ignore"):
@@ -240,9 +246,9 @@ def _x_over_tanh(a):
 
 class SymbolCatalog:
     """The multiplier symbols of the suite, each formula written once.  Every
-    entry takes the grid first and returns its full-lattice multiplier: one
-    array for a scalar symbol (a function of |xi|, in 1D and 2D), a tuple of
-    one array per axis for a vector one (d_j, e_j, G_j), odd and zero on its
+    entry takes the grid first and returns its multiplier on ``Grid.half_shape``:
+    one array for a scalar symbol (a function of |xi|, in 1D and 2D), a tuple
+    of one array per axis for a vector one (d_j, e_j, G_j), odd and zero on its
     axis's unpaired Nyquist index."""
 
     @staticmethod

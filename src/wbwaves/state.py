@@ -72,12 +72,18 @@ class WaveState:
 
     @classmethod
     def from_packed(cls, grid: Grid, u, time):
-        """The state of half-spectrum coefficients ``u``, which it keeps; for
-        a (B, 1 + d, *half) stack and B times, the list of its B states.
+        """The state of half-spectrum coefficients ``u`` (1 + d, *half), which
+        it keeps; for a (B, 1 + d, *half) stack and B times, the list of its B
+        states.  Any other shape is refused.
 
         One inverse rfftn gives every state's samples, checked by
         ``_samples`` for realness, and in 2D the stack's velocities are
         checked curl free in one sum."""
+        want = (1 + grid.dim, *grid.half_shape)
+        if u.shape[-len(want):] != want or u.ndim not in (len(want), len(want) + 1):
+            raise SpectralError(
+                f"packed array of shape {u.shape} does not match {want} or a stack (B, *{want})"
+            )
         u = u.view()
         u.flags.writeable = False
         stack = u.ndim == grid.dim + 2
@@ -164,8 +170,7 @@ def _check_curl(grid: Grid, u):
     curl free: residue within CURL_TOL * (1 + its L2 norm)."""
     vel_c = u[_part(2, slice(1, None))]
     res = _curl_residue(grid, vel_c)
-    count = _curl_weights(grid)[2]
-    scale = 1.0 + np.sqrt((count * np.abs(vel_c) ** 2).sum(axis=(-3, -2, -1)))
+    scale = 1.0 + np.sqrt((grid.multiplicity * np.abs(vel_c) ** 2).sum(axis=(-3, -2, -1)))
     over = res > CURL_TOL * scale
     if np.any(over):
         i = np.argmax(over)
@@ -184,44 +189,34 @@ def curl_residue(grid: Grid, vel) -> float:
 def _curl_residue(grid: Grid, vel_c):
     """``curl_residue`` from the (..., 2, *half) half spectra of the two
     components, one value per leading index."""
-    d1, d2, count = _curl_weights(grid)
+    d1, d2 = _curl_weights(grid)
     curl = d1 * vel_c[..., 1, :, :] - d2 * vel_c[..., 0, :, :]
-    return np.sqrt((count * np.abs(curl) ** 2).sum(axis=(-2, -1)))
+    return np.sqrt((grid.multiplicity * np.abs(curl) ** 2).sum(axis=(-2, -1)))
 
 
 @lru_cache(maxsize=16)
 def _curl_weights(grid: Grid):
-    """Read-only half-spectrum d/dx_1, d/dx_2 and ``_parseval`` count of a 2D grid."""
-    arrays = [*map(grid.half, SymbolCatalog.gradient(grid)), _parseval(grid, 1.0)]
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(arrays)
-
-
-def _parseval(grid: Grid, weight):
-    """A full-lattice weight cut to the half spectrum, each interior column of
-    the last axis counted twice, for itself and its Hermitian mirror: the
-    half sum of it times |u|^2 is the full-spectrum sum (Parseval)."""
-    count = np.full(grid.n[-1] // 2 + 1, 2.0)
-    count[0] = count[-1] = 1.0
-    return grid.half(weight) * count
+    """Read-only d/dx_1, d/dx_2 of a 2D grid."""
+    d1, d2 = SymbolCatalog.gradient(grid)
+    d1.flags.writeable = d2.flags.writeable = False
+    return d1, d2
 
 
 @lru_cache(maxsize=16)
 def _norm_weights(grid: Grid, s, kappa):
-    """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi, by
-    ``_parseval`` on the half spectrum."""
+    """Read-only <xi>^(2s-1)(1 + kappa|xi|^2) and <xi>^(2s-1) xi/tanh xi,
+    times ``Grid.multiplicity`` (Parseval on the half spectrum)."""
     bess = SymbolCatalog.bessel(grid, 2.0 * s - 1.0)
-    eta_w = _parseval(grid, bess * SymbolCatalog.capillary(grid, kappa))
-    vel_w = _parseval(grid, bess * SymbolCatalog.d_over_tanh(grid))
+    eta_w = bess * SymbolCatalog.capillary(grid, kappa) * grid.multiplicity
+    vel_w = bess * SymbolCatalog.d_over_tanh(grid) * grid.multiplicity
     eta_w.flags.writeable = vel_w.flags.writeable = False
     return eta_w, vel_w
 
 
 @lru_cache(maxsize=16)
 def _sobolev_weights(grid: Grid, order):
-    """Read-only <xi>^(2 order), by ``_parseval`` on the half spectrum."""
-    w = _parseval(grid, SymbolCatalog.bessel(grid, 2.0 * order))
+    """Read-only <xi>^(2 order) times ``Grid.multiplicity``."""
+    w = SymbolCatalog.bessel(grid, 2.0 * order) * grid.multiplicity
     w.flags.writeable = False
     return w
 

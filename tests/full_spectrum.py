@@ -10,14 +10,84 @@ result, the way the package computed them before every operator moved to
 the half spectrum.  The package's half-spectrum code is checked against
 them, never the other way round.  ``fields`` and ``state_of`` convert
 between a ``WaveState``'s one samples array and its components as Fields.
+
+``full(grid)`` is the grid's full lattice: the wavenumbers and masks the
+package's ``Grid`` built before its arrays moved to the half lattice.
+Passed to a ``SymbolCatalog`` entry in place of the grid, it gives the
+entry's full-lattice multiplier; ``half`` cuts such an array to the half
+lattice the package uses.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from wbwaves.spectral import Field, SymbolCatalog
+from wbwaves.spectral import TWO_PI, Field, SymbolCatalog
 from wbwaves.state import WaveState
+
+
+class FullLattice:
+    """The full fftn lattice of ``grid``, every array of the former ``Grid``
+    formulas: per-axis arrays broadcastable to the grid shape, masks of the
+    grid shape.  Every other attribute is the grid's."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def __getattr__(self, name):
+        return getattr(self.grid, name)
+
+    def _on_axis(self, axis, a):
+        shape = [1] * self.grid.dim
+        shape[axis] = self.grid.n[axis]
+        return a.reshape(shape)
+
+    @property
+    def xi(self):
+        """Per-axis wavenumbers 2*pi*k/L in FFT order, broadcastable."""
+        return tuple(
+            self._on_axis(j, TWO_PI * np.fft.fftfreq(m, d=L / m))
+            for j, (m, L) in enumerate(zip(self.grid.n, self.grid.length))
+        )
+
+    @property
+    def xi_norm(self):
+        return np.sqrt(sum(xi * xi for xi in self.xi))
+
+    def axis_nyquist(self, axis):
+        m = self.grid.n[axis]
+        mask = np.zeros(m, dtype=bool)
+        mask[m // 2] = True
+        return self._on_axis(axis, mask)
+
+    @property
+    def nyquist_mask(self):
+        mask = np.zeros(self.grid.shape, dtype=bool)
+        for j in range(self.grid.dim):
+            mask |= self.axis_nyquist(j)
+        return mask
+
+    @property
+    def dealias_mask(self):
+        mask = np.ones(self.grid.shape, dtype=bool)
+        for j, m in enumerate(self.grid.n):
+            k = np.fft.fftfreq(m, d=1.0 / m)
+            mask &= self._on_axis(j, np.abs(k) <= self.grid.dealias_band(j))
+        return mask
+
+
+@lru_cache(maxsize=None)
+def full(grid):
+    """The full lattice of ``grid`` (see ``FullLattice``)."""
+    return FullLattice(grid)
+
+
+def half(grid, a):
+    """The rfftn half-lattice slice (last axis cut to n//2 + 1) of a
+    full-lattice array, or of one broadcastable to the grid shape."""
+    a = np.broadcast_to(a, grid.shape)[..., : grid.n[-1] // 2 + 1]
+    return np.ascontiguousarray(a)
 
 
 def transform(grid, values):
@@ -62,8 +132,8 @@ def zero(grid):
 
 
 def apply_multiplier(sym, f):
-    """A real-to-real Fourier multiplier (a full-lattice array of
-    ``SymbolCatalog``) applied to a real field."""
+    """A real-to-real Fourier multiplier (a full-lattice array, say a
+    ``SymbolCatalog`` entry of ``full(grid)``) applied to a real field."""
     return Field.from_coeffs(f.grid, sym * coeffs(f), context="apply multiplier")
 
 
@@ -75,7 +145,7 @@ def lp_norm(f, p):
 
 def sobolev_norm(f, order):
     """H^order (Bessel potential) norm, a sum over the full spectrum."""
-    w = SymbolCatalog.bessel(f.grid, 2.0 * float(order))
+    w = SymbolCatalog.bessel(full(f.grid), 2.0 * float(order))
     return float(math.sqrt(np.sum(w * np.abs(coeffs(f)) ** 2)))
 
 
@@ -83,7 +153,7 @@ def pair_product(f, g):
     """Pointwise product under the 2/3 rule: both factors and the result are
     truncated so the retained band is alias free."""
     grid = f.grid
-    mask = grid.dealias_mask
+    mask = full(grid).dealias_mask
     fv = inverse(grid, np.where(mask, coeffs(f), 0.0)).real
     gv = inverse(grid, np.where(mask, coeffs(g), 0.0)).real
     ch = transform(grid, fv * gv)

@@ -26,7 +26,7 @@ from wbwaves.presets import (
     single_mode,
 )
 from wbwaves.spectral import Grid
-from wbwaves.state import Params
+from wbwaves.state import Params, weighted_pair_norm
 
 
 def write_config(tmp_path, raw, name="run.json"):
@@ -347,7 +347,7 @@ def test_random_bandlimited_band_is_the_dealias_band(n, band, ok):
             random_bandlimited(grid, seed=1, band=band)
         return
     u = random_bandlimited(grid, seed=1, band=band).packed()
-    outside = u[:, ~grid.half(grid.dealias_mask)]
+    outside = u[:, ~grid.dealias_mask]
     assert np.max(np.abs(outside)) <= 1e-14 * np.max(np.abs(u))  # transform roundoff
 
 
@@ -1267,11 +1267,12 @@ def _snapshot(tmp_path, n=64, cut=0, header=None, **extra):
     lambda tmp: {"T": 1e308, "integrator": {"dt": 1e-3}},
     lambda tmp: {"seed": -1},
     lambda tmp: {"params": {"kappa": 1.0, "s": 200.0}},
+    lambda tmp: {"params": {"kappa": 1.0, "s": 20.0}},
 ], ids=["unknown_preset", "unknown_option", "missing_option", "band_past_dealias",
         "snapshot_grid", "snapshot_truncated", "snapshot_extra_key", "snapshot_time_nan",
         "snapshot_odd_n", "snapshot_length_nan", "report_below_step",
         "T_nan", "T_inf", "report_every_inf", "steps_overflow", "seed_negative",
-        "s_overflow"])
+        "s_overflow", "s_roundoff"])
 def test_describe_and_study_reject_what_run_rejects(tmp_path, capsys, overrides):
     """describe and a config-based study exit 1 on every config run rejects,
     with run's error line free of numpy reprs and warnings, and no command
@@ -1290,3 +1291,30 @@ def test_describe_and_study_reject_what_run_rejects(tmp_path, capsys, overrides)
         errors.append(captured.err)
         assert not outdir.exists()
     assert errors[1] == errors[2] == errors[0]
+
+
+@pytest.mark.parametrize("n, length, kappa, s", [
+    (64, 2 * math.pi, 1.0, 10.0), (256, 2 * math.pi, 1.0, 6.5),
+    (1024, 1.0, 1.0, 4.5), (1024, 2 * math.pi, 100.0, 5.0), (256, 0.1, 1.0, 6.0)])
+def test_largest_accepted_s_measures_the_state(tmp_path, n, length, kappa, s):
+    """The largest s, in steps of 1/2, that the load rule accepts on n
+    points still measures a smooth state, not its roundoff: the weighted
+    norm of the mode-1 ``single_mode`` state matches its exact value.  Half
+    a step more is refused.  The rule is scale free: at period 1 and at
+    kappa 100 the largest weight passes 1/eps^2 at the accepted s, since
+    the lowest mode's weight grows with it."""
+
+    def load(s):
+        raw = small_run(str(tmp_path), grid={"n": n, "length": length},
+                        params={"kappa": kappa, "s": s})
+        return config_from_dict(raw)
+
+    with pytest.raises(ConfigError, match=rf"^params\.s = {s + 0.5:g} is too large: "):
+        load(s + 0.5)
+    state = load(s).initial_state()
+    # eta = v = 0.05 cos(xi x), xi = 2 pi / L: coefficients sqrt(L) 0.05 / 2
+    # at k = +-1, weighted by <xi>^(2s-1) (1 + kappa xi^2) and xi / tanh xi.
+    xi = 2.0 * math.pi / length
+    weight = (1.0 + xi**2) ** (s - 0.5) * (1.0 + kappa * xi**2 + xi / math.tanh(xi))
+    exact = math.sqrt(length * 0.05**2 / 2.0 * weight)
+    assert weighted_pair_norm(state, s, kappa) == pytest.approx(exact, rel=1e-4)

@@ -27,7 +27,8 @@ from wbwaves.presets import random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid, SymbolCatalog
 from wbwaves.state import Params, WaveState, _part, _weighted_sq_coeffs, weighted_pair_norm
 
-from full_spectrum import apply_multiplier, coeffs, index, inverse, transform
+from full_spectrum import apply_multiplier, coeffs, full, index, inverse, transform
+from full_spectrum import half as cut
 
 
 def small_state(grid, seed=0, band=4, amplitude=0.05):
@@ -71,7 +72,7 @@ class TestRhs:
         g = Grid(64)
         x = np.asarray(g.x[0])
         f = Field(g, np.cos(x))
-        out = Field.from_coeffs(g, SymbolCatalog.forcing(g)[0] * coeffs(f))
+        out = Field.from_coeffs(g, SymbolCatalog.forcing(full(g))[0] * coeffs(f))
         assert np.max(np.abs(out.values - math.tanh(1.0) * np.sin(x))) < 1e-13
 
     def test_linearization_residual_scales_linearly(self):
@@ -95,7 +96,7 @@ class TestRhs:
         u = small_state(g, seed=4)
         base = rhs(u, Params(kappa=1.0))
         reg = rhs(u, Params(kappa=1.0, mu=0.5, p=1.0))
-        heat = apply_multiplier(SymbolCatalog.riesz(g, 1.0), Field(g, u.eta))
+        heat = apply_multiplier(SymbolCatalog.riesz(full(g), 1.0), Field(g, u.eta))
         want = base.eta - 1.0 * 0.5 * heat.values
         assert np.max(np.abs(reg.eta - want)) < 1e-12
 
@@ -882,26 +883,30 @@ OPERATOR_RTOL = 1e-13
 
 class PerDimensionOperators:
     def __init__(self, grid, params):
-        a = grid.xi_norm
+        lattice = full(grid)
+        a = lattice.xi_norm
         safe = np.where(a == 0.0, 1.0, a)
         k2 = np.where(a == 0.0, 1.0, np.tanh(safe) / safe)
         kk = np.sqrt((1.0 + params.kappa * a * a) * k2)
-        self.grid, self.mask, self.dim = grid, grid.dealias_mask, grid.dim
-        self.dx = [np.where(grid.axis_nyquist(j), 0.0, 1j * grid.xi[j]) for j in range(grid.dim)]
+        self.grid, self.mask, self.dim = grid, lattice.dealias_mask, grid.dim
+        self.dx = [
+            np.where(lattice.axis_nyquist(j), 0.0, 1j * lattice.xi[j]) for j in range(grid.dim)
+        ]
         self.heat_rate = None
         if params.mu > 0:
             self.heat_rate = params.kappa * params.mu * np.where(a == 0.0, 0.0, safe**params.p)
         self.kk, self.kk_inv = kk, 1.0 / kk
         if grid.dim == 1:
-            xi = grid.xi[0]
-            t = np.where(grid.axis_nyquist(0), 0.0, np.tanh(xi))
+            xi = lattice.xi[0]
+            t = np.where(lattice.axis_nyquist(0), 0.0, np.tanh(xi))
             self.A = -1j * t
             self.Acap = -1j * t * (1.0 + params.kappa * xi * xi)
-            self.phase = np.where(grid.axis_nyquist(0), 0.0, xi) * kk
+            self.phase = np.where(lattice.axis_nyquist(0), 0.0, xi) * kk
         else:
             self.K2, self.cap = k2, 1.0 + params.kappa * a * a
-            self.unit = [np.where(grid.nyquist_mask | (a == 0.0), 0.0, x / safe) for x in grid.xi]
-            self.phase = np.where(grid.nyquist_mask, 0.0, a * kk)
+            drop = lattice.nyquist_mask | (a == 0.0)
+            self.unit = [np.where(drop, 0.0, x / safe) for x in lattice.xi]
+            self.phase = np.where(lattice.nyquist_mask, 0.0, a * kk)
 
     def coeffs(self, values):
         return np.where(self.mask, np.fft.fftn(values) * self.grid._norm_factor, 0.0)
@@ -943,7 +948,7 @@ class PerDimensionOperators:
 
 def _half(grid, u):
     """The half-spectrum layout of a tuple of full spectra."""
-    return np.stack([grid.half(c) for c in u])
+    return np.stack([cut(grid, c) for c in u])
 
 
 def _max_rel(got, want):
@@ -988,9 +993,9 @@ class TestDimensionGenericOperators:
                 c[index(g, k)] = rng.standard_normal()
         uh = _half(g, u)
         out = _ops(g, params).propagator(t).apply(uh)
-        heat = np.exp(-t * (params.kappa * params.mu * g.xi_norm)) if mu else np.ones(g.shape)
+        heat = np.exp(-t * (params.kappa * params.mu * full(g).xi_norm)) if mu else np.ones(g.shape)
         for got, c in zip(out[1:], uh[1:]):
-            assert np.array_equal(got, g.half(heat) * c)
+            assert np.array_equal(got, cut(g, heat) * c)
         assert not np.any(out[0])
 
 
@@ -1025,7 +1030,7 @@ def test_forcing_is_the_exact_forcing_of_the_kept_band(n):
     params = Params(kappa=1.0)
     rng = np.random.default_rng(sum(grid.n))
     u = grid.forward_half(rng.standard_normal((2, 1 + grid.dim) + grid.shape))
-    u_fine = np.zeros(u.shape[: -grid.dim] + fine.half(np.zeros(fine.shape)).shape, complex)
+    u_fine = np.zeros(u.shape[: -grid.dim] + fine.half_shape, complex)
     u_fine[(Ellipsis, *fine_k)] = u[(Ellipsis, *coarse_k)]
     got = _ops(grid, params).nonlinear(u)
     exact = full_width_nonlinear(fine, False, u_fine)
@@ -1054,11 +1059,11 @@ def full_width_nonlinear(grid, dealias, u):
     """Scaled ``irfftn`` of the masked state, the products, a scaled
     ``rfftn``, then the masked forcing multipliers; with ``dealias`` false
     nothing is masked, the exact forcing on a grid where nothing aliases."""
-    half, d = grid.half, grid.dim
+    lattice, d = full(grid), grid.dim
     axes, comp = tuple(range(-d, 0)), -d - 1
-    forcing = np.stack([half(g) for g in SymbolCatalog.forcing(grid)])
+    forcing = np.stack([cut(grid, g) for g in SymbolCatalog.forcing(lattice)])
     if dealias:
-        mask = half(grid.dealias_mask.astype(np.float64))
+        mask = cut(grid, lattice.dealias_mask.astype(np.float64))
         u, forcing = u * mask, forcing * mask
     phys = np.fft.irfftn(u, s=grid.n, axes=axes) / grid._norm_factor
     eta, vel = phys[_part(d, slice(0, 1))], phys[_part(d, slice(1, None))]

@@ -19,6 +19,7 @@ from full_spectrum import (
     apply_multiplier,
     coeffs,
     fields,
+    full,
     index,
     inverse,
     sobolev_norm,
@@ -42,7 +43,7 @@ def cos_field(grid, k=1):
 def triple_quadrature(f, g, h):
     """Grid quadrature of f*g*h with each factor cut to the 2/3 band."""
     grid = f.grid
-    mask = grid.dealias_mask
+    mask = full(grid).dealias_mask
     fv, gv, hv = (inverse(grid, np.where(mask, coeffs(x), 0.0)).real for x in (f, g, h))
     return grid.cell * np.sum(fv * gv * hv)
 
@@ -76,7 +77,7 @@ def brute_force_energy(state, params, refine=4):
     s = params.s
     # weighted norm, written out mode by mode
     total = 0.0
-    a = np.asarray(grid.xi_norm)
+    a = full(grid).xi_norm
     for idx in np.ndindex(grid.shape):
         w = (1 + a[idx] ** 2) ** (s - 0.5)
         total += w * (1 + params.kappa * a[idx] ** 2) * abs(coeffs(eta)[idx]) ** 2
@@ -180,7 +181,7 @@ class TestWeightedPairNorm:
         st = random_bandlimited(g, seed=4, band=5, amplitude=0.5)
         from wbwaves.spectral import SymbolCatalog
 
-        k_inv = np.sqrt(SymbolCatalog.d_over_tanh(g))
+        k_inv = np.sqrt(SymbolCatalog.d_over_tanh(full(g)))
         eta, v = fields(st)
         kinv_v = apply_multiplier(k_inv, v)
         want = math.sqrt(
@@ -236,7 +237,7 @@ class TestDifferenceEnergy:
 
         r = 0.75
         eta, v = fields(st)
-        jw = apply_multiplier(SymbolCatalog.bessel(g, r - 0.5), v)
+        jw = apply_multiplier(SymbolCatalog.bessel(full(g), r - 0.5), v)
         want = 0.5 * (
             params.kappa * sobolev_norm(eta, r + 0.5) ** 2
             + sobolev_norm(v, r) ** 2
@@ -257,7 +258,7 @@ class TestDifferenceEnergy:
         fine = Grid((128,), g.length)
         c_eta = np.zeros(fine.shape, dtype=np.complex128)
         c_jw = np.zeros(fine.shape, dtype=np.complex128)
-        bess = (1 + np.asarray(g.xi_norm) ** 2) ** ((r - 0.5) / 2)
+        bess = (1 + full(g).xi_norm ** 2) ** ((r - 0.5) / 2)
         jw = Field.from_coeffs(g, bess * coeffs(w))
         for k in range(-15, 16):
             c_eta[index(fine, k)] = transform(g, a.eta)[index(g, k)]

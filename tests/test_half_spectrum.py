@@ -63,12 +63,14 @@ from full_spectrum import (
     apply_multiplier,
     coeffs,
     fields,
+    full,
     inverse,
     linf,
     sobolev_norm,
     state_of,
     zero,
 )
+from full_spectrum import half as cut
 
 OPERATOR_RTOL = 1e-13
 FUNCTIONAL_RTOL = 1e-13
@@ -95,19 +97,19 @@ class FullSpectrumOps:
     """Nonlinear forcing, linear part and propagator on full spectra."""
 
     def __init__(self, grid, params):
-        cat = SymbolCatalog
+        cat, lattice = SymbolCatalog, full(grid)
         self.grid = grid
-        self.mask = grid.dealias_mask.astype(np.float64)
+        self.mask = lattice.dealias_mask.astype(np.float64)
         self.heat_rate = None
         if params.mu > 0:
-            self.heat_rate = params.kappa * params.mu * cat.riesz(grid, params.p)
-        self.Kk = cat.K_kappa(grid, params.kappa)
-        self.Kk_inv = cat.K_kappa_inv(grid, params.kappa)
-        self.phase = cat.frequency(grid, params.kappa)
-        self.unit = cat.unit_vectors(grid)
-        self.dx = cat.gradient(grid)
-        forcing = cat.forcing(grid)
-        cap = cat.capillary(grid, params.kappa)
+            self.heat_rate = params.kappa * params.mu * cat.riesz(lattice, params.p)
+        self.Kk = cat.K_kappa(lattice, params.kappa)
+        self.Kk_inv = cat.K_kappa_inv(lattice, params.kappa)
+        self.phase = cat.frequency(lattice, params.kappa)
+        self.unit = cat.unit_vectors(lattice)
+        self.dx = cat.gradient(lattice)
+        forcing = cat.forcing(lattice)
+        cap = cat.capillary(lattice, params.kappa)
         self.restoring = tuple(g * cap for g in forcing)
         self.forcing = tuple(g * self.mask for g in forcing)
 
@@ -179,7 +181,7 @@ class FullSpectrumOps:
 
 
 def half(grid, u):
-    return np.stack([grid.half(c) for c in u])
+    return np.stack([cut(grid, c) for c in u])
 
 
 def max_rel(got, want):
@@ -236,9 +238,10 @@ class TestAgainstFullSpectrum:
 
 def full_weighted_sq(grid, coeffs, s, kappa):
     """The squared weighted pair norm summed over full spectra."""
-    bess = SymbolCatalog.bessel(grid, 2.0 * s - 1.0)
-    eta_w = bess * SymbolCatalog.capillary(grid, kappa)
-    vel_w = bess * SymbolCatalog.d_over_tanh(grid)
+    lattice = full(grid)
+    bess = SymbolCatalog.bessel(lattice, 2.0 * s - 1.0)
+    eta_w = bess * SymbolCatalog.capillary(lattice, kappa)
+    vel_w = bess * SymbolCatalog.d_over_tanh(lattice)
     total = np.sum(eta_w * np.abs(coeffs[0]) ** 2)
     for c in coeffs[1:]:
         total += np.sum(vel_w * np.abs(c) ** 2)
@@ -248,7 +251,7 @@ def full_weighted_sq(grid, coeffs, s, kappa):
 def triple_quadrature(f, g, h):
     """Grid quadrature of f*g*h with each factor cut to the 2/3 band."""
     grid = f.grid
-    mask = grid.dealias_mask
+    mask = full(grid).dealias_mask
     fv, gv, hv = (inverse(grid, np.where(mask, coeffs(x), 0.0)).real for x in (f, g, h))
     return grid.cell * np.sum(fv * gv * hv)
 
@@ -260,7 +263,7 @@ def full_weighted_norm(state, s, kappa):
 
 def full_cubic_modifier(state, order):
     """int eta |J^order v|^2 dx with dealiased products."""
-    bess = SymbolCatalog.bessel(state.grid, order)
+    bess = SymbolCatalog.bessel(full(state.grid), order)
     eta, *vel = fields(state)
     total = 0.0
     for comp in vel:
@@ -283,7 +286,7 @@ def full_report(state, params):
     cubic = sum(triple_quadrature(eta, comp, comp) for comp in vel)
     momentum = math.nan
     if grid.dim == 1:
-        kinv2 = SymbolCatalog.d_over_tanh(grid)
+        kinv2 = SymbolCatalog.d_over_tanh(full(grid))
         momentum = float(np.real(np.sum(np.conj(coeffs(eta)) * kinv2 * coeffs(vel[0]))))
     return {
         "time": state.time,
@@ -302,7 +305,7 @@ def full_difference_energy(state1, state2, r, params):
     grid = state1.grid
     theta = Field(grid, state1.eta - state2.eta)
     total = params.kappa * sobolev_norm(theta, r + 0.5) ** 2
-    bess = SymbolCatalog.bessel(grid, r - 0.5)
+    bess = SymbolCatalog.bessel(full(grid), r - 0.5)
     for c1, c2 in zip(state1.vel, state2.vel):
         w = Field(grid, c1 - c2)
         total += sobolev_norm(w, r) ** 2
@@ -331,7 +334,7 @@ def rough_state(grid, seed, amplitude=0.3):
     if grid.dim == 1:
         return state_of(eta, Field(grid, amplitude * rng.standard_normal(grid.shape)))
     psi = Field(grid, amplitude * rng.standard_normal(grid.shape))
-    vel = [apply_multiplier(d, psi) for d in SymbolCatalog.gradient(grid)]
+    vel = [apply_multiplier(d, psi) for d in SymbolCatalog.gradient(full(grid))]
     scale = amplitude / max(linf(c) for c in vel)
     return state_of(eta, *(Field(grid, scale * c.values) for c in vel))
 
@@ -517,6 +520,20 @@ def test_report_transform_count(monkeypatch, n, s, count, batch):
 
 
 class TestHalfSpectrumConvention:
+    @pytest.mark.parametrize("n, shape", [
+        ((32,), (2, 10)), ((32,), (3, 17)), ((32,), (2, 17, 1)),
+        ((16, 24), (3, 16, 24)), ((16, 24), (1, 2, 3, 16, 13)),
+    ])
+    def test_from_packed_checks_the_shape(self, n, shape):
+        """A packed array is (1 + d, *half) or a (B, 1 + d, *half) stack;
+        any other shape is refused, naming both."""
+        grid = Grid(n)
+        want = (1 + grid.dim, *n[:-1], n[-1] // 2 + 1)
+        message = f"packed array of shape {shape} does not match {want} or a stack (B, *{want})"
+        with pytest.raises(SpectralError) as err:
+            WaveState.from_packed(grid, np.zeros(shape, complex), 0.0)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("n", [(16,), (64,), (16, 16), (16, 24)])
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     def test_odd_arrays_vanish_on_last_column_and_zero_mode(self, n, mu):
@@ -582,13 +599,13 @@ class TestHalfSpectrumConvention:
         grid = Grid((16, 24))
         x1, x2 = (np.asarray(x) for x in grid.x)
         vel = (Field(grid, np.cos(x2) + 0 * x1), zero(grid))
-        d = SymbolCatalog.gradient(grid)
+        d = SymbolCatalog.gradient(full(grid))
         want = math.sqrt(np.sum(np.abs(d[0] * coeffs(vel[1]) - d[1] * coeffs(vel[0])) ** 2))
         got = curl_residue(grid, [f.values for f in vel])
         assert math.isclose(got, want, rel_tol=PARSEVAL_RTOL)
         with pytest.raises(ValueError, match="not curl free"):
             state_of(zero(grid), *vel)
-        u = np.stack([grid.half(coeffs(f)) for f in (zero(grid), *vel)])
+        u = np.stack([cut(grid, coeffs(f)) for f in (zero(grid), *vel)])
         with pytest.raises(ValueError, match="not curl free"):
             WaveState.from_packed(grid, u, 0.0)
 
@@ -648,7 +665,7 @@ def old_random_bandlimited(grid, seed, band, amplitude):
     rng = np.random.default_rng(seed)
 
     def draw():
-        return Field.from_coeffs(grid, _random_band_coeffs(grid, rng, band))
+        return Field.from_coeffs(grid, two_loop_band_coeffs(grid, rng, band))
 
     eta = draw().values
     eta = (amplitude / np.max(np.abs(eta))) * eta
@@ -656,7 +673,7 @@ def old_random_bandlimited(grid, seed, band, amplitude):
         v = draw().values
         return WaveState(grid, np.stack([eta, (amplitude / np.max(np.abs(v))) * v]))
     psi = draw()
-    vel = np.stack([apply_multiplier(d, psi).values for d in SymbolCatalog.gradient(grid)])
+    vel = np.stack([apply_multiplier(d, psi).values for d in SymbolCatalog.gradient(full(grid))])
     speed = math.sqrt(float(np.max(vel[0] ** 2 + vel[1] ** 2)))
     return WaveState(grid, np.concatenate([eta[None], (amplitude / speed) * vel]))
 
@@ -664,14 +681,14 @@ def old_random_bandlimited(grid, seed, band, amplitude):
 def old_gaussian_bump_2d(grid, amplitude, width):
     g1, g2 = (_periodized_bump(grid.x[j], grid.length[j], width) for j in range(2))
     eta = Field(grid, amplitude * g1 * g2)
-    vel = [width * apply_multiplier(d, eta).values for d in SymbolCatalog.gradient(grid)]
+    vel = [width * apply_multiplier(d, eta).values for d in SymbolCatalog.gradient(full(grid))]
     return WaveState(grid, np.stack([eta.values, *vel]))
 
 
 def old_packed(state):
     """The former packing of a state built from samples: each component's
     full fftn spectrum, cut to the half slice."""
-    return np.stack([state.grid.half(coeffs(f)) for f in fields(state)])
+    return np.stack([cut(state.grid, coeffs(f)) for f in fields(state)])
 
 
 class TestPresetsAgainstFieldPath:
@@ -719,11 +736,13 @@ class TestPresetsAgainstFieldPath:
 
 
 # The former per-dimension bodies of three helpers that are now written once,
-# the 1D formula the d = 1 case of the 2D one.  The new bodies make the same
-# draws and the same floating-point operations, so they agree bit for bit.
+# the 1D formula the d = 1 case of the 2D one, on the full lattice.  The new
+# bodies make the same draws and the same floating-point operations on the
+# half lattice, so they agree bit for bit with the half of the former arrays.
 
 def two_loop_band_coeffs(grid, rng, band):
-    """The former ``_random_band_coeffs``: one loop per dimension."""
+    """The former ``_random_band_coeffs``: one loop per dimension, drawn into
+    the full lattice."""
     c = np.zeros(grid.shape, dtype=np.complex128)
     if grid.dim == 1:
         for k in range(1, band + 1):
@@ -782,11 +801,12 @@ class TestOneBodyForBothDimensions:
                 new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 for _ in range(2):  # eta's draw, then the velocity's
                     new = _random_band_coeffs(grid, new_rng, band)
-                    assert np.array_equal(new, two_loop_band_coeffs(grid, old_rng, band))
+                    assert new.shape == grid.half_shape
+                    assert np.array_equal(new, cut(grid, two_loop_band_coeffs(grid, old_rng, band)))
                 assert new_rng.standard_normal() == old_rng.standard_normal()
 
     def test_xi_norm_as_before(self, grid):
-        assert np.array_equal(grid.xi_norm, old_xi_norm(grid))
+        assert np.array_equal(grid.xi_norm, cut(grid, old_xi_norm(full(grid))))
 
     def test_linf_v_as_before(self, grid):
         band = min(grid.dealias_band(j) for j in range(grid.dim))

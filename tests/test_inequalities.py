@@ -29,6 +29,8 @@ from full_spectrum import (
     coeffs,
     commutator,
     fields,
+    full,
+    half,
     linf,
     lp_norm,
     pair_product,
@@ -41,9 +43,9 @@ REPORT_RTOL = 1e-12
 def old_kato_ponce(family):
     report = RatioReport()
     for f, g in family:
-        j1 = SymbolCatalog.bessel(f.grid, 1.0)
+        j1 = SymbolCatalog.bessel(full(f.grid), 1.0)
         lhs = lp_norm(commutator(j1, f, g), 2.0)
-        fx = apply_multiplier(SymbolCatalog.gradient(f.grid)[0], f)
+        fx = apply_multiplier(SymbolCatalog.gradient(full(f.grid))[0], f)
         rhs = lp_norm(fx, 4.0) * lp_norm(g, 4.0)
         rhs += lp_norm(apply_multiplier(j1, f), 4.0) * lp_norm(g, 4.0)
         report.samples.append({"lhs": lhs, "rhs": rhs})
@@ -53,8 +55,8 @@ def old_kato_ponce(family):
 def old_leibniz(family):
     report = RatioReport()
     for f, g in family:
-        riesz = SymbolCatalog.riesz(f.grid, 0.5)
-        quarter = SymbolCatalog.riesz(f.grid, 0.25)
+        riesz = SymbolCatalog.riesz(full(f.grid), 0.5)
+        quarter = SymbolCatalog.riesz(full(f.grid), 0.25)
         defect = Field(f.grid, (
             apply_multiplier(riesz, pair_product(f, g)).values
             - pair_product(f, apply_multiplier(riesz, g)).values
@@ -100,7 +102,7 @@ def family(grid, count, **kwargs):
 
 def stack(*fields):
     """The (B, *half) stack of some fields' half spectra."""
-    return np.stack([f.grid.half(coeffs(f)) for f in fields])
+    return np.stack([half(f.grid, coeffs(f)) for f in fields])
 
 
 def rough_fields(grid, count, seed0=200, amplitude=0.5):

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from wbwaves.functionals import _cubic
-from wbwaves.inequalities import commutator, multiply, product, sobolev_norms
+from wbwaves.inequalities import commutator, product, sobolev_norms
 from wbwaves.spectral import Field, Grid, SpectralError, SymbolCatalog
 
-from full_spectrum import apply_multiplier, coeffs, index, linf, transform
+from full_spectrum import apply_multiplier, coeffs, full, index, linf, transform
+from full_spectrum import half as cut
 
 TWO_PI = 2 * math.pi
 
 
 def half(f):
     """The half spectrum of a field, the layout of the packed operators."""
-    return f.grid.half(coeffs(f))
+    return cut(f.grid, coeffs(f))
 
 
 def random_field(grid, seed, band=6, amplitude=1.0):
@@ -41,11 +42,14 @@ def random_field(grid, seed, band=6, amplitude=1.0):
 
 class TestGrid:
     def test_wavenumbers_symmetric_except_nyquist(self):
+        # The half lattice holds k = 0 .. 7 and the unpaired Nyquist mode,
+        # which fftfreq numbers -8; the modes -7 .. -1 are their mirrors.
         g = Grid(16)
         xi = np.asarray(g.xi[0])
+        full_xi = np.asarray(full(g).xi[0])
         assert xi[0] == 0.0
         for k in range(1, 8):
-            assert xi[k] == -xi[-k]
+            assert xi[k] == full_xi[k] == -full_xi[-k]
         assert xi[8] == -8.0  # unpaired Nyquist mode
 
     def test_rejects_bad_sizes(self):
@@ -109,20 +113,20 @@ class TestMultiply:
         # -tanh(1) cos x.
         g = Grid(32)
         f = Field(g, np.sin(np.asarray(g.x[0])))
-        out = g.inverse_half(multiply(g, SymbolCatalog.forcing(g)[0], half(f)))
+        out = g.inverse_half(SymbolCatalog.forcing(g)[0] * half(f))
         expected = -math.tanh(1.0) * np.cos(np.asarray(g.x[0]))
         assert np.max(np.abs(out - expected)) < 1e-13
 
     def test_bessel_zero_is_identity(self):
         g = Grid(32)
         f = random_field(g, 11)
-        out = g.inverse_half(multiply(g, SymbolCatalog.bessel(g, 0.0), half(f)))
+        out = g.inverse_half(SymbolCatalog.bessel(g, 0.0) * half(f))
         assert np.max(np.abs(out - f.values)) < 1e-13
 
     def test_d_over_tanh_fixes_constants(self):
         g = Grid(16)
         f = Field(g, np.ones(16))
-        out = g.inverse_half(multiply(g, SymbolCatalog.d_over_tanh(g), half(f)))
+        out = g.inverse_half(SymbolCatalog.d_over_tanh(g) * half(f))
         assert np.max(np.abs(out - 1.0)) < 1e-13
 
     def test_overflowing_symbol_names_wavenumber(self):
@@ -138,29 +142,28 @@ class TestMultiply:
     def test_composition_bessel(self):
         g = Grid(32)
         c = half(random_field(g, 13))
-        one = g.inverse_half(
-            multiply(g, SymbolCatalog.bessel(g, 0.7), multiply(g, SymbolCatalog.bessel(g, 0.8), c))
-        )
-        two = g.inverse_half(multiply(g, SymbolCatalog.bessel(g, 1.5), c))
+        one = g.inverse_half(SymbolCatalog.bessel(g, 0.7) * (SymbolCatalog.bessel(g, 0.8) * c))
+        two = g.inverse_half(SymbolCatalog.bessel(g, 1.5) * c)
         scale = max(np.max(np.abs(two)), 1e-300)
         assert np.max(np.abs(one - two)) <= 1e-12 * scale
 
     def test_riesz_negative_annihilates_mean(self):
         g = Grid(16)
         f = Field(g, 2.0 + np.cos(np.asarray(g.x[0])))
-        out = multiply(g, SymbolCatalog.riesz(g, -1.0), half(f))
+        out = SymbolCatalog.riesz(g, -1.0) * half(f)
         assert abs(out[0]) < 1e-14
 
     def test_realness_of_dynamics_composites(self):
         # On the full spectrum: Field.from_coeffs enforces the residue bound.
         g = Grid(64)
         f = random_field(g, 17)
+        lattice = full(g)
         for sym in [
-            SymbolCatalog.forcing(g)[0],
-            SymbolCatalog.gradient(g)[0],
-            SymbolCatalog.riesz(g, 1.0),
-            SymbolCatalog.K_kappa(g, 0.5),
-            SymbolCatalog.K_kappa_inv(g, 0.5),
+            SymbolCatalog.forcing(lattice)[0],
+            SymbolCatalog.gradient(lattice)[0],
+            SymbolCatalog.riesz(lattice, 1.0),
+            SymbolCatalog.K_kappa(lattice, 0.5),
+            SymbolCatalog.K_kappa_inv(lattice, 0.5),
         ]:
             out = apply_multiplier(sym, f)
             assert np.all(np.isfinite(out.values))
@@ -191,9 +194,7 @@ class TestSymbolCatalog:
     def test_gradient_zero_on_nyquist_only(self, n):
         g = Grid(n)
         for j, d in enumerate(SymbolCatalog.gradient(g)):
-            d = np.broadcast_to(d, g.shape)
-            xi = np.broadcast_to(g.xi[j], g.shape)
-            nyquist = np.broadcast_to(g.axis_nyquist(j), g.shape)
+            xi, nyquist = g.xi[j], g.axis_nyquist(j)
             assert np.all(d[nyquist] == 0.0)
             assert np.array_equal(d[~nyquist], 1j * xi[~nyquist])
 
@@ -227,7 +228,7 @@ class TestSobolevNorm:
         g = Grid(64)
         c = half(random_field(g, 31))
         for s in (0.5, 1.0, 1.5, -0.5):
-            jf = g.inverse_half(multiply(g, SymbolCatalog.bessel(g, s), c))
+            jf = g.inverse_half(SymbolCatalog.bessel(g, s) * c)
             quad = math.sqrt(g.cell * np.sum(jf**2))
             assert sobolev_norms(g, c, s) == pytest.approx(quad, rel=1e-10)
 

@@ -1,7 +1,8 @@
 """Every multiplier array comes from SymbolCatalog.
 
-The reference builders below spell out each formula inline.  The
-catalog-built arrays must agree with them bitwise; the Hamiltonian, the
+The reference builders below spell out each formula inline, on the full
+lattice of ``full_spectrum.full``.  The catalog-built arrays, on the half
+lattice, must agree bitwise with their half (``full_spectrum.half``); the Hamiltonian, the
 low-capillarity metric and the half-spectrum weighted norm, whose arithmetic
 differs from their references, must agree to an explicit relative tolerance.
 """
@@ -19,10 +20,20 @@ from wbwaves.dynamics import _ops
 from wbwaves.experiments import low_capillarity_error
 from wbwaves.functionals import hamiltonian
 from wbwaves.presets import random_bandlimited
+from wbwaves import inequalities
 from wbwaves.spectral import Field, Grid, SymbolCatalog
 from wbwaves.state import Params, _norm_weights, _weighted_sq_coeffs
 
-from full_spectrum import apply_multiplier, coeffs, fields, inverse, sobolev_norm, transform
+from full_spectrum import (
+    apply_multiplier,
+    coeffs,
+    fields,
+    full,
+    half,
+    inverse,
+    sobolev_norm,
+    transform,
+)
 
 GRIDS = [(256,), (64,), (128, 128), (16, 24)]
 KAPPAS = [1.0, 0.37, 0.0]
@@ -76,18 +87,18 @@ def inline_ops_arrays(grid, p, regularized):
 
 def quadrature_hamiltonian(state, params):
     """H with kappa*|grad eta|^2 by grid quadrature of spectral derivatives."""
-    grid = state.grid
+    grid, lattice = state.grid, full(state.grid)
     eta, *vel = fields(state)
     quad = grid.cell * np.sum(eta.values**2)
-    for dj in SymbolCatalog.gradient(grid):
+    for dj in SymbolCatalog.gradient(lattice):
         d = apply_multiplier(dj, eta)
         quad += params.kappa * (grid.cell * np.sum(d.values**2))
-    kinv2 = _x_over_tanh(grid.xi_norm)
-    eta_band = inverse(grid, np.where(grid.dealias_mask, coeffs(eta), 0.0)).real
+    kinv2 = _x_over_tanh(lattice.xi_norm)
+    eta_band = inverse(grid, np.where(lattice.dealias_mask, coeffs(eta), 0.0)).real
     cubic = 0.0
     for comp in vel:
         quad += float(np.sum(kinv2 * np.abs(coeffs(comp)) ** 2))
-        v_band = inverse(grid, np.where(grid.dealias_mask, coeffs(comp), 0.0)).real
+        v_band = inverse(grid, np.where(lattice.dealias_mask, coeffs(comp), 0.0)).real
         cubic += grid.cell * np.sum(eta_band * v_band * v_band)
     return 0.5 * (quad + cubic)
 
@@ -100,7 +111,7 @@ def parseval_count(grid):
 
 
 def coefficient_low_capillarity_error(a, b):
-    kinv2 = _x_over_tanh(a.grid.xi_norm)
+    kinv2 = _x_over_tanh(full(a.grid).xi_norm)
     total = float(np.sum(np.abs(transform(a.grid, a.eta - b.eta)) ** 2))
     for va, vb in zip(a.vel, b.vel):
         total += float(np.sum(kinv2 * np.abs(transform(a.grid, va - vb)) ** 2))
@@ -125,8 +136,8 @@ class TestOpsArrays:
         grid = Grid(n)
         p = Params(kappa=kappa, mu=0.1 if regularized else 0.0, p=0.75 if regularized else 1.0)
         ops = _ops(grid, p)
-        want = inline_ops_arrays(grid, p, regularized)
-        half = grid.half
+        lattice = full(grid)
+        want = inline_ops_arrays(lattice, p, regularized)
         # The weights are cut to the last-axis columns the forcing's
         # transforms see: those the 2/3 mask keeps in 2D, all of them in 1D.
         m = grid.n[-1]
@@ -137,7 +148,7 @@ class TestOpsArrays:
                 assert got is None, name
                 continue
             # Each _Ops array is the half-spectrum slice, stacked over the axes.
-            ref = np.stack([half(r) for r in ref]) if isinstance(ref, tuple) else half(ref)
+            ref = np.stack([half(grid, r) for r in ref]) if isinstance(ref, tuple) else half(grid, ref)
             if name.endswith("_weight"):
                 ref = ref[..., :width]
             assert got.shape == ref.shape and got.dtype == ref.dtype, name
@@ -146,15 +157,15 @@ class TestOpsArrays:
         # the former -i tanh(xi)(1 + kappa xi^2) element for element in 1D; in
         # 2D it is -K^2 d_j (1 + kappa|xi|^2) to roundoff off the Nyquist
         # planes, and zero on them.
-        cap = 1.0 + kappa * grid.xi_norm * grid.xi_norm
+        cap = 1.0 + kappa * lattice.xi_norm * lattice.xi_norm
         for j, got in enumerate(ops.restoring):
             if grid.dim == 1:
-                t = np.where(grid.axis_nyquist(0), 0.0, np.tanh(grid.xi[0]))
-                assert np.array_equal(got, half(-1j * t * cap))
+                t = np.where(lattice.axis_nyquist(0), 0.0, np.tanh(lattice.xi[0]))
+                assert np.array_equal(got, half(grid, -1j * t * cap))
             else:
-                nyq = half(grid.nyquist_mask)
-                ref = half(np.where(grid.nyquist_mask, 0.0,
-                                    -_tanh_over_x(grid.xi_norm) * want["dx"][j] * cap))
+                nyq = half(grid, lattice.nyquist_mask)
+                ref = half(grid, np.where(lattice.nyquist_mask, 0.0,
+                                          -_tanh_over_x(lattice.xi_norm) * want["dx"][j] * cap))
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
                 assert not np.any(got[nyq])
 
@@ -191,7 +202,7 @@ class TestCatalogEntries:
     def test_sobolev_norm_weights(self):
         grid = Grid(64)
         f = Field(grid, random_bandlimited(grid, seed=4, band=6, amplitude=1.0).v)
-        a = grid.xi_norm
+        a = full(grid).xi_norm
         c2 = np.abs(coeffs(f)) ** 2
         for order in (0.0, 0.5, 1.0, 2.5):
             assert sobolev_norm(f, order) == math.sqrt(np.sum((1.0 + a * a) ** order * c2))
@@ -201,7 +212,7 @@ class TestCatalogEntries:
         """The half-spectrum sum of a state's packed coefficients equals the
         inline formula summed over its full spectrum."""
         for st in random_states(dim, 4):
-            a = st.grid.xi_norm
+            a = full(st.grid).xi_norm
             for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
                 bess = (1.0 + a * a) ** (s - 0.5)
                 eta, *vel = fields(st)
@@ -213,20 +224,92 @@ class TestCatalogEntries:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_norm_weight_table_equals_catalog_products(self, dim):
-        """The weights are the half slices of the catalog products times the
-        Parseval column count, element for element."""
+        """The weights are the half slices of the full-lattice catalog products
+        times the Parseval column count, element for element."""
         for n in (n for n in GRIDS if len(n) == dim):
             grid = Grid(n)
-            count = parseval_count(grid)
+            lattice, count = full(grid), parseval_count(grid)
             for s, kappa in product((0.5, 1.0, 2.0), KAPPAS):
                 eta_w, vel_w = _norm_weights(grid, s, kappa)
-                bess = SymbolCatalog.bessel(grid, 2.0 * s - 1.0)
-                cap = SymbolCatalog.capillary(grid, kappa)
-                kinv2 = SymbolCatalog.d_over_tanh(grid)
-                assert np.array_equal(eta_w, grid.half(bess * cap) * count)
-                assert np.array_equal(vel_w, grid.half(bess * kinv2) * count)
+                bess = SymbolCatalog.bessel(lattice, 2.0 * s - 1.0)
+                cap = SymbolCatalog.capillary(lattice, kappa)
+                kinv2 = SymbolCatalog.d_over_tanh(lattice)
+                assert np.array_equal(eta_w, half(grid, bess * cap) * count)
+                assert np.array_equal(vel_w, half(grid, bess * kinv2) * count)
                 assert not (eta_w.flags.writeable or vel_w.flags.writeable)
                 assert _norm_weights(Grid(n), s, kappa)[0] is eta_w
+
+
+HALF_LATTICE_GRIDS = [
+    Grid(16), Grid(64, 3.7), Grid(18, 100.0),
+    Grid((32, 32)), Grid((16, 24), (2.0, 9.5)), Grid((12, 40)), Grid((8, 12), (1e-3, 50.0)),
+]
+
+# Each catalog entry with the arguments it is checked at, every entry listed.
+CATALOG_CALLS = {
+    "riesz": [(-1.0,), (0.0,), (0.5,), (2.0,)],
+    "bessel": [(-1.0,), (0.0,), (0.7,), (3.0,)],
+    "capillary": [(0.0,), (0.37,), (1.0,)],
+    "K_kappa": [(0.0,), (1.0,)],
+    "K_kappa_inv": [(0.0,), (1.0,)],
+    "d_over_tanh": [()],
+    "gradient": [()],
+    "unit_vectors": [()],
+    "forcing": [()],
+    "frequency": [(0.0,), (1.0,)],
+}
+
+
+def same_bits(got, want):
+    """Equal shape, dtype and bytes: the sign of zero counts."""
+    return (
+        got.shape == want.shape and got.dtype == want.dtype
+        and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
+@pytest.mark.parametrize("grid", HALF_LATTICE_GRIDS, ids=lambda g: f"{g.n}-{g.length[0]:g}")
+class TestHalfLattice:
+    """Every spectral array of ``Grid`` and every catalog entry lives on the
+    half lattice (*n[:-1], n[-1]//2 + 1) and is, bit for bit, the half of
+    its full-lattice reference in ``full_spectrum``."""
+
+    def test_grid_arrays(self, grid):
+        shape = (*grid.n[:-1], grid.n[-1] // 2 + 1)
+        assert grid.half_shape == shape
+        lattice = full(grid)
+        pairs = [(grid.xi_norm, lattice.xi_norm), (grid.nyquist_mask, lattice.nyquist_mask),
+                 (grid.dealias_mask, lattice.dealias_mask)]
+        for j in range(grid.dim):
+            pairs += [(grid.xi[j], lattice.xi[j]), (grid.axis_nyquist(j), lattice.axis_nyquist(j))]
+        for got, ref in pairs:
+            assert got.shape == shape and not got.flags.writeable
+            assert same_bits(got, half(grid, ref))
+        # The multiplicity is the former Parseval count of the half columns.
+        assert grid.multiplicity.shape == shape and not grid.multiplicity.flags.writeable
+        assert same_bits(grid.multiplicity, half(grid, 1.0) * parseval_count(grid))
+        # The Nyquist wavenumber keeps fftfreq's sign (rfftfreq's is +).
+        assert grid.xi[-1].flat[-1] < 0
+
+    def test_catalog_entries(self, grid):
+        shape = (*grid.n[:-1], grid.n[-1] // 2 + 1)
+        entries = {name for name, fn in vars(SymbolCatalog).items() if isinstance(fn, staticmethod)}
+        assert entries == set(CATALOG_CALLS)
+        for name, calls in CATALOG_CALLS.items():
+            entry = getattr(SymbolCatalog, name)
+            for args in calls:
+                got, ref = entry(grid, *args), entry(full(grid), *args)
+                if isinstance(got, tuple):
+                    assert len(got) == len(ref) == grid.dim, name
+                else:
+                    got, ref = (got,), (ref,)
+                for a, b in zip(got, ref):
+                    assert a.shape == shape, (name, args)
+                    assert same_bits(a, half(grid, b)), (name, args)
+
+    def test_symbol_chain_counts_the_full_lattice(self, grid):
+        report = inequalities.symbol_chain_report(grid)
+        assert report.checked == report.passed == int(np.prod(grid.n)) - 1
 
 
 class TestEnergyByParseval:
@@ -271,7 +354,8 @@ def test_only_spectral_spells_out_tanh():
 def test_half_spectrum_is_the_only_spectral_path():
     """No module calls (or imports) np.fft.fftn or np.fft.ifftn but inside
     ``Field.from_coeffs``, which bench/tracer.py wraps by name; Grid and Field
-    keep no full-spectrum transform.  ``Field`` is the tests' full-spectrum
+    keep no full-spectrum transform, Grid no ``half`` and no module calls a
+    ``.half(``.  ``Field`` is the tests' full-spectrum
     reference only: no module but spectral names it, and it has no
     arithmetic and no ``linf`` (a state is one samples array)."""
     full = ("fftn", "ifftn")
@@ -305,6 +389,16 @@ def test_half_spectrum_is_the_only_spectral_path():
     assert naming == []
     arithmetic = ("__add__", "__sub__", "__mul__", "__neg__", "linf")
     assert [name for name in arithmetic if hasattr(Field, name)] == []
-    gone = ("transform", "inverse", "coeff_index", "zero_field")
+    gone = ("transform", "inverse", "coeff_index", "zero_field", "half")
     assert [name for name in gone if hasattr(Grid, name)] == []
     assert not hasattr(Field, "coeffs")
+    assert not hasattr(inequalities, "multiply")
+    # Every spectral array is born on the half lattice: nothing cuts one down.
+    halving = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(wbwaves.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "half"
+    ]
+    assert halving == []
