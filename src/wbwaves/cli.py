@@ -17,6 +17,7 @@ Environment override: WB_OUTPUT_DIR replaces the configured output directory.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -37,13 +38,13 @@ from .experiments import (
 from .typed import bind
 
 
-def _open_output(path):
+def _open_output(path, mode="w"):
     """Open an output file for writing, making its directory on first use, so
     a command rejected before it writes anything leaves no directory; an
     output that cannot be written is a ConfigError naming it."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -81,12 +82,31 @@ def _picard_summary(defects):
             "contraction_estimate": contraction_estimate(defects)}
 
 
+def _snapshot_writer(outdir):
+    """A ``keep`` for ``evolve`` that writes each reported state it is given
+    to the next ``snap_<i>.wbsnap`` of ``outdir``, i from 0, and keeps
+    nothing."""
+    from .snapshot import write_snapshot
+
+    count = itertools.count()
+
+    def keep(state):
+        with _open_output(os.path.join(outdir, f"snap_{next(count):05d}.wbsnap"), "wb") as fh:
+            write_snapshot(fh, state)
+
+    return keep
+
+
 def cmd_run(config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
     u0 = config.initial_state()
     steps, dt, _ = _horizon(config.T, config.integrator.dt, config.report_every)
+    # The run holds no state: a reported one is written as its snapshot, if
+    # any, and dropped.
+    keep = _snapshot_writer(outdir) if config.snapshots else lambda state: None
     try:
-        result = evolve(u0, config.params, config.integrator, config.T, config.report_every)
+        result = evolve(u0, config.params, config.integrator, config.T, config.report_every,
+                        keep=keep)
     except PicardError as exc:
         summary = {"status": "no_contraction", "steps": steps, "dt": dt,
                    **_picard_summary(exc.defects)}
@@ -96,11 +116,6 @@ def cmd_run(config: RunConfig) -> int:
     # The first node is always reported, so the header is every report field.
     rows = [asdict(rep) for rep in result.reports]
     _write_csv(os.path.join(outdir, "energy.csv"), config, rows)
-    if config.snapshots:
-        from .snapshot import write_snapshot
-
-        for i, state in enumerate(result.states):
-            write_snapshot(os.path.join(outdir, f"snap_{i:05d}.wbsnap"), state)
     summary = {
         "status": "blowup" if result.blown_up else "ok",
         "steps": steps,

@@ -24,16 +24,18 @@ linear part itself is ``_Ops.linear``.  The public entry points are
 ``evolve``, ``picard_solve``, ``rhs`` and ``energy_derivative_check``.
 
 The exponential stepper is Lawson's RK4 written with one propagator,
-S(dt/2), applied four times per step (S(dt) = S(dt/2)^2).  Its stages and
-the forcing's temporaries live in one workspace (``_workspace``) that each
-integration allocates for itself and never caches, so the cached operators
-stay read-only and concurrent integrations share them; a step allocates
-only the new state.  The quadratic forcing (``_Ops.nonlinear``) is cut by
-the 2/3 rule, as are the cubic terms of H and E_s: one discrete system.  It
-transforms axis by axis into its buffers (new ones when it is given none, as
-on a Picard sweep's node stack); in 2D its leading-axis passes see only the
-last-axis columns the mask keeps, and the mask, the transform scaling and
-the 1/2 of |v|^2/2 are folded into precomputed weights.
+S(dt/2), applied four times per step (S(dt) = S(dt/2)^2) in two calls, each
+on a pair of states.  Its stages and the forcing's temporaries live in one
+workspace (``_workspace``) that each integration allocates for itself and
+never caches, so the cached operators stay read-only and concurrent
+integrations share them; a step allocates only the new state.  The
+quadratic forcing (``_Ops.nonlinear``) is cut by the 2/3 rule, as are the
+cubic terms of H and E_s: one discrete system.  It transforms axis by axis
+into its buffers, through views built once per workspace (new buffers when
+it is given none, as on a Picard sweep's node stack); in 2D its leading-axis
+passes see only the last-axis columns the mask keeps, and the mask, the
+transform scaling and the 1/2 of |v|^2/2 are folded into precomputed
+weights.  Its sums over the velocity components are in-place adds.
 
 Trajectories stay packed: the two RK4 steppers and the converged Duhamel
 nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
@@ -161,6 +163,7 @@ class _Ops:
         self.axes = tuple(range(-d, 0))
         self.comp = -d - 1
         self.parts = [_part(d, k) for k in range(1 + d)]
+        self.row_index = [_part(d, slice(k, k + 1)) for k in range(1 + d)]
         self.eta, self.vel = _part(d, slice(0, 1)), _part(d, slice(1, None))
         # In 2D the forcing's leading-axis passes see only the last-axis
         # columns the 2/3 mask keeps (43 of 65 at 128^2); a 1D transform has
@@ -180,53 +183,74 @@ class _Ops:
         """Quadratic forcing of the evolution (the Duhamel integrand):
         -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j,
         from the coefficients of ``_products``, written to ``out`` (a new
-        array when None); the columns the mask drops are zero.  ``work`` is
-        the temporaries' ``buffers`` (new arrays when None)."""
-        c = self._products(u, work)
+        array when None, or ``u`` itself: ``u`` is read before ``out`` is
+        written); the columns the mask drops are zero.  ``work`` is the
+        temporaries' ``buffers`` (new arrays when None)."""
+        sq, first, *rest = self._products(u, work)
         if out is None:
             out = np.empty_like(u)
         if self.cut:
             out[..., self.width :] = 0
         kept = out[..., : self.width]
-        np.multiply(self.vel_weight, c[self.eta], out=kept[self.vel])
-        c_vel = c[self.vel]
-        c_vel *= self.fwd_weight
-        np.add.reduce(c_vel, axis=self.comp, keepdims=True, out=kept[self.eta])
+        np.multiply(self.vel_weight, sq, out=kept[self.vel])
+        # The divergence sum_j G_j (eta v_j): one product, then in-place adds.
+        # A reduction (the tests' reference) starts from +0, so where every
+        # term is -0 (a masked mode) it reads +0 and this reads -0: equal.
+        div = kept[self.eta]
+        np.multiply(first, self.fwd_weight[0], out=div)
+        for c, weight in zip(rest, self.fwd_weight[1:]):
+            c *= weight
+            div += c
         return out
 
     def buffers(self, spec, samples):
-        """The forcing's temporaries ``(spec, phys, sq)`` in two contiguous
-        complex arrays of the state's shape: ``spec`` holds in turn the input
-        columns, the squares v_j^2 (``sq``, real) and the forward spectrum,
-        and ``samples`` holds ``phys``, the samples, real."""
+        """The forcing's temporaries in two contiguous complex arrays of the
+        state's shape, as the views ``_products`` works on, built once:
+        ``spec`` holds the inverse transform's input, then the products
+        (real); ``samples`` holds the samples (real), then the forward
+        spectrum, whose kept columns and their rows ``_products`` returns.
+        Each real array comes with its eta row, its velocity rows as one
+        view and as a list of one view per component."""
         lead = spec.shape[: self.comp]
-        d = self.grid.dim
-        phys = _real(samples, lead + (1 + d,) + self.grid.n)
-        return spec, phys, _real(spec, lead + (d,) + self.grid.n)
+        real = lead + (1 + self.grid.dim,) + self.grid.n
+        kept = samples[..., : self.width]
+
+        def split(a):
+            return a, a[self.eta], a[self.vel], [a[r] for r in self.row_index[1:]]
+
+        return ((spec, spec[..., : self.width]), split(_real(samples, real)),
+                split(_real(spec, real)), (samples, kept, [kept[r] for r in self.row_index]))
 
     def _products(self, u, work=None):
-        """The kept coefficients of (|v|^2, eta v_1, .., eta v_d): the
-        weighted state's inverse transform, then the products' forward one,
-        axis by axis, every temporary in ``work``, the ``buffers``.  With no
-        ``work`` they are new arrays, the samples freed on return, so a Picard
-        sweep's stack of nodes peaks at about two stacks here."""
+        """The kept coefficients of |v|^2, eta v_1, .., eta v_d, one row
+        each: the weighted state's inverse transform, then the products'
+        forward one, axis by axis, every temporary in ``work``, the
+        ``buffers``.  With no ``work`` they are new arrays, the input
+        columns freed on return, so a Picard sweep's stack of nodes peaks at
+        about two stacks here."""
         lead = self.axes[:-1]
         if work is None:
             work = self.buffers(np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype))
-        spec, phys, sq = work
-        c = spec[..., : self.width]
-        np.multiply(u[..., : self.width], self.inv_weight, out=c)
+        (spec, cols), (phys, eta, vel, v), (prod, sq, flux, flux_rows), (fwd, kept, rows) = work
+        np.multiply(u[..., : self.width], self.inv_weight, out=cols)
         for axis in lead:
-            np.fft.ifft(c, axis=axis, norm="forward", out=c)
-        np.fft.irfft(c, n=self.grid.n[-1], axis=-1, norm="forward", out=phys)
-        eta, vel = phys[self.eta], phys[self.vel]
-        np.multiply(vel, vel, out=sq)
-        vel *= eta
-        np.add.reduce(sq, axis=self.comp, keepdims=True, out=eta)
-        np.fft.rfft(phys, axis=-1, out=spec)
+            np.fft.ifft(cols, axis=axis, norm="forward", out=cols)
+        # The last axis transforms all of the contiguous spec, the dropped
+        # columns zeroed: the numbers of the kept columns padded to n.
+        if self.cut:
+            spec[..., self.width :] = 0
+        np.fft.irfft(spec, n=self.grid.n[-1], axis=-1, norm="forward", out=phys)
+        # |v|^2 as one product and in-place adds over j, the squares past v_1
+        # in the rows eta v_j fills next; then every eta v_j in one product.
+        np.multiply(v[0], v[0], out=sq)
+        for vj, tmp in zip(v[1:], flux_rows[1:]):
+            np.multiply(vj, vj, out=tmp)
+            sq += tmp
+        np.multiply(vel, eta, out=flux)
+        np.fft.rfft(prod, axis=-1, out=fwd)
         for axis in lead:
-            np.fft.fft(c, axis=axis, out=c)
-        return c
+            np.fft.fft(kept, axis=axis, out=kept)
+        return rows
 
     def linear(self, u):
         div = np.sum(self.dx * u[self.vel], axis=self.comp, keepdims=True)
@@ -267,7 +291,11 @@ class _Propagator:
             + tuple(ej * ek * cos + (float(j == k) - ej * ek) for k, ek in enumerate(e))
             for j, ej in enumerate(e)
         ]
-        self.heat = np.exp(-t * ops.heat_rate) if ops.heat_rate is not None else None
+        # Complex multipliers: a float one times a complex state is cast
+        # through numpy's buffers on every call, to the same products.
+        self.rows = [tuple(np.asarray(m, complex) for m in row) for row in self.rows]
+        self.heat = (np.exp(-t * ops.heat_rate).astype(complex) if ops.heat_rate is not None
+                     else None)
         self.parts = ops.parts
 
     def apply(self, u, out=None):
@@ -330,50 +358,50 @@ def _real(buf, shape):
 
 def _workspace(ops: _Ops, u):
     """One integration's scratch for ``_lawson_rk4_step`` on states shaped
-    like ``u``: ``(stages, buffers)``, the five stages and the forcing's
-    ``buffers``, all in one (7, *u.shape) array."""
-    block = np.empty((7,) + u.shape, u.dtype)
-    return block[:5], ops.buffers(block[5], block[6])
+    like ``u``: ``(stages, buffers)``, the four stages and the forcing's
+    ``buffers``, all in one (6, *u.shape) array."""
+    block = np.empty((6,) + u.shape, u.dtype)
+    return block[:4], ops.buffers(block[4], block[5])
 
 
 def _lawson_rk4_step(ops: _Ops, u, dt, work=None):
-    """Lawson RK4 with the one propagator S = S(dt/2): with a = S u and
-    b = S k1, S(dt) = S^2 turns the scheme's six applies of S(dt/2) and S(dt)
-    into four of S.
-
-    The stages live in a ``_workspace`` (a new one when ``work`` is None)
-    and every combination runs in place in the order of
+    """Lawson RK4 with the one propagator S = S(dt/2), applied twice, each
+    time to a pair of states: S(dt) = S^2 turns the scheme's six applies of
+    S(dt/2) and S(dt) into four of S, and the pairs [u, k1] -> [a, b] and
+    [a + dt k3, c] -> [S(a + dt k3), S c] make them two calls, with
 
         k2 = N(a + dt/2 b),  k3 = N(a + dt/2 k2),  k4 = N(S(a + dt k3)),
-        S(a + dt/6 b + dt/3 (k2 + k3)) + dt/6 k4,
+        c = a + dt/6 b + dt/3 (k2 + k3),  S c + dt/6 k4.
 
-    and the forcing's temporaries live there too, so the step allocates no
-    state-sized array but the new state it returns."""
+    c needs no k4, so it joins the second pair.  The stages live in a
+    ``_workspace`` (a new one when ``work`` is None), each pair one
+    contiguous slice of it; every combination runs in place in the order
+    above (k3 over its own input), and the forcing's temporaries live there
+    too, so the step allocates no state-sized array but the new state it
+    returns."""
     s = ops.propagator(0.5 * dt)
     stages, f = _workspace(ops, u) if work is None else work
-    a, b, k, t, w = stages
+    t, k, a, b = stages
+    t[...] = u
     ops.nonlinear(u, out=k, work=f)  # k1
-    s.apply(u, out=a)
-    s.apply(k, out=b)
+    s.apply(stages[:2], out=stages[2:])  # a, b
     np.multiply(0.5 * dt, b, out=t)
     t += a
     ops.nonlinear(t, out=k, work=f)  # k2
     np.multiply(0.5 * dt, k, out=t)
     t += a
-    ops.nonlinear(t, out=w, work=f)  # k3
-    np.multiply(dt, w, out=t)
-    t += a
-    k += w  # k2 + k3
-    s.apply(t, out=w)
-    ops.nonlinear(w, out=t, work=f)  # k4
+    ops.nonlinear(t, out=t, work=f)  # k3
+    k += t  # k2 + k3
     b *= dt / 6.0
     b += a
     k *= dt / 3.0
-    b += k
-    out = s.apply(b)
-    t *= dt / 6.0
-    out += t
-    return out
+    b += k  # c
+    t *= dt
+    a += t  # a + dt k3
+    s.apply(stages[2:], out=stages[:2])  # S(a + dt k3), S c
+    ops.nonlinear(t, out=a, work=f)  # k4
+    a *= dt / 6.0
+    return np.add(k, a)
 
 
 def _reference_rk4_step(ops: _Ops, u, dt, work=None):
@@ -519,7 +547,6 @@ def evolve(
 
     live = list(range(len(members)))
     pairs = [(p.kappa, p.s) for p in per]
-    row_axes = tuple(range(1, 2 + grid.dim))
     # NaN fails the one comparison too, so it catches NaN, inf and a sup
     # past 1e3 * blowup_ceiling.
     limit = min(1e3 * cfg.blowup_ceiling, sys.float_info.max)
@@ -530,10 +557,14 @@ def evolve(
         for k, u in enumerate(nodes):
             u = u[None] if single else u
             if k:
-                bad = (~(np.maximum.reduce(np.abs(u), axis=row_axes) <= limit)).tolist()
+                # Between reports one sup over the whole node clears every
+                # member at once; the per-member list is made only when a
+                # report is due or that sup fails.
                 due = reported(k)
-                if not (due or any(bad)):
+                if not due and np.maximum.reduce(np.abs(u).reshape(-1)) <= limit:
                     continue
+                sup = np.maximum.reduce(np.abs(u).reshape(len(u), -1), axis=1)
+                bad = (~(sup <= limit)).tolist()
             else:
                 bad, due = [False] * len(members), True
             times = [m.time + k * dt for m in members]

@@ -369,7 +369,7 @@ def conservation_check(u0: WaveState, params: Params, T, cfg, report_every=None)
     if params.mu != 0:
         raise ValueError("conservation_check runs the unregularized system (mu = 0)")
     report_every = _report_cadence(report_every, T, cfg.dt)
-    res = evolve(u0, params, cfg, T, report_every)
+    res = evolve(u0, params, cfg, T, report_every, keep=lambda state: None)
     h = [rep.hamiltonian for rep in res.reports]
     drift_h = max(abs(x - h[0]) for x in h) / max(abs(h[0]), 1e-300)
     row = {"drift_hamiltonian": drift_h, "blown_up": res.blown_up}

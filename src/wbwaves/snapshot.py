@@ -30,14 +30,18 @@ class SnapshotError(ValueError):
 
 
 def write_snapshot(path, state: WaveState) -> None:
-    grid = state.grid
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", grid.dim))
-        fh.write(struct.pack(f"<{grid.dim}I", *grid.n))
-        fh.write(struct.pack(f"<{grid.dim}d", *grid.length))
-        fh.write(struct.pack("<d", state.time))
-        fh.write(np.ascontiguousarray(state.samples, dtype="<f8").tobytes())
+    """Write ``state`` to ``path``, a file name or a binary file open for
+    writing."""
+    if not hasattr(path, "write"):
+        with open(path, "wb") as fh:
+            return write_snapshot(fh, state)
+    fh, grid = path, state.grid
+    fh.write(MAGIC)
+    fh.write(struct.pack("<B", grid.dim))
+    fh.write(struct.pack(f"<{grid.dim}I", *grid.n))
+    fh.write(struct.pack(f"<{grid.dim}d", *grid.length))
+    fh.write(struct.pack("<d", state.time))
+    fh.write(np.ascontiguousarray(state.samples, dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> WaveState:

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -737,6 +738,48 @@ class TestRunCommand:
         raw2["initial_data"] = {"snapshot": str(snaps[-1])}
         cfgfile2 = write_config(tmp_path, raw2, "resume.json")
         assert main(["run", cfgfile2]) == 0
+
+
+    def test_snapshots_written_as_reported(self, tmp_path):
+        """Each reported state is written as it is reported, under its index
+        and with the bytes write_snapshot gives it, and the run keeps none."""
+        from wbwaves.snapshot import write_snapshot
+
+        outdir = tmp_path / "snapout"
+        path = write_config(tmp_path, small_run(str(outdir), snapshots=True, T=0.2,
+                                                 report_every=0.05))
+        assert main(["run", path]) == 0
+        config = load_config(path)
+        result = evolve(config.initial_state(), config.params, config.integrator, config.T,
+                        config.report_every)
+        assert len(list(outdir.glob("snap_*.wbsnap"))) == len(result.states) == 5
+        for i, state in enumerate(result.states):
+            want = tmp_path / f"want_{i}.wbsnap"
+            write_snapshot(want, state)
+            assert (outdir / f"snap_{i:05d}.wbsnap").read_bytes() == want.read_bytes()
+
+    def test_run_memory_does_not_grow_with_its_reports(self, tmp_path):
+        """A run keeps no reported state: a 2D 64^2 run's traced peak with
+        101 reports stays within one state size of its peak with 2 (keeping
+        every reported state read about 20 MB more)."""
+        state_bytes = 3 * 64 * 64 * 8 + 3 * 64 * 33 * 16  # samples and packed
+
+        def peak(name, report_every):
+            raw = small_run(str(tmp_path / name), system="wb2d", grid={"n": 64},
+                            initial_data={"preset": "random_bandlimited", "band": 8,
+                                          "amplitude": 0.05},
+                            T=0.2, report_every=report_every)
+            path = write_config(tmp_path, raw, name + ".json")
+            tracemalloc.start()
+            try:
+                assert main(["run", path]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("warm", 0.2)  # build the operators and the FFT plans
+        few, many = peak("few", 0.2), peak("many", 2e-3)
+        assert many - few <= state_bytes, (few, many)
 
 
 class TestStudyCommand:

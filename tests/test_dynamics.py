@@ -1222,12 +1222,32 @@ class TestWorkspaceStep:
             assert not np.shares_memory(new, block)
 
     @pytest.mark.parametrize("n", [(256,), (32, 32), (16, 24)])
+    def test_members_with_their_own_params(self, n):
+        """A stack whose members step on their own Params, mu 0.2 and 0
+        alternating: the propagator's tables and the heat factor have a
+        member axis, and the paired applies broadcast over it."""
+        grid = Grid(n)
+        params = tuple(Params(kappa=0.7, mu=mu, p=0.75) for mu in (0.2, 0.0, 0.2, 0.0))
+        band = min(n) // 3
+        u = np.stack([random_bandlimited(grid, seed=s, band=band, amplitude=0.3).packed()
+                      for s in range(len(params))])
+        ops = _ops(grid, params)
+        work, block = garbage_workspace(ops, u)
+        new, ref = u, u
+        for _ in range(20):
+            new = dynamics._lawson_rk4_step(ops, new, 1e-2, work)
+            ref = allocating_lawson_step(ops, ref, 1e-2)
+            assert np.array_equal(new, ref)
+            assert not np.shares_memory(new, block)
+
+    @pytest.mark.parametrize("n", [(256,), (32, 32), (16, 24)])
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_out_forms_match_allocating_forms(self, n, mu, rows):
         """The forcing with no buffers, in a workspace's buffers (holding
-        garbage, then the last call's numbers) and as it was written before
-        either agree bit for bit, and so do both forms of an apply."""
+        garbage, then the last call's numbers), written over its input and
+        as it was written before agree bit for bit, and so do both forms of
+        an apply."""
         ops, u = step_case(n, mu, rows)
         ref = allocating_nonlinear(ops, u)
         assert np.array_equal(ops.nonlinear(u), ref)
@@ -1236,17 +1256,46 @@ class TestWorkspaceStep:
             out = garbage(u.shape, seed)
             assert ops.nonlinear(u, out=out, work=work) is out
             assert np.array_equal(out, ref)
+        # The step writes k3 over its own input.
+        inout = u.copy()
+        assert ops.nonlinear(inout, out=inout, work=buffers) is inout
+        assert np.array_equal(inout, ref)
         prop = ops.propagator(0.05)
         out = garbage(u.shape, seed=2)
         assert prop.apply(u, out=out) is out
         assert np.array_equal(out, prop.apply(u))
 
 
+@pytest.mark.parametrize("n, rows", [((64,), 1), ((16, 24), 3)])
+def test_a_step_makes_two_applies_and_four_forcing_calls(monkeypatch, n, rows):
+    """The step applies S(dt/2) twice, each time to a pair of states, and
+    evaluates the forcing four times."""
+    ops, u = step_case(n, 0.2, rows)
+    work = dynamics._workspace(ops, u)
+    applied, forced = [], []
+    apply, nonlinear = dynamics._Propagator.apply, dynamics._Ops.nonlinear
+
+    def counted_apply(self, v, out=None):
+        applied.append(v.shape)
+        return apply(self, v, out)
+
+    def counted_nonlinear(self, v, out=None, work=None):
+        forced.append(v.shape)
+        return nonlinear(self, v, out, work)
+
+    monkeypatch.setattr(dynamics._Propagator, "apply", counted_apply)
+    monkeypatch.setattr(dynamics._Ops, "nonlinear", counted_nonlinear)
+    dynamics._lawson_rk4_step(ops, u, 1e-2, work)
+    assert applied == [(2,) + u.shape] * 2
+    assert forced == [u.shape] * 4
+
+
 def test_step_allocation_with_a_workspace():
-    """After warm-up, a 2D 32^2 step given a workspace peaks at 2.1 state
-    sizes (the new state, one propagator product and numpy's iteration
-    buffers; the forcing's temporaries are in the workspace); the step that
-    made every stage a new array peaked at 9.1."""
+    """After warm-up, a 2D 32^2 step given a workspace peaks at 2.07 state
+    sizes, with its applies paired as with four single ones: the new state,
+    a product temporary inside an apply and numpy's iteration buffers, the
+    forcing's temporaries being in the workspace.  The step that made every
+    stage a new array peaked at 9.1."""
     ops = _ops(Grid((32, 32)), Params(kappa=0.7, mu=0.2, p=0.75))
     u = random_bandlimited(ops.grid, seed=0, band=10, amplitude=0.3).packed()
     work = dynamics._workspace(ops, u)
