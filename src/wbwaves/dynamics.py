@@ -163,7 +163,6 @@ class _Ops:
         self.axes = tuple(range(-d, 0))
         self.comp = -d - 1
         self.parts = [_part(d, k) for k in range(1 + d)]
-        self.row_index = [_part(d, slice(k, k + 1)) for k in range(1 + d)]
         self.eta, self.vel = _part(d, slice(0, 1)), _part(d, slice(1, None))
         # In 2D the forcing's leading-axis passes see only the last-axis
         # columns the 2/3 mask keeps (43 of 65 at 128^2); a 1D transform has
@@ -211,15 +210,16 @@ class _Ops:
         spectrum, whose kept columns and their rows ``_products`` returns.
         Each real array comes with its eta row, its velocity rows as one
         view and as a list of one view per component."""
-        lead = spec.shape[: self.comp]
-        real = lead + (1 + self.grid.dim,) + self.grid.n
+        d = self.grid.dim
+        real = spec.shape[: self.comp] + (1 + d,) + self.grid.n
         kept = samples[..., : self.width]
+        rows = [_part(d, slice(k, k + 1)) for k in range(1 + d)]
 
         def split(a):
-            return a, a[self.eta], a[self.vel], [a[r] for r in self.row_index[1:]]
+            return a, a[self.eta], a[self.vel], [a[r] for r in rows[1:]]
 
         return ((spec, spec[..., : self.width]), split(_real(samples, real)),
-                split(_real(spec, real)), (samples, kept, [kept[r] for r in self.row_index]))
+                split(_real(spec, real)), (samples, kept, [kept[r] for r in rows]))
 
     def _products(self, u, work=None):
         """The kept coefficients of |v|^2, eta v_1, .., eta v_d, one row
@@ -285,15 +285,15 @@ class _Propagator:
         theta = t * ops.phase
         cos, sin = np.cos(theta), np.sin(theta)
         e = ops.unit
-        self.rows = [(cos,) + tuple(-1j * (ops.Kk_inv * sin * ej) for ej in e)]
-        self.rows += [
+        rows = [(cos,) + tuple(-1j * (ops.Kk_inv * sin * ej) for ej in e)]
+        rows += [
             (-1j * (ops.Kk * sin * ej),)
             + tuple(ej * ek * cos + (float(j == k) - ej * ek) for k, ek in enumerate(e))
             for j, ej in enumerate(e)
         ]
         # Complex multipliers: a float one times a complex state is cast
         # through numpy's buffers on every call, to the same products.
-        self.rows = [tuple(np.asarray(m, complex) for m in row) for row in self.rows]
+        self.rows = [tuple(np.asarray(m, complex) for m in row) for row in rows]
         self.heat = (np.exp(-t * ops.heat_rate).astype(complex) if ops.heat_rate is not None
                      else None)
         self.parts = ops.parts
