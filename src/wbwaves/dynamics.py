@@ -52,10 +52,12 @@ propagator rows with a member axis (a mu = 0 member's heat factor is 1).
 ``evolve`` given a sequence of states integrates them so; its sampling loop
 checks each row, reports on the live members with one ``from_packed`` and
 one ``EnergyReport.measure`` call per report step and distinct (kappa, s),
-and freezes a blown member at its own time.  A Picard sweep evaluates the
-forcing of all its nodes, a (N + 1, 1 + d, *half) stack, in one call, and
-applies its propagators to blocks of nodes; only the Simpson recurrence of
-the even nodes runs node by node, one S(2dt) apply each.
+and freezes a blown member at its own time; Duhamel members solve one by
+one and the loop stacks one node of each at a time.  A Picard sweep
+evaluates the forcing of all its nodes, a (N + 1, 1 + d, *half) stack, in
+one call, and builds the new trajectory, free flow included, by one panel
+recurrence seeded with the initial state.  It applies its propagators to
+blocks of nodes; only the even nodes' S(2dt) applies run node by node.
 
 Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
@@ -537,7 +539,8 @@ def evolve(
                 raise
         for result, solve in zip(results, solved):
             result.defects = solve.defects
-        nodes = solved[0].nodes if single else np.stack([r.nodes for r in solved], axis=1)
+        # One node of each member at a time: no copy of all their nodes.
+        nodes = solved[0].nodes if single else map(np.stack, zip(*(r.nodes for r in solved)))
     else:
         step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
         u = members[0].packed() if single else np.stack([m.packed() for m in members])
@@ -597,64 +600,60 @@ def evolve(
 _FIRST_PANEL = {2: (0.5, 0.5), 3: (5 / 12, 2 / 3, -1 / 12), 4: (3 / 8, 19 / 24, -5 / 24, 1 / 24)}
 
 
-def _duhamel_integrals(ops: _Ops, forcing, dt, out):
-    """Add I_m = int_0^{m dt} S(m dt - t') N(t') dt' to ``out[m]`` for each
-    node m of the (N + 1, 1 + d, *half) ``forcing`` stack, N >= 1.
+def _duhamel_integrals(ops: _Ops, start, forcing, dt):
+    """A new stack of u_m = S(m dt)start + I_m, I_m = int_0^{m dt} S(m dt - t')
+    N(t') dt', for each node m of the (N + 1, 1 + d, *half) ``forcing``
+    stack, N >= 1.
 
     The rule is composite Simpson for even m; for odd m >= 3, Simpson up to
     m - 3 plus one 3/8 panel; for m = 1, the polynomial through the first
     nodes (at most four; ``_FIRST_PANEL`` by their number) integrated over
-    [0, dt].  By the semigroup law S(a)S(b) = S(a + b) the even values obey
+    [0, dt].  By the semigroup law S(a)S(b) = S(a + b) the free flow obeys
+    the integrals' recurrence, so from u_0 = start the even nodes are
 
-        I_m = S(2dt)(I_{m-2} + dt/3 N_{m-2}) + 4dt/3 S(dt)N_{m-1} + dt/3 N_m
+        u_m = S(2dt)(u_{m-2} + dt/3 N_{m-2}) + 4dt/3 S(dt)N_{m-1} + dt/3 N_m
 
-    and an odd value is one 3/8 panel on the even value three nodes back:
+    and an odd node is one 3/8 panel on the even node three back:
 
-        I_m = S(3dt)(I_{m-3} + 3dt/8 N_{m-3})
-              + 9dt/8 (S(2dt)N_{m-2} + S(dt)N_{m-1}) + 3dt/8 N_m.
+        u_m = S(3dt)(u_{m-3} + 3dt/8 N_{m-3})
+              + 9dt/8 (S(2dt)N_{m-2} + S(dt)N_{m-1}) + 3dt/8 N_m;
 
-    Only the S(2dt) apply of the even recurrence runs node by node, once per
-    even node.  Everything else runs per block of nodes, about an eighth of
-    them, which keeps the temporaries a small part of a node stack: one
-    batched apply gives the S(dt)N terms of a block's even nodes, and three
-    give the whole 3/8 panels of its odd nodes once their even values exist.
+    node 1 adds S(dt)start to its first panel.  Only the S(2dt) apply of the
+    even recurrence runs node by node, writing its node in place.
+    Everything else runs per block of nodes, about an eighth of them, which
+    keeps the temporaries a small part of a node stack: one batched apply
+    gives the S(dt)N terms of a block's even nodes, and three give the
+    whole 3/8 panels of its odd nodes once their even nodes exist.
     """
     n = len(forcing)
     s1, s2, s3 = (ops.propagator(k * dt) for k in (1, 2, 3))
-    acc = np.zeros_like(forcing[0])
+    out = np.empty_like(forcing)
+    out[0] = start
+    acc = s1.apply(start, out=out[1])
     for j, wj in enumerate(_FIRST_PANEL[min(n, 4)]):
         acc += dt * wj * ops.propagator((1 - j) * dt).apply(forcing[j])
-    out[1] += acc
     block = 2 * math.ceil(n / 16)
-    # evens[k] is I at node lo - 2 + 2k: slot 0 carries the last even value of
-    # the block before, and in the first block I_0 = 0 stays in slot 1.
-    evens = np.zeros((block // 2 + 1,) + forcing.shape[1:], forcing.dtype)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        evens[0] = evens[-1]
         first = max(lo, 2)
         if first < hi:
             third = dt / 3.0 * forcing[first - 2 : hi : 2]
             mid = 4.0 * dt / 3.0 * s1.apply(forcing[first - 1 : hi - 1 : 2])
             for j, m in enumerate(range(first, hi, 2)):
-                k = (m - lo) // 2 + 1
-                acc = evens[k]
-                acc[...] = s2.apply(evens[k - 1] + third[j])
+                acc = s2.apply(out[m - 2] + third[j], out=out[m])
                 acc += mid[j]
                 acc += third[j + 1]
-        out[lo:hi:2] += evens[1 : len(range(lo, hi, 2)) + 1]
         first = max(lo + 1, 3)
         if first < hi:
-            k = (first - lo - 1) // 2  # the slot of I_{first - 3}
             acc = s3.apply(
-                evens[k : k + len(range(first, hi, 2))]
-                + 3.0 * dt / 8.0 * forcing[first - 3 : hi - 3 : 2]
+                out[first - 3 : hi - 3 : 2] + 3.0 * dt / 8.0 * forcing[first - 3 : hi - 3 : 2],
+                out=out[first:hi:2],
             )
             acc += 9.0 * dt / 8.0 * (
                 s2.apply(forcing[first - 2 : hi - 2 : 2]) + s1.apply(forcing[first - 1 : hi - 1 : 2])
             )
             acc += 3.0 * dt / 8.0 * forcing[first:hi:2]
-            out[first:hi:2] += acc
+    return out
 
 
 def contraction_estimate(defects):
@@ -684,14 +683,14 @@ class PicardResult:
 def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float) -> PicardResult:
     """Solve u = S(t)u0 + int_0^t S(t-t') N(u(t')) dt' by fixed-point iteration.
 
-    The free trajectory S(m dt)u0 steps node to node by S(dt), each apply
-    writing its node into the node stack, and each sweep evaluates the
-    forcing of all nodes in one call on their stack.  The Duhamel
-    integral is discretized with a composite fourth-order rule on the
-    uniform node set and evaluated by its panel recurrence
-    (``_duhamel_integrals``), which adds it to the free trajectory in place:
-    one S(2dt) apply per even node runs sequentially, everything else as
-    batched applies over blocks of about an eighth of the nodes.  Iteration
+    The Duhamel integral is discretized with a composite fourth-order rule
+    on the uniform node set, and a sweep (``_duhamel_integrals``) builds the
+    new trajectory by its panel recurrence seeded with u0, free flow and
+    integral together: one S(2dt) apply per even node runs sequentially,
+    everything else as batched applies over blocks of about an eighth of the
+    nodes.  The first iterate is the sweep on a zero forcing, the free flow
+    S(m dt)u0; each later one is the sweep on the forcing of all nodes of the
+    last, evaluated in one call on their stack.  Iteration
     stops when successive trajectories differ by less than picard_tol in the
     sup-in-time weighted pair norm.  Non-convergence within picard_max_iter
     reports the observed contraction ratio (the horizon is too large for the
@@ -701,19 +700,14 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     n_steps, dt, _ = _horizon(T, cfg.dt)
     ops = _ops(u0.grid, params)
     grid = u0.grid
-    s_dt = ops.propagator(dt)
     start = u0.packed()
-    free = u = np.empty((n_steps + 1,) + start.shape, start.dtype)
-    free[0] = start
-    for m in range(1, n_steps + 1):
-        s_dt.apply(free[m - 1], out=free[m])
+    u = _duhamel_integrals(ops, start, np.zeros((n_steps + 1,) + start.shape, start.dtype), dt)
 
     defects = []
     for iteration in range(1, cfg.picard_max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             forcing = ops.nonlinear(u)
-            new_u = free.copy()
-            _duhamel_integrals(ops, forcing, dt, new_u)
+            new_u = _duhamel_integrals(ops, start, forcing, dt)
             del forcing  # each stack is large: free it before the defect's temporaries
             sq = _weighted_sq_coeffs(grid, new_u - u, params.s, params.kappa)
             # np.max, unlike max, lets a NaN defect through to the check below.

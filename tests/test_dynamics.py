@@ -527,8 +527,53 @@ def per_node_duhamel_integrals(ops, forcing, dt):
         yield acc
 
 
+def per_node_sweep(ops, start, forcing, dt):
+    """The sweep of ``picard_solve`` node by node, every propagator applied
+    to one node: the recurrence of ``per_node_duhamel_integrals`` seeded with
+    u_0 = start, which yields u_m = S(m dt)start + I_m."""
+    s1, s2, s3 = (ops.propagator(k * dt) for k in (1, 2, 3))
+    before = last = start
+    yield last
+    for m in range(1, len(forcing)):
+        if m == 1:
+            acc = s1.apply(start)
+            for j, wj in enumerate(dynamics._FIRST_PANEL[min(len(forcing), 4)]):
+                acc += dt * wj * ops.propagator((1 - j) * dt).apply(forcing[j])
+        elif m % 2 == 0:
+            acc = s2.apply(last + dt / 3.0 * forcing[m - 2])
+            acc += 4.0 * dt / 3.0 * s1.apply(forcing[m - 1])
+            acc += dt / 3.0 * forcing[m]
+            before, last = last, acc
+        else:
+            acc = s3.apply(before + 3.0 * dt / 8.0 * forcing[m - 3])
+            acc += 9.0 * dt / 8.0 * (s2.apply(forcing[m - 2]) + s1.apply(forcing[m - 1]))
+            acc += 3.0 * dt / 8.0 * forcing[m]
+        yield acc
+
+
 def per_node_picard(u0, params, cfg, T):
     """``picard_solve``'s iteration on the per-node sweep: nodes, defects."""
+    n_steps, dt, _ = _horizon(T, cfg.dt)
+    ops = _ops(u0.grid, params)
+    start = u0.packed()
+    zero = np.zeros((n_steps + 1,) + start.shape, start.dtype)
+    u = np.stack(list(per_node_sweep(ops, start, zero, dt)))
+    defects = []
+    for _ in range(cfg.picard_max_iter):
+        forcing = ops.nonlinear(u)
+        new_u = np.stack(list(per_node_sweep(ops, start, forcing, dt)))
+        sq = _weighted_sq_coeffs(u0.grid, new_u - u, params.s, params.kappa)
+        defects.append(float(np.max(np.sqrt(sq))))
+        u = new_u
+        if defects[-1] < cfg.picard_tol:
+            return u, defects
+    raise AssertionError("reference iteration did not converge")
+
+
+def free_plus_integrals_picard(u0, params, cfg, T):
+    """The iteration ``picard_solve`` once ran, on the per-node sweep: the free
+    trajectory stepped node to node by S(dt), and each iterate that
+    trajectory plus the Duhamel integrals.  Nodes, defects."""
     n_steps, dt, _ = _horizon(T, cfg.dt)
     ops = _ops(u0.grid, params)
     s_dt = ops.propagator(dt)
@@ -573,11 +618,8 @@ class TestBlockedSweep:
             free.append(s_dt.apply(free[-1]))
         free = np.stack(free)
         forcing = ops.nonlinear(free)
-        want = free.copy()
-        for m, im in enumerate(per_node_duhamel_integrals(ops, forcing, dt)):
-            want[m] += im
-        got = free.copy()
-        dynamics._duhamel_integrals(ops, forcing, dt, got)
+        want = np.stack(list(per_node_duhamel_integrals(ops, forcing, dt)))
+        got = dynamics._duhamel_integrals(ops, np.zeros_like(free[0]), forcing, dt)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", PICARD_GRIDS)
@@ -593,12 +635,39 @@ class TestBlockedSweep:
         assert np.array_equal(res.nodes, nodes)
         assert res.defects == defects
 
+    @staticmethod
+    def assert_matches_free_plus_integrals(u0, params, cfg, T):
+        """The seeded recurrence gives the nodes of the free trajectory plus
+        the integrals to within 1e-13 of the trajectory's weighted-norm scale
+        (1.6e-14 at most on these cases), in as many sweeps."""
+        res = picard_solve(u0, params, cfg, T)
+        nodes, defects = free_plus_integrals_picard(u0, params, cfg, T)
+        assert res.iterations == len(defects)
+        diff = res.nodes - nodes
+        sq = _weighted_sq_coeffs(u0.grid, np.stack([diff, nodes]), params.s, params.kappa)
+        err, scale = np.sqrt(np.max(sq, axis=1))
+        assert err <= 1e-13 * scale, err / scale
+
+    @pytest.mark.parametrize("n", PICARD_GRIDS)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 16, 17, 40, 400])
+    def test_solve_matches_free_plus_integrals(self, n, steps):
+        params = Params(kappa=1.0, mu=0.1, p=1.0, s=1.0)
+        cfg = IntegratorConfig(method="picard_duhamel", dt=0.2 / steps)
+        self.assert_matches_free_plus_integrals(small_state(Grid(n), seed=7), params, cfg, 0.2)
+
+    def test_golden_picard_case_matches_free_plus_integrals(self):
+        """The config of the golden ``picard`` record."""
+        u0 = random_bandlimited(Grid(128), seed=0, band=6, amplitude=0.04)
+        cfg = IntegratorConfig(method="picard_duhamel", dt=2e-3)
+        self.assert_matches_free_plus_integrals(u0, Params(kappa=1.0, mu=0.1, s=1.0), cfg, 0.2)
+
     @pytest.mark.parametrize("n", PICARD_GRIDS)
     @pytest.mark.parametrize("steps", [40, 100, 400])
-    def test_peak_memory_within_six_node_stacks(self, n, steps):
-        """The defect phase holds the peak: 4.9 to 5.7 node stacks.  The
-        same sweep in one block of every node reads 7.3 to 7.9, and in fixed
-        blocks of 64 nodes 7.7 to 8.2 at 40 steps."""
+    def test_peak_memory_within_five_node_stacks(self, n, steps):
+        """A sweep's forcing evaluation holds the peak, or in 2D at 400
+        steps the defect: 3.9 to 4.7 node stacks.  A free-flow stack kept
+        beside the iterates reads 4.9 to 5.7, and the same sweep in one block
+        of every node 5.3 to 6.0."""
         g = Grid(n)
         params = Params(kappa=1.0, mu=0.1, s=1.0)
         u0 = small_state(g, amplitude=0.04)
@@ -611,7 +680,26 @@ class TestBlockedSweep:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * res.nodes.nbytes, peak / res.nodes.nbytes
+        assert peak <= 5 * res.nodes.nbytes, peak / res.nodes.nbytes
+
+    def test_batched_evolve_peak_memory(self):
+        """Four members solve one by one and the sampling loop stacks one
+        node of each at a time: 7.2 one-member node stacks.  A copy of all
+        four converged stacks into one array reads 8.3."""
+        g = Grid(64)
+        params = Params(kappa=1.0, mu=0.1, s=1.0)
+        members = [small_state(g, seed=k, amplitude=0.04) for k in range(4)]
+        cfg = IntegratorConfig(method="picard_duhamel", dt=1e-3)
+        evolve(members, params, cfg, 0.4)  # build the propagators and FFT plans
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evolve(members, params, cfg, 0.4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        stack = 401 * members[0].packed().nbytes
+        assert peak <= 7.5 * stack, peak / stack
 
 
 class TestOperatorCaches:
@@ -636,8 +724,9 @@ class TestOperatorCaches:
         assert ops.propagator(0.5) is ops.propagator(0.5)
 
     def test_long_solve_builds_few_propagators(self, monkeypatch):
-        # The free trajectory steps by S(dt) and a sweep applies S(k dt) for
-        # k = -2 .. 3, so the node count does not set the number of builds.
+        # Every iterate, the free flow among them, is one sweep, which
+        # applies S(k dt) for k = -2 .. 3, so the node count does not set the
+        # number of builds.
         builds = []
         init = _Propagator.__init__
 

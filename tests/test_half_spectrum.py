@@ -228,8 +228,7 @@ class TestAgainstFullSpectrum:
         _, u = full_state(grid, 4)
         nodes = [ref.propagator(m * DT)(u) for m in range(8)]
         forcing = ops.nonlinear(np.stack([half(grid, um) for um in nodes]))
-        got = np.zeros_like(forcing)
-        _duhamel_integrals(ops, forcing, DT, got)
+        got = _duhamel_integrals(ops, np.zeros_like(forcing[0]), forcing, DT)
         want = ref.duhamel_integrals([ref.nonlinear(um) for um in nodes], DT)
         assert len(got) == len(want) == 8
         for g, w in zip(got[1:], want[1:]):
