@@ -5,8 +5,10 @@ or usage error, an output that cannot be written, a Duhamel iteration
 that does not contract or an allocation that fails, 2 blow-up
 detected during a run or in a study's sweep member.  Every run writes
 ``run_summary.json`` with status ``ok``, ``blowup`` or ``no_contraction``,
-its number of steps and the effective dt (T over the steps, at most the
-configured dt), and a ``picard_duhamel`` run its iterations, the defect of
+its number of steps, the effective dt (T over the steps, at most the
+configured dt) and ``above_band_share``, the share of the initial weighted
+norm squared above the 2/3 band that the solver drops, and a
+``picard_duhamel`` run its iterations, the defect of
 each sweep and the contraction estimate; a study whose member blows up
 writes ``<study>.json`` with status ``blowup``, and one whose Duhamel solve
 does not contract writes it with status ``no_contraction``, the member and
@@ -24,7 +26,8 @@ import sys
 from dataclasses import asdict, replace
 
 from .config import ConfigError, RunConfig, load_config, output_header
-from .dynamics import BlowUpError, PicardError, _horizon, contraction_estimate, evolve
+from .dynamics import (BlowUpError, PicardError, _horizon, above_band_share,
+                       contraction_estimate, evolve)
 from .experiments import (
     conservation_check,
     dissipation_test,
@@ -101,6 +104,7 @@ def cmd_run(config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
     u0 = config.initial_state()
     steps, dt, _ = _horizon(config.T, config.integrator.dt, config.report_every)
+    plan = {"steps": steps, "dt": dt, "above_band_share": above_band_share(u0, config.params)}
     # The run holds no state: a reported one is written as its snapshot, if
     # any, and dropped.
     keep = _snapshot_writer(outdir) if config.snapshots else lambda state: None
@@ -108,8 +112,7 @@ def cmd_run(config: RunConfig) -> int:
         result = evolve(u0, config.params, config.integrator, config.T, config.report_every,
                         keep=keep)
     except PicardError as exc:
-        summary = {"status": "no_contraction", "steps": steps, "dt": dt,
-                   **_picard_summary(exc.defects)}
+        summary = {"status": "no_contraction", **plan, **_picard_summary(exc.defects)}
         _write_json(os.path.join(outdir, "run_summary.json"), config, summary)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -118,8 +121,7 @@ def cmd_run(config: RunConfig) -> int:
     _write_csv(os.path.join(outdir, "energy.csv"), config, rows)
     summary = {
         "status": "blowup" if result.blown_up else "ok",
-        "steps": steps,
-        "dt": dt,
+        **plan,
         "final_time": result.times[-1],
     }
     if result.blown_up:
@@ -236,6 +238,9 @@ def cmd_describe(config: RunConfig) -> int:
         name = preset.pop("preset")
         args = ", ".join(f"{k}={v}" for k, v in sorted(preset.items()))
         lines.append(f"initial data: {name}({args})")
+    band = tuple(grid.dealias_band(j) for j in range(grid.dim))
+    lines.append(f"band: |k| <= {band[0] if grid.dim == 1 else band} per axis, "
+                 f"dropping {above_band_share(state, params):.3g} of the initial weighted norm^2")
     lines.append(f"output: {config.resolved_output_dir()} (config {config.config_hash()})")
     print("\n".join(lines))
     return 0

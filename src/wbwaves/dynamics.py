@@ -12,8 +12,16 @@ with K = sqrt(tanh|D|/|D|) and, in 2D, a curl-free velocity.  In 1D
 
 The bracketed viscous terms are active in the regularized variant
 (params.mu > 0).  Every operator is written once for both dimensions, from
-per-axis multipliers on the half spectrum, and acts on the packed state
-array of ``WaveState.packed``.
+per-axis multipliers, and acts on the 2/3 band of the packed state array of
+``WaveState.packed``.
+
+The discrete system's state is the 2/3 band (``_band``), the modes |k| <=
+``Grid.dealias_band`` per axis: the dealiased quadratic forcing reads and
+writes only these, so the modes above would only rotate and damp.
+``evolve`` and ``picard_solve`` project each state onto the band and step
+it there; only the forcing's transforms pad it to n (the 3/2 rule of
+Orszag, J. Atmos. Sci. 28, 1971).  A report expands the nodes it measures
+(``_expand``), and ``above_band_share`` says what the projection drops.
 
 The linear part diagonalizes exactly: with the unit wave vector
 e = xi/|xi| (sgn xi in 1D), in the variables eta +- K_kappa^-1 (e.v) it
@@ -30,23 +38,26 @@ workspace (``_workspace``) that each integration allocates for itself and
 never caches, so the cached operators stay read-only and concurrent
 integrations share them; a step allocates only the new state.  The
 quadratic forcing (``_Ops.nonlinear``) is cut by the 2/3 rule, as are the
-cubic terms of H and E_s: one discrete system.  It transforms axis by axis
-into its buffers, through views built once per workspace (new buffers when
-it is given none, as on a Picard sweep's node stack); in 2D its leading-axis
-passes see only the last-axis columns the mask keeps, and the mask, the
-transform scaling and the 1/2 of |v|^2/2 are folded into precomputed
-weights.  Its sums over the velocity components are in-place adds.
+cubic terms of H and E_s: one discrete system.  It scatters the band into
+its zeroed half-lattice buffers (one prefix in 1D, two row blocks in 2D),
+transforms axis by axis there, and gathers the band of the result the same
+way, through views built once per workspace (new buffers when it is given
+none, as on a Picard sweep's node stack); in 2D its leading-axis passes see
+only the band's columns, and the transform scaling and the 1/2 of |v|^2/2
+are folded into precomputed weights.  Its sums over the velocity components
+are in-place adds.
 
-Trajectories stay packed: the two RK4 steppers and the converged Duhamel
-nodes each give ``evolve`` a sequence of packed arrays, and its one sampling
-loop runs both blow-up checks on them and builds ``WaveState``s only for
-the nodes it reports on.  It steps under one ``np.errstate`` that ignores
-overflow and reports under the caller's.
+Trajectories stay on the band: the two RK4 steppers and the converged
+Duhamel nodes each give ``evolve`` a sequence of band arrays, and its one
+sampling loop runs both blow-up checks on them and builds ``WaveState``s
+only for the nodes it reports on, walking the reported steps in order.  It
+steps under one ``np.errstate`` that ignores overflow and reports under the
+caller's.
 
 Batch axis: every operator, the propagator and both steppers act on
-(..., 1 + d, *half) arrays, the component axis and the d transform axes
+(..., 1 + d, *band) arrays, the component axis and the d transform axes
 counted from the end, so independent runs on one grid step as one
-(B, 1 + d, *half) stack, each row exactly as it would alone; members with
+(B, 1 + d, *band) stack, each row exactly as it would alone; members with
 their own ``Params`` share the forcing and step on parameter tables and
 propagator rows with a member axis (a mu = 0 member's heat factor is 1).
 ``evolve`` given a sequence of states integrates them so; its sampling loop
@@ -54,7 +65,7 @@ checks each row, reports on the live members with one ``from_packed`` and
 one ``EnergyReport.measure`` call per report step and distinct (kappa, s),
 and freezes a blown member at its own time; Duhamel members solve one by
 one and the loop stacks one node of each at a time.  A Picard sweep
-evaluates the forcing of all its nodes, a (N + 1, 1 + d, *half) stack, in
+evaluates the forcing of all its nodes, a (N + 1, 1 + d, *band) stack, in
 one call, and builds the new trajectory, free flow included, by one panel
 recurrence seeded with the initial state.  It applies its propagators to
 blocks of nodes; only the even nodes' S(2dt) applies run node by node.
@@ -62,7 +73,7 @@ blocks of nodes; only the even nodes' S(2dt) applies run node by node.
 Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
 operators, so velocity content there (and off e) is propagated by the heat
-factor alone.
+factor alone; the band holds no Nyquist mode, so on it that is the mean.
 """
 
 from __future__ import annotations
@@ -72,6 +83,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,16 +141,59 @@ class IntegratorConfig:
 
 
 # ---------------------------------------------------------------------------
+# The 2/3 band: the state's layout
+
+
+@lru_cache(maxsize=16)
+def _band_blocks(grid: Grid):
+    """The layout of the 2/3 band, the modes |k| <= ``Grid.dealias_band`` per
+    axis, as (band index, half index) pairs, one per block: on the last axis
+    the columns 0..K, and in 2D on the leading axis the rows 0..K and
+    n-K..n-1, two blocks in that order (85 x 43 of 128 x 65 at 128^2); in 1D
+    one prefix (86 of 129 at n = 256)."""
+    cols = slice(0, grid.dealias_band(-1) + 1)
+    if grid.dim == 1:
+        return ((Ellipsis, slice(None)), (Ellipsis, cols)),
+    n, k = grid.n[0], grid.dealias_band(0)
+    return (((Ellipsis, slice(0, k + 1), slice(None)), (Ellipsis, slice(0, k + 1), cols)),
+            ((Ellipsis, slice(k + 1, None), slice(None)), (Ellipsis, slice(n - k, None), cols)))
+
+
+def _band(grid: Grid, a):
+    """A new array of the band of ``a`` (..., *half): the projection onto it."""
+    return np.concatenate([a[h] for _, h in _band_blocks(grid)], axis=-grid.dim)
+
+
+def _expand(grid: Grid, b):
+    """The half-lattice array (..., *half) of band coefficients ``b``, zero
+    above the band."""
+    out = np.zeros(b.shape[: -grid.dim] + grid.half_shape, b.dtype)
+    for band, h in _band_blocks(grid):
+        out[h] = b[band]
+    return out
+
+
+def above_band_share(state: WaveState, params: Params) -> float:
+    """The share of the state's squared weighted norm (at ``params.s``) that
+    lies above the 2/3 band, which ``evolve`` and ``picard_solve`` drop: 0
+    for the zero state."""
+    grid, u = state.grid, state.packed()
+    total = _weighted_sq_coeffs(grid, u, params.s, params.kappa)
+    above = _weighted_sq_coeffs(grid, np.where(grid.dealias_mask, 0, u), params.s, params.kappa)
+    return above / total if total > 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
 # Precomputed multiplier arrays for one (grid, params) combination
 
 
 class _Ops:
-    """The system's multipliers on the half spectrum of one grid, stacked
-    over the axes j: the derivative d_j, the unit wave vector e_j, the
-    restoring G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j, and the forcing's
-    transform weights, the 2/3-masked G_j among them.  A tuple of
-    ``params``, one per row of a (B, 1 + d, *half) stack, gives the tables
-    that depend on them a leading member axis; the forcing's do not."""
+    """The system's multipliers on the 2/3 band of one grid (``_band``),
+    stacked over the axes j: the derivative d_j, the unit wave vector e_j,
+    the restoring G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j, and the
+    forcing's transform weights, G_j among them.  A tuple of ``params``, one
+    per row of a (B, 1 + d, *band) stack, gives the tables that depend on
+    them a leading member axis; the forcing's do not."""
 
     def __init__(self, grid: Grid, params):
         self.grid = grid
@@ -146,7 +201,7 @@ class _Ops:
         batched = isinstance(params, tuple)
 
         def table(f):
-            return np.stack([f(p) for p in params]) if batched else f(params)
+            return _band(grid, np.stack([f(p) for p in params]) if batched else f(params))
 
         # A mu = 0 member has rate 0, so its heat factor is exactly 1; with no
         # viscous member there is no heat factor.
@@ -155,92 +210,102 @@ class _Ops:
         self.Kk = table(lambda p: cat.K_kappa(grid, p.kappa))
         self.Kk_inv = table(lambda p: cat.K_kappa_inv(grid, p.kappa))
         self.phase = table(lambda p: cat.frequency(grid, p.kappa))
-        self.unit = np.stack(cat.unit_vectors(grid))
-        self.dx = np.stack(cat.gradient(grid))
+        self.unit = _band(grid, np.stack(cat.unit_vectors(grid)))
+        self.dx = _band(grid, np.stack(cat.gradient(grid)))
         forcing = np.stack(cat.forcing(grid))
         self.restoring = table(lambda p: forcing * cat.capillary(grid, p.kappa))
-        # A packed array is (..., 1 + d, *half): the transform axes and the
+        # A packed array is (..., 1 + d, *band): the transform axes and the
         # component axis count from the end, so leading axes batch.
         d = grid.dim
         self.axes = tuple(range(-d, 0))
         self.comp = -d - 1
         self.parts = [_part(d, k) for k in range(1 + d)]
         self.eta, self.vel = _part(d, slice(0, 1)), _part(d, slice(1, None))
-        # In 2D the forcing's leading-axis passes see only the last-axis
-        # columns the 2/3 mask keeps (43 of 65 at 128^2); a 1D transform has
-        # no such pass and runs full width.  The two weights fold in the mask
-        # and the transform scaling, the inverse one for norm="forward".
-        self.width = grid.dealias_band(-1) + 1 if d > 1 else grid.n[-1] // 2 + 1
-        self.cut = self.width < grid.n[-1] // 2 + 1
-        keep = grid.dealias_mask[..., : self.width]
-        self.inv_weight = keep / math.sqrt(math.prod(grid.length))
-        self.fwd_weight = forcing[..., : self.width] * (keep * grid._norm_factor)
-        # The velocity rows transform |v|^2 and take the 1/2 of |v|^2/2 here:
-        # a power of two scales exactly, so the result is bit for bit the same.
-        self.vel_weight = 0.5 * self.fwd_weight
+        # On the band the 2/3 mask keeps every mode, so the weights fold in
+        # only the transform scaling, the inverse one (for norm="forward") a
+        # scalar, a complex 0-d array so that numpy converts nothing on each
+        # call (the same products).  The velocity rows transform |v|^2 and
+        # take the 1/2 of |v|^2/2 here: a power of two scales exactly, so the
+        # result is bit for bit the same.
+        self.blocks = _band_blocks(grid)
+        self.inv_weight = np.array(1.0 / math.sqrt(math.prod(grid.length)), complex)
+        self.fwd_weight = _band(grid, forcing) * grid._norm_factor
+        vel_weight = 0.5 * self.fwd_weight
+        self._block_weights = [(vel_weight[b], self.fwd_weight[b]) for b, _ in self.blocks]
         self._props = OrderedDict()
 
     def nonlinear(self, u, out=None, work=None):
         """Quadratic forcing of the evolution (the Duhamel integrand):
-        -K^2 div(eta v) and -K^2 grad(|v|^2/2), dealiased by the masked G_j,
-        from the coefficients of ``_products``, written to ``out`` (a new
-        array when None, or ``u`` itself: ``u`` is read before ``out`` is
-        written); the columns the mask drops are zero.  ``work`` is the
-        temporaries' ``buffers`` (new arrays when None)."""
-        sq, first, *rest = self._products(u, work)
+        -K^2 div(eta v) and -K^2 grad(|v|^2/2) of a band state, dealiased by
+        the 2/3 rule, from the coefficients of ``_products``, written to
+        ``out`` (a new array when None, or ``u`` itself: ``u`` is read before
+        ``out`` is written).  ``work`` is the temporaries' ``buffers`` (new
+        arrays when None)."""
+        gathered = self._products(u, work)
         if out is None:
             out = np.empty_like(u)
-        if self.cut:
-            out[..., self.width :] = 0
-        kept = out[..., : self.width]
-        np.multiply(self.vel_weight, sq, out=kept[self.vel])
-        # The divergence sum_j G_j (eta v_j): one product, then in-place adds.
-        # A reduction (the tests' reference) starts from +0, so where every
-        # term is -0 (a masked mode) it reads +0 and this reads -0: equal.
-        div = kept[self.eta]
-        np.multiply(first, self.fwd_weight[0], out=div)
-        for c, weight in zip(rest, self.fwd_weight[1:]):
-            c *= weight
-            div += c
+        for (band, _), (vel_weight, fwd_weight), (sq, first, *rest) in zip(
+                self.blocks, self._block_weights, gathered):
+            kept = out[band]
+            np.multiply(vel_weight, sq, out=kept[self.vel])
+            # The divergence sum_j G_j (eta v_j): one product, then in-place
+            # adds.
+            div = kept[self.eta]
+            np.multiply(first, fwd_weight[0], out=div)
+            for c, weight in zip(rest, fwd_weight[1:]):
+                c *= weight
+                div += c
         return out
 
     def buffers(self, spec, samples):
         """The forcing's temporaries in two contiguous complex arrays of the
-        state's shape, as the views ``_products`` works on, built once:
-        ``spec`` holds the inverse transform's input, then the products
-        (real); ``samples`` holds the samples (real), then the forward
-        spectrum, whose kept columns and their rows ``_products`` returns.
-        Each real array comes with its eta row, its velocity rows as one
-        view and as a list of one view per component."""
-        d = self.grid.dim
-        real = spec.shape[: self.comp] + (1 + d,) + self.grid.n
-        kept = samples[..., : self.width]
+        half-lattice shape of its input, as the views ``_products`` works on,
+        built once: ``spec`` holds the inverse transform's input (the band's
+        blocks, zeros elsewhere), then the products (real); ``samples`` holds
+        the samples (real), then the forward spectrum, whose band blocks
+        ``_products`` returns.  Each real array comes with its eta row, its
+        velocity rows as one view and as a list of one view per component."""
+        grid, d = self.grid, self.grid.dim
+        real = spec.shape[: self.comp] + (1 + d,) + grid.n
+        width = grid.dealias_band(-1) + 1
+        cols, kept = spec[..., :width], samples[..., :width]
+        # The columns the band drops and, in 2D, the rows between its blocks
+        # that the leading-axis pass sees.
+        zeros = [spec[..., width:]]
+        if d > 1:
+            k = grid.dealias_band(0)
+            zeros.append(cols[..., k + 1 : grid.n[0] - k, :])
         rows = [_part(d, slice(k, k + 1)) for k in range(1 + d)]
 
         def split(a):
             return a, a[self.eta], a[self.vel], [a[r] for r in rows[1:]]
 
-        return ((spec, spec[..., : self.width]), split(_real(samples, real)),
-                split(_real(spec, real)), (samples, kept, [kept[r] for r in rows]))
+        return ((spec, cols, zeros, [spec[h] for _, h in self.blocks]),
+                split(_real(samples, real)), split(_real(spec, real)),
+                (samples, kept, [[samples[h][r] for r in rows] for _, h in self.blocks]))
 
     def _products(self, u, work=None):
-        """The kept coefficients of |v|^2, eta v_1, .., eta v_d, one row
-        each: the weighted state's inverse transform, then the products'
-        forward one, axis by axis, every temporary in ``work``, the
-        ``buffers``.  With no ``work`` they are new arrays, the input
-        columns freed on return, so a Picard sweep's stack of nodes peaks at
-        about two stacks here."""
+        """The band blocks of the coefficients of |v|^2, eta v_1, .., eta v_d,
+        one row each: the weighted state, scattered into the zeroed half
+        lattice, inverse transformed, then the products' forward transform,
+        axis by axis, every temporary in ``work``, the ``buffers``.  With no
+        ``work`` they are new arrays, the input columns freed on return, so a
+        Picard sweep's stack of nodes peaks at about two half-lattice stacks
+        here."""
         lead = self.axes[:-1]
         if work is None:
-            work = self.buffers(np.empty(u.shape, u.dtype), np.empty(u.shape, u.dtype))
-        (spec, cols), (phys, eta, vel, v), (prod, sq, flux, flux_rows), (fwd, kept, rows) = work
-        np.multiply(u[..., : self.width], self.inv_weight, out=cols)
+            shape = u.shape[: self.comp + 1] + self.grid.half_shape
+            work = self.buffers(np.empty(shape, u.dtype), np.empty(shape, u.dtype))
+        (spec, cols, zeros, into), (phys, eta, vel, v), (prod, sq, flux, flux_rows), \
+            (fwd, kept, gathered) = work
+        for z in zeros:
+            z.fill(0)
+        for (band, _), block in zip(self.blocks, into):
+            np.multiply(u[band], self.inv_weight, out=block)
         for axis in lead:
             np.fft.ifft(cols, axis=axis, norm="forward", out=cols)
-        # The last axis transforms all of the contiguous spec, the dropped
-        # columns zeroed: the numbers of the kept columns padded to n.
-        if self.cut:
-            spec[..., self.width :] = 0
+        # The last axis transforms all of the contiguous spec: the numbers of
+        # the band's columns padded to n.
         np.fft.irfft(spec, n=self.grid.n[-1], axis=-1, norm="forward", out=phys)
         # |v|^2 as one product and in-place adds over j, the squares past v_1
         # in the rows eta v_j fills next; then every eta v_j in one product.
@@ -252,7 +317,7 @@ class _Ops:
         np.fft.rfft(prod, axis=-1, out=fwd)
         for axis in lead:
             np.fft.fft(kept, axis=axis, out=kept)
-        return rows
+        return gathered
 
     def linear(self, u):
         div = np.sum(self.dx * u[self.vel], axis=self.comp, keepdims=True)
@@ -280,7 +345,8 @@ class _Propagator:
         v_j -> -i K_kappa sin(theta) e_j eta
                + sum_k (e_j e_k cos(theta) + delta_jk - e_j e_k) v_k
 
-    so each output is one row of multipliers dotted with (eta, v_1, .., v_d).
+    so each output is one row of multipliers dotted with (eta, v_1, .., v_d),
+    built once from ``_Ops``'s tables on the band.
     """
 
     def __init__(self, ops: _Ops, t: float):
@@ -343,9 +409,12 @@ def _ops(grid: Grid, params: Params) -> _Ops:
 
 
 def rhs(state: WaveState, params: Params) -> WaveState:
-    """Time derivative of the state under the system with these parameters."""
-    ops = _ops(state.grid, params)
-    return WaveState.from_packed(state.grid, ops.full(state.packed()), state.time)
+    """Time derivative of the state under the system with these parameters:
+    the discrete system's, whose state is the 2/3 band.  So content of
+    ``state`` above the band is dropped, and the derivative is zero there."""
+    grid = state.grid
+    u = _ops(grid, params).full(_band(grid, state.packed()))
+    return WaveState.from_packed(grid, _expand(grid, u), state.time)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +428,14 @@ def _real(buf, shape):
 
 
 def _workspace(ops: _Ops, u):
-    """One integration's scratch for ``_lawson_rk4_step`` on states shaped
-    like ``u``: ``(stages, buffers)``, the four stages and the forcing's
-    ``buffers``, all in one (6, *u.shape) array."""
-    block = np.empty((6,) + u.shape, u.dtype)
-    return block[:4], ops.buffers(block[4], block[5])
+    """One integration's scratch for ``_lawson_rk4_step`` on band states
+    shaped like ``u``: ``(stages, buffers)``, the four stages and the
+    forcing's half-lattice ``buffers``, all in one array."""
+    size = u.size
+    half = u.shape[: ops.comp + 1] + ops.grid.half_shape
+    block = np.empty(4 * size + 2 * math.prod(half), u.dtype)
+    spec, samples = block[4 * size :].reshape((2,) + half)
+    return block[: 4 * size].reshape((4,) + u.shape), ops.buffers(spec, samples)
 
 
 def _lawson_rk4_step(ops: _Ops, u, dt, work=None):
@@ -441,13 +513,14 @@ class EvolveResult:
 
 
 def _horizon(T, dt, report_every=None):
-    """The one rule of an integration's plan: ``(n_steps, dt, reported)``.
+    """The one rule of an integration's plan: ``(n_steps, dt, reports)``.
 
     T and ``report_every`` (None for T) must be positive and finite.  dt is
     adjusted down so an integer number of steps lands exactly on T, and
-    ``report_every`` must be at least that step.  ``reported(k)`` is true
-    for the step nearest each multiple of ``report_every`` before T, node 0
-    among them, and the last step ``n_steps``, in O(1) time and memory."""
+    ``report_every`` must be at least that step.  ``reports`` walks the
+    reported steps in increasing order, in O(1) memory: the step nearest
+    each multiple of ``report_every`` before T, node 0 among them, and the
+    last step ``n_steps``."""
     report_every = T if report_every is None else report_every
     for name, value in (("T", T), ("report_every", report_every)):
         if not value > 0:
@@ -462,13 +535,19 @@ def _horizon(T, dt, report_every=None):
         raise ValueError("report_every must be at least the time step")
     n_rep = max(1, math.ceil(T / report_every - 1e-9))
 
-    def reported(k):
-        # Only the multiples i within one of k * dt / report_every can land on k.
-        near = round(k * dt / report_every)
-        return k == n_steps or any(round(i * report_every / dt) == k
-                                   for i in range(max(near - 1, 0), min(near + 2, n_rep)))
+    def reports():
+        # The nearest steps do not decrease with the multiple, and none
+        # passes n_steps; a step that two multiples share is reported once.
+        last = -1
+        for i in range(n_rep):
+            k = round(i * report_every / dt)
+            if k > last:
+                yield k
+                last = k
+        if last < n_steps:
+            yield n_steps
 
-    return n_steps, dt, reported
+    return n_steps, dt, reports()
 
 
 def _report_cadence(report_every, T, dt):
@@ -478,7 +557,7 @@ def _report_cadence(report_every, T, dt):
 
 
 def _stepped(step, ops: _Ops, u, dt, n_steps):
-    """Yield ``u`` and the ``n_steps`` packed states ``step`` advances it to,
+    """Yield ``u`` and the ``n_steps`` band states ``step`` advances it to,
     every step through one workspace of this integration (never cached, so
     concurrent integrations share only the read-only operators).  A step
     runs as its node is drawn, under the drawer's error state."""
@@ -500,7 +579,8 @@ def evolve(
     """Integrate to time T, sampling energy reports every ``report_every``.
 
     ``u0`` is one WaveState, or a sequence of states on one grid that are
-    integrated together as one (B, 1 + d, *half) stack and give one
+    projected onto the 2/3 band (``_band``), which drops their content above
+    it, and integrated together as one (B, 1 + d, *band) stack and give one
     EvolveResult each, equal to their single runs; ``params`` is one Params
     for all of them or a sequence of one per member.  The steps and the
     reported nodes follow ``_horizon``: T and ``report_every`` (None for T)
@@ -514,7 +594,7 @@ def evolve(
     blow-up flag set; the others go on.  A member whose Duhamel solve does
     not contract raises its PicardError with the member's index as ``member``.
     """
-    n_steps, dt, reported = _horizon(T, cfg.dt, report_every)
+    n_steps, dt, reports = _horizon(T, cfg.dt, report_every)
     single = isinstance(u0, WaveState)
     members = [u0] if single else list(u0)
     per = [params] * len(members) if isinstance(params, Params) else list(params)
@@ -526,8 +606,10 @@ def evolve(
     grid = members[0].grid
     if any(m.grid != grid for m in members):
         raise ValueError("the states of one evolve call must share their grid")
-    # One state steps as (1 + d, *half), which small arrays step faster than a
-    # one-row stack; the loop below views each of its nodes as that stack.
+    # The nodes are band arrays (``_band``): each member is projected onto the
+    # band, and a report expands what it measures.  One state steps as
+    # (1 + d, *band), which small arrays step faster than a one-row stack;
+    # the loop below views each of its nodes as that stack.
     if cfg.method == "picard_duhamel":
         # Each member's fixed point converges in its own number of sweeps.
         solved = []
@@ -540,13 +622,13 @@ def evolve(
         for result, solve in zip(results, solved):
             result.defects = solve.defects
         # One node of each member at a time: no copy of all their nodes.
-        nodes = solved[0].nodes if single else map(np.stack, zip(*(r.nodes for r in solved)))
+        nodes = solved[0].band if single else map(np.stack, zip(*(r.band for r in solved)))
     else:
         step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
         u = members[0].packed() if single else np.stack([m.packed() for m in members])
         # Members that share one Params step on its unbatched tables.
         key = per[0] if len(set(per)) == 1 else tuple(per)
-        nodes = _stepped(step, _ops(grid, key), u, dt, n_steps)
+        nodes = _stepped(step, _ops(grid, key), _band(grid, u), dt, n_steps)
 
     live = list(range(len(members)))
     pairs = [(p.kappa, p.s) for p in per]
@@ -554,29 +636,34 @@ def evolve(
     # past 1e3 * blowup_ceiling.
     limit = min(1e3 * cfg.blowup_ceiling, sys.float_info.max)
     caller = np.geterr()
+    # The reported steps are walked in order: one comparison per node.
+    next_report = next(reports)
     # The steps run here, as the loop draws its nodes; the reports keep the
     # caller's error state.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, u in enumerate(nodes):
             u = u[None] if single else u
+            due = k == next_report
+            if due:
+                next_report = next(reports, None)
             if k:
                 # Between reports one sup over the whole node clears every
                 # member at once; the per-member list is made only when a
                 # report is due or that sup fails.
-                due = reported(k)
                 if not due and np.maximum.reduce(np.abs(u).reshape(-1)) <= limit:
                     continue
                 sup = np.maximum.reduce(np.abs(u).reshape(len(u), -1), axis=1)
                 bad = (~(sup <= limit)).tolist()
             else:
-                bad, due = [False] * len(members), True
+                bad = [False] * len(members)
             times = [m.time + k * dt for m in members]
             rows = [b for b in live if not bad[b]] if due else []
             with np.errstate(**caller):
                 # A report reads kappa and s alone: one measure call per such pair.
                 for pair in dict.fromkeys(pairs[b] for b in rows):
                     group = [b for b in rows if pairs[b] == pair]
-                    states = WaveState.from_packed(grid, u[group], [times[b] for b in group])
+                    states = WaveState.from_packed(grid, _expand(grid, u[group]),
+                                                   [times[b] for b in group])
                     measured = EnergyReport.measure(states, per[group[0]])
                     for b, state, report in zip(group, states, measured):
                         res = results[b]
@@ -602,7 +689,7 @@ _FIRST_PANEL = {2: (0.5, 0.5), 3: (5 / 12, 2 / 3, -1 / 12), 4: (3 / 8, 19 / 24, 
 
 def _duhamel_integrals(ops: _Ops, start, forcing, dt):
     """A new stack of u_m = S(m dt)start + I_m, I_m = int_0^{m dt} S(m dt - t')
-    N(t') dt', for each node m of the (N + 1, 1 + d, *half) ``forcing``
+    N(t') dt', for each node m of the (N + 1, 1 + d, *band) ``forcing``
     stack, N >= 1.
 
     The rule is composite Simpson for even m; for odd m >= 3, Simpson up to
@@ -666,18 +753,24 @@ def contraction_estimate(defects):
 
 @dataclass
 class PicardResult:
-    """The converged nodes: ``nodes[m]`` is the packed state at ``times[m]``,
-    stacked in one (N + 1, 1 + d, *half) array."""
+    """The converged nodes: ``band[m]`` holds the band (``_band``) of the
+    state at ``times[m]``, stacked in one (N + 1, 1 + d, *band) array."""
 
     grid: Grid
-    nodes: np.ndarray
+    band: np.ndarray
     times: list
     iterations: int
     defects: list
 
     @property
+    def nodes(self) -> np.ndarray:
+        """The packed states, a new (N + 1, 1 + d, *half) array: ``nodes[m]``
+        is the packed state at ``times[m]``."""
+        return _expand(self.grid, self.band)
+
+    @property
     def final(self) -> WaveState:
-        return WaveState.from_packed(self.grid, self.nodes[-1], self.times[-1])
+        return WaveState.from_packed(self.grid, _expand(self.grid, self.band[-1]), self.times[-1])
 
 
 def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float) -> PicardResult:
@@ -694,13 +787,14 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     stops when successive trajectories differ by less than picard_tol in the
     sup-in-time weighted pair norm.  Non-convergence within picard_max_iter
     reports the observed contraction ratio (the horizon is too large for the
-    data size)."""
+    data size).  The nodes are band arrays: u0 is projected onto the band,
+    and each defect is measured on the expanded difference."""
     if not params.mu > 0:
         raise ValueError("the Duhamel solver is defined for the regularized system (mu > 0)")
     n_steps, dt, _ = _horizon(T, cfg.dt)
     ops = _ops(u0.grid, params)
     grid = u0.grid
-    start = u0.packed()
+    start = _band(grid, u0.packed())
     u = _duhamel_integrals(ops, start, np.zeros((n_steps + 1,) + start.shape, start.dtype), dt)
 
     defects = []
@@ -709,7 +803,7 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
             forcing = ops.nonlinear(u)
             new_u = _duhamel_integrals(ops, start, forcing, dt)
             del forcing  # each stack is large: free it before the defect's temporaries
-            sq = _weighted_sq_coeffs(grid, new_u - u, params.s, params.kappa)
+            sq = _weighted_sq_coeffs(grid, _expand(grid, new_u - u), params.s, params.kappa)
             # np.max, unlike max, lets a NaN defect through to the check below.
             worst = float(np.max(np.sqrt(sq)))
         u = new_u
@@ -751,9 +845,16 @@ def energy_derivative_check(state: WaveState, params: Params, s=None) -> Derivat
         roundoff.
     (b) evolution: the same stencil applied to E along short reference-RK4
         integrations to +-h, +-2h.
+
+    Both are of the discrete system, whose state is the 2/3 band: ``state``
+    is projected onto the band first, so a state with content above the band
+    is checked as that projection.
     """
+    grid = state.grid
+    band = _band(grid, state.packed())
+    state = WaveState.from_packed(grid, _expand(grid, band), state.time)
     f = rhs(state, params)
-    ops = _ops(state.grid, params)
+    ops = _ops(grid, params)
     params = params if s is None else replace(params, s=float(s))
     norm_state = weighted_pair_norm(state, params.s, params.kappa)
     norm_rate = weighted_pair_norm(f, params.s, params.kappa)
@@ -768,13 +869,13 @@ def energy_derivative_check(state: WaveState, params: Params, s=None) -> Derivat
 
     def stencil(packed_at, h):
         em2, em1, ep1, ep2 = (
-            modified_energy(WaveState.from_packed(state.grid, packed_at(sig), state.time), params)
+            modified_energy(WaveState.from_packed(grid, packed_at(sig), state.time), params)
             for sig in (-2, -1, 1, 2)
         )
         return (em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * h)
 
     chain = stencil(lambda sig: u + sig * tau * f.packed(), tau)
-    evol = stencil(lambda sig: _reference_rk4_step(ops, u, sig * h), h)
+    evol = stencil(lambda sig: _expand(grid, _reference_rk4_step(ops, band, sig * h)), h)
 
     agree = abs(chain - evol) <= 1e-5 * max(abs(chain), abs(evol)) + 1e-10 * (
         1.0 + norm_state**2

@@ -1,5 +1,5 @@
 """The leading batch axis: the operators and both steppers act on a
-(..., 1 + d, *half) stack row by row, and one ``evolve`` call on several
+(..., 1 + d, *band) stack row by row, and one ``evolve`` call on several
 states, with one Params or one per member, gives each member its single run,
 bit for bit."""
 
@@ -25,7 +25,8 @@ def family(grid, count=3, amplitude=0.05):
 
 
 def stacked(states):
-    return np.stack([st.packed() for st in states])
+    """The band of the states' packed arrays, as the solver holds them."""
+    return dynamics._band(states[0].grid, np.stack([st.packed() for st in states]))
 
 
 def same_rows(f, u):
@@ -50,7 +51,7 @@ class TestRowByRow:
         assert same_rows(lambda x: dynamics._reference_rk4_step(ops, x, 0.01), u)
 
     def test_weighted_sum(self, grid, mu):
-        u = stacked(family(grid))
+        u = np.stack([st.packed() for st in family(grid)])
         sums = _weighted_sq_coeffs(grid, u, 1.0, 1.0)
         assert sums.shape == (len(u),)
         assert [float(x) for x in sums] == [_weighted_sq_coeffs(grid, row, 1.0, 1.0) for row in u]

@@ -27,7 +27,7 @@ from wbwaves.presets import (
     single_mode,
 )
 from wbwaves.spectral import Grid
-from wbwaves.state import Params, weighted_pair_norm
+from wbwaves.state import Params, WaveState, weighted_pair_norm
 
 
 def write_config(tmp_path, raw, name="run.json"):
@@ -570,6 +570,47 @@ class TestRunCommand:
         assert len(lines) == 2 + math.ceil(0.5 / 0.1) + 1
         summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
         assert summary["status"] == "ok"
+
+    @pytest.mark.parametrize("name, largest", [
+        ("gaussian_bump", None), ("reference_run", 1e-25), ("wb2d_run", 0.0),
+    ])
+    def test_summary_and_describe_give_the_share_above_the_band(
+            self, tmp_path, capsys, name, largest):
+        """The solver drops the initial data above the 2/3 band, and says how
+        much: ``run_summary.json``'s ``above_band_share`` and ``describe``
+        give that share of the initial weighted norm squared.  A narrow 2D
+        bump has real content there; the committed runs' data lie in the
+        band, up to roundoff in 1D (3.3e-29 for ``reference_run``) and
+        exactly in 2D."""
+        outdir = tmp_path / "out"
+        if name == "gaussian_bump":
+            raw = small_run(str(outdir), system="wb2d", grid={"n": 32},
+                            params={"kappa": 1.0, "s": 1.0},
+                            initial_data={"preset": "gaussian_bump", "amplitude": 0.01,
+                                          "width": 0.15},
+                            integrator={"dt": 0.01}, T=0.05, report_every=0.05)
+        else:
+            raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                              / f"{name}.json").read_text())
+            raw.update(output_dir=str(outdir), T=5 * raw["integrator"]["dt"])
+        cfgfile = write_config(tmp_path, raw)
+        assert main(["run", cfgfile]) == 0
+        summary = json.loads((outdir / "run_summary.json").read_text())
+        assert summary["status"] == "ok"
+        share = summary["above_band_share"]
+        if largest is None:
+            # One minus the share that the band's modes keep.
+            config = load_config(cfgfile)
+            u0, p = config.initial_state(), config.params
+            kept = WaveState.from_packed(u0.grid, np.where(u0.grid.dealias_mask, u0.packed(), 0), 0.0)
+            ratio = (weighted_pair_norm(kept, p.s, p.kappa) / weighted_pair_norm(u0, p.s, p.kappa))
+            assert share == pytest.approx(1 - ratio**2, rel=1e-12) and share > 0.3
+        else:
+            assert 0 <= share <= largest
+            assert (share == 0) == (largest == 0)
+        capsys.readouterr()
+        assert main(["describe", cfgfile]) == 0
+        assert f"dropping {share:.3g} of the initial weighted norm^2" in capsys.readouterr().out
 
     @pytest.mark.parametrize("system, grid", [("wb1d", {"n": 64}), ("wb2d", {"n": 16})])
     def test_energy_csv_columns_are_the_report_fields(self, tmp_path, system, grid):

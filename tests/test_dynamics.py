@@ -14,6 +14,8 @@ from wbwaves import dynamics
 from wbwaves.dynamics import (
     IntegratorConfig,
     PicardError,
+    _band,
+    _expand,
     _ops,
     _Propagator,
     _horizon,
@@ -36,14 +38,18 @@ def small_state(grid, seed=0, band=4, amplitude=0.05):
 
 
 def propagate(params, t, u):
-    """S(t)u by the solver's propagator, as the state at time u.time + t."""
+    """S(t)u by the solver's propagator on the band of u, as the state at
+    time u.time + t."""
     prop = _ops(u.grid, params).propagator(t)
-    return WaveState.from_packed(u.grid, prop.apply(u.packed()), u.time + t)
+    return WaveState.from_packed(u.grid, _expand(u.grid, prop.apply(_band(u.grid, u.packed()))),
+                                 u.time + t)
 
 
 def linear_part(u, params):
-    """The linear part of the right-hand side, as the solver evaluates it."""
-    return WaveState.from_packed(u.grid, _ops(u.grid, params).linear(u.packed()), u.time)
+    """The linear part of the right-hand side, as the solver evaluates it on
+    the band of u."""
+    lin = _ops(u.grid, params).linear(_band(u.grid, u.packed()))
+    return WaveState.from_packed(u.grid, _expand(u.grid, lin), u.time)
 
 
 class TestRhs:
@@ -216,6 +222,27 @@ class TestSemigroup:
         assert abs(got - want) < 1e-12
 
 
+CADENCE_CASES = list(itertools.product([0.1, 1.0, 3.7, 10.0], [1e-3, 7e-3, 0.03],
+                                       [1 - 1e-13, 1.0, 1.5, 7.3, 20.0, 1e6]))
+
+
+def nearest_multiple_rule(T, dt, report_every):
+    """The test ``_horizon`` gave before its reported steps became a walk:
+    ``reported(k)`` is true for the step nearest each multiple of
+    report_every before T and for the last step, in O(1) time and memory."""
+    n_steps = max(1, math.ceil(T / dt - 1e-9))
+    dt = T / n_steps
+    n_rep = max(1, math.ceil(T / report_every - 1e-9))
+
+    def reported(k):
+        # Only the multiples i within one of k * dt / report_every can land on k.
+        near = round(k * dt / report_every)
+        return k == n_steps or any(round(i * report_every / dt) == k
+                                   for i in range(max(near - 1, 0), min(near + 2, n_rep)))
+
+    return reported
+
+
 class TestEvolve:
     def test_zero_data_zero_trajectory(self):
         g = Grid(32)
@@ -301,27 +328,39 @@ class TestEvolve:
             _horizon(T, 0.01, report_every)
 
     def test_reported_steps_are_the_multiples_of_the_cadence(self):
-        """``reported`` picks the step nearest each multiple of report_every
-        before T, and the last step: report_every a hair below the step, a
-        cadence past T and cadences that do not divide T among them."""
-        for T, dt, cadence in itertools.product([0.1, 1.0, 3.7, 10.0], [1e-3, 7e-3, 0.03],
-                                                [1 - 1e-13, 1.0, 1.5, 7.3, 20.0, 1e6]):
+        """The walk gives, in increasing order, the step nearest each multiple
+        of report_every before T, and the last step: report_every a hair
+        below the step, a cadence past T and cadences that do not divide T
+        among them."""
+        for T, dt, cadence in CADENCE_CASES:
             report_every = cadence * T / math.ceil(T / dt - 1e-9)
-            n_steps, step, reported = _horizon(T, dt, report_every)
+            n_steps, step, reports = _horizon(T, dt, report_every)
             n_rep = max(1, math.ceil(T / report_every - 1e-9))
             listed = {round(i * report_every / step) for i in range(n_rep)} | {n_steps}
-            assert {k for k in range(n_steps + 1) if reported(k)} == listed, (T, dt, cadence)
+            assert list(reports) == sorted(listed), (T, dt, cadence)
+
+    @pytest.mark.parametrize("T, dt, cadence", CADENCE_CASES + [(200.0, 1e-3, 13.7),
+                                                                (50.0, 1e-3, 1 - 1e-13)])
+    def test_the_walk_reports_the_steps_the_rule_did(self, T, dt, cadence):
+        """On every step of each plan, the last two long ones of 200 000 and
+        50 000 steps, the walk reports the steps ``nearest_multiple_rule``
+        reported."""
+        report_every = cadence * T / math.ceil(T / dt - 1e-9)
+        n_steps, step, reports = _horizon(T, dt, report_every)
+        reported = nearest_multiple_rule(T, dt, report_every)
+        assert list(reports) == [k for k in range(n_steps + 1) if reported(k)]
 
     def test_a_dense_plan_costs_no_memory(self):
         """Two million report nodes are not listed: the plan is O(1)."""
         tracemalloc.start()
         try:
-            n_steps, _, reported = _horizon(200.0, 1e-4, 1e-4)
+            n_steps, _, reports = _horizon(200.0, 1e-4, 1e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert n_steps == 2_000_000 and reported(0) and reported(1_234_567)
+        assert n_steps == 2_000_000 and next(reports) == 0
+        assert sum(1 for _ in reports) == 2_000_000
 
     def test_realness_along_trajectory(self):
         # from_coeffs enforces the 1e-12 residue bound at every report time
@@ -457,11 +496,13 @@ def weighted_norm(grid, params, u):
 
 
 def quadratic_picard(u0, params, cfg, T):
-    """Node coefficient arrays and per-sweep defects of the O(N^2) iteration."""
+    """Node coefficient arrays (expanded from the band) and per-sweep defects
+    of the O(N^2) iteration."""
     n_steps, dt, _ = _horizon(T, cfg.dt)
-    ops = _ops(u0.grid, params)
+    grid = u0.grid
+    ops = _ops(grid, params)
     props = {k: _Propagator(ops, k * dt) for k in range(-2, n_steps + 1)}
-    free = [props[m].apply(u0.packed()) for m in range(n_steps + 1)]
+    free = [props[m].apply(_band(grid, u0.packed())) for m in range(n_steps + 1)]
     u, defects = free, []
     for _ in range(cfg.picard_max_iter):
         forcing = [ops.nonlinear(um) for um in u]
@@ -472,10 +513,11 @@ def quadratic_picard(u0, params, cfg, T):
             for j, wj in zip(nodes, w):
                 acc = acc + wj * props[m - int(j)].apply(forcing[int(j)])
             new_u.append(acc)
-        defects.append(max(weighted_norm(u0.grid, params, a - b) for a, b in zip(new_u, u)))
+        defects.append(max(weighted_norm(grid, params, _expand(grid, a - b))
+                           for a, b in zip(new_u, u)))
         u = new_u
         if defects[-1] < cfg.picard_tol:
-            return u, defects
+            return [_expand(grid, um) for um in u], defects
     raise AssertionError("reference iteration did not converge")
 
 
@@ -552,32 +594,36 @@ def per_node_sweep(ops, start, forcing, dt):
 
 
 def per_node_picard(u0, params, cfg, T):
-    """``picard_solve``'s iteration on the per-node sweep: nodes, defects."""
+    """``picard_solve``'s iteration on the per-node sweep, on the band:
+    nodes (expanded), defects."""
     n_steps, dt, _ = _horizon(T, cfg.dt)
-    ops = _ops(u0.grid, params)
-    start = u0.packed()
+    grid = u0.grid
+    ops = _ops(grid, params)
+    start = _band(grid, u0.packed())
     zero = np.zeros((n_steps + 1,) + start.shape, start.dtype)
     u = np.stack(list(per_node_sweep(ops, start, zero, dt)))
     defects = []
     for _ in range(cfg.picard_max_iter):
         forcing = ops.nonlinear(u)
         new_u = np.stack(list(per_node_sweep(ops, start, forcing, dt)))
-        sq = _weighted_sq_coeffs(u0.grid, new_u - u, params.s, params.kappa)
+        sq = _weighted_sq_coeffs(grid, _expand(grid, new_u - u), params.s, params.kappa)
         defects.append(float(np.max(np.sqrt(sq))))
         u = new_u
         if defects[-1] < cfg.picard_tol:
-            return u, defects
+            return _expand(grid, u), defects
     raise AssertionError("reference iteration did not converge")
 
 
 def free_plus_integrals_picard(u0, params, cfg, T):
     """The iteration ``picard_solve`` once ran, on the per-node sweep: the free
     trajectory stepped node to node by S(dt), and each iterate that
-    trajectory plus the Duhamel integrals.  Nodes, defects."""
+    trajectory plus the Duhamel integrals, on the band.  Nodes (expanded),
+    defects."""
     n_steps, dt, _ = _horizon(T, cfg.dt)
-    ops = _ops(u0.grid, params)
+    grid = u0.grid
+    ops = _ops(grid, params)
     s_dt = ops.propagator(dt)
-    free = [u0.packed()]
+    free = [_band(grid, u0.packed())]
     for _ in range(n_steps):
         free.append(s_dt.apply(free[-1]))
     free = u = np.stack(free)
@@ -587,11 +633,11 @@ def free_plus_integrals_picard(u0, params, cfg, T):
         new_u = free.copy()
         for m, im in enumerate(per_node_duhamel_integrals(ops, forcing, dt)):
             new_u[m] += im
-        sq = _weighted_sq_coeffs(u0.grid, new_u - u, params.s, params.kappa)
+        sq = _weighted_sq_coeffs(grid, _expand(grid, new_u - u), params.s, params.kappa)
         defects.append(float(np.max(np.sqrt(sq))))
         u = new_u
         if defects[-1] < cfg.picard_tol:
-            return u, defects
+            return _expand(grid, u), defects
     raise AssertionError("reference iteration did not converge")
 
 
@@ -613,7 +659,7 @@ class TestBlockedSweep:
         ops = _ops(g, Params(kappa=0.7, mu=0.2, p=0.75, s=1.0))
         dt = 0.2 / steps
         s_dt = ops.propagator(dt)
-        free = [small_state(g, seed=steps, amplitude=0.3).packed()]
+        free = [_band(g, small_state(g, seed=steps, amplitude=0.3).packed())]
         for _ in range(steps):
             free.append(s_dt.apply(free[-1]))
         free = np.stack(free)
@@ -664,10 +710,11 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("n", PICARD_GRIDS)
     @pytest.mark.parametrize("steps", [40, 100, 400])
     def test_peak_memory_within_five_node_stacks(self, n, steps):
-        """A sweep's forcing evaluation holds the peak, or in 2D at 400
-        steps the defect: 3.9 to 4.7 node stacks.  A free-flow stack kept
-        beside the iterates reads 4.9 to 5.7, and the same sweep in one block
-        of every node 5.3 to 6.0."""
+        """A solve holds band nodes, and its forcing evaluation pads them to
+        the half lattice: 2.8 to 4.3 stacks of packed nodes.  When the nodes
+        were the half lattice a solve read 3.9 to 4.7, a free-flow stack kept
+        beside the iterates 4.9 to 5.7, and the same sweep in one block of
+        every node 5.3 to 6.0."""
         g = Grid(n)
         params = Params(kappa=1.0, mu=0.1, s=1.0)
         u0 = small_state(g, amplitude=0.04)
@@ -684,8 +731,9 @@ class TestBlockedSweep:
 
     def test_batched_evolve_peak_memory(self):
         """Four members solve one by one and the sampling loop stacks one
-        node of each at a time: 7.2 one-member node stacks.  A copy of all
-        four converged stacks into one array reads 8.3."""
+        node of each at a time: 5.5 one-member stacks of packed nodes, the
+        solves holding band nodes (7.2 when they held packed ones).  A copy
+        of all four converged stacks into one array read 8.3."""
         g = Grid(64)
         params = Params(kappa=1.0, mu=0.1, s=1.0)
         members = [small_state(g, seed=k, amplitude=0.04) for k in range(4)]
@@ -810,7 +858,7 @@ class TestPackedTrajectory:
 
 
 def parent_blowup_nodes(grid, params, nodes, ceiling, reported):
-    """The node at which each row of a stack stops, by the rule evolve's
+    """The node at which each row of a band stack stops, by the rule evolve's
     sampling loop used before its one comparison: from node 1 on, a sup that
     is not finite or passes 1e3 * ceiling, and at a reported node a weighted
     norm past the ceiling.  Each row that stops maps to its node and whether
@@ -824,7 +872,7 @@ def parent_blowup_nodes(grid, params, nodes, ceiling, reported):
             if k and (~np.isfinite(sup) | (sup > 1e3 * ceiling)):
                 stopped[b] = k, False
             elif reported(k):
-                state = WaveState.from_packed(grid, u[b], 0.0)
+                state = WaveState.from_packed(grid, _expand(grid, u[b]), 0.0)
                 if EnergyReport.measure(state, params).weighted_norm > ceiling:
                     stopped[b] = k, True
     return stopped
@@ -858,10 +906,11 @@ class TestSamplingLoop:
         params = Params(kappa=1.0)
         members = [small_state(g, seed=seed) for seed in (1, 2, 3)]
         cfg = IntegratorConfig(dt=0.01, blowup_ceiling=ceiling)
-        n_steps, dt, reported = _horizon(0.1, cfg.dt, 0.05)
+        n_steps, dt, reports = _horizon(0.1, cfg.dt, 0.05)
+        reported = set(reports).__contains__
         clean = evolve(members, params, cfg, T=0.1, report_every=0.05)
         ops = _ops(g, params)
-        u = np.stack([m.packed() for m in members])
+        u = _band(g, np.stack([m.packed() for m in members]))
         step = poisoned(dynamics._lawson_rk4_step, 1, at, value)
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = [n.copy() for n in dynamics._stepped(step, ops, u, dt, n_steps)]
@@ -890,11 +939,12 @@ class TestSamplingLoop:
         g = Grid(32)
         params = Params(kappa=1.0)
         members = [small_state(g, seed=seed) for seed in (1, 2, 3)]
-        u = np.stack([m.packed() for m in members])
+        u = _band(g, np.stack([m.packed() for m in members]))
         ops = _ops(g, params)
 
         def verdict(value, ceiling, at):
-            n_steps, dt, reported = _horizon(0.1, 0.01, 0.05)
+            n_steps, dt, reports = _horizon(0.1, 0.01, 0.05)
+            reported = set(reports).__contains__
             step = poisoned(dynamics._lawson_rk4_step, 1, at, value)
             with np.errstate(over="ignore", invalid="ignore"):
                 nodes = [n.copy() for n in dynamics._stepped(step, ops, u, dt, n_steps)]
@@ -1059,18 +1109,20 @@ class TestDimensionGenericOperators:
             else:
                 st = random_bandlimited(g, seed=seed, band=min(n) // 3, amplitude=0.3)
                 u = tuple(transform(g, c) for c in st.samples)
-            uh = _half(g, u)
-            assert _max_rel(ops.nonlinear(uh), _half(g, ref.nonlinear(u))) <= OPERATOR_RTOL
-            assert _max_rel(ops.linear(uh), _half(g, ref.linear(u))) <= OPERATOR_RTOL
+            uh = _band(g, _half(g, u))
+            assert _max_rel(ops.nonlinear(uh), _band(g, _half(g, ref.nonlinear(u)))) <= OPERATOR_RTOL
+            assert _max_rel(ops.linear(uh), _band(g, _half(g, ref.linear(u)))) <= OPERATOR_RTOL
             for t in (1e-3, -0.02, 0.37):
                 got = ops.propagator(t).apply(uh)
-                assert _max_rel(got, _half(g, ref.propagate(u, t))) <= OPERATOR_RTOL
+                assert _max_rel(got, _band(g, _half(g, ref.propagate(u, t)))) <= OPERATOR_RTOL
 
     @pytest.mark.parametrize("n", [(16,), (16, 16)])
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_velocity_mean_and_nyquist_pass_with_heat_factor(self, n, mu):
         """Velocity content where the unit wave vector vanishes (the mean and
-        the Nyquist modes) is multiplied by the heat factor and nothing else."""
+        the Nyquist modes) is multiplied by the heat factor and nothing else.
+        The band holds no Nyquist mode, so the propagator runs here on the
+        tables of the whole half lattice (``HalfOps``)."""
         g = Grid(n)
         params = Params(kappa=1.0, mu=mu, p=1.0)
         t = 0.4
@@ -1081,7 +1133,7 @@ class TestDimensionGenericOperators:
             for k in modes:
                 c[index(g, k)] = rng.standard_normal()
         uh = _half(g, u)
-        out = _ops(g, params).propagator(t).apply(uh)
+        out = HalfOps(g, params).propagator(t).apply(uh)
         heat = np.exp(-t * (params.kappa * params.mu * full(g).xi_norm)) if mu else np.ones(g.shape)
         for got, c in zip(out[1:], uh[1:]):
             assert np.array_equal(got, cut(g, heat) * c)
@@ -1121,7 +1173,7 @@ def test_forcing_is_the_exact_forcing_of_the_kept_band(n):
     u = grid.forward_half(rng.standard_normal((2, 1 + grid.dim) + grid.shape))
     u_fine = np.zeros(u.shape[: -grid.dim] + fine.half_shape, complex)
     u_fine[(Ellipsis, *fine_k)] = u[(Ellipsis, *coarse_k)]
-    got = _ops(grid, params).nonlinear(u)
+    got = _expand(grid, _ops(grid, params).nonlinear(_band(grid, u)))
     exact = full_width_nonlinear(fine, False, u_fine)
     want = np.zeros_like(got)
     want[(Ellipsis, *coarse_k)] = exact[(Ellipsis, *fine_k)]
@@ -1180,44 +1232,50 @@ def rel_err(got, want):
 
 
 def step_case(n, mu, rows):
-    """The operators of one grid and parameter set, and one state or a
-    stack of three."""
+    """The operators of one grid and parameter set, on the band and on the
+    half lattice (``HalfOps``), and the band of one state or of a stack of
+    three."""
     grid = Grid(n)
     params = Params(kappa=0.7, mu=mu, p=0.75 if mu else 1.0)
     states = [random_bandlimited(grid, seed=s, band=min(n) // 3, amplitude=0.3) for s in range(3)]
     u = states[0].packed() if rows == 1 else np.stack([st.packed() for st in states])
-    return _ops(grid, params), u
+    return _ops(grid, params), _band(grid, u), HalfOps(grid, params)
 
 
 @pytest.mark.parametrize("n", [(64,), (256,), (32, 32), (16, 24)])
 @pytest.mark.parametrize("mu", [0.0, 0.2])
 class TestAgainstTwoPropagatorStep:
+    """The old step runs on the whole half lattice (``HalfOps``); the new
+    one's band is compared with the band of its result."""
+
     def _setup(self, n, mu, rows):
-        ops, u = step_case(n, mu, rows)
-        return ops.grid, ops, u
+        ops, u, half = step_case(n, mu, rows)
+        return ops.grid, ops, u, half
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_forcing_and_step(self, n, mu, rows):
-        grid, ops, u = self._setup(n, mu, rows)
+        grid, ops, u, half = self._setup(n, mu, rows)
         old = partial(full_width_nonlinear, grid, True)
-        assert rel_err(ops.nonlinear(u), old(u)) <= ROUNDOFF_RTOL
+        assert rel_err(ops.nonlinear(u), _band(grid, old(_expand(grid, u)))) <= ROUNDOFF_RTOL
         for dt in (1e-2, 0.1):
             got = dynamics._lawson_rk4_step(ops, u, dt)
-            assert rel_err(got, two_propagator_lawson_step(ops, old, u, dt)) <= ROUNDOFF_RTOL
+            want = two_propagator_lawson_step(half, old, _expand(grid, u), dt)
+            assert rel_err(got, _band(grid, want)) <= ROUNDOFF_RTOL
 
     def test_trajectory(self, n, mu):
-        grid, ops, u = self._setup(n, mu, 1)
+        grid, ops, u, half = self._setup(n, mu, 1)
         old = partial(full_width_nonlinear, grid, True)
-        new, ref = u, u
+        new, ref = u, _expand(grid, u)
         for _ in range(TRAJECTORY_STEPS):
             new = dynamics._lawson_rk4_step(ops, new, 1e-2)
-            ref = two_propagator_lawson_step(ops, old, ref, 1e-2)
-        assert rel_err(new, ref) <= TRAJECTORY_RTOL
+            ref = two_propagator_lawson_step(half, old, ref, 1e-2)
+        assert rel_err(new, _band(grid, ref)) <= TRAJECTORY_RTOL
 
 
 # A Picard sweep evaluates the forcing of all its nodes on one stack, so the
-# forcing's temporaries are as large as the stack: its peak traced memory,
-# output included, stays within these multiples of the stack's size.
+# forcing's temporaries are as large as the stack of its packed states (the
+# half lattice its transforms pad the band to): its peak traced memory,
+# output included, stays within these multiples of that stack's size.
 @pytest.mark.parametrize(
     "n, shape, bound",
     [((128,), (401, 2, 65), 2.5), ((32, 32), (50, 3, 32, 17), 3.0)],
@@ -1226,7 +1284,8 @@ class TestAgainstTwoPropagatorStep:
 def test_forcing_peak_memory_on_a_stack(n, shape, bound):
     ops = _ops(Grid(n), Params(kappa=1.0, mu=0.1, s=1.0))
     rng = np.random.default_rng(0)
-    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    packed = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u = _band(ops.grid, packed)
     ops.nonlinear(u)  # warm the FFT plans
     tracemalloc.start()
     try:
@@ -1235,14 +1294,15 @@ def test_forcing_peak_memory_on_a_stack(n, shape, bound):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert out.shape == shape
-    assert peak <= bound * u.nbytes, peak / u.nbytes
+    assert out.shape == u.shape
+    assert peak <= bound * packed.nbytes, peak / packed.nbytes
 
 
 # ---------------------------------------------------------------------------
 # Reference: the Lawson step as it was written before it ran in a workspace,
 # every stage a new array.  The workspace step does the same arithmetic in the
-# same order, so the two are bitwise equal.
+# same order, so the two are bitwise equal.  Both references run on the whole
+# half lattice (``HalfOps``), and the band step is bitwise equal to their band.
 
 
 def allocating_lawson_step(ops, u, dt):
@@ -1282,6 +1342,44 @@ def allocating_nonlinear(ops, u):
     return out
 
 
+class HalfOps:
+    """The operators on the whole half lattice, as they were before the state
+    held only the 2/3 band: every table from the catalog on the half
+    lattice, the forcing's weights cut to the columns its transforms saw
+    (those the 2/3 mask keeps in 2D, all of them in 1D) and masked.  Its
+    propagator is the package's ``_Propagator``, whose arithmetic is
+    elementwise, on these tables, and its forcing ``allocating_nonlinear``."""
+
+    def __init__(self, grid, params):
+        cat = SymbolCatalog
+        batched = isinstance(params, tuple)
+
+        def table(f):
+            return np.stack([f(p) for p in params]) if batched else f(params)
+
+        rate = table(lambda p: p.kappa * p.mu * cat.riesz(grid, p.p))
+        self.heat_rate = (rate[:, None] if batched else rate) if rate.any() else None
+        self.Kk = table(lambda p: cat.K_kappa(grid, p.kappa))
+        self.Kk_inv = table(lambda p: cat.K_kappa_inv(grid, p.kappa))
+        self.phase = table(lambda p: cat.frequency(grid, p.kappa))
+        self.unit = np.stack(cat.unit_vectors(grid))
+        d = grid.dim
+        self.grid, self.axes, self.comp = grid, tuple(range(-d, 0)), -d - 1
+        self.parts = [_part(d, k) for k in range(1 + d)]
+        self.eta, self.vel = _part(d, slice(0, 1)), _part(d, slice(1, None))
+        self.width = grid.dealias_band(-1) + 1 if d > 1 else grid.n[-1] // 2 + 1
+        keep = grid.dealias_mask[..., : self.width]
+        self.inv_weight = keep / math.sqrt(math.prod(grid.length))
+        forcing = np.stack(cat.forcing(grid))
+        self.fwd_weight = forcing[..., : self.width] * (keep * grid._norm_factor)
+
+    def propagator(self, t):
+        return _Propagator(self, t)
+
+    def nonlinear(self, u):
+        return allocating_nonlinear(self, u)
+
+
 def garbage(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -1300,13 +1398,13 @@ class TestWorkspaceStep:
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_matches_allocating_step(self, n, mu, rows):
-        ops, u = step_case(n, mu, rows)
+        ops, u, half = step_case(n, mu, rows)
         work, block = garbage_workspace(ops, u)
-        new, ref = u, u
+        new, ref = u, _expand(ops.grid, u)
         for _ in range(20):
             new = dynamics._lawson_rk4_step(ops, new, 1e-2, work)
-            ref = allocating_lawson_step(ops, ref, 1e-2)
-            assert np.array_equal(new, ref)
+            ref = allocating_lawson_step(half, ref, 1e-2)
+            assert np.array_equal(new, _band(ops.grid, ref))
             # evolve's states keep views of the returned array
             assert not np.shares_memory(new, block)
 
@@ -1320,13 +1418,14 @@ class TestWorkspaceStep:
         band = min(n) // 3
         u = np.stack([random_bandlimited(grid, seed=s, band=band, amplitude=0.3).packed()
                       for s in range(len(params))])
-        ops = _ops(grid, params)
+        ops, half = _ops(grid, params), HalfOps(grid, params)
+        u, ref = _band(grid, u), u
         work, block = garbage_workspace(ops, u)
-        new, ref = u, u
+        new = u
         for _ in range(20):
             new = dynamics._lawson_rk4_step(ops, new, 1e-2, work)
-            ref = allocating_lawson_step(ops, ref, 1e-2)
-            assert np.array_equal(new, ref)
+            ref = allocating_lawson_step(half, ref, 1e-2)
+            assert np.array_equal(new, _band(grid, ref))
             assert not np.shares_memory(new, block)
 
     @pytest.mark.parametrize("n", [(256,), (32, 32), (16, 24)])
@@ -1337,8 +1436,8 @@ class TestWorkspaceStep:
         garbage, then the last call's numbers), written over its input and
         as it was written before agree bit for bit, and so do both forms of
         an apply."""
-        ops, u = step_case(n, mu, rows)
-        ref = allocating_nonlinear(ops, u)
+        ops, u, half = step_case(n, mu, rows)
+        ref = _band(ops.grid, allocating_nonlinear(half, _expand(ops.grid, u)))
         assert np.array_equal(ops.nonlinear(u), ref)
         (_, buffers), _ = garbage_workspace(ops, u, seed=3)
         for seed, work in ((1, None), (4, buffers), (5, buffers)):
@@ -1355,11 +1454,46 @@ class TestWorkspaceStep:
         assert np.array_equal(out, prop.apply(u))
 
 
+class TestBandLayout:
+    @pytest.mark.parametrize("n, shape", [((256,), (86,)), ((128, 128), (85, 43)),
+                                          ((16, 24), (11, 8)), ((4,), (2,))])
+    def test_band_is_the_modes_the_mask_keeps(self, n, shape):
+        """The band of a half-lattice stack is its modes that the 2/3 mask
+        keeps, in their order, and expanding it puts them back with zeros
+        above the band."""
+        grid = Grid(n)
+        a = garbage((3, 1 + grid.dim) + grid.half_shape)
+        b = _band(grid, a)
+        assert b.shape == (3, 1 + grid.dim) + shape and b.flags.c_contiguous
+        assert np.array_equal(b.reshape(3, 1 + grid.dim, -1), a[..., grid.dealias_mask])
+        back = _expand(grid, b)
+        assert np.array_equal(back, np.where(grid.dealias_mask, a, 0))
+        assert np.array_equal(_band(grid, back), b)
+
+    @pytest.mark.parametrize("n", PICARD_GRIDS)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 16, 17, 40])
+    def test_duhamel_sweep_on_the_band(self, n, steps):
+        """The blocked sweep on the band is bitwise the band of the per-node
+        sweep on the whole half lattice (``HalfOps``), its forcing
+        ``allocating_nonlinear`` on the half-lattice nodes."""
+        g = Grid(n)
+        params = Params(kappa=0.7, mu=0.2, p=0.75, s=1.0)
+        ops, half = _ops(g, params), HalfOps(g, params)
+        dt = 0.2 / steps
+        start = small_state(g, seed=steps, amplitude=0.3).packed()
+        zero = np.zeros((steps + 1,) + start.shape, complex)
+        free = np.stack(list(per_node_sweep(half, start, zero, dt)))
+        forcing = half.nonlinear(free)
+        want = np.stack(list(per_node_sweep(half, start, forcing, dt)))
+        got = dynamics._duhamel_integrals(ops, _band(g, start), _band(g, forcing), dt)
+        assert np.array_equal(got, _band(g, want))
+
+
 @pytest.mark.parametrize("n, rows", [((64,), 1), ((16, 24), 3)])
 def test_a_step_makes_two_applies_and_four_forcing_calls(monkeypatch, n, rows):
     """The step applies S(dt/2) twice, each time to a pair of states, and
     evaluates the forcing four times."""
-    ops, u = step_case(n, 0.2, rows)
+    ops, u, _ = step_case(n, 0.2, rows)
     work = dynamics._workspace(ops, u)
     applied, forced = [], []
     apply, nonlinear = dynamics._Propagator.apply, dynamics._Ops.nonlinear
@@ -1380,13 +1514,14 @@ def test_a_step_makes_two_applies_and_four_forcing_calls(monkeypatch, n, rows):
 
 
 def test_step_allocation_with_a_workspace():
-    """After warm-up, a 2D 32^2 step given a workspace peaks at 2.07 state
-    sizes, with its applies paired as with four single ones: the new state,
-    a product temporary inside an apply and numpy's iteration buffers, the
-    forcing's temporaries being in the workspace.  The step that made every
-    stage a new array peaked at 9.1."""
+    """After warm-up, a 2D 32^2 step given a workspace peaks at 2.17 (band)
+    state sizes, with its applies paired as with four single ones: the new
+    state, a product temporary inside an apply and numpy's iteration
+    buffers, the forcing's temporaries being in the workspace.  On the whole
+    half lattice it peaked at 2.07 of its larger states, and the step that
+    made every stage a new array at 9.1."""
     ops = _ops(Grid((32, 32)), Params(kappa=0.7, mu=0.2, p=0.75))
-    u = random_bandlimited(ops.grid, seed=0, band=10, amplitude=0.3).packed()
+    u = _band(ops.grid, random_bandlimited(ops.grid, seed=0, band=10, amplitude=0.3).packed())
     work = dynamics._workspace(ops, u)
     dynamics._lawson_rk4_step(ops, u, 1e-2, work)  # warm the FFT plans
     tracemalloc.start()

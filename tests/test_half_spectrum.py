@@ -1,12 +1,13 @@
 """The half-spectrum layout against the full-spectrum one it replaced.
 
 ``WaveState.packed`` is a state as one (1 + d, *half) array of rfftn
-coefficients; the solver integrates it and every state functional reads it,
-while ``full_spectrum.coeffs`` gives a field's full fftn spectrum.
-``FullSpectrumOps`` below is the former layout of the operators: a tuple of
-full spectra, every multiplier on the full lattice, the same arithmetic.
-Only the transforms differ (rfft against fft roundoff), so every operator, one ERK4 step and
-one Duhamel sweep agree to OPERATOR_RTOL on the half slice.  The ``full_*``
+coefficients; the solver integrates its 2/3 band (``dynamics._band``) and
+every state functional reads it, while ``full_spectrum.coeffs`` gives a
+field's full fftn spectrum.  ``FullSpectrumOps`` below is the former layout
+of the operators: a tuple of full spectra, every multiplier on the full
+lattice, the same arithmetic.  Only the transforms differ (rfft against fft
+roundoff), so every operator, one ERK4 step and one Duhamel sweep agree to
+OPERATOR_RTOL on the band of the half slice.  The ``full_*``
 functions are the former functionals on those full spectra, and
 ``full_spectrum_state`` (a Hermitian mirror, then ``Field.from_coeffs``)
 the former way back from a packed array; the energy report agrees with
@@ -23,7 +24,9 @@ import pytest
 from wbwaves.dynamics import (
     _FIRST_PANEL,
     IntegratorConfig,
+    _band,
     _duhamel_integrals,
+    _expand,
     _lawson_rk4_step,
     _ops,
 )
@@ -184,6 +187,11 @@ def half(grid, u):
     return np.stack([cut(grid, c) for c in u])
 
 
+def band(grid, u):
+    """The solver's band of a tuple of full spectra."""
+    return _band(grid, half(grid, u))
+
+
 def max_rel(got, want):
     scale = float(np.max(np.abs(want)))
     return float(np.max(np.abs(got - want))) / scale
@@ -209,30 +217,30 @@ class TestAgainstFullSpectrum:
         grid, ops, ref = self._pair(n, mu)
         for seed in range(2):
             _, u = full_state(grid, seed)
-            uh = half(grid, u)
-            assert max_rel(ops.nonlinear(uh), half(grid, ref.nonlinear(u))) <= OPERATOR_RTOL
-            assert max_rel(ops.linear(uh), half(grid, ref.linear(u))) <= OPERATOR_RTOL
+            uh = band(grid, u)
+            assert max_rel(ops.nonlinear(uh), band(grid, ref.nonlinear(u))) <= OPERATOR_RTOL
+            assert max_rel(ops.linear(uh), band(grid, ref.linear(u))) <= OPERATOR_RTOL
             for t in (DT, -0.37):
                 got = ops.propagator(t).apply(uh)
-                assert max_rel(got, half(grid, ref.propagator(t)(u))) <= OPERATOR_RTOL
+                assert max_rel(got, band(grid, ref.propagator(t)(u))) <= OPERATOR_RTOL
 
     def test_erk4_step(self, n, mu):
         grid, ops, ref = self._pair(n, mu)
         _, u = full_state(grid, 3)
-        got = _lawson_rk4_step(ops, half(grid, u), DT)
-        assert max_rel(got, half(grid, ref.lawson_rk4_step(u, DT))) <= OPERATOR_RTOL
+        got = _lawson_rk4_step(ops, band(grid, u), DT)
+        assert max_rel(got, band(grid, ref.lawson_rk4_step(u, DT))) <= OPERATOR_RTOL
 
     def test_duhamel_sweep(self, n, mu):
         """Seven nodes reach the first panel, Simpson and 3/8 panels."""
         grid, ops, ref = self._pair(n, mu)
         _, u = full_state(grid, 4)
         nodes = [ref.propagator(m * DT)(u) for m in range(8)]
-        forcing = ops.nonlinear(np.stack([half(grid, um) for um in nodes]))
+        forcing = ops.nonlinear(np.stack([band(grid, um) for um in nodes]))
         got = _duhamel_integrals(ops, np.zeros_like(forcing[0]), forcing, DT)
         want = ref.duhamel_integrals([ref.nonlinear(um) for um in nodes], DT)
         assert len(got) == len(want) == 8
         for g, w in zip(got[1:], want[1:]):
-            assert max_rel(g, half(grid, w)) <= OPERATOR_RTOL
+            assert max_rel(g, band(grid, w)) <= OPERATOR_RTOL
 
 
 def full_weighted_sq(grid, coeffs, s, kappa):
@@ -339,8 +347,9 @@ def rough_state(grid, seed, amplitude=0.3):
 
 
 def evolved_packed(grid, start, params):
-    """One ERK4 step of ``start``: coefficients as evolve holds them."""
-    return _lawson_rk4_step(_ops(grid, params), start.packed(), DT)
+    """One ERK4 step of ``start``: coefficients as evolve reports them, its
+    band stepped and expanded."""
+    return _expand(grid, _lawson_rk4_step(_ops(grid, params), _band(grid, start.packed()), DT))
 
 
 @pytest.mark.parametrize("n", GRIDS)
@@ -536,19 +545,26 @@ class TestHalfSpectrumConvention:
     @pytest.mark.parametrize("n", [(16,), (64,), (16, 16), (16, 24)])
     @pytest.mark.parametrize("mu", [0.0, 0.2])
     def test_odd_arrays_vanish_on_last_column_and_zero_mode(self, n, mu):
-        """The last half-spectrum column is the Nyquist column: the restoring
-        forcing, the unit wave vector and the phase vanish there and on the
-        zero mode.  The masked forcing's weight is cut to the kept columns
-        and vanishes on the zero mode."""
+        """The last half-spectrum column is the Nyquist column: the catalog's
+        restoring forcing, unit wave vector and phase vanish there and on the
+        zero mode.  The solver's tables, the forcing's weight among them, are
+        cut to the band, which holds no Nyquist mode, and vanish on the zero
+        mode."""
         grid = Grid(n)
-        ops = _ops(grid, Params(kappa=1.0, mu=mu))
+        params = Params(kappa=1.0, mu=mu)
+        ops = _ops(grid, params)
         zero = (0,) * grid.dim
-        for arr in (*ops.restoring, *ops.unit, ops.phase):
+        cat = SymbolCatalog
+        capillary = cat.capillary(grid, params.kappa)
+        for arr in (*(g * capillary for g in cat.forcing(grid)), *cat.unit_vectors(grid),
+                    cat.frequency(grid, params.kappa)):
             assert arr.shape[-1] == n[-1] // 2 + 1
             assert not np.any(arr[..., -1])
             assert arr[zero] == 0.0
-        for arr in ops.fwd_weight:
-            assert arr.shape[-1] == ops.width <= n[-1] // 2 + 1
+        band_shape = tuple(2 * grid.dealias_band(j) + 1 for j in range(grid.dim - 1))
+        band_shape += (grid.dealias_band(-1) + 1,)
+        for arr in (*ops.restoring, *ops.unit, ops.phase, *ops.fwd_weight):
+            assert arr.shape == band_shape
             assert arr[zero] == 0.0
 
     @pytest.mark.parametrize("n", [(16,), (256,), (32, 32), (16, 24), (128, 128)])

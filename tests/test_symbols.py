@@ -138,19 +138,26 @@ class TestOpsArrays:
         ops = _ops(grid, p)
         lattice = full(grid)
         want = inline_ops_arrays(lattice, p, regularized)
-        # The weights are cut to the last-axis columns the forcing's
-        # transforms see: those the 2/3 mask keeps in 2D, all of them in 1D.
-        m = grid.n[-1]
-        width = m // 2 + 1 if grid.dim == 1 else (m - 1) // 3 + 1
+        # The state, and every _Ops array, holds the 2/3 band: the half
+        # spectrum's modes that the mask keeps, in their order.
+        keep = half(grid, lattice.dealias_mask)
+        shape = (2 * grid.dealias_band(0) + 1,) * (grid.dim - 1) + (grid.dealias_band(-1) + 1,)
+
+        def band(a):
+            return a[..., keep].reshape(a.shape[: a.ndim - grid.dim] + shape)
+
         for name, ref in want.items():
             got = getattr(ops, name)
             if ref is None:
                 assert got is None, name
                 continue
-            # Each _Ops array is the half-spectrum slice, stacked over the axes.
+            if name == "inv_weight":
+                # On the band the mask is all true: the weight is one number.
+                assert np.ndim(got) == 0 and got == ref[lattice.dealias_mask][0], name
+                continue
+            # Each _Ops array is the band of the half-spectrum slice, stacked over the axes.
             ref = np.stack([half(grid, r) for r in ref]) if isinstance(ref, tuple) else half(grid, ref)
-            if name.endswith("_weight"):
-                ref = ref[..., :width]
+            ref = band(ref)
             assert got.shape == ref.shape and got.dtype == ref.dtype, name
             assert np.array_equal(got, ref), name
         # The restoring multiplier G_j (1 + kappa|xi|^2) with G_j = -K^2 d_j is
@@ -161,11 +168,11 @@ class TestOpsArrays:
         for j, got in enumerate(ops.restoring):
             if grid.dim == 1:
                 t = np.where(lattice.axis_nyquist(0), 0.0, np.tanh(lattice.xi[0]))
-                assert np.array_equal(got, half(grid, -1j * t * cap))
+                assert np.array_equal(got, band(half(grid, -1j * t * cap)))
             else:
-                nyq = half(grid, lattice.nyquist_mask)
-                ref = half(grid, np.where(lattice.nyquist_mask, 0.0,
-                                          -_tanh_over_x(lattice.xi_norm) * want["dx"][j] * cap))
+                nyq = band(half(grid, lattice.nyquist_mask))
+                ref = band(half(grid, np.where(lattice.nyquist_mask, 0.0,
+                                               -_tanh_over_x(lattice.xi_norm) * want["dx"][j] * cap)))
                 assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
                 assert not np.any(got[nyq])
 
