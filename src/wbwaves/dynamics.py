@@ -67,8 +67,9 @@ and freezes a blown member at its own time; Duhamel members solve one by
 one and the loop stacks one node of each at a time.  A Picard sweep
 evaluates the forcing of all its nodes, a (N + 1, 1 + d, *band) stack, in
 one call, and builds the new trajectory, free flow included, by one panel
-recurrence seeded with the initial state.  It applies its propagators to
-blocks of nodes; only the even nodes' S(2dt) applies run node by node.
+recurrence seeded with the initial state, in one pass: only the even
+nodes' S(2dt) applies run node by node, the others each on a strided stack
+of nodes.
 
 Lattice conventions: e and the phase vanish on the zero mode and the
 Nyquist modes/planes, matching the odd-symbol convention of the spatial
@@ -705,41 +706,36 @@ def _duhamel_integrals(ops: _Ops, start, forcing, dt):
         u_m = S(3dt)(u_{m-3} + 3dt/8 N_{m-3})
               + 9dt/8 (S(2dt)N_{m-2} + S(dt)N_{m-1}) + 3dt/8 N_m;
 
-    node 1 adds S(dt)start to its first panel.  Only the S(2dt) apply of the
-    even recurrence runs node by node, writing its node in place.
-    Everything else runs per block of nodes, about an eighth of them, which
-    keeps the temporaries a small part of a node stack: one batched apply
-    gives the S(dt)N terms of a block's even nodes, and three give the
-    whole 3/8 panels of its odd nodes once their even nodes exist.
+    node 1 adds S(dt)start to its first panel, whose S(0) term is the
+    forcing itself.  Only the S(2dt) apply of the even recurrence runs node
+    by node, writing its node in place.  One batched apply gives every even
+    node's S(dt)N term, held in the odd nodes' slots (no temporary of half
+    a stack) until node 1 and three batched applies, the whole 3/8 panels,
+    write the odd nodes once the even nodes exist.
     """
-    n = len(forcing)
     s1, s2, s3 = (ops.propagator(k * dt) for k in (1, 2, 3))
     out = np.empty_like(forcing)
-    out[0] = start
-    acc = s1.apply(start, out=out[1])
-    for j, wj in enumerate(_FIRST_PANEL[min(n, 4)]):
-        acc += dt * wj * ops.propagator((1 - j) * dt).apply(forcing[j])
-    block = 2 * math.ceil(n / 16)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        first = max(lo, 2)
-        if first < hi:
-            third = dt / 3.0 * forcing[first - 2 : hi : 2]
-            mid = 4.0 * dt / 3.0 * s1.apply(forcing[first - 1 : hi - 1 : 2])
-            for j, m in enumerate(range(first, hi, 2)):
-                acc = s2.apply(out[m - 2] + third[j], out=out[m])
-                acc += mid[j]
-                acc += third[j + 1]
-        first = max(lo + 1, 3)
-        if first < hi:
-            acc = s3.apply(
-                out[first - 3 : hi - 3 : 2] + 3.0 * dt / 8.0 * forcing[first - 3 : hi - 3 : 2],
-                out=out[first:hi:2],
-            )
-            acc += 9.0 * dt / 8.0 * (
-                s2.apply(forcing[first - 2 : hi - 2 : 2]) + s1.apply(forcing[first - 1 : hi - 1 : 2])
-            )
-            acc += 3.0 * dt / 8.0 * forcing[first:hi:2]
+    even, odd = out[0::2], out[1::2]
+    f_even, f_odd = forcing[0::2], forcing[1::2]
+    mid = s1.apply(f_odd[: len(even) - 1], out=odd[: len(even) - 1])
+    mid *= 4.0 * dt / 3.0
+    third = dt / 3.0 * f_even
+    even[0] = start
+    for i in range(1, len(even)):
+        acc = s2.apply(even[i - 1] + third[i - 1], out=even[i])
+        acc += mid[i - 1]
+        acc += third[i]
+    del third  # free it before the odd nodes' temporaries
+    acc = s1.apply(start, out=odd[0])
+    for j, wj in enumerate(_FIRST_PANEL[min(len(forcing), 4)]):
+        acc += dt * wj * (forcing[j] if j == 1 else ops.propagator((1 - j) * dt).apply(forcing[j]))
+    k = len(odd) - 1
+    acc = s3.apply(even[:k] + 3.0 * dt / 8.0 * f_even[:k], out=odd[1:])
+    t = s2.apply(f_odd[:k])
+    t += s1.apply(f_even[1 : k + 1])
+    t *= 9.0 * dt / 8.0
+    acc += t
+    acc += 3.0 * dt / 8.0 * f_odd[1:]
     return out
 
 
@@ -780,10 +776,10 @@ def picard_solve(u0: WaveState, params: Params, cfg: IntegratorConfig, T: float)
     on the uniform node set, and a sweep (``_duhamel_integrals``) builds the
     new trajectory by its panel recurrence seeded with u0, free flow and
     integral together: one S(2dt) apply per even node runs sequentially,
-    everything else as batched applies over blocks of about an eighth of the
-    nodes.  The first iterate is the sweep on a zero forcing, the free flow
-    S(m dt)u0; each later one is the sweep on the forcing of all nodes of the
-    last, evaluated in one call on their stack.  Iteration
+    the rest as four batched applies, and a solve builds only S(k dt) for
+    k = -2, -1, 1, 2, 3.  The first iterate is the sweep on a zero forcing,
+    the free flow S(m dt)u0; each later one is the sweep on the forcing of
+    all nodes of the last, evaluated in one call on their stack.  Iteration
     stops when successive trajectories differ by less than picard_tol in the
     sup-in-time weighted pair norm.  Non-convergence within picard_max_iter
     reports the observed contraction ratio (the horizon is too large for the

@@ -641,16 +641,17 @@ def free_plus_integrals_picard(u0, params, cfg, T):
     raise AssertionError("reference iteration did not converge")
 
 
-# The sweep takes its N + 1 nodes in blocks of 2 ceil((N + 1)/16): N = 16k - 1
-# fills its last block exactly, and N = 16k and 16k + 1 are the first step
-# counts of the next block size (N = 16 and 48 end on a block of one node).
+# The step counts where a sweep that took its N + 1 nodes in blocks of
+# 2 ceil((N + 1)/16) filled its last block exactly (N = 16k - 1) or began the
+# next block size (N = 16k and 16k + 1): edge cases of the batched slices.
 BLOCK_EDGES = [16 * k + e for k in (1, 2, 3) for e in (-1, 0, 1)]
 PICARD_GRIDS = [(32,), (16, 16)]
 
 
 class TestBlockedSweep:
-    """The blocked sweep is bitwise equal to the per-node recurrence it
-    replaced, and its temporaries keep a solve's peak memory down."""
+    """The one-pass sweep, its applies batched over strided stacks of
+    nodes, is bitwise equal to the per-node recurrence, and its temporaries
+    keep a solve's peak memory down."""
 
     @pytest.mark.parametrize("n", PICARD_GRIDS)
     @pytest.mark.parametrize("steps", list(range(1, 13)) + BLOCK_EDGES + [400, 401])
@@ -710,11 +711,13 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("n", PICARD_GRIDS)
     @pytest.mark.parametrize("steps", [40, 100, 400])
     def test_peak_memory_within_five_node_stacks(self, n, steps):
-        """A solve holds band nodes, and its forcing evaluation pads them to
-        the half lattice: 2.8 to 4.3 stacks of packed nodes.  When the nodes
-        were the half lattice a solve read 3.9 to 4.7, a free-flow stack kept
-        beside the iterates 4.9 to 5.7, and the same sweep in one block of
-        every node 5.3 to 6.0."""
+        """A solve holds band nodes, and its forcing evaluation and its
+        defect pad them to the half lattice: 2.8 to 4.3 stacks of packed
+        nodes, as when the sweep took its nodes in blocks of an eighth.  A
+        sweep that kept its even nodes' temporaries through the odd panels
+        read up to 3.9.  When the nodes were the half lattice a solve read
+        3.9 to 4.7, and a free-flow stack kept beside the iterates 4.9 to
+        5.7."""
         g = Grid(n)
         params = Params(kappa=1.0, mu=0.1, s=1.0)
         u0 = small_state(g, amplitude=0.04)
@@ -773,8 +776,8 @@ class TestOperatorCaches:
 
     def test_long_solve_builds_few_propagators(self, monkeypatch):
         # Every iterate, the free flow among them, is one sweep, which
-        # applies S(k dt) for k = -2 .. 3, so the node count does not set the
-        # number of builds.
+        # applies S(k dt) for k = -2, -1, 1, 2, 3 (S(0) is the identity), so
+        # the node count does not set the number of builds.
         builds = []
         init = _Propagator.__init__
 
@@ -785,10 +788,37 @@ class TestOperatorCaches:
         monkeypatch.setattr(_Propagator, "__init__", counted)
         g = Grid(32)
         params = Params(kappa=1.0, mu=0.15, p=1.0)
+        _ops(g, params)._props.clear()
         u0 = small_state(g, seed=4, amplitude=0.02)
         res = picard_solve(u0, params, IntegratorConfig(dt=1e-3, picard_tol=1e-8), T=0.4)
         assert len(res.nodes) == 401
-        assert len(builds) <= 8
+        dt = 0.4 / 400
+        assert sorted(builds) == [k * dt for k in (-2, -1, 1, 2, 3)]
+
+    @pytest.mark.parametrize("n", PICARD_GRIDS)
+    @pytest.mark.parametrize("steps, applies", [(1, 6), (2, 8), (3, 9), (4, 10), (400, 208),
+                                                (401, 208)])
+    def test_sweep_apply_count(self, monkeypatch, n, steps, applies):
+        """A sweep over N >= 3 steps makes floor(N/2) + 8 applies: one S(2dt)
+        per even node, four for node 1 (S(dt) on the start and the first
+        panel's S(dt), S(-dt) and S(-2dt) terms), one batched S(dt) for the
+        even nodes' Simpson panels and three for the odd nodes' 3/8 panels.
+        The batched applies run on empty stacks when N < 3, and node 1's
+        first panel has two or three nodes."""
+        g = Grid(n)
+        ops = _ops(g, Params(kappa=1.0, mu=0.1, p=1.0))
+        start = _band(g, small_state(g, seed=5).packed())
+        forcing = ops.nonlinear(np.stack([start] * (steps + 1)))
+        calls = []
+        apply = _Propagator.apply
+
+        def counted(self, u, out=None):
+            calls.append(u.shape)
+            return apply(self, u, out)
+
+        monkeypatch.setattr(_Propagator, "apply", counted)
+        dynamics._duhamel_integrals(ops, start, forcing, 0.2 / steps)
+        assert len(calls) == applies
 
 
 def count_report_transforms(monkeypatch):
@@ -1473,7 +1503,7 @@ class TestBandLayout:
     @pytest.mark.parametrize("n", PICARD_GRIDS)
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 16, 17, 40])
     def test_duhamel_sweep_on_the_band(self, n, steps):
-        """The blocked sweep on the band is bitwise the band of the per-node
+        """The sweep on the band is bitwise the band of the per-node
         sweep on the whole half lattice (``HalfOps``), its forcing
         ``allocating_nonlinear`` on the half-lattice nodes."""
         g = Grid(n)
