@@ -336,8 +336,7 @@ def stability_test(
         series = [difference_energy(a, b, r, params) for a, b in zip(res.states, base.states)]
         sups.append(max(series))
         logs = np.log(np.maximum(series, 1e-300))
-        rate = float(np.polyfit(times, logs, 1)[0]) if len(times) > 1 else math.nan
-        rates.append(rate)
+        rates.append(float(np.polyfit(times, logs, 1)[0]))
     slope, resid = fit_rate(sizes, sups)
     lo, hi = min(rates), max(rates)
     passed = (

@@ -45,11 +45,11 @@ DEFAULT_SMALLNESS = 0.05
 
 @lru_cache(maxsize=16)
 def _cubic_weights(grid: Grid, order):
-    """Read-only float 2/3 mask and masked <xi>^order on the half spectrum."""
-    mask = grid.dealias_mask.astype(np.float64)
-    weights = mask * SymbolCatalog.bessel(grid, order)
-    mask.flags.writeable = weights.flags.writeable = False
-    return mask, weights
+    """Read-only <xi>^order times the 2/3 mask on the half spectrum: at order
+    0 the float mask itself, since x**0 is exactly 1."""
+    weights = grid.dealias_mask.astype(np.float64) * SymbolCatalog.bessel(grid, order)
+    weights.flags.writeable = False
+    return weights
 
 
 def _cubic(grid: Grid, eta_c, w, *orders):
@@ -60,8 +60,8 @@ def _cubic(grid: Grid, eta_c, w, *orders):
     then grid quadrature: exact for fields supported in the band, since no
     triple-product alias reaches the zero mode.  J^0 multiplies by exactly 1."""
     d = grid.dim
-    parts = [(_cubic_weights(grid, 0.0)[0] * eta_c)[_part(d, None)]]
-    parts += [_cubic_weights(grid, float(order))[1] * w for order in orders]
+    parts = [(_cubic_weights(grid, 0.0) * eta_c)[_part(d, None)]]
+    parts += [_cubic_weights(grid, float(order)) * w for order in orders]
     axes = tuple(range(-d, 0))
     phys = grid.inverse_half(np.concatenate(parts, axis=-d - 1))
     jw = phys[_part(d, slice(1, None))].reshape(*phys.shape[:-d - 1], len(orders), d, *grid.n)

@@ -230,7 +230,7 @@ def test_criterion_12_derivative_consistency():
     worst_rel = 0.0
     for seed in range(20):
         u = random_bandlimited(g, seed=100 + seed, band=4, amplitude=0.05)
-        chk = energy_derivative_check(u, params, s=1.0)
+        chk = energy_derivative_check(u, params)
         rel = abs(chk.chain_rule - chk.evolution) / max(
             abs(chk.chain_rule), abs(chk.evolution), 1e-300
         )
@@ -240,7 +240,7 @@ def test_criterion_12_derivative_consistency():
     worst_half = 0.0
     for seed in range(20):
         u = random_bandlimited(g, seed=200 + seed, band=4, amplitude=0.05)
-        chk = energy_derivative_check(u, params_half, s=0.5)
+        chk = energy_derivative_check(u, params_half)
         worst_half = max(worst_half, abs(chk.chain_rule))
     ok = worst_rel <= 1e-5 and worst_half <= 1e-8
     report(12, "energy derivative consistency", ok,

@@ -4,7 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import partial
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 from wbwaves import dynamics
 from wbwaves.dynamics import (
+    DerivativeCheck,
     IntegratorConfig,
     PicardError,
     _band,
@@ -19,13 +20,14 @@ from wbwaves.dynamics import (
     _ops,
     _Propagator,
     _horizon,
+    _reference_rk4_step,
     energy_derivative_check,
     evolve,
     picard_solve,
     rhs,
 )
-from wbwaves.functionals import EnergyReport
-from wbwaves.presets import random_bandlimited, single_mode
+from wbwaves.functionals import EnergyReport, modified_energy
+from wbwaves.presets import gaussian_bump, random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid, SymbolCatalog
 from wbwaves.state import Params, WaveState, _part, _weighted_sq_coeffs, weighted_pair_norm
 
@@ -1009,11 +1011,48 @@ class TestSamplingLoop:
         assert steps == ["ignore"] * 10 and reports == ["raise"] * 3
 
 
+def stepwise_energy_derivative_check(state, params, s=None):
+    """The check as it was before it measured its eight energies as one
+    stack, verbatim: it projected the state into a new ``WaveState``, took
+    an ``s`` that replaced ``params.s``, and measured each energy alone."""
+    grid = state.grid
+    band = _band(grid, state.packed())
+    state = WaveState.from_packed(grid, _expand(grid, band), state.time)
+    f = rhs(state, params)
+    ops = _ops(grid, params)
+    params = params if s is None else replace(params, s=float(s))
+    norm_state = weighted_pair_norm(state, params.s, params.kappa)
+    norm_rate = weighted_pair_norm(f, params.s, params.kappa)
+
+    if norm_rate == 0.0:
+        return DerivativeCheck(0.0, 0.0, True)
+
+    tau = 0.01 * (1.0 + norm_state) / (1.0 + norm_rate)
+
+    u = state.packed()
+    h = 5e-4 / (1.0 + norm_state)
+
+    def stencil(packed_at, h):
+        em2, em1, ep1, ep2 = (
+            modified_energy(WaveState.from_packed(grid, packed_at(sig), state.time), params)
+            for sig in (-2, -1, 1, 2)
+        )
+        return (em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * h)
+
+    chain = stencil(lambda sig: u + sig * tau * f.packed(), tau)
+    evol = stencil(lambda sig: _expand(grid, _reference_rk4_step(ops, band, sig * h)), h)
+
+    agree = abs(chain - evol) <= 1e-5 * max(abs(chain), abs(evol)) + 1e-10 * (
+        1.0 + norm_state**2
+    )
+    return DerivativeCheck(chain, evol, agree)
+
+
 class TestEnergyDerivative:
     def test_zero_state(self):
         g = Grid(32)
         params = Params(kappa=1.0)
-        chk = energy_derivative_check(WaveState.zero(g), params, s=1.0)
+        chk = energy_derivative_check(WaveState.zero(g), params)
         assert chk.chain_rule == 0.0 and chk.evolution == 0.0 and chk.agree
 
     def test_conserved_at_half(self):
@@ -1021,7 +1060,7 @@ class TestEnergyDerivative:
         params = Params(kappa=1.0, s=0.5)
         for seed in (20, 21, 22):
             u = small_state(g, seed=seed, amplitude=0.05)
-            chk = energy_derivative_check(u, params, s=0.5)
+            chk = energy_derivative_check(u, params)
             assert abs(chk.chain_rule) <= 1e-8
 
     def test_routes_agree_on_family(self):
@@ -1029,15 +1068,42 @@ class TestEnergyDerivative:
         params = Params(kappa=1.0, s=1.0)
         for seed in range(23, 29):
             u = small_state(g, seed=seed, amplitude=0.05)
-            chk = energy_derivative_check(u, params, s=1.0)
+            chk = energy_derivative_check(u, params)
             assert chk.agree, (chk.chain_rule, chk.evolution)
 
     def test_viscous_derivative_negative_at_half(self):
         g = Grid(64)
         params = Params(kappa=1.0, mu=0.3, p=1.0, s=0.5)
         u = small_state(g, seed=30, amplitude=0.03)
-        chk = energy_derivative_check(u, params, s=0.5)
+        chk = energy_derivative_check(u, params)
         assert chk.chain_rule < 0
+
+    def test_measures_its_eight_energies_as_one_stack(self, monkeypatch):
+        """One report call on the four chain-rule and four reference-RK4
+        states (eight single-state calls before), with E_s at params.s."""
+        sizes, measure = [], EnergyReport.measure.__func__
+
+        def measure_spy(cls, states, p):
+            sizes.append(len(states) if isinstance(states, list) else 1)
+            return measure(cls, states, p)
+
+        monkeypatch.setattr(EnergyReport, "measure", classmethod(measure_spy))
+        energy_derivative_check(small_state(Grid(32), seed=31), Params(kappa=1.0, s=1.5))
+        assert sizes == [8]
+
+    @pytest.mark.parametrize("grid", [Grid(32), Grid(64), Grid(256), Grid((16, 16)),
+                                      Grid((16, 24))], ids=lambda g: "x".join(map(str, g.n)))
+    @pytest.mark.parametrize("s, mu", [(1.0, 0.0), (0.5, 0.0), (0.5, 0.3), (1.5, 0.2),
+                                       (2.0, 0.0)])
+    def test_matches_stepwise_check_bitwise(self, grid, s, mu):
+        """Band data, a bump with content above the band and the zero state
+        give the stepwise check's three fields exactly."""
+        params = Params(kappa=1.0, mu=mu, s=s)
+        states = (small_state(grid, seed=32, band=4, amplitude=0.05),
+                  gaussian_bump(grid, 0.05, 0.15), WaveState.zero(grid))
+        for u in states:
+            check = energy_derivative_check(u, params)
+            assert check == stepwise_energy_derivative_check(u, params)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,9 @@ REFUSALS = {
     "from_packed-times": (lambda tmp: WaveState.from_packed(
                               LINE, np.zeros((2, 2) + LINE.half_shape, complex), [0.0]),
                           ValueError, "2 states need as many times, got 1"),
+    "from_packed-non-finite": (lambda tmp: WaveState.from_packed(
+                                   LINE, np.full((2,) + LINE.half_shape, np.nan, complex), 0.0),
+                               SpectralError, "trajectory sample: non-finite sample"),
     "report-on-two-grids": (lambda tmp: EnergyReport.measure(
                                 [line_state(), single_mode(Grid(32), 0.1)], Params()),
                             SpectralError, "the states of one report must share their grid"),
