@@ -61,7 +61,8 @@ counted from the end, so independent runs on one grid step as one
 (B, 1 + d, *band) stack, each row exactly as it would alone; members with
 their own ``Params`` share the forcing and step on parameter tables and
 propagator rows with a member axis (a mu = 0 member's heat factor is 1).
-``evolve`` given a sequence of states integrates them so; its sampling loop
+``evolve`` integrates its states so, one state as a one-member stack under
+every method, and a single state's result is unwrapped; its sampling loop
 checks each row, reports on the live members with one ``from_packed`` and
 one ``EnergyReport.measure`` call per report step and distinct (kappa, s),
 and freezes a blown member at its own time; Duhamel members solve one by
@@ -119,6 +120,15 @@ class PicardError(RuntimeError):
         self.member = None
 
 
+def _positive_finite(**values):
+    """Refuse each value that is not positive, or else not finite, by its name."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "exponential_rk4"
@@ -132,10 +142,7 @@ class IntegratorConfig:
             raise ValueError(
                 f"method must be one of {INTEGRATOR_METHODS}, got {self.method!r}"
             )
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.picard_tol > 0):
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
+        _positive_finite(dt=self.dt, picard_tol=self.picard_tol)
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
         if not (self.blowup_ceiling > 0):
@@ -206,7 +213,7 @@ class _Ops:
             return _band(grid, np.stack([f(p) for p in params]) if batched else f(params))
 
         # A mu = 0 member has rate 0, so its heat factor is exactly 1; with no
-        # viscous member there is no heat factor.
+        # viscous member there is none (a unit one slows an apply by a quarter).
         rate = table(lambda p: p.kappa * p.mu * cat.riesz(grid, p.p))
         self.heat_rate = (rate[:, None] if batched else rate) if rate.any() else None
         self.Kk = table(lambda p: cat.K_kappa(grid, p.kappa))
@@ -511,6 +518,8 @@ class EvolveResult:
 
     @property
     def final(self) -> WaveState:
+        """The last kept entry of ``states``: a WaveState only when ``keep``
+        is None."""
         return self.states[-1]
 
 
@@ -524,11 +533,7 @@ def _horizon(T, dt, report_every=None):
     each multiple of ``report_every`` before T, node 0 among them, and the
     last step ``n_steps``."""
     report_every = T if report_every is None else report_every
-    for name, value in (("T", T), ("report_every", report_every)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _positive_finite(T=T, report_every=report_every)
     if not math.isfinite(T / dt):
         raise ValueError(f"T / dt must be finite, got {T} / {dt}")
     n_steps = max(1, math.ceil(T / dt - 1e-9))
@@ -580,10 +585,11 @@ def evolve(
 ):
     """Integrate to time T, sampling energy reports every ``report_every``.
 
-    ``u0`` is one WaveState, or a sequence of states on one grid that are
-    projected onto the 2/3 band (``_band``), which drops their content above
-    it, and integrated together as one (B, 1 + d, *band) stack and give one
-    EvolveResult each, equal to their single runs; ``params`` is one Params
+    ``u0`` is a sequence of states on one grid that are projected onto the
+    2/3 band (``_band``), which drops their content above it, and integrated
+    together as one (B, 1 + d, *band) stack and give one EvolveResult each,
+    equal to their single runs, or one WaveState, which steps as a one-member
+    stack and gives its EvolveResult alone; ``params`` is one Params
     for all of them or a sequence of one per member.  The steps and the
     reported nodes follow ``_horizon``: T and ``report_every`` (None for T)
     positive and finite, dt adjusted down so an integer number of steps lands
@@ -608,10 +614,9 @@ def evolve(
     grid = members[0].grid
     if any(m.grid != grid for m in members):
         raise ValueError("the states of one evolve call must share their grid")
-    # The nodes are band arrays (``_band``): each member is projected onto the
-    # band, and a report expands what it measures.  One state steps as
-    # (1 + d, *band), which small arrays step faster than a one-row stack;
-    # the loop below views each of its nodes as that stack.
+    # The nodes are (B, 1 + d, *band) stacks (``_band``), one state a
+    # one-member stack: each member is projected onto the band, and a report
+    # expands what it measures.
     if cfg.method == "picard_duhamel":
         # Each member's fixed point converges in its own number of sweeps.
         solved = []
@@ -624,10 +629,10 @@ def evolve(
         for result, solve in zip(results, solved):
             result.defects = solve.defects
         # One node of each member at a time: no copy of all their nodes.
-        nodes = solved[0].band if single else map(np.stack, zip(*(r.band for r in solved)))
+        nodes = map(np.stack, zip(*(r.band for r in solved)))
     else:
         step = _lawson_rk4_step if cfg.method == "exponential_rk4" else _reference_rk4_step
-        u = members[0].packed() if single else np.stack([m.packed() for m in members])
+        u = np.stack([m.packed() for m in members])
         # Members that share one Params step on its unbatched tables.
         key = per[0] if len(set(per)) == 1 else tuple(per)
         nodes = _stepped(step, _ops(grid, key), _band(grid, u), dt, n_steps)
@@ -644,14 +649,13 @@ def evolve(
     # caller's error state.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, u in enumerate(nodes):
-            u = u[None] if single else u
             due = k == next_report
             if due:
                 next_report = next(reports, None)
             if k:
                 # Between reports one sup over the whole node clears every
-                # member at once; the per-member list is made only when a
-                # report is due or that sup fails.
+                # member at once, in two thirds the per-member sups' time; the
+                # per-member list is made only when a report is due or it fails.
                 if not due and np.maximum.reduce(np.abs(u).reshape(-1)) <= limit:
                     continue
                 sup = np.maximum.reduce(np.abs(u).reshape(len(u), -1), axis=1)

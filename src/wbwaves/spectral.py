@@ -221,65 +221,52 @@ class Field:
 # Fourier multiplier symbols
 
 
-def _radial(grid, name, profile):
-    """The half-lattice array ``profile(|xi|)`` of the symbol ``name``, which
-    must be finite: the error names the symbol and its first bad wavenumber.
-    Removable singularities are patched inside ``profile``."""
+def _radial(grid, name, profile, at_zero):
+    """The half-lattice array of the symbol ``name``: ``profile(|xi|)`` away
+    from xi = 0 and ``at_zero`` there, its value (removable singularities
+    included).  ``profile`` never sees 0: it is given 1.0 in its place.  The
+    array must be finite: the error names the symbol and its first bad
+    wavenumber."""
+    zero = grid.xi_norm == 0.0
     with np.errstate(all="ignore"):
-        arr = np.asarray(profile(grid.xi_norm), dtype=np.float64)
+        arr = np.where(zero, at_zero, profile(np.where(zero, 1.0, grid.xi_norm)))
     if not np.all(np.isfinite(arr)):
         xi = float(grid.xi_norm[~np.isfinite(arr)][0])
         raise SpectralError(f"symbol {name!r} is not finite at wavenumber {xi}")
     return arr
 
 
-def _tanh_over_x(a):
-    # tanh(a)/a with the removable singularity patched to 1 at a = 0.
-    safe = np.where(a == 0.0, 1.0, a)
-    return np.where(a == 0.0, 1.0, np.tanh(safe) / safe)
-
-
-def _x_over_tanh(a):
-    safe = np.where(a == 0.0, 1.0, a)
-    return np.where(a == 0.0, 1.0, safe / np.tanh(safe))
-
-
 class SymbolCatalog:
     """The multiplier symbols of the suite, each formula written once.  Every
     entry takes the grid first and returns its multiplier on ``Grid.half_shape``:
-    one array for a scalar symbol (a function of |xi|, in 1D and 2D), a tuple
-    of one array per axis for a vector one (d_j, e_j, G_j), odd and zero on its
+    one array for a scalar symbol (a function of |xi|, in 1D and 2D, each one
+    ``_radial`` call: its profile and its value at xi = 0), a tuple of one
+    array per axis for a vector one (d_j, e_j, G_j), odd and zero on its
     axis's unpaired Nyquist index."""
 
     @staticmethod
     def riesz(grid, alpha):
         """|xi|^alpha; zero mode gives 0 for alpha != 0 (mean annihilated)."""
         alpha = float(alpha)
-        at_zero = 1.0 if alpha == 0.0 else 0.0
-
-        def prof(a):
-            safe = np.where(a == 0.0, 1.0, a)
-            return np.where(a == 0.0, at_zero, safe**alpha)
-
-        return _radial(grid, f"|xi|^{alpha:g}", prof)
+        return _radial(grid, f"|xi|^{alpha:g}", lambda a: a**alpha, 1.0 if alpha == 0.0 else 0.0)
 
     @staticmethod
     def bessel(grid, alpha):
         alpha = float(alpha)
-        return _radial(grid, f"<xi>^{alpha:g}", lambda a: (1.0 + a * a) ** (alpha / 2.0))
+        return _radial(grid, f"<xi>^{alpha:g}", lambda a: (1.0 + a * a) ** (alpha / 2.0), 1.0)
 
     @staticmethod
     def capillary(grid, kappa):
         """1 + kappa |xi|^2, the surface-tension weight of the elevation."""
         kappa = float(kappa)
-        return _radial(grid, f"1+{kappa:g}|xi|^2", lambda a: 1.0 + kappa * a * a)
+        return _radial(grid, f"1+{kappa:g}|xi|^2", lambda a: 1.0 + kappa * a * a, 1.0)
 
     @staticmethod
     def K_kappa(grid, kappa):
         """sqrt((1 + kappa |xi|^2) tanh|xi| / |xi|), 1 at xi = 0."""
         kappa = float(kappa)
         name = f"K_kappa(kappa={kappa:g})"
-        return _radial(grid, name, lambda a: np.sqrt((1.0 + kappa * a * a) * _tanh_over_x(a)))
+        return _radial(grid, name, lambda a: np.sqrt((1.0 + kappa * a * a) * (np.tanh(a) / a)), 1.0)
 
     @staticmethod
     def K_kappa_inv(grid, kappa):
@@ -288,7 +275,7 @@ class SymbolCatalog:
     @staticmethod
     def d_over_tanh(grid):
         """|xi|/tanh|xi| with value 1 at xi = 0."""
-        return _radial(grid, "xi/tanh(xi)", _x_over_tanh)
+        return _radial(grid, "xi/tanh(xi)", lambda a: a / np.tanh(a), 1.0)
 
     @staticmethod
     def gradient(grid):

@@ -92,6 +92,49 @@ def test_batched_evolve_gives_each_member_its_single_run(method):
         assert (res.defects is None) == (method != "picard_duhamel")
 
 
+class _StackSpy:
+    """numpy as ``dynamics`` sees it, recording the shape of each array that
+    ``np.stack`` returns with a member axis before (1 + d, *band)."""
+
+    def __init__(self, ndim):
+        self.ndim, self.shapes = ndim, []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def stack(self, arrays, *args, **kwargs):
+        out = np.stack(arrays, *args, **kwargs)
+        if out.ndim == self.ndim:
+            self.shapes.append(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("method", ["exponential_rk4", "reference_rk4", "picard_duhamel"])
+@pytest.mark.parametrize("grid", [Grid(64), Grid((16, 24))], ids=lambda g: "x".join(map(str, g.n)))
+def test_a_single_state_steps_as_a_one_member_stack(monkeypatch, grid, method):
+    """One WaveState gives the sampling loop (1, 1 + d, *band) nodes under
+    every method: the RK4 steppers yield them from ``_stepped``, and the
+    Duhamel nodes are stacked one at a time from the solve's."""
+    state = family(grid, count=1)[0]
+    band = dynamics._band(grid, state.packed()).shape
+    nodes = []
+    stepped = dynamics._stepped
+
+    def spy(step, ops, u, dt, n_steps):
+        for node in stepped(step, ops, u, dt, n_steps):
+            nodes.append(node.shape)
+            yield node
+
+    monkeypatch.setattr(dynamics, "_stepped", spy)
+    numpy = _StackSpy(2 + grid.dim)
+    if method == "picard_duhamel":
+        monkeypatch.setattr(dynamics, "np", numpy)
+    result = evolve(state, Params(kappa=1.0, mu=0.1), IntegratorConfig(method=method, dt=5e-3),
+                    T=0.05, report_every=0.025)
+    assert len(result.times) == 3
+    assert nodes + numpy.shapes == [(1, *band)] * 11
+
+
 def test_a_blown_member_freezes_and_the_others_go_on():
     grid = Grid(64)
     params = Params(kappa=1.0)

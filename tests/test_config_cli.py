@@ -475,9 +475,10 @@ def test_every_number_rejects_nan(tmp_path, capsys, no_runs, command, preset, fi
 @pytest.mark.parametrize("field, value, message", [
     ("integrator.blowup_ceiling", math.nan, "integrator.blowup_ceiling must be a number, got nan"),
     ("integrator.blowup_ceiling", -1, "blowup_ceiling must be positive, got -1.0"),
+    ("integrator.picard_tol", math.inf, "picard_tol must be finite, got inf"),
     ("params.s", math.inf, "s must be >= 1/2 and finite, got inf"),
     ("seed", -1, "seed must be non-negative, got -1"),
-], ids=["ceiling_nan", "ceiling_negative", "s_inf", "seed_negative"])
+], ids=["ceiling_nan", "ceiling_negative", "picard_tol_inf", "s_inf", "seed_negative"])
 def test_bad_number_named_before_any_run(tmp_path, capsys, no_runs, field, value, message):
     outdir = tmp_path / "o"
     raw = small_run(str(outdir))

@@ -53,6 +53,10 @@ REFUSALS = {
                       "dt must be positive, got 0.0"),
     "picard_tol": (lambda tmp: IntegratorConfig(picard_tol=-1.0), ValueError,
                    "picard_tol must be positive, got -1.0"),
+    "integrator-dt-inf": (lambda tmp: IntegratorConfig(dt=math.inf), ValueError,
+                          "dt must be finite, got inf"),
+    "picard_tol-inf": (lambda tmp: IntegratorConfig(picard_tol=math.inf), ValueError,
+                       "picard_tol must be finite, got inf"),
     "picard_max_iter": (lambda tmp: IntegratorConfig(picard_max_iter=0), ValueError,
                         "picard_max_iter must be at least 1"),
     "negative-kappa": (lambda tmp: Params(kappa=-1.0), ValueError, "kappa must be >= 0, got -1.0"),

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wbwaves import spectral
 from wbwaves.functionals import _cubic
 from wbwaves.inequalities import commutator, product, sobolev_norms
 from wbwaves.spectral import Field, Grid, SpectralError, SymbolCatalog
@@ -179,8 +180,36 @@ class TestSymbolCatalog:
             (SymbolCatalog.riesz(g, 1.0), 0.0),
             (SymbolCatalog.riesz(g, -0.5), 0.0),
             (SymbolCatalog.riesz(g, 0.0), 1.0),
+            (SymbolCatalog.riesz(g, -1.0), 0.0),
+            (SymbolCatalog.bessel(g, 3.0), 1.0),
+            (SymbolCatalog.capillary(g, 2.0), 1.0),
         ]:
             assert sym[index(g, 0)] == want
+
+    def test_radial_profiles_never_see_zero(self, monkeypatch):
+        """Each radial entry gives ``_radial`` its value at xi = 0, so no
+        profile is evaluated there, removable singularity or not."""
+        seen = {}
+        radial = spectral._radial
+
+        def spy(grid, name, profile, *rest):
+            def recorded(a):
+                seen[name] = min(seen.get(name, math.inf), float(np.min(np.abs(a))))
+                return profile(a)
+
+            return radial(grid, name, recorded, *rest)
+
+        monkeypatch.setattr(spectral, "_radial", spy)
+        for g in (Grid(16), Grid((8, 12))):
+            SymbolCatalog.riesz(g, -1.0)
+            SymbolCatalog.riesz(g, 0.5)
+            SymbolCatalog.bessel(g, -2.0)
+            SymbolCatalog.capillary(g, 2.0)
+            SymbolCatalog.K_kappa_inv(g, 2.0)
+            SymbolCatalog.d_over_tanh(g)
+        assert sorted(seen) == sorted(["|xi|^-1", "|xi|^0.5", "<xi>^-2", "1+2|xi|^2",
+                                       "K_kappa(kappa=2)", "xi/tanh(xi)"])
+        assert all(low > 0 for low in seen.values()), seen
 
     def test_k_kappa_matches_definition(self):
         g = Grid(32)
