@@ -100,11 +100,18 @@ def _snapshot_writer(outdir):
     return keep
 
 
+def _plan(config: RunConfig, u0):
+    """The plan ``run_summary.json`` records and ``describe`` prints: the
+    number of steps, the effective dt and the share of ``u0`` above the 2/3
+    band.  The reported steps are not walked, so a tiny cadence costs nothing."""
+    steps, dt, _ = _horizon(config.T, config.integrator.dt, config.report_every)
+    return {"steps": steps, "dt": dt, "above_band_share": above_band_share(u0, config.params)}
+
+
 def cmd_run(config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
     u0 = config.initial_state()
-    steps, dt, _ = _horizon(config.T, config.integrator.dt, config.report_every)
-    plan = {"steps": steps, "dt": dt, "above_band_share": above_band_share(u0, config.params)}
+    plan = _plan(config, u0)
     # The run holds no state: a reported one is written as its snapshot, if
     # any, and dropped.
     keep = _snapshot_writer(outdir) if config.snapshots else lambda state: None
@@ -223,12 +230,14 @@ def cmd_study(name: str, config: RunConfig) -> int:
 def cmd_describe(config: RunConfig) -> int:
     grid, params, integrator = config.grid, config.params, config.integrator
     state = config.initial_state()
+    plan = _plan(config, state)
     lines = [
         f"system: {config.system} ({grid.dim}D)",
         f"grid: n={grid.n} length={tuple(round(L, 12) for L in grid.length)}",
         f"params: kappa={params.kappa:g} mu={params.mu:g} p={params.p:g} s={params.s:g}",
         f"integrator: {integrator.method} dt={integrator.dt:g}",
         f"horizon: T={config.T:g} report_every={config.report_every:g}",
+        f"plan: {plan['steps']} steps of dt={plan['dt']!r}",
     ]
     if "snapshot" in config.initial_data:
         lines.append(f"initial data: snapshot {config.initial_data['snapshot']} "
@@ -240,7 +249,7 @@ def cmd_describe(config: RunConfig) -> int:
         lines.append(f"initial data: {name}({args})")
     band = tuple(grid.dealias_band(j) for j in range(grid.dim))
     lines.append(f"band: |k| <= {band[0] if grid.dim == 1 else band} per axis, "
-                 f"dropping {above_band_share(state, params):.3g} of the initial weighted norm^2")
+                 f"dropping {plan['above_band_share']:.3g} of the initial weighted norm^2")
     lines.append(f"output: {config.resolved_output_dir()} (config {config.config_hash()})")
     print("\n".join(lines))
     return 0

@@ -92,7 +92,9 @@ import numpy as np
 
 from .functionals import EnergyReport
 from .spectral import Grid, SymbolCatalog
-from .state import Params, WaveState, _part, _weighted_sq_coeffs, weighted_pair_norm
+# weighted_pair_norm is unused here but stays bound: bench/tracer.py wraps it in this module.
+from .state import Params, WaveState, weighted_pair_norm  # noqa: F401
+from .state import _part, _weighted_sq_coeffs
 
 INTEGRATOR_METHODS = ("exponential_rk4", "reference_rk4", "picard_duhamel")
 
@@ -842,8 +844,8 @@ def energy_derivative_check(state: WaveState, params: Params) -> DerivativeCheck
     """Compare dE_s/dt, at s = params.s, computed two ways.
 
     (a) chain rule: a centered five-point derivative of tau -> E(u + tau*f)
-        with f = rhs(u); E is cubic in tau, so the stencil is exact up to
-        roundoff.
+        with f the band's time derivative, as ``rhs`` gives it; E is cubic in
+        tau, so the stencil is exact up to roundoff.
     (b) evolution: the same stencil applied to E along short reference-RK4
         integrations to +-h, +-2h.
 
@@ -852,21 +854,21 @@ def energy_derivative_check(state: WaveState, params: Params) -> DerivativeCheck
     is checked as that projection.  The eight energies are measured as one stack.
     """
     grid = state.grid
+    ops = _ops(grid, params)
     band = _band(grid, state.packed())
     u = _expand(grid, band)
-    f = rhs(state, params)
+    f = _expand(grid, ops.full(band))
     norm_state = math.sqrt(_weighted_sq_coeffs(grid, u, params.s, params.kappa))
-    norm_rate = weighted_pair_norm(f, params.s, params.kappa)
+    norm_rate = math.sqrt(_weighted_sq_coeffs(grid, f, params.s, params.kappa))
 
     if norm_rate == 0.0:
         return DerivativeCheck(0.0, 0.0, True)
 
     tau = 0.01 * (1.0 + norm_state) / (1.0 + norm_rate)
     h = 5e-4 / (1.0 + norm_state)
-    ops = _ops(grid, params)
     sigs = (-2, -1, 1, 2)
     stack = np.array(
-        [u + sig * tau * f.packed() for sig in sigs]
+        [u + sig * tau * f for sig in sigs]
         + [_expand(grid, _reference_rk4_step(ops, band, sig * h)) for sig in sigs]
     )
     states = WaveState.from_packed(grid, stack, [state.time] * len(stack))

@@ -13,15 +13,16 @@ and dissipated by the viscous one.  The energy with cubic correction
 uses the weighted pair norm and reduces to the Hamiltonian at s = 1/2.
 Every functional reads the state's half spectrum (``WaveState.packed``):
 quadratic terms are coefficient sums (exact by Parseval), and a cubic term
-is one inverse transform of its dealiased factors plus grid quadrature.
+is grid quadrature of the samples of its dealiased factors.
 
 ``EnergyReport`` declares what a run monitors: its fields are the columns
 of ``energy.csv``, and ``EnergyReport.measure`` is the only code computing
 H, E_s and the 1D momentum I = int eta (D/tanh D) v dx.  It measures one
 state or a list of them in one pass over their (B, 1 + d, *half) stack:
-each quadratic term is one half-spectrum sum, the cubic terms of H and E_s
-share one inverse transform of (eta, v, J^(s-1/2) v), and eta_min, eta_max
-and linf_v read the states' samples (``WaveState.samples``).
+each quadratic term is one half-spectrum sum, and eta_min, eta_max, linf_v
+and the cubic terms read the states' samples (``WaveState.samples``), or
+on a stack with content above the 2/3 band one masked inverse transform.
+E_s at s != 1/2 takes one more, of J^(s-1/2) v.
 """
 
 from __future__ import annotations
@@ -52,21 +53,17 @@ def _cubic_weights(grid: Grid, order):
     return weights
 
 
-def _cubic(grid: Grid, eta_c, w, *orders):
-    """int eta |J^order w|^2 dx for each order, from the half spectra eta_c
-    (..., *half) and w (..., d, *half): an array (..., len(orders)).
-
-    One inverse transform of the 2/3-masked factors (eta, J^order w, ..),
-    then grid quadrature: exact for fields supported in the band, since no
-    triple-product alias reaches the zero mode.  J^0 multiplies by exactly 1."""
+def _cubic(grid: Grid, x, w, *orders):
+    """int eta |J^order w|^2 dx for each order, an array (..., len(orders)),
+    from the samples x (..., 1 + d, *n) of the 2/3-masked (eta, w) and the
+    half spectra w (..., d, *half): order 0 reads the samples, any other
+    takes one inverse transform of its masked J^order w.  Grid quadrature is
+    exact in the band, since no triple-product alias reaches the zero mode."""
     d = grid.dim
-    parts = [(_cubic_weights(grid, 0.0) * eta_c)[_part(d, None)]]
-    parts += [_cubic_weights(grid, float(order)) * w for order in orders]
-    axes = tuple(range(-d, 0))
-    phys = grid.inverse_half(np.concatenate(parts, axis=-d - 1))
-    jw = phys[_part(d, slice(1, None))].reshape(*phys.shape[:-d - 1], len(orders), d, *grid.n)
-    terms = phys[_part(d, slice(0, 1))] * (jw**2).sum(axis=-d - 1)
-    return grid.cell * terms.sum(axis=axes)
+    jw = [x[_part(d, slice(1, None))] if order == 0 else
+          grid.inverse_half(_cubic_weights(grid, float(order)) * w) for order in orders]
+    terms = x[_part(d, slice(0, 1))] * (np.stack(jw, axis=-d - 2) ** 2).sum(axis=-d - 1)
+    return grid.cell * terms.sum(axis=tuple(range(-d, 0)))
 
 
 def hamiltonian(state: WaveState, params: Params) -> float:
@@ -96,7 +93,8 @@ def difference_energy(state1: WaveState, state2: WaveState, r, params: Params) -
     u1 = state1.packed()
     d = u1 - state2.packed()
     total = params.kappa * _sobolev_sq(grid, d[0], r + 0.5) + _sobolev_sq(grid, d[1:], r)
-    return 0.5 * (total + float(_cubic(grid, u1[0], d[1:], r - 0.5)[0]))
+    x = grid.inverse_half(_cubic_weights(grid, 0.0) * np.concatenate([u1[:1], d[1:]]))
+    return 0.5 * (total + float(_cubic(grid, x, d[1:], r - 0.5)[0]))
 
 
 def smallness_threshold(override=None) -> float:
@@ -132,8 +130,8 @@ class EnergyReport:
     def measure(cls, states, params: Params):
         """The report of one state, or the list of reports of a sequence of
         states on one grid, measured as one stack: each quadratic term is one
-        half-spectrum sum over it, both cubic terms one inverse transform,
-        and the pointwise columns read the states' samples."""
+        half-spectrum sum over it, and the pointwise columns and the cubic
+        terms read the states' samples (see the module docstring)."""
         single = isinstance(states, WaveState)
         states = [states] if single else list(states)
         if not states:
@@ -145,14 +143,13 @@ class EnergyReport:
         axes = tuple(range(-d, 0))
         u = np.array([st.packed() for st in states])
         x = np.array([st.samples for st in states])
-        wsq = _weighted_sq_coeffs(grid, u, 0.5, kappa)
-        cubic = _cubic(grid, u[:, 0], u[:, 1:], *((0.0,) if s == 0.5 else (0.0, s - 0.5)))
-        ham = 0.5 * (wsq + cubic[:, 0])
-        if s == 0.5:  # the energy is the Hamiltonian, its sums reused: a quarter faster
-            energy, norm_sq = ham, wsq
-        else:
-            norm_sq = _weighted_sq_coeffs(grid, u, s, kappa)
-            energy = 0.5 * (norm_sq + cubic[:, 1])
+        # In the band the 2/3 mask keeps every coefficient: the samples are the masked ones.
+        above = u[..., ~grid.dealias_mask].any()
+        masked = grid.inverse_half(_cubic_weights(grid, 0.0) * u) if above else x
+        cubic = _cubic(grid, masked, u[:, 1:], 0.0, s - 0.5)
+        ham = 0.5 * (_weighted_sq_coeffs(grid, u, 0.5, kappa) + cubic[:, 0])
+        norm_sq = _weighted_sq_coeffs(grid, u, s, kappa)
+        energy = 0.5 * (norm_sq + cubic[:, 1])
         if d == 1:
             vel_w = _norm_weights(grid, 0.5, kappa)[1]
             mom = (vel_w * (u[:, 0].conj() * u[:, 1]).real).sum(axis=-1)

@@ -16,6 +16,10 @@ package's ``Grid`` built before its arrays moved to the half lattice.
 Passed to a ``SymbolCatalog`` entry in place of the grid, it gives the
 entry's full-lattice multiplier; ``half`` cuts such an array to the half
 lattice the package uses.
+
+``one_transform_cubic`` is the energies' cubic term as the package computed
+it before a report read the states' own samples: one inverse transform of
+every masked factor.
 """
 
 import math
@@ -23,8 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from wbwaves.functionals import _cubic_weights
 from wbwaves.spectral import TWO_PI, Field, SymbolCatalog
-from wbwaves.state import WaveState
+from wbwaves.state import WaveState, _part
 
 
 class FullLattice:
@@ -164,3 +169,20 @@ def commutator(sym, f, g):
     """[sym(D), f] g = sym(D)(f g) - f sym(D) g with dealiased products."""
     a, b = apply_multiplier(sym, pair_product(f, g)), pair_product(f, apply_multiplier(sym, g))
     return Field(f.grid, a.values - b.values)
+
+
+def one_transform_cubic(grid, eta_c, w, *orders):
+    """int eta |J^order w|^2 dx for each order, from the half spectra eta_c
+    (..., *half) and w (..., d, *half): an array (..., len(orders)).
+
+    One inverse transform of the 2/3-masked factors (eta, J^order w, ..),
+    then grid quadrature: exact for fields supported in the band, since no
+    triple-product alias reaches the zero mode.  J^0 multiplies by exactly 1."""
+    d = grid.dim
+    parts = [(_cubic_weights(grid, 0.0) * eta_c)[_part(d, None)]]
+    parts += [_cubic_weights(grid, float(order)) * w for order in orders]
+    axes = tuple(range(-d, 0))
+    phys = grid.inverse_half(np.concatenate(parts, axis=-d - 1))
+    jw = phys[_part(d, slice(1, None))].reshape(*phys.shape[:-d - 1], len(orders), d, *grid.n)
+    terms = phys[_part(d, slice(0, 1))] * (jw**2).sum(axis=-d - 1)
+    return grid.cell * terms.sum(axis=axes)

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -1288,6 +1289,33 @@ class TestDescribeCommand:
         assert out.count("length=") == out.count("n=(") == 1
         assert "grid: n=(32,) length=(3.0,)\n" in out
         assert f"initial data: snapshot {snap} time=0\n" in out
+
+    @staticmethod
+    def _plan(out):
+        steps, dt = re.search(r"^plan: (\d+) steps of dt=(\S+)$", out, re.M).groups()
+        return int(steps), float(dt)
+
+    def test_plan_is_the_run_summary_plan(self, tmp_path, capsys):
+        """describe prints the step count and the effective dt (T over the
+        steps, below the configured 3e-3 here) that run writes to
+        run_summary.json."""
+        outdir = tmp_path / "o"
+        cfgfile = write_config(tmp_path, small_run(str(outdir), integrator={"dt": 3e-3}))
+        assert main(["describe", cfgfile]) == 0
+        plan = self._plan(capsys.readouterr().out)
+        assert main(["run", cfgfile]) == 0
+        summary = json.loads((outdir / "run_summary.json").read_text())
+        assert plan == (summary["steps"], summary["dt"]) == (167, 0.5 / 167)
+
+    def test_plan_of_a_tiny_step_is_printed_not_walked(self, tmp_path, capsys):
+        """A dt of 1e-300, reported as often, plans about 1e299 steps:
+        describe prints them at once and exits 0 (refusing such a plan is
+        not its job)."""
+        raw = small_run(str(tmp_path / "o"), integrator={"dt": 1e-300}, T=0.1,
+                        report_every=1e-300)
+        assert main(["describe", write_config(tmp_path, raw)]) == 0
+        steps, dt = self._plan(capsys.readouterr().out)
+        assert 0.99e299 < steps < 1.01e299 and dt == 0.1 / steps
 
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

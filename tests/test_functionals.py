@@ -5,13 +5,12 @@ import pytest
 
 from wbwaves.functionals import (
     EnergyReport,
-    _cubic,
     difference_energy,
     hamiltonian,
     modified_energy,
     smallness_threshold,
 )
-from wbwaves.presets import random_bandlimited, single_mode
+from wbwaves.presets import gaussian_bump, random_bandlimited, single_mode
 from wbwaves.spectral import Field, Grid, SpectralError
 from wbwaves.state import Params, WaveState, _weighted_sq_coeffs, weighted_pair_norm
 
@@ -22,6 +21,7 @@ from full_spectrum import (
     full,
     index,
     inverse,
+    one_transform_cubic,
     sobolev_norm,
     state_of,
     transform,
@@ -362,7 +362,7 @@ def _scalar_energy(state, s, kappa):
     only computation: the weighted sum of one state plus its one-order cubic term."""
     u = state.packed()
     wsq = _weighted_sq_coeffs(state.grid, u, s, kappa)
-    return 0.5 * (wsq + float(_cubic(state.grid, u[0], u[1:], s - 0.5)[0]))
+    return 0.5 * (wsq + float(one_transform_cubic(state.grid, u[0], u[1:], s - 0.5)[0]))
 
 
 class TestEnergyColumnsMatchScalarFormula:
@@ -378,3 +378,48 @@ class TestEnergyColumnsMatchScalarFormula:
             st = random_bandlimited(grid, seed=seed, band=5, amplitude=0.3)
             assert hamiltonian(st, params) == _scalar_energy(st, 0.5, kappa)
             assert modified_energy(st, params) == _scalar_energy(st, s, kappa)
+
+
+def _one_transform_report(states, params):
+    """(H, E_s, weighted norm) of a list of states as ``EnergyReport.measure``
+    computed them before it read the states' samples: both cubic terms from
+    one inverse transform of the masked (eta, v, J^(s-1/2) v), and at s = 1/2
+    the Hamiltonian's sums reused for the energy."""
+    grid, s, kappa = states[0].grid, params.s, params.kappa
+    u = np.array([st.packed() for st in states])
+    wsq = _weighted_sq_coeffs(grid, u, 0.5, kappa)
+    cubic = one_transform_cubic(grid, u[:, 0], u[:, 1:], *((0.0,) if s == 0.5 else (0.0, s - 0.5)))
+    ham = 0.5 * (wsq + cubic[:, 0])
+    if s == 0.5:
+        return ham, ham, np.sqrt(wsq)
+    norm_sq = _weighted_sq_coeffs(grid, u, s, kappa)
+    return ham, 0.5 * (norm_sq + cubic[:, 1]), np.sqrt(norm_sq)
+
+
+class TestReportMatchesOneTransformReport:
+    """The report reads its states' samples for the cubic terms on band data
+    and takes one masked transform on data above the band; at every s its H,
+    E_s and weighted norm equal the one-transform report's exactly
+    (tolerance 0), on one state and on a stack of 10."""
+
+    @pytest.mark.parametrize("n", [64, (16, 16)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("data", ["band", "bump"])
+    def test_bitwise_equal(self, n, s, batch, data):
+        grid = Grid(n)
+        params = Params(kappa=0.7, s=s)
+        if data == "band":
+            stack = np.array([random_bandlimited(grid, seed=b, band=5, amplitude=0.3).packed()
+                              for b in range(batch)])
+            states = WaveState.from_packed(grid, stack, [0.0] * batch)
+        else:
+            states = [gaussian_bump(grid, 0.02 * (1 + b), 0.1 + 0.01 * b) for b in range(batch)]
+        above = np.array([st.packed()[..., ~grid.dealias_mask] for st in states])
+        assert np.any(above) == (data == "bump")
+        reports = ([EnergyReport.measure(states[0], params)] if batch == 1
+                   else EnergyReport.measure(states, params))
+        got = [[getattr(rep, name) for rep in reports]
+               for name in ("hamiltonian", "modified_energy", "weighted_norm")]
+        want = [column.tolist() for column in _one_transform_report(states, params)]
+        assert got == want

@@ -497,16 +497,25 @@ FFT_NAMES = [name for name in dir(np.fft) if name.endswith(("fft", "fft2", "fftn
 
 
 @pytest.mark.parametrize("batch", [None, 10])
-@pytest.mark.parametrize("n, s, count", [((256,), 0.5, 2), ((256,), 2.0, 2), ((32, 32), 1.0, 3)])
-def test_report_transform_count(monkeypatch, n, s, count, batch):
-    """Sampling an evolving state and its energy report take ``count``
-    transforms (every np.fft function wrapped, as bench/tracer.py does), and
-    a (10, 1 + d, *half) stack takes as many as one state: the samples are
-    one inverse rfftn (plus, in 2D, one small transform of the self-conjugate
-    columns for the realness check), and both cubic terms one more."""
+@pytest.mark.parametrize("n, s, data, count", [
+    ((256,), 0.5, "band", 1), ((256,), 0.5, "bump", 2), ((256,), 2.0, "band", 2),
+    ((32, 32), 1.0, "band", 3),
+])
+def test_report_transform_count(monkeypatch, n, s, data, count, batch):
+    """Sampling a state and its energy report take ``count`` transforms
+    (every np.fft function wrapped, as bench/tracer.py does), and a
+    (10, 1 + d, *half) stack takes as many as one state: the samples are one
+    inverse rfftn (plus, in 2D, one small transform of the self-conjugate
+    columns for the realness check).  On an evolving state, which lies in the
+    2/3 band, the cubic term of H reads those samples and E_s at s != 1/2
+    takes one more transform, of J^(s-1/2) v; a gaussian bump, with content
+    above the band, takes one masked transform for its cubic terms."""
     grid = Grid(n)
     params = Params(kappa=1.0, s=s)
-    u = evolved_packed(grid, full_state(grid, 13)[0], params)
+    if data == "band":
+        u = evolved_packed(grid, full_state(grid, 13)[0], params)
+    else:
+        u = gaussian_bump(grid, 0.05, 0.1).packed()
     calls = []
 
     def counted(name, fn):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from wbwaves import spectral
-from wbwaves.functionals import _cubic
 from wbwaves.inequalities import commutator, product, sobolev_norms
 from wbwaves.spectral import Field, Grid, SpectralError, SymbolCatalog
 
-from full_spectrum import apply_multiplier, coeffs, full, index, linf, transform
+from full_spectrum import (apply_multiplier, coeffs, full, index, linf, one_transform_cubic,
+                           transform)
 from full_spectrum import half as cut
 
 TWO_PI = 2 * math.pi
@@ -327,11 +327,11 @@ class TestProducts:
         # The cubic term int eta |J^0 w|^2 of the functionals at eta = w = f.
         g = Grid(32)
         f = half(Field(g, np.cos(np.asarray(g.x[0]))))
-        assert abs(_cubic(g, f, f[None], 0.0)[0]) < 1e-13
+        assert abs(one_transform_cubic(g, f, f[None], 0.0)[0]) < 1e-13
 
     def test_triple_quadrature_value(self):
         # int 1 * cos^2(x) dx = pi on [0, 2 pi)
         g = Grid(32)
         f = half(Field(g, np.cos(np.asarray(g.x[0]))))
         one = half(Field(g, np.ones(32)))
-        assert _cubic(g, one, f[None], 0.0)[0] == pytest.approx(math.pi, rel=1e-13)
+        assert one_transform_cubic(g, one, f[None], 0.0)[0] == pytest.approx(math.pi, rel=1e-13)
