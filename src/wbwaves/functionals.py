@@ -144,7 +144,8 @@ class EnergyReport:
         u = np.array([st.packed() for st in states])
         x = np.array([st.samples for st in states])
         # In the band the 2/3 mask keeps every coefficient: the samples are the masked ones.
-        above = u[..., ~grid.dealias_mask].any()
+        flat = u.reshape(u.shape[:-d] + (-1,))
+        above = np.take(flat, grid.above_band_indices, axis=-1).any()
         masked = grid.inverse_half(_cubic_weights(grid, 0.0) * u) if above else x
         cubic = _cubic(grid, masked, u[:, 1:], 0.0, s - 0.5)
         ham = 0.5 * (_weighted_sq_coeffs(grid, u, 0.5, kappa) + cubic[:, 0])

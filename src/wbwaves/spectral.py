@@ -164,6 +164,13 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
+    @cached_property
+    def above_band_indices(self):
+        """Read-only flat half-lattice indices of the modes ``dealias_mask`` drops."""
+        indices = np.flatnonzero(~self.dealias_mask)
+        indices.setflags(write=False)
+        return indices
+
     def forward_half(self, values):
         """The half-spectrum coefficients (..., *half) of real samples
         (..., *n), by one rfftn over the last ``dim`` axes."""

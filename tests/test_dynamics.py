@@ -1609,15 +1609,33 @@ def test_a_step_makes_two_applies_and_four_forcing_calls(monkeypatch, n, rows):
     assert forced == [u.shape] * 4
 
 
-def test_step_allocation_with_a_workspace():
-    """After warm-up, a 2D 32^2 step given a workspace peaks at 2.17 (band)
-    state sizes, with its applies paired as with four single ones: the new
-    state, a product temporary inside an apply and numpy's iteration
-    buffers, the forcing's temporaries being in the workspace.  On the whole
-    half lattice it peaked at 2.07 of its larger states, and the step that
-    made every stage a new array at 9.1."""
-    ops = _ops(Grid((32, 32)), Params(kappa=0.7, mu=0.2, p=0.75))
-    u = _band(ops.grid, random_bandlimited(ops.grid, seed=0, band=10, amplitude=0.3).packed())
+STEP_ALLOCATION_CASES = {
+    "2d-32": ((32, 32), 1, 4.0),
+    "1d-256": ((256,), 1, 8.0),
+    "1d-256-B20": ((256,), 20, 7.0),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_ALLOCATION_CASES))
+def test_step_allocation_with_a_workspace(case):
+    """After warm-up, a step given a workspace allocates the new state, a
+    product temporary inside an apply and numpy's iteration buffers, the
+    forcing's temporaries being in the workspace.  A 2D 32^2 step peaks at
+    2.17 (band) state sizes, with its applies paired as with four single
+    ones; on the whole half lattice it peaked at 2.07 of its larger states,
+    and the step that made every stage a new array at 9.1.  In 1D numpy
+    buffers the broadcast inputs of the column products and of the heat
+    factor: n = 256 peaks at 6.77 state sizes for one state (2.66 with
+    propagator rows) and at 6.04 for 20 members, half of them viscous
+    (3.04 with rows)."""
+    n, members, bound = STEP_ALLOCATION_CASES[case]
+    grid = Grid(n)
+    params = Params(kappa=0.7, mu=0.2, p=0.75)
+    u = _band(grid, random_bandlimited(grid, seed=0, band=10, amplitude=0.3).packed())
+    if members > 1:
+        params = tuple(replace(params, mu=0.2 * (k % 2)) for k in range(members))
+        u = np.stack([u] * members)
+    ops = _ops(grid, params)
     work = dynamics._workspace(ops, u)
     dynamics._lawson_rk4_step(ops, u, 1e-2, work)  # warm the FFT plans
     tracemalloc.start()
@@ -1627,7 +1645,96 @@ def test_step_allocation_with_a_workspace():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * u.nbytes, peak / u.nbytes
+    assert peak <= bound * u.nbytes, peak / u.nbytes
+
+
+class RowPropagator:
+    """The propagator applied by rows, as before its 1D columns: each output
+    component is one row of multipliers dotted with (eta, v_1, .., v_d), and
+    the heat factor has the band's shape (with a member axis when batched)."""
+
+    def __init__(self, ops, t):
+        theta = t * ops.phase
+        cos, sin = np.cos(theta), np.sin(theta)
+        e = ops.unit
+        rows = [(cos,) + tuple(-1j * (ops.Kk_inv * sin * ej) for ej in e)]
+        rows += [
+            (-1j * (ops.Kk * sin * ej),)
+            + tuple(ej * ek * cos + (float(j == k) - ej * ek) for k, ek in enumerate(e))
+            for j, ej in enumerate(e)
+        ]
+        self.rows = [tuple(np.asarray(m, complex) for m in row) for row in rows]
+        self.heat = (np.exp(-t * ops.heat_rate).astype(complex) if ops.heat_rate is not None
+                     else None)
+        self.parts = ops.parts
+
+    def apply(self, u, out=None):
+        if out is None:
+            out = np.empty_like(u)
+        parts = self.parts
+        for row, i in zip(self.rows, parts):
+            acc = out[i]
+            np.multiply(row[0], u[parts[0]], out=acc)
+            for m, j in zip(row[1:], parts[1:]):
+                acc += m * u[j]
+        if self.heat is not None:
+            out *= self.heat
+        return out
+
+
+ROW_FORM_PARAMS = {
+    "mu0": Params(kappa=0.7),
+    "mu": Params(kappa=0.7, mu=0.2, p=0.75),
+    "mixed": (Params(kappa=0.7), Params(kappa=1.0, mu=0.2, p=0.75), Params(kappa=0.3, mu=0.1)),
+}
+
+
+def row_form_case(n, which):
+    """The operators and a band state (a stack of one per member when the
+    params are batched) for one case of the row-form comparisons."""
+    grid, params = Grid(n), ROW_FORM_PARAMS[which]
+    members = len(params) if isinstance(params, tuple) else 1
+    u = np.stack([_band(grid, small_state(grid, seed=k, amplitude=0.3).packed())
+                  for k in range(members)])
+    return _ops(grid, params), u if isinstance(params, tuple) else u[0]
+
+
+@pytest.mark.parametrize("which", list(ROW_FORM_PARAMS))
+@pytest.mark.parametrize("n", [(64,), (16, 24)], ids=["1d", "2d"])
+def test_propagator_apply_is_the_row_form_bitwise(n, which):
+    """A single node, an ERK4 pair in its workspace slices and a strided
+    stack of nodes, Picard's even nodes into its odd ones: each apply, into
+    ``out`` and into a new array, is bit for bit the row form's.  1D applies
+    one whole-axis term, 2D one term per row, and the heat factor spans the
+    component axis."""
+    ops, u = row_form_case(n, which)
+    prop, ref = ops.propagator(0.37), RowPropagator(ops, 0.37)
+    stages = np.stack([u, 2.0 * u, u, u])
+    nodes = np.stack([(1.0 + 0.1 * k) * u for k in range(9)])
+    cases = [(u, np.empty_like(u)), (stages[:2], stages[2:]), (nodes[0::2][:4], nodes[1::2])]
+    for v, out in cases:
+        want = ref.apply(v)
+        assert prop.apply(v).tobytes() == want.tobytes()
+        assert prop.apply(v, out=out) is out
+        assert out.tobytes() == want.tobytes()
+    assert len(prop.terms) == (1 if len(n) == 1 else 1 + len(n))
+    if ops.heat_rate is not None:
+        assert prop.heat.shape == u.shape
+
+
+@pytest.mark.parametrize("which", list(ROW_FORM_PARAMS))
+@pytest.mark.parametrize("n", [(64,), (16, 24)], ids=["1d", "2d"])
+def test_fifty_steps_match_the_row_form_bitwise(n, which):
+    """50 ERK4 steps with the propagator and with the row form read the same bits."""
+    ops, u = row_form_case(n, which)
+    ref = dynamics._Ops(ops.grid, ROW_FORM_PARAMS[which])
+    ref.propagator = partial(RowPropagator, ref)
+    got = want = u
+    for _ in range(50):
+        got = dynamics._lawson_rk4_step(ops, got, 1e-2)
+        want = dynamics._lawson_rk4_step(ref, want, 1e-2)
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all()
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["two-params", "one-params"])

@@ -71,6 +71,15 @@ class TestGrid:
         back = g.inverse_half(g.forward_half(v))
         assert np.max(np.abs(back - v)) <= 1e-12 * np.max(np.abs(v))
 
+    @pytest.mark.parametrize("n", [16, 256, (16, 24), (128, 128)])
+    def test_above_band_indices_are_the_flat_modes_the_mask_drops(self, n):
+        g = Grid(n)
+        flat = np.zeros(math.prod(g.half_shape), bool)
+        flat[g.above_band_indices] = True
+        assert np.array_equal(flat.reshape(g.half_shape), ~g.dealias_mask)
+        assert g.above_band_indices is g.above_band_indices
+        assert not g.above_band_indices.flags.writeable
+
     def test_parseval(self):
         g = Grid(64, 5.0)
         f = random_field(g, 7)
