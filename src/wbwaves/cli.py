@@ -85,6 +85,13 @@ def _picard_summary(defects):
             "contraction_estimate": contraction_estimate(defects)}
 
 
+def _failure_summary(exc):
+    """The status and fields of a run or a study that ``exc`` ended."""
+    if isinstance(exc, BlowUpError):
+        return {"status": "blowup", "blowup_time": exc.time}
+    return {"status": "no_contraction", **_picard_summary(exc.defects)}
+
+
 def _snapshot_writer(outdir):
     """A ``keep`` for ``evolve`` that writes each reported state it is given
     to the next ``snap_<i>.wbsnap`` of ``outdir``, i from 0, and keeps
@@ -119,7 +126,7 @@ def cmd_run(config: RunConfig) -> int:
         result = evolve(u0, config.params, config.integrator, config.T, config.report_every,
                         keep=keep)
     except PicardError as exc:
-        summary = {"status": "no_contraction", **plan, **_picard_summary(exc.defects)}
+        summary = {**_failure_summary(exc), **plan}
         _write_json(os.path.join(outdir, "run_summary.json"), config, summary)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -208,18 +215,11 @@ def cmd_study(name: str, config: RunConfig) -> int:
     outdir = config.resolved_output_dir()
     try:
         report = runner(config, **options)
-    except BlowUpError as exc:
-        summary = {"study": name, "status": "blowup", "pass": False,
-                   "member": exc.member, "blowup_time": exc.time}
+    except (BlowUpError, PicardError) as exc:
+        summary = {"study": name, "pass": False, "member": exc.member, **_failure_summary(exc)}
         _write_json(os.path.join(outdir, name + ".json"), config, summary)
         print(f"{name}: {exc}", file=sys.stderr)
-        return 2
-    except PicardError as exc:
-        summary = {"study": name, "status": "no_contraction", "pass": False,
-                   "member": exc.member, **_picard_summary(exc.defects)}
-        _write_json(os.path.join(outdir, name + ".json"), config, summary)
-        print(f"{name}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BlowUpError) else 1
     base = os.path.join(outdir, name + suffix)
     if report.rows:
         _write_csv(base + ".csv", config, report.rows)

@@ -548,17 +548,19 @@ def _horizon(T, dt, report_every=None):
     """The one rule of an integration's plan: ``(n_steps, dt, reports)``.
 
     T and ``report_every`` (None for T) must be positive and finite.  dt is
-    adjusted down so an integer number of steps lands exactly on T, and
-    ``report_every`` must be at least that step.  ``reports`` walks the
-    reported steps in increasing order, in O(1) memory: the step nearest
-    each multiple of ``report_every`` before T, node 0 among them, and the
-    last step ``n_steps``."""
+    adjusted down so an integer number of steps lands exactly on T, must
+    advance time (T + dt != T) and be at most ``report_every``.  ``reports``
+    walks the reported steps in increasing order, in O(1) memory: the step
+    nearest each multiple of ``report_every`` before T, node 0 among them,
+    and the last step ``n_steps``."""
     report_every = T if report_every is None else report_every
     _positive_finite(T=T, report_every=report_every)
     if not math.isfinite(T / dt):
         raise ValueError(f"T / dt must be finite, got {T} / {dt}")
     n_steps = max(1, math.ceil(T / dt - 1e-9))
     dt = T / n_steps
+    if T + dt == T:
+        raise ValueError(f"dt = {dt} cannot advance time: T + dt == T at T = {T}")
     if report_every < dt * (1 - 1e-12):
         raise ValueError("report_every must be at least the time step")
     n_rep = max(1, math.ceil(T / report_every - 1e-9))

@@ -3,8 +3,9 @@
 Every study is deterministic given its configuration and seed, re-verifies
 its preconditions numerically before running, and returns a ``StudyReport``:
 its raw points (one dict per CSV row), its verdict and the extra fields of
-its JSON summary.  Rate fits are least squares on log10-log10 points with
-the RMS fit residual reported alongside the slope.
+its JSON summary.  Every member of a study is integrated by ``_integrate``.
+Rate fits are least squares on log10-log10 points with the RMS fit
+residual reported alongside the slope.
 """
 
 from __future__ import annotations
@@ -90,18 +91,17 @@ def _sobolev_pair(grid, u, eta_order, vel_order) -> float:
     return math.sqrt(_sobolev_sq(grid, u[0], eta_order) + _sobolev_sq(grid, u[1:], vel_order))
 
 
-def _checked(member, res: EvolveResult) -> EvolveResult:
-    """A study member's result; a blow-up aborts the whole study."""
-    if res.blown_up:
-        raise BlowUpError(member, res.blowup_time)
-    return res
+def _relative_drift(series) -> float:
+    """max |x - x[0]| over a report column, relative to |x[0]|."""
+    return max(abs(x - series[0]) for x in series) / max(abs(series[0]), 1e-300)
 
 
 def _integrate(members, cfg, T, report_every, keep=None, checked=True):
-    """The results of ``members``, (name, state, Params) triples, in their
-    order and each ``_checked`` unless ``checked`` is false, from one
-    ``evolve`` call per integrator: under picard_duhamel a mu = 0 member
-    steps by ERK4.  A solve that does not contract names its member."""
+    """The results of ``members``, (name, state, Params) triples, in order, at
+    ``_report_cadence``, by one ``evolve`` call per integrator: under
+    picard_duhamel a mu = 0 member steps by ERK4.  A blow-up (if ``checked``)
+    or a solve that does not contract names its member and ends the study."""
+    report_every = _report_cadence(report_every, T, cfg.dt)
     inviscid = "exponential_rk4" if cfg.method == "picard_duhamel" else cfg.method
     methods = [cfg.method if p.mu > 0 else inviscid for _, _, p in members]
     results = {}
@@ -115,7 +115,10 @@ def _integrate(members, cfg, T, report_every, keep=None, checked=True):
             exc.member = names[exc.member]
             raise
     results = [results[i] for i in range(len(members))]
-    return list(map(_checked, [m[0] for m in members], results)) if checked else results
+    for (name, _, _), res in zip(members, results):
+        if checked and res.blown_up:
+            raise BlowUpError(name, res.blowup_time)
+    return results
 
 
 def _comparison_error(name, a, b, s, kappa):
@@ -227,7 +230,6 @@ def invariant_region_test(
     variants of the admitted data as one batch, the conservative one by ERK4
     under picard_duhamel."""
     eps = smallness_threshold(epsilon)
-    report_every = _report_cadence(report_every, T, cfg.dt)
     rows = []
     for i, u0 in enumerate(data):
         gate = weighted_pair_norm(u0, 0.5, params.kappa)
@@ -266,7 +268,6 @@ def dissipation_test(
         raise ValueError(f"dissipation_test needs delta > 0, got {delta}")
     if not (params.mu > 0 and params.p == 1.0):
         raise ValueError("dissipation_test needs mu > 0 and p = 1")
-    report_every = _report_cadence(report_every, T, cfg.dt)
     rows = []
     for i, u0 in enumerate(data):
         u, grid = u0.packed(), u0.grid
@@ -285,9 +286,7 @@ def dissipation_test(
         tol = 1e-10 * max(abs(h[0]), 1e-300)
         row["monotone"] = all(b <= a + tol for a, b in zip(h, h[1:]))
         row["total_drop"] = h[0] - h[-1]
-
-        drift = max(abs(x - ctrl_h[0]) for x in ctrl_h)
-        row["control_drift"] = drift / max(abs(ctrl_h[0]), 1e-300)
+        row["control_drift"] = _relative_drift(ctrl_h)
         row["ok"] = row["monotone"] and row["control_drift"] <= 1e-8
     return _table_report("dissipation", rows, delta=delta)
 
@@ -319,7 +318,6 @@ def stability_test(
         raise ValueError("perturbation sizes must be strictly decreasing")
     if len(sizes) < 3:
         raise ValueError(f"stability_test needs at least 3 perturbation sizes, got {len(sizes)}")
-    report_every = _report_cadence(report_every, T, cfg.dt)
     direction = random_bandlimited(u0.grid, seed=seed, band=4, amplitude=1.0)
     dnorm = weighted_pair_norm(direction, params.s, params.kappa)
     members = [("base", u0, params)] + [
@@ -367,10 +365,9 @@ def conservation_check(u0: WaveState, params: Params, T, cfg, report_every=None)
     """Relative drift of the invariants along the conservative flow."""
     if params.mu != 0:
         raise ValueError("conservation_check runs the unregularized system (mu = 0)")
-    report_every = _report_cadence(report_every, T, cfg.dt)
-    res = evolve(u0, params, cfg, T, report_every, keep=lambda state: None)
-    h = [rep.hamiltonian for rep in res.reports]
-    drift_h = max(abs(x - h[0]) for x in h) / max(abs(h[0]), 1e-300)
+    (res,) = _integrate([("conservation", u0, params)], cfg, T, report_every,
+                        keep=lambda state: None, checked=False)
+    drift_h = _relative_drift([rep.hamiltonian for rep in res.reports])
     row = {"drift_hamiltonian": drift_h, "blown_up": res.blown_up}
     if u0.dim == 1:
         mom = [rep.momentum for rep in res.reports]

@@ -1308,14 +1308,23 @@ class TestDescribeCommand:
         assert plan == (summary["steps"], summary["dt"]) == (167, 0.5 / 167)
 
     def test_plan_of_a_tiny_step_is_printed_not_walked(self, tmp_path, capsys):
-        """A dt of 1e-300, reported as often, plans about 1e299 steps:
-        describe prints them at once and exits 0 (refusing such a plan is
-        not its job)."""
-        raw = small_run(str(tmp_path / "o"), integrator={"dt": 1e-300}, T=0.1,
-                        report_every=1e-300)
+        """A dt of 1e-12 over T = 1e3, reported as often, plans 1e15 steps
+        that each advance time: describe prints them at once and exits 0."""
+        raw = small_run(str(tmp_path / "o"), integrator={"dt": 1e-12}, T=1e3,
+                        report_every=1e-12)
         assert main(["describe", write_config(tmp_path, raw)]) == 0
         steps, dt = self._plan(capsys.readouterr().out)
-        assert 0.99e299 < steps < 1.01e299 and dt == 0.1 / steps
+        assert steps == 10**15 and dt == 1e3 / steps
+
+    @pytest.mark.parametrize("command", ["describe", "run"])
+    def test_a_step_below_the_resolution_of_time_is_refused(self, tmp_path, capsys, command):
+        """A dt of 1e-300 at T = 0.1, where T + dt == T, would plan 1e299
+        steps: describe and run refuse it by name, exit 1, writing nothing."""
+        outdir = tmp_path / "o"
+        raw = small_run(str(outdir), integrator={"dt": 1e-300}, T=0.1)
+        assert main([command, write_config(tmp_path, raw)]) == 1
+        assert capsys.readouterr().err.startswith("error: dt = ")
+        assert not outdir.exists()
 
     def test_parse_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1378,14 +1387,15 @@ def _snapshot(tmp_path, n=64, cut=0, header=None, **extra):
     lambda tmp: {"T": math.inf},
     lambda tmp: {"report_every": math.inf},
     lambda tmp: {"T": 1e308, "integrator": {"dt": 1e-3}},
+    lambda tmp: {"integrator": {"dt": 1e-300}},
     lambda tmp: {"seed": -1},
     lambda tmp: {"params": {"kappa": 1.0, "s": 200.0}},
     lambda tmp: {"params": {"kappa": 1.0, "s": 20.0}},
 ], ids=["unknown_preset", "unknown_option", "missing_option", "band_past_dealias",
         "snapshot_grid", "snapshot_truncated", "snapshot_extra_key", "snapshot_time_nan",
         "snapshot_odd_n", "snapshot_length_nan", "report_below_step",
-        "T_nan", "T_inf", "report_every_inf", "steps_overflow", "seed_negative",
-        "s_overflow", "s_roundoff"])
+        "T_nan", "T_inf", "report_every_inf", "steps_overflow", "step_below_time_resolution",
+        "seed_negative", "s_overflow", "s_roundoff"])
 def test_describe_and_study_reject_what_run_rejects(tmp_path, capsys, overrides):
     """describe and a config-based study exit 1 on every config run rejects,
     with run's error line free of numpy reprs and warnings, and no command

@@ -302,7 +302,55 @@ def test_zero_report_cadence_is_not_the_default(study):
         study(single_mode(Grid(32), 0.001), IntegratorConfig(dt=5e-3), report_every=0)
 
 
+INTEGRATING_STUDIES = {
+    "conservation": lambda u0, cfg: conservation_check(u0, Params(kappa=1.0), 0.1, cfg),
+    "invariant_region": lambda u0, cfg: invariant_region_test([u0], Params(kappa=1.0), 0.1, cfg),
+    "dissipation": lambda u0, cfg: dissipation_test([u0], Params(kappa=1.0, mu=0.2), 0.1, cfg),
+    "stability": lambda u0, cfg: stability_test(
+        u0, [1e-2, 1e-3, 1e-4], 0.5, Params(kappa=1.0, s=1.5), 0.1, cfg
+    ),
+    "kappa_limit": lambda u0, cfg: kappa_limit_study(base_config(T=0.1), (0.1, 0.01, 0.001)),
+    "mu_limit": lambda u0, cfg: mu_limit_study(base_config(T=0.1), (0.1, 0.01)),
+}
+
+
+@pytest.mark.parametrize("study", INTEGRATING_STUDIES.values(), ids=INTEGRATING_STUDIES.keys())
+def test_every_study_integrates_through_one_place(monkeypatch, study):
+    """Every integrating study calls ``_integrate``, and reaches ``evolve``
+    only through it."""
+    integrate, real_evolve = experiments._integrate, experiments.evolve
+    calls = {"integrate": 0, "inside": 0, "outside": 0}
+
+    def spy_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        calls["inside"] += 1
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            calls["inside"] -= 1
+
+    def spy_evolve(*args, **kwargs):
+        calls["outside"] += not calls["inside"]
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_integrate", spy_integrate)
+    monkeypatch.setattr(experiments, "evolve", spy_evolve)
+    study(single_mode(Grid(32), 0.001), IntegratorConfig(dt=5e-3))
+    assert calls["integrate"] >= 1 and calls["outside"] == 0
+
+
 class TestConservationCheck:
+    def test_duhamel_steps_the_conservative_run_by_erk4(self):
+        """Under picard_duhamel the mu = 0 run steps by ERK4, as in every
+        other study: the row is the exponential_rk4 run's, bitwise."""
+        u0 = single_mode(Grid(32), 0.05)
+        rows = [
+            conservation_check(u0, Params(kappa=1.0), 0.1, IntegratorConfig(method=m, dt=5e-3),
+                               report_every=0.05).rows
+            for m in ("exponential_rk4", "picard_duhamel")
+        ]
+        assert repr(rows[1]) == repr(rows[0])
+
     def test_reference_run(self):
         g = Grid(128)
         report = conservation_check(

@@ -10,7 +10,7 @@ import pytest
 
 from wbwaves import experiments
 from wbwaves.config import ConfigError, config_from_dict, load_config
-from wbwaves.dynamics import IntegratorConfig
+from wbwaves.dynamics import IntegratorConfig, evolve
 from wbwaves.functionals import EnergyReport, difference_energy
 from wbwaves.presets import gaussian_bump, single_mode
 from wbwaves.snapshot import MAGIC, SnapshotError, read_snapshot
@@ -57,6 +57,9 @@ REFUSALS = {
                           "dt must be finite, got inf"),
     "picard_tol-inf": (lambda tmp: IntegratorConfig(picard_tol=math.inf), ValueError,
                        "picard_tol must be finite, got inf"),
+    "evolve-dt-below-time-resolution": (
+        lambda tmp: evolve(line_state(), Params(), IntegratorConfig(dt=1e-300), 0.1),
+        ValueError, "cannot advance time: T + dt == T at T = 0.1"),
     "picard_max_iter": (lambda tmp: IntegratorConfig(picard_max_iter=0), ValueError,
                         "picard_max_iter must be at least 1"),
     "negative-kappa": (lambda tmp: Params(kappa=-1.0), ValueError, "kappa must be >= 0, got -1.0"),
