@@ -45,11 +45,13 @@ quadratic forcing (``_Ops.nonlinear``) is cut by the 2/3 rule, as are the
 cubic terms of H and E_s: one discrete system.  It scatters the band into
 its zeroed half-lattice buffers (one prefix in 1D, two row blocks in 2D),
 transforms axis by axis there, and gathers the band of the result the same
-way, through views built once per workspace (new buffers when it is given
-none, as on a Picard sweep's node stack); in 2D its leading-axis passes see
-only the band's columns, and the transform scaling and the 1/2 of |v|^2/2
-are folded into precomputed weights.  Its sums over the velocity components
-are in-place adds.
+way, by term tables on views built once per workspace (new buffers when it
+is given none, as on a Picard sweep's node stack).  Its products, eta v_1,
+.., eta v_d, |v|^2, are in the output's row order, so in 1D the products
+are one product v (eta, v) and the gather one product (G, G/2) F; in 2D
+the sums over j are in-place adds and the leading-axis passes see only the
+band's columns.  The transform scaling and the 1/2 of |v|^2/2 are folded
+into precomputed weights.
 
 Trajectories stay on the band: the two RK4 steppers and the converged
 Duhamel nodes each give ``evolve`` a sequence of band arrays, and its one
@@ -198,6 +200,18 @@ def above_band_share(state: WaveState, params: Params) -> float:
     return above / total if total > 0 else 0.0
 
 
+def _sum_products(target, terms):
+    """Walk a term table: each term (index, (a, b), [(a, b, tmp), ..]) writes
+    a b to ``target[index]``, then adds each further product, made in its
+    ``tmp``."""
+    for i, (a, b), rest in terms:
+        acc = target[i]
+        np.multiply(a, b, out=acc)
+        for a, b, tmp in rest:
+            np.multiply(a, b, out=tmp)
+            acc += tmp
+
+
 # ---------------------------------------------------------------------------
 # Precomputed multiplier arrays for one (grid, params) combination
 
@@ -239,47 +253,39 @@ class _Ops:
         # On the band the 2/3 mask keeps every mode, so the weights fold in
         # only the transform scaling, the inverse one (for norm="forward") a
         # scalar, a complex 0-d array so that numpy converts nothing on each
-        # call (the same products).  The velocity rows transform |v|^2 and
-        # take the 1/2 of |v|^2/2 here: a power of two scales exactly, so the
+        # call (the same products).  The gather's weights follow the product
+        # rows, G_j for eta v_j and G/2 for |v|^2: the velocity rows take the
+        # 1/2 of |v|^2/2 here, and a power of two scales exactly, so the
         # result is bit for bit the same.
         self.blocks = _band_blocks(grid)
         self.inv_weight = np.array(1.0 / math.sqrt(math.prod(grid.length)), complex)
         self.fwd_weight = _band(grid, forcing) * grid._norm_factor
-        vel_weight = 0.5 * self.fwd_weight
-        self._block_weights = [(vel_weight[b], self.fwd_weight[b]) for b, _ in self.blocks]
+        self.gather_weight = np.concatenate([self.fwd_weight, 0.5 * self.fwd_weight])
         self._props = OrderedDict()
 
     def nonlinear(self, u, out=None, work=None):
         """Quadratic forcing of the evolution (the Duhamel integrand):
         -K^2 div(eta v) and -K^2 grad(|v|^2/2) of a band state, dealiased by
-        the 2/3 rule, from the coefficients of ``_products``, written to
-        ``out`` (a new array when None, or ``u`` itself: ``u`` is read before
-        ``out`` is written).  ``work`` is the temporaries' ``buffers`` (new
-        arrays when None)."""
-        gathered = self._products(u, work)
+        the 2/3 rule, gathered from the spectra of ``_products`` by their
+        ``buffers`` gather table and written to ``out`` (a new array when
+        None, or ``u`` itself: ``u`` is read before ``out`` is written).
+        ``work`` is the temporaries' ``buffers`` (new arrays when None)."""
+        gather = self._products(u, work)
         if out is None:
             out = np.empty_like(u)
-        for (band, _), (vel_weight, fwd_weight), (sq, first, *rest) in zip(
-                self.blocks, self._block_weights, gathered):
-            kept = out[band]
-            np.multiply(vel_weight, sq, out=kept[self.vel])
-            # The divergence sum_j G_j (eta v_j): one product, then in-place
-            # adds.
-            div = kept[self.eta]
-            np.multiply(first, fwd_weight[0], out=div)
-            for c, weight in zip(rest, fwd_weight[1:]):
-                c *= weight
-                div += c
+        _sum_products(out, gather)
         return out
 
     def buffers(self, spec, samples):
         """The forcing's temporaries in two contiguous complex arrays of the
-        half-lattice shape of its input, as the views ``_products`` works on,
+        half-lattice shape of its input, and the term tables on their views,
         built once: ``spec`` holds the inverse transform's input (the band's
         blocks, zeros elsewhere), then the products (real); ``samples`` holds
-        the samples (real), then the forward spectrum, whose band blocks
-        ``_products`` returns.  Each real array comes with its eta row, its
-        velocity rows as one view and as a list of one view per component."""
+        the samples (real), then the forward spectrum.  The product rows are
+        the output's, eta v_1, .., eta v_d, |v|^2: in 1D the products and the
+        gather are one whole-axis product each, v (eta, v) and (G, G/2) F; in
+        2D the sums over j are in-place adds, |v|^2's in the rows eta v_j
+        fills next."""
         grid, d = self.grid, self.grid.dim
         real = spec.shape[: self.comp] + (1 + d,) + grid.n
         width = grid.dealias_band(-1) + 1
@@ -290,29 +296,37 @@ class _Ops:
         if d > 1:
             k = grid.dealias_band(0)
             zeros.append(cols[..., k + 1 : grid.n[0] - k, :])
+        phys, prod = _real(samples, real), _real(spec, real)
         rows = [_part(d, slice(k, k + 1)) for k in range(1 + d)]
-
-        def split(a):
-            return a, a[self.eta], a[self.vel], [a[r] for r in rows[1:]]
-
-        return ((spec, cols, zeros, [spec[h] for _, h in self.blocks]),
-                split(_real(samples, real)), split(_real(spec, real)),
-                (samples, kept, [[samples[h][r] for r in rows] for _, h in self.blocks]))
+        blocks = [(band, self.gather_weight[band], samples[h]) for band, h in self.blocks]
+        if d == 1:
+            products = [(Ellipsis, (phys[self.vel], phys), [])]
+            gather = [(band, (w, f), []) for band, w, f in blocks]
+        else:
+            v = [phys[r] for r in rows[1:]]
+            products = [(rows[d], (v[0], v[0]), [(vj, vj, prod[r]) for vj, r in zip(v[1:], rows)]),
+                        (_part(d, slice(0, d)), (phys[self.vel], phys[self.eta]), [])]
+            gather = []
+            for band, w, f in blocks:
+                (g, c, _), *rest = [(w[j], f[r], f[r]) for j, r in enumerate(rows[:d])]
+                gather += [((Ellipsis, self.eta[1]) + band[1:], (g, c), rest),
+                           ((Ellipsis, self.vel[1]) + band[1:], (w[d:], f[rows[d]]), [])]
+        return (spec, cols, zeros, [spec[h] for _, h in self.blocks]), (phys, prod, products), \
+            (samples, kept, gather)
 
     def _products(self, u, work=None):
-        """The band blocks of the coefficients of |v|^2, eta v_1, .., eta v_d,
-        one row each: the weighted state, scattered into the zeroed half
-        lattice, inverse transformed, then the products' forward transform,
-        axis by axis, every temporary in ``work``, the ``buffers``.  With no
-        ``work`` they are new arrays, the input columns freed on return, so a
-        Picard sweep's stack of nodes peaks at about two half-lattice stacks
-        here."""
+        """The forcing's products eta v_1, .., eta v_d, |v|^2, transformed:
+        the weighted state, scattered into the zeroed half lattice, inverse
+        transformed, then the products' forward transform, axis by axis,
+        every temporary in ``work``, the ``buffers``, whose gather table it
+        returns.  With no ``work`` they are new arrays, the input columns
+        freed on return, so a Picard sweep's stack of nodes peaks at about
+        two half-lattice stacks here."""
         lead = self.axes[:-1]
         if work is None:
             shape = u.shape[: self.comp + 1] + self.grid.half_shape
             work = self.buffers(np.empty(shape, u.dtype), np.empty(shape, u.dtype))
-        (spec, cols, zeros, into), (phys, eta, vel, v), (prod, sq, flux, flux_rows), \
-            (fwd, kept, gathered) = work
+        (spec, cols, zeros, into), (phys, prod, products), (fwd, kept, gather) = work
         for z in zeros:
             z.fill(0)
         for (band, _), block in zip(self.blocks, into):
@@ -322,17 +336,11 @@ class _Ops:
         # The last axis transforms all of the contiguous spec: the numbers of
         # the band's columns padded to n.
         np.fft.irfft(spec, n=self.grid.n[-1], axis=-1, norm="forward", out=phys)
-        # |v|^2 as one product and in-place adds over j, the squares past v_1
-        # in the rows eta v_j fills next; then every eta v_j in one product.
-        np.multiply(v[0], v[0], out=sq)
-        for vj, tmp in zip(v[1:], flux_rows[1:]):
-            np.multiply(vj, vj, out=tmp)
-            sq += tmp
-        np.multiply(vel, eta, out=flux)
+        _sum_products(prod, products)
         np.fft.rfft(prod, axis=-1, out=fwd)
         for axis in lead:
             np.fft.fft(kept, axis=axis, out=kept)
-        return gathered
+        return gather
 
     def linear(self, u):
         div = np.sum(self.dx * u[self.vel], axis=self.comp, keepdims=True)

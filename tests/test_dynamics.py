@@ -1737,6 +1737,179 @@ def test_fifty_steps_match_the_row_form_bitwise(n, which):
     assert np.isfinite(got).all()
 
 
+class SquareFirstForcing:
+    """The forcing as it was written with |v|^2 as its first product row:
+    in every dimension |v|^2 as one product and in-place adds, then every
+    eta v_j in one product, and per band block the velocity rows G/2 |v|^2
+    and the divergence sum_j G_j (eta v_j) gathered by their own products
+    and in-place adds, on the views of its own ``buffers``."""
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.block_weights = [(0.5 * ops.fwd_weight[b], ops.fwd_weight[b]) for b, _ in ops.blocks]
+
+    def buffers(self, spec, samples):
+        ops = self.ops
+        grid, d = ops.grid, ops.grid.dim
+        real = spec.shape[: ops.comp] + (1 + d,) + grid.n
+        width = grid.dealias_band(-1) + 1
+        cols, kept = spec[..., :width], samples[..., :width]
+        zeros = [spec[..., width:]]
+        if d > 1:
+            k = grid.dealias_band(0)
+            zeros.append(cols[..., k + 1 : grid.n[0] - k, :])
+        rows = [_part(d, slice(k, k + 1)) for k in range(1 + d)]
+
+        def split(a):
+            return a, a[ops.eta], a[ops.vel], [a[r] for r in rows[1:]]
+
+        return ((spec, cols, zeros, [spec[h] for _, h in ops.blocks]),
+                split(dynamics._real(samples, real)), split(dynamics._real(spec, real)),
+                (samples, kept, [[samples[h][r] for r in rows] for _, h in ops.blocks]))
+
+    def products(self, u, work=None):
+        ops = self.ops
+        lead = ops.axes[:-1]
+        if work is None:
+            shape = u.shape[: ops.comp + 1] + ops.grid.half_shape
+            work = self.buffers(np.empty(shape, u.dtype), np.empty(shape, u.dtype))
+        (spec, cols, zeros, into), (phys, eta, vel, v), (prod, sq, flux, flux_rows), \
+            (fwd, kept, gathered) = work
+        for z in zeros:
+            z.fill(0)
+        for (band, _), block in zip(ops.blocks, into):
+            np.multiply(u[band], ops.inv_weight, out=block)
+        for axis in lead:
+            np.fft.ifft(cols, axis=axis, norm="forward", out=cols)
+        np.fft.irfft(spec, n=ops.grid.n[-1], axis=-1, norm="forward", out=phys)
+        np.multiply(v[0], v[0], out=sq)
+        for vj, tmp in zip(v[1:], flux_rows[1:]):
+            np.multiply(vj, vj, out=tmp)
+            sq += tmp
+        np.multiply(vel, eta, out=flux)
+        np.fft.rfft(prod, axis=-1, out=fwd)
+        for axis in lead:
+            np.fft.fft(kept, axis=axis, out=kept)
+        return gathered
+
+    def nonlinear(self, u, out=None, work=None):
+        ops = self.ops
+        gathered = self.products(u, work)
+        if out is None:
+            out = np.empty_like(u)
+        for (band, _), (vel_weight, fwd_weight), (sq, first, *rest) in zip(
+                ops.blocks, self.block_weights, gathered):
+            kept = out[band]
+            np.multiply(vel_weight, sq, out=kept[ops.vel])
+            div = kept[ops.eta]
+            np.multiply(first, fwd_weight[0], out=div)
+            for c, weight in zip(rest, fwd_weight[1:]):
+                c *= weight
+                div += c
+        return out
+
+
+def square_first_ops(grid, params):
+    """An ``_Ops`` whose forcing, and the workspace it lays out, is
+    ``SquareFirstForcing``'s."""
+    ref = dynamics._Ops(grid, params)
+    forcing = SquareFirstForcing(ref)
+    ref.nonlinear, ref.buffers = forcing.nonlinear, forcing.buffers
+    return ref
+
+
+def forcing_case(n, which):
+    """The params and a band stack for one case of the square-first
+    comparisons: one state, a B = 20 stack whose members alternate mu 0
+    and mu 0.2, or a Picard sweep's stack of N + 1 = 9 nodes."""
+    grid = Grid(n)
+    params = Params(kappa=0.7, mu=0.2, p=0.75)
+    u = _band(grid, random_bandlimited(grid, seed=3, band=min(n) // 4, amplitude=0.3).packed())
+    if which == "one":
+        return grid, params, u
+    members = 20 if which == "B20" else 9
+    u = np.stack([(1.0 + 0.05 * k) * u for k in range(members)])
+    if which == "B20":
+        params = tuple(replace(params, mu=0.2 * (k % 2)) for k in range(members))
+    return grid, params, u
+
+
+FORCING_GRIDS = [(64,), (256,), (16, 24)]
+
+
+@pytest.mark.parametrize("which", ["one", "B20", "picard"])
+@pytest.mark.parametrize("n", FORCING_GRIDS, ids=["1d-64", "1d-256", "2d"])
+def test_forcing_is_the_square_first_form_bitwise(n, which):
+    """Into a new array, into a workspace slot and over its own input, with
+    and without buffers, the forcing is bit for bit the square-first form's.
+    1D makes one whole-axis product and one whole-axis gather, 2D the
+    square-first form's products and sums in the new row order."""
+    grid, params, u = forcing_case(n, which)
+    ops = _ops(grid, params)
+    want = SquareFirstForcing(ops).nonlinear(u).tobytes()
+    assert ops.nonlinear(u).tobytes() == want
+    (stages, buffers), _ = garbage_workspace(ops, u, seed=7)
+    slot = stages[1]
+    assert ops.nonlinear(u, out=slot, work=buffers) is slot
+    assert slot.tobytes() == want
+    for work in (buffers, None):
+        inout = u.copy()
+        assert ops.nonlinear(inout, out=inout, work=work) is inout
+        assert inout.tobytes() == want
+    products, gather = buffers[1][2], buffers[2][2]
+    blocks = len(ops.blocks)
+    assert (len(products), len(gather)) == ((1, 1) if len(n) == 1 else (2, 2 * blocks))
+
+
+@pytest.mark.parametrize("which", ["one", "B20"])
+@pytest.mark.parametrize("n", FORCING_GRIDS, ids=["1d-64", "1d-256", "2d"])
+def test_fifty_steps_match_the_square_first_form_bitwise(n, which):
+    """50 ERK4 steps with the forcing and with the square-first form, each in
+    its own workspace, read the same bits."""
+    grid, params, u = forcing_case(n, which)
+    ops, ref = _ops(grid, params), square_first_ops(grid, params)
+    work, ref_work = dynamics._workspace(ops, u), dynamics._workspace(ref, u)
+    got = want = u
+    for _ in range(50):
+        got = dynamics._lawson_rk4_step(ops, got, 1e-2, work)
+        want = dynamics._lawson_rk4_step(ref, want, 1e-2, ref_work)
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).all()
+
+
+FORCING_ALLOCATION_CASES = {
+    "1d-256": ((256,), 1, 2.5),
+    "1d-256-B20": ((256,), 20, 2.5),
+    "2d-32": ((32, 32), 1, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(FORCING_ALLOCATION_CASES))
+def test_forcing_allocation_with_a_workspace(case):
+    """After warm-up, the forcing given a workspace and ``out=`` allocates
+    only numpy's iteration buffers and the transforms' scratch, its
+    temporaries being in the workspace.  With numpy 2.4.6 it peaks at 1.98
+    (band) state sizes at 1D n = 256 for one state, 2.03 for 20 members
+    (the square-first form read 1.53 and 2.26) and 1.60 at 2D 32^2 (1.59):
+    the bounds leave 23 to 26% over these."""
+    n, members, bound = FORCING_ALLOCATION_CASES[case]
+    grid = Grid(n)
+    u = _band(grid, random_bandlimited(grid, seed=0, band=10, amplitude=0.3).packed())
+    if members > 1:
+        u = np.stack([u] * members)
+    ops = _ops(grid, Params(kappa=0.7, mu=0.2, p=0.75))
+    stages, buffers = dynamics._workspace(ops, u)
+    ops.nonlinear(u, out=stages[1], work=buffers)  # warm the FFT plans
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ops.nonlinear(u, out=stages[1], work=buffers)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * u.nbytes, peak / u.nbytes
+
+
 @pytest.mark.parametrize("shared", [False, True], ids=["two-params", "one-params"])
 def test_concurrent_evolves_match_serial_runs(shared):
     """Two threads integrate at once on one grid through the shared operator
